@@ -27,6 +27,7 @@ from __future__ import annotations
 import argparse
 import dataclasses
 import json
+import math
 import os
 import sys
 from typing import Any, Callable, Sequence
@@ -249,8 +250,34 @@ def _metadata(seed: int | None) -> dict[str, Any]:
     }
 
 
+def _nonfinite(value: Any, path: str) -> tuple[str, float] | None:
+    """(path, value) of the first NaN or infinite float in ``value``."""
+    if isinstance(value, float):
+        return None if math.isfinite(value) else (path, value)
+    if isinstance(value, dict):
+        items: Any = value.items()
+    elif isinstance(value, (list, tuple)):
+        items = enumerate(value)
+    else:
+        return None
+    for key, item in items:
+        found = _nonfinite(item, f"{path}.{key}" if path else str(key))
+        if found is not None:
+            return found
+    return None
+
+
 def _emit_json(payload: dict[str, Any]) -> None:
-    sys.stdout.write(json.dumps(payload, sort_keys=True, indent=2) + "\n")
+    """Write strict JSON; refuse a report holding NaN or infinity."""
+    try:
+        text = json.dumps(payload, sort_keys=True, indent=2, allow_nan=False)
+    except ValueError:
+        path, value = _nonfinite(payload, "")
+        raise ValueError(
+            f"{path} evaluates to {value!r}: an input is outside the range "
+            "where the model gives a finite answer"
+        ) from None
+    sys.stdout.write(text + "\n")
 
 
 def _report(
@@ -583,7 +610,7 @@ def main(argv: Sequence[str] | None = None) -> int:
         return _HANDLERS[args.command](config)
     except _UsageError as exc:
         parser.exit(2, f"covertsense: {exc}\n")
-    except (DomainError, NumericalInstabilityError, ValueError) as exc:
+    except (DomainError, NumericalInstabilityError, ValueError, OverflowError) as exc:
         _emit_error(exc)
         return 1
 

@@ -396,6 +396,22 @@ def taylor_c3(scenario: SensingScenario, **kwargs) -> float:
     return taylor_coefficients(scenario, **kwargs).c3
 
 
+def check_epsilon(epsilon: float) -> None:
+    """Refuse a covertness parameter that is not positive and finite."""
+    if not 0.0 < epsilon < math.inf:
+        raise ValueError(f"epsilon must be positive and finite, got {epsilon}")
+
+
+def channel_uses(num_modes: float) -> int:
+    """n = floor(num_modes), refusing NaN, infinite and sub-unit counts."""
+    if not math.isfinite(num_modes):
+        raise ValueError(f"number of channel uses must be finite, got {num_modes}")
+    n = int(math.floor(num_modes))
+    if n < 1:
+        raise ValueError("need at least one channel use")
+    return n
+
+
 def covert_budget(
     scenario: SensingScenario, epsilon: float, num_modes: float
 ) -> CovertBudget:
@@ -409,13 +425,14 @@ def covert_budget(
     occupancies, i.e. when the quadratic truncation is no longer
     trustworthy.
     """
-    if epsilon <= 0.0:
-        raise ValueError("epsilon must be positive")
-    n = int(math.floor(num_modes))
-    if n < 1:
-        raise ValueError("need at least one channel use")
+    check_epsilon(epsilon)
+    n = channel_uses(num_modes)
     c2 = taylor_c2(scenario)
     nbar_s = 4.0 * epsilon / (math.sqrt(c2) * math.sqrt(n))
+    if not math.isfinite(nbar_s):
+        raise DomainError(
+            f"covert budget overflows double precision at epsilon = {epsilon!r}"
+        )
     threshold = 0.1 * min(scenario.nbar_b1, scenario.nbar_b2)
     in_regime = nbar_s < threshold
     if not in_regime:
@@ -443,7 +460,5 @@ def willie_error_lower_bound(c2: float, num_modes: float, nbar_s: float) -> floa
     """
     if c2 < 0.0:
         raise ValueError("c2 must be non-negative")
-    n = int(math.floor(num_modes))
-    if n < 1:
-        raise ValueError("need at least one channel use")
+    n = channel_uses(num_modes)
     return 0.5 - (math.sqrt(c2) / 4.0) * math.sqrt(n) * nbar_s

@@ -35,15 +35,16 @@ budget this equals ``c_het_tilde / (eps sqrt(n))``.
 from __future__ import annotations
 
 import math
+import os
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 
 import numpy as np
 
-from .covertness import covert_budget, taylor_c2
+from .covertness import channel_uses, check_epsilon, covert_budget, taylor_c2
 from .errors import DomainError, NumericalInstabilityError
 from .gaussian import CovarianceMatrix, symplectic_form
-from .scenario import ProbeSettings, SensingScenario, alice_cm
+from .scenario import ProbeSettings, SensingScenario, alice_cm, check_occupancy
 
 __all__ = [
     "RNG_ALGORITHM",
@@ -190,10 +191,8 @@ def qfi_closed(
     (1-eta))``, with ``eta = eta_eff`` and ``b = nbar_b_eff``.  Both
     vanish at ``nbar_s = 0``.
     """
-    if nbar_s < 0.0:
-        raise ValueError(f"nbar_s must be non-negative, got {nbar_s}")
-    if nbar_lo < 0.0:
-        raise ValueError(f"nbar_lo must be non-negative, got {nbar_lo}")
+    check_occupancy("nbar_s", nbar_s)
+    check_occupancy("nbar_lo", nbar_lo)
     eta = scenario.eta_eff
     b = scenario.nbar_b_eff
     f_a = 4.0 * nbar_s * eta / (1.0 + 2.0 * b * (1.0 - eta))
@@ -245,11 +244,8 @@ def qcrb_ase(
     :func:`covertsense.covertness.taylor_c2`, so a channel with no
     leakage propagates DegenerateCovertnessError.
     """
-    if epsilon <= 0.0:
-        raise ValueError("epsilon must be positive")
-    n = int(math.floor(num_modes))
-    if n < 1:
-        raise ValueError("need at least one channel use")
+    check_epsilon(epsilon)
+    n = channel_uses(num_modes)
     eta = scenario.eta_eff
     b = scenario.nbar_b_eff
     c2 = taylor_c2(scenario)
@@ -281,9 +277,9 @@ def heterodyne_stats(
     """
     if nbar_s <= 0.0:
         raise DomainError(f"no signal to normalize by: nbar_s = {nbar_s}")
-    n = int(math.floor(num_modes))
-    if n < 1:
-        raise ValueError("need at least one channel use")
+    if not math.isfinite(theta):
+        raise ValueError(f"theta must be finite, got {theta}")
+    n = channel_uses(num_modes)
     eta = scenario.eta_eff
     b = scenario.nbar_b_eff
     if eta == 0.0:
@@ -364,6 +360,11 @@ def _normal_pairs(gen: np.random.Generator, shape: tuple[int, ...]) -> tuple[
     return radius * np.cos(angle), radius * np.sin(angle)
 
 
+def _thread_count(requested: int, num_blocks: int) -> int:
+    """Threads worth starting: no more than requested, cores or blocks."""
+    return max(1, min(requested, os.cpu_count() or 1, num_blocks))
+
+
 def simulate_heterodyne_mse(
     scenario: SensingScenario,
     theta_true: float,
@@ -396,7 +397,8 @@ def simulate_heterodyne_mse(
     falls on a whole counter step, so blocks address the stream with
     ``advance``.  Trials are processed in blocks of 4096; block partial
     sums are combined in block order regardless of ``workers``, making
-    output bits independent of the worker count.
+    output bits independent of the worker count.  At most
+    ``min(workers, os.cpu_count(), blocks)`` threads are started.
     """
     trials = int(trials)
     if trials < 1000:
@@ -405,7 +407,7 @@ def simulate_heterodyne_mse(
         raise ValueError("seed must be a non-negative integer below 2**128")
     if workers < 1:
         raise ValueError("workers must be >= 1")
-    n = int(math.floor(num_modes))
+    n = channel_uses(num_modes)
     budget = covert_budget(scenario, epsilon, n)
     stats = heterodyne_stats(scenario, theta_true, budget.nbar_s, n)
 
@@ -446,6 +448,7 @@ def simulate_heterodyne_mse(
         return float(np.sum(squared)), float(np.sum(squared * squared))
 
     num_blocks = -(-trials // _BLOCK_TRIALS)
+    workers = _thread_count(workers, num_blocks)
     if workers == 1:
         partials = [run_block(i) for i in range(num_blocks)]
     else:
@@ -493,11 +496,8 @@ def coherent_baseline(
     quadrature detection reaches, ``c_coh`` what the optimal receiver
     reaches; ``c_coh <= c_het <= 2 c_coh`` always.
     """
-    if epsilon <= 0.0:
-        raise ValueError("epsilon must be positive")
-    n = int(math.floor(num_modes))
-    if n < 1:
-        raise ValueError("need at least one channel use")
+    check_epsilon(epsilon)
+    n = channel_uses(num_modes)
     c_het, c_coh = _coherent_coefficients(eta_eff, nbar_b_eff)
     root = math.sqrt(eta_eff * nbar_b_eff * (1.0 + eta_eff * nbar_b_eff))
     nbar_s = 4.0 * epsilon * root / (math.sqrt(n) * (1.0 - eta_eff))
@@ -521,12 +521,15 @@ def source_comparison(
     is stated at an actual operating point.  ``mu < 1`` (thermal probe
     wins) exactly when ``mu_c < sqrt(mu_w)``.
     """
-    if w_ase <= 0.0 or w_coh <= 0.0:
-        raise ValueError("bandwidths must be positive")
-    if integration_time <= 0.0:
-        raise ValueError("integration time must be positive")
-    if epsilon <= 0.0:
-        raise ValueError("epsilon must be positive")
+    if not (0.0 < w_ase < math.inf and 0.0 < w_coh < math.inf):
+        raise ValueError(
+            f"bandwidths must be positive and finite, got {w_ase} and {w_coh}"
+        )
+    if not 0.0 < integration_time < math.inf:
+        raise ValueError(
+            f"integration time must be positive and finite, got {integration_time}"
+        )
+    check_epsilon(epsilon)
     c_ase, _ = qcrb_ase(scenario, epsilon, max(1.0, w_ase * integration_time))
     _, c_coh = _coherent_coefficients(scenario.eta_eff, scenario.nbar_b_eff)
     mu_c = c_ase / c_coh
@@ -551,7 +554,7 @@ def estimation_report(
     ``nbar_lo``.  ``mse_bound`` equals ``qcrb``: it is the same quantity
     under its report name.
     """
-    n = int(math.floor(num_modes))
+    n = channel_uses(num_modes)
     budget = covert_budget(scenario, epsilon, n)
     f_a_prime, f_a = qfi_closed(scenario, budget.nbar_s, nbar_lo)
     c_ase, bound = qcrb_ase(scenario, epsilon, n)

@@ -56,6 +56,13 @@ __all__ = [
 ]
 
 
+def check_occupancy(name: str, value: float) -> None:
+    """Refuse a mean photon number that is negative, NaN or infinite."""
+    # A chained comparison rather than "< 0" so NaN is rejected too.
+    if not 0.0 <= value < math.inf:
+        raise ValueError(f"{name} must be non-negative and finite, got {value}")
+
+
 def wrap_angle(x: float) -> float:
     """Wrap an angle to the interval (-pi, pi]."""
     r = math.fmod(x + math.pi, 2.0 * math.pi)
@@ -83,10 +90,7 @@ class SensingScenario:
             if not 0.0 <= val <= 1.0:
                 raise ValueError(f"{name} must lie in [0, 1], got {val}")
         for name in ("nbar_b1", "nbar_b2"):
-            val = getattr(self, name)
-            # "not >=" rather than "<" so NaN is rejected too
-            if not val >= 0.0:
-                raise ValueError(f"{name} must be non-negative, got {val}")
+            check_occupancy(name, getattr(self, name))
 
     @property
     def eta_eff(self) -> float:
@@ -121,11 +125,8 @@ class ProbeSettings:
     theta: float
 
     def __post_init__(self) -> None:
-        # "not >=" rather than "<" so NaN is rejected too
-        if not self.nbar_s >= 0.0:
-            raise ValueError(f"nbar_s must be non-negative, got {self.nbar_s}")
-        if not self.nbar_lo >= 0.0:
-            raise ValueError(f"nbar_lo must be non-negative, got {self.nbar_lo}")
+        check_occupancy("nbar_s", self.nbar_s)
+        check_occupancy("nbar_lo", self.nbar_lo)
         if not math.isfinite(self.theta):
             raise ValueError(f"theta must be finite, got {self.theta}")
         object.__setattr__(self, "theta", wrap_angle(self.theta))
@@ -172,8 +173,9 @@ def willie_cm(
     only rotates the correlations between the taps; all symplectic
     invariants of this state are theta-independent.
     """
-    if nbar_s < 0.0:
-        raise ValueError("nbar_s must be non-negative")
+    check_occupancy("nbar_s", nbar_s)
+    if not math.isfinite(theta):
+        raise ValueError(f"theta must be finite, got {theta}")
     w11, w22, w12 = _willie_params(scenario, nbar_s)
     return _sensing_pattern_cm(w11, w22, w12, theta)
 

@@ -9,6 +9,7 @@ import sys
 
 import pytest
 
+from covertsense.cli import main
 from covertsense.covertness import covert_budget, taylor_coefficients
 from covertsense.estimation import estimation_report, heterodyne_stats
 from covertsense.link import LinkGeometry, sweep_frequency
@@ -280,3 +281,68 @@ class TestErrorPaths:
                          "--nb1", "1", "--nb2", "1", "--epsilon", "1e-3",
                          "--n", "1e6")
         assert result.returncode == 2
+
+
+NUMERIC_FLAGS = {
+    "scenario": {
+        "eta1": "0.5", "eta2": "0.5", "nb1": "1", "nb2": "1",
+        "epsilon": "1e-3", "n": "1e6", "theta": "0",
+    },
+    "bounds": {
+        "eta1": "0.5", "eta2": "0.5", "nb1": "1", "nb2": "1",
+        "epsilon": "1e-3", "n": "1e6", "nlo": "1e6",
+        "w-ase": "3e12", "w-coh": "3e9", "t-int": "1e-3",
+    },
+}
+
+
+def _run_main(command: str, **overrides: str) -> int:
+    flags = {**NUMERIC_FLAGS[command], **overrides}
+    argv = [command] + [f"--{name}={value}" for name, value in flags.items()]
+    try:
+        return main(argv)
+    except SystemExit as exc:
+        return exc.code
+
+
+def _strict_json(text: str):
+    def reject(constant: str):
+        raise ValueError(f"non-standard JSON constant {constant}")
+
+    return json.loads(text, parse_constant=reject)
+
+
+class TestStrictJson:
+    """Every numeric flag of ``scenario`` and ``bounds`` at non-finite or
+    huge values.  Runs ``main`` in-process: 68 fresh interpreters would
+    cost about a minute."""
+
+    @pytest.mark.parametrize("value", ["nan", "inf", "-inf", "1e308"])
+    @pytest.mark.parametrize(
+        "command,flag",
+        [(command, flag) for command, flags in NUMERIC_FLAGS.items() for flag in flags],
+    )
+    def test_exit_code_and_strict_stdout(self, command, flag, value, capsys):
+        code = _run_main(command, **{flag: value})
+        out = capsys.readouterr().out
+        assert code in (0, 1, 2)
+        if code == 2:
+            assert out == ""
+        else:
+            payload = _strict_json(out)
+            assert ("error" in payload) == (code == 1)
+
+    @pytest.mark.parametrize(
+        "command,flag,value,cause",
+        [
+            ("scenario", "epsilon", "nan", "epsilon"),
+            ("scenario", "theta", "nan", "theta"),
+            ("scenario", "n", "inf", "channel uses"),
+            ("scenario", "nb1", "inf", "nbar_b1"),
+            ("bounds", "nlo", "nan", "nbar_lo"),
+        ],
+    )
+    def test_refusal_names_the_input(self, command, flag, value, cause, capsys):
+        code = _run_main(command, **{flag: value})
+        assert code == 1
+        assert cause in _strict_json(capsys.readouterr().out)["error"]["message"]

@@ -8,6 +8,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from covertsense import estimation
 from covertsense.covertness import covert_budget
 from covertsense.errors import DomainError
 from covertsense.estimation import (
@@ -182,7 +183,9 @@ class TestSimulation:
         assert a == b
 
     def test_worker_count_invariance(self):
-        kwargs = dict(theta_true=0.5, epsilon=0.01, num_modes=1e6, trials=2000)
+        # Three 4096-trial blocks, so more than one thread runs wherever
+        # there is more than one core.
+        kwargs = dict(theta_true=0.5, epsilon=0.01, num_modes=1e6, trials=10_000)
         serial = simulate_heterodyne_mse(REFERENCE, seed=7, **kwargs)
         parallel = simulate_heterodyne_mse(REFERENCE, seed=7, workers=3, **kwargs)
         assert serial == parallel
@@ -217,6 +220,15 @@ class TestSimulation:
         assert streamed == again
         combined = math.hypot(pooled[1], streamed[1])
         assert abs(pooled[0] - streamed[0]) <= 5.0 * combined
+
+    def test_thread_count_bounded_by_cores_and_blocks(self, monkeypatch):
+        monkeypatch.setattr(estimation.os, "cpu_count", lambda: 4)
+        assert estimation._thread_count(1, 100) == 1
+        assert estimation._thread_count(3, 100) == 3
+        assert estimation._thread_count(10**6, 100) == 4
+        assert estimation._thread_count(10**6, 2) == 2
+        monkeypatch.setattr(estimation.os, "cpu_count", lambda: None)
+        assert estimation._thread_count(8, 100) == 1
 
     def test_too_few_trials_rejected(self):
         with pytest.raises(ValueError):

@@ -2,10 +2,13 @@
 
 from __future__ import annotations
 
+import json
 import math
+from pathlib import Path
 
 import numpy as np
 import pytest
+import scipy.linalg
 
 from covertsense.covertness import qre_gaussian, willie_qre
 from covertsense.errors import CutoffError, InfiniteQreError
@@ -14,6 +17,9 @@ from covertsense.fock import (
     MAX_OCCUPANCY,
     MAX_TOTAL_PHOTONS,
     FockDensityMatrix,
+    _BeamSplitter,
+    _block_basis,
+    _pair_blocks,
     fock_moments,
     fock_purity,
     fock_tensor,
@@ -274,3 +280,115 @@ class TestCrossCheckReport:
         assert MAX_OCCUPANCY == 2.0
         with pytest.raises(ValueError):
             oracle_cross_check(SMALL, 0.05, 2.5, 0.3)
+
+
+class TestPairBlocks:
+    @staticmethod
+    def _hopping_expm(total, eta):
+        """exp(phi (a1^dag a2 - a2^dag a1)) on pair total ``total``."""
+        phi = math.atan2(math.sqrt(1.0 - eta), math.sqrt(eta))
+        gen = np.zeros((total + 1, total + 1))
+        for k in range(total):
+            amp = phi * math.sqrt((k + 1.0) * (total - k))
+            gen[k + 1, k] = amp
+            gen[k, k + 1] = -amp
+        return scipy.linalg.expm(gen)
+
+    @pytest.mark.parametrize("eta", [0.0, 0.3, 0.5, 0.95, 1.0])
+    def test_closed_form_matches_matrix_exponential(self, eta):
+        blocks = _pair_blocks(eta, 64)
+        for total, block in enumerate(blocks):
+            reference = self._hopping_expm(total, eta)
+            # expm drifts from orthogonality as the generator norm grows
+            # (to ~6e-13 at total 64, eta 0); it cannot certify agreement
+            # tighter than that drift, while the closed form stays
+            # orthogonal to 1e-13 on its own.
+            drift = np.abs(reference.T @ reference - np.eye(total + 1)).max()
+            assert np.abs(block - reference).max() <= 1e-13 + drift
+            assert np.abs(block.T @ block - np.eye(total + 1)).max() <= 1e-13
+
+    @pytest.mark.parametrize(
+        "modes,pair,eta", [(3, (1, 2), 0.3), (3, (0, 2), 0.95), (4, (3, 2), 0.5)]
+    )
+    def test_lifted_identity_is_orthogonal(self, modes, pair, eta):
+        cutoff = 20
+        splitter = _BeamSplitter(modes, *pair, eta, cutoff)
+        for total in range(cutoff + 1):
+            lifted = np.eye(len(_block_basis(modes, total)))
+            splitter.apply(total, lifted)
+            assert np.abs(lifted.T @ lifted - np.eye(len(lifted))).max() <= 1e-13
+
+
+class TestPinnedToDenseExponentialRoute:
+    """Results recorded from the implementation that built each beam
+    splitter as a sparse lift of per-block matrix exponentials."""
+
+    # (eta_1, eta_2, nbar_b1, nbar_b2, nbar_s, nbar_lo, theta) -> residuals
+    CROSS_CHECKS = [
+        (
+            (0.62, 0.89, 0.08, 0.25, 0.064, 0.07, -1.58),
+            {
+                "cutoff": 15.0,
+                "willie_mean_max": 0.0,
+                "willie_cm_max_err": 2.3091495382487892e-10,
+                "willie_purity_err": 1.1102230246251565e-16,
+                "willie_qre_err": 4.611113574304326e-12,
+                "alice_mean_max": 0.0,
+                "alice_cm_max_err": 4.2635450725470037e-11,
+                "alice_fidelity_err": 2.0780932530328755e-11,
+            },
+        ),
+        (
+            (0.5, 0.92, 0.35, 0.46, 0.067, 0.11, -2.63),
+            {
+                "cutoff": 21.0,
+                "willie_mean_max": 0.0,
+                "willie_cm_max_err": 7.870846197022274e-10,
+                "willie_purity_err": 1.1102230246251565e-16,
+                "willie_qre_err": 1.1404012283111609e-11,
+                "alice_mean_max": 0.0,
+                "alice_cm_max_err": 2.047741975985673e-10,
+                "alice_fidelity_err": 6.190881141066029e-11,
+            },
+        ),
+        (
+            (0.83, 0.55, 0.69, 0.43, 0.064, 0.24, 1.06),
+            {
+                "cutoff": 27.0,
+                "willie_mean_max": 0.0,
+                "willie_cm_max_err": 7.806506552299197e-10,
+                "willie_purity_err": 1.6653345369377348e-16,
+                "willie_qre_err": 8.334898309730887e-12,
+                "alice_mean_max": 0.0,
+                "alice_cm_max_err": 2.058635484303295e-10,
+                "alice_fidelity_err": 6.070099978217058e-11,
+            },
+        ),
+    ]
+
+    @pytest.mark.parametrize("point,recorded", CROSS_CHECKS)
+    def test_cross_check_residuals(self, point, recorded):
+        eta_1, eta_2, nbar_b1, nbar_b2, nbar_s, nbar_lo, theta = point
+        residuals = oracle_cross_check(
+            SensingScenario(eta_1, eta_2, nbar_b1, nbar_b2), nbar_s, nbar_lo, theta
+        )
+        assert residuals.keys() == recorded.keys()
+        assert residuals["cutoff"] == recorded["cutoff"]
+        for name, value in recorded.items():
+            assert abs(residuals[name] - value) <= 1e-12, name
+
+    def test_willie_state_entries(self):
+        path = Path(__file__).parent / "data" / "willie_state_cutoff8.json"
+        recorded = json.loads(path.read_text())
+        state = oracle_willie_state(
+            SensingScenario(*recorded["scenario"]),
+            recorded["nbar_s"],
+            recorded["theta"],
+            cutoff=recorded["cutoff"],
+        )
+        want = np.zeros_like(state.entries)
+        want[recorded["rows"], recorded["cols"]] = np.array(
+            recorded["real"]
+        ) + 1j * np.array(recorded["imag"])
+        assert state.tail_bound == recorded["tail_bound"]
+        assert np.abs(state.entries - want).max() <= 1e-13
