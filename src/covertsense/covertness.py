@@ -72,6 +72,13 @@ __all__ = [
 
 _PURE_TOL = 1e-12
 
+#: Largest relative disagreement between the two first-level Richardson
+#: estimates of c2 that still counts as resolved.  The disagreement tracks
+#: the error of c2; it reaches about 0.7 below the resolution of the QRE
+#: evaluator (a very weak bath with eta_eff very near 1), where c2 comes
+#: out wrong by orders of magnitude.
+_C2_SPREAD_TOL = 1e-2
+
 
 @dataclass(frozen=True)
 class QreBreakdown:
@@ -314,17 +321,18 @@ def equal_bath_c3(eta_eff: float, nbar_b: float) -> float:
     return -2.0 * (1.0 - eta_eff) ** 3 * (1.0 + 2.0 * n0) / (n0 * (1.0 + n0)) ** 2
 
 
-def _richardson(values: list[float]) -> float:
+def _richardson(values: list[float]) -> tuple[float, float]:
     """Two-level Richardson extrapolation of a stencil with h^2 error series.
 
     ``values`` are the stencil estimates at steps (h, h/2, h/4); both central
     stencils used here have even-power error series, so the (4,16)/(3,15)
-    weights apply to each.
+    weights apply to each.  Returns the extrapolated value and the absolute
+    difference of the two first-level estimates, an error estimate.
     """
     a_h, a_h2, a_h4 = values
     r1_h = (4.0 * a_h2 - a_h) / 3.0
     r1_h2 = (4.0 * a_h4 - a_h2) / 3.0
-    return (16.0 * r1_h2 - r1_h) / 15.0
+    return (16.0 * r1_h2 - r1_h) / 15.0, abs(r1_h2 - r1_h)
 
 
 def taylor_coefficients(
@@ -344,8 +352,11 @@ def taylor_coefficients(
 
     Raises :class:`DegenerateCovertnessError` when c2 falls at or below
     ``c2_floor`` (identity channel: the adversary state does not respond to
-    the probe), and :class:`DomainError` when the reference state has a pure
-    normal mode (vacuum baths: D is not twice differentiable at 0).
+    the probe) or when its Richardson levels disagree by more than
+    ``_C2_SPREAD_TOL`` relative (the probe's effect is below the resolution
+    of the QRE evaluator), and :class:`DomainError` when the reference state
+    has a pure normal mode (vacuum baths: D is not twice differentiable
+    at 0).
     """
     deltas0 = _willie_normal_deltas(scenario, 0.0)
     gap = min(item[0] for item in deltas0) - 0.5
@@ -375,13 +386,20 @@ def taylor_coefficients(
             2.0 * hh**3
         )
 
-    c2 = _richardson([second(h), second(h / 2.0), second(h / 4.0)])
-    c3 = _richardson([third(h / 2.0), third(h / 4.0), third(h / 8.0)])
+    c2, c2_spread = _richardson([second(h), second(h / 2.0), second(h / 4.0)])
+    c3, _ = _richardson([third(h / 2.0), third(h / 4.0), third(h / 8.0)])
     if c2 <= c2_floor:
         raise DegenerateCovertnessError(
             f"quadratic covertness coefficient {c2:.3e} is at the noise floor; "
             "the adversary state does not respond to the probe "
             "(identity channel?)"
+        )
+    if c2_spread > _C2_SPREAD_TOL * c2:
+        raise DegenerateCovertnessError(
+            f"quadratic covertness coefficient {c2:.3e} is not resolved: its "
+            f"Richardson levels disagree by {c2_spread / c2:.1e} relative; the "
+            "probe barely changes the adversary state (eta_eff near 1 with a "
+            "weak bath)"
         )
     return TaylorCoefficients(c2=c2, c3=c3, step=h)
 

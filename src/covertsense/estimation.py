@@ -73,7 +73,8 @@ RNG_ALGORITHM = "philox4x64-10"
 _BLOCK_TRIALS = 4096
 
 #: Cap on the number of scalar uniforms materialized at once by the
-#: per-sample (slow) Monte-Carlo mode.
+#: per-sample (slow) Monte-Carlo mode (400 MB of float64).  One trial
+#: needs 2 n of them, so per-sample runs are refused for 2 n above it.
 _SLOW_MODE_CHUNK = 50_000_000
 
 
@@ -387,7 +388,9 @@ def simulate_heterodyne_mse(
     ``per_sample=True`` switches to the slow validation mode that draws
     all ``n`` per-mode outcomes at per-mode variance ``sigma_sq`` and
     averages them — statistically identical (Gaussian averages are
-    Gaussian) and O(n) more work, so only sensible for small ``n``.
+    Gaussian) and O(n) more work, so only sensible for small ``n``.  It
+    is refused for ``n > 25_000_000``, where a single trial would hold
+    more than 400 MB of uniforms.
 
     Reproducibility: trial ``t`` owns a fixed slice of the counter
     stream of Philox (``philox4x64-10``) keyed by ``seed`` — uniforms
@@ -408,6 +411,12 @@ def simulate_heterodyne_mse(
     if workers < 1:
         raise ValueError("workers must be >= 1")
     n = channel_uses(num_modes)
+    if per_sample and 2 * n > _SLOW_MODE_CHUNK:
+        raise ValueError(
+            f"per-sample mode draws 2 n = {2 * n} uniforms per trial, above "
+            f"the cap of {_SLOW_MODE_CHUNK} ({_SLOW_MODE_CHUNK * 8 // 10**6} MB); "
+            f"it needs n <= {_SLOW_MODE_CHUNK // 2}"
+        )
     budget = covert_budget(scenario, epsilon, n)
     stats = heterodyne_stats(scenario, theta_true, budget.nbar_s, n)
 
@@ -427,7 +436,7 @@ def simulate_heterodyne_mse(
         bit_gen.advance(offset_uniforms // 4)
         gen = np.random.Generator(bit_gen)
         if per_sample:
-            chunk = max(1, _SLOW_MODE_CHUNK // (2 * n))
+            chunk = _SLOW_MODE_CHUNK // (2 * n)
             sq_parts = []
             done = 0
             while done < count:

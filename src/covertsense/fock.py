@@ -45,7 +45,6 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-import scipy.sparse
 
 from .errors import CutoffError, InfiniteQreError
 from .scenario import ProbeSettings, SensingScenario
@@ -560,51 +559,48 @@ class _ReducedAccumulator:
 # ---------------------------------------------------------------------------
 
 
-def _ladder_operators(state: FockDensityMatrix) -> list[scipy.sparse.csr_matrix]:
-    """Per-mode annihilation operators on the state's grid."""
-    d = state.cutoff + 1
-    single = scipy.sparse.diags(
-        np.sqrt(np.arange(1, d, dtype=float)), offsets=1, format="csr"
-    )
-    eye = scipy.sparse.identity(d, format="csr")
-    ops = []
-    for target in range(state.modes):
-        op = None
-        for mode in range(state.modes):
-            part = single if mode == target else eye
-            op = part if op is None else scipy.sparse.kron(op, part, format="csr")
-        ops.append(op)
-    return ops
+def _mode_expectation(rho: np.ndarray, factors: dict[int, np.ndarray]) -> float:
+    """Re tr(rho O) for O the product of per-mode ``factors``, identity elsewhere.
 
-
-def _expectation(rho: np.ndarray, op: scipy.sparse.spmatrix) -> complex:
-    """tr(rho op) for dense rho and sparse op."""
-    return complex((op.multiply(rho.T)).sum())
+    ``rho`` is the density matrix reshaped to its (d,)^(2 m) tensor: row
+    digits first, then column digits.  A mode without a factor is traced.
+    """
+    m = rho.ndim // 2
+    rows = [chr(ord("a") + k) for k in range(m)]
+    cols = [chr(ord("a") + m + k) if k in factors else rows[k] for k in range(m)]
+    spec = "".join(rows + cols)
+    for k in factors:
+        spec += "," + cols[k] + rows[k]
+    return float(np.einsum(spec + "->", rho, *factors.values(), optimize=True).real)
 
 
 def fock_moments(state: FockDensityMatrix) -> tuple[np.ndarray, np.ndarray]:
     """(mean vector, covariance matrix) in qqpp ordering, hbar = 1.
 
     Expectations are normalised by the trace, so the slight
-    sub-normalisation from truncation does not bias the moments.
+    sub-normalisation from truncation does not bias the moments.  Operator
+    products on one mode are products of the truncated single-mode
+    matrices.
     """
     m = state.modes
-    rho = state.entries / state.trace()
-    ladders = _ladder_operators(state)
-    quads = []
-    for a in ladders:
-        a_dag = a.conj().T
-        quads.append((a + a_dag) / math.sqrt(2.0))
-    for a in ladders:
-        a_dag = a.conj().T
-        quads.append((a - a_dag) / (1j * math.sqrt(2.0)))
+    d = state.cutoff + 1
+    rho = (state.entries / state.trace()).reshape((d,) * (2 * m))
+    a = np.diag(np.sqrt(np.arange(1, d, dtype=float)), k=1)
+    q = (a + a.T) / math.sqrt(2.0)
+    p = (a - a.T) / (1j * math.sqrt(2.0))
+    # Quadrature i of the qqpp vector: (mode, single-mode matrix).
+    quads = [(k, q) for k in range(m)] + [(k, p) for k in range(m)]
 
-    mean = np.array([_expectation(rho, q).real for q in quads])
+    mean = np.array([_mode_expectation(rho, {k: op}) for k, op in quads])
     cov = np.zeros((2 * m, 2 * m))
-    for i in range(2 * m):
+    for i, (ki, oi) in enumerate(quads):
         for j in range(i, 2 * m):
-            sym = (quads[i] @ quads[j] + quads[j] @ quads[i]) / 2.0
-            cov[i, j] = cov[j, i] = _expectation(rho, sym).real - mean[i] * mean[j]
+            kj, oj = quads[j]
+            if ki == kj:
+                factors = {ki: (oi @ oj + oj @ oi) / 2.0}
+            else:
+                factors = {ki: oi, kj: oj}
+            cov[i, j] = cov[j, i] = _mode_expectation(rho, factors) - mean[i] * mean[j]
     return mean, cov
 
 

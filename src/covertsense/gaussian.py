@@ -32,7 +32,6 @@ from dataclasses import dataclass
 from typing import Sequence
 
 import numpy as np
-import scipy.linalg
 
 from .errors import NumericalInstabilityError, PhysicalityError
 
@@ -388,7 +387,13 @@ def _generic_normal_form(v: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """Williamson normal form of an arbitrary physical CM (qqpp).
 
     Returns (u, M) with u descending and M V M^T = diag(u, u),
-    M Omega M^T = Omega.  Uses the real Schur form of V^{-1/2} Omega V^{-1/2}.
+    M Omega M^T = Omega.  Uses the Hermitian eigendecomposition of i*A for
+    the antisymmetric A = V^{-1/2} Omega V^{-1/2}: its positive eigenvalues
+    are b_k = 1/u_k, and an eigenvector x = r + i s of +b has A r = b s and
+    A s = -b r, so the real columns sqrt(2) (s, r) are orthonormal and carry
+    the block [[0, b], [-b, 0]].  Distinct eigenvectors x_j, x_k satisfy
+    x_j _|_ x_k and x_j _|_ conj(x_k) (the latter has eigenvalue -b_k), so
+    the columns stay orthonormal inside degenerate eigenspaces too.
     """
     n2 = v.shape[0]
     n = n2 // 2
@@ -401,23 +406,20 @@ def _generic_normal_form(v: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     omega = symplectic_form(n)
     a = v_mh @ omega @ v_mh
     a = (a - a.T) / 2.0  # enforce antisymmetry against roundoff
-    t, z = scipy.linalg.schur(a, output="real")
+    lam, x = np.linalg.eigh(1j * a)
 
-    # Each 2x2 diagonal block of t is [[0, b], [-b, 0]] with |b| = 1/u.
-    b_vals = np.array([t[2 * k, 2 * k + 1] for k in range(n)])
-    if np.any(b_vals == 0.0):
-        raise NumericalInstabilityError("Schur form produced a zero block")
-    # Flip blocks with negative b by swapping their two Schur vectors.
-    for k in range(n):
-        if b_vals[k] < 0.0:
-            z[:, [2 * k, 2 * k + 1]] = z[:, [2 * k + 1, 2 * k]]
-            b_vals[k] = -b_vals[k]
+    # eigh sorts ascending, so the n positive eigenvalues come last, in
+    # ascending b and hence descending u.
+    b_vals = lam[n:]
+    if b_vals.min() <= 0.0:
+        raise NumericalInstabilityError(
+            "normal form produced a non-positive symplectic frequency"
+        )
     u = 1.0 / b_vals
-    # Order modes by descending u.
-    order = np.argsort(-u)
-    u = u[order]
-    cols = np.concatenate([[2 * k, 2 * k + 1] for k in order])
-    z = z[:, cols]
+    x = x[:, n:]
+    z = np.empty((n2, n2))
+    z[:, 0::2] = math.sqrt(2.0) * x.imag
+    z[:, 1::2] = math.sqrt(2.0) * x.real
 
     d_half = np.repeat(np.sqrt(u), 2)
     m_inter = (d_half[:, None] * z.T) @ v_mh

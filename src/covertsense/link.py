@@ -34,6 +34,7 @@ import math
 from dataclasses import dataclass
 
 from ._constants import BOLTZMANN_K, PLANCK_H, SPEED_OF_LIGHT
+from .covertness import check_epsilon
 from .errors import DomainError, EmptySweepError, NearFieldError
 from .estimation import qcrb_ase
 from .scenario import SensingScenario
@@ -62,6 +63,12 @@ _ALLOWED_POLICIES = ("error", "clamp")
 _GOLDEN = (math.sqrt(5.0) - 1.0) / 2.0
 
 
+def _check_positive(name: str, value: float) -> None:
+    """Refuse a length, temperature, frequency or time that is not in (0, inf)."""
+    if not 0.0 < value < math.inf:
+        raise ValueError(f"{name} must be positive and finite, got {value}")
+
+
 @dataclass(frozen=True)
 class LinkGeometry:
     """Monostatic free-space geometry and the transmissivity convention.
@@ -80,9 +87,7 @@ class LinkGeometry:
 
     def __post_init__(self) -> None:
         for name in ("range_m", "r_t", "r_target", "t0"):
-            value = getattr(self, name)
-            if not value > 0.0:
-                raise ValueError(f"{name} must be positive, got {value}")
+            _check_positive(name, getattr(self, name))
         if self.area_factor not in _ALLOWED_AREA_FACTORS:
             raise ValueError(
                 f"area_factor must be one of {_ALLOWED_AREA_FACTORS}, "
@@ -133,17 +138,26 @@ class SweepMinimum:
 def planck_occupancy(wavelength: float, t0: float) -> float:
     """Blackbody occupancy per mode, 1/(exp(hc/(lambda k T0)) - 1).
 
-    Overflow-safe: deep in the Wien tail (tiny ``wavelength * t0``) the
-    occupancy underflows to exactly 0.0.
+    Overflow-safe: deep in the Wien tail (tiny ``wavelength * t0``, even
+    below the float range) the occupancy underflows to exactly 0.0.  Deep
+    in the Rayleigh-Jeans tail, where the occupancy exceeds the float
+    range, the pair is refused.
     """
-    if wavelength <= 0.0:
-        raise ValueError(f"wavelength must be positive, got {wavelength}")
-    if t0 <= 0.0:
-        raise ValueError(f"t0 must be positive, got {t0}")
-    exponent = PLANCK_H * SPEED_OF_LIGHT / (wavelength * BOLTZMANN_K * t0)
+    _check_positive("wavelength", wavelength)
+    _check_positive("t0", t0)
+    thermal = wavelength * BOLTZMANN_K * t0
+    if thermal == 0.0:
+        return 0.0
+    exponent = PLANCK_H * SPEED_OF_LIGHT / thermal
     if exponent > 700.0:
         return 0.0
-    return 1.0 / math.expm1(exponent)
+    occupancy = 1.0 / math.expm1(exponent) if exponent > 0.0 else math.inf
+    if occupancy == math.inf:
+        raise ValueError(
+            f"blackbody occupancy overflows at wavelength {wavelength:g} m, "
+            f"t0 {t0:g} K"
+        )
+    return occupancy
 
 
 def geometric_transmissivity(wavelength: float, geometry: LinkGeometry) -> float:
@@ -154,13 +168,23 @@ def geometric_transmissivity(wavelength: float, geometry: LinkGeometry) -> float
     geometry's policy then decides between NearFieldError and clamping
     to ``eta_max``.
     """
-    if wavelength <= 0.0:
-        raise ValueError(f"wavelength must be positive, got {wavelength}")
-    area_t = math.pi * geometry.r_t**2
-    area_target = math.pi * geometry.r_target**2
-    eta_raw = geometry.area_factor * area_t * area_target / (
-        wavelength * geometry.range_m
-    ) ** 2
+    _check_positive("wavelength", wavelength)
+    try:
+        area_t = math.pi * geometry.r_t**2
+        area_target = math.pi * geometry.r_target**2
+        path_sq = (wavelength * geometry.range_m) ** 2
+    except OverflowError:
+        raise ValueError(
+            f"link geometry squares overflow: wavelength {wavelength:g} m, "
+            f"range_m {geometry.range_m:g} m, r_t {geometry.r_t:g} m, "
+            f"r_target {geometry.r_target:g} m"
+        ) from None
+    # A (lambda L)^2 below the float range is the extreme near field.
+    eta_raw = (
+        geometry.area_factor * area_t * area_target / path_sq
+        if path_sq > 0.0
+        else math.inf
+    )
     if eta_raw > 1.0:
         if geometry.eta_policy == "clamp":
             return geometry.eta_max
@@ -198,22 +222,25 @@ def mse_bound_b(
     integration_time: float,
 ) -> float:
     """MSE lower bound B = c_ase(lambda) / (eps sqrt(floor(W T)))."""
-    if epsilon <= 0.0:
-        raise ValueError("epsilon must be positive")
+    check_epsilon(epsilon)
     n = _mode_count(bandwidth, integration_time)
     _, _, c_ase = c_ase_at(wavelength, geometry)
     return c_ase / (epsilon * math.sqrt(n))
 
 
 def _mode_count(bandwidth: float, integration_time: float) -> int:
-    if bandwidth <= 0.0 or integration_time <= 0.0:
-        raise ValueError("bandwidth and integration time must be positive")
-    n = int(math.floor(bandwidth * integration_time))
-    if n < 1:
+    """Channel count floor(W T), naming W or T when either is unusable."""
+    _check_positive("bandwidth W", bandwidth)
+    _check_positive("integration time T", integration_time)
+    product = bandwidth * integration_time
+    if product == math.inf:
         raise ValueError(
-            f"time-bandwidth product {bandwidth * integration_time:g} "
-            "yields no usable mode"
+            f"time-bandwidth product W*T overflows (W = {bandwidth:g} Hz, "
+            f"T = {integration_time:g} s)"
         )
+    n = int(math.floor(product))
+    if n < 1:
+        raise ValueError(f"time-bandwidth product {product:g} yields no usable mode")
     return n
 
 
@@ -237,14 +264,13 @@ def sweep_frequency(
     operating point of the published reference spectra (eps = 1e-3,
     W = 3 THz, T = 1 s).
     """
+    _check_positive("f_min", f_min)
+    _check_positive("f_max", f_max)
     if not f_min < f_max:
         raise ValueError(f"need f_min < f_max, got {f_min} >= {f_max}")
-    if f_min <= 0.0:
-        raise ValueError(f"f_min must be positive, got {f_min}")
     if points < 2:
         raise ValueError(f"need at least two sweep points, got {points}")
-    if epsilon <= 0.0:
-        raise ValueError("epsilon must be positive")
+    check_epsilon(epsilon)
     n = _mode_count(bandwidth, integration_time)
     root_n = math.sqrt(n)
 
@@ -334,10 +360,11 @@ def optimize_wavelength(
     the bracket is valid.
     """
     lo, hi = lambda_bracket
-    if not 0.0 < lo < hi:
-        raise ValueError(f"need 0 < lambda_lo < lambda_hi, got {lambda_bracket}")
-    if epsilon <= 0.0:
-        raise ValueError("epsilon must be positive")
+    _check_positive("lambda_lo", lo)
+    _check_positive("lambda_hi", hi)
+    if not lo < hi:
+        raise ValueError(f"need lambda_lo < lambda_hi, got {lambda_bracket}")
+    check_epsilon(epsilon)
     n = _mode_count(bandwidth, integration_time)
 
     def objective(wavelength: float) -> float:

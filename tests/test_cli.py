@@ -3,13 +3,14 @@
 from __future__ import annotations
 
 import json
+import math
 import os
 import subprocess
 import sys
 
 import pytest
 
-from covertsense.cli import main
+from covertsense.cli import CSV_HEADER, main
 from covertsense.covertness import covert_budget, taylor_coefficients
 from covertsense.estimation import estimation_report, heterodyne_stats
 from covertsense.link import LinkGeometry, sweep_frequency
@@ -293,6 +294,21 @@ NUMERIC_FLAGS = {
         "epsilon": "1e-3", "n": "1e6", "nlo": "1e6",
         "w-ase": "3e12", "w-coh": "3e9", "t-int": "1e-3",
     },
+    "sweep": {
+        "L": "2000", "fmin": "15e12", "fmax": "1e14", "points": "20",
+        "rt": "0.04", "rtarget": "0.1", "t0": "300", "area-factor": "0.25",
+        "eta-max": "0.99", "epsilon": "1e-3", "W": "3e12", "T": "1",
+    },
+    "optimize": {
+        "L": "2000", "lmin": "3e-6", "lmax": "2e-5",
+        "rt": "0.04", "rtarget": "0.1", "t0": "300", "area-factor": "0.25",
+        "eta-max": "0.99", "epsilon": "1e-3", "W": "3e12", "T": "1",
+    },
+    "mse-mc": {
+        "eta1": "0.5", "eta2": "0.5", "nb1": "1", "nb2": "1",
+        "epsilon": "1e-3", "n": "1e4", "theta": "0.3",
+        "trials": "1000", "seed": "1", "workers": "1",
+    },
 }
 
 
@@ -312,10 +328,22 @@ def _strict_json(text: str):
     return json.loads(text, parse_constant=reject)
 
 
+def _strict_csv(text: str) -> None:
+    """Parse sweep CSV: the header, then rows of finite floats or blanks."""
+    header, *rows = text.splitlines()
+    assert header == CSV_HEADER
+    for row in rows:
+        cells = row.split(",")
+        assert len(cells) == len(CSV_HEADER.split(","))
+        assert all(cell == "" or math.isfinite(float(cell)) for cell in cells)
+
+
 class TestStrictJson:
-    """Every numeric flag of ``scenario`` and ``bounds`` at non-finite or
-    huge values.  Runs ``main`` in-process: 68 fresh interpreters would
-    cost about a minute."""
+    """Every numeric flag of the analytic and Monte-Carlo subcommands at
+    non-finite or huge values.  Integer flags (``points``, ``trials``,
+    ``seed``, ``workers``) reject all four literals at parse time, so no
+    case runs unbounded work or starts threads.  Runs ``main``
+    in-process: 200 fresh interpreters would cost minutes."""
 
     @pytest.mark.parametrize("value", ["nan", "inf", "-inf", "1e308"])
     @pytest.mark.parametrize(
@@ -324,10 +352,15 @@ class TestStrictJson:
     )
     def test_exit_code_and_strict_stdout(self, command, flag, value, capsys):
         code = _run_main(command, **{flag: value})
-        out = capsys.readouterr().out
+        out, err = capsys.readouterr()
         assert code in (0, 1, 2)
+        assert "Traceback" not in err
         if code == 2:
             assert out == ""
+        elif out.startswith(CSV_HEADER):
+            _strict_csv(out)
+            if code == 1:
+                assert "error" in _strict_json(err)
         else:
             payload = _strict_json(out)
             assert ("error" in payload) == (code == 1)
@@ -340,9 +373,36 @@ class TestStrictJson:
             ("scenario", "n", "inf", "channel uses"),
             ("scenario", "nb1", "inf", "nbar_b1"),
             ("bounds", "nlo", "nan", "nbar_lo"),
+            ("sweep", "t0", "inf", "t0"),
+            ("sweep", "fmax", "inf", "f_max"),
+            ("sweep", "T", "inf", "integration time T"),
+            ("sweep", "L", "nan", "range_m"),
+            ("optimize", "t0", "inf", "t0"),
+            ("optimize", "W", "nan", "bandwidth W"),
+            ("optimize", "lmax", "inf", "lambda_hi"),
+            ("mse-mc", "epsilon", "inf", "epsilon"),
         ],
     )
     def test_refusal_names_the_input(self, command, flag, value, cause, capsys):
         code = _run_main(command, **{flag: value})
         assert code == 1
         assert cause in _strict_json(capsys.readouterr().out)["error"]["message"]
+
+
+def test_analytic_commands_do_not_import_scipy():
+    """numpy is the only runtime dependency: importing the package and
+    running the analytic subcommands loads no scipy module."""
+    code = (
+        "import sys, covertsense, covertsense.cli as cli\n"
+        f"assert cli.main(['scenario', *{SCENARIO_FLAGS!r}]) == 0\n"
+        f"assert cli.main(['bounds', *{SCENARIO_FLAGS!r}]) == 0\n"
+        "loaded = sorted(m for m in sys.modules if m.split('.')[0] == 'scipy')\n"
+        "assert not loaded, loaded\n"
+    )
+    env = dict(os.environ)
+    env.pop("COVERTSENSE_CONFIG", None)
+    result = subprocess.run(
+        [sys.executable, "-c", code], capture_output=True, text=True, env=env,
+        timeout=300,
+    )
+    assert result.returncode == 0, result.stderr

@@ -186,6 +186,23 @@ class TestTaylorCoefficients:
         assert coeffs.step == 1e-4
         assert coeffs.c2 == pytest.approx(1.8, rel=1e-7)
 
+    @pytest.mark.parametrize("one_minus_eta", [1e-5, 1e-7])
+    def test_unresolved_c2_refused(self, one_minus_eta):
+        # Weak bath, eta_eff within 2e-5 of 1: the quadratic term sits below
+        # the QRE evaluator's resolution and the stencil returned c2 about
+        # 8e3 times the closed form.  The Richardson levels disagree at
+        # order one, and the coefficient is refused instead.
+        eta = 1.0 - one_minus_eta
+        with pytest.raises(DegenerateCovertnessError, match="not resolved"):
+            taylor_coefficients(SensingScenario(eta, eta, 1e-9, 1e-9))
+
+    @pytest.mark.parametrize("one_minus_eta", [1e-4, 1e-6])
+    def test_resolved_c2_near_unit_transmissivity(self, one_minus_eta):
+        eta = 1.0 - one_minus_eta
+        scenario = SensingScenario(eta, eta, 1e-5, 1e-5)
+        want = equal_bath_c2(scenario.eta_eff, scenario.nbar_b_eff)
+        assert taylor_c2(scenario) == pytest.approx(want, rel=1e-7)
+
 
 class TestCovertBudget:
     def test_budget_golden(self):

@@ -221,6 +221,14 @@ class TestSimulation:
         combined = math.hypot(pooled[1], streamed[1])
         assert abs(pooled[0] - streamed[0]) <= 5.0 * combined
 
+    def test_per_sample_memory_cap(self):
+        # One trial at n = 1e8 would hold 1.6 GB of uniforms; the run is
+        # refused before anything is drawn.
+        with pytest.raises(ValueError, match="cap of 50000000 .*n <= 25000000"):
+            simulate_heterodyne_mse(
+                REFERENCE, 0.5, 0.01, 1e8, trials=1000, seed=1, per_sample=True
+            )
+
     def test_thread_count_bounded_by_cores_and_blocks(self, monkeypatch):
         monkeypatch.setattr(estimation.os, "cpu_count", lambda: 4)
         assert estimation._thread_count(1, 100) == 1

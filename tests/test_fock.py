@@ -9,6 +9,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 import scipy.linalg
+import scipy.sparse
 
 from covertsense.covertness import qre_gaussian, willie_qre
 from covertsense.errors import CutoffError, InfiniteQreError
@@ -262,6 +263,60 @@ class TestOracleAliceState:
     def test_occupancy_gate(self):
         with pytest.raises(ValueError, match="small-occupancy"):
             oracle_alice_state(SMALL, ProbeSettings(0.05, 2.5, 0.0))
+
+
+def sparse_kron_moments(state):
+    """Reference (mean, CM) from full-grid sparse ladder operators.
+
+    The construction the oracle used before its einsum route: each
+    quadrature is lifted to the whole grid by Kronecker products with
+    identities, and products of quadratures are full-grid operator
+    products.
+    """
+    d = state.cutoff + 1
+    single = scipy.sparse.diags(np.sqrt(np.arange(1, d, dtype=float)), offsets=1)
+    eye = scipy.sparse.identity(d)
+    ladders = []
+    for target in range(state.modes):
+        op = scipy.sparse.identity(1)
+        for mode in range(state.modes):
+            op = scipy.sparse.kron(op, single if mode == target else eye, format="csr")
+        ladders.append(op)
+    quads = [(a + a.T) / math.sqrt(2.0) for a in ladders]
+    quads += [(a - a.T) / (1j * math.sqrt(2.0)) for a in ladders]
+
+    rho = state.entries / state.trace()
+
+    def expect(op):
+        return complex(op.multiply(rho.T).sum()).real
+
+    size = len(quads)
+    mean = np.array([expect(op) for op in quads])
+    cov = np.zeros((size, size))
+    for i in range(size):
+        for j in range(i, size):
+            sym = (quads[i] @ quads[j] + quads[j] @ quads[i]) / 2.0
+            cov[i, j] = cov[j, i] = expect(sym) - mean[i] * mean[j]
+    return mean, cov
+
+
+class TestMomentsAgainstSparseKron:
+    SCENARIO = SensingScenario(0.7, 0.6, 0.02, 0.03)
+
+    @pytest.mark.parametrize(
+        "build",
+        [
+            lambda s: oracle_willie_state(s, 0.04, 0.3, cutoff=8),
+            lambda s: oracle_alice_state(s, ProbeSettings(0.02, 0.03, 0.3), cutoff=8),
+        ],
+        ids=["willie", "alice"],
+    )
+    def test_matches_reference_route(self, build):
+        state = build(self.SCENARIO)
+        mean, cov = fock_moments(state)
+        want_mean, want_cov = sparse_kron_moments(state)
+        assert np.abs(mean - want_mean).max() <= 1e-13
+        assert np.abs(cov - want_cov).max() <= 1e-13
 
 
 class TestCrossCheckReport:

@@ -6,12 +6,14 @@ import math
 
 import numpy as np
 import pytest
+import scipy.linalg
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from covertsense.errors import PhysicalityError
 from covertsense.gaussian import (
     CovarianceMatrix,
+    _generic_normal_form,
     apply_beam_splitter,
     apply_phase,
     apply_symplectic,
@@ -278,6 +280,90 @@ class TestNormalForm:
         moved = m @ ref.matrix @ m.T
         want = (np.diag(moved)[:2] + np.diag(moved)[2:]) / 2.0
         np.testing.assert_allclose(spec.relative_diagonal, want, rtol=1e-10)
+
+
+def schur_normal_form(v: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Reference Williamson form from the real Schur form of V^-1/2 Omega V^-1/2.
+
+    The construction the package used before its eigh route; kept here as
+    the independent reference.  Returns (u, M) with u descending.
+    """
+    n2 = v.shape[0]
+    n = n2 // 2
+    w, q = np.linalg.eigh(v)
+    v_mh = (q * (w**-0.5)) @ q.T
+    a = v_mh @ symplectic_form(n) @ v_mh
+    a = (a - a.T) / 2.0
+    t, z = scipy.linalg.schur(a, output="real")
+    b_vals = np.array([t[2 * k, 2 * k + 1] for k in range(n)])
+    for k in range(n):
+        if b_vals[k] < 0.0:
+            z[:, [2 * k, 2 * k + 1]] = z[:, [2 * k + 1, 2 * k]]
+            b_vals[k] = -b_vals[k]
+    u = 1.0 / b_vals
+    order = np.argsort(-u)
+    u = u[order]
+    z = z[:, np.concatenate([[2 * k, 2 * k + 1] for k in order])]
+    m_inter = (np.repeat(np.sqrt(u), 2)[:, None] * z.T) @ v_mh
+    perm = np.concatenate([np.arange(0, n2, 2), np.arange(1, n2, 2)])
+    return u, m_inter[perm, :]
+
+
+def random_physical_cm(rng: np.random.Generator, num_modes: int) -> CovarianceMatrix:
+    """Thermal state under random squeezers, beam splitters and phases."""
+    nu = rng.uniform(0.5, 4.0, size=num_modes)
+    r = rng.uniform(-0.8, 0.8, size=num_modes)
+    s = np.diag(np.exp(np.concatenate([r, -r])))
+    for i in range(num_modes):
+        s = phase_symplectic(num_modes, i, rng.uniform(-3.0, 3.0)) @ s
+        for j in range(i + 1, num_modes):
+            s = beam_splitter_symplectic(num_modes, i, j, rng.uniform(0.05, 0.95)) @ s
+    d = np.diag(np.concatenate([nu, nu]))
+    return CovarianceMatrix.from_array(s @ d @ s.T)
+
+
+_MIXED_DEGENERATE = apply_phase(
+    apply_beam_splitter(
+        apply_beam_splitter(thermal_cm([0.7, 0.7, 0.2]), 0, 2, 0.3), 1, 2, 0.6
+    ),
+    1,
+    0.9,
+)
+
+DEGENERATE_CMS = {
+    "vacuum-vacuum": tensor(vacuum_cm(1), vacuum_cm(1)),
+    "equal-thermal-2": thermal_cm([0.8, 0.8]),
+    "equal-thermal-3": thermal_cm([0.3, 0.3, 0.3]),
+    "split-thermal-pair": ase_two_mode_cm(0.4, 1.3),
+    "beam-split-equal-pair": _MIXED_DEGENERATE,
+}
+
+
+class TestEighNormalForm:
+    """The eigh construction against the real-Schur reference."""
+
+    @staticmethod
+    def _check(cm: CovarianceMatrix) -> None:
+        v = cm.matrix
+        omega = symplectic_form(cm.num_modes)
+        u, m = _generic_normal_form(v)
+        u_ref, _ = schur_normal_form(v)
+        np.testing.assert_allclose(u, u_ref, rtol=1e-12, atol=0.0)
+        assert np.all(np.diff(u) <= 0.0)
+        np.testing.assert_allclose(m @ omega @ m.T, omega, rtol=0.0, atol=1e-10)
+        np.testing.assert_allclose(
+            m @ v @ m.T, np.diag(np.concatenate([u, u])), rtol=0.0, atol=1e-10
+        )
+
+    @pytest.mark.parametrize("num_modes", [2, 3])
+    def test_random_cms_match_schur_route(self, num_modes):
+        rng = np.random.default_rng(100 + num_modes)
+        for _ in range(25):
+            self._check(random_physical_cm(rng, num_modes))
+
+    @pytest.mark.parametrize("name", DEGENERATE_CMS)
+    def test_degenerate_spectra(self, name):
+        self._check(DEGENERATE_CMS[name])
 
 
 class TestTensorReduce:

@@ -8,6 +8,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from covertsense.covertness import equal_bath_c2
 from covertsense.errors import EmptySweepError, NearFieldError
 from covertsense.link import (
     SPEED_OF_LIGHT,
@@ -55,6 +56,21 @@ class TestPlanckOccupancy:
         with pytest.raises(ValueError):
             planck_occupancy(1e-6, 0.0)
 
+    @pytest.mark.parametrize(
+        "wavelength,t0,name",
+        [(math.inf, 300.0, "wavelength"), (1e-6, math.inf, "t0"), (1e-6, math.nan, "t0")],
+    )
+    def test_non_finite_inputs_named(self, wavelength, t0, name):
+        with pytest.raises(ValueError, match=f"^{name} must be positive and finite"):
+            planck_occupancy(wavelength, t0)
+
+    def test_extreme_ranges(self):
+        # Below the float range the Wien tail is exactly zero; an occupancy
+        # above it is refused rather than divided by zero.
+        assert planck_occupancy(1e-10, 1e-300) == 0.0
+        with pytest.raises(ValueError, match="occupancy overflows"):
+            planck_occupancy(1e200, 1e200)
+
 
 class TestGeometricTransmissivity:
     def test_golden_full_aperture(self):
@@ -94,6 +110,24 @@ class TestGeometricTransmissivity:
             LinkGeometry(range_m=1000.0, eta_policy="ignore")
         with pytest.raises(ValueError):
             LinkGeometry(range_m=1000.0, area_factor=0.0)
+
+    @pytest.mark.parametrize("name", ["range_m", "r_t", "r_target", "t0", "eta_max"])
+    @pytest.mark.parametrize("value", [math.nan, math.inf])
+    def test_geometry_non_finite_named(self, name, value):
+        fields = {"range_m": 1000.0, name: value}
+        with pytest.raises(ValueError, match=f"^{name} must"):
+            LinkGeometry(**fields)
+
+    def test_path_below_float_range_is_near_field(self):
+        geometry = LinkGeometry(range_m=2000.0)
+        with pytest.raises(NearFieldError):
+            geometric_transmissivity(3e-300, geometry)
+        clamped = LinkGeometry(range_m=2000.0, eta_policy="clamp")
+        assert geometric_transmissivity(3e-300, clamped) == clamped.eta_max
+
+    def test_geometry_overflow_named(self):
+        with pytest.raises(ValueError, match="range_m 1e\\+300"):
+            geometric_transmissivity(3e-6, LinkGeometry(range_m=1e300))
 
 
 class TestPointEvaluation:
@@ -164,6 +198,34 @@ class TestSweep:
             sweep_frequency(1e14, 1e13, 10, GEOMETRY_3KM)
         with pytest.raises(ValueError):
             sweep_frequency(1e13, 1e14, 1, GEOMETRY_3KM)
+
+    @pytest.mark.parametrize(
+        "f_min,f_max,name",
+        [(math.nan, 1e14, "f_min"), (1e13, math.inf, "f_max"), (1e13, math.nan, "f_max")],
+    )
+    def test_non_finite_band_named(self, f_min, f_max, name):
+        with pytest.raises(ValueError, match=f"^{name} must be positive and finite"):
+            sweep_frequency(f_min, f_max, 10, GEOMETRY_3KM)
+
+    @pytest.mark.parametrize(
+        "bandwidth,integration_time,cause",
+        [
+            (math.nan, 1.0, "bandwidth W"),
+            (3e12, math.inf, "integration time T"),
+            (1e308, 1e308, "W\\*T overflows"),
+        ],
+    )
+    def test_channel_count_names_w_and_t(self, bandwidth, integration_time, cause):
+        with pytest.raises(ValueError, match=cause):
+            sweep_frequency(
+                *BAND, 10, GEOMETRY_3KM,
+                bandwidth=bandwidth, integration_time=integration_time,
+            )
+        with pytest.raises(ValueError, match=cause):
+            optimize_wavelength(
+                GEOMETRY_3KM, (3e-6, 2e-5),
+                bandwidth=bandwidth, integration_time=integration_time,
+            )
 
 
 class TestFindSweepMinimum:
@@ -243,6 +305,19 @@ class TestOptimizeWavelength:
         lam, _, _ = optimize_wavelength(GEOMETRY_3KM, (3e-6, 2e-5))
         nudged, _, _ = optimize_wavelength(GEOMETRY_3KM, (3.1e-6, 1.9e-5))
         assert abs(lam - nudged) < 1e-9
+
+    @pytest.mark.parametrize("range_m", [1979.8720784227216, 2063.2002039382864])
+    def test_boundary_basin_optimum_matches_closed_form(self, range_m):
+        # The near-field boundary lies inside the bracket, and c_ase falls
+        # toward zero as eta -> 1.  The search used to end where c2 is below
+        # the QRE resolution and return c_ase 60-100 times the closed form.
+        lam, c_ase, _ = optimize_wavelength(LinkGeometry(range_m=range_m), (3e-6, 2e-5))
+        eta, nbar_b, _ = c_ase_at(lam, LinkGeometry(range_m=range_m))
+        e = eta * eta
+        closed = (
+            (1.0 + 2.0 * nbar_b * (1.0 - e)) * math.sqrt(equal_bath_c2(e, nbar_b)) / (16.0 * e)
+        )
+        assert c_ase == pytest.approx(closed, rel=1e-6)
 
     def test_invalid_bracket_raises(self):
         geometry = LinkGeometry(range_m=1000.0, area_factor=1.0)
