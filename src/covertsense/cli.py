@@ -33,12 +33,7 @@ import sys
 from typing import Any, Callable, Sequence
 
 from ._constants import CONSTANTS_VERSION
-from .covertness import (
-    covert_budget,
-    taylor_coefficients,
-    willie_error_lower_bound,
-    willie_qre,
-)
+from .covertness import covert_budget, willie_error_lower_bound, willie_qre
 from .errors import DomainError, EmptySweepError, NumericalInstabilityError
 from .estimation import (
     RNG_ALGORITHM,
@@ -340,18 +335,16 @@ def _geometry_from(config: dict[str, Any]) -> LinkGeometry:
 
 def _cmd_scenario(config: dict[str, Any]) -> int:
     scenario = _scenario_from(config)
-    coefficients = taylor_coefficients(scenario)
     budget = covert_budget(scenario, config["epsilon"], config["n"])
-    qre = willie_qre(scenario, budget.nbar_s, config["theta"])
     cm = willie_cm(scenario, budget.nbar_s, config["theta"])
     results = {
         "eta_eff": scenario.eta_eff,
         "nb_eff": scenario.nbar_b_eff,
         "c2": budget.c2,
-        "c3": coefficients.c3,
+        "c3": budget.c3,
         "ns": budget.nbar_s,
         "in_taylor_regime": budget.in_taylor_regime,
-        "qre_per_mode": qre,
+        "qre_per_mode": willie_qre(scenario, budget.nbar_s),
         "willie_error_bound": willie_error_lower_bound(
             budget.c2, config["n"], budget.nbar_s
         ),

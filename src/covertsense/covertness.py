@@ -52,7 +52,7 @@ from .errors import (
     InfiniteQreError,
 )
 from .gaussian import CovarianceMatrix, SymplecticSpectrum, symplectic_spectrum
-from .scenario import SensingScenario, _willie_params
+from .scenario import SensingScenario, _willie_params, check_positive
 
 __all__ = [
     "QreBreakdown",
@@ -64,13 +64,15 @@ __all__ = [
     "equal_bath_c2",
     "equal_bath_c3",
     "taylor_coefficients",
-    "taylor_c2",
-    "taylor_c3",
     "covert_budget",
     "willie_error_lower_bound",
 ]
 
 _PURE_TOL = 1e-12
+
+#: A c2 at or below this is the noise floor: the adversary state does not
+#: respond to the probe.
+_C2_FLOOR = 1e-12
 
 #: Largest relative disagreement between the two first-level Richardson
 #: estimates of c2 that still counts as resolved.  The disagreement tracks
@@ -104,13 +106,17 @@ class TaylorCoefficients:
 class CovertBudget:
     """Signal occupancy budget meeting a covertness target.
 
-    ``in_taylor_regime`` is False when the budget is large enough
-    (>= 10% of the smaller bath occupancy) that the quadratic expansion
-    behind it is suspect; a UserWarning is issued in that case too.
+    ``c2`` and ``c3`` are the scenario's Taylor coefficients from the one
+    :func:`taylor_coefficients` run behind the budget; callers reuse them
+    rather than differentiate the QRE again.  ``in_taylor_regime`` is
+    False when the budget is large enough (>= 10% of the smaller bath
+    occupancy) that the quadratic expansion behind it is suspect; a
+    UserWarning is issued in that case too.
     """
 
     nbar_s: float
     c2: float
+    c3: float
     epsilon: float
     num_modes: int
     in_taylor_regime: bool
@@ -263,15 +269,14 @@ def _willie_qre_raw(scenario: SensingScenario, nbar_s: float) -> float:
     return total
 
 
-def willie_qre(scenario: SensingScenario, nbar_s: float, theta: float = 0.0) -> float:
+def willie_qre(scenario: SensingScenario, nbar_s: float) -> float:
     """QRE (nats) between the adversary's states without and with the probe.
 
     The target phase does not enter: it only rotates correlations inside the
     adversary state, leaving every symplectic invariant unchanged (this is
     verified, not assumed, by the test suite against :func:`qre_gaussian` at
-    many phases).  ``theta`` is accepted for interface symmetry.
+    many phases).
     """
-    del theta  # invariant; see docstring
     if nbar_s < 0.0:
         raise ValueError("nbar_s must be non-negative")
     return _willie_qre_raw(scenario, nbar_s)
@@ -335,23 +340,18 @@ def _richardson(values: list[float]) -> tuple[float, float]:
     return (16.0 * r1_h2 - r1_h) / 15.0, abs(r1_h2 - r1_h)
 
 
-def taylor_coefficients(
-    scenario: SensingScenario,
-    *,
-    base_step: float | None = None,
-    c2_floor: float = 1e-12,
-) -> TaylorCoefficients:
+def taylor_coefficients(scenario: SensingScenario) -> TaylorCoefficients:
     """Quadratic and cubic coefficients of D(nbar_s) about nbar_s = 0.
 
     Central finite differences with two Richardson extrapolation levels on
-    the cancellation-free QRE evaluator.  The default step is
+    the cancellation-free QRE evaluator.  The stencil step is
     min(1e-3 * max(1, nbar_b_eff), 0.05 * (u_min - 1/2)) where u_min is the
     smallest symplectic eigenvalue of the adversary's reference state: the
     second clause keeps the stencil a small relative perturbation of the
     eigenvalue gap, which for weak baths is far tighter than the first.
 
     Raises :class:`DegenerateCovertnessError` when c2 falls at or below
-    ``c2_floor`` (identity channel: the adversary state does not respond to
+    ``_C2_FLOOR`` (identity channel: the adversary state does not respond to
     the probe) or when its Richardson levels disagree by more than
     ``_C2_SPREAD_TOL`` relative (the probe's effect is below the resolution
     of the QRE evaluator), and :class:`DomainError` when the reference state
@@ -365,11 +365,7 @@ def taylor_coefficients(
             "quadratic expansion needs a strictly thermal adversary reference "
             "state; a tap sees (near-)vacuum here"
         )
-    if base_step is None:
-        base_step = min(1e-3 * max(1.0, scenario.nbar_b_eff), 0.05 * gap)
-    h = base_step
-    if h <= 0.0:
-        raise ValueError("base_step must be positive")
+    h = min(1e-3 * max(1.0, scenario.nbar_b_eff), 0.05 * gap)
 
     d_at: dict[float, float] = {}
 
@@ -388,7 +384,7 @@ def taylor_coefficients(
 
     c2, c2_spread = _richardson([second(h), second(h / 2.0), second(h / 4.0)])
     c3, _ = _richardson([third(h / 2.0), third(h / 4.0), third(h / 8.0)])
-    if c2 <= c2_floor:
+    if c2 <= _C2_FLOOR:
         raise DegenerateCovertnessError(
             f"quadratic covertness coefficient {c2:.3e} is at the noise floor; "
             "the adversary state does not respond to the probe "
@@ -402,22 +398,6 @@ def taylor_coefficients(
             "weak bath)"
         )
     return TaylorCoefficients(c2=c2, c3=c3, step=h)
-
-
-def taylor_c2(scenario: SensingScenario, **kwargs) -> float:
-    """Quadratic QRE coefficient of the scenario (see taylor_coefficients)."""
-    return taylor_coefficients(scenario, **kwargs).c2
-
-
-def taylor_c3(scenario: SensingScenario, **kwargs) -> float:
-    """Cubic QRE coefficient of the scenario (see taylor_coefficients)."""
-    return taylor_coefficients(scenario, **kwargs).c3
-
-
-def check_epsilon(epsilon: float) -> None:
-    """Refuse a covertness parameter that is not positive and finite."""
-    if not 0.0 < epsilon < math.inf:
-        raise ValueError(f"epsilon must be positive and finite, got {epsilon}")
 
 
 def channel_uses(num_modes: float) -> int:
@@ -443,9 +423,10 @@ def covert_budget(
     occupancies, i.e. when the quadratic truncation is no longer
     trustworthy.
     """
-    check_epsilon(epsilon)
+    check_positive("epsilon", epsilon)
     n = channel_uses(num_modes)
-    c2 = taylor_c2(scenario)
+    coefficients = taylor_coefficients(scenario)
+    c2, c3 = coefficients.c2, coefficients.c3
     nbar_s = 4.0 * epsilon / (math.sqrt(c2) * math.sqrt(n))
     if not math.isfinite(nbar_s):
         raise DomainError(
@@ -464,6 +445,7 @@ def covert_budget(
     return CovertBudget(
         nbar_s=nbar_s,
         c2=c2,
+        c3=c3,
         epsilon=epsilon,
         num_modes=n,
         in_taylor_regime=in_regime,

@@ -41,10 +41,16 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .covertness import channel_uses, check_epsilon, covert_budget, taylor_c2
+from .covertness import channel_uses, covert_budget
 from .errors import DomainError, NumericalInstabilityError
 from .gaussian import CovarianceMatrix, symplectic_form
-from .scenario import ProbeSettings, SensingScenario, alice_cm, check_occupancy
+from .scenario import (
+    ProbeSettings,
+    SensingScenario,
+    alice_cm,
+    check_occupancy,
+    check_positive,
+)
 
 __all__ = [
     "RNG_ALGORITHM",
@@ -77,6 +83,12 @@ _BLOCK_TRIALS = 4096
 #: needs 2 n of them, so per-sample runs are refused for 2 n above it.
 _SLOW_MODE_CHUNK = 50_000_000
 
+#: Phase step (radians) of the fidelity-curvature stencil in ``qfi_numeric``.
+_QFI_STEP = 1e-3
+
+#: Smallest reference occupancy the finite-reference validation path admits.
+_MIN_LO = 1e4
+
 
 @dataclass(frozen=True)
 class HeterodyneStats:
@@ -103,9 +115,9 @@ class HeterodyneStats:
 class EstimationReport:
     """Bound coefficients and comparison ratios for one scenario.
 
-    ``qcrb = c_ase / (eps sqrt(n))`` and ``mse_bound`` is its alias as
-    the final MSE lower bound; ``mse_het = c_het_tilde / (eps sqrt(n))``
-    is what the heterodyne estimator actually reaches at the budget.
+    ``qcrb = c_ase / (eps sqrt(n))`` is the MSE lower bound;
+    ``mse_het = c_het_tilde / (eps sqrt(n))`` is what the heterodyne
+    estimator actually reaches at the budget.
     """
 
     f_a: float
@@ -119,7 +131,6 @@ class EstimationReport:
     mu: float
     mu_c: float
     mu_w: float
-    mse_bound: float
 
 
 def _det(matrix: np.ndarray) -> float:
@@ -202,18 +213,14 @@ def qfi_closed(
     return f_a_prime, f_a
 
 
-def qfi_numeric(
-    scenario: SensingScenario, probe: ProbeSettings, *, step: float = 1e-3
-) -> float:
+def qfi_numeric(scenario: SensingScenario, probe: ProbeSettings) -> float:
     """Fisher information from the curvature of the fidelity curve.
 
     Evaluates ``F(omega) = fidelity(V(theta), V(theta + omega))`` on a
-    central stencil of width ``step`` (radians) plus one Richardson
-    level, and returns ``-4 F''(0)``.  Independent of ``probe.theta``
-    because the probe state is phase-covariant.
+    central stencil of width 1e-3 rad plus one Richardson level, and
+    returns ``-4 F''(0)``.  Independent of ``probe.theta`` because the
+    probe state is phase-covariant.
     """
-    if step <= 0.0:
-        raise ValueError("step must be positive")
     base = alice_cm(scenario, probe)
 
     def fid(omega: float) -> float:
@@ -225,46 +232,37 @@ def qfi_numeric(
     def second_diff(h: float) -> float:
         return (fid(h) - 2.0 * f0 + fid(-h)) / (h * h)
 
-    coarse = second_diff(2.0 * step)
-    fine = second_diff(step)
+    coarse = second_diff(2.0 * _QFI_STEP)
+    fine = second_diff(_QFI_STEP)
     curvature = (4.0 * fine - coarse) / 3.0
     return -4.0 * curvature
 
 
-def qcrb_ase(
-    scenario: SensingScenario, epsilon: float, num_modes: float
-) -> tuple[float, float]:
-    """Quantum MSE bound for the covert thermal probe.
+def qcrb_ase(scenario: SensingScenario, c2: float) -> float:
+    """Quantum MSE bound coefficient of the covert thermal probe.
 
-    Returns ``(c_ase, bound)`` with
+        c_ase = (1 + 2 nbar_b_eff (1 - eta_eff)) sqrt(c2) / (16 eta_eff),
 
-        c_ase = (1 + 2 nbar_b_eff (1 - eta_eff)) sqrt(c2) / (16 eta_eff)
-
-    and ``bound = c_ase / (eps sqrt(n))``, ``n = floor(num_modes)``.
-    The quadratic covertness coefficient ``c2`` comes from
-    :func:`covertsense.covertness.taylor_c2`, so a channel with no
-    leakage propagates DegenerateCovertnessError.
+    with ``c2`` the scenario's quadratic covertness coefficient (see
+    :func:`covertsense.covertness.taylor_coefficients`).  The bound at the
+    covert budget is ``c_ase / (eps sqrt(n))``.
     """
-    check_epsilon(epsilon)
-    n = channel_uses(num_modes)
     eta = scenario.eta_eff
     b = scenario.nbar_b_eff
-    c2 = taylor_c2(scenario)
-    c_ase = (1.0 + 2.0 * b * (1.0 - eta)) * math.sqrt(c2) / (16.0 * eta)
-    return c_ase, c_ase / (epsilon * math.sqrt(n))
+    return (1.0 + 2.0 * b * (1.0 - eta)) * math.sqrt(c2) / (16.0 * eta)
 
 
-def ase_heterodyne_coefficient(scenario: SensingScenario) -> float:
+def ase_heterodyne_coefficient(scenario: SensingScenario, c2: float) -> float:
     """Heterodyne MSE coefficient c_het_tilde of the covert thermal probe.
 
-    c_het_tilde = (1 + nbar_b_eff (1 - eta_eff)) sqrt(c2) / (8 eta_eff);
-    at the covert budget the averaged heterodyne noise variance equals
+    c_het_tilde = (1 + nbar_b_eff (1 - eta_eff)) sqrt(c2) / (8 eta_eff),
+    with ``c2`` the scenario's quadratic covertness coefficient; at the
+    covert budget the averaged heterodyne noise variance equals
     c_het_tilde / (eps sqrt(n)).  Always within a factor of two of the
     quantum coefficient: c_ase <= c_het_tilde <= 2 c_ase.
     """
     eta = scenario.eta_eff
     b = scenario.nbar_b_eff
-    c2 = taylor_c2(scenario)
     return (1.0 + b * (1.0 - eta)) * math.sqrt(c2) / (8.0 * eta)
 
 
@@ -303,8 +301,6 @@ def finite_lo_heterodyne_variances(
     theta: float,
     nbar_s: float,
     nbar_lo: float,
-    *,
-    min_lo: float = 1e4,
 ) -> tuple[float, float]:
     """Finite-reference quadrature second moments (validation path).
 
@@ -315,15 +311,15 @@ def finite_lo_heterodyne_variances(
 
     and likewise with ``sin^2 theta``, where ``b = (1 - eta) nbar_b_eff``
     absorbs the factor already.  Converges to the limit forms at rate
-    O(1/nbar_lo); only admitted for ``nbar_lo >= min_lo`` because the
+    O(1/nbar_lo); only admitted for ``nbar_lo >= 1e4`` because the
     expressions are meant to validate that convergence, not to model a
     dim reference.
     """
     if nbar_s <= 0.0:
         raise DomainError(f"no signal to normalize by: nbar_s = {nbar_s}")
-    if nbar_lo < min_lo:
+    if nbar_lo < _MIN_LO:
         raise DomainError(
-            f"finite-reference validation path needs nbar_lo >= {min_lo:g}, "
+            f"finite-reference validation path needs nbar_lo >= {_MIN_LO:g}, "
             f"got {nbar_lo:g}"
         )
     eta = scenario.eta_eff
@@ -505,7 +501,7 @@ def coherent_baseline(
     quadrature detection reaches, ``c_coh`` what the optimal receiver
     reaches; ``c_coh <= c_het <= 2 c_coh`` always.
     """
-    check_epsilon(epsilon)
+    check_positive("epsilon", epsilon)
     n = channel_uses(num_modes)
     c_het, c_coh = _coherent_coefficients(eta_eff, nbar_b_eff)
     root = math.sqrt(eta_eff * nbar_b_eff * (1.0 + eta_eff * nbar_b_eff))
@@ -514,32 +510,21 @@ def coherent_baseline(
 
 
 def source_comparison(
-    scenario: SensingScenario,
-    w_ase: float,
-    w_coh: float,
-    integration_time: float,
-    epsilon: float,
+    scenario: SensingScenario, c_ase: float, w_ase: float, w_coh: float
 ) -> tuple[float, float, float]:
     """Bound ratio between the thermal probe and a coherent probe.
 
     Returns ``(mu, mu_c, mu_w)`` where ``mu_c = c_ase / c_coh`` compares
-    the per-mode coefficients, ``mu_w = w_ase / w_coh`` the usable
-    bandwidths, and ``mu = mu_c / sqrt(mu_w)`` the resulting MSE-bound
-    ratio at equal covertness ``epsilon`` and integration time: both
-    cancel from the ratio, and are validated here only so the comparison
-    is stated at an actual operating point.  ``mu < 1`` (thermal probe
-    wins) exactly when ``mu_c < sqrt(mu_w)``.
+    the per-mode coefficients (``c_ase`` from :func:`qcrb_ase`),
+    ``mu_w = w_ase / w_coh`` the usable bandwidths, and
+    ``mu = mu_c / sqrt(mu_w)`` the resulting MSE-bound ratio at equal
+    covertness and integration time, both of which cancel from the ratio.
+    ``mu < 1`` (thermal probe wins) exactly when ``mu_c < sqrt(mu_w)``.
     """
     if not (0.0 < w_ase < math.inf and 0.0 < w_coh < math.inf):
         raise ValueError(
             f"bandwidths must be positive and finite, got {w_ase} and {w_coh}"
         )
-    if not 0.0 < integration_time < math.inf:
-        raise ValueError(
-            f"integration time must be positive and finite, got {integration_time}"
-        )
-    check_epsilon(epsilon)
-    c_ase, _ = qcrb_ase(scenario, epsilon, max(1.0, w_ase * integration_time))
     _, c_coh = _coherent_coefficients(scenario.eta_eff, scenario.nbar_b_eff)
     mu_c = c_ase / c_coh
     mu_w = w_ase / w_coh
@@ -560,18 +545,22 @@ def estimation_report(
 
     The signal occupancy is the covert budget for ``(epsilon, n)``; the
     Fisher information pair is evaluated there at reference occupancy
-    ``nbar_lo``.  ``mse_bound`` equals ``qcrb``: it is the same quantity
-    under its report name.
+    ``nbar_lo``.  Every coefficient uses the budget's c2.  The source
+    comparison is stated at the operating point ``w_ase *
+    integration_time``, which is validated although it cancels from the
+    ratios.
     """
     n = channel_uses(num_modes)
     budget = covert_budget(scenario, epsilon, n)
     f_a_prime, f_a = qfi_closed(scenario, budget.nbar_s, nbar_lo)
-    c_ase, bound = qcrb_ase(scenario, epsilon, n)
-    c_het_tilde = ase_heterodyne_coefficient(scenario)
+    c_ase = qcrb_ase(scenario, budget.c2)
+    c_het_tilde = ase_heterodyne_coefficient(scenario, budget.c2)
     c_het, c_coh = _coherent_coefficients(scenario.eta_eff, scenario.nbar_b_eff)
-    mu, mu_c, mu_w = source_comparison(
-        scenario, w_ase, w_coh, integration_time, epsilon
-    )
+    mu, mu_c, mu_w = source_comparison(scenario, c_ase, w_ase, w_coh)
+    # The ratios are stated at integration time T: refuse a T, or a mode
+    # count W_ase * T, that is no operating point.
+    check_positive("integration time", integration_time)
+    channel_uses(max(1.0, w_ase * integration_time))
     root_n = math.sqrt(n)
     return EstimationReport(
         f_a=f_a,
@@ -580,10 +569,9 @@ def estimation_report(
         c_het_tilde=c_het_tilde,
         c_coh=c_coh,
         c_het=c_het,
-        qcrb=bound,
+        qcrb=c_ase / (epsilon * root_n),
         mse_het=c_het_tilde / (epsilon * root_n),
         mu=mu,
         mu_c=mu_c,
         mu_w=mu_w,
-        mse_bound=bound,
     )

@@ -47,7 +47,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import CutoffError, InfiniteQreError
-from .scenario import ProbeSettings, SensingScenario
+from .scenario import ProbeSettings, SensingScenario, check_occupancy, wrap_angle
 
 __all__ = [
     "FockDensityMatrix",
@@ -69,7 +69,20 @@ MAX_TOTAL_PHOTONS = 64
 #: Largest input occupancy the oracle accepts (small-parameter tool).
 MAX_OCCUPANCY = 2.0
 
-_DEFAULT_TAIL_BOUND = 1e-10
+#: Largest truncated probability mass a state may carry; every state this
+#: module builds picks its cutoff to stay below it.
+_TAIL_BOUND = 1e-10
+
+#: ``FockDensityMatrix.require_valid`` tolerances: Hermiticity residual
+#: relative to the largest entry, and the most negative eigenvalue allowed.
+_HERMITICITY_TOL = 1e-12
+_EIGENVALUE_TOL = 1e-12
+
+#: ``oracle_qre``: eigenvalues below this are clamped for the logarithms,
+#: and more than ``_SUPPORT_TOL`` of the first state's mass on directions
+#: below it counts as outside the second state's support.
+_EIGEN_FLOOR = 1e-14
+_SUPPORT_TOL = 1e-9
 
 
 @dataclass(frozen=True)
@@ -106,22 +119,15 @@ class FockDensityMatrix:
     def trace(self) -> float:
         return float(np.trace(self.entries).real)
 
-    def require_valid(
-        self,
-        *,
-        hermiticity_tol: float = 1e-12,
-        eigenvalue_tol: float = 1e-12,
-        max_tail_bound: float = 1e-10,
-    ) -> "FockDensityMatrix":
+    def require_valid(self) -> "FockDensityMatrix":
         """Check the type invariants; return self or raise ValueError."""
-        if not self.tail_bound <= max_tail_bound:
+        if not self.tail_bound <= _TAIL_BOUND:
             raise ValueError(
-                f"declared tail bound {self.tail_bound:g} exceeds "
-                f"{max_tail_bound:g}"
+                f"declared tail bound {self.tail_bound:g} exceeds {_TAIL_BOUND:g}"
             )
         scale = max(1.0, float(np.abs(self.entries).max()))
         herm = float(np.abs(self.entries - self.entries.conj().T).max())
-        if herm > hermiticity_tol * scale:
+        if herm > _HERMITICITY_TOL * scale:
             raise ValueError(f"not Hermitian: residual {herm:.3e}")
         tr = self.trace()
         if not 1.0 - self.tail_bound - 1e-12 <= tr <= 1.0 + 1e-12:
@@ -137,7 +143,7 @@ class FockDensityMatrix:
             for _, block in blocks:
                 if block.shape[0]:
                     min_eig = min(min_eig, float(np.linalg.eigvalsh(block).min()))
-        if min_eig < -eigenvalue_tol:
+        if min_eig < -_EIGENVALUE_TOL:
             raise ValueError(f"negative eigenvalue {min_eig:.3e}")
         return self
 
@@ -152,14 +158,14 @@ def _geometric_pmf(nbar: float, length: int) -> np.ndarray:
     return np.power(ratio, np.arange(length)) / (1.0 + nbar)
 
 
-def _required_single_cutoff(nbar: float, tail_bound: float) -> int:
-    """Smallest c with (nbar/(1+nbar))**(c+1) <= tail_bound."""
+def _required_single_cutoff(nbar: float) -> int:
+    """Smallest c with (nbar/(1+nbar))**(c+1) <= the tail bound."""
     if nbar == 0.0:
         return 0
     ratio = nbar / (1.0 + nbar)
-    c = int(math.ceil(math.log(tail_bound) / math.log(ratio))) - 1
+    c = int(math.ceil(math.log(_TAIL_BOUND) / math.log(ratio))) - 1
     c = max(c, 0)
-    while ratio ** (c + 1) > tail_bound:
+    while ratio ** (c + 1) > _TAIL_BOUND:
         c += 1
     return c
 
@@ -174,58 +180,60 @@ def _joint_tail(occupancies: list[float], upto: int) -> np.ndarray:
 
 
 def _select_total_cutoff(
-    occupancies: list[float], cutoff: int | None, tail_bound: float
+    occupancies: list[float], cutoff: int | None
 ) -> tuple[int, float]:
-    """(cutoff, actual joint tail), enforcing the tail bound and photon cap."""
+    """(cutoff, actual joint tail), enforcing the tail bound and photon cap.
+
+    An explicit cutoff outside [0, MAX_TOTAL_PHOTONS] is refused before
+    any tail is computed.
+    """
+    if cutoff is not None:
+        if cutoff < 0:
+            raise ValueError(f"cutoff must be non-negative, got {cutoff}")
+        if cutoff > MAX_TOTAL_PHOTONS:
+            raise CutoffError(
+                f"cutoff {cutoff} exceeds the supported cap {MAX_TOTAL_PHOTONS}"
+            )
     probe_to = MAX_TOTAL_PHOTONS if cutoff is None else max(cutoff, 1)
     tails = _joint_tail(occupancies, probe_to)
     if cutoff is None:
-        hits = np.nonzero(tails <= tail_bound)[0]
+        hits = np.nonzero(tails <= _TAIL_BOUND)[0]
         if hits.size == 0:
             raise CutoffError(
                 f"inputs {occupancies} need a total-photon cutoff above the "
-                f"cap {MAX_TOTAL_PHOTONS} to reach tail mass {tail_bound:g} "
+                f"cap {MAX_TOTAL_PHOTONS} to reach tail mass {_TAIL_BOUND:g} "
                 f"(tail at the cap: {tails[-1]:.3e})"
             )
         chosen = int(hits[0])
         return chosen, float(max(tails[chosen], 0.0))
-    if cutoff > MAX_TOTAL_PHOTONS:
-        raise CutoffError(
-            f"cutoff {cutoff} exceeds the supported cap {MAX_TOTAL_PHOTONS}"
-        )
     actual = float(max(tails[cutoff], 0.0))
-    if actual > tail_bound:
+    if actual > _TAIL_BOUND:
         wide = _joint_tail(occupancies, MAX_TOTAL_PHOTONS)
-        hits = np.nonzero(wide <= tail_bound)[0]
+        hits = np.nonzero(wide <= _TAIL_BOUND)[0]
         need = str(int(hits[0])) if hits.size else f"> {MAX_TOTAL_PHOTONS}"
         raise CutoffError(
             f"cutoff {cutoff} leaves tail mass {actual:.3e} > "
-            f"{tail_bound:g}; required cutoff: {need}"
+            f"{_TAIL_BOUND:g}; required cutoff: {need}"
         )
     return cutoff, actual
 
 
-def thermal_fock(
-    nbar: float,
-    cutoff: int | None = None,
-    *,
-    tail_bound: float = _DEFAULT_TAIL_BOUND,
-) -> FockDensityMatrix:
+def thermal_fock(nbar: float, cutoff: int | None = None) -> FockDensityMatrix:
     """Single-mode thermal state, diagonal p_k = nbar^k/(1+nbar)^(k+1).
 
     With ``cutoff=None`` the smallest cutoff meeting the tail bound is
-    selected.  An explicit cutoff that leaves more than ``tail_bound``
-    of mass raises CutoffError naming the required cutoff.  The state is
+    selected.  An explicit cutoff that leaves more than 1e-10 of mass
+    raises CutoffError naming the required cutoff.  The state is
     left sub-normalised (trace = 1 - actual tail); nothing is rescaled.
     """
     if nbar < 0.0:
         raise ValueError(f"nbar must be non-negative, got {nbar}")
-    required = _required_single_cutoff(nbar, tail_bound)
+    required = _required_single_cutoff(nbar)
     if cutoff is None:
         cutoff = required
     elif cutoff < required:
         raise CutoffError(
-            f"cutoff {cutoff} leaves tail mass above {tail_bound:g} for "
+            f"cutoff {cutoff} leaves tail mass above {_TAIL_BOUND:g} for "
             f"nbar = {nbar}; required cutoff: {required}"
         )
     if cutoff > MAX_TOTAL_PHOTONS:
@@ -250,10 +258,10 @@ def fock_tensor(a: FockDensityMatrix, b: FockDensityMatrix) -> FockDensityMatrix
             f"tensor factors need a common cutoff, got {a.cutoff} and {b.cutoff}"
         )
     combined_tail = a.tail_bound + b.tail_bound
-    if combined_tail > _DEFAULT_TAIL_BOUND:
+    if combined_tail > _TAIL_BOUND:
         raise CutoffError(
             f"combined tail mass {combined_tail:.3e} exceeds "
-            f"{_DEFAULT_TAIL_BOUND:g}; rebuild the factors at larger cutoffs"
+            f"{_TAIL_BOUND:g}; rebuild the factors at larger cutoffs"
         )
     return FockDensityMatrix(
         modes=a.modes + b.modes,
@@ -407,8 +415,7 @@ def _diagonal_factor(probs: np.ndarray) -> np.ndarray:
 
 def _check_occupancies(**named: float) -> None:
     for name, value in named.items():
-        if value < 0.0:
-            raise ValueError(f"{name} must be non-negative, got {value}")
+        check_occupancy(name, value)
         if value > MAX_OCCUPANCY:
             raise ValueError(
                 f"{name} = {value} exceeds {MAX_OCCUPANCY}; the number-basis "
@@ -421,8 +428,6 @@ def oracle_willie_state(
     nbar_s: float,
     theta: float = 0.0,
     cutoff: int | None = None,
-    *,
-    tail_bound: float = _DEFAULT_TAIL_BOUND,
 ) -> FockDensityMatrix:
     """Adversary's two-mode state, simulated photon-by-photon.
 
@@ -437,7 +442,7 @@ def oracle_willie_state(
         nbar_b2=scenario.nbar_b2, nbar_b1=scenario.nbar_b1, nbar_s=nbar_s
     )
     occ = [scenario.nbar_b2, scenario.nbar_b1, nbar_s]
-    total_cutoff, actual_tail = _select_total_cutoff(occ, cutoff, tail_bound)
+    total_cutoff, actual_tail = _select_total_cutoff(occ, cutoff)
     pmfs = [_geometric_pmf(n, total_cutoff + 1) for n in occ]
     forward = _BeamSplitter(3, 1, 2, scenario.eta_1, total_cutoff)
     ret = _BeamSplitter(3, 0, 2, scenario.eta_2, total_cutoff)
@@ -460,8 +465,6 @@ def oracle_alice_state(
     scenario: SensingScenario,
     probe: ProbeSettings,
     cutoff: int | None = None,
-    *,
-    tail_bound: float = _DEFAULT_TAIL_BOUND,
 ) -> FockDensityMatrix:
     """Interrogator's (returned signal, reference) state in the Fock basis.
 
@@ -485,7 +488,7 @@ def oracle_alice_state(
         source_total=source_total,
     )
     occ = [scenario.nbar_b2, scenario.nbar_b1, source_total]
-    total_cutoff, actual_tail = _select_total_cutoff(occ, cutoff, tail_bound)
+    total_cutoff, actual_tail = _select_total_cutoff(occ, cutoff)
     pmfs = [_geometric_pmf(n, total_cutoff + 1) for n in occ]
     split = 0.0 if source_total == 0.0 else probe.nbar_s / source_total
     # Source split: reference is the eta port so the signal keeps
@@ -668,19 +671,13 @@ def _common_blocks(
     return pairs
 
 
-def oracle_qre(
-    state_0: FockDensityMatrix,
-    state_1: FockDensityMatrix,
-    *,
-    eigen_floor: float = 1e-14,
-    support_tol: float = 1e-9,
-) -> float:
+def oracle_qre(state_0: FockDensityMatrix, state_1: FockDensityMatrix) -> float:
     """Relative entropy tr(rho_0 ln rho_0) - tr(rho_0 ln rho_1), in nats.
 
-    Eigenvalues below ``eigen_floor`` are clamped for the logarithms.  If
-    more than ``support_tol`` of rho_0's mass sits on directions where
-    rho_1 is numerically zero, the quantity is effectively infinite and
-    InfiniteQreError is raised.
+    Eigenvalues below 1e-14 are clamped for the logarithms.  If more than
+    1e-9 of rho_0's mass sits on directions where rho_1 is numerically
+    zero, the quantity is effectively infinite and InfiniteQreError is
+    raised.
     """
     if state_0.entries.shape != state_1.entries.shape or state_0.modes != state_1.modes:
         raise ValueError("states must share the same mode count and cutoff")
@@ -693,20 +690,20 @@ def oracle_qre(
     escaped_mass = 0.0
     for b0, b1 in pairs:
         lam = np.linalg.eigvalsh(b0)
-        keep = lam > eigen_floor
+        keep = lam > _EIGEN_FLOOR
         entropy += float(np.sum(lam[keep] * np.log(lam[keep])))
 
         mu, w = np.linalg.eigh(b1)
         overlaps = np.einsum("ij,jk,ki->i", w.conj().T, b0, w).real
         overlaps = np.clip(overlaps, 0.0, None)
-        low = mu < eigen_floor
+        low = mu < _EIGEN_FLOOR
         escaped_mass += float(overlaps[low].sum())
-        cross += float(np.sum(overlaps * np.log(np.clip(mu, eigen_floor, None))))
+        cross += float(np.sum(overlaps * np.log(np.clip(mu, _EIGEN_FLOOR, None))))
 
-    if escaped_mass > support_tol:
+    if escaped_mass > _SUPPORT_TOL:
         raise InfiniteQreError(
             f"{escaped_mass:.3e} of the first state's mass lies outside the "
-            f"second state's numerical support (floor {eigen_floor:g}); the "
+            f"second state's numerical support (floor {_EIGEN_FLOOR:g}); the "
             "relative entropy diverges"
         )
     return entropy - cross
@@ -745,6 +742,7 @@ def oracle_cross_check(
     interrogator state pair at phases (theta, theta + 0.1), then returns
     the worst moment deviations and the QRE/fidelity/purity differences.
     Every value should be small; the test suite pins the tolerances.
+    ``theta`` is wrapped into (-pi, pi] once, here, for all four states.
     """
     from .covertness import willie_qre
     from .estimation import gaussian_fidelity
@@ -757,9 +755,12 @@ def oracle_cross_check(
         nbar_s=nbar_s,
         nbar_lo=nbar_lo,
     )
+    if not math.isfinite(theta):
+        raise ValueError(f"theta must be finite, got {theta}")
+    theta = wrap_angle(theta)
     occ = [scenario.nbar_b2, scenario.nbar_b1, nbar_s + nbar_lo]
     shared = (
-        _select_total_cutoff(occ, cutoff, _DEFAULT_TAIL_BOUND)[0]
+        _select_total_cutoff(occ, cutoff)[0]
         if cutoff is None
         else cutoff
     )
@@ -789,7 +790,7 @@ def oracle_cross_check(
         "willie_cm_max_err": float(np.abs(cov - w_cm.matrix).max()),
         "willie_purity_err": abs(fock_purity(w_on) - gauss_purity),
         "willie_qre_err": abs(
-            oracle_qre(w_off, w_on) - willie_qre(scenario, nbar_s, theta)
+            oracle_qre(w_off, w_on) - willie_qre(scenario, nbar_s)
         ),
         "alice_mean_max": float(np.abs(a_mean).max()),
         "alice_cm_max_err": float(

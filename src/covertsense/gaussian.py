@@ -54,6 +54,22 @@ __all__ = [
     "symplectic_spectrum",
 ]
 
+#: Largest asymmetry, relative to the largest entry, that construction
+#: symmetrises away rather than refuses.
+_SYMMETRY_TOL = 1e-12
+
+#: A CM is physical when every symplectic eigenvalue is >= 1/2 - this.
+_PHYSICAL_ATOL = 1e-10
+
+#: Relative mismatch allowed inside a pair of symplectic eigenvalue moduli.
+_PAIR_TOL = 1e-8
+
+#: Relative tolerance for detecting the structured two-mode sensing form.
+_STRUCTURE_TOL = 1e-10
+
+#: Relative residual allowed in the normal-form self-check.
+_CHECK_TOL = 1e-8
+
 
 def symplectic_form(num_modes: int) -> np.ndarray:
     """Return the 2N x 2N symplectic form Omega in qqpp ordering."""
@@ -67,25 +83,23 @@ class CovarianceMatrix:
     """A validated, symmetrised N-mode covariance matrix (qqpp, hbar = 1).
 
     Construction symmetrises the input as (V + V^T)/2 and rejects inputs
-    whose asymmetry exceeds ``symmetry_tol`` relative to the largest entry.
+    whose asymmetry exceeds 1e-12 relative to the largest entry.
     """
 
     matrix: np.ndarray
     num_modes: int
 
     @classmethod
-    def from_array(
-        cls, array: np.ndarray, *, symmetry_tol: float = 1e-12
-    ) -> "CovarianceMatrix":
+    def from_array(cls, array: np.ndarray) -> "CovarianceMatrix":
         arr = np.asarray(array, dtype=float)
         if arr.ndim != 2 or arr.shape[0] != arr.shape[1] or arr.shape[0] % 2:
             raise ValueError(f"covariance matrix must be 2N x 2N, got {arr.shape}")
         scale = max(1.0, float(np.abs(arr).max()))
         asym = float(np.abs(arr - arr.T).max())
-        if asym > 2.0 * symmetry_tol * scale:
+        if asym > 2.0 * _SYMMETRY_TOL * scale:
             raise ValueError(
                 f"matrix asymmetry {asym:.3e} exceeds tolerance "
-                f"{symmetry_tol:.1e} (relative to scale {scale:.3e})"
+                f"{_SYMMETRY_TOL:.1e} (relative to scale {scale:.3e})"
             )
         sym = (arr + arr.T) / 2.0
         sym.flags.writeable = False
@@ -95,20 +109,21 @@ class CovarianceMatrix:
         """Symplectic eigenvalues, one per mode, descending."""
         return symplectic_eigenvalues(self)
 
-    def is_physical(self, atol: float = 1e-10) -> bool:
-        """True when every symplectic eigenvalue is >= 1/2 - atol."""
+    def is_physical(self) -> bool:
+        """True when every symplectic eigenvalue is >= 1/2 - 1e-10."""
         try:
             nu = self.symplectic_eigenvalues()
         except NumericalInstabilityError:
             return False
-        return bool(nu.min() >= 0.5 - atol)
+        return bool(nu.min() >= 0.5 - _PHYSICAL_ATOL)
 
-    def require_physical(self, atol: float = 1e-10) -> "CovarianceMatrix":
+    def require_physical(self) -> "CovarianceMatrix":
         """Return self, raising :class:`PhysicalityError` if unphysical."""
-        if not self.is_physical(atol=atol):
+        if not self.is_physical():
             raise PhysicalityError(
                 f"covariance matrix is unphysical: min symplectic eigenvalue "
-                f"{self.symplectic_eigenvalues().min():.6e} < 1/2 - {atol:g}"
+                f"{self.symplectic_eigenvalues().min():.6e} < 1/2 - "
+                f"{_PHYSICAL_ATOL:g}"
             )
         return self
 
@@ -261,14 +276,12 @@ def apply_thermal_channel(
     return CovarianceMatrix.from_array(v)
 
 
-def symplectic_eigenvalues(
-    cm: CovarianceMatrix, *, pair_tol: float = 1e-8
-) -> np.ndarray:
+def symplectic_eigenvalues(cm: CovarianceMatrix) -> np.ndarray:
     """Symplectic eigenvalues of a CM, descending, one per mode.
 
     Computed as the moduli of the eigenvalues of i*Omega*V, which come in
-    degenerate pairs; a pairing mismatch beyond ``pair_tol`` (relative)
-    raises :class:`NumericalInstabilityError`.
+    degenerate pairs; a pairing mismatch beyond 1e-8 (relative) raises
+    :class:`NumericalInstabilityError`.
     """
     v = cm.matrix
     omega = symplectic_form(cm.num_modes)
@@ -276,7 +289,7 @@ def symplectic_eigenvalues(
     mods = np.sort(np.abs(ev))[::-1]
     hi, lo = mods[0::2], mods[1::2]
     scale = max(mods[0], 1.0)
-    if np.abs(hi - lo).max() > pair_tol * scale:
+    if np.abs(hi - lo).max() > _PAIR_TOL * scale:
         raise NumericalInstabilityError(
             "symplectic eigenvalues failed to pair within tolerance: "
             f"{mods!r}"
@@ -321,9 +334,7 @@ def _rotation_pair(num_modes: int, phis: Sequence[float]) -> np.ndarray:
     return np.vstack([top, bot])
 
 
-def _sensing_pattern_params(
-    v: np.ndarray, tol: float
-) -> tuple[float, float, float, float] | None:
+def _sensing_pattern_params(v: np.ndarray) -> tuple[float, float, float, float] | None:
     """Detect the structured sensing form; return (v11, v22, v12, theta) or None.
 
     The returned v12 is gauge-normalised to be >= 0 (the (v12, theta) and
@@ -340,7 +351,7 @@ def _sensing_pattern_params(
         abs(v[0, 1] - v[2, 3]),
         abs(v[0, 3] + v[1, 2]),
     )
-    if max(checks) > tol * scale:
+    if max(checks) > _STRUCTURE_TOL * scale:
         return None
     v11 = (v[0, 0] + v[2, 2]) / 2.0
     v22 = (v[1, 1] + v[3, 3]) / 2.0
@@ -430,23 +441,19 @@ def _generic_normal_form(v: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
 
 
 def symplectic_spectrum(
-    cm: CovarianceMatrix,
-    reference: CovarianceMatrix | None = None,
-    *,
-    structure_tol: float = 1e-10,
-    check_tol: float = 1e-8,
+    cm: CovarianceMatrix, reference: CovarianceMatrix | None = None
 ) -> SymplecticSpectrum:
     """Normal form of ``cm``, optionally with a reference state's moments.
 
     Uses the closed-form construction when ``cm`` is a structured two-mode
-    sensing CM (detected at ``structure_tol``), the general Williamson
+    sensing CM (detected at 1e-10 relative), the general Williamson
     construction otherwise.  The result is self-checked: M must be symplectic
-    and M V M^T diagonal to ``check_tol`` (relative), else
+    and M V M^T diagonal to 1e-8 (relative), else
     :class:`NumericalInstabilityError` is raised.
     """
     v = cm.matrix
     n = cm.num_modes
-    params = _sensing_pattern_params(v, structure_tol)
+    params = _sensing_pattern_params(v)
     if params is not None:
         u, m, tau = _structured_normal_form(*params)
         mixing: float | None = tau
@@ -460,7 +467,7 @@ def symplectic_spectrum(
     diag_target = np.concatenate([u, u])
     diag_err = float(np.abs(d - np.diag(diag_target)).max())
     scale = max(1.0, float(np.abs(v).max()))
-    if sym_err > check_tol or diag_err > check_tol * scale:
+    if sym_err > _CHECK_TOL or diag_err > _CHECK_TOL * scale:
         raise NumericalInstabilityError(
             f"normal form failed self-check: symplecticity residual {sym_err:.3e}, "
             f"diagonalisation residual {diag_err:.3e}"

@@ -34,10 +34,10 @@ import math
 from dataclasses import dataclass
 
 from ._constants import BOLTZMANN_K, PLANCK_H, SPEED_OF_LIGHT
-from .covertness import check_epsilon
+from .covertness import taylor_coefficients
 from .errors import DomainError, EmptySweepError, NearFieldError
 from .estimation import qcrb_ase
-from .scenario import SensingScenario
+from .scenario import SensingScenario, check_positive
 
 __all__ = [
     "LinkGeometry",
@@ -62,11 +62,16 @@ _ALLOWED_POLICIES = ("error", "clamp")
 #: Inverse golden ratio, the section step of the minimizer.
 _GOLDEN = (math.sqrt(5.0) - 1.0) / 2.0
 
+#: Points of the coarse scan that brackets the wavelength minimum.
+_COARSE_POINTS = 200
 
-def _check_positive(name: str, value: float) -> None:
-    """Refuse a length, temperature, frequency or time that is not in (0, inf)."""
-    if not 0.0 < value < math.inf:
-        raise ValueError(f"{name} must be positive and finite, got {value}")
+#: Bracket width (m) at which the golden-section search stops.
+_LAMBDA_TOLERANCE = 1e-9
+
+#: Residuals within which a reference value counts as reproduced: the
+#: optimal wavelength (m) and the relative bound.
+_LAMBDA_MATCH_TOL = 0.05e-6
+_B_REL_MATCH_TOL = 0.02
 
 
 @dataclass(frozen=True)
@@ -87,7 +92,7 @@ class LinkGeometry:
 
     def __post_init__(self) -> None:
         for name in ("range_m", "r_t", "r_target", "t0"):
-            _check_positive(name, getattr(self, name))
+            check_positive(name, getattr(self, name))
         if self.area_factor not in _ALLOWED_AREA_FACTORS:
             raise ValueError(
                 f"area_factor must be one of {_ALLOWED_AREA_FACTORS}, "
@@ -143,8 +148,8 @@ def planck_occupancy(wavelength: float, t0: float) -> float:
     in the Rayleigh-Jeans tail, where the occupancy exceeds the float
     range, the pair is refused.
     """
-    _check_positive("wavelength", wavelength)
-    _check_positive("t0", t0)
+    check_positive("wavelength", wavelength)
+    check_positive("t0", t0)
     thermal = wavelength * BOLTZMANN_K * t0
     if thermal == 0.0:
         return 0.0
@@ -168,7 +173,7 @@ def geometric_transmissivity(wavelength: float, geometry: LinkGeometry) -> float
     geometry's policy then decides between NearFieldError and clamping
     to ``eta_max``.
     """
-    _check_positive("wavelength", wavelength)
+    check_positive("wavelength", wavelength)
     try:
         area_t = math.pi * geometry.r_t**2
         area_target = math.pi * geometry.r_target**2
@@ -209,9 +214,7 @@ def c_ase_at(
     eta = geometric_transmissivity(wavelength, geometry)
     nbar_b = planck_occupancy(wavelength, geometry.t0)
     scenario = SensingScenario(eta, eta, nbar_b, nbar_b)
-    # epsilon and n cancel from the coefficient; any valid pair works here.
-    c_ase, _ = qcrb_ase(scenario, 1.0, 1)
-    return eta, nbar_b, c_ase
+    return eta, nbar_b, qcrb_ase(scenario, taylor_coefficients(scenario).c2)
 
 
 def mse_bound_b(
@@ -222,7 +225,7 @@ def mse_bound_b(
     integration_time: float,
 ) -> float:
     """MSE lower bound B = c_ase(lambda) / (eps sqrt(floor(W T)))."""
-    check_epsilon(epsilon)
+    check_positive("epsilon", epsilon)
     n = _mode_count(bandwidth, integration_time)
     _, _, c_ase = c_ase_at(wavelength, geometry)
     return c_ase / (epsilon * math.sqrt(n))
@@ -230,8 +233,8 @@ def mse_bound_b(
 
 def _mode_count(bandwidth: float, integration_time: float) -> int:
     """Channel count floor(W T), naming W or T when either is unusable."""
-    _check_positive("bandwidth W", bandwidth)
-    _check_positive("integration time T", integration_time)
+    check_positive("bandwidth W", bandwidth)
+    check_positive("integration time T", integration_time)
     product = bandwidth * integration_time
     if product == math.inf:
         raise ValueError(
@@ -264,13 +267,13 @@ def sweep_frequency(
     operating point of the published reference spectra (eps = 1e-3,
     W = 3 THz, T = 1 s).
     """
-    _check_positive("f_min", f_min)
-    _check_positive("f_max", f_max)
+    check_positive("f_min", f_min)
+    check_positive("f_max", f_max)
     if not f_min < f_max:
         raise ValueError(f"need f_min < f_max, got {f_min} >= {f_max}")
     if points < 2:
         raise ValueError(f"need at least two sweep points, got {points}")
-    check_epsilon(epsilon)
+    check_positive("epsilon", epsilon)
     n = _mode_count(bandwidth, integration_time)
     root_n = math.sqrt(n)
 
@@ -346,25 +349,22 @@ def optimize_wavelength(
     epsilon: float = 1e-3,
     bandwidth: float = 3e12,
     integration_time: float = 1.0,
-    coarse_points: int = 200,
-    tolerance: float = 1e-9,
 ) -> tuple[float, float, float]:
     """Wavelength minimizing c_ase inside a bracket, plus the bound there.
 
     A 200-point coarse scan locates the valid neighborhood of the
     minimum (so the section search never brackets a flagged region
-    blindly), then golden-section refines to ``|d lambda| <= tolerance``
-    (1e-3 um by default).  Returns ``(lambda_star, c_ase_star, b)`` with
-    ``b`` evaluated at the caller's ``(epsilon, bandwidth,
-    integration_time)``.  Raises EmptySweepError when no wavelength in
-    the bracket is valid.
+    blindly), then golden-section refines to ``|d lambda| <= 1e-3 um``.
+    Returns ``(lambda_star, c_ase_star, b)`` with ``b`` evaluated at the
+    caller's ``(epsilon, bandwidth, integration_time)``.  Raises
+    EmptySweepError when no wavelength in the bracket is valid.
     """
     lo, hi = lambda_bracket
-    _check_positive("lambda_lo", lo)
-    _check_positive("lambda_hi", hi)
+    check_positive("lambda_lo", lo)
+    check_positive("lambda_hi", hi)
     if not lo < hi:
         raise ValueError(f"need lambda_lo < lambda_hi, got {lambda_bracket}")
-    check_epsilon(epsilon)
+    check_positive("epsilon", epsilon)
     n = _mode_count(bandwidth, integration_time)
 
     def objective(wavelength: float) -> float:
@@ -373,20 +373,21 @@ def optimize_wavelength(
         except (NearFieldError, DomainError):
             return math.inf
 
-    grid = [lo + (hi - lo) * i / (coarse_points - 1) for i in range(coarse_points)]
+    last = _COARSE_POINTS - 1
+    grid = [lo + (hi - lo) * i / last for i in range(_COARSE_POINTS)]
     values = [objective(w) for w in grid]
-    best = min(range(coarse_points), key=lambda i: values[i])
+    best = min(range(_COARSE_POINTS), key=lambda i: values[i])
     if math.isinf(values[best]):
         raise EmptySweepError(
             f"no valid wavelength in [{lo:g}, {hi:g}] m for this geometry"
         )
     a = grid[best - 1] if best > 0 else grid[0]
-    b_edge = grid[best + 1] if best < coarse_points - 1 else grid[-1]
+    b_edge = grid[best + 1] if best < last else grid[-1]
 
     x1 = b_edge - _GOLDEN * (b_edge - a)
     x2 = a + _GOLDEN * (b_edge - a)
     f1, f2 = objective(x1), objective(x2)
-    while b_edge - a > tolerance:
+    while b_edge - a > _LAMBDA_TOLERANCE:
         if f1 <= f2:
             b_edge, x2, f2 = x2, x1, f1
             x1 = b_edge - _GOLDEN * (b_edge - a)
@@ -480,18 +481,16 @@ def _score_target(
     lambda_m: float | None,
     b_value: float | None,
     flag: str,
-    lambda_tol: float,
-    b_tol: float,
 ) -> TargetResult:
     d_lambda = None
     b_rel = None
     matches = False
     if b_value is not None:
         b_rel = abs(b_value - b_target) / b_target
-        matches = b_rel <= b_tol
+        matches = b_rel <= _B_REL_MATCH_TOL
         if lambda_target_m is not None and lambda_m is not None:
             d_lambda = lambda_m - lambda_target_m
-            matches = matches and abs(d_lambda) <= lambda_tol
+            matches = matches and abs(d_lambda) <= _LAMBDA_MATCH_TOL
     return TargetResult(
         label=label,
         kind=kind,
@@ -512,8 +511,6 @@ def reproduce_paper_report(
     epsilon: float = 1e-3,
     bandwidth: float = 3e12,
     integration_time: float = 1.0,
-    lambda_tolerance: float = 0.05e-6,
-    b_rel_tolerance: float = 0.02,
 ) -> ReproduceReport:
     """Score every transmissivity convention against the reference values.
 
@@ -521,7 +518,7 @@ def reproduce_paper_report(
     wavelength at 1/3/5 km and evaluates the fixed-wavelength bounds,
     recording residuals against the published reference values (quoted
     optima and bounds).  A convention "matches" when every target agrees
-    within ``lambda_tolerance`` and ``b_rel_tolerance``; when none does
+    within 0.05 um and 2 % relative; when none does
     — the documented situation for these references — the report itself,
     with per-target residuals for every convention, is the deliverable.
     """
@@ -555,8 +552,6 @@ def reproduce_paper_report(
                         lambda_m=lambda_star,
                         b_value=b_value,
                         flag=flag,
-                        lambda_tol=lambda_tolerance,
-                        b_tol=b_rel_tolerance,
                     )
                 )
             for range_m, wavelength, b_target in _FIXED_TARGETS:
@@ -583,8 +578,6 @@ def reproduce_paper_report(
                         lambda_m=wavelength,
                         b_value=b_value,
                         flag=flag,
-                        lambda_tol=lambda_tolerance,
-                        b_tol=b_rel_tolerance,
                     )
                 )
             conventions.append(
@@ -598,7 +591,7 @@ def reproduce_paper_report(
         epsilon=epsilon,
         bandwidth_hz=bandwidth,
         integration_time_s=integration_time,
-        lambda_tolerance_m=lambda_tolerance,
-        b_rel_tolerance=b_rel_tolerance,
+        lambda_tolerance_m=_LAMBDA_MATCH_TOL,
+        b_rel_tolerance=_B_REL_MATCH_TOL,
         conventions=tuple(conventions),
     )

@@ -49,11 +49,21 @@ __all__ = [
     "SensingScenario",
     "ProbeSettings",
     "wrap_angle",
-    "effective_channel",
     "willie_cm",
     "alice_cm",
     "build_global_cm",
 ]
+
+
+#: Largest entrywise disagreement, relative to the largest entry, between
+#: the circuit's reduced blocks and the closed forms in ``build_global_cm``.
+_BLOCK_CHECK_TOL = 1e-12
+
+
+def check_positive(name: str, value: float) -> None:
+    """Refuse a quantity that is not in (0, inf), NaN included."""
+    if not 0.0 < value < math.inf:
+        raise ValueError(f"{name} must be positive and finite, got {value}")
 
 
 def check_occupancy(name: str, value: float) -> None:
@@ -132,11 +142,6 @@ class ProbeSettings:
         object.__setattr__(self, "theta", wrap_angle(self.theta))
 
 
-def effective_channel(scenario: SensingScenario) -> tuple[float, float]:
-    """(eta_eff, nbar_b_eff) of the composed round-trip channel."""
-    return scenario.eta_eff, scenario.nbar_b_eff
-
-
 def _sensing_pattern_cm(
     v11: float, v22: float, v12: float, theta: float
 ) -> CovarianceMatrix:
@@ -182,18 +187,15 @@ def willie_cm(
 
 def alice_cm(scenario: SensingScenario, probe: ProbeSettings) -> CovarianceMatrix:
     """Closed-form CM of Alice's (returned signal, reference) pair."""
-    eta_eff, nbar_be = effective_channel(scenario)
-    a11 = eta_eff * probe.nbar_s + (1.0 - eta_eff) * nbar_be + 0.5
+    eta_eff = scenario.eta_eff
+    a11 = eta_eff * probe.nbar_s + (1.0 - eta_eff) * scenario.nbar_b_eff + 0.5
     a22 = probe.nbar_lo + 0.5
     a12 = -math.sqrt(eta_eff * probe.nbar_s * probe.nbar_lo)
     return _sensing_pattern_cm(a11, a22, a12, probe.theta)
 
 
 def build_global_cm(
-    scenario: SensingScenario,
-    probe: ProbeSettings,
-    *,
-    block_check_tol: float = 1e-12,
+    scenario: SensingScenario, probe: ProbeSettings
 ) -> CovarianceMatrix:
     """Compose the full 4-mode circuit and return the global CM.
 
@@ -204,7 +206,7 @@ def build_global_cm(
 
     Post-condition (checked, AssertionError on failure): the reduced states
     of modes (0, 1) and (2, 3) match :func:`willie_cm` and :func:`alice_cm`
-    entrywise to ``block_check_tol`` relative to the largest entry.
+    entrywise to 1e-12 relative to the largest entry.
     """
     baths = thermal_cm([scenario.nbar_b2, scenario.nbar_b1])
     source = ase_two_mode_cm(probe.nbar_s, probe.nbar_lo)
@@ -220,7 +222,7 @@ def build_global_cm(
     scale = max(1.0, float(np.abs(cm.matrix).max()))
     w_err = float(np.abs(w_got - w_expect).max())
     a_err = float(np.abs(a_got - a_expect).max())
-    if max(w_err, a_err) > block_check_tol * scale:
+    if max(w_err, a_err) > _BLOCK_CHECK_TOL * scale:
         raise AssertionError(
             "circuit output disagrees with closed-form blocks: "
             f"adversary residual {w_err:.3e}, interrogator residual {a_err:.3e}"

@@ -86,7 +86,7 @@ class TestBoundsCommand:
         assert results["c_het"] == report.c_het
         assert results["c_het_tilde"] == report.c_het_tilde
         assert results["c_coh"] == report.c_coh
-        assert results["B"] == report.mse_bound
+        assert results["B"] == report.qcrb
         assert results["mse_het"] == report.mse_het
         assert results["mu_w"] == 1000.0
         assert results["mu_c"] == pytest.approx(1.0, abs=1e-9)
@@ -309,6 +309,10 @@ NUMERIC_FLAGS = {
         "epsilon": "1e-3", "n": "1e4", "theta": "0.3",
         "trials": "1000", "seed": "1", "workers": "1",
     },
+    "oracle-check": {
+        "eta1": "0.6", "eta2": "0.75", "nb1": "0.2", "nb2": "0.3",
+        "ns": "0.05", "nlo": "0.25", "theta": "0.3",
+    },
 }
 
 
@@ -339,11 +343,12 @@ def _strict_csv(text: str) -> None:
 
 
 class TestStrictJson:
-    """Every numeric flag of the analytic and Monte-Carlo subcommands at
-    non-finite or huge values.  Integer flags (``points``, ``trials``,
-    ``seed``, ``workers``) reject all four literals at parse time, so no
-    case runs unbounded work or starts threads.  Runs ``main``
-    in-process: 200 fresh interpreters would cost minutes."""
+    """Every numeric flag of the analytic, Monte-Carlo and oracle-check
+    subcommands at non-finite or huge values.  Integer flags (``points``,
+    ``trials``, ``seed``, ``workers``) reject all four literals at parse
+    time, so no case runs unbounded work or starts threads; the oracle's
+    integer ``cutoff`` is covered by the refusal cases below.  Runs
+    ``main`` in-process: 200 fresh interpreters would cost minutes."""
 
     @pytest.mark.parametrize("value", ["nan", "inf", "-inf", "1e308"])
     @pytest.mark.parametrize(
@@ -381,12 +386,23 @@ class TestStrictJson:
             ("optimize", "W", "nan", "bandwidth W"),
             ("optimize", "lmax", "inf", "lambda_hi"),
             ("mse-mc", "epsilon", "inf", "epsilon"),
+            ("oracle-check", "ns", "nan", "nbar_s"),
+            ("oracle-check", "nlo", "nan", "nbar_lo"),
+            ("oracle-check", "theta", "nan", "theta"),
+            # Explicit cutoffs are range-checked before any tail is
+            # computed; 1e7 would otherwise run an O(cutoff^2) convolution.
+            ("oracle-check", "cutoff", "-5", "cutoff must be non-negative"),
+            ("oracle-check", "cutoff", "-1", "cutoff must be non-negative"),
+            ("oracle-check", "cutoff", "65", "exceeds the supported cap"),
+            ("oracle-check", "cutoff", "10000000", "exceeds the supported cap"),
         ],
     )
     def test_refusal_names_the_input(self, command, flag, value, cause, capsys):
         code = _run_main(command, **{flag: value})
+        out, err = capsys.readouterr()
         assert code == 1
-        assert cause in _strict_json(capsys.readouterr().out)["error"]["message"]
+        assert "Traceback" not in err
+        assert cause in _strict_json(out)["error"]["message"]
 
 
 def test_analytic_commands_do_not_import_scipy():

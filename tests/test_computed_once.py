@@ -1,0 +1,89 @@
+"""Each CLI subcommand computes the Taylor coefficients once per operating point.
+
+A counting wrapper around ``taylor_coefficients`` is bound into every
+covertsense module namespace that holds it, and one around the QRE
+evaluator ``_willie_qre_raw`` into ``covertness``.  The eight-point
+Richardson stencil (+-h, +-h/2, +-h/4, +-h/8) is the only QRE work a
+budget needs; ``scenario`` adds one evaluation for ``qre_per_mode``.
+"""
+
+from __future__ import annotations
+
+import warnings
+
+import pytest
+
+from covertsense import cli, covertness, estimation, fock, gaussian, link, scenario
+from covertsense.cli import CONFIG_ENV_VAR, main
+
+MODULES = (cli, covertness, estimation, fock, gaussian, link, scenario)
+
+SCENARIO = [
+    "--eta1", "0.5", "--eta2", "0.7", "--nb1", "1", "--nb2", "0.4",
+    "--epsilon", "1e-3", "--n", "1e6",
+]
+
+STENCIL_POINTS = 8
+
+
+@pytest.fixture
+def counts(monkeypatch):
+    monkeypatch.delenv(CONFIG_ENV_VAR, raising=False)
+    tally = {"taylor": 0, "qre": 0}
+
+    def counting(key, fn):
+        def wrapper(*args, **kwargs):
+            tally[key] += 1
+            return fn(*args, **kwargs)
+
+        return wrapper
+
+    original = covertness.taylor_coefficients
+    taylor = counting("taylor", original)
+    for module in MODULES:
+        if vars(module).get("taylor_coefficients") is original:
+            monkeypatch.setattr(module, "taylor_coefficients", taylor)
+    monkeypatch.setattr(
+        covertness, "_willie_qre_raw", counting("qre", covertness._willie_qre_raw)
+    )
+    return tally
+
+
+def _run(argv, capsys):
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore", UserWarning)
+        assert main(argv) == 0
+    return capsys.readouterr().out
+
+
+def test_scenario_runs_taylor_once(counts, capsys):
+    _run(["scenario", *SCENARIO, "--theta", "0.4"], capsys)
+    assert counts == {"taylor": 1, "qre": STENCIL_POINTS + 1}
+
+
+def test_bounds_runs_taylor_once(counts, capsys):
+    _run(["bounds", *SCENARIO, "--nlo", "1e5"], capsys)
+    assert counts == {"taylor": 1, "qre": STENCIL_POINTS}
+
+
+def test_sweep_runs_taylor_at_most_once_per_row(counts, capsys):
+    out = _run(
+        ["sweep", "--L", "1000", "--fmin", "15e12", "--fmax", "100e12",
+         "--points", "50"],
+        capsys,
+    )
+    rows = [line.split(",") for line in out.splitlines()[1:]]
+    assert len(rows) == 50
+    # Near-field rows (no eta) never reach the covertness layer; every
+    # other row, valid or degenerate, runs the stencil exactly once.
+    evaluated = sum(1 for row in rows if row[2] != "")
+    assert 0 < evaluated < 50
+    assert counts == {"taylor": evaluated, "qre": STENCIL_POINTS * evaluated}
+
+
+def test_mse_mc_runs_taylor_at_most_twice(counts, capsys):
+    # One budget for the reported prediction and one inside
+    # simulate_heterodyne_mse, whose signature is kept.
+    _run(["mse-mc", *SCENARIO, "--trials", "1000"], capsys)
+    assert counts["taylor"] <= 2
+    assert counts["qre"] == STENCIL_POINTS * counts["taylor"]

@@ -9,7 +9,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from covertsense import estimation
-from covertsense.covertness import covert_budget
+from covertsense.covertness import covert_budget, taylor_coefficients
 from covertsense.errors import DomainError
 from covertsense.estimation import (
     RNG_ALGORITHM,
@@ -29,6 +29,7 @@ from covertsense.gaussian import thermal_cm, vacuum_cm
 from covertsense.scenario import ProbeSettings, SensingScenario, alice_cm
 
 REFERENCE = SensingScenario(0.5, 0.5, 1.0, 1.0)
+REFERENCE_C2 = taylor_coefficients(REFERENCE).c2
 
 occupancies = st.floats(0.0, 3.0)
 angles = st.floats(-math.pi, math.pi)
@@ -102,14 +103,16 @@ class TestQfi:
         assert qfi_numeric(REFERENCE, probe) == pytest.approx(baseline, rel=1e-5)
 
     def test_qcrb_golden(self):
-        c_ase, qcrb = qcrb_ase(REFERENCE, 1e-3, 1e6)
+        c_ase = qcrb_ase(REFERENCE, REFERENCE_C2)
         assert c_ase == pytest.approx(0.8385254915621441, rel=1e-12)
         # eps*sqrt(n) = 1 here, so the bound equals the coefficient.
-        assert qcrb == pytest.approx(c_ase, rel=1e-12)
+        report = estimation_report(REFERENCE, 1e-3, 1e6, 1e6)
+        assert report.qcrb == pytest.approx(c_ase, rel=1e-12)
 
     def test_qcrb_scaling(self):
-        c_ase, qcrb = qcrb_ase(REFERENCE, 1e-3, 1e8)
-        assert qcrb == pytest.approx(c_ase / 10.0, rel=1e-12)
+        c_ase = qcrb_ase(REFERENCE, REFERENCE_C2)
+        report = estimation_report(REFERENCE, 1e-3, 1e8, 1e6)
+        assert report.qcrb == pytest.approx(c_ase / 10.0, rel=1e-12)
 
 
 class TestHeterodyneStats:
@@ -152,7 +155,7 @@ class TestHeterodyneStats:
         budget = covert_budget(REFERENCE, eps, n)
         stats = heterodyne_stats(REFERENCE, 0.0, budget.nbar_s, n)
         assert stats.sigma_het_sq * eps * math.sqrt(n) == pytest.approx(
-            ase_heterodyne_coefficient(REFERENCE), rel=1e-6
+            ase_heterodyne_coefficient(REFERENCE, budget.c2), rel=1e-6
         )
 
     def test_zero_signal_rejected(self):
@@ -257,7 +260,8 @@ class TestBaselines:
             assert c_coh <= c_het <= 2.0 * c_coh + 1e-12
 
     def test_source_comparison_golden(self):
-        mu, mu_c, mu_w = source_comparison(REFERENCE, 3e12, 3e9, 1e-3, 1e-3)
+        c_ase = qcrb_ase(REFERENCE, REFERENCE_C2)
+        mu, mu_c, mu_w = source_comparison(REFERENCE, c_ase, 3e12, 3e9)
         assert mu == pytest.approx(math.sqrt(3e9 / 3e12), rel=1e-9)
         assert mu_c == pytest.approx(1.0, abs=1e-9)
         assert mu_w == pytest.approx(1000.0, rel=1e-12)
@@ -272,7 +276,6 @@ class TestReport:
         assert report.mse_het == pytest.approx(
             report.c_het_tilde / (eps * math.sqrt(n)), rel=1e-12
         )
-        assert report.mse_bound == pytest.approx(report.qcrb, rel=1e-12)
         assert report.f_a_prime <= report.f_a * (1.0 + 1e-12)
         # Numeric and closed-form heterodyne coefficients are independent
         # routes to the same number.

@@ -32,7 +32,13 @@ from covertsense.fock import (
     thermal_fock,
 )
 from covertsense.gaussian import symplectic_spectrum
-from covertsense.scenario import ProbeSettings, SensingScenario, alice_cm, willie_cm
+from covertsense.scenario import (
+    ProbeSettings,
+    SensingScenario,
+    alice_cm,
+    willie_cm,
+    wrap_angle,
+)
 
 SMALL = SensingScenario(0.5, 0.5, 0.3, 0.2)
 PROBE = ProbeSettings(nbar_s=0.05, nbar_lo=0.25, theta=0.3)
@@ -74,9 +80,12 @@ class TestThermalFock:
 
     def test_loose_tail_request_rejected(self):
         # The density-matrix type promises tail_bound <= 1e-10; a looser
-        # request cannot produce a valid instance.
+        # declaration cannot produce a valid instance, even when the
+        # entries are a truncated thermal state (tail 2^-9) that meets it.
+        entries = np.diag(0.5 ** np.arange(1.0, 10.0)).astype(complex)
+        state = FockDensityMatrix(modes=1, cutoff=8, entries=entries, tail_bound=1e-2)
         with pytest.raises(ValueError, match="tail bound"):
-            thermal_fock(1.0, cutoff=8, tail_bound=1e-2)
+            state.require_valid()
 
     def test_negative_occupancy(self):
         with pytest.raises(ValueError):
@@ -335,6 +344,31 @@ class TestCrossCheckReport:
         assert MAX_OCCUPANCY == 2.0
         with pytest.raises(ValueError):
             oracle_cross_check(SMALL, 0.05, 2.5, 0.3)
+
+    @pytest.mark.parametrize("name,args", [
+        ("nbar_s", (math.nan, 0.25, 0.3)),
+        ("nbar_lo", (0.05, math.nan, 0.3)),
+        ("theta", (0.05, 0.25, math.inf)),
+    ])
+    def test_non_finite_input_named(self, name, args):
+        with pytest.raises(ValueError, match=name):
+            oracle_cross_check(SMALL, *args)
+
+    @pytest.mark.parametrize("cutoff,error,match", [
+        (-1, ValueError, "non-negative"),
+        (MAX_TOTAL_PHOTONS + 1, CutoffError, "cap"),
+        (10**7, CutoffError, "cap"),
+    ])
+    def test_out_of_range_cutoff_refused_before_work(self, cutoff, error, match):
+        with pytest.raises(error, match=match):
+            oracle_cross_check(SMALL, 0.05, 0.25, 0.3, cutoff)
+
+    def test_phase_wrapped_once_for_all_states(self):
+        # exp(i theta n) at a huge unwrapped phase keeps no correct digit,
+        # so every state must see the phase wrapped into (-pi, pi].
+        huge = oracle_cross_check(SMALL, 0.05, 0.25, 1e308)
+        assert huge == oracle_cross_check(SMALL, 0.05, 0.25, wrap_angle(1e308))
+        assert huge["willie_qre_err"] <= 1e-4
 
 
 class TestPairBlocks:

@@ -23,7 +23,6 @@ from covertsense.scenario import (
     SensingScenario,
     alice_cm,
     build_global_cm,
-    effective_channel,
     willie_cm,
     wrap_angle,
 )
@@ -100,7 +99,7 @@ class TestEffectiveChannel:
         # The single (eta_eff, nb_eff) channel must act on the signal mode
         # exactly like tap + tap composed.
         scenario = SensingScenario(e1, e2, nb1, nb2)
-        eta_eff, nb_eff = effective_channel(scenario)
+        eta_eff, nb_eff = scenario.eta_eff, scenario.nbar_b_eff
         src = thermal_cm([ns])
         composed = apply_thermal_channel(
             apply_thermal_channel(src, 0, e1, nb1), 0, e2, nb2
@@ -124,7 +123,7 @@ class TestClosedFormStates:
         scenario = SensingScenario(0.7, 0.8, 0.15, 0.25)
         probe = ProbeSettings(0.05, 0.2, 0.0)
         cm = alice_cm(scenario, probe).matrix
-        eta_eff, nb_eff = effective_channel(scenario)
+        eta_eff, nb_eff = scenario.eta_eff, scenario.nbar_b_eff
         assert cm[0, 0] == pytest.approx(eta_eff * 0.05 + (1 - eta_eff) * nb_eff + 0.5, rel=1e-14)
         assert cm[1, 1] == pytest.approx(0.7, rel=1e-14)
         # the split-source q-q correlation survives the lossy round trip
