@@ -14,8 +14,9 @@ Implementation notes:
 * Every circuit element conserves total photon number, and every input
   is diagonal in the number basis, so states stay block-diagonal in
   total photons end to end.  All evolution, partial tracing, and
-  spectral work happens block by block; only the public density matrix
-  is materialised on the full grid.
+  spectral work happens block by block, and the states keep their
+  blocks; the full grid of a density matrix is materialised only on
+  first read of ``entries``.
 * Inside a block, a beam splitter on a mode pair is a direct sum of
   small pair blocks, one per photon total of the pair.  It is applied by
   gathering the rows of each pair total and multiplying by the pair
@@ -42,7 +43,6 @@ from __future__ import annotations
 import contextvars
 import functools
 import math
-from dataclasses import dataclass
 
 import numpy as np
 
@@ -85,7 +85,6 @@ _EIGEN_FLOOR = 1e-14
 _SUPPORT_TOL = 1e-9
 
 
-@dataclass(frozen=True)
 class FockDensityMatrix:
     """A density matrix on a truncated multi-mode Fock grid.
 
@@ -93,31 +92,94 @@ class FockDensityMatrix:
     basis index ``sum_k n_k (cutoff+1)**(modes-1-k)`` (first mode is the
     most significant digit).  ``tail_bound`` bounds the probability mass
     lost to truncation; the trace lies in ``[1 - tail_bound, 1]``.
+
+    The circuit builders return states that keep the total-photon blocks
+    they were built from, as (grid indices, block) pairs; the grid is
+    zero outside them.  For those, ``entries`` is assembled on first read
+    and cached, and the validity checks, purity, QRE and fidelity read
+    the blocks without building it.  Instances are immutable.
     """
 
-    modes: int
-    cutoff: int
-    entries: np.ndarray
-    tail_bound: float
+    __slots__ = ("modes", "cutoff", "tail_bound", "_entries", "_blocks")
 
-    def __post_init__(self) -> None:
-        if self.modes < 1:
-            raise ValueError("need at least one mode")
-        if self.cutoff < 0:
-            raise ValueError("cutoff must be non-negative")
-        dim = (self.cutoff + 1) ** self.modes
-        if self.entries.shape != (dim, dim):
+    def __init__(
+        self, modes: int, cutoff: int, entries: np.ndarray, tail_bound: float
+    ) -> None:
+        self._init(modes, cutoff, tail_bound, entries, None)
+        dim = self.dim
+        if entries.shape != (dim, dim):
             raise ValueError(
-                f"entries must be {dim} x {dim} for {self.modes} modes at "
-                f"cutoff {self.cutoff}, got {self.entries.shape}"
+                f"entries must be {dim} x {dim} for {modes} modes at "
+                f"cutoff {cutoff}, got {entries.shape}"
             )
+
+    @classmethod
+    def _from_blocks(
+        cls,
+        modes: int,
+        cutoff: int,
+        blocks: list[tuple[np.ndarray, np.ndarray]],
+        tail_bound: float,
+    ) -> "FockDensityMatrix":
+        """A state given by its total-photon blocks, in increasing total.
+
+        ``blocks`` holds (grid indices, block) pairs for the occupied
+        totals, each index array ascending, as ``_graded_blocks`` returns.
+        """
+        state = cls.__new__(cls)
+        state._init(modes, cutoff, tail_bound, None, blocks)
+        return state
+
+    def _init(
+        self,
+        modes: int,
+        cutoff: int,
+        tail_bound: float,
+        entries: np.ndarray | None,
+        blocks: list[tuple[np.ndarray, np.ndarray]] | None,
+    ) -> None:
+        if modes < 1:
+            raise ValueError("need at least one mode")
+        if cutoff < 0:
+            raise ValueError("cutoff must be non-negative")
+        for name, value in (
+            ("modes", modes),
+            ("cutoff", cutoff),
+            ("tail_bound", tail_bound),
+            ("_entries", entries),
+            ("_blocks", blocks),
+        ):
+            object.__setattr__(self, name, value)
+
+    def __setattr__(self, name: str, value: object) -> None:
+        raise AttributeError(f"FockDensityMatrix is immutable; cannot set {name}")
+
+    @property
+    def entries(self) -> np.ndarray:
+        """The density matrix on the full grid, cached after its first read."""
+        if self._entries is None:
+            object.__setattr__(self, "_entries", self._assemble())
+        return self._entries
+
+    def _assemble(self) -> np.ndarray:
+        """The full grid of a block-carrying state."""
+        entries = np.zeros((self.dim, self.dim), dtype=complex)
+        for idx, block in self._blocks:
+            entries[np.ix_(idx, idx)] = block
+        return entries
 
     @property
     def dim(self) -> int:
         return (self.cutoff + 1) ** self.modes
 
     def trace(self) -> float:
-        return float(np.trace(self.entries).real)
+        if self._blocks is None:
+            return float(np.trace(self.entries).real)
+        # Summed in grid order, as np.trace sums the dense diagonal.
+        diagonal = np.zeros(self.dim, dtype=complex)
+        for idx, block in self._blocks:
+            diagonal[idx] = np.diagonal(block)
+        return float(diagonal.sum().real)
 
     def require_valid(self) -> "FockDensityMatrix":
         """Check the type invariants; return self or raise ValueError."""
@@ -125,8 +187,15 @@ class FockDensityMatrix:
             raise ValueError(
                 f"declared tail bound {self.tail_bound:g} exceeds {_TAIL_BOUND:g}"
             )
-        scale = max(1.0, float(np.abs(self.entries).max()))
-        herm = float(np.abs(self.entries - self.entries.conj().T).max())
+        # The grid is zero outside the blocks, so their maxima are the grid's.
+        if self._blocks is None:
+            parts = [self.entries]
+        else:
+            parts = [block for _, block in self._blocks]
+        scale = max([1.0] + [float(np.abs(p).max(initial=0.0)) for p in parts])
+        herm = max(
+            [0.0] + [float(np.abs(p - p.conj().T).max(initial=0.0)) for p in parts]
+        )
         if herm > _HERMITICITY_TOL * scale:
             raise ValueError(f"not Hermitian: residual {herm:.3e}")
         tr = self.trace()
@@ -437,10 +506,18 @@ def oracle_willie_state(
     traced out.  Output mode order matches ``willie_cm``:
     (return-path tap, forward-path tap).  The retained reference mode
     never couples to the adversary and is omitted.
+
+    A ``theta`` outside (-pi, pi] is wrapped on entry, since
+    exp(i theta n) keeps no correct digit at a huge phase; one inside is
+    used as given.
     """
     _check_occupancies(
         nbar_b2=scenario.nbar_b2, nbar_b1=scenario.nbar_b1, nbar_s=nbar_s
     )
+    if not math.isfinite(theta):
+        raise ValueError(f"theta must be finite, got {theta}")
+    if not -math.pi < theta <= math.pi:
+        theta = wrap_angle(theta)
     occ = [scenario.nbar_b2, scenario.nbar_b1, nbar_s]
     total_cutoff, actual_tail = _select_total_cutoff(occ, cutoff)
     pmfs = [_geometric_pmf(n, total_cutoff + 1) for n in occ]
@@ -474,7 +551,8 @@ def oracle_alice_state(
     nbar_s, the reference nbar_lo, with positive cross-correlation);
     then forward tap, phase, return tap on the signal path, and the
     baths are traced out.  Output mode order matches ``alice_cm``:
-    (signal, reference).
+    (signal, reference).  ``ProbeSettings`` has already refused a
+    non-finite phase and wrapped a finite one into (-pi, pi].
 
     The reference mode starts in vacuum, so the initial state is
     supported on a thin slice of the four-mode grid; the evolution is
@@ -544,16 +622,17 @@ class _ReducedAccumulator:
             self.blocks[kept_total] += rows @ rows.conj().T
 
     def finish(self, tail_bound: float) -> FockDensityMatrix:
-        """Assemble the graded blocks into a full-grid density matrix."""
+        """The occupied blocks, symmetrised, as a validated two-mode state."""
         dim = self.cutoff + 1
-        entries = np.zeros((dim * dim, dim * dim), dtype=complex)
+        blocks = []
         for total, block in enumerate(self.blocks):
-            # Index of (n1, n2) on the grid is n1*dim + n2 with n2 = total-n1.
-            idx = np.arange(total + 1) * (dim - 1) + total
-            entries[np.ix_(idx, idx)] += block
-        entries = (entries + entries.conj().T) / 2.0
-        return FockDensityMatrix(
-            modes=2, cutoff=self.cutoff, entries=entries, tail_bound=tail_bound
+            block = (block + block.conj().T) / 2.0
+            if float(np.abs(block).max()) > 0.0:
+                # Index of (n1, n2) on the grid is n1*dim + n2 with n2 = total-n1.
+                idx = np.arange(total + 1) * (dim - 1) + total
+                blocks.append((idx, block))
+        return FockDensityMatrix._from_blocks(
+            2, self.cutoff, blocks, tail_bound
         ).require_valid()
 
 
@@ -634,7 +713,10 @@ def _graded_blocks(
     """Split into total-photon blocks, or None if the state is not graded.
 
     Returns (indices, submatrix) pairs for grades carrying any weight.
+    A block-carrying state returns its blocks; a dense one is scanned.
     """
+    if state._blocks is not None:
+        return list(state._blocks)
     grades = _grade_vector(state)
     scale = max(1.0, float(np.abs(state.entries).max()))
     off = grades[:, None] != grades[None, :]
@@ -679,7 +761,7 @@ def oracle_qre(state_0: FockDensityMatrix, state_1: FockDensityMatrix) -> float:
     zero, the quantity is effectively infinite and InfiniteQreError is
     raised.
     """
-    if state_0.entries.shape != state_1.entries.shape or state_0.modes != state_1.modes:
+    if state_0.cutoff != state_1.cutoff or state_0.modes != state_1.modes:
         raise ValueError("states must share the same mode count and cutoff")
     pairs = _common_blocks(state_0, state_1)
     if pairs is None:
@@ -713,7 +795,7 @@ def oracle_fidelity(
     state_0: FockDensityMatrix, state_1: FockDensityMatrix
 ) -> float:
     """Uhlmann fidelity tr sqrt(sqrt(rho_0) rho_1 sqrt(rho_0)), in (0, 1]."""
-    if state_0.entries.shape != state_1.entries.shape or state_0.modes != state_1.modes:
+    if state_0.cutoff != state_1.cutoff or state_0.modes != state_1.modes:
         raise ValueError("states must share the same mode count and cutoff")
     pairs = _common_blocks(state_0, state_1)
     if pairs is None:

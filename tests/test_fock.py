@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import json
 import math
+import warnings
 from pathlib import Path
 
 import numpy as np
@@ -11,6 +12,7 @@ import pytest
 import scipy.linalg
 import scipy.sparse
 
+from covertsense import fock
 from covertsense.covertness import qre_gaussian, willie_qre
 from covertsense.errors import CutoffError, InfiniteQreError
 from covertsense.estimation import gaussian_fidelity
@@ -19,7 +21,9 @@ from covertsense.fock import (
     MAX_TOTAL_PHOTONS,
     FockDensityMatrix,
     _BeamSplitter,
+    _ReducedAccumulator,
     _block_basis,
+    _graded_blocks,
     _pair_blocks,
     fock_moments,
     fock_purity,
@@ -121,6 +125,11 @@ class TestDensityMatrixType:
         state = thermal_fock(0.5)
         assert state.require_valid() is state
 
+    def test_immutable(self):
+        state = thermal_fock(0.5)
+        with pytest.raises(AttributeError, match="immutable"):
+            state.cutoff = 3
+
 
 class TestFockTensor:
     def test_additivity_of_qre(self):
@@ -189,6 +198,19 @@ class TestOracleWillieState:
     def test_occupancy_gate(self):
         with pytest.raises(ValueError, match="small-occupancy"):
             oracle_willie_state(SensingScenario(0.5, 0.5, 2.5, 0.3), 0.05)
+
+    def test_huge_phase_wrapped_on_entry(self):
+        # exp(i theta n) overflows at an unwrapped 1e308.
+        with warnings.catch_warnings():
+            warnings.simplefilter("error", RuntimeWarning)
+            huge = oracle_willie_state(SMALL, 0.05, 1e308)
+        want = oracle_willie_state(SMALL, 0.05, wrap_angle(1e308))
+        assert np.array_equal(huge.entries, want.entries)
+
+    @pytest.mark.parametrize("theta", [math.nan, math.inf, -math.inf])
+    def test_non_finite_phase_named(self, theta):
+        with pytest.raises(ValueError, match="theta must be finite"):
+            oracle_willie_state(SMALL, 0.05, theta)
 
 
 class TestOracleQre:
@@ -273,6 +295,19 @@ class TestOracleAliceState:
         with pytest.raises(ValueError, match="small-occupancy"):
             oracle_alice_state(SMALL, ProbeSettings(0.05, 2.5, 0.0))
 
+    def test_huge_phase_wrapped_on_entry(self):
+        with warnings.catch_warnings():
+            warnings.simplefilter("error", RuntimeWarning)
+            huge = oracle_alice_state(SMALL, ProbeSettings(0.05, 0.25, 1e308))
+        want = oracle_alice_state(
+            SMALL, ProbeSettings(0.05, 0.25, wrap_angle(1e308))
+        )
+        assert np.array_equal(huge.entries, want.entries)
+
+    def test_non_finite_phase_named(self):
+        with pytest.raises(ValueError, match="theta must be finite"):
+            oracle_alice_state(SMALL, ProbeSettings(0.05, 0.25, math.nan))
+
 
 def sparse_kron_moments(state):
     """Reference (mean, CM) from full-grid sparse ladder operators.
@@ -326,6 +361,127 @@ class TestMomentsAgainstSparseKron:
         want_mean, want_cov = sparse_kron_moments(state)
         assert np.abs(mean - want_mean).max() <= 1e-13
         assert np.abs(cov - want_cov).max() <= 1e-13
+
+
+def full_grid_assembly(raw_blocks, cutoff):
+    """The dense state the reduced accumulator used to return.
+
+    Each raw total-photon block is scattered into the (cutoff + 1)^2 grid,
+    then the whole grid is symmetrised.
+    """
+    dim = cutoff + 1
+    entries = np.zeros((dim * dim, dim * dim), dtype=complex)
+    for total, block in enumerate(raw_blocks):
+        idx = np.arange(total + 1) * (dim - 1) + total
+        entries[np.ix_(idx, idx)] += block
+    return (entries + entries.conj().T) / 2.0
+
+
+class TestBlockRouteAgainstDenseRoute:
+    """A block-carrying state against the dense state of the same blocks."""
+
+    SCENARIO = SensingScenario(0.7, 0.6, 0.02, 0.03)
+
+    @pytest.fixture(
+        params=[
+            lambda s: oracle_willie_state(s, 0.04, 0.3, cutoff=8),
+            lambda s: oracle_alice_state(s, ProbeSettings(0.02, 0.03, 0.3), cutoff=8),
+        ],
+        ids=["willie", "alice"],
+    )
+    def routes(self, request, monkeypatch):
+        """(block state, dense state built by the old full-grid assembly)."""
+        raw = []
+        finish = _ReducedAccumulator.finish
+
+        def recording(accumulator, tail_bound):
+            raw.extend(block.copy() for block in accumulator.blocks)
+            return finish(accumulator, tail_bound)
+
+        monkeypatch.setattr(_ReducedAccumulator, "finish", recording)
+        state = request.param(self.SCENARIO)
+        dense = FockDensityMatrix(
+            modes=2,
+            cutoff=state.cutoff,
+            entries=full_grid_assembly(raw, state.cutoff),
+            tail_bound=state.tail_bound,
+        )
+        return state, dense
+
+    def test_graded_blocks_equal_dense_scan(self, routes):
+        state, dense = routes
+        got = _graded_blocks(state)
+        want = _graded_blocks(dense)
+        assert len(got) == len(want)
+        for (idx, block), (want_idx, want_block) in zip(got, want):
+            assert np.array_equal(idx, want_idx)
+            assert np.array_equal(block, want_block)
+
+    def test_lazy_entries_equal_full_grid_assembly(self, routes):
+        state, dense = routes
+        assert np.array_equal(state.entries, dense.entries)
+
+    def test_trace_and_purity_equal_dense_route(self, routes):
+        state, dense = routes
+        assert state.trace() == dense.trace()
+        assert fock_purity(state) == fock_purity(dense)
+
+    @pytest.mark.parametrize(
+        "total,perturb,match",
+        [
+            (1, lambda b: b + np.array([[0.0, 0.1], [0.0, 0.0]]), "Hermitian"),
+            (1, lambda b: b + np.diag([0.2, -0.2]), "negative eigenvalue"),
+            (0, lambda b: 0.5 * b, "trace"),
+        ],
+        ids=["non-hermitian", "negative", "trace"],
+    )
+    def test_require_valid_refuses_bad_block(self, routes, total, perturb, match):
+        state, _ = routes
+        blocks = _graded_blocks(state)
+        idx, block = blocks[total]
+        blocks[total] = (idx, perturb(block))
+        bad = FockDensityMatrix._from_blocks(
+            2, state.cutoff, blocks, state.tail_bound
+        )
+        with pytest.raises(ValueError, match=match):
+            bad.require_valid()
+
+
+class TestDenseGridBuiltOnRead:
+    @pytest.fixture
+    def assembled(self, monkeypatch):
+        """States whose dense grid gets built, in order."""
+        built = []
+        assemble = FockDensityMatrix._assemble
+
+        def counting(state):
+            built.append(state)
+            return assemble(state)
+
+        monkeypatch.setattr(FockDensityMatrix, "_assemble", counting)
+        return built
+
+    def test_cross_check_builds_grids_only_for_moments(self, assembled, monkeypatch):
+        read = []
+        moments = fock.fock_moments
+
+        def recording(state):
+            read.append(state)
+            return moments(state)
+
+        monkeypatch.setattr(fock, "fock_moments", recording)
+        oracle_cross_check(SMALL, 0.05, 0.25, 0.3)
+        assert len(read) == 2
+        assert len(assembled) <= 2
+        assert all(any(state is r for r in read) for state in assembled)
+
+    def test_cutoff_mismatch_refused_without_grid(self, assembled):
+        a = oracle_willie_state(SMALL, 0.05, cutoff=16)
+        b = oracle_willie_state(SMALL, 0.05, cutoff=17)
+        for measure in (oracle_qre, oracle_fidelity):
+            with pytest.raises(ValueError, match="same mode count and cutoff"):
+                measure(a, b)
+        assert assembled == []
 
 
 class TestCrossCheckReport:
