@@ -4,7 +4,10 @@ Thin wrapper around the library: every subcommand parses flags, resolves
 them against an optional flat KEY=VALUE config file (the ``--config``
 flag or the ``COVERTSENSE_CONFIG`` environment variable; flags win),
 calls library functions, and serialises the results.  No numerics live
-here.
+here.  ``scenario``, ``bounds``, ``sweep``, ``optimize`` and
+``reproduce-paper`` run on the math-only closed forms and import no
+numpy; ``mse-mc`` loads it in the Monte-Carlo run and ``oracle-check``
+imports :mod:`covertsense.fock` when it runs.
 
 Output contracts:
 
@@ -41,14 +44,13 @@ from .estimation import (
     heterodyne_stats,
     simulate_heterodyne_mse,
 )
-from .fock import oracle_cross_check
 from .link import (
     LinkGeometry,
     optimize_wavelength,
     reproduce_paper_report,
     sweep_frequency,
 )
-from .scenario import SensingScenario, willie_cm
+from .scenario import SensingScenario, _willie_layout
 
 __all__ = ["main", "emit_csv", "CONFIG_ENV_VAR"]
 
@@ -336,7 +338,7 @@ def _geometry_from(config: dict[str, Any]) -> LinkGeometry:
 def _cmd_scenario(config: dict[str, Any]) -> int:
     scenario = _scenario_from(config)
     budget = covert_budget(scenario, config["epsilon"], config["n"])
-    cm = willie_cm(scenario, budget.nbar_s, config["theta"])
+    layout = _willie_layout(scenario, budget.nbar_s, config["theta"])
     results = {
         "eta_eff": scenario.eta_eff,
         "nb_eff": scenario.nbar_b_eff,
@@ -348,7 +350,7 @@ def _cmd_scenario(config: dict[str, Any]) -> int:
         "willie_error_bound": willie_error_lower_bound(
             budget.c2, config["n"], budget.nbar_s
         ),
-        "willie_cm": cm.matrix.tolist(),
+        "willie_cm": layout,
     }
     _report("scenario", config, results)
     return 0
@@ -397,6 +399,7 @@ def _cmd_mse_mc(config: dict[str, Any]) -> int:
         config["seed"],
         workers=config["workers"],
         per_sample=config["per_sample"],
+        budget=budget,
     )
     results = {
         "mse": mse,
@@ -526,6 +529,8 @@ def _cmd_reproduce_paper(config: dict[str, Any]) -> int:
 
 
 def _cmd_oracle_check(config: dict[str, Any]) -> int:
+    from .fock import oracle_cross_check
+
     scenario = _scenario_from(config)
     residuals = dict(
         oracle_cross_check(

@@ -45,14 +45,17 @@ from __future__ import annotations
 import math
 import warnings
 from dataclasses import dataclass
+from typing import TYPE_CHECKING
 
 from .errors import (
     DegenerateCovertnessError,
     DomainError,
     InfiniteQreError,
 )
-from .gaussian import CovarianceMatrix, SymplecticSpectrum, symplectic_spectrum
 from .scenario import SensingScenario, _willie_params, check_positive
+
+if TYPE_CHECKING:
+    from .gaussian import CovarianceMatrix, SymplecticSpectrum
 
 __all__ = [
     "QreBreakdown",
@@ -146,6 +149,8 @@ def qre_gaussian(cm_0: CovarianceMatrix, cm_1: CovarianceMatrix) -> QreBreakdown
     prefer :func:`willie_qre`, which evaluates the same quantity without
     cancellation.
     """
+    from .gaussian import symplectic_spectrum
+
     if cm_0.num_modes != cm_1.num_modes:
         raise ValueError("states must have the same number of modes")
     cm_0.require_physical()

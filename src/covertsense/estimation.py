@@ -36,14 +36,11 @@ from __future__ import annotations
 
 import math
 import os
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
+from typing import TYPE_CHECKING
 
-import numpy as np
-
-from .covertness import channel_uses, covert_budget
+from .covertness import CovertBudget, channel_uses, covert_budget
 from .errors import DomainError, NumericalInstabilityError
-from .gaussian import CovarianceMatrix, symplectic_form
 from .scenario import (
     ProbeSettings,
     SensingScenario,
@@ -51,6 +48,11 @@ from .scenario import (
     check_occupancy,
     check_positive,
 )
+
+if TYPE_CHECKING:
+    import numpy as np
+
+    from .gaussian import CovarianceMatrix
 
 __all__ = [
     "RNG_ALGORITHM",
@@ -134,6 +136,8 @@ class EstimationReport:
 
 
 def _det(matrix: np.ndarray) -> float:
+    import numpy as np
+
     value = np.linalg.det(matrix)
     return float(np.real(value))
 
@@ -153,6 +157,10 @@ def gaussian_fidelity(cm_a: CovarianceMatrix, cm_b: CovarianceMatrix) -> float:
     they indicate an unphysical input slipping past the physicality
     check.
     """
+    import numpy as np
+
+    from .gaussian import symplectic_form
+
     if cm_a.num_modes != 2 or cm_b.num_modes != 2:
         raise ValueError("fidelity is implemented for two-mode states")
     cm_a.require_physical()
@@ -336,6 +344,8 @@ def finite_lo_heterodyne_variances(
 
 def _wrap_array(diff: np.ndarray) -> np.ndarray:
     """Wrap angle differences into (-pi, pi], vectorized."""
+    import numpy as np
+
     reduced = np.remainder(diff, 2.0 * np.pi)
     return reduced - 2.0 * np.pi * (reduced > np.pi)
 
@@ -351,6 +361,8 @@ def _normal_pairs(gen: np.random.Generator, shape: tuple[int, ...]) -> tuple[
     ziggurat sampler consumes a variable number of draws and cannot be
     addressed this way.
     """
+    import numpy as np
+
     uniforms = gen.random(shape + (2,))
     radius = np.sqrt(-2.0 * np.log1p(-uniforms[..., 0]))
     angle = (2.0 * np.pi) * uniforms[..., 1]
@@ -372,6 +384,7 @@ def simulate_heterodyne_mse(
     *,
     workers: int = 1,
     per_sample: bool = False,
+    budget: CovertBudget | None = None,
 ) -> tuple[float, float]:
     """Monte-Carlo MSE of the arctangent estimator at the covert budget.
 
@@ -398,7 +411,16 @@ def simulate_heterodyne_mse(
     sums are combined in block order regardless of ``workers``, making
     output bits independent of the worker count.  At most
     ``min(workers, os.cpu_count(), blocks)`` threads are started.
+
+    ``budget`` is the covert budget for ``(scenario, epsilon, n)`` when the
+    caller already holds it (the CLI reports its ``nbar_s``); without it
+    the budget is computed here.  A budget built for another ``epsilon``
+    or ``n`` is refused.
     """
+    from concurrent.futures import ThreadPoolExecutor
+
+    import numpy as np
+
     trials = int(trials)
     if trials < 1000:
         raise ValueError(f"need at least 1000 trials for a stable MSE, got {trials}")
@@ -413,7 +435,13 @@ def simulate_heterodyne_mse(
             f"the cap of {_SLOW_MODE_CHUNK} ({_SLOW_MODE_CHUNK * 8 // 10**6} MB); "
             f"it needs n <= {_SLOW_MODE_CHUNK // 2}"
         )
-    budget = covert_budget(scenario, epsilon, n)
+    if budget is None:
+        budget = covert_budget(scenario, epsilon, n)
+    elif (budget.epsilon, budget.num_modes) != (epsilon, n):
+        raise ValueError(
+            f"budget was built for epsilon = {budget.epsilon!r}, "
+            f"n = {budget.num_modes}; this run has epsilon = {epsilon!r}, n = {n}"
+        )
     stats = heterodyne_stats(scenario, theta_true, budget.nbar_s, n)
 
     mu1 = stats.mu1
@@ -509,6 +537,13 @@ def coherent_baseline(
     return nbar_s, c_het, c_coh
 
 
+def _check_bandwidths(w_ase: float, w_coh: float) -> None:
+    if not (0.0 < w_ase < math.inf and 0.0 < w_coh < math.inf):
+        raise ValueError(
+            f"bandwidths must be positive and finite, got {w_ase} and {w_coh}"
+        )
+
+
 def source_comparison(
     scenario: SensingScenario, c_ase: float, w_ase: float, w_coh: float
 ) -> tuple[float, float, float]:
@@ -521,10 +556,7 @@ def source_comparison(
     covertness and integration time, both of which cancel from the ratio.
     ``mu < 1`` (thermal probe wins) exactly when ``mu_c < sqrt(mu_w)``.
     """
-    if not (0.0 < w_ase < math.inf and 0.0 < w_coh < math.inf):
-        raise ValueError(
-            f"bandwidths must be positive and finite, got {w_ase} and {w_coh}"
-        )
+    _check_bandwidths(w_ase, w_coh)
     _, c_coh = _coherent_coefficients(scenario.eta_eff, scenario.nbar_b_eff)
     mu_c = c_ase / c_coh
     mu_w = w_ase / w_coh
@@ -548,19 +580,21 @@ def estimation_report(
     ``nbar_lo``.  Every coefficient uses the budget's c2.  The source
     comparison is stated at the operating point ``w_ase *
     integration_time``, which is validated although it cancels from the
-    ratios.
+    ratios.  The bandwidths, ``integration_time`` and that operating point
+    are checked before the budget is computed.
     """
     n = channel_uses(num_modes)
+    # The ratios are stated at integration time T: refuse bandwidths, a T,
+    # or a mode count W_ase * T that is no operating point.
+    _check_bandwidths(w_ase, w_coh)
+    check_positive("integration time", integration_time)
+    channel_uses(max(1.0, w_ase * integration_time))
     budget = covert_budget(scenario, epsilon, n)
     f_a_prime, f_a = qfi_closed(scenario, budget.nbar_s, nbar_lo)
     c_ase = qcrb_ase(scenario, budget.c2)
     c_het_tilde = ase_heterodyne_coefficient(scenario, budget.c2)
     c_het, c_coh = _coherent_coefficients(scenario.eta_eff, scenario.nbar_b_eff)
     mu, mu_c, mu_w = source_comparison(scenario, c_ase, w_ase, w_coh)
-    # The ratios are stated at integration time T: refuse a T, or a mode
-    # count W_ase * T, that is no operating point.
-    check_positive("integration time", integration_time)
-    channel_uses(max(1.0, w_ase * integration_time))
     root_n = math.sqrt(n)
     return EstimationReport(
         f_a=f_a,

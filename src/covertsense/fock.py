@@ -78,6 +78,11 @@ _TAIL_BOUND = 1e-10
 _HERMITICITY_TOL = 1e-12
 _EIGENVALUE_TOL = 1e-12
 
+#: ``_graded_blocks``: largest entry between different photon totals,
+#: relative to the largest entry, that a dense state may carry and still
+#: count as graded.
+_GRADED_TOL = 1e-14
+
 #: ``oracle_qre``: eigenvalues below this are clamped for the logarithms,
 #: and more than ``_SUPPORT_TOL`` of the first state's mass on directions
 #: below it counts as outside the second state's support.
@@ -708,7 +713,7 @@ def _grade_vector(state: FockDensityMatrix) -> np.ndarray:
 
 
 def _graded_blocks(
-    state: FockDensityMatrix, *, tol: float = 1e-14
+    state: FockDensityMatrix,
 ) -> list[tuple[np.ndarray, np.ndarray]] | None:
     """Split into total-photon blocks, or None if the state is not graded.
 
@@ -720,7 +725,7 @@ def _graded_blocks(
     grades = _grade_vector(state)
     scale = max(1.0, float(np.abs(state.entries).max()))
     off = grades[:, None] != grades[None, :]
-    if float(np.abs(state.entries[off]).max(initial=0.0)) > tol * scale:
+    if float(np.abs(state.entries[off]).max(initial=0.0)) > _GRADED_TOL * scale:
         return None
     out = []
     for g in range(int(grades.max()) + 1):

@@ -26,24 +26,20 @@ nbar_b_eff = 0 by convention.
 its own output against the closed-form Willie and Alice blocks at 1e-12;
 the closed forms and the circuit are therefore independent routes to the
 same states.
+
+The records and closed-form parameters need only :mod:`math`; the CM
+builders import :mod:`covertsense.gaussian` (and so numpy) when they run,
+which keeps numpy off the import path of the closed-form layer.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from typing import TYPE_CHECKING
 
-import numpy as np
-
-from .gaussian import (
-    CovarianceMatrix,
-    apply_beam_splitter,
-    apply_phase,
-    ase_two_mode_cm,
-    reduced,
-    tensor,
-    thermal_cm,
-)
+if TYPE_CHECKING:
+    from .gaussian import CovarianceMatrix
 
 __all__ = [
     "SensingScenario",
@@ -142,20 +138,38 @@ class ProbeSettings:
         object.__setattr__(self, "theta", wrap_angle(self.theta))
 
 
-def _sensing_pattern_cm(
+def _sensing_pattern(
     v11: float, v22: float, v12: float, theta: float
-) -> CovarianceMatrix:
-    """Two-mode CM of the phase-rotated sensing form (see gaussian module)."""
+) -> list[list[float]]:
+    """Entries of the phase-rotated two-mode sensing form (see gaussian module).
+
+    Symmetrised as (V + V^T)/2 exactly as ``CovarianceMatrix.from_array``
+    does it, so these are the floats of the CM, signed zeros included, and
+    an entry whose double overflows reads inf here as it does there.
+    """
     c, s = math.cos(theta), math.sin(theta)
-    m = np.array(
-        [
-            [v11, -v12 * c, 0.0, v12 * s],
-            [-v12 * c, v22, -v12 * s, 0.0],
-            [0.0, -v12 * s, v11, -v12 * c],
-            [v12 * s, 0.0, -v12 * c, v22],
-        ]
-    )
-    return CovarianceMatrix.from_array(m)
+    m = [
+        [v11, -v12 * c, 0.0, v12 * s],
+        [-v12 * c, v22, -v12 * s, 0.0],
+        [0.0, -v12 * s, v11, -v12 * c],
+        [v12 * s, 0.0, -v12 * c, v22],
+    ]
+    return [[(a + b) / 2.0 for a, b in zip(row, col)] for row, col in zip(m, zip(*m))]
+
+
+def _sensing_pattern_cm(layout: list[list[float]]) -> CovarianceMatrix:
+    """The CM holding a layout from :func:`_sensing_pattern`.
+
+    The layout is symmetric already, so it is wrapped as it stands rather
+    than symmetrised a second time by ``CovarianceMatrix.from_array``.
+    """
+    import numpy as np
+
+    from .gaussian import CovarianceMatrix
+
+    matrix = np.array(layout)
+    matrix.flags.writeable = False
+    return CovarianceMatrix(matrix=matrix, num_modes=2)
 
 
 def _willie_params(
@@ -169,6 +183,17 @@ def _willie_params(
     return w11, w22, w12
 
 
+def _willie_layout(
+    scenario: SensingScenario, nbar_s: float, theta: float
+) -> list[list[float]]:
+    """Entries of ``willie_cm(scenario, nbar_s, theta).matrix`` as nested lists."""
+    check_occupancy("nbar_s", nbar_s)
+    if not math.isfinite(theta):
+        raise ValueError(f"theta must be finite, got {theta}")
+    w11, w22, w12 = _willie_params(scenario, nbar_s)
+    return _sensing_pattern(w11, w22, w12, theta)
+
+
 def willie_cm(
     scenario: SensingScenario, nbar_s: float, theta: float
 ) -> CovarianceMatrix:
@@ -178,11 +203,7 @@ def willie_cm(
     only rotates the correlations between the taps; all symplectic
     invariants of this state are theta-independent.
     """
-    check_occupancy("nbar_s", nbar_s)
-    if not math.isfinite(theta):
-        raise ValueError(f"theta must be finite, got {theta}")
-    w11, w22, w12 = _willie_params(scenario, nbar_s)
-    return _sensing_pattern_cm(w11, w22, w12, theta)
+    return _sensing_pattern_cm(_willie_layout(scenario, nbar_s, theta))
 
 
 def alice_cm(scenario: SensingScenario, probe: ProbeSettings) -> CovarianceMatrix:
@@ -191,7 +212,7 @@ def alice_cm(scenario: SensingScenario, probe: ProbeSettings) -> CovarianceMatri
     a11 = eta_eff * probe.nbar_s + (1.0 - eta_eff) * scenario.nbar_b_eff + 0.5
     a22 = probe.nbar_lo + 0.5
     a12 = -math.sqrt(eta_eff * probe.nbar_s * probe.nbar_lo)
-    return _sensing_pattern_cm(a11, a22, a12, probe.theta)
+    return _sensing_pattern_cm(_sensing_pattern(a11, a22, a12, probe.theta))
 
 
 def build_global_cm(
@@ -208,6 +229,17 @@ def build_global_cm(
     of modes (0, 1) and (2, 3) match :func:`willie_cm` and :func:`alice_cm`
     entrywise to 1e-12 relative to the largest entry.
     """
+    import numpy as np
+
+    from .gaussian import (
+        apply_beam_splitter,
+        apply_phase,
+        ase_two_mode_cm,
+        reduced,
+        tensor,
+        thermal_cm,
+    )
+
     baths = thermal_cm([scenario.nbar_b2, scenario.nbar_b1])
     source = ase_two_mode_cm(probe.nbar_s, probe.nbar_lo)
     cm = tensor(baths, source)

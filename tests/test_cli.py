@@ -5,8 +5,11 @@ from __future__ import annotations
 import json
 import math
 import os
+import random
+import struct
 import subprocess
 import sys
+import warnings
 
 import pytest
 
@@ -14,7 +17,7 @@ from covertsense.cli import CSV_HEADER, main
 from covertsense.covertness import covert_budget, taylor_coefficients
 from covertsense.estimation import estimation_report, heterodyne_stats
 from covertsense.link import LinkGeometry, sweep_frequency
-from covertsense.scenario import SensingScenario
+from covertsense.scenario import SensingScenario, willie_cm
 
 SCENARIO_FLAGS = [
     "--eta1", "0.5", "--eta2", "0.5", "--nb1", "1", "--nb2", "1",
@@ -74,6 +77,28 @@ class TestScenarioCommand:
         first = run_cli("scenario", *SCENARIO_FLAGS)
         second = run_cli("scenario", *SCENARIO_FLAGS)
         assert first.stdout == second.stdout
+
+
+    def test_emitted_willie_cm_is_the_library_matrix(self, capsys, monkeypatch):
+        # Compared by bit pattern, so a flipped zero sign is caught too.
+        monkeypatch.delenv("COVERTSENSE_CONFIG", raising=False)
+        rng = random.Random(6101)
+        for k in range(24):
+            args = [rng.uniform(0.05, 0.95), rng.uniform(0.05, 0.95),
+                    10.0 ** rng.uniform(-2.0, 1.0), 10.0 ** rng.uniform(-2.0, 1.0)]
+            theta = (0.0, math.pi, -math.pi / 2, rng.uniform(-4.0, 4.0))[k % 4]
+            argv = ["scenario", "--epsilon", "1e-3", "--n", "1e6",
+                    "--theta", repr(theta)]
+            for flag, value in zip(("eta1", "eta2", "nb1", "nb2"), args):
+                argv += [f"--{flag}", repr(value)]
+            with warnings.catch_warnings():
+                warnings.simplefilter("ignore", UserWarning)
+                assert main(argv) == 0
+            results = json.loads(capsys.readouterr().out)["results"]
+            want = willie_cm(SensingScenario(*args), results["ns"], theta).matrix
+            assert [
+                struct.pack("<d", x) for row in results["willie_cm"] for x in row
+            ] == [struct.pack("<d", x) for row in want.tolist() for x in row]
 
 
 class TestBoundsCommand:
@@ -405,20 +430,91 @@ class TestStrictJson:
         assert cause in _strict_json(out)["error"]["message"]
 
 
-def test_analytic_commands_do_not_import_scipy():
-    """numpy is the only runtime dependency: importing the package and
-    running the analytic subcommands loads no scipy module."""
-    code = (
-        "import sys, covertsense, covertsense.cli as cli\n"
-        f"assert cli.main(['scenario', *{SCENARIO_FLAGS!r}]) == 0\n"
-        f"assert cli.main(['bounds', *{SCENARIO_FLAGS!r}]) == 0\n"
-        "loaded = sorted(m for m in sys.modules if m.split('.')[0] == 'scipy')\n"
-        "assert not loaded, loaded\n"
-    )
+#: One call of each subcommand that runs on the math-only closed forms.
+ANALYTIC_ARGV = [
+    ["scenario", *SCENARIO_FLAGS],
+    ["bounds", *SCENARIO_FLAGS],
+    ["sweep", "--L", "3000", "--fmin", "15e12", "--fmax", "100e12", "--points", "20"],
+    ["optimize", "--L", "3000"],
+    ["reproduce-paper"],
+]
+
+#: Packages of the numeric layer, each with its submodules.
+NUMERIC_LAYER = ("numpy", "scipy", "covertsense.gaussian", "covertsense.fock")
+
+
+def _fresh_python(code: str) -> subprocess.CompletedProcess:
     env = dict(os.environ)
     env.pop("COVERTSENSE_CONFIG", None)
-    result = subprocess.run(
+    return subprocess.run(
         [sys.executable, "-c", code], capture_output=True, text=True, env=env,
         timeout=300,
     )
+
+
+def _loaded(packages) -> str:
+    """Source binding ``loaded`` to the modules of ``packages`` in sys.modules."""
+    return (
+        "loaded = sorted(m for m in sys.modules if any("
+        f"m == p or m.startswith(p + '.') for p in {tuple(packages)!r}))\n"
+    )
+
+
+def test_analytic_commands_import_no_numeric_layer():
+    """scenario, bounds, sweep, optimize and reproduce-paper run on the
+    closed forms alone: a fresh interpreter running all five loads no
+    numpy, scipy, ``covertsense.gaussian`` or ``covertsense.fock``."""
+    code = (
+        "import sys, covertsense.cli as cli\n"
+        f"for argv in {ANALYTIC_ARGV!r}:\n"
+        "    assert cli.main(argv) == 0, argv\n"
+        "assert 'covertsense.link' in sys.modules\n"
+        + _loaded(NUMERIC_LAYER)
+        + "assert not loaded, loaded\n"
+    )
+    result = _fresh_python(code)
+    assert result.returncode == 0, result.stderr
+
+
+def test_package_import_loads_no_submodule():
+    code = (
+        "import sys, covertsense\n"
+        "loaded = sorted(m for m in sys.modules\n"
+        "                if m.startswith('covertsense.') or m.split('.')[0] == 'numpy')\n"
+        "assert loaded == [], loaded\n"
+        "names = dir(covertsense)\n"
+        "for name in ('cli', 'covertness', 'errors', 'estimation', 'fock',\n"
+        "             'gaussian', 'link', 'scenario', 'DomainError', '__version__'):\n"
+        "    assert name in names, name\n"
+        "assert covertsense.fock is sys.modules['covertsense.fock']\n"
+        "from covertsense import CutoffError, gaussian\n"
+        "assert CutoffError is sys.modules['covertsense.errors'].CutoffError\n"
+        "try:\n"
+        "    covertsense.no_such_name\n"
+        "except AttributeError as exc:\n"
+        "    assert 'no_such_name' in str(exc)\n"
+        "else:\n"
+        "    raise AssertionError('unknown attribute resolved')\n"
+    )
+    result = _fresh_python(code)
+    assert result.returncode == 0, result.stderr
+
+
+@pytest.mark.parametrize(
+    "argv,imports",
+    [
+        (["mse-mc", *SCENARIO_FLAGS, "--trials", "1000"], "numpy"),
+        (["oracle-check"], "covertsense.fock"),
+    ],
+    ids=["mse-mc", "oracle-check"],
+)
+def test_numeric_commands_run_from_fresh_interpreter(argv, imports):
+    """mse-mc and oracle-check import their numeric layer when they run."""
+    code = (
+        "import sys, covertsense.cli as cli\n"
+        f"assert {imports!r} not in sys.modules\n"
+        f"assert cli.main({argv!r}) == 0\n"
+        f"assert {imports!r} in sys.modules\n"
+    )
+    result = _fresh_python(code)
     assert result.returncode == 0, result.stderr

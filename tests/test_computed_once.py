@@ -81,9 +81,20 @@ def test_sweep_runs_taylor_at_most_once_per_row(counts, capsys):
     assert counts == {"taylor": evaluated, "qre": STENCIL_POINTS * evaluated}
 
 
-def test_mse_mc_runs_taylor_at_most_twice(counts, capsys):
-    # One budget for the reported prediction and one inside
-    # simulate_heterodyne_mse, whose signature is kept.
+def test_mse_mc_runs_taylor_once(counts, capsys):
+    # The budget behind the reported prediction is passed into
+    # simulate_heterodyne_mse rather than built there a second time.
     _run(["mse-mc", *SCENARIO, "--trials", "1000"], capsys)
-    assert counts["taylor"] <= 2
-    assert counts["qre"] == STENCIL_POINTS * counts["taylor"]
+    assert counts == {"taylor": 1, "qre": STENCIL_POINTS}
+
+
+@pytest.mark.parametrize(
+    "flags",
+    [["--w-ase", "0"], ["--w-coh", "inf"], ["--t-int", "-1"],
+     ["--w-ase", "1e300", "--t-int", "1e10"]],
+    ids=["w-ase", "w-coh", "t-int", "w-ase-times-t-int"],
+)
+def test_bounds_refuses_operating_point_before_taylor(counts, capsys, flags):
+    assert main(["bounds", *SCENARIO, *flags]) == 1
+    assert '"error"' in capsys.readouterr().out
+    assert counts == {"taylor": 0, "qre": 0}

@@ -245,6 +245,38 @@ class TestSimulation:
         with pytest.raises(ValueError):
             simulate_heterodyne_mse(REFERENCE, 0.5, 0.01, 1e6, trials=10, seed=1)
 
+    def test_budget_passed_in_gives_same_bits(self, monkeypatch):
+        kwargs = dict(theta_true=0.5, epsilon=0.01, num_modes=1e6, trials=2000)
+        built = simulate_heterodyne_mse(REFERENCE, seed=7, **kwargs)
+        budget = covert_budget(REFERENCE, 0.01, 1e6)
+
+        def refuse(*args):
+            raise AssertionError("budget computed again")
+
+        monkeypatch.setattr(estimation, "covert_budget", refuse)
+        given_budget = simulate_heterodyne_mse(
+            REFERENCE, seed=7, budget=budget, **kwargs
+        )
+        assert given_budget == built
+
+    @pytest.mark.parametrize(
+        "epsilon,num_modes", [(0.02, 1e6), (0.01, 2e6), (math.nan, 1e6)]
+    )
+    def test_mismatched_budget_refused(self, epsilon, num_modes):
+        budget = covert_budget(REFERENCE, 0.01, 1e6)
+        with pytest.raises(ValueError, match="budget was built for epsilon = 0.01"):
+            simulate_heterodyne_mse(
+                REFERENCE, 0.5, epsilon, num_modes, trials=1000, seed=1,
+                budget=budget,
+            )
+
+    def test_budget_for_floored_mode_count_accepted(self):
+        # The budget records n = floor(num_modes), as the run does.
+        budget = covert_budget(REFERENCE, 0.01, 1e6 + 0.5)
+        assert simulate_heterodyne_mse(
+            REFERENCE, 0.5, 0.01, 1e6 + 0.5, trials=1000, seed=1, budget=budget
+        ) == simulate_heterodyne_mse(REFERENCE, 0.5, 0.01, 1e6, trials=1000, seed=1)
+
 
 class TestBaselines:
     def test_coherent_baseline_golden(self):
@@ -282,6 +314,22 @@ class TestReport:
         assert report.c_het_tilde == pytest.approx(report.c_het, rel=1e-9)
         assert report.mu_w == pytest.approx(1000.0, rel=1e-12)
         assert report.mu_c == pytest.approx(1.0, abs=1e-9)
+
+    @pytest.mark.parametrize(
+        "kwargs,cause",
+        [
+            (dict(w_ase=0.0), "bandwidths"),
+            (dict(w_coh=math.inf), "bandwidths"),
+            (dict(integration_time=-1.0), "integration time"),
+            (dict(w_ase=1e300, integration_time=1e10), "channel uses"),
+        ],
+    )
+    def test_operating_point_refused_before_budget(self, kwargs, cause):
+        # An identity channel alone is refused by the budget's Taylor run;
+        # a bad operating point is named first.
+        identity = SensingScenario(1.0, 1.0, 1.0, 1.0)
+        with pytest.raises(ValueError, match=cause):
+            estimation_report(identity, 1e-3, 1e6, 1e6, **kwargs)
 
     def test_bound_ordering(self):
         report = estimation_report(REFERENCE, 1e-3, 1e6, 1e6)

@@ -3,6 +3,8 @@
 from __future__ import annotations
 
 import math
+import random
+import struct
 
 import numpy as np
 import pytest
@@ -10,6 +12,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from covertsense.gaussian import (
+    CovarianceMatrix,
     apply_beam_splitter,
     apply_phase,
     apply_thermal_channel,
@@ -22,6 +25,8 @@ from covertsense.scenario import (
     ProbeSettings,
     SensingScenario,
     alice_cm,
+    _willie_layout,
+    _willie_params,
     build_global_cm,
     willie_cm,
     wrap_angle,
@@ -184,3 +189,85 @@ class TestGlobalCircuit:
         scenario = SensingScenario(0.55, 0.85, 0.2, 1.3)
         probe = ProbeSettings(0.07, 0.6, 0.9)
         assert build_global_cm(scenario, probe).is_physical()
+
+
+def _bits(rows) -> list[bytes]:
+    return [struct.pack("<d", x) for row in rows for x in row]
+
+
+def _from_array_route(scenario: SensingScenario, nbar_s: float, theta: float):
+    """Adversary CM entries the way they were built before the nested-list
+    layout: the unsymmetrised pattern through ``CovarianceMatrix.from_array``."""
+    w11, w22, w12 = _willie_params(scenario, nbar_s)
+    c, s = math.cos(theta), math.sin(theta)
+    m = np.array(
+        [
+            [w11, -w12 * c, 0.0, w12 * s],
+            [-w12 * c, w22, -w12 * s, 0.0],
+            [0.0, -w12 * s, w11, -w12 * c],
+            [w12 * s, 0.0, -w12 * c, w22],
+        ]
+    )
+    with np.errstate(over="ignore"):
+        return CovarianceMatrix.from_array(m).matrix.tolist()
+
+
+class TestWillieLayout:
+    """``_willie_layout`` (what the CLI emits) holds the floats of
+    ``willie_cm(...).matrix`` bit for bit, signed zeros and overflow included."""
+
+    THETAS = (0.0, math.pi, -math.pi / 2)
+
+    def _draws(self, rng: random.Random, occupancy):
+        for _ in range(400):
+            scenario = SensingScenario(
+                rng.choice([rng.random(), 0.0, 1.0]),
+                rng.choice([rng.random(), 0.0, 1.0]),
+                occupancy(),
+                occupancy(),
+            )
+            nbar_s = rng.choice([occupancy(), 0.0])
+            theta = rng.choice([*self.THETAS, rng.uniform(-10.0, 10.0)])
+            yield scenario, nbar_s, theta
+
+    def _assert_same_bits(self, scenario, nbar_s, theta):
+        layout = _willie_layout(scenario, nbar_s, theta)
+        want = _bits(_from_array_route(scenario, nbar_s, theta))
+        assert _bits(layout) == want
+        assert _bits(willie_cm(scenario, nbar_s, theta).matrix.tolist()) == want
+        return layout
+
+    def test_random_scenarios(self):
+        rng = random.Random(20261018)
+        negative_zeros = 0
+        for scenario, nbar_s, theta in self._draws(
+            rng, lambda: 10.0 ** rng.uniform(-6.0, 3.0)
+        ):
+            layout = self._assert_same_bits(scenario, nbar_s, theta)
+            negative_zeros += sum(
+                1 for row in layout for x in row if x == 0.0 and math.copysign(1, x) < 0
+            )
+        assert negative_zeros > 0
+
+    def test_occupancies_where_doubling_overflows(self):
+        rng = random.Random(17)
+        overflowed = 0
+        for scenario, nbar_s, theta in self._draws(
+            rng, lambda: rng.uniform(1e307, 1.7976931348623157e308)
+        ):
+            layout = self._assert_same_bits(scenario, nbar_s, theta)
+            overflowed += any(math.isinf(x) for row in layout for x in row)
+        assert overflowed > 0
+
+    @pytest.mark.parametrize(
+        "nbar_s,theta",
+        [(-1.0, 0.0), (math.nan, 0.0), (math.inf, 0.0), (0.1, math.nan),
+         (0.1, -math.inf)],
+    )
+    def test_refusals_match_willie_cm(self, nbar_s, theta):
+        scenario = SensingScenario(0.5, 0.5, 1.0, 1.0)
+        with pytest.raises(ValueError) as layout_error:
+            _willie_layout(scenario, nbar_s, theta)
+        with pytest.raises(ValueError) as cm_error:
+            willie_cm(scenario, nbar_s, theta)
+        assert str(layout_error.value) == str(cm_error.value)
