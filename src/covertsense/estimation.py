@@ -417,8 +417,6 @@ def simulate_heterodyne_mse(
     the budget is computed here.  A budget built for another ``epsilon``
     or ``n`` is refused.
     """
-    from concurrent.futures import ThreadPoolExecutor
-
     import numpy as np
 
     trials = int(trials)
@@ -485,6 +483,10 @@ def simulate_heterodyne_mse(
     if workers == 1:
         partials = [run_block(i) for i in range(num_blocks)]
     else:
+        # Imported here: concurrent.futures pulls in logging (~10 ms), which
+        # a serial run never needs.
+        from concurrent.futures import ThreadPoolExecutor
+
         with ThreadPoolExecutor(max_workers=workers) as pool:
             partials = list(pool.map(run_block, range(num_blocks)))
 
