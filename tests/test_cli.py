@@ -78,7 +78,6 @@ class TestScenarioCommand:
         second = run_cli("scenario", *SCENARIO_FLAGS)
         assert first.stdout == second.stdout
 
-
     def test_emitted_willie_cm_is_the_library_matrix(self, capsys, monkeypatch):
         # Compared by bit pattern, so a flipped zero sign is caught too.
         monkeypatch.delenv("COVERTSENSE_CONFIG", raising=False)
@@ -452,14 +451,6 @@ def _fresh_python(code: str) -> subprocess.CompletedProcess:
     )
 
 
-def _loaded(packages) -> str:
-    """Source binding ``loaded`` to the modules of ``packages`` in sys.modules."""
-    return (
-        "loaded = sorted(m for m in sys.modules if any("
-        f"m == p or m.startswith(p + '.') for p in {tuple(packages)!r}))\n"
-    )
-
-
 def test_analytic_commands_import_no_numeric_layer():
     """scenario, bounds, sweep, optimize and reproduce-paper run on the
     closed forms alone: a fresh interpreter running all five loads no
@@ -469,8 +460,9 @@ def test_analytic_commands_import_no_numeric_layer():
         f"for argv in {ANALYTIC_ARGV!r}:\n"
         "    assert cli.main(argv) == 0, argv\n"
         "assert 'covertsense.link' in sys.modules\n"
-        + _loaded(NUMERIC_LAYER)
-        + "assert not loaded, loaded\n"
+        "loaded = sorted(m for m in sys.modules if any(\n"
+        f"    m == p or m.startswith(p + '.') for p in {NUMERIC_LAYER!r}))\n"
+        "assert not loaded, loaded\n"
     )
     result = _fresh_python(code)
     assert result.returncode == 0, result.stderr
