@@ -18,8 +18,9 @@ Output contracts:
   (seed where meaningful, RNG name, constants version).  CSV output is
   bare plot data — header plus rows — and the resolved config goes to
   stderr instead so the stream stays machine-readable.
-* Exit codes: 0 success; 1 domain error (a machine-readable error object
-  is printed); 2 usage error.
+* Exit codes: 0 success; 1 domain error, or numpy missing for ``mse-mc``
+  or ``oracle-check`` (a machine-readable error object is printed);
+  2 usage error.
 
 All quantities are SI base units (meters, hertz, seconds, kelvin); no
 unit-suffix parsing.
@@ -608,7 +609,14 @@ def main(argv: Sequence[str] | None = None) -> int:
         return _HANDLERS[args.command](config)
     except _UsageError as exc:
         parser.exit(2, f"covertsense: {exc}\n")
-    except (DomainError, NumericalInstabilityError, ValueError, OverflowError) as exc:
+    except (
+        DomainError,
+        NumericalInstabilityError,
+        ValueError,
+        OverflowError,
+        # numpy is imported only by the commands that compute with it.
+        ModuleNotFoundError,
+    ) as exc:
         _emit_error(exc)
         return 1
 

@@ -37,7 +37,9 @@ N1 = N0 + (1 - eta_eff) nbar_s:
     D = N0 ln[ N0 (1+N1) / ((1+N0) N1) ] + ln[ (1+N1) / (1+N0) ],
 
 whose Taylor coefficients are the closed forms ``equal_bath_c2`` and
-``equal_bath_c3``.
+``equal_bath_c3``.  ``taylor_coefficients`` gives c2 and c3 in closed form
+for any pair of baths, as divided differences over the two eigenvalues of
+the adversary's reference occupation matrix; it needs no QRE evaluation.
 """
 
 from __future__ import annotations
@@ -77,13 +79,6 @@ _PURE_TOL = 1e-12
 #: respond to the probe.
 _C2_FLOOR = 1e-12
 
-#: Largest relative disagreement between the two first-level Richardson
-#: estimates of c2 that still counts as resolved.  The disagreement tracks
-#: the error of c2; it reaches about 0.7 below the resolution of the QRE
-#: evaluator (a very weak bath with eta_eff very near 1), where c2 comes
-#: out wrong by orders of magnitude.
-_C2_SPREAD_TOL = 1e-2
-
 
 @dataclass(frozen=True)
 class QreBreakdown:
@@ -98,11 +93,10 @@ class QreBreakdown:
 
 @dataclass(frozen=True)
 class TaylorCoefficients:
-    """Quadratic/cubic QRE coefficients and the stencil step that made them."""
+    """Quadratic and cubic coefficients of the QRE in nbar_s."""
 
     c2: float
     c3: float
-    step: float
 
 
 @dataclass(frozen=True)
@@ -183,8 +177,10 @@ def _willie_normal_deltas(
     differences of the closed-form tap parameters, so du and dd carry no
     cancellation error even when they are ~1e-12 of u0.
 
-    ``nbar_s`` may be slightly negative (finite-difference stencils); the
-    caller must keep the perturbed state physical.
+    :func:`willie_qre` passes nbar_s >= 0.  A slightly negative nbar_s is
+    accepted only for the finite-difference reference of the test suite,
+    which differentiates this evaluator independently of
+    :func:`taylor_coefficients`; that caller keeps the state physical.
     """
     e1, e2 = scenario.eta_1, scenario.eta_2
     w11_0, w22_0, w12_0 = _willie_params(scenario, 0.0)
@@ -242,21 +238,19 @@ def _relative_term(u0: float, du: float, u: float, dd: float) -> float:
     """
     gap0 = u0 - 0.5
     gap1 = u - 0.5
+    term = 0.5 * (1.0 + 2.0 * u0) * math.log1p(du / (u0 + 0.5))
     if gap1 <= _PURE_TOL:
         if gap0 > 100.0 * _PURE_TOL or dd > 100.0 * _PURE_TOL:
             raise InfiniteQreError(
                 "relative entropy diverges: perturbed adversary state is pure "
                 "along a mode where the reference is mixed"
             )
-        return 0.5 * (1.0 + 2.0 * u0) * math.log1p(du / (u0 + 0.5))
-    term = 0.5 * (1.0 + 2.0 * u0) * math.log1p(du / (u0 + 0.5))
-    if gap0 <= _PURE_TOL:
-        # (1 - 2u0) -> 0 kills the second log's divergence in the limit.
-        term += dd * (math.log(u + 0.5) - math.log(gap1))
         return term
-    term += 0.5 * (1.0 - 2.0 * u0) * math.log1p(du / gap0)
-    term += dd * (math.log(u + 0.5) - math.log(gap1))
-    return term
+    # At a pure reference mode (1 - 2u0) -> 0 kills the second log's
+    # divergence in the limit.
+    if gap0 > _PURE_TOL:
+        term += 0.5 * (1.0 - 2.0 * u0) * math.log1p(du / gap0)
+    return term + dd * (math.log(u + 0.5) - math.log(gap1))
 
 
 def _willie_qre_raw(scenario: SensingScenario, nbar_s: float) -> float:
@@ -331,78 +325,107 @@ def equal_bath_c3(eta_eff: float, nbar_b: float) -> float:
     return -2.0 * (1.0 - eta_eff) ** 3 * (1.0 + 2.0 * n0) / (n0 * (1.0 + n0)) ** 2
 
 
-def _richardson(values: list[float]) -> tuple[float, float]:
-    """Two-level Richardson extrapolation of a stencil with h^2 error series.
+def _h_slope(a: float, b: float) -> float:
+    """-H[a, b], the first divided difference of H(x) = ln(1 + 1/x), negated.
 
-    ``values`` are the stencil estimates at steps (h, h/2, h/4); both central
-    stencils used here have even-power error series, so the (4,16)/(3,15)
-    weights apply to each.  Returns the extrapolated value and the absolute
-    difference of the two first-level estimates, an error estimate.
+    Positive, since H falls; -H[lambda_j, lambda_k] is the
+    Bogoliubov-Kubo-Mori weight of c2.
+
+    H(b) - H(a) = -log1p(x) with x = (b - a) / (a (1 + b)), so the quotient
+    log1p(x)/x keeps full precision at a gap of any size, and x = 0 gives
+    the confluent value -H'(a) = 1 / (a (1 + a)).
     """
-    a_h, a_h2, a_h4 = values
-    r1_h = (4.0 * a_h2 - a_h) / 3.0
-    r1_h2 = (4.0 * a_h4 - a_h2) / 3.0
-    return (16.0 * r1_h2 - r1_h) / 15.0, abs(r1_h2 - r1_h)
+    x = (b - a) / (a * (1.0 + b))
+    return (math.log1p(x) / x if x else 1.0) / (a * (1.0 + b))
+
+
+def _h_curvature(a: float, b: float) -> float:
+    """H[a, a, b], the confluent second divided difference of H; positive.
+
+    Within |b - a| < 0.1 a it sums the Taylor series of H about a, with
+    H^(k)(a) / k! = (-1)^(k-1) ((1 + a)^-k - a^-k) / k and the bracket
+    written as a^-k expm1(-k log1p(1/a)), which keeps its precision for
+    a >> 1 too; 22 terms reach 1e-21 at the edge.  Outside it the
+    difference quotient loses at most a factor of ten.
+    """
+    t = (b - a) / a
+    if abs(t) >= 0.1:
+        return (_h_slope(a, a) - _h_slope(a, b)) / (b - a)
+    r = math.log1p(1.0 / a)
+    terms = range(2, 24 if t else 3)  # at t = 0 only k = 2 contributes
+    return sum(-math.expm1(-k * r) * (-t) ** (k - 2) / k for k in terms) / (a * a)
 
 
 def taylor_coefficients(scenario: SensingScenario) -> TaylorCoefficients:
-    """Quadratic and cubic coefficients of D(nbar_s) about nbar_s = 0.
+    """Quadratic and cubic coefficients of D(nbar_s) about nbar_s = 0, exact.
 
-    Central finite differences with two Richardson extrapolation levels on
-    the cancellation-free QRE evaluator.  The stencil step is
-    min(1e-3 * max(1, nbar_b_eff), 0.05 * (u_min - 1/2)) where u_min is the
-    smallest symplectic eigenvalue of the adversary's reference state: the
-    second clause keeps the stencil a small relative perturbation of the
-    eigenvalue gap, which for weak baths is far tighter than the first.
+    Both adversary states are passive (gauge-invariant) Gaussian states,
+    rho ~ exp(-a^dagger H(N) a) with the mode-occupation matrix N and
+    H(x) = ln(1 + 1/x), so up to a constant
 
-    Raises :class:`DegenerateCovertnessError` when c2 falls at or below
-    ``_C2_FLOOR`` (identity channel: the adversary state does not respond to
-    the probe) or when its Richardson levels disagree by more than
-    ``_C2_SPREAD_TOL`` relative (the probe's effect is below the resolution
-    of the QRE evaluator), and :class:`DomainError` when the reference state
-    has a pure normal mode (vacuum baths: D is not twice differentiable
-    at 0).
+        D(nbar_s) = tr[(1 + N0) ln(1 + N0 + nbar_s P)] - tr[N0 ln(N0 + nbar_s P)]
+
+    where N0 = M diag(nbar_b1, nbar_b2) M^T is the reference state and the
+    probe adds the rank-one P = p p^T, p = (sqrt((1-eta_2) eta_1),
+    -sqrt(1-eta_1)).  With lambda_j the eigenvalues of N0 and q_j the
+    components of p along its eigenvectors, the Daleckii-Krein calculus
+    (Bhatia, Matrix Analysis, ch. V) gives
+
+        c2 = -sum_jk q_j^2 q_k^2 H[lambda_j, lambda_k]
+        c3 = -4 sum_jkl q_j^2 q_k^2 q_l^2 H[lambda_j, lambda_k, lambda_l]
+
+    in divided differences of H.  All terms of each sum share one sign, so
+    the sums do not cancel; with equal baths they reduce to
+    :func:`equal_bath_c2` and :func:`equal_bath_c3`.  N0 is built from
+    the taps and baths directly rather than as the covariance matrix minus
+    1/2, and its smaller eigenvalue as det N0 / lambda_max with
+    det N0 = eta_1 eta_2 nbar_b1 nbar_b2, so weak baths keep their
+    relative precision.
+
+    Raises :class:`DomainError` when the reference state has a (near-)pure
+    normal mode, lambda_min <= 1e-12 (vacuum baths: D is not twice
+    differentiable at 0), and :class:`DegenerateCovertnessError` when c2
+    falls at or below ``_C2_FLOOR`` (identity channel: the adversary
+    state does not respond to the probe).
     """
-    deltas0 = _willie_normal_deltas(scenario, 0.0)
-    gap = min(item[0] for item in deltas0) - 0.5
-    if gap <= 1e-12:
+    e1, e2 = scenario.eta_1, scenario.eta_2
+    b1, b2 = scenario.nbar_b1, scenario.nbar_b2
+    n11 = (1.0 - e1) * (1.0 - e2) * b1 + e2 * b2
+    n22 = e1 * b1
+    n12 = math.sqrt((1.0 - e2) * e1 * (1.0 - e1)) * b1
+    hi = (n11 + n22) / 2.0 + math.hypot(n12, (n11 - n22) / 2.0)
+    # hi >= n11 >= e2 b2, so the ratio cannot overflow.
+    lo = n22 * (e2 * b2 / hi) if hi > 0.0 else 0.0
+    if lo <= 1e-12:
         raise DomainError(
             "quadratic expansion needs a strictly thermal adversary reference "
             "state; a tap sees (near-)vacuum here"
         )
-    h = min(1e-3 * max(1.0, scenario.nbar_b_eff), 0.05 * gap)
-
-    d_at: dict[float, float] = {}
-
-    def d(x: float) -> float:
-        if x not in d_at:
-            d_at[x] = _willie_qre_raw(scenario, x)
-        return d_at[x]
-
-    def second(hh: float) -> float:
-        return (d(hh) + d(-hh)) / (hh * hh)
-
-    def third(hh: float) -> float:
-        return (d(2.0 * hh) - 2.0 * d(hh) + 2.0 * d(-hh) - d(-2.0 * hh)) / (
-            2.0 * hh**3
-        )
-
-    c2, c2_spread = _richardson([second(h), second(h / 2.0), second(h / 4.0)])
-    c3, _ = _richardson([third(h / 2.0), third(h / 4.0), third(h / 8.0)])
+    # w = q^2 along each eigenvector.  The eigenvector of hi lies at phi in
+    # [0, pi/2] since n12 >= 0, so w_lo adds like-signed terms; w_hi may
+    # cancel, but only while it is negligible.
+    phi = math.atan2(2.0 * n12, n11 - n22) / 2.0
+    p1, p2 = math.sqrt((1.0 - e2) * e1), math.sqrt(1.0 - e1)
+    w_hi = (p1 * math.cos(phi) - p2 * math.sin(phi)) ** 2
+    w_lo = (p1 * math.sin(phi) + p2 * math.cos(phi)) ** 2
+    c2 = (
+        w_hi * w_hi * _h_slope(hi, hi)
+        + w_lo * w_lo * _h_slope(lo, lo)
+        + 2.0 * w_hi * w_lo * _h_slope(lo, hi)
+    )
     if c2 <= _C2_FLOOR:
         raise DegenerateCovertnessError(
             f"quadratic covertness coefficient {c2:.3e} is at the noise floor; "
             "the adversary state does not respond to the probe "
             "(identity channel?)"
         )
-    if c2_spread > _C2_SPREAD_TOL * c2:
-        raise DegenerateCovertnessError(
-            f"quadratic covertness coefficient {c2:.3e} is not resolved: its "
-            f"Richardson levels disagree by {c2_spread / c2:.1e} relative; the "
-            "probe barely changes the adversary state (eta_eff near 1 with a "
-            "weak bath)"
-        )
-    return TaylorCoefficients(c2=c2, c3=c3, step=h)
+    mixed = w_hi * _h_curvature(hi, lo) + w_lo * _h_curvature(lo, hi)
+    c3 = -4.0 * (
+        w_hi**3 * _h_curvature(hi, hi)
+        + w_lo**3 * _h_curvature(lo, lo)
+        + 3.0 * w_hi * w_lo * mixed
+    )
+    return TaylorCoefficients(c2=c2, c3=c3)
 
 
 def channel_uses(num_modes: float) -> int:

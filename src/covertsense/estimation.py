@@ -216,9 +216,12 @@ def qfi_closed(
     eta = scenario.eta_eff
     b = scenario.nbar_b_eff
     f_a = 4.0 * nbar_s * eta / (1.0 + 2.0 * b * (1.0 - eta))
-    denom = nbar_lo + (1.0 - eta) * b * (1.0 + 2.0 * nbar_lo) + eta * nbar_s
-    f_a_prime = 0.0 if nbar_lo == 0.0 else 4.0 * nbar_lo * nbar_s * eta / denom
-    return f_a_prime, f_a
+    if nbar_lo == 0.0:
+        return 0.0, f_a
+    # Divided through by nbar_lo, so that a huge reference cannot overflow.
+    thermal = (1.0 - eta) * b
+    denom = 1.0 + 2.0 * thermal + (thermal + eta * nbar_s) / nbar_lo
+    return 4.0 * nbar_s * eta / denom, f_a
 
 
 def qfi_numeric(scenario: SensingScenario, probe: ProbeSettings) -> float:
@@ -511,6 +514,11 @@ def _coherent_coefficients(eta: float, nbar_b: float) -> tuple[float, float]:
             "either undetectable or trivially detectable"
         )
     root = math.sqrt(eta * nbar_b * (1.0 + eta * nbar_b))
+    if root == math.inf:
+        raise DomainError(
+            "coherent baseline overflows double precision at "
+            f"eta_eff * nbar_b_eff = {eta * nbar_b:.3e}"
+        )
     c_het = (1.0 - eta) * (1.0 + nbar_b * (1.0 - eta)) / (8.0 * eta * root)
     c_coh = (1.0 - eta) * (1.0 + 2.0 * nbar_b * (1.0 - eta)) / (16.0 * eta * root)
     return c_het, c_coh

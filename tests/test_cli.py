@@ -190,8 +190,8 @@ class TestOptimizeCommand:
         assert result.returncode == 0, result.stderr
         results = json.loads(result.stdout)["results"]
         assert results["lambda_star"] == 3.719418887857133e-06
-        assert results["c_ase"] == 1112.551200906698
-        assert results["B"] == 0.6423317353307236
+        assert results["c_ase"] == 1112.5512007032864
+        assert results["B"] == 0.6423317352132838
 
 
 class TestReproducePaperCommand:
@@ -366,6 +366,12 @@ def _strict_csv(text: str) -> None:
         assert all(cell == "" or math.isfinite(float(cell)) for cell in cells)
 
 
+def test_bounds_with_huge_reference_is_finite(capsys):
+    assert _run_main("bounds", nlo="1e308") == 0
+    results = _strict_json(capsys.readouterr().out)["results"]
+    assert results["F_A_prime"] == pytest.approx(results["F_A"], rel=1e-15)
+
+
 class TestStrictJson:
     """Every numeric flag of the analytic, Monte-Carlo and oracle-check
     subcommands at non-finite or huge values.  Integer flags (``points``,
@@ -510,3 +516,22 @@ def test_numeric_commands_run_from_fresh_interpreter(argv, imports):
     )
     result = _fresh_python(code)
     assert result.returncode == 0, result.stderr
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [["mse-mc", *SCENARIO_FLAGS, "--trials", "1000"], ["oracle-check"]],
+    ids=["mse-mc", "oracle-check"],
+)
+def test_numeric_commands_without_numpy_emit_json_error(argv, monkeypatch, capsys):
+    """Without numpy the two numeric commands refuse with the JSON error
+    object and exit 1 instead of a traceback."""
+    monkeypatch.delenv("COVERTSENSE_CONFIG", raising=False)
+    monkeypatch.setitem(sys.modules, "numpy", None)
+    # Drop the loaded numeric modules so that their import runs again.
+    for name in ("covertsense.fock", "covertsense.gaussian"):
+        monkeypatch.delitem(sys.modules, name, raising=False)
+    assert main(argv) == 1
+    error = json.loads(capsys.readouterr().out)["error"]
+    assert error["type"] == "ModuleNotFoundError"
+    assert "numpy" in error["message"]

@@ -4,7 +4,10 @@
 ``scenario`` and ``bounds`` points, two 50-point sweeps, two ``optimize``
 ranges (one at L = 1979.87 m), ``reproduce-paper`` as table and JSON, and
 four refusals (``--t-int -1``, ``--w-ase 0``, an identity channel, vacuum
-baths).  Refactors of the numerics must leave every byte in place.
+baths).  Refactors of the numerics must leave every byte in place.  The
+snapshot was re-recorded once, when closed-form Taylor coefficients
+replaced a finite-difference stencil; ``test_cli_drift.py`` bounds that
+move against the earlier snapshot, ``data/cli_stdout_stencil.json``.
 
 ``mse-mc`` is left out because numpy's SIMD transcendentals may differ
 between CPUs, and ``oracle-check`` because its residuals are rounding

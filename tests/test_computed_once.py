@@ -2,9 +2,9 @@
 
 A counting wrapper around ``taylor_coefficients`` is bound into every
 covertsense module namespace that holds it, and one around the QRE
-evaluator ``_willie_qre_raw`` into ``covertness``.  The eight-point
-Richardson stencil (+-h, +-h/2, +-h/4, +-h/8) is the only QRE work a
-budget needs; ``scenario`` adds one evaluation for ``qre_per_mode``.
+evaluator ``_willie_qre_raw`` into ``covertness``.  The Taylor
+coefficients are closed forms that evaluate no QRE, so a budget costs
+none; ``scenario`` runs the evaluator once, for ``qre_per_mode``.
 """
 
 from __future__ import annotations
@@ -22,9 +22,6 @@ SCENARIO = [
     "--eta1", "0.5", "--eta2", "0.7", "--nb1", "1", "--nb2", "0.4",
     "--epsilon", "1e-3", "--n", "1e6",
 ]
-
-STENCIL_POINTS = 8
-
 
 @pytest.fixture
 def counts(monkeypatch):
@@ -58,12 +55,12 @@ def _run(argv, capsys):
 
 def test_scenario_runs_taylor_once(counts, capsys):
     _run(["scenario", *SCENARIO, "--theta", "0.4"], capsys)
-    assert counts == {"taylor": 1, "qre": STENCIL_POINTS + 1}
+    assert counts == {"taylor": 1, "qre": 1}
 
 
 def test_bounds_runs_taylor_once(counts, capsys):
     _run(["bounds", *SCENARIO, "--nlo", "1e5"], capsys)
-    assert counts == {"taylor": 1, "qre": STENCIL_POINTS}
+    assert counts == {"taylor": 1, "qre": 0}
 
 
 def test_sweep_runs_taylor_at_most_once_per_row(counts, capsys):
@@ -75,17 +72,17 @@ def test_sweep_runs_taylor_at_most_once_per_row(counts, capsys):
     rows = [line.split(",") for line in out.splitlines()[1:]]
     assert len(rows) == 50
     # Near-field rows (no eta) never reach the covertness layer; every
-    # other row, valid or degenerate, runs the stencil exactly once.
+    # other row, valid or degenerate, runs the Taylor coefficients once.
     evaluated = sum(1 for row in rows if row[2] != "")
     assert 0 < evaluated < 50
-    assert counts == {"taylor": evaluated, "qre": STENCIL_POINTS * evaluated}
+    assert counts == {"taylor": evaluated, "qre": 0}
 
 
 def test_mse_mc_runs_taylor_once(counts, capsys):
     # The budget behind the reported prediction is passed into
     # simulate_heterodyne_mse rather than built there a second time.
     _run(["mse-mc", *SCENARIO, "--trials", "1000"], capsys)
-    assert counts == {"taylor": 1, "qre": STENCIL_POINTS}
+    assert counts == {"taylor": 1, "qre": 0}
 
 
 @pytest.mark.parametrize(

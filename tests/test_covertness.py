@@ -2,12 +2,16 @@
 
 from __future__ import annotations
 
+import functools
+import json
 import math
+from pathlib import Path
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from covertsense import covertness
 from covertsense.covertness import (
     covert_budget,
     equal_bath_c2,
@@ -27,6 +31,48 @@ from covertsense.gaussian import thermal_cm, vacuum_cm
 from covertsense.scenario import SensingScenario, willie_cm
 
 REFERENCE = SensingScenario(0.5, 0.5, 1.0, 1.0)  # eta_eff 1/4, nb_eff 1
+
+#: c2 and c3 at 43 operating points, from a 60-digit evaluation of the QRE
+#: (written by ``data/taylor_reference_gen.py``).
+PINNED = json.loads(
+    (Path(__file__).parent / "data" / "taylor_reference.json").read_text()
+)["points"]
+
+
+def _pinned_scenario(point) -> SensingScenario:
+    return SensingScenario(
+        point["eta_1"], point["eta_2"], point["nbar_b1"], point["nbar_b2"]
+    )
+
+
+def _stencil_coefficients(scenario: SensingScenario) -> tuple[float, float]:
+    """(c2, c3) by central differences of the QRE evaluator, a reference route.
+
+    Independent of the closed form in ``taylor_coefficients``: eight QRE
+    evaluations at +-h, +-h/2, +-h/4, +-h/8 with
+    h = min(1e-3 max(1, nbar_b_eff), 0.05 lambda_min), and two Richardson
+    levels on the even-power error series of each central stencil.  It
+    loses accuracy as eta_eff -> 1 with a weak bath, where the probe's
+    effect falls below the resolution of the QRE evaluator.
+    """
+    gap = min(u0 for u0, *_ in covertness._willie_normal_deltas(scenario, 0.0)) - 0.5
+    h = min(1e-3 * max(1.0, scenario.nbar_b_eff), 0.05 * gap)
+    qre = functools.cache(lambda x: covertness._willie_qre_raw(scenario, x))
+
+    def richardson(a_h, a_h2, a_h4):
+        r1_h, r1_h2 = (4.0 * a_h2 - a_h) / 3.0, (4.0 * a_h4 - a_h2) / 3.0
+        return (16.0 * r1_h2 - r1_h) / 15.0
+
+    def second(hh):
+        return (qre(hh) + qre(-hh)) / (hh * hh)
+
+    def third(hh):
+        return (qre(2 * hh) - 2 * qre(hh) + 2 * qre(-hh) - qre(-2 * hh)) / (2 * hh**3)
+
+    return (
+        richardson(second(h), second(h / 2), second(h / 4)),
+        richardson(third(h / 2), third(h / 4), third(h / 8)),
+    )
 
 
 class TestQreGaussian:
@@ -155,31 +201,64 @@ class TestEqualBathClosedForms:
 class TestTaylorCoefficients:
     def test_matches_closed_forms_at_reference(self):
         coeffs = taylor_coefficients(REFERENCE)
-        assert coeffs.c2 == pytest.approx(1.8, rel=1e-9)
-        assert coeffs.c3 == pytest.approx(-12.96, rel=1e-8)
-        assert coeffs.step > 0.0
+        assert coeffs.c2 == pytest.approx(1.8, rel=1e-14)
+        assert coeffs.c3 == pytest.approx(-12.96, rel=1e-14)
+
+    @pytest.mark.parametrize(
+        "point", PINNED, ids=[f"{i:02d}-{p['kind']}" for i, p in enumerate(PINNED)]
+    )
+    def test_matches_pinned_high_precision_values(self, point):
+        coeffs = taylor_coefficients(_pinned_scenario(point))
+        assert coeffs.c2 == pytest.approx(float(point["c2"]), rel=1e-12)
+        assert coeffs.c3 == pytest.approx(float(point["c3"]), rel=1e-12)
+
+    def test_pinned_points_cover_the_hard_regions(self):
+        kinds = [point["kind"] for point in PINNED]
+        assert len(PINNED) >= 30
+        for kind in ("random", "weak-bath", "near-identity", "coincident"):
+            assert kinds.count(kind) >= 6, kind
 
     def test_unequal_baths_supported(self):
-        # No closed form applies; the numeric route must still match the
-        # QRE it differentiates.
+        # The quadratic term of the QRE itself, from the independent evaluator.
         scenario = SensingScenario(0.7, 0.9, 0.5, 2.0)
         c2 = taylor_coefficients(scenario).c2
         ns = 1e-4
         assert willie_qre(scenario, ns) == pytest.approx(c2 * ns * ns / 2.0, rel=1e-3)
+
+    @given(
+        e1=st.floats(0.05, 0.95),
+        e2=st.floats(0.05, 0.95),
+        b1=st.floats(1e-2, 10.0),
+        b2=st.floats(1e-2, 10.0),
+    )
+    @settings(max_examples=60)
+    def test_stencil_reference_agrees(self, e1, e2, b1, b2):
+        scenario = SensingScenario(e1, e2, b1, b2)
+        coeffs = taylor_coefficients(scenario)
+        c2, c3 = _stencil_coefficients(scenario)
+        assert c2 == pytest.approx(coeffs.c2, rel=1e-8)
+        # The third difference's error scales with the QRE, not with c3,
+        # which can be small (-6.2e-4 against c2 = 2.9e-3 at taps 0.94/0.875).
+        assert c3 == pytest.approx(coeffs.c3, rel=1e-6, abs=1e-6 * coeffs.c2)
 
     def test_vacuum_bath_rejected(self):
         with pytest.raises(DomainError):
             taylor_coefficients(SensingScenario(0.5, 0.5, 0.0, 0.0))
 
     @pytest.mark.parametrize("one_minus_eta", [1e-5, 1e-7])
-    def test_unresolved_c2_refused(self, one_minus_eta):
-        # Weak bath, eta_eff within 2e-5 of 1: the quadratic term sits below
-        # the QRE evaluator's resolution and the stencil returned c2 about
-        # 8e3 times the closed form.  The Richardson levels disagree at
-        # order one, and the coefficient is refused instead.
+    def test_formerly_unresolved_c2_pinned(self, one_minus_eta):
+        # Weak bath, eta_eff within 2e-5 of 1: the finite-difference stencil
+        # returned c2 about 8e3 times too large here and was refused.  The
+        # closed form is exact; both points are in the pinned table.
         eta = 1.0 - one_minus_eta
-        with pytest.raises(DegenerateCovertnessError, match="not resolved"):
-            taylor_coefficients(SensingScenario(eta, eta, 1e-9, 1e-9))
+        (point,) = [
+            p for p in PINNED
+            if (p["eta_1"], p["eta_2"], p["nbar_b1"], p["nbar_b2"])
+            == (eta, eta, 1e-9, 1e-9)
+        ]
+        coeffs = taylor_coefficients(SensingScenario(eta, eta, 1e-9, 1e-9))
+        assert coeffs.c2 == pytest.approx(float(point["c2"]), rel=1e-12)
+        assert coeffs.c3 == pytest.approx(float(point["c3"]), rel=1e-12)
 
     @pytest.mark.parametrize("one_minus_eta", [1e-4, 1e-6])
     def test_resolved_c2_near_unit_transmissivity(self, one_minus_eta):

@@ -87,6 +87,13 @@ class TestQfi:
         assert values == sorted(values)
         assert values[-1] == pytest.approx(0.04, rel=1e-3)
 
+    def test_huge_reference_reaches_bright_limit(self):
+        # 4 nbar_lo ns eta / (nbar_lo + ...) overflowed to inf/inf = NaN.
+        finite, asymptotic = qfi_closed(REFERENCE, 0.1, 1e308)
+        assert finite == pytest.approx(asymptotic, rel=1e-15)
+        assert qfi_closed(REFERENCE, 0.1, 5e-324)[0] == 0.0
+        assert qfi_closed(REFERENCE, 0.1, 0.0) == (0.0, asymptotic)
+
     def test_numeric_matches_closed(self):
         probe = ProbeSettings(nbar_s=0.1, nbar_lo=50.0, theta=0.4)
         numeric = qfi_numeric(REFERENCE, probe)
@@ -284,6 +291,11 @@ class TestBaselines:
         assert ns == pytest.approx(2.98142397e-06, rel=1e-9)
         assert c_het == pytest.approx(1.1739356881873895, rel=1e-12)
         assert c_coh == pytest.approx(0.8385254915624211, rel=1e-12)
+
+    def test_coherent_baseline_overflow_refused(self):
+        # eta b (1 + eta b) overflows: c_coh would read 0 and mu_c divide by it.
+        with pytest.raises(DomainError, match="coherent baseline overflows"):
+            coherent_baseline(0.25, 1e308, 1e-3, 1e6)
 
     def test_heterodyne_penalty_bracket(self):
         # c_coh <= c_het <= 2 c_coh for any equal-bath scenario.

@@ -135,11 +135,11 @@ class TestPointEvaluation:
         eta, nbar_b, c_ase = c_ase_at(6.35e-6, GEOMETRY_3KM)
         assert eta == pytest.approx(0.10878519052461043, rel=1e-12)
         assert nbar_b == pytest.approx(0.0005250013814917677, rel=1e-12)
-        assert c_ase == pytest.approx(2095.8939624272416, rel=1e-12)
+        assert c_ase == pytest.approx(2095.8939623826413, rel=1e-12)
 
     def test_mse_bound_golden(self):
         b = mse_bound_b(6.35e-6, GEOMETRY_3KM, 1e-3, 3e12, 1.0)
-        assert b == pytest.approx(1.2100649434002795, rel=1e-12)
+        assert b == pytest.approx(1.2100649433745294, rel=1e-12)
 
     def test_bound_scaling_in_integration_time(self):
         # n = floor(W T), so quadrupling T halves B.
@@ -318,6 +318,21 @@ class TestOptimizeWavelength:
             (1.0 + 2.0 * nbar_b * (1.0 - e)) * math.sqrt(equal_bath_c2(e, nbar_b)) / (16.0 * e)
         )
         assert c_ase == pytest.approx(closed, rel=1e-6)
+
+    def test_boundary_basin_optimum_at_half_area(self):
+        # eta = 0.99971 and nbar_b = 1.4e-10 at the optimum: the stencil
+        # refused c2 there as unresolved and the search ended at
+        # 2.11622e-6 m with c_ase 5.504 instead.
+        geometry = LinkGeometry(range_m=4200.0, area_factor=0.5)
+        lam, c_ase, _ = optimize_wavelength(geometry, (2e-6, 1.5e-5))
+        assert lam == pytest.approx(2.115965765811682e-06, rel=1e-9)
+        eta, nbar_b, at_lam = c_ase_at(2.115965765811682e-06, geometry)
+        e = eta * eta
+        closed = (
+            (1.0 + 2.0 * nbar_b * (1.0 - e)) * math.sqrt(equal_bath_c2(e, nbar_b)) / (16.0 * e)
+        )
+        assert at_lam == pytest.approx(closed, rel=1e-12)
+        assert c_ase == pytest.approx(closed, rel=1e-9)
 
     def test_invalid_bracket_raises(self):
         geometry = LinkGeometry(range_m=1000.0, area_factor=1.0)
