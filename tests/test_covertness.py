@@ -39,12 +39,6 @@ PINNED = json.loads(
 )["points"]
 
 
-def _pinned_scenario(point) -> SensingScenario:
-    return SensingScenario(
-        point["eta_1"], point["eta_2"], point["nbar_b1"], point["nbar_b2"]
-    )
-
-
 def _stencil_coefficients(scenario: SensingScenario) -> tuple[float, float]:
     """(c2, c3) by central differences of the QRE evaluator, a reference route.
 
@@ -208,7 +202,10 @@ class TestTaylorCoefficients:
         "point", PINNED, ids=[f"{i:02d}-{p['kind']}" for i, p in enumerate(PINNED)]
     )
     def test_matches_pinned_high_precision_values(self, point):
-        coeffs = taylor_coefficients(_pinned_scenario(point))
+        scenario = SensingScenario(
+            point["eta_1"], point["eta_2"], point["nbar_b1"], point["nbar_b2"]
+        )
+        coeffs = taylor_coefficients(scenario)
         assert coeffs.c2 == pytest.approx(float(point["c2"]), rel=1e-12)
         assert coeffs.c3 == pytest.approx(float(point["c3"]), rel=1e-12)
 
