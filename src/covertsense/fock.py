@@ -16,13 +16,20 @@ Implementation notes:
   total photons end to end.  All evolution, partial tracing, and
   spectral work happens block by block, and the states keep their
   blocks; the full grid of a density matrix is materialised only on
-  first read of ``entries``.
+  first read of ``entries``, which no cross-check makes: the moments,
+  purity, QRE and fidelity all read the blocks.
 * Inside a block, a beam splitter on a mode pair is a direct sum of
   small pair blocks, one per photon total of the pair.  It is applied by
   gathering the rows of each pair total and multiplying by the pair
   block; the lifted matrix is never formed.  The density matrix is
   carried as a factor F with rho = F F^dag, and the partial trace is one
   product per retained photon total.
+* No circuit runs on more than three modes.  A bath that is untouched
+  after its tap is traced out as soon as the tap is done, and one that
+  is untouched before its tap enters as a block-diagonal factor, so the
+  interrogator's four-mode circuit runs as two three-mode stages.  The
+  stage before the phase does not depend on it and is built once per
+  cross-check.
 * ``cutoff`` is the per-mode Fock-space truncation (dimension
   ``cutoff + 1`` per mode).  States built by this module additionally
   carry support only on total photon number <= cutoff — the corner of
@@ -350,7 +357,8 @@ def fock_tensor(a: FockDensityMatrix, b: FockDensityMatrix) -> FockDensityMatrix
 # ---------------------------------------------------------------------------
 
 #: Memo for the index and pair-block tables of one ``oracle_cross_check``
-#: call, so its four states build each beam splitter once.  Set and reset
+#: call, so its four states build each beam splitter once, and for the
+#: phase-independent part its two interrogator states share.  Set and reset
 #: around that call only; the state builders keep their signatures and
 #: nothing outlives the call.
 _CALL_MEMO: contextvars.ContextVar[dict | None] = contextvars.ContextVar(
@@ -543,6 +551,57 @@ def oracle_willie_state(
     return reduced.finish(actual_tail)
 
 
+def _psd_factor(block: np.ndarray) -> np.ndarray:
+    """Real F with F F^T = ``block``, a real positive semidefinite matrix.
+
+    One column per positive eigenvalue; negative rounding is clipped to
+    zero, and the zero directions carry no column.
+    """
+    lam, vec = np.linalg.eigh(block)
+    keep = lam > 0.0
+    return vec[:, keep] * np.sqrt(lam[keep])
+
+
+@_call_memoised
+def _forward_factors(
+    nbar_b1: float, nbar_s: float, nbar_lo: float, eta_1: float, cutoff: int
+) -> list[list[np.ndarray]]:
+    """The part of the interrogator circuit before the phase, factored.
+
+    Three modes (forward bath, signal, reference): the source beam is split
+    against the vacuum reference, the forward tap mixes the signal with the
+    bath, and the bath, never touched again, is traced out.  What is left
+    are real two-mode blocks sigma on (signal, reference).  Entry ``[s][k]``
+    is a factor of sigma^(s)_k, the block of photon total k over the inputs
+    with n_b1 + n_source <= s (a prefix sum over the three-mode total s);
+    its rows are the block's positions, the signal count.
+    """
+    source_total = nbar_s + nbar_lo
+    split = 0.0 if source_total == 0.0 else nbar_s / source_total
+    pmf_b1 = _geometric_pmf(nbar_b1, cutoff + 1)
+    pmf_source = _geometric_pmf(source_total, cutoff + 1)
+    # Source split: reference is the eta port so the signal keeps
+    # nbar_s with a positive q-q/p-p cross-correlation.
+    prep = _BeamSplitter(3, 2, 1, split, cutoff)
+    forward = _BeamSplitter(3, 0, 1, eta_1, cutoff)
+
+    reduced = _ReducedAccumulator(cutoff)
+    factors = []
+    for total in range(cutoff + 1):
+        basis = _block_basis(3, total)
+        probs = np.where(
+            basis[:, 2] == 0, pmf_b1[basis[:, 0]] * pmf_source[basis[:, 1]], 0.0
+        )
+        factor = _diagonal_factor(probs)
+        prep.apply(total, factor)
+        forward.apply(total, factor)
+        reduced.add_traced_factor(3, total, factor, keep=(1, 2))
+        factors.append(
+            [_psd_factor(block.real) for block in reduced.blocks[: total + 1]]
+        )
+    return factors
+
+
 def oracle_alice_state(
     scenario: SensingScenario,
     probe: ProbeSettings,
@@ -550,19 +609,26 @@ def oracle_alice_state(
 ) -> FockDensityMatrix:
     """Interrogator's (returned signal, reference) state in the Fock basis.
 
-    Four-mode circuit mirroring ``build_global_cm``: thermal baths on
-    modes 1,2; one thermal beam of occupancy nbar_s + nbar_lo on mode 3
-    split against the vacuum reference mode 4 (so the signal keeps
-    nbar_s, the reference nbar_lo, with positive cross-correlation);
-    then forward tap, phase, return tap on the signal path, and the
-    baths are traced out.  Output mode order matches ``alice_cm``:
-    (signal, reference).  ``ProbeSettings`` has already refused a
-    non-finite phase and wrapped a finite one into (-pi, pi].
+    Circuit mirroring ``build_global_cm``: thermal baths on the return
+    and forward paths; one thermal beam of occupancy nbar_s + nbar_lo
+    split against a vacuum reference mode (so the signal keeps nbar_s,
+    the reference nbar_lo, with positive cross-correlation); then forward
+    tap, phase, return tap on the signal path, and the baths are traced
+    out.  Output mode order matches ``alice_cm``: (signal, reference).
+    ``ProbeSettings`` has already refused a non-finite phase and wrapped
+    a finite one into (-pi, pi].
 
-    The reference mode starts in vacuum, so the initial state is
-    supported on a thin slice of the four-mode grid; the evolution is
-    carried as an amplitude factor on that slice, which is what keeps
-    this brute-force route affordable.
+    The state is that of the four-mode circuit with the inputs truncated
+    to n_b2 + n_b1 + n_source <= cutoff, built in two stages.  The forward
+    bath is untouched after the forward tap, so ``_forward_factors`` traces
+    it out first; that part does not depend on theta and is shared by
+    the interrogator states of one cross-check.  The return bath is
+    untouched before the return tap, so the input of the return stage,
+    on (return bath, signal, reference), is block-diagonal over the bath
+    count n0 with blocks p_b2(n0) sigma^(cutoff - n0): the prefix
+    sigma^(cutoff - n0) keeps exactly the inputs the truncation keeps.
+    The phase and the return tap act on the factor of that input, and
+    the return bath is traced out.
     """
     source_total = probe.nbar_s + probe.nbar_lo
     _check_occupancies(
@@ -572,28 +638,36 @@ def oracle_alice_state(
     )
     occ = [scenario.nbar_b2, scenario.nbar_b1, source_total]
     total_cutoff, actual_tail = _select_total_cutoff(occ, cutoff)
-    pmfs = [_geometric_pmf(n, total_cutoff + 1) for n in occ]
-    split = 0.0 if source_total == 0.0 else probe.nbar_s / source_total
-    # Source split: reference is the eta port so the signal keeps
-    # nbar_s with a positive q-q/p-p cross-correlation.
-    prep = _BeamSplitter(4, 3, 2, split, total_cutoff)
-    forward = _BeamSplitter(4, 1, 2, scenario.eta_1, total_cutoff)
-    ret = _BeamSplitter(4, 0, 2, scenario.eta_2, total_cutoff)
+    sigma = _forward_factors(
+        scenario.nbar_b1, probe.nbar_s, probe.nbar_lo, scenario.eta_1, total_cutoff
+    )
+    weights = np.sqrt(_geometric_pmf(scenario.nbar_b2, total_cutoff + 1))
+    phases = np.exp(1j * probe.theta * np.arange(total_cutoff + 1))
+    ret = _BeamSplitter(3, 0, 1, scenario.eta_2, total_cutoff)
 
     reduced = _ReducedAccumulator(total_cutoff)
     for total in range(total_cutoff + 1):
-        basis = _block_basis(4, total)
-        probs = np.where(
-            basis[:, 3] == 0,
-            pmfs[0][basis[:, 0]] * pmfs[1][basis[:, 1]] * pmfs[2][basis[:, 2]],
-            0.0,
+        # In the basis of (return bath, signal, reference) the rows of one
+        # bath count n0 are contiguous and ordered by the signal count, as
+        # the rows of a reduced block are.
+        chunks = [
+            (n0, weights[n0] * sigma[total_cutoff - n0][total - n0])
+            for n0 in range(total + 1)
+            if weights[n0] > 0.0
+        ]
+        factor = np.zeros(
+            (len(_block_basis(3, total)), sum(c.shape[1] for _, c in chunks)),
+            dtype=complex,
         )
-        factor = _diagonal_factor(probs)
-        prep.apply(total, factor)
-        forward.apply(total, factor)
-        factor = np.exp(1j * probe.theta * basis[:, 2])[:, None] * factor
+        col = 0
+        for n0, chunk in chunks:
+            # Rows before bath count n0: sum of (total - j + 1) for j < n0.
+            row = n0 * (2 * total + 3 - n0) // 2
+            rows, cols = chunk.shape
+            factor[row : row + rows, col : col + cols] = phases[:rows, None] * chunk
+            col += cols
         ret.apply(total, factor)
-        reduced.add_traced_factor(4, total, factor, keep=(2, 3))
+        reduced.add_traced_factor(3, total, factor, keep=(1, 2))
 
     return reduced.finish(actual_tail)
 
@@ -646,49 +720,53 @@ class _ReducedAccumulator:
 # ---------------------------------------------------------------------------
 
 
-def _mode_expectation(rho: np.ndarray, factors: dict[int, np.ndarray]) -> float:
-    """Re tr(rho O) for O the product of per-mode ``factors``, identity elsewhere.
-
-    ``rho`` is the density matrix reshaped to its (d,)^(2 m) tensor: row
-    digits first, then column digits.  A mode without a factor is traced.
-    """
-    m = rho.ndim // 2
-    rows = [chr(ord("a") + k) for k in range(m)]
-    cols = [chr(ord("a") + m + k) if k in factors else rows[k] for k in range(m)]
-    spec = "".join(rows + cols)
-    for k in factors:
-        spec += "," + cols[k] + rows[k]
-    return float(np.einsum(spec + "->", rho, *factors.values(), optimize=True).real)
-
-
 def fock_moments(state: FockDensityMatrix) -> tuple[np.ndarray, np.ndarray]:
     """(mean vector, covariance matrix) in qqpp ordering, hbar = 1.
 
-    Expectations are normalised by the trace, so the slight
-    sub-normalisation from truncation does not bias the moments.  Operator
-    products on one mode are products of the truncated single-mode
-    matrices.
+    Read from the total-photon blocks, with no dense grid.  <a_k> and
+    <a_k a_l> change the photon total, so on a graded state they vanish:
+    the means are zero by structure, and every second moment comes from
+    <a_k^dag a_l>, which lies inside a block.  Same-mode second moments
+    keep the convention of products of the truncated single-mode
+    matrices, in which a a^dag is zero at n = cutoff.  Expectations are
+    normalised by the trace, so the slight sub-normalisation from
+    truncation does not bias the moments.  A state that is not graded by
+    total photon number is refused with ValueError.
     """
+    blocks = _graded_blocks(state)
+    if blocks is None:
+        raise ValueError("fock_moments needs a state graded by total photon number")
     m = state.modes
     d = state.cutoff + 1
-    rho = (state.entries / state.trace()).reshape((d,) * (2 * m))
-    a = np.diag(np.sqrt(np.arange(1, d, dtype=float)), k=1)
-    q = (a + a.T) / math.sqrt(2.0)
-    p = (a - a.T) / (1j * math.sqrt(2.0))
-    # Quadrature i of the qqpp vector: (mode, single-mode matrix).
-    quads = [(k, q) for k in range(m)] + [(k, p) for k in range(m)]
+    strides = d ** np.arange(m - 1, -1, -1)
+    hop = np.zeros((m, m), dtype=complex)  # <a_k^dag a_l>
+    anti_normal = np.zeros(m)  # <a_k a_k^dag>, truncated
+    for idx, block in blocks:
+        occ = idx[:, None] // strides % d
+        weights = np.diagonal(block).real
+        hop[np.diag_indices(m)] += weights @ occ
+        anti_normal += weights @ np.where(occ < d - 1, occ + 1, 0)
+        for k in range(m):
+            for l in range(k + 1, m):
+                # tr(rho a_k^dag a_l) sums rho[x, x - e_l + e_k] over x
+                # with x_l > 0, weighted by sqrt(x_l (x_k + 1)).
+                src = np.flatnonzero((occ[:, l] > 0) & (occ[:, k] < d - 1))
+                target = idx[src] - strides[l] + strides[k]
+                dst = np.minimum(np.searchsorted(idx, target), len(idx) - 1)
+                inside = idx[dst] == target
+                src, dst = src[inside], dst[inside]
+                amp = np.sqrt(occ[src, l] * (occ[src, k] + 1.0))
+                hop[k, l] += np.sum(amp * block[src, dst])
+    upper = np.triu_indices(m, 1)
+    hop[upper[::-1]] = hop[upper].conj()
+    norm = state.trace()
+    hop /= norm
+    anti_normal /= norm
 
-    mean = np.array([_mode_expectation(rho, {k: op}) for k, op in quads])
-    cov = np.zeros((2 * m, 2 * m))
-    for i, (ki, oi) in enumerate(quads):
-        for j in range(i, 2 * m):
-            kj, oj = quads[j]
-            if ki == kj:
-                factors = {ki: (oi @ oj + oj @ oi) / 2.0}
-            else:
-                factors = {ki: oi, kj: oj}
-            cov[i, j] = cov[j, i] = _mode_expectation(rho, factors) - mean[i] * mean[j]
-    return mean, cov
+    same = hop.real.copy()
+    np.fill_diagonal(same, (np.diagonal(hop).real + anti_normal) / 2.0)
+    cov = np.block([[same, hop.imag], [hop.imag.T, same]])
+    return np.zeros(2 * m), cov
 
 
 def fock_purity(state: FockDensityMatrix) -> float:
@@ -842,6 +920,8 @@ def oracle_cross_check(
         nbar_s=nbar_s,
         nbar_lo=nbar_lo,
     )
+    # The interrogator's source carries both; refuse it before any state.
+    _check_occupancies(**{"nbar_s + nbar_lo": nbar_s + nbar_lo})
     if not math.isfinite(theta):
         raise ValueError(f"theta must be finite, got {theta}")
     theta = wrap_angle(theta)
@@ -854,8 +934,9 @@ def oracle_cross_check(
 
     probe_a = ProbeSettings(nbar_s=nbar_s, nbar_lo=nbar_lo, theta=theta)
     probe_b = ProbeSettings(nbar_s=nbar_s, nbar_lo=nbar_lo, theta=theta + 0.1)
-    # The two adversary states share their beam splitters, and so do the
-    # two interrogator states (theta only enters the phase diagonal).
+    # The two adversary states share their beam splitters; the two
+    # interrogator states share their return splitter and everything
+    # before the phase (theta only enters the phase diagonal).
     memo = _CALL_MEMO.set({})
     try:
         w_off = oracle_willie_state(scenario, 0.0, theta, shared)

@@ -23,8 +23,11 @@ from covertsense.fock import (
     _BeamSplitter,
     _ReducedAccumulator,
     _block_basis,
+    _diagonal_factor,
+    _geometric_pmf,
     _graded_blocks,
     _pair_blocks,
+    _select_total_cutoff,
     fock_moments,
     fock_purity,
     fock_tensor,
@@ -309,6 +312,86 @@ class TestOracleAliceState:
             oracle_alice_state(SMALL, ProbeSettings(0.05, 0.25, math.nan))
 
 
+def four_mode_alice_state(scenario, probe, cutoff=None):
+    """Reference interrogator state from the whole four-mode circuit.
+
+    The route the oracle used before it split the circuit into two
+    three-mode stages: modes (return bath, forward bath, signal,
+    reference), the input diagonal on the slice with a vacuum reference,
+    the source split, forward tap, phase and return tap applied to the
+    amplitude factor of each four-mode photon total, and both baths
+    traced out together.
+    """
+    source_total = probe.nbar_s + probe.nbar_lo
+    occ = [scenario.nbar_b2, scenario.nbar_b1, source_total]
+    total_cutoff, actual_tail = _select_total_cutoff(occ, cutoff)
+    pmfs = [_geometric_pmf(n, total_cutoff + 1) for n in occ]
+    split = 0.0 if source_total == 0.0 else probe.nbar_s / source_total
+    prep = _BeamSplitter(4, 3, 2, split, total_cutoff)
+    forward = _BeamSplitter(4, 1, 2, scenario.eta_1, total_cutoff)
+    ret = _BeamSplitter(4, 0, 2, scenario.eta_2, total_cutoff)
+
+    reduced = _ReducedAccumulator(total_cutoff)
+    for total in range(total_cutoff + 1):
+        basis = _block_basis(4, total)
+        probs = np.where(
+            basis[:, 3] == 0,
+            pmfs[0][basis[:, 0]] * pmfs[1][basis[:, 1]] * pmfs[2][basis[:, 2]],
+            0.0,
+        )
+        factor = _diagonal_factor(probs)
+        prep.apply(total, factor)
+        forward.apply(total, factor)
+        factor = np.exp(1j * probe.theta * basis[:, 2])[:, None] * factor
+        ret.apply(total, factor)
+        reduced.add_traced_factor(4, total, factor, keep=(2, 3))
+    return reduced.finish(actual_tail)
+
+
+class TestAliceStateAgainstFourModeRoute:
+    # (eta_1, eta_2, nbar_b1, nbar_b2, nbar_s, nbar_lo, theta, cutoff)
+    BOX = [
+        (0.32, 0.68, 0.08, 0.25, 0.023, 0.14, -0.29, None),  # cutoff 15
+        (0.45, 0.82, 0.15, 0.18, 0.095, 0.21, -2.82, None),  # cutoff 16
+        (0.93, 0.44, 0.22, 0.29, 0.043, 0.21, -0.67, None),  # cutoff 17
+        (0.34, 0.38, 0.14, 0.32, 0.086, 0.2, 2.04, None),  # cutoff 18
+        (0.38, 0.93, 0.3, 0.32, 0.075, 0.28, -2.77, None),  # cutoff 19
+        (0.9, 0.53, 0.46, 0.08, 0.04, 0.26, 1.45, None),  # cutoff 21
+        (0.87, 0.55, 0.07, 0.53, 0.087, 0.28, 1.0, None),  # cutoff 22
+        (0.85, 0.63, 0.56, 0.36, 0.099, 0.22, 2.1, None),  # cutoff 24
+        (0.73, 0.69, 0.61, 0.38, 0.079, 0.08, -2.64, None),  # cutoff 25
+        (0.48, 0.78, 0.2, 0.7, 0.077, 0.28, 0.71, None),  # cutoff 27
+    ]
+    EDGES = {
+        "no-reference": (0.5, 0.5, 0.3, 0.2, 0.05, 0.0, 0.3, None),
+        "tiny-signal": (0.5, 0.5, 0.3, 0.2, 1e-9, 0.2, 0.3, None),
+        "unit-taps": (1.0, 1.0, 0.3, 0.2, 0.05, 0.2, 0.3, None),
+        "vacuum-return-bath": (0.6, 0.7, 0.3, 0.0, 0.05, 0.2, 0.3, None),
+        "vacuum-forward-bath": (0.6, 0.7, 0.0, 0.3, 0.05, 0.2, 0.3, None),
+        "vacuum-baths": (0.6, 0.7, 0.0, 0.0, 0.05, 0.2, 0.3, None),
+        "explicit-cutoff": (0.6, 0.7, 0.1, 0.2, 0.05, 0.2, 0.3, 30),
+    }
+
+    @pytest.mark.parametrize(
+        "point",
+        BOX + list(EDGES.values()),
+        ids=[f"box-{k}" for k in range(len(BOX))] + list(EDGES),
+    )
+    def test_blocks_match(self, point):
+        *params, cutoff = point
+        scenario = SensingScenario(*params[:4])
+        probe = ProbeSettings(*params[4:])
+        state = oracle_alice_state(scenario, probe, cutoff)
+        want = four_mode_alice_state(scenario, probe, cutoff)
+        assert state.cutoff == want.cutoff
+        assert state.tail_bound == want.tail_bound
+        got, ref = _graded_blocks(state), _graded_blocks(want)
+        assert len(got) == len(ref)
+        for (idx, block), (want_idx, want_block) in zip(got, ref):
+            assert np.array_equal(idx, want_idx)
+            assert np.abs(block - want_block).max() <= 1e-14
+
+
 def sparse_kron_moments(state):
     """Reference (mean, CM) from full-grid sparse ladder operators.
 
@@ -345,6 +428,35 @@ def sparse_kron_moments(state):
 
 
 class TestMomentsAgainstSparseKron:
+    def test_ungraded_state_refused(self):
+        # |0><1| + |1><0| couples photon totals 0 and 1.
+        entries = np.array([[0.5, 0.25], [0.25, 0.5]], dtype=complex)
+        state = FockDensityMatrix(modes=1, cutoff=1, entries=entries, tail_bound=0.0)
+        with pytest.raises(ValueError, match="graded"):
+            fock_moments(state)
+
+    def test_dense_multimode_state_matches_reference_route(self):
+        # A graded three-mode state whose totals run past the cutoff, so
+        # the truncated same-mode convention and every mode pair are read.
+        rng = np.random.default_rng(7)
+        cutoff = 3
+        dim = (cutoff + 1) ** 3
+        grades = np.indices((cutoff + 1,) * 3).sum(axis=0).ravel()
+        entries = np.zeros((dim, dim), dtype=complex)
+        for grade in range(3 * cutoff + 1):
+            idx = np.flatnonzero(grades == grade)
+            amp = rng.normal(size=(len(idx), 2)) + 1j * rng.normal(size=(len(idx), 2))
+            entries[np.ix_(idx, idx)] = amp @ amp.conj().T
+        entries /= np.trace(entries).real
+        state = FockDensityMatrix(
+            modes=3, cutoff=cutoff, entries=entries, tail_bound=0.0
+        )
+        mean, cov = fock_moments(state)
+        want_mean, want_cov = sparse_kron_moments(state)
+        assert np.array_equal(mean, np.zeros(6))
+        assert np.abs(want_mean).max() <= 1e-15
+        assert np.abs(cov - want_cov).max() <= 1e-13
+
     SCENARIO = SensingScenario(0.7, 0.6, 0.02, 0.03)
 
     @pytest.mark.parametrize(
@@ -461,19 +573,22 @@ class TestDenseGridBuiltOnRead:
         monkeypatch.setattr(FockDensityMatrix, "_assemble", counting)
         return built
 
-    def test_cross_check_builds_grids_only_for_moments(self, assembled, monkeypatch):
-        read = []
-        moments = fock.fock_moments
+    def test_cross_check_builds_no_grid_and_one_forward_part(
+        self, assembled, monkeypatch
+    ):
+        parts = []
+        forward_factors = fock._forward_factors
 
-        def recording(state):
-            read.append(state)
-            return moments(state)
+        def recording(*args):
+            parts.append(forward_factors(*args))
+            return parts[-1]
 
-        monkeypatch.setattr(fock, "fock_moments", recording)
+        monkeypatch.setattr(fock, "_forward_factors", recording)
         oracle_cross_check(SMALL, 0.05, 0.25, 0.3)
-        assert len(read) == 2
-        assert len(assembled) <= 2
-        assert all(any(state is r for r in read) for state in assembled)
+        assert assembled == []
+        # Both interrogator states get the one memoised build.
+        assert len(parts) == 2
+        assert parts[0] is parts[1]
 
     def test_cutoff_mismatch_refused_without_grid(self, assembled):
         a = oracle_willie_state(SMALL, 0.05, cutoff=16)
@@ -500,6 +615,19 @@ class TestCrossCheckReport:
         assert MAX_OCCUPANCY == 2.0
         with pytest.raises(ValueError):
             oracle_cross_check(SMALL, 0.05, 2.5, 0.3)
+
+    def test_source_total_refused_before_any_state(self, monkeypatch):
+        built = []
+
+        def recording(*args, **kwargs):
+            built.append(args)
+            raise AssertionError("a state was built")
+
+        monkeypatch.setattr(fock, "oracle_willie_state", recording)
+        monkeypatch.setattr(fock, "oracle_alice_state", recording)
+        with pytest.raises(ValueError, match=r"nbar_s \+ nbar_lo = 2\.2 exceeds 2"):
+            oracle_cross_check(SensingScenario(0.5, 0.5, 0.01, 0.01), 1.2, 1.0, 0.3)
+        assert built == []
 
     @pytest.mark.parametrize("name,args", [
         ("nbar_s", (math.nan, 0.25, 0.3)),
