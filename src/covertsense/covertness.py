@@ -57,10 +57,9 @@ from .errors import (
 from .scenario import SensingScenario, _willie_params, check_positive
 
 if TYPE_CHECKING:
-    from .gaussian import CovarianceMatrix, SymplecticSpectrum
+    from .gaussian import CovarianceMatrix
 
 __all__ = [
-    "QreBreakdown",
     "TaylorCoefficients",
     "CovertBudget",
     "qre_gaussian",
@@ -78,17 +77,6 @@ _PURE_TOL = 1e-12
 #: A c2 at or below this is the noise floor: the adversary state does not
 #: respond to the probe.
 _C2_FLOOR = 1e-12
-
-
-@dataclass(frozen=True)
-class QreBreakdown:
-    """QRE value (nats) with the Sigma terms and symplectic data behind it."""
-
-    nats: float
-    sigma_00: float
-    sigma_01: float
-    spectrum_0: SymplecticSpectrum
-    spectrum_1: SymplecticSpectrum
 
 
 @dataclass(frozen=True)
@@ -134,11 +122,14 @@ def _sigma_terms(u: float, d: float) -> float:
     )
 
 
-def qre_gaussian(cm_0: CovarianceMatrix, cm_1: CovarianceMatrix) -> QreBreakdown:
-    """Quantum relative entropy D(rho_0 || rho_1) of zero-mean Gaussian states.
+def qre_gaussian(cm_0: CovarianceMatrix, cm_1: CovarianceMatrix) -> float:
+    """Quantum relative entropy D(rho_0 || rho_1) in nats of zero-mean Gaussian states.
 
-    Direct route: Williamson data of both states, then the Sigma functional.
-    Raises :class:`InfiniteQreError` when rho_0's support leaks out of a pure
+    Direct route: the numerical Williamson data of both states (the one
+    construction in :mod:`covertsense.gaussian`, which shares no algebra
+    with the closed forms), then the Sigma functional.  Raises
+    :class:`PhysicalityError` for an unphysical state, and
+    :class:`InfiniteQreError` when rho_0's support leaks out of a pure
     normal mode of rho_1.  For weak perturbations of the adversary state
     prefer :func:`willie_qre`, which evaluates the same quantity without
     cancellation.
@@ -157,13 +148,7 @@ def qre_gaussian(cm_0: CovarianceMatrix, cm_1: CovarianceMatrix) -> QreBreakdown
     sigma_01 = sum(
         _sigma_terms(u, d) for u, d in zip(sp1.eigenvalues, sp1.relative_diagonal)
     )
-    return QreBreakdown(
-        nats=sigma_01 - sigma_00,
-        sigma_00=sigma_00,
-        sigma_01=sigma_01,
-        spectrum_0=sp0,
-        spectrum_1=sp1,
-    )
+    return sigma_01 - sigma_00
 
 
 def _willie_normal_deltas(

@@ -9,20 +9,11 @@ Conventions used throughout this package:
   matrix S is symplectic when S Omega S^T = Omega.
 * All states are zero-mean; first moments are never tracked.
 
-A CM V is physical iff V + i*Omega/2 >= 0, equivalently iff all symplectic
-eigenvalues are >= 1/2.  Symplectic eigenvalues u_k are the moduli of the
-eigenvalues of i*Omega*V and come in degenerate pairs.
-
-Two-mode CMs produced by a phase-rotated sensing interaction have the form
-
-    [[ v11, -v12*cos(t),  0,          v12*sin(t)],
-     [-v12*cos(t),  v22, -v12*sin(t), 0         ],
-     [ 0,  -v12*sin(t),  v11,        -v12*cos(t)],
-     [ v12*sin(t), 0,   -v12*cos(t),  v22       ]]
-
-for which the normal form is available in closed form; ``symplectic_spectrum``
-detects that structure and uses it, falling back to a general Williamson
-construction otherwise.
+A CM V is physical iff V + i*Omega/2 >= 0, equivalently iff V is positive
+definite and all its symplectic eigenvalues are >= 1/2.  The
+symplectic eigenvalues u_k come from one Williamson construction, the
+Hermitian eigendecomposition in ``_generic_normal_form``, which every
+spectrum, physicality check and normal form in this module reads.
 """
 
 from __future__ import annotations
@@ -61,12 +52,6 @@ _SYMMETRY_TOL = 1e-12
 #: A CM is physical when every symplectic eigenvalue is >= 1/2 - this.
 _PHYSICAL_ATOL = 1e-10
 
-#: Relative mismatch allowed inside a pair of symplectic eigenvalue moduli.
-_PAIR_TOL = 1e-8
-
-#: Relative tolerance for detecting the structured two-mode sensing form.
-_STRUCTURE_TOL = 1e-10
-
 #: Relative residual allowed in the normal-form self-check.
 _CHECK_TOL = 1e-8
 
@@ -83,7 +68,8 @@ class CovarianceMatrix:
     """A validated, symmetrised N-mode covariance matrix (qqpp, hbar = 1).
 
     Construction symmetrises the input as (V + V^T)/2 and rejects inputs
-    whose asymmetry exceeds 1e-12 relative to the largest entry.
+    with non-finite entries or whose asymmetry exceeds 1e-12 relative to the
+    largest entry.
     """
 
     matrix: np.ndarray
@@ -94,6 +80,8 @@ class CovarianceMatrix:
         arr = np.asarray(array, dtype=float)
         if arr.ndim != 2 or arr.shape[0] != arr.shape[1] or arr.shape[0] % 2:
             raise ValueError(f"covariance matrix must be 2N x 2N, got {arr.shape}")
+        if not np.isfinite(arr).all():
+            raise ValueError("covariance matrix has non-finite (NaN or inf) entries")
         scale = max(1.0, float(np.abs(arr).max()))
         asym = float(np.abs(arr - arr.T).max())
         if asym > 2.0 * _SYMMETRY_TOL * scale:
@@ -105,25 +93,25 @@ class CovarianceMatrix:
         sym.flags.writeable = False
         return cls(matrix=sym, num_modes=arr.shape[0] // 2)
 
-    def symplectic_eigenvalues(self) -> np.ndarray:
-        """Symplectic eigenvalues, one per mode, descending."""
-        return symplectic_eigenvalues(self)
-
     def is_physical(self) -> bool:
-        """True when every symplectic eigenvalue is >= 1/2 - 1e-10."""
+        """True when :meth:`require_physical` passes.
+
+        That is, V is positive definite and every symplectic eigenvalue is
+        >= 1/2 - 1e-10.
+        """
         try:
-            nu = self.symplectic_eigenvalues()
-        except NumericalInstabilityError:
+            self.require_physical()
+        except (PhysicalityError, NumericalInstabilityError):
             return False
-        return bool(nu.min() >= 0.5 - _PHYSICAL_ATOL)
+        return True
 
     def require_physical(self) -> "CovarianceMatrix":
         """Return self, raising :class:`PhysicalityError` if unphysical."""
-        if not self.is_physical():
+        nu_min = symplectic_eigenvalues(self).min()
+        if nu_min < 0.5 - _PHYSICAL_ATOL:
             raise PhysicalityError(
                 f"covariance matrix is unphysical: min symplectic eigenvalue "
-                f"{self.symplectic_eigenvalues().min():.6e} < 1/2 - "
-                f"{_PHYSICAL_ATOL:g}"
+                f"{nu_min:.6e} < 1/2 - {_PHYSICAL_ATOL:g}"
             )
         return self
 
@@ -276,27 +264,6 @@ def apply_thermal_channel(
     return CovarianceMatrix.from_array(v)
 
 
-def symplectic_eigenvalues(cm: CovarianceMatrix) -> np.ndarray:
-    """Symplectic eigenvalues of a CM, descending, one per mode.
-
-    Computed as the moduli of the eigenvalues of i*Omega*V, which come in
-    degenerate pairs; a pairing mismatch beyond 1e-8 (relative) raises
-    :class:`NumericalInstabilityError`.
-    """
-    v = cm.matrix
-    omega = symplectic_form(cm.num_modes)
-    ev = np.linalg.eigvals(1j * omega @ v)
-    mods = np.sort(np.abs(ev))[::-1]
-    hi, lo = mods[0::2], mods[1::2]
-    scale = max(mods[0], 1.0)
-    if np.abs(hi - lo).max() > _PAIR_TOL * scale:
-        raise NumericalInstabilityError(
-            "symplectic eigenvalues failed to pair within tolerance: "
-            f"{mods!r}"
-        )
-    return (hi + lo) / 2.0
-
-
 @dataclass(frozen=True)
 class SymplecticSpectrum:
     """Normal-form data of a covariance matrix V1.
@@ -308,10 +275,6 @@ class SymplecticSpectrum:
     eigenvector_matrix:
         Symplectic M with M Omega M^T = Omega and
         M V1 M^T = diag(u_1..u_N, u_1..u_N).
-    mixing:
-        For the structured two-mode sensing family, the closed-form mixing
-        parameter tau in [0, 1] of the diagonalising rotation; None when the
-        general-purpose path was used.
     relative_diagonal:
         When a reference CM V0 was supplied: d_k, the per-mode second moments
         of the reference state expressed in V1's normal modes, i.e. the
@@ -321,81 +284,11 @@ class SymplecticSpectrum:
 
     eigenvalues: np.ndarray
     eigenvector_matrix: np.ndarray
-    mixing: float | None
     relative_diagonal: np.ndarray | None
 
 
-def _rotation_pair(num_modes: int, phis: Sequence[float]) -> np.ndarray:
-    """Phase rotation of every mode k by phis[k] (qqpp ordering)."""
-    c = np.cos(phis)
-    s = np.sin(phis)
-    top = np.block([[np.diag(c), -np.diag(s)]])
-    bot = np.block([[np.diag(s), np.diag(c)]])
-    return np.vstack([top, bot])
-
-
-def _sensing_pattern_params(v: np.ndarray) -> tuple[float, float, float, float] | None:
-    """Detect the structured sensing form; return (v11, v22, v12, theta) or None.
-
-    The returned v12 is gauge-normalised to be >= 0 (the (v12, theta) and
-    (-v12, theta + pi) parameterisations describe the same matrix).
-    """
-    if v.shape != (4, 4):
-        return None
-    scale = max(1.0, float(np.abs(v).max()))
-    checks = (
-        abs(v[0, 2]),
-        abs(v[1, 3]),
-        abs(v[0, 0] - v[2, 2]),
-        abs(v[1, 1] - v[3, 3]),
-        abs(v[0, 1] - v[2, 3]),
-        abs(v[0, 3] + v[1, 2]),
-    )
-    if max(checks) > _STRUCTURE_TOL * scale:
-        return None
-    v11 = (v[0, 0] + v[2, 2]) / 2.0
-    v22 = (v[1, 1] + v[3, 3]) / 2.0
-    cos_part = -(v[0, 1] + v[2, 3]) / 2.0
-    sin_part = (v[0, 3] - v[1, 2]) / 2.0
-    v12 = math.hypot(cos_part, sin_part)
-    theta = math.atan2(sin_part, cos_part) if v12 > 0.0 else 0.0
-    return v11, v22, v12, theta
-
-
-def _structured_normal_form(
-    v11: float, v22: float, v12: float, theta: float, *, deg_tol: float = 1e-12
-) -> tuple[np.ndarray, np.ndarray, float]:
-    """Closed-form normal form of the structured two-mode family.
-
-    Returns (u, M, tau) with u descending.  For rho = hypot(2*v12, v11-v22):
-    u_{1,2} = (v11 + v22 +- rho)/2,   tau = 1/2 + (v11 - v22)/(2 rho),
-    and M = diag(g, g) @ R(-theta/2, +theta/2) where the symmetric orthogonal
-    g = [[-sqrt(tau), sqrt(1-tau)], [sqrt(1-tau), sqrt(tau)]] diagonalises the
-    rotated 2x2 block (valid for the v12 >= 0 gauge).
-    """
-    dw = v11 - v22
-    rho = math.hypot(2.0 * v12, dw)
-    scale = max(abs(v11), abs(v22), 1.0)
-    if rho <= deg_tol * scale:
-        # Fully degenerate: any rotation diagonalises; fix the gauge.
-        u = np.array([(v11 + v22) / 2.0] * 2)
-        m = _rotation_pair(2, [theta / 2.0 + math.pi, -theta / 2.0])
-        return u, m, 0.5
-    u1 = (v11 + v22 + rho) / 2.0
-    u2 = (v11 + v22 - rho) / 2.0
-    tau = 0.5 + dw / (2.0 * rho)
-    tau = min(1.0, max(0.0, tau))
-    st, ct = math.sqrt(tau), math.sqrt(1.0 - tau)
-    g = np.array([[-st, ct], [ct, st]])
-    gg = np.zeros((4, 4))
-    gg[:2, :2] = g
-    gg[2:, 2:] = g
-    m = gg @ _rotation_pair(2, [-theta / 2.0, theta / 2.0])
-    return np.array([u1, u2]), m, tau
-
-
 def _generic_normal_form(v: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Williamson normal form of an arbitrary physical CM (qqpp).
+    """Williamson normal form of a positive-definite CM (qqpp).
 
     Returns (u, M) with u descending and M V M^T = diag(u, u),
     M Omega M^T = Omega.  Uses the Hermitian eigendecomposition of i*A for
@@ -408,6 +301,9 @@ def _generic_normal_form(v: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """
     n2 = v.shape[0]
     n = n2 // 2
+    if not np.isfinite(v).all():
+        # Finite inputs whose symmetrisation overflowed.
+        raise PhysicalityError("covariance matrix has non-finite entries")
     w, q = np.linalg.eigh(v)
     if w.min() <= 0.0:
         raise PhysicalityError(
@@ -440,26 +336,30 @@ def _generic_normal_form(v: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     return u, m
 
 
+def symplectic_eigenvalues(cm: CovarianceMatrix) -> np.ndarray:
+    """Symplectic eigenvalues of a CM, descending, one per mode.
+
+    Read from the Williamson construction of :func:`symplectic_spectrum`
+    without its self-check.  Raises :class:`PhysicalityError` when V is not
+    positive definite.
+    """
+    return _generic_normal_form(cm.matrix)[0]
+
+
 def symplectic_spectrum(
     cm: CovarianceMatrix, reference: CovarianceMatrix | None = None
 ) -> SymplecticSpectrum:
     """Normal form of ``cm``, optionally with a reference state's moments.
 
-    Uses the closed-form construction when ``cm`` is a structured two-mode
-    sensing CM (detected at 1e-10 relative), the general Williamson
-    construction otherwise.  The result is self-checked: M must be symplectic
-    and M V M^T diagonal to 1e-8 (relative), else
-    :class:`NumericalInstabilityError` is raised.
+    Uses the Williamson construction of ``_generic_normal_form`` for every
+    CM, sensing-form ones included.  The result is self-checked: M must be
+    symplectic and M V M^T diagonal to 1e-8 (relative), else
+    :class:`NumericalInstabilityError` is raised.  A CM that is not positive
+    definite raises :class:`PhysicalityError`.
     """
     v = cm.matrix
     n = cm.num_modes
-    params = _sensing_pattern_params(v)
-    if params is not None:
-        u, m, tau = _structured_normal_form(*params)
-        mixing: float | None = tau
-    else:
-        u, m = _generic_normal_form(v)
-        mixing = None
+    u, m = _generic_normal_form(v)
 
     omega = symplectic_form(n)
     sym_err = float(np.abs(m @ omega @ m.T - omega).max())
@@ -480,5 +380,5 @@ def symplectic_spectrum(
         full = np.diag(m @ reference.matrix @ m.T)
         rel = (full[:n] + full[n:]) / 2.0
     return SymplecticSpectrum(
-        eigenvalues=u, eigenvector_matrix=m, mixing=mixing, relative_diagonal=rel
+        eigenvalues=u, eigenvector_matrix=m, relative_diagonal=rel
     )

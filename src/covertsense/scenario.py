@@ -141,7 +141,16 @@ class ProbeSettings:
 def _sensing_pattern(
     v11: float, v22: float, v12: float, theta: float
 ) -> list[list[float]]:
-    """Entries of the phase-rotated two-mode sensing form (see gaussian module).
+    """Entries of the phase-rotated two-mode sensing form.
+
+    Both hypothesis states of the adversary and the interrogator's state
+    have this form (qqpp ordering, see the :mod:`covertsense.gaussian`
+    conventions):
+
+        [[ v11, -v12*cos(t),  0,          v12*sin(t)],
+         [-v12*cos(t),  v22, -v12*sin(t), 0         ],
+         [ 0,  -v12*sin(t),  v11,        -v12*cos(t)],
+         [ v12*sin(t), 0,   -v12*cos(t),  v22       ]]
 
     Symmetrised as (V + V^T)/2 exactly as ``CovarianceMatrix.from_array``
     does it, so these are the floats of the CM, signed zeros included, and

@@ -253,7 +253,7 @@ class TestOracleQre:
         d_fock = oracle_qre(off, on)
         d_gauss = qre_gaussian(
             willie_cm(SMALL, 0.0, 0.0), willie_cm(SMALL, 0.08, 0.0)
-        ).nats
+        )
         assert abs(d_fock - d_gauss) <= 1e-4
 
 

@@ -10,7 +10,9 @@ import scipy.linalg
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from covertsense.covertness import qre_gaussian
 from covertsense.errors import PhysicalityError
+from covertsense.estimation import gaussian_fidelity
 from covertsense.gaussian import (
     CovarianceMatrix,
     _generic_normal_form,
@@ -29,6 +31,7 @@ from covertsense.gaussian import (
     thermal_cm,
     vacuum_cm,
 )
+from covertsense.scenario import ProbeSettings, SensingScenario, alice_cm, willie_cm
 
 occupancy = st.floats(0.0, 50.0, allow_nan=False, allow_infinity=False)
 transmissivity = st.floats(0.0, 1.0, allow_nan=False, allow_infinity=False)
@@ -65,7 +68,7 @@ class TestConstructors:
         assert np.array_equal(cm.matrix, np.diag([0.5, 2.0, 2.5, 0.5, 2.0, 2.5]))
 
     def test_thermal_symplectic_eigenvalues(self):
-        nu = thermal_cm([0.3, 2.0]).symplectic_eigenvalues()
+        nu = symplectic_eigenvalues(thermal_cm([0.3, 2.0]))
         np.testing.assert_allclose(nu, [2.5, 0.8], rtol=1e-12)
 
     def test_rejects_odd_dimension(self):
@@ -81,6 +84,31 @@ class TestConstructors:
     def test_negative_occupancy_rejected(self):
         with pytest.raises(ValueError):
             thermal_cm([-0.1])
+
+    @pytest.mark.parametrize(
+        "entries",
+        [[[math.inf, 0.0], [0.0, 1.0]], [[1.0, math.nan], [math.nan, 1.0]]],
+        ids=["inf", "nan"],
+    )
+    def test_rejects_non_finite_entries(self, entries):
+        with pytest.raises(ValueError, match="non-finite"):
+            CovarianceMatrix.from_array(np.array(entries))
+
+    def test_overflowed_symmetrisation_builds_but_is_unphysical(self):
+        m = np.diag([1.7e308, 1.0, 1.7e308, 1.0])
+        m[0, 1] = m[1, 0] = 1.7e308
+        with np.errstate(over="ignore"):
+            cm = CovarianceMatrix.from_array(m)
+        assert np.isinf(cm.matrix[0, 0])
+        assert not cm.is_physical()
+        with pytest.raises(PhysicalityError, match="non-finite"):
+            cm.require_physical()
+
+    def test_non_finite_occupancies_rejected(self):
+        with pytest.raises(ValueError, match="non-finite"):
+            thermal_cm([math.nan])
+        with pytest.raises(ValueError, match="non-finite"):
+            ase_two_mode_cm(math.nan, 1.0)
 
     def test_matrix_is_read_only(self):
         cm = vacuum_cm(1)
@@ -161,7 +189,7 @@ class TestSymplectics:
         s = beam_splitter_symplectic(2, 0, 1, eta) @ phase_symplectic(2, 0, theta)
         out = apply_symplectic(cm, s)
         np.testing.assert_allclose(
-            out.symplectic_eigenvalues(), [2.2, 0.7], rtol=1e-10
+            symplectic_eigenvalues(out), [2.2, 0.7], rtol=1e-10
         )
 
 
@@ -216,6 +244,24 @@ class TestPhysicality:
         with pytest.raises(PhysicalityError):
             bad.require_physical()
 
+    @pytest.mark.parametrize(
+        "diagonal",
+        [[-1.0, -1.0], [3.0, -1.0], [-0.6] * 4, [3.0, 0.5, -1.0, 0.5]],
+        ids=["minus-identity", "indefinite-mode", "minus-two-mode", "one-negative"],
+    )
+    def test_indefinite_cms_rejected(self, diagonal):
+        # An indefinite V can have symplectic eigenvalue moduli >= 1/2
+        # (-I gives 1, diag(3, -1) gives sqrt 3); it is still unphysical.
+        bad = CovarianceMatrix.from_array(np.diag(diagonal))
+        assert not bad.is_physical()
+        with pytest.raises(PhysicalityError, match="not positive definite"):
+            bad.require_physical()
+        if bad.num_modes == 2:
+            with pytest.raises(PhysicalityError, match="not positive definite"):
+                qre_gaussian(vacuum_cm(2), bad)
+            with pytest.raises(PhysicalityError, match="not positive definite"):
+                gaussian_fidelity(bad, vacuum_cm(2))
+
     @given(occ=st.lists(occupancy, min_size=1, max_size=4))
     def test_thermal_states_physical(self, occ):
         assert thermal_cm(occ).is_physical()
@@ -237,7 +283,7 @@ class TestNormalForm:
 
     def test_structured_family_closed_form(self):
         # The sensing pattern with v12 cross blocks: closed-form eigenvalues
-        # (v11 + v22 +- rho)/2 and mixing 1/2 + (v11 - v22)/(2 rho).
+        # (v11 + v22 +- rho)/2.
         v11, v22, v12, theta = 1.35, 0.95, 0.4, 0.6
         c, s = math.cos(theta), math.sin(theta)
         v = np.array(
@@ -252,18 +298,12 @@ class TestNormalForm:
         rho = math.hypot(2 * v12, v11 - v22)
         want = [(v11 + v22 + rho) / 2, (v11 + v22 - rho) / 2]
         np.testing.assert_allclose(spec.eigenvalues, want, rtol=1e-12)
-        assert spec.mixing == pytest.approx(0.5 + (v11 - v22) / (2 * rho), rel=1e-12)
         m = spec.eigenvector_matrix
         np.testing.assert_allclose(
             m @ v @ m.T,
             np.diag(np.concatenate([spec.eigenvalues, spec.eigenvalues])),
             atol=1e-12,
         )
-
-    def test_generic_path_has_no_mixing(self):
-        rng = np.random.default_rng(3)
-        cm, _ = random_two_mode_physical_cm(rng)
-        assert symplectic_spectrum(cm).mixing is None
 
     def test_relative_diagonal_of_self(self):
         rng = np.random.default_rng(11)
@@ -330,6 +370,27 @@ _MIXED_DEGENERATE = apply_phase(
     0.9,
 )
 
+_EQUAL_BATH = SensingScenario(math.sqrt(0.6), math.sqrt(0.6), 0.01, 0.01)
+_SENSING = SensingScenario(0.7, 0.4, 0.3, 1.2)
+
+#: Sensing-form CMs, which every adversary and interrogator state is.
+SENSING_CMS = {
+    **{
+        f"{name}-theta{theta:+.2f}": cm
+        for theta in (0.0, math.pi / 2, math.pi, -2.1)
+        for name, cm in (
+            ("willie", willie_cm(_SENSING, 0.05, theta)),
+            ("alice", alice_cm(_SENSING, ProbeSettings(0.05, 0.2, theta))),
+        )
+    },
+    # eta_1 = 1 leaves no forward tap: the cross blocks vanish (v12 = 0).
+    "willie-v12-zero": willie_cm(SensingScenario(1.0, 0.4, 0.3, 1.2), 0.05, 0.7),
+    # An equal bath below nbar_s: the principal axes swap between the two
+    # hypothesis states.
+    "equal-bath-off": willie_cm(_EQUAL_BATH, 0.0, 0.0),
+    "equal-bath-swapped": willie_cm(_EQUAL_BATH, 0.1, 0.0),
+}
+
 DEGENERATE_CMS = {
     "vacuum-vacuum": tensor(vacuum_cm(1), vacuum_cm(1)),
     "equal-thermal-2": thermal_cm([0.8, 0.8]),
@@ -364,6 +425,10 @@ class TestEighNormalForm:
     @pytest.mark.parametrize("name", DEGENERATE_CMS)
     def test_degenerate_spectra(self, name):
         self._check(DEGENERATE_CMS[name])
+
+    @pytest.mark.parametrize("name", SENSING_CMS)
+    def test_sensing_form_cms(self, name):
+        self._check(SENSING_CMS[name])
 
 
 class TestTensorReduce:

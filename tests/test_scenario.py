@@ -18,6 +18,7 @@ from covertsense.gaussian import (
     apply_thermal_channel,
     ase_two_mode_cm,
     reduced,
+    symplectic_eigenvalues,
     tensor,
     thermal_cm,
 )
@@ -151,8 +152,8 @@ class TestClosedFormStates:
         base = willie_cm(scenario, 0.08, 0.0)
         rotated = willie_cm(scenario, 0.08, 1.1)
         np.testing.assert_allclose(
-            rotated.symplectic_eigenvalues(),
-            base.symplectic_eigenvalues(),
+            symplectic_eigenvalues(rotated),
+            symplectic_eigenvalues(base),
             rtol=1e-12,
         )
 
