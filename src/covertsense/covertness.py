@@ -134,14 +134,16 @@ def qre_gaussian(cm_0: CovarianceMatrix, cm_1: CovarianceMatrix) -> float:
     prefer :func:`willie_qre`, which evaluates the same quantity without
     cancellation.
     """
-    from .gaussian import symplectic_spectrum
+    from .gaussian import _require_physical_eigenvalues, symplectic_spectrum
 
     if cm_0.num_modes != cm_1.num_modes:
         raise ValueError("states must have the same number of modes")
-    cm_0.require_physical()
-    cm_1.require_physical()
+    # Physicality is read off the spectra built here anyway, so each state
+    # gets one Williamson form.
     sp0 = symplectic_spectrum(cm_0, reference=cm_0)
+    _require_physical_eigenvalues(sp0.eigenvalues)
     sp1 = symplectic_spectrum(cm_1, reference=cm_0)
+    _require_physical_eigenvalues(sp1.eigenvalues)
     sigma_00 = sum(
         _sigma_terms(u, d) for u, d in zip(sp0.eigenvalues, sp0.relative_diagonal)
     )

@@ -16,9 +16,8 @@ Contents:
   coefficient ``c_ase`` of the thermal probe, the heterodyne coefficient
   ``c_het_tilde``, and the coherent-probe baseline pair
   ``(c_het, c_coh)``.
-* Normalized heterodyne statistics in the bright-reference limit, a
-  finite-reference validation path, and a Monte-Carlo simulation of the
-  two-quadrature arctangent estimator.
+* Normalized heterodyne statistics in the bright-reference limit and a
+  Monte-Carlo simulation of the two-quadrature arctangent estimator.
 * Source-comparison ratios ``mu_c``, ``mu_w``, ``mu`` between the
   thermal probe and a coherent probe at matched covertness.
 
@@ -50,9 +49,14 @@ from .scenario import (
 )
 
 if TYPE_CHECKING:
+    from collections.abc import Callable, Iterator
+    from typing import TypeVar
+
     import numpy as np
 
     from .gaussian import CovarianceMatrix
+
+    _T = TypeVar("_T")
 
 __all__ = [
     "RNG_ALGORITHM",
@@ -64,7 +68,6 @@ __all__ = [
     "qcrb_ase",
     "ase_heterodyne_coefficient",
     "heterodyne_stats",
-    "finite_lo_heterodyne_variances",
     "simulate_heterodyne_mse",
     "coherent_baseline",
     "source_comparison",
@@ -80,6 +83,11 @@ RNG_ALGORITHM = "philox4x64-10"
 #: is independent of how blocks are scheduled across workers.
 _BLOCK_TRIALS = 4096
 
+#: Blocks per strip in fast mode.  A strip draws from one generator, runs
+#: one vectorized kernel and is one thread-pool task; per-sample mode runs
+#: one block per task.
+_STRIP_BLOCKS = 4
+
 #: Cap on the number of scalar uniforms materialized at once by the
 #: per-sample (slow) Monte-Carlo mode (400 MB of float64).  One trial
 #: needs 2 n of them, so per-sample runs are refused for 2 n above it.
@@ -87,9 +95,6 @@ _SLOW_MODE_CHUNK = 50_000_000
 
 #: Phase step (radians) of the fidelity-curvature stencil in ``qfi_numeric``.
 _QFI_STEP = 1e-3
-
-#: Smallest reference occupancy the finite-reference validation path admits.
-_MIN_LO = 1e4
 
 
 @dataclass(frozen=True)
@@ -307,50 +312,44 @@ def heterodyne_stats(
     )
 
 
-def finite_lo_heterodyne_variances(
-    scenario: SensingScenario,
+def _wrap_in_place(
+    delta: np.ndarray,
     theta: float,
-    nbar_s: float,
-    nbar_lo: float,
-) -> tuple[float, float]:
-    """Finite-reference quadrature second moments (validation path).
+    mask: np.ndarray | None = None,
+    shift: np.ndarray | None = None,
+) -> np.ndarray:
+    """Wrap ``delta = atan2(...) - theta`` into (-pi, pi], in place.
 
-    Normalized raw second moments before the bright-reference limit:
-
-        sigma1^2 = (nbar_lo + b (1 + nbar_lo) + eta nbar_s)
-                   / (2 eta nbar_s nbar_lo) + cos^2 theta
-
-    and likewise with ``sin^2 theta``, where ``b = (1 - eta) nbar_b_eff``
-    absorbs the factor already.  Converges to the limit forms at rate
-    O(1/nbar_lo); only admitted for ``nbar_lo >= 1e4`` because the
-    expressions are meant to validate that convergence, not to model a
-    dim reference.
+    For |theta| <= pi, delta lies in [-2 pi, 2 pi], where adding 2 pi to
+    the negative entries rounds exactly as ``np.remainder(delta, 2 pi)``
+    does (its fmod step is exact there), several times cheaper; a larger
+    |theta| keeps ``np.remainder``.  Adding ``2 pi * mask`` beats a masked
+    ``where=`` ufunc several times over and adds an exact zero elsewhere.
+    ``mask`` (bool) and ``shift`` (float) are optional work arrays of
+    delta's shape.
     """
-    if nbar_s <= 0.0:
-        raise DomainError(f"no signal to normalize by: nbar_s = {nbar_s}")
-    if nbar_lo < _MIN_LO:
-        raise DomainError(
-            f"finite-reference validation path needs nbar_lo >= {_MIN_LO:g}, "
-            f"got {nbar_lo:g}"
-        )
-    eta = scenario.eta_eff
-    if eta == 0.0:
-        raise DomainError("fully opaque channel: nothing returns to Alice")
-    b = (1.0 - eta) * scenario.nbar_b_eff
-    base = 0.5 * (nbar_lo + b * (1.0 + nbar_lo) + eta * nbar_s) / (
-        eta * nbar_s * nbar_lo
-    )
-    cos_t = math.cos(theta)
-    sin_t = math.sin(theta)
-    return base + cos_t * cos_t, base + sin_t * sin_t
-
-
-def _wrap_array(diff: np.ndarray) -> np.ndarray:
-    """Wrap angle differences into (-pi, pi], vectorized."""
     import numpy as np
 
-    reduced = np.remainder(diff, 2.0 * np.pi)
-    return reduced - 2.0 * np.pi * (reduced > np.pi)
+    two_pi = 2.0 * np.pi
+    if abs(theta) <= np.pi:
+        mask = np.less(delta, 0.0, out=mask)
+        np.add(delta, np.multiply(mask, two_pi, out=shift), out=delta)
+    else:
+        np.remainder(delta, two_pi, out=delta)
+    mask = np.greater(delta, np.pi, out=mask)
+    np.subtract(delta, np.multiply(mask, two_pi, out=shift), out=delta)
+    return delta
+
+
+def _philox_at(seed: int, offset_uniforms: int) -> np.random.Generator:
+    """Generator on the Philox stream keyed by ``seed``, ``offset_uniforms`` in."""
+    import numpy as np
+
+    # Philox.advance counts 4-uniform counter steps, not single draws.
+    assert offset_uniforms % 4 == 0
+    bit_gen = np.random.Philox(key=seed)
+    bit_gen.advance(offset_uniforms // 4)
+    return np.random.Generator(bit_gen)
 
 
 def _normal_pairs(gen: np.random.Generator, shape: tuple[int, ...]) -> tuple[
@@ -372,9 +371,109 @@ def _normal_pairs(gen: np.random.Generator, shape: tuple[int, ...]) -> tuple[
     return radius * np.cos(angle), radius * np.sin(angle)
 
 
-def _thread_count(requested: int, num_blocks: int) -> int:
-    """Threads worth starting: no more than requested, cores or blocks."""
-    return max(1, min(requested, os.cpu_count() or 1, num_blocks))
+class _StripBuffers:
+    """Work arrays of the fast-mode kernel for strips of up to ``size`` trials.
+
+    One set per thread, reused from strip to strip: a strip's arrays are
+    larger than the allocator's mmap threshold, so fresh ones would be
+    page-faulted in again on every strip.
+    """
+
+    def __init__(self, size: int) -> None:
+        import numpy as np
+
+        self.uniforms = np.empty((size, 2))
+        self.radius = np.empty(size)
+        self.angle = np.empty(size)
+        self.mask = np.empty(size, dtype=bool)
+
+
+def _fast_squared_errors(
+    gen: np.random.Generator,
+    count: int,
+    mu1: float,
+    mu2: float,
+    sigma: float,
+    theta: float,
+    buffers: _StripBuffers,
+) -> np.ndarray:
+    """Squared wrapped errors of ``count`` fast-mode trials.
+
+    The Box-Muller pairs of :func:`_normal_pairs`, the affine map to the
+    averaged quadratures and ``arctan2``, run with in-place ufuncs on
+    ``buffers`` in the same operation order, so every element rounds as it
+    would there.  The result is a view into ``buffers``.
+    """
+    import numpy as np
+
+    uniforms = gen.random(out=buffers.uniforms[:count])
+    radius = np.negative(uniforms[:, 0], out=buffers.radius[:count])
+    angle = np.multiply(uniforms[:, 1], 2.0 * np.pi, out=buffers.angle[:count])
+    np.log1p(radius, out=radius)
+    np.multiply(radius, -2.0, out=radius)
+    np.sqrt(radius, out=radius)
+    # The uniforms are spent: their first half takes the in-phase quadrature.
+    comp_i = np.cos(angle, out=buffers.uniforms.reshape(-1)[:count])
+    comp_q = np.sin(angle, out=angle)
+    for comp, mean in ((comp_i, mu1), (comp_q, mu2)):
+        np.multiply(comp, radius, out=comp)
+        np.multiply(comp, sigma, out=comp)
+        np.add(comp, mean, out=comp)
+    delta = np.arctan2(comp_q, comp_i, out=comp_q)
+    np.subtract(delta, theta, out=delta)
+    # The radii are spent too: they take the wrap's 2 pi shifts.
+    _wrap_in_place(delta, theta, buffers.mask[:count], radius)
+    return np.multiply(delta, delta, out=delta)
+
+
+def _block_sums(squared: np.ndarray) -> list[tuple[float, float]]:
+    """Per-block sums of ``squared`` and of its square, one pair per block.
+
+    Each whole 4096-trial block and the partial last block is summed on
+    its own (numpy's pairwise sum), as a lone block would be.
+    """
+    full = squared.size - squared.size % _BLOCK_TRIALS
+    sums = squared[:full].reshape(-1, _BLOCK_TRIALS).sum(axis=1).tolist()
+    tail = [float(squared[full:].sum())] if full < squared.size else []
+    squared *= squared
+    quads = squared[:full].reshape(-1, _BLOCK_TRIALS).sum(axis=1).tolist()
+    if tail:
+        quads.append(float(squared[full:].sum()))
+    return list(zip(sums + tail, quads))
+
+
+def _thread_count(requested: int, num_tasks: int) -> int:
+    """Threads worth starting: no more than requested, cores or tasks."""
+    return max(1, min(requested, os.cpu_count() or 1, num_tasks))
+
+
+def _in_order(
+    task: Callable[[int], _T], count: int, workers: int
+) -> Iterator[_T]:
+    """Yield ``task(0), ..., task(count - 1)`` in index order.
+
+    With more than one worker the tasks run on a thread pool with at most
+    ``2 * workers`` of them submitted and not yet yielded, so memory does
+    not grow with ``count``.
+    """
+    if workers == 1:
+        for index in range(count):
+            yield task(index)
+        return
+    # Imported here: concurrent.futures pulls in logging (~10 ms), which
+    # a serial run never needs.
+    from collections import deque
+    from concurrent.futures import ThreadPoolExecutor
+
+    window = 2 * workers
+    with ThreadPoolExecutor(max_workers=workers) as pool:
+        pending: deque = deque()
+        for index in range(count):
+            if len(pending) == window:
+                yield pending.popleft().result()
+            pending.append(pool.submit(task, index))
+        while pending:
+            yield pending.popleft().result()
 
 
 def simulate_heterodyne_mse(
@@ -409,11 +508,21 @@ def simulate_heterodyne_mse(
     ``[2t, 2t+2)`` in fast mode, ``[2nt, 2n(t+1))`` in per-sample mode —
     so the draw for a trial depends only on ``(seed, t)``.  One Philox
     counter step yields four 64-bit uniforms, and every block boundary
-    falls on a whole counter step, so blocks address the stream with
-    ``advance``.  Trials are processed in blocks of 4096; block partial
+    falls on a whole counter step, so tasks address the stream with
+    ``advance``.  Trials are summed in blocks of 4096, and block partial
     sums are combined in block order regardless of ``workers``, making
-    output bits independent of the worker count.  At most
-    ``min(workers, os.cpu_count(), blocks)`` threads are started.
+    output bits independent of the worker count.
+
+    Work is split into tasks.  In fast mode a task is a strip of four
+    consecutive blocks: one generator advanced to the strip's first
+    trial, whose contiguous stream holds every block's uniforms, and one
+    in-place vectorized kernel whose squared errors are summed back per
+    block.  In per-sample mode a task is one block.  At most
+    ``min(workers, os.cpu_count(), tasks)`` threads are started, with at
+    most ``2 * threads`` tasks submitted and not yet folded, so memory
+    does not grow with ``trials``.  The angle wrap adds 2 pi to negative
+    differences when |theta_true| <= pi, which rounds exactly as
+    ``np.remainder`` there, and uses ``np.remainder`` otherwise.
 
     ``budget`` is the covert budget for ``(scenario, epsilon, n)`` when the
     caller already holds it (the CLI reports its ``nbar_s``); without it
@@ -451,53 +560,46 @@ def simulate_heterodyne_mse(
     sigma_shot = math.sqrt(stats.sigma_sq)
     uniforms_per_trial = 2 * n if per_sample else 2
 
-    def run_block(index: int) -> tuple[float, float]:
-        start = index * _BLOCK_TRIALS
-        count = min(_BLOCK_TRIALS, trials - start)
-        offset_uniforms = start * uniforms_per_trial
-        # Philox.advance counts 4-uniform counter steps, not single draws.
-        assert offset_uniforms % 4 == 0
-        bit_gen = np.random.Philox(key=seed)
-        bit_gen.advance(offset_uniforms // 4)
-        gen = np.random.Generator(bit_gen)
-        if per_sample:
-            chunk = _SLOW_MODE_CHUNK // (2 * n)
-            sq_parts = []
-            done = 0
-            while done < count:
-                take = min(chunk, count - done)
-                z_i, z_q = _normal_pairs(gen, (take, n))
-                comp_i = mu1 + sigma_shot * z_i.mean(axis=1)
-                comp_q = mu2 + sigma_shot * z_q.mean(axis=1)
-                delta = _wrap_array(np.arctan2(comp_q, comp_i) - theta_true)
-                sq_parts.append(delta * delta)
-                done += take
-            squared = np.concatenate(sq_parts)
-        else:
-            z_i, z_q = _normal_pairs(gen, (count,))
-            comp_i = mu1 + sigma_avg * z_i
-            comp_q = mu2 + sigma_avg * z_q
-            delta = _wrap_array(np.arctan2(comp_q, comp_i) - theta_true)
-            squared = delta * delta
-        return float(np.sum(squared)), float(np.sum(squared * squared))
+    strip_trials = _BLOCK_TRIALS * (1 if per_sample else _STRIP_BLOCKS)
+    num_strips = -(-trials // strip_trials)
 
-    num_blocks = -(-trials // _BLOCK_TRIALS)
-    workers = _thread_count(workers, num_blocks)
-    if workers == 1:
-        partials = [run_block(i) for i in range(num_blocks)]
-    else:
-        # Imported here: concurrent.futures pulls in logging (~10 ms), which
-        # a serial run never needs.
-        from concurrent.futures import ThreadPoolExecutor
+    # One set of kernel buffers per thread (see _StripBuffers).
+    import threading
 
-        with ThreadPoolExecutor(max_workers=workers) as pool:
-            partials = list(pool.map(run_block, range(num_blocks)))
+    local = threading.local()
+
+    def run_strip(index: int) -> list[tuple[float, float]]:
+        start = index * strip_trials
+        count = min(strip_trials, trials - start)
+        gen = _philox_at(seed, start * uniforms_per_trial)
+        if not per_sample:
+            if not hasattr(local, "buffers"):
+                local.buffers = _StripBuffers(min(strip_trials, trials))
+            squared = _fast_squared_errors(
+                gen, count, mu1, mu2, sigma_avg, theta_true, local.buffers
+            )
+            return _block_sums(squared)
+        chunk = _SLOW_MODE_CHUNK // (2 * n)
+        sq_parts = []
+        done = 0
+        while done < count:
+            take = min(chunk, count - done)
+            z_i, z_q = _normal_pairs(gen, (take, n))
+            comp_i = mu1 + sigma_shot * z_i.mean(axis=1)
+            comp_q = mu2 + sigma_shot * z_q.mean(axis=1)
+            delta = np.arctan2(comp_q, comp_i) - theta_true
+            _wrap_in_place(delta, theta_true)
+            sq_parts.append(delta * delta)
+            done += take
+        return _block_sums(np.concatenate(sq_parts))
 
     sum_sq = 0.0
     sum_quad = 0.0
-    for part_sq, part_quad in partials:
-        sum_sq += part_sq
-        sum_quad += part_quad
+    threads = _thread_count(workers, num_strips)
+    for parts in _in_order(run_strip, num_strips, threads):
+        for part_sq, part_quad in parts:
+            sum_sq += part_sq
+            sum_quad += part_quad
 
     mse = sum_sq / trials
     variance = (sum_quad - sum_sq * sum_sq / trials) / (trials - 1)

@@ -107,13 +107,18 @@ class CovarianceMatrix:
 
     def require_physical(self) -> "CovarianceMatrix":
         """Return self, raising :class:`PhysicalityError` if unphysical."""
-        nu_min = symplectic_eigenvalues(self).min()
-        if nu_min < 0.5 - _PHYSICAL_ATOL:
-            raise PhysicalityError(
-                f"covariance matrix is unphysical: min symplectic eigenvalue "
-                f"{nu_min:.6e} < 1/2 - {_PHYSICAL_ATOL:g}"
-            )
+        _require_physical_eigenvalues(symplectic_eigenvalues(self))
         return self
+
+
+def _require_physical_eigenvalues(nu: np.ndarray) -> None:
+    """Raise :class:`PhysicalityError` unless every ``nu`` is >= 1/2 - 1e-10."""
+    nu_min = nu.min()
+    if nu_min < 0.5 - _PHYSICAL_ATOL:
+        raise PhysicalityError(
+            f"covariance matrix is unphysical: min symplectic eigenvalue "
+            f"{nu_min:.6e} < 1/2 - {_PHYSICAL_ATOL:g}"
+        )
 
 
 def vacuum_cm(num_modes: int) -> CovarianceMatrix:

@@ -318,9 +318,10 @@ def test_criterion_11_reproducibility():
     assert first.returncode == second.returncode == 0
     assert first.stdout == second.stdout
 
-    # 12288 trials are three 4096-trial blocks, so the --workers 3 run
-    # starts min(3, cores) threads and exercises the block-ordered combine.
-    mc_flags = ["mse-mc", *scenario_flags, "--trials", "12288", "--seed", "5"]
+    # 50152 trials are three whole strips of four 4096-trial blocks and a
+    # fourth strip of one 1000-trial block, so the --workers 3 run starts
+    # min(3, cores) threads and exercises the block-ordered combine.
+    mc_flags = ["mse-mc", *scenario_flags, "--trials", "50152", "--seed", "5"]
     serial = run(*mc_flags, "--workers", "1")
     parallel = run(*mc_flags, "--workers", "3")
     repeat = run(*mc_flags, "--workers", "1")

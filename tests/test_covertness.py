@@ -7,11 +7,12 @@ import json
 import math
 from pathlib import Path
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from covertsense import covertness
+from covertsense import covertness, gaussian
 from covertsense.covertness import (
     covert_budget,
     equal_bath_c2,
@@ -26,8 +27,9 @@ from covertsense.errors import (
     DegenerateCovertnessError,
     DomainError,
     InfiniteQreError,
+    PhysicalityError,
 )
-from covertsense.gaussian import thermal_cm, vacuum_cm
+from covertsense.gaussian import CovarianceMatrix, thermal_cm, vacuum_cm
 from covertsense.scenario import SensingScenario, willie_cm
 
 REFERENCE = SensingScenario(0.5, 0.5, 1.0, 1.0)  # eta_eff 1/4, nb_eff 1
@@ -103,6 +105,31 @@ class TestQreGaussian:
     def test_mode_count_mismatch(self):
         with pytest.raises(ValueError):
             qre_gaussian(vacuum_cm(1), vacuum_cm(2))
+
+    def test_one_normal_form_per_state(self, monkeypatch):
+        # Physicality is read off the two spectra the QRE needs anyway.
+        calls = []
+        real = gaussian._generic_normal_form
+
+        def counting(v):
+            calls.append(v)
+            return real(v)
+
+        monkeypatch.setattr(gaussian, "_generic_normal_form", counting)
+        qre_gaussian(willie_cm(REFERENCE, 0.0, 0.3), willie_cm(REFERENCE, 0.05, 0.3))
+        assert len(calls) == 2
+
+    @pytest.mark.parametrize("bad_first", [True, False], ids=["cm_0", "cm_1"])
+    def test_unphysical_state_refused(self, bad_first):
+        # Positive definite but below the vacuum: the same refusal as
+        # require_physical gives.
+        bad = CovarianceMatrix.from_array(0.2 * np.eye(2))
+        with pytest.raises(PhysicalityError) as direct:
+            bad.require_physical()
+        pair = (bad, thermal_cm([0.5])) if bad_first else (thermal_cm([0.5]), bad)
+        with pytest.raises(PhysicalityError) as via_qre:
+            qre_gaussian(*pair)
+        assert str(via_qre.value) == str(direct.value)
 
 
 class TestWillieQre:

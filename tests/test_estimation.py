@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import math
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -16,7 +17,6 @@ from covertsense.estimation import (
     ase_heterodyne_coefficient,
     coherent_baseline,
     estimation_report,
-    finite_lo_heterodyne_variances,
     gaussian_fidelity,
     heterodyne_stats,
     qcrb_ase,
@@ -33,6 +33,9 @@ REFERENCE_C2 = taylor_coefficients(REFERENCE).c2
 
 occupancies = st.floats(0.0, 3.0)
 angles = st.floats(-math.pi, math.pi)
+
+#: Three whole strips of four 4096-trial blocks, then one partial block.
+THREE_STRIPS_AND_A_BLOCK = 3 * 4 * 4096 + 1000
 
 
 class TestFidelity:
@@ -170,16 +173,131 @@ class TestHeterodyneStats:
             heterodyne_stats(REFERENCE, 0.3, 0.0, 1.0)
 
 
-class TestFiniteLo:
-    def test_converges_to_normalized_variances(self):
-        stats = heterodyne_stats(REFERENCE, 0.3, 0.1, 1.0)
-        s1, s2 = finite_lo_heterodyne_variances(REFERENCE, 0.3, 0.1, 1e8)
-        assert s1 == pytest.approx(stats.sigma1_sq, rel=1e-6)
-        assert s2 == pytest.approx(stats.sigma2_sq, rel=1e-6)
+def _reference_mse(
+    scenario, theta_true, epsilon, num_modes, trials, seed, per_sample
+):
+    """The block-per-task estimator as it was before strips, run serially.
 
-    def test_weak_reference_guarded(self):
-        with pytest.raises(DomainError):
-            finite_lo_heterodyne_variances(REFERENCE, 0.3, 0.1, 100.0)
+    One Philox generator per 4096-trial block, out-of-place ufuncs and
+    ``np.remainder`` for the wrap.  The strip driver must match its bits.
+    """
+
+    def wrap_array(diff):
+        reduced = np.remainder(diff, 2.0 * np.pi)
+        return reduced - 2.0 * np.pi * (reduced > np.pi)
+
+    def normal_pairs(gen, shape):
+        uniforms = gen.random(shape + (2,))
+        radius = np.sqrt(-2.0 * np.log1p(-uniforms[..., 0]))
+        angle = (2.0 * np.pi) * uniforms[..., 1]
+        return radius * np.cos(angle), radius * np.sin(angle)
+
+    n = math.floor(num_modes)
+    budget = covert_budget(scenario, epsilon, n)
+    stats = heterodyne_stats(scenario, theta_true, budget.nbar_s, n)
+    mu1 = stats.mu1
+    mu2 = stats.mu2
+    sigma_avg = math.sqrt(stats.sigma_het_sq)
+    sigma_shot = math.sqrt(stats.sigma_sq)
+    uniforms_per_trial = 2 * n if per_sample else 2
+
+    def run_block(index):
+        start = index * 4096
+        count = min(4096, trials - start)
+        offset_uniforms = start * uniforms_per_trial
+        assert offset_uniforms % 4 == 0
+        bit_gen = np.random.Philox(key=seed)
+        bit_gen.advance(offset_uniforms // 4)
+        gen = np.random.Generator(bit_gen)
+        if per_sample:
+            chunk = 50_000_000 // (2 * n)
+            sq_parts = []
+            done = 0
+            while done < count:
+                take = min(chunk, count - done)
+                z_i, z_q = normal_pairs(gen, (take, n))
+                comp_i = mu1 + sigma_shot * z_i.mean(axis=1)
+                comp_q = mu2 + sigma_shot * z_q.mean(axis=1)
+                delta = wrap_array(np.arctan2(comp_q, comp_i) - theta_true)
+                sq_parts.append(delta * delta)
+                done += take
+            squared = np.concatenate(sq_parts)
+        else:
+            z_i, z_q = normal_pairs(gen, (count,))
+            comp_i = mu1 + sigma_avg * z_i
+            comp_q = mu2 + sigma_avg * z_q
+            delta = wrap_array(np.arctan2(comp_q, comp_i) - theta_true)
+            squared = delta * delta
+        return float(np.sum(squared)), float(np.sum(squared * squared))
+
+    num_blocks = -(-trials // 4096)
+    partials = [run_block(i) for i in range(num_blocks)]
+    sum_sq = 0.0
+    sum_quad = 0.0
+    for part_sq, part_quad in partials:
+        sum_sq += part_sq
+        sum_quad += part_quad
+    mse = sum_sq / trials
+    variance = (sum_quad - sum_sq * sum_sq / trials) / (trials - 1)
+    stderr = math.sqrt(max(variance, 0.0) / trials)
+    return mse, stderr
+
+
+class TestStrips:
+    @pytest.mark.parametrize("per_sample", [False, True], ids=["fast", "per-sample"])
+    @pytest.mark.parametrize("theta", [0.0, math.pi, -math.pi, 3.0, 7.0, -10.0])
+    def test_bits_match_block_reference(self, theta, per_sample):
+        # Per-sample mode at n = 4 keeps the slow path cheap; both points
+        # are noisy enough that errors cross the wrap at theta near pi.
+        epsilon, num_modes = (0.05, 4.0) if per_sample else (0.01, 1e6)
+        for trials in (1000, 4096, 16384, 16385, 50_001):
+            want = _reference_mse(
+                REFERENCE, theta, epsilon, num_modes, trials, 29, per_sample
+            )
+            for workers in (1, 3):
+                got = simulate_heterodyne_mse(
+                    REFERENCE, theta, epsilon, num_modes, trials, 29,
+                    workers=workers, per_sample=per_sample,
+                )
+                assert got == want, (trials, workers)
+
+    def test_strip_size_does_not_move_bits(self, monkeypatch):
+        kwargs = dict(
+            theta_true=-3.0, epsilon=0.01, num_modes=1e6,
+            trials=THREE_STRIPS_AND_A_BLOCK, seed=13,
+        )
+        results = set()
+        for strip_blocks in (1, 3, 4):
+            monkeypatch.setattr(estimation, "_STRIP_BLOCKS", strip_blocks)
+            for workers in (1, 2):
+                results.add(
+                    simulate_heterodyne_mse(REFERENCE, workers=workers, **kwargs)
+                )
+        assert len(results) == 1
+
+    def test_in_flight_strips_bounded(self, monkeypatch):
+        # Two workers keep at most four strips submitted and unfinished,
+        # however many strips the run has.
+        from concurrent.futures import ThreadPoolExecutor
+
+        monkeypatch.setattr(estimation.os, "cpu_count", lambda: 4)
+        submitted = []
+        unfinished = []
+        real_submit = ThreadPoolExecutor.submit
+
+        def counting_submit(pool, fn, *args, **kwargs):
+            future = real_submit(pool, fn, *args, **kwargs)
+            submitted.append(future)
+            unfinished.append(sum(not f.done() for f in submitted))
+            return future
+
+        monkeypatch.setattr(ThreadPoolExecutor, "submit", counting_submit)
+        strips = 40
+        simulate_heterodyne_mse(
+            REFERENCE, 0.5, 0.01, 1e6, trials=strips * 4 * 4096, seed=3, workers=2
+        )
+        assert len(submitted) == strips
+        assert max(unfinished) <= 2 * 2
 
 
 class TestSimulation:
@@ -193,9 +311,10 @@ class TestSimulation:
         assert a == b
 
     def test_worker_count_invariance(self):
-        # Three 4096-trial blocks, so more than one thread runs wherever
-        # there is more than one core.
-        kwargs = dict(theta_true=0.5, epsilon=0.01, num_modes=1e6, trials=10_000)
+        # Three whole 16384-trial strips and a fourth holding one
+        # 1000-trial block, so more than one thread runs wherever there is
+        # more than one core.
+        kwargs = dict(theta_true=0.5, epsilon=0.01, num_modes=1e6, trials=THREE_STRIPS_AND_A_BLOCK)
         serial = simulate_heterodyne_mse(REFERENCE, seed=7, **kwargs)
         parallel = simulate_heterodyne_mse(REFERENCE, seed=7, workers=3, **kwargs)
         assert serial == parallel
