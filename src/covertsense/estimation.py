@@ -88,9 +88,11 @@ _BLOCK_TRIALS = 4096
 #: one block per task.
 _STRIP_BLOCKS = 4
 
-#: Cap on the number of scalar uniforms materialized at once by the
-#: per-sample (slow) Monte-Carlo mode (400 MB of float64).  One trial
-#: needs 2 n of them, so per-sample runs are refused for 2 n above it.
+#: Cap on the float64 values the per-sample (slow) Monte-Carlo mode holds
+#: at once in one thread (400 MB).  A trial holds 4 n of them at the peak
+#: of ``_normal_pair_means``: its 2 n uniforms, n radii and n angles.
+#: Trials are drawn in chunks that stay under the cap, and per-sample runs
+#: are refused for 4 n above it.
 _SLOW_MODE_CHUNK = 50_000_000
 
 #: Phase step (radians) of the fidelity-curvature stencil in ``qfi_numeric``.
@@ -352,23 +354,33 @@ def _philox_at(seed: int, offset_uniforms: int) -> np.random.Generator:
     return np.random.Generator(bit_gen)
 
 
-def _normal_pairs(gen: np.random.Generator, shape: tuple[int, ...]) -> tuple[
-    np.ndarray, np.ndarray
-]:
-    """Two standard-normal arrays of the given shape, two uniforms per pair.
+def _normal_pair_means(
+    gen: np.random.Generator, trials: int, n: int
+) -> tuple[np.ndarray, np.ndarray]:
+    """Row means of two ``(trials, n)`` standard-normal arrays.
 
     Box-Muller on exactly two uniform doubles per output pair keeps the
     counter consumption fixed, which is what makes per-trial stream
     addressing (and hence worker-count independence) possible; the
     ziggurat sampler consumes a variable number of draws and cannot be
-    addressed this way.
+    addressed this way.  The pairs are formed with in-place ufuncs, so at
+    the peak a trial holds 4 n float64 values: 2 n uniforms, n radii and
+    n angles.
     """
     import numpy as np
 
-    uniforms = gen.random(shape + (2,))
-    radius = np.sqrt(-2.0 * np.log1p(-uniforms[..., 0]))
-    angle = (2.0 * np.pi) * uniforms[..., 1]
-    return radius * np.cos(angle), radius * np.sin(angle)
+    uniforms = gen.random((trials, n, 2))
+    radius = np.negative(uniforms[..., 0])
+    np.log1p(radius, out=radius)
+    np.multiply(radius, -2.0, out=radius)
+    np.sqrt(radius, out=radius)
+    angle = np.multiply(uniforms[..., 1], 2.0 * np.pi)
+    # The uniforms are spent: their first half takes the quadrature normals.
+    comp_q = np.sin(angle, out=uniforms.reshape(-1)[: trials * n].reshape(trials, n))
+    comp_i = np.cos(angle, out=angle)
+    np.multiply(comp_i, radius, out=comp_i)
+    np.multiply(comp_q, radius, out=comp_q)
+    return comp_i.mean(axis=1), comp_q.mean(axis=1)
 
 
 class _StripBuffers:
@@ -399,7 +411,7 @@ def _fast_squared_errors(
 ) -> np.ndarray:
     """Squared wrapped errors of ``count`` fast-mode trials.
 
-    The Box-Muller pairs of :func:`_normal_pairs`, the affine map to the
+    The Box-Muller pairs of :func:`_normal_pair_means`, the affine map to the
     averaged quadratures and ``arctan2``, run with in-place ufuncs on
     ``buffers`` in the same operation order, so every element rounds as it
     would there.  The result is a view into ``buffers``.
@@ -500,8 +512,8 @@ def simulate_heterodyne_mse(
     all ``n`` per-mode outcomes at per-mode variance ``sigma_sq`` and
     averages them — statistically identical (Gaussian averages are
     Gaussian) and O(n) more work, so only sensible for small ``n``.  It
-    is refused for ``n > 25_000_000``, where a single trial would hold
-    more than 400 MB of uniforms.
+    is refused for ``n > 12_500_000``, where a single trial's 4 n working
+    values would take more than 400 MB.
 
     Reproducibility: trial ``t`` owns a fixed slice of the counter
     stream of Philox (``philox4x64-10``) keyed by ``seed`` — uniforms
@@ -539,11 +551,14 @@ def simulate_heterodyne_mse(
     if workers < 1:
         raise ValueError("workers must be >= 1")
     n = channel_uses(num_modes)
-    if per_sample and 2 * n > _SLOW_MODE_CHUNK:
+    # Float64 values one per-sample trial holds (see _normal_pair_means).
+    per_trial = 4 * n
+    if per_sample and per_trial > _SLOW_MODE_CHUNK:
         raise ValueError(
-            f"per-sample mode draws 2 n = {2 * n} uniforms per trial, above "
-            f"the cap of {_SLOW_MODE_CHUNK} ({_SLOW_MODE_CHUNK * 8 // 10**6} MB); "
-            f"it needs n <= {_SLOW_MODE_CHUNK // 2}"
+            f"per-sample mode holds 4 n = {per_trial} float64 values per trial, "
+            f"above the cap of {_SLOW_MODE_CHUNK} "
+            f"({_SLOW_MODE_CHUNK * 8 // 10**6} MB); it needs n <= "
+            f"{_SLOW_MODE_CHUNK // 4}"
         )
     if budget is None:
         budget = covert_budget(scenario, epsilon, n)
@@ -579,14 +594,14 @@ def simulate_heterodyne_mse(
                 gen, count, mu1, mu2, sigma_avg, theta_true, local.buffers
             )
             return _block_sums(squared)
-        chunk = _SLOW_MODE_CHUNK // (2 * n)
+        chunk = _SLOW_MODE_CHUNK // per_trial
         sq_parts = []
         done = 0
         while done < count:
             take = min(chunk, count - done)
-            z_i, z_q = _normal_pairs(gen, (take, n))
-            comp_i = mu1 + sigma_shot * z_i.mean(axis=1)
-            comp_q = mu2 + sigma_shot * z_q.mean(axis=1)
+            mean_i, mean_q = _normal_pair_means(gen, take, n)
+            comp_i = mu1 + sigma_shot * mean_i
+            comp_q = mu2 + sigma_shot * mean_q
             delta = np.arctan2(comp_q, comp_i) - theta_true
             _wrap_in_place(delta, theta_true)
             sq_parts.append(delta * delta)

@@ -2,22 +2,22 @@
 
 Simulates the tapped two-way sensing circuit photon-by-photon in a
 truncated number basis and computes relative entropy and Uhlmann
-fidelity by dense eigendecomposition.  Nothing here shares code with the
-covariance-matrix formulas it validates: states are density matrices,
-beam splitters are the closed-form SU(2) (Wigner small-d) amplitudes of
-the two-mode number basis, and the entropic quantities come from
-eigenvalues.  Agreement between the two routes is therefore evidence,
-not tautology.
+fidelity from the eigendecomposition of each total-photon block.
+Nothing here shares code with the covariance-matrix formulas it
+validates: states are density matrices, beam splitters are the
+closed-form SU(2) (Wigner small-d) amplitudes of the two-mode number
+basis, and the entropic quantities come from eigenvalues.  Agreement
+between the two routes is therefore evidence, not tautology.
 
 Implementation notes:
 
 * Every circuit element conserves total photon number, and every input
   is diagonal in the number basis, so states stay block-diagonal in
   total photons end to end.  All evolution, partial tracing, and
-  spectral work happens block by block, and the states keep their
-  blocks; the full grid of a density matrix is materialised only on
-  first read of ``entries``, which no cross-check makes: the moments,
-  purity, QRE and fidelity all read the blocks.
+  spectral work happens block by block, and a state is its blocks: the
+  moments, purity, QRE and fidelity all read them, and each block is
+  eigendecomposed once, when the state is validated.  The full grid is
+  assembled only when ``entries`` is read, which no cross-check does.
 * Inside a block, a beam splitter on a mode pair is a direct sum of
   small pair blocks, one per photon total of the pair.  It is applied by
   gathering the rows of each pair total and multiplying by the pair
@@ -58,8 +58,6 @@ from .scenario import ProbeSettings, SensingScenario, check_occupancy, wrap_angl
 
 __all__ = [
     "FockDensityMatrix",
-    "thermal_fock",
-    "fock_tensor",
     "oracle_willie_state",
     "oracle_alice_state",
     "fock_moments",
@@ -85,11 +83,6 @@ _TAIL_BOUND = 1e-10
 _HERMITICITY_TOL = 1e-12
 _EIGENVALUE_TOL = 1e-12
 
-#: ``_graded_blocks``: largest entry between different photon totals,
-#: relative to the largest entry, that a dense state may carry and still
-#: count as graded.
-_GRADED_TOL = 1e-14
-
 #: ``oracle_qre``: eigenvalues below this are clamped for the logarithms,
 #: and more than ``_SUPPORT_TOL`` of the first state's mass on directions
 #: below it counts as outside the second state's support.
@@ -98,68 +91,86 @@ _SUPPORT_TOL = 1e-9
 
 
 class FockDensityMatrix:
-    """A density matrix on a truncated multi-mode Fock grid.
+    """A density matrix on a truncated multi-mode Fock grid, as its
+    total-photon blocks.
 
-    ``entries`` is complex Hermitian of dimension ``(cutoff + 1)**modes``;
-    basis index ``sum_k n_k (cutoff+1)**(modes-1-k)`` (first mode is the
-    most significant digit).  ``tail_bound`` bounds the probability mass
-    lost to truncation; the trace lies in ``[1 - tail_bound, 1]``.
+    The grid has dimension ``(cutoff + 1)**modes``, with basis index
+    ``sum_k n_k (cutoff+1)**(modes-1-k)`` (first mode is the most
+    significant digit).  ``blocks`` holds one (grid indices, block) pair
+    per occupied photon total, in increasing total; each index array is
+    every grid index of its total, ascending, and the grid is zero outside
+    the blocks.  Every state of this module has that form, since its
+    circuits conserve photon number and its inputs are diagonal, and
+    malformed blocks are refused with ValueError.  ``tail_bound`` bounds
+    the probability mass lost to truncation; the trace lies in
+    ``[1 - tail_bound, 1]``.
 
-    The circuit builders return states that keep the total-photon blocks
-    they were built from, as (grid indices, block) pairs; the grid is
-    zero outside them.  For those, ``entries`` is assembled on first read
-    and cached, and the validity checks, purity, QRE and fidelity read
-    the blocks without building it.  Instances are immutable.
+    ``require_valid`` eigendecomposes each block once and keeps the
+    eigenpairs, which the QRE and fidelity read.  ``entries`` assembles
+    the full grid.  Instances are immutable.
     """
 
-    __slots__ = ("modes", "cutoff", "tail_bound", "_entries", "_blocks")
+    __slots__ = ("modes", "cutoff", "tail_bound", "blocks", "_eigenpairs")
 
     def __init__(
-        self, modes: int, cutoff: int, entries: np.ndarray, tail_bound: float
-    ) -> None:
-        self._init(modes, cutoff, tail_bound, entries, None)
-        dim = self.dim
-        if entries.shape != (dim, dim):
-            raise ValueError(
-                f"entries must be {dim} x {dim} for {modes} modes at "
-                f"cutoff {cutoff}, got {entries.shape}"
-            )
-
-    @classmethod
-    def _from_blocks(
-        cls,
+        self,
         modes: int,
         cutoff: int,
         blocks: list[tuple[np.ndarray, np.ndarray]],
         tail_bound: float,
-    ) -> "FockDensityMatrix":
-        """A state given by its total-photon blocks, in increasing total.
-
-        ``blocks`` holds (grid indices, block) pairs for the occupied
-        totals, each index array ascending, as ``_graded_blocks`` returns.
-        """
-        state = cls.__new__(cls)
-        state._init(modes, cutoff, tail_bound, None, blocks)
-        return state
-
-    def _init(
-        self,
-        modes: int,
-        cutoff: int,
-        tail_bound: float,
-        entries: np.ndarray | None,
-        blocks: list[tuple[np.ndarray, np.ndarray]] | None,
     ) -> None:
         if modes < 1:
             raise ValueError("need at least one mode")
         if cutoff < 0:
             raise ValueError("cutoff must be non-negative")
+        d = cutoff + 1
+        strides = d ** np.arange(modes - 1, -1, -1)
+        checked = []
+        previous = -1
+        for idx, block in blocks:
+            idx, block = np.asarray(idx), np.asarray(block)
+            if block.ndim != 2 or block.shape[0] != block.shape[1]:
+                raise ValueError(f"a block must be square, got shape {block.shape}")
+            if idx.shape != block.shape[:1]:
+                raise ValueError(
+                    f"a block of shape {block.shape} needs {len(block)} grid "
+                    f"indices, got an index array of shape {idx.shape}"
+                )
+            if (
+                not np.issubdtype(idx.dtype, np.integer)
+                or idx.size == 0
+                or idx.min() < 0
+                or idx.max() >= d**modes
+            ):
+                raise ValueError(
+                    f"grid indices must be integers in [0, {d**modes}), "
+                    f"got {idx.tolist()}"
+                )
+            totals = (idx[:, None] // strides % d).sum(axis=1)
+            total = int(totals[0])
+            if (totals != total).any():
+                raise ValueError(
+                    "a block's indices span photon totals "
+                    f"{sorted(set(totals.tolist()))}"
+                )
+            if total <= previous:
+                raise ValueError(
+                    f"blocks must come in increasing photon total, got {total} "
+                    f"after {previous}"
+                )
+            if not np.array_equal(idx, _total_indices(modes, cutoff, total)):
+                raise ValueError(
+                    f"the block of photon total {total} must hold every grid "
+                    "index of that total, ascending"
+                )
+            previous = total
+            checked.append((idx, block))
         for name, value in (
             ("modes", modes),
             ("cutoff", cutoff),
             ("tail_bound", tail_bound),
-            ("_entries", entries),
-            ("_blocks", blocks),
+            ("blocks", tuple(checked)),
+            ("_eigenpairs", None),
         ):
             object.__setattr__(self, name, value)
 
@@ -168,15 +179,9 @@ class FockDensityMatrix:
 
     @property
     def entries(self) -> np.ndarray:
-        """The density matrix on the full grid, cached after its first read."""
-        if self._entries is None:
-            object.__setattr__(self, "_entries", self._assemble())
-        return self._entries
-
-    def _assemble(self) -> np.ndarray:
-        """The full grid of a block-carrying state."""
+        """The density matrix on the full grid, assembled on every read."""
         entries = np.zeros((self.dim, self.dim), dtype=complex)
-        for idx, block in self._blocks:
+        for idx, block in self.blocks:
             entries[np.ix_(idx, idx)] = block
         return entries
 
@@ -184,30 +189,37 @@ class FockDensityMatrix:
     def dim(self) -> int:
         return (self.cutoff + 1) ** self.modes
 
+    def _spectra(self) -> tuple[tuple[np.ndarray, np.ndarray], ...]:
+        """(ascending eigenvalues, eigenvectors) of each block.
+
+        Each block is decomposed on the first call only; later calls, and
+        the QRE and fidelity, read the kept eigenpairs.
+        """
+        if self._eigenpairs is None:
+            object.__setattr__(
+                self,
+                "_eigenpairs",
+                tuple(np.linalg.eigh(block) for _, block in self.blocks),
+            )
+        return self._eigenpairs
+
     def trace(self) -> float:
-        if self._blocks is None:
-            return float(np.trace(self.entries).real)
-        # Summed in grid order, as np.trace sums the dense diagonal.
+        # Summed in grid order, as np.trace sums the diagonal of ``entries``.
         diagonal = np.zeros(self.dim, dtype=complex)
-        for idx, block in self._blocks:
+        for idx, block in self.blocks:
             diagonal[idx] = np.diagonal(block)
         return float(diagonal.sum().real)
 
     def require_valid(self) -> "FockDensityMatrix":
-        """Check the type invariants; return self or raise ValueError."""
+        """Check the density-matrix invariants; return self or raise ValueError."""
         if not self.tail_bound <= _TAIL_BOUND:
             raise ValueError(
                 f"declared tail bound {self.tail_bound:g} exceeds {_TAIL_BOUND:g}"
             )
         # The grid is zero outside the blocks, so their maxima are the grid's.
-        if self._blocks is None:
-            parts = [self.entries]
-        else:
-            parts = [block for _, block in self._blocks]
-        scale = max([1.0] + [float(np.abs(p).max(initial=0.0)) for p in parts])
-        herm = max(
-            [0.0] + [float(np.abs(p - p.conj().T).max(initial=0.0)) for p in parts]
-        )
+        blocks = [block for _, block in self.blocks]
+        scale = max([1.0] + [float(np.abs(b).max()) for b in blocks])
+        herm = max([0.0] + [float(np.abs(b - b.conj().T).max()) for b in blocks])
         if herm > _HERMITICITY_TOL * scale:
             raise ValueError(f"not Hermitian: residual {herm:.3e}")
         tr = self.trace()
@@ -215,15 +227,7 @@ class FockDensityMatrix:
             raise ValueError(
                 f"trace {tr!r} outside [1 - {self.tail_bound:g}, 1]"
             )
-        blocks = _graded_blocks(self)
-        if blocks is None:
-            eigs = np.linalg.eigvalsh(self.entries)
-            min_eig = float(eigs.min())
-        else:
-            min_eig = 0.0
-            for _, block in blocks:
-                if block.shape[0]:
-                    min_eig = min(min_eig, float(np.linalg.eigvalsh(block).min()))
+        min_eig = min([0.0] + [float(lam[0]) for lam, _ in self._spectra()])
         if min_eig < -_EIGENVALUE_TOL:
             raise ValueError(f"negative eigenvalue {min_eig:.3e}")
         return self
@@ -237,18 +241,6 @@ def _geometric_pmf(nbar: float, length: int) -> np.ndarray:
         return out
     ratio = nbar / (1.0 + nbar)
     return np.power(ratio, np.arange(length)) / (1.0 + nbar)
-
-
-def _required_single_cutoff(nbar: float) -> int:
-    """Smallest c with (nbar/(1+nbar))**(c+1) <= the tail bound."""
-    if nbar == 0.0:
-        return 0
-    ratio = nbar / (1.0 + nbar)
-    c = int(math.ceil(math.log(_TAIL_BOUND) / math.log(ratio))) - 1
-    c = max(c, 0)
-    while ratio ** (c + 1) > _TAIL_BOUND:
-        c += 1
-    return c
 
 
 def _joint_tail(occupancies: list[float], upto: int) -> np.ndarray:
@@ -299,59 +291,6 @@ def _select_total_cutoff(
     return cutoff, actual
 
 
-def thermal_fock(nbar: float, cutoff: int | None = None) -> FockDensityMatrix:
-    """Single-mode thermal state, diagonal p_k = nbar^k/(1+nbar)^(k+1).
-
-    With ``cutoff=None`` the smallest cutoff meeting the tail bound is
-    selected.  An explicit cutoff that leaves more than 1e-10 of mass
-    raises CutoffError naming the required cutoff.  The state is
-    left sub-normalised (trace = 1 - actual tail); nothing is rescaled.
-    """
-    if nbar < 0.0:
-        raise ValueError(f"nbar must be non-negative, got {nbar}")
-    required = _required_single_cutoff(nbar)
-    if cutoff is None:
-        cutoff = required
-    elif cutoff < required:
-        raise CutoffError(
-            f"cutoff {cutoff} leaves tail mass above {_TAIL_BOUND:g} for "
-            f"nbar = {nbar}; required cutoff: {required}"
-        )
-    if cutoff > MAX_TOTAL_PHOTONS:
-        raise CutoffError(
-            f"cutoff {cutoff} exceeds the supported cap {MAX_TOTAL_PHOTONS}"
-        )
-    pmf = _geometric_pmf(nbar, cutoff + 1)
-    if nbar == 0.0:
-        actual_tail = 0.0
-    else:
-        actual_tail = (nbar / (1.0 + nbar)) ** (cutoff + 1)
-    entries = np.diag(pmf.astype(complex))
-    return FockDensityMatrix(
-        modes=1, cutoff=cutoff, entries=entries, tail_bound=actual_tail
-    ).require_valid()
-
-
-def fock_tensor(a: FockDensityMatrix, b: FockDensityMatrix) -> FockDensityMatrix:
-    """Tensor product (modes of ``a`` first); cutoffs must agree."""
-    if a.cutoff != b.cutoff:
-        raise ValueError(
-            f"tensor factors need a common cutoff, got {a.cutoff} and {b.cutoff}"
-        )
-    combined_tail = a.tail_bound + b.tail_bound
-    if combined_tail > _TAIL_BOUND:
-        raise CutoffError(
-            f"combined tail mass {combined_tail:.3e} exceeds "
-            f"{_TAIL_BOUND:g}; rebuild the factors at larger cutoffs"
-        )
-    return FockDensityMatrix(
-        modes=a.modes + b.modes,
-        cutoff=a.cutoff,
-        entries=np.kron(a.entries, b.entries),
-        tail_bound=combined_tail,
-    ).require_valid()
-
-
 # ---------------------------------------------------------------------------
 # Total-photon blocks and circuit elements
 # ---------------------------------------------------------------------------
@@ -400,6 +339,20 @@ def _block_basis(num_modes: int, total: int) -> np.ndarray:
         basis = np.concatenate(parts)
     basis.flags.writeable = False
     return basis
+
+
+@functools.lru_cache(maxsize=4 * (MAX_TOTAL_PHOTONS + 1))
+def _total_indices(num_modes: int, cutoff: int, total: int) -> np.ndarray:
+    """Grid indices of the basis states with ``total`` photons, ascending.
+
+    The array is cached and read-only.
+    """
+    basis = _block_basis(num_modes, total)
+    basis = basis[(basis <= cutoff).all(axis=1)]
+    # Lexicographic with the first mode most significant is grid order.
+    idx = basis @ (cutoff + 1) ** np.arange(num_modes - 1, -1, -1)
+    idx.flags.writeable = False
+    return idx
 
 
 @_call_memoised
@@ -702,17 +655,12 @@ class _ReducedAccumulator:
 
     def finish(self, tail_bound: float) -> FockDensityMatrix:
         """The occupied blocks, symmetrised, as a validated two-mode state."""
-        dim = self.cutoff + 1
         blocks = []
         for total, block in enumerate(self.blocks):
             block = (block + block.conj().T) / 2.0
             if float(np.abs(block).max()) > 0.0:
-                # Index of (n1, n2) on the grid is n1*dim + n2 with n2 = total-n1.
-                idx = np.arange(total + 1) * (dim - 1) + total
-                blocks.append((idx, block))
-        return FockDensityMatrix._from_blocks(
-            2, self.cutoff, blocks, tail_bound
-        ).require_valid()
+                blocks.append((_total_indices(2, self.cutoff, total), block))
+        return FockDensityMatrix(2, self.cutoff, blocks, tail_bound).require_valid()
 
 
 # ---------------------------------------------------------------------------
@@ -724,24 +672,20 @@ def fock_moments(state: FockDensityMatrix) -> tuple[np.ndarray, np.ndarray]:
     """(mean vector, covariance matrix) in qqpp ordering, hbar = 1.
 
     Read from the total-photon blocks, with no dense grid.  <a_k> and
-    <a_k a_l> change the photon total, so on a graded state they vanish:
-    the means are zero by structure, and every second moment comes from
-    <a_k^dag a_l>, which lies inside a block.  Same-mode second moments
-    keep the convention of products of the truncated single-mode
+    <a_k a_l> change the photon total, so on a block-diagonal state they
+    vanish: the means are zero by structure, and every second moment comes
+    from <a_k^dag a_l>, which lies inside a block.  Same-mode second
+    moments keep the convention of products of the truncated single-mode
     matrices, in which a a^dag is zero at n = cutoff.  Expectations are
     normalised by the trace, so the slight sub-normalisation from
-    truncation does not bias the moments.  A state that is not graded by
-    total photon number is refused with ValueError.
+    truncation does not bias the moments.
     """
-    blocks = _graded_blocks(state)
-    if blocks is None:
-        raise ValueError("fock_moments needs a state graded by total photon number")
     m = state.modes
     d = state.cutoff + 1
     strides = d ** np.arange(m - 1, -1, -1)
     hop = np.zeros((m, m), dtype=complex)  # <a_k^dag a_l>
     anti_normal = np.zeros(m)  # <a_k a_k^dag>, truncated
-    for idx, block in blocks:
+    for idx, block in state.blocks:
         occ = idx[:, None] // strides % d
         weights = np.diagonal(block).real
         hop[np.diag_indices(m)] += weights @ occ
@@ -771,69 +715,7 @@ def fock_moments(state: FockDensityMatrix) -> tuple[np.ndarray, np.ndarray]:
 
 def fock_purity(state: FockDensityMatrix) -> float:
     """tr(rho^2); for a Gaussian state this is prod_k 1/(2 u_k)."""
-    blocks = _graded_blocks(state)
-    if blocks is None:
-        return float(np.vdot(state.entries, state.entries).real)
-    return float(
-        sum(np.vdot(block, block).real for _, block in blocks)
-    )
-
-
-def _grade_vector(state: FockDensityMatrix) -> np.ndarray:
-    """Total photon number of each basis index of the state's grid."""
-    d = state.cutoff + 1
-    grades = np.zeros((d,) * state.modes, dtype=int)
-    for axis in range(state.modes):
-        shape = [1] * state.modes
-        shape[axis] = d
-        grades = grades + np.arange(d).reshape(shape)
-    return grades.ravel()
-
-
-def _graded_blocks(
-    state: FockDensityMatrix,
-) -> list[tuple[np.ndarray, np.ndarray]] | None:
-    """Split into total-photon blocks, or None if the state is not graded.
-
-    Returns (indices, submatrix) pairs for grades carrying any weight.
-    A block-carrying state returns its blocks; a dense one is scanned.
-    """
-    if state._blocks is not None:
-        return list(state._blocks)
-    grades = _grade_vector(state)
-    scale = max(1.0, float(np.abs(state.entries).max()))
-    off = grades[:, None] != grades[None, :]
-    if float(np.abs(state.entries[off]).max(initial=0.0)) > _GRADED_TOL * scale:
-        return None
-    out = []
-    for g in range(int(grades.max()) + 1):
-        idx = np.nonzero(grades == g)[0]
-        block = state.entries[np.ix_(idx, idx)]
-        if float(np.abs(block).max(initial=0.0)) > 0.0:
-            out.append((idx, block))
-    return out
-
-
-def _common_blocks(
-    state_0: FockDensityMatrix, state_1: FockDensityMatrix
-) -> list[tuple[np.ndarray, np.ndarray]] | None:
-    """Aligned (block_0, block_1) pairs over the union of occupied grades."""
-    blocks_0 = _graded_blocks(state_0)
-    blocks_1 = _graded_blocks(state_1)
-    if blocks_0 is None or blocks_1 is None:
-        return None
-    by_grade_0 = {idx[0]: (idx, b) for idx, b in blocks_0}
-    by_grade_1 = {idx[0]: (idx, b) for idx, b in blocks_1}
-    pairs = []
-    for key in sorted(set(by_grade_0) | set(by_grade_1)):
-        if key in by_grade_0:
-            idx, b0 = by_grade_0[key]
-            b1 = by_grade_1[key][1] if key in by_grade_1 else np.zeros_like(b0)
-        else:
-            idx, b1 = by_grade_1[key]
-            b0 = np.zeros_like(b1)
-        pairs.append((b0, b1))
-    return pairs
+    return float(sum(np.vdot(block, block).real for _, block in state.blocks))
 
 
 def oracle_qre(state_0: FockDensityMatrix, state_1: FockDensityMatrix) -> float:
@@ -846,19 +728,21 @@ def oracle_qre(state_0: FockDensityMatrix, state_1: FockDensityMatrix) -> float:
     """
     if state_0.cutoff != state_1.cutoff or state_0.modes != state_1.modes:
         raise ValueError("states must share the same mode count and cutoff")
-    pairs = _common_blocks(state_0, state_1)
-    if pairs is None:
-        pairs = [(state_0.entries, state_1.entries)]
+    # Index arrays are every grid index of their total, so the first index
+    # names the total.  A total that rho_0 leaves empty adds nothing; one
+    # that rho_1 leaves empty is a zero block, all of it below the floor.
+    spectra_1 = {
+        int(idx[0]): pair for (idx, _), pair in zip(state_1.blocks, state_1._spectra())
+    }
 
     entropy = 0.0
     cross = 0.0
     escaped_mass = 0.0
-    for b0, b1 in pairs:
-        lam = np.linalg.eigvalsh(b0)
+    for (idx, b0), (lam, _) in zip(state_0.blocks, state_0._spectra()):
         keep = lam > _EIGEN_FLOOR
         entropy += float(np.sum(lam[keep] * np.log(lam[keep])))
 
-        mu, w = np.linalg.eigh(b1)
+        mu, w = spectra_1.get(int(idx[0]), (np.zeros(len(idx)), np.eye(len(idx))))
         overlaps = np.einsum("ij,jk,ki->i", w.conj().T, b0, w).real
         overlaps = np.clip(overlaps, 0.0, None)
         low = mu < _EIGEN_FLOOR
@@ -880,13 +764,15 @@ def oracle_fidelity(
     """Uhlmann fidelity tr sqrt(sqrt(rho_0) rho_1 sqrt(rho_0)), in (0, 1]."""
     if state_0.cutoff != state_1.cutoff or state_0.modes != state_1.modes:
         raise ValueError("states must share the same mode count and cutoff")
-    pairs = _common_blocks(state_0, state_1)
-    if pairs is None:
-        pairs = [(state_0.entries, state_1.entries)]
+    # As in oracle_qre, the first index names the total; a total that
+    # either state leaves empty adds nothing.
+    blocks_1 = {int(idx[0]): b1 for idx, b1 in state_1.blocks}
 
     total = 0.0
-    for b0, b1 in pairs:
-        lam, v = np.linalg.eigh(b0)
+    for (idx, b0), (lam, v) in zip(state_0.blocks, state_0._spectra()):
+        b1 = blocks_1.get(int(idx[0]))
+        if b1 is None:
+            continue
         root = (v * np.sqrt(np.clip(lam, 0.0, None))) @ v.conj().T
         inner = root @ b1 @ root
         nu = np.linalg.eigvalsh((inner + inner.conj().T) / 2.0)

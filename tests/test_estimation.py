@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -351,12 +352,36 @@ class TestSimulation:
         assert abs(pooled[0] - streamed[0]) <= 5.0 * combined
 
     def test_per_sample_memory_cap(self):
-        # One trial at n = 1e8 would hold 1.6 GB of uniforms; the run is
-        # refused before anything is drawn.
-        with pytest.raises(ValueError, match="cap of 50000000 .*n <= 25000000"):
-            simulate_heterodyne_mse(
-                REFERENCE, 0.5, 0.01, 1e8, trials=1000, seed=1, per_sample=True
-            )
+        # One trial at n = 1e8 would hold 4 n values, 3.2 GB; at n = 2e7 it
+        # would hold 640 MB.  Both runs are refused before anything is drawn.
+        for num_modes in (1e8, 2e7):
+            with pytest.raises(ValueError, match="cap of 50000000 .*n <= 12500000"):
+                simulate_heterodyne_mse(
+                    REFERENCE, 0.5, 0.01, num_modes, trials=1000, seed=1,
+                    per_sample=True,
+                )
+
+    @pytest.mark.parametrize("num_modes", [1000.0, 5000.0])
+    def test_per_sample_chunk_stays_under_cap(self, monkeypatch, num_modes):
+        # The cap holds for a chunk's whole working set, not only for its
+        # uniforms: scaled down to 2e6 values (16 MB), chunks of 500 and of
+        # 100 trials fill it.
+        kwargs = dict(
+            theta_true=0.5, epsilon=0.3, num_modes=num_modes, trials=1000, seed=3,
+            per_sample=True,
+        )
+        # One chunk per strip at the shipped cap; also imports outside the trace.
+        want = simulate_heterodyne_mse(REFERENCE, **kwargs)
+        cap = 2_000_000
+        monkeypatch.setattr(estimation, "_SLOW_MODE_CHUNK", cap)
+        tracemalloc.start()
+        try:
+            got = simulate_heterodyne_mse(REFERENCE, **kwargs)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= 1.02 * 8 * cap
+        assert got == want
 
     def test_thread_count_bounded_by_cores_and_blocks(self, monkeypatch):
         monkeypatch.setattr(estimation.os, "cpu_count", lambda: 4)

@@ -25,18 +25,15 @@ from covertsense.fock import (
     _block_basis,
     _diagonal_factor,
     _geometric_pmf,
-    _graded_blocks,
     _pair_blocks,
     _select_total_cutoff,
     fock_moments,
     fock_purity,
-    fock_tensor,
     oracle_alice_state,
     oracle_cross_check,
     oracle_fidelity,
     oracle_qre,
     oracle_willie_state,
-    thermal_fock,
 )
 from covertsense.gaussian import symplectic_spectrum
 from covertsense.scenario import (
@@ -51,85 +48,113 @@ SMALL = SensingScenario(0.5, 0.5, 0.3, 0.2)
 PROBE = ProbeSettings(nbar_s=0.05, nbar_lo=0.25, theta=0.3)
 
 
+def thermal_pmf(nbar, cutoff):
+    """Thermal probabilities n^k/(1+n)^(k+1) for k <= cutoff, and the tail."""
+    ratio = nbar / (1.0 + nbar)
+    return ratio ** np.arange(cutoff + 1) / (1.0 + nbar), ratio ** (cutoff + 1)
+
+
+def diagonal_state(probs, tail_bound):
+    """A number-diagonal state built directly as its total-photon blocks.
+
+    ``probs`` holds the grid probabilities, one axis per mode; every photon
+    total that carries weight becomes one diagonal block.  The state is
+    not validated.
+    """
+    grades = np.indices(probs.shape).sum(axis=0).ravel()
+    flat = probs.ravel()
+    blocks = []
+    for total in range(grades.max() + 1):
+        idx = np.flatnonzero(grades == total)
+        if flat[idx].any():
+            blocks.append((idx, np.diag(flat[idx]).astype(complex)))
+    return FockDensityMatrix(probs.ndim, probs.shape[0] - 1, blocks, tail_bound)
+
+
+def thermal_state(nbar, cutoff):
+    """Single-mode thermal state, sub-normalised by its tail."""
+    return diagonal_state(*thermal_pmf(nbar, cutoff)).require_valid()
+
+
+def product_state(nbar_a, nbar_b, cutoff):
+    """Two-mode product of thermal states on the whole grid."""
+    pmf_a, tail_a = thermal_pmf(nbar_a, cutoff)
+    pmf_b, tail_b = thermal_pmf(nbar_b, cutoff)
+    return diagonal_state(
+        np.multiply.outer(pmf_a, pmf_b), tail_a + tail_b
+    ).require_valid()
+
+
+def cutoff_one_pair(block_1, tail_bound=0.0):
+    """Two modes at cutoff 1: |00> with weight 1/2, then ``block_1`` on
+    the photon-total-1 pair (|01>, |10>)."""
+    blocks = [(np.array([0]), np.array([[0.5]])), (np.array([1, 2]), block_1)]
+    return FockDensityMatrix(2, 1, blocks, tail_bound)
+
+
 class TestThermalFock:
     def test_unit_occupancy_probabilities(self):
-        state = thermal_fock(1.0)
-        probabilities = np.diag(state.entries).real
+        probabilities = _geometric_pmf(1.0, 6)
         for k in range(6):
             assert probabilities[k] == pytest.approx(2.0 ** -(k + 1), rel=1e-14)
 
     def test_vacuum_is_projector(self):
-        state = thermal_fock(0.0)
-        assert state.cutoff == 0
-        assert state.entries.shape == (1, 1)
-        assert state.entries[0, 0] == 1.0
-        assert state.tail_bound == 0.0
-
-    def test_auto_cutoff_meets_tail(self):
-        state = thermal_fock(1.0)
-        assert state.cutoff == 33
-        assert state.trace() >= 1.0 - 1e-10
-        # Sub-normalised on purpose: nothing is rescaled.
-        assert state.trace() == pytest.approx(1.0 - 0.5**34, abs=1e-15)
-
-    def test_insufficient_cutoff_names_requirement(self):
-        with pytest.raises(CutoffError, match="required cutoff: 33"):
-            thermal_fock(1.0, cutoff=12)
-
-    def test_occupancy_beyond_cap(self):
-        # nbar = 2.5 needs a cutoff past the total-photon cap.
-        with pytest.raises(CutoffError, match="cap"):
-            thermal_fock(2.5)
-
-    def test_cutoff_above_cap_rejected(self):
-        with pytest.raises(CutoffError):
-            thermal_fock(0.1, cutoff=MAX_TOTAL_PHOTONS + 1)
+        assert np.array_equal(_geometric_pmf(0.0, 4), [1.0, 0.0, 0.0, 0.0])
 
     def test_loose_tail_request_rejected(self):
         # The density-matrix type promises tail_bound <= 1e-10; a looser
         # declaration cannot produce a valid instance, even when the
-        # entries are a truncated thermal state (tail 2^-9) that meets it.
-        entries = np.diag(0.5 ** np.arange(1.0, 10.0)).astype(complex)
-        state = FockDensityMatrix(modes=1, cutoff=8, entries=entries, tail_bound=1e-2)
+        # blocks are a truncated thermal state (tail 2^-9) that meets it.
+        state = diagonal_state(thermal_pmf(1.0, 8)[0], 1e-2)
         with pytest.raises(ValueError, match="tail bound"):
             state.require_valid()
-
-    def test_negative_occupancy(self):
-        with pytest.raises(ValueError):
-            thermal_fock(-0.1)
 
 
 class TestDensityMatrixType:
     def test_shape_enforced(self):
-        with pytest.raises(ValueError, match="entries must be"):
-            FockDensityMatrix(
-                modes=2, cutoff=1, entries=np.eye(3, dtype=complex), tail_bound=0.0
-            )
+        with pytest.raises(ValueError, match=r"shape \(3, 3\) needs 3 grid indices"):
+            cutoff_one_pair(np.eye(3) / 4.0)
+
+    @pytest.mark.parametrize(
+        "blocks,match",
+        [
+            ([([1, 2], np.ones((2, 3)))], "must be square"),
+            ([([3, 4], np.eye(2) / 2.0)], r"integers in \[0, 4\)"),
+            ([([1.0, 2.0], np.eye(2) / 2.0)], "integers"),
+            ([([0, 1], np.eye(2) / 2.0)], r"span photon totals \[0, 1\]"),
+            ([([1], [[1.0]])], "every grid index of that total"),
+            ([([1, 2], np.eye(2) / 4.0), ([0], [[0.5]])], "increasing photon total"),
+            ([([0], [[0.5]]), ([0], [[0.5]])], "increasing photon total"),
+        ],
+        ids=["not-square", "off-grid", "float-index", "two-totals", "partial-total",
+             "out-of-order", "repeated-total"],
+    )
+    def test_malformed_blocks_refused(self, blocks, match):
+        blocks = [(np.array(idx), np.array(block)) for idx, block in blocks]
+        with pytest.raises(ValueError, match=match):
+            FockDensityMatrix(2, 1, blocks, 0.0)
 
     def test_require_valid_rejects_non_hermitian(self):
-        entries = np.array([[0.5, 0.1], [0.3, 0.5]], dtype=complex)
-        state = FockDensityMatrix(modes=1, cutoff=1, entries=entries, tail_bound=0.0)
+        state = cutoff_one_pair(np.array([[0.25, 0.1], [0.3, 0.25]], dtype=complex))
         with pytest.raises(ValueError, match="Hermitian"):
             state.require_valid()
 
     def test_require_valid_rejects_negative_eigenvalue(self):
-        entries = np.diag([1.2, -0.2]).astype(complex)
-        state = FockDensityMatrix(modes=1, cutoff=1, entries=entries, tail_bound=0.0)
+        state = diagonal_state(np.array([1.2, -0.2]), 0.0)
         with pytest.raises(ValueError, match="negative eigenvalue"):
             state.require_valid()
 
     def test_require_valid_rejects_bad_trace(self):
-        entries = np.diag([0.4, 0.4]).astype(complex)
-        state = FockDensityMatrix(modes=1, cutoff=1, entries=entries, tail_bound=0.0)
+        state = diagonal_state(np.array([0.4, 0.4]), 0.0)
         with pytest.raises(ValueError, match="trace"):
             state.require_valid()
 
     def test_require_valid_accepts_good_state(self):
-        state = thermal_fock(0.5)
+        state = diagonal_state(*thermal_pmf(0.5, 20))
         assert state.require_valid() is state
 
     def test_immutable(self):
-        state = thermal_fock(0.5)
+        state = thermal_state(0.5, 20)
         with pytest.raises(AttributeError, match="immutable"):
             state.cutoff = 3
 
@@ -138,23 +163,11 @@ class TestFockTensor:
     def test_additivity_of_qre(self):
         # One extra photon of headroom per factor keeps the combined
         # tail inside the type's 1e-10 promise.
-        vac = thermal_fock(0.0, cutoff=34)
-        th = thermal_fock(1.0, cutoff=34)
-        two_vac = fock_tensor(vac, vac)
-        two_th = fock_tensor(th, th)
+        two_vac = product_state(0.0, 0.0, 34)
+        two_th = product_state(1.0, 1.0, 34)
         assert oracle_qre(two_vac, two_th) == pytest.approx(
             2.0 * math.log(2.0), abs=1e-9
         )
-
-    def test_cutoff_mismatch_rejected(self):
-        with pytest.raises(ValueError, match="common cutoff"):
-            fock_tensor(thermal_fock(0.0), thermal_fock(1.0))
-
-    def test_combined_tail_gate(self):
-        # Two factors individually at the tail limit cannot be combined.
-        marginal = thermal_fock(1.0)  # tail ~ 5.8e-11
-        with pytest.raises(CutoffError, match="combined tail"):
-            fock_tensor(marginal, marginal)
 
 
 class TestOracleWillieState:
@@ -172,10 +185,7 @@ class TestOracleWillieState:
         # by the declared tails.
         scenario = SensingScenario(1.0, 1.0, 0.4, 0.3)
         state = oracle_willie_state(scenario, 0.0)
-        want = fock_tensor(
-            thermal_fock(0.3, cutoff=state.cutoff),
-            thermal_fock(0.4, cutoff=state.cutoff),
-        )
+        want = product_state(0.3, 0.4, state.cutoff)
         budget = state.tail_bound + want.tail_bound
         assert np.abs(state.entries - want.entries).max() <= budget
 
@@ -222,19 +232,19 @@ class TestOracleQre:
         assert abs(oracle_qre(state, state)) <= 1e-10
 
     def test_vacuum_thermal_per_mode(self):
-        vac = thermal_fock(0.0, cutoff=33)
-        th = thermal_fock(1.0)
+        vac = thermal_state(0.0, 33)
+        th = thermal_state(1.0, 33)
         assert oracle_qre(vac, th) == pytest.approx(math.log(2.0), abs=1e-10)
 
     def test_support_escape_diverges(self):
-        vac = thermal_fock(0.0, cutoff=33)
-        th = thermal_fock(1.0)
+        vac = thermal_state(0.0, 33)
+        th = thermal_state(1.0, 33)
         with pytest.raises(InfiniteQreError):
             oracle_qre(th, vac)
 
     def test_dimension_mismatch(self):
         with pytest.raises(ValueError):
-            oracle_qre(thermal_fock(0.0, cutoff=5), thermal_fock(0.0, cutoff=7))
+            oracle_qre(thermal_state(0.0, 5), thermal_state(0.0, 7))
 
     def test_matches_gaussian_route_reference_point(self):
         # Reference cross-module agreement point at equal unit baths.
@@ -263,9 +273,8 @@ class TestOracleFidelity:
         assert oracle_fidelity(state, state) == pytest.approx(1.0, abs=1e-10)
 
     def test_vacuum_thermal_golden(self):
-        vac = thermal_fock(0.0, cutoff=33)
-        pair_a = fock_tensor(vac, vac)
-        pair_b = fock_tensor(thermal_fock(1.0), vac)
+        pair_a = product_state(0.0, 0.0, 33)
+        pair_b = product_state(1.0, 0.0, 33)
         assert oracle_fidelity(pair_a, pair_b) == pytest.approx(
             math.sqrt(0.5), abs=1e-9
         )
@@ -385,7 +394,7 @@ class TestAliceStateAgainstFourModeRoute:
         want = four_mode_alice_state(scenario, probe, cutoff)
         assert state.cutoff == want.cutoff
         assert state.tail_bound == want.tail_bound
-        got, ref = _graded_blocks(state), _graded_blocks(want)
+        got, ref = state.blocks, want.blocks
         assert len(got) == len(ref)
         for (idx, block), (want_idx, want_block) in zip(got, ref):
             assert np.array_equal(idx, want_idx)
@@ -429,27 +438,26 @@ def sparse_kron_moments(state):
 
 class TestMomentsAgainstSparseKron:
     def test_ungraded_state_refused(self):
-        # |0><1| + |1><0| couples photon totals 0 and 1.
-        entries = np.array([[0.5, 0.25], [0.25, 0.5]], dtype=complex)
-        state = FockDensityMatrix(modes=1, cutoff=1, entries=entries, tail_bound=0.0)
-        with pytest.raises(ValueError, match="graded"):
-            fock_moments(state)
+        # |0><1| + |1><0| couples photon totals 0 and 1, so no state that
+        # fock_moments could read holds it.
+        block = np.array([[0.5, 0.25], [0.25, 0.5]], dtype=complex)
+        with pytest.raises(ValueError, match="span photon totals"):
+            FockDensityMatrix(1, 1, [(np.array([0, 1]), block)], 0.0)
 
     def test_dense_multimode_state_matches_reference_route(self):
-        # A graded three-mode state whose totals run past the cutoff, so
-        # the truncated same-mode convention and every mode pair are read.
+        # A three-mode state whose totals run past the cutoff, so the
+        # truncated same-mode convention and every mode pair are read.
         rng = np.random.default_rng(7)
         cutoff = 3
-        dim = (cutoff + 1) ** 3
         grades = np.indices((cutoff + 1,) * 3).sum(axis=0).ravel()
-        entries = np.zeros((dim, dim), dtype=complex)
+        blocks = []
         for grade in range(3 * cutoff + 1):
             idx = np.flatnonzero(grades == grade)
             amp = rng.normal(size=(len(idx), 2)) + 1j * rng.normal(size=(len(idx), 2))
-            entries[np.ix_(idx, idx)] = amp @ amp.conj().T
-        entries /= np.trace(entries).real
+            blocks.append((idx, amp @ amp.conj().T))
+        norm = sum(np.trace(block).real for _, block in blocks)
         state = FockDensityMatrix(
-            modes=3, cutoff=cutoff, entries=entries, tail_bound=0.0
+            3, cutoff, [(idx, block / norm) for idx, block in blocks], 0.0
         )
         mean, cov = fock_moments(state)
         want_mean, want_cov = sparse_kron_moments(state)
@@ -490,7 +498,7 @@ def full_grid_assembly(raw_blocks, cutoff):
 
 
 class TestBlockRouteAgainstDenseRoute:
-    """A block-carrying state against the dense state of the same blocks."""
+    """A state against the full grid of the same blocks."""
 
     SCENARIO = SensingScenario(0.7, 0.6, 0.02, 0.03)
 
@@ -502,7 +510,7 @@ class TestBlockRouteAgainstDenseRoute:
         ids=["willie", "alice"],
     )
     def routes(self, request, monkeypatch):
-        """(block state, dense state built by the old full-grid assembly)."""
+        """(state, its full grid built by the old full-grid assembly)."""
         raw = []
         finish = _ReducedAccumulator.finish
 
@@ -512,31 +520,19 @@ class TestBlockRouteAgainstDenseRoute:
 
         monkeypatch.setattr(_ReducedAccumulator, "finish", recording)
         state = request.param(self.SCENARIO)
-        dense = FockDensityMatrix(
-            modes=2,
-            cutoff=state.cutoff,
-            entries=full_grid_assembly(raw, state.cutoff),
-            tail_bound=state.tail_bound,
-        )
-        return state, dense
-
-    def test_graded_blocks_equal_dense_scan(self, routes):
-        state, dense = routes
-        got = _graded_blocks(state)
-        want = _graded_blocks(dense)
-        assert len(got) == len(want)
-        for (idx, block), (want_idx, want_block) in zip(got, want):
-            assert np.array_equal(idx, want_idx)
-            assert np.array_equal(block, want_block)
+        return state, full_grid_assembly(raw, state.cutoff)
 
     def test_lazy_entries_equal_full_grid_assembly(self, routes):
-        state, dense = routes
-        assert np.array_equal(state.entries, dense.entries)
+        state, grid = routes
+        assert np.array_equal(state.entries, grid)
 
     def test_trace_and_purity_equal_dense_route(self, routes):
-        state, dense = routes
-        assert state.trace() == dense.trace()
-        assert fock_purity(state) == fock_purity(dense)
+        state, grid = routes
+        assert state.trace() == float(np.trace(grid).real)
+        # Summed block by block, against one sum over the whole grid.
+        assert fock_purity(state) == pytest.approx(
+            float(np.vdot(grid, grid).real), rel=4e-16
+        )
 
     @pytest.mark.parametrize(
         "total,perturb,match",
@@ -549,12 +545,10 @@ class TestBlockRouteAgainstDenseRoute:
     )
     def test_require_valid_refuses_bad_block(self, routes, total, perturb, match):
         state, _ = routes
-        blocks = _graded_blocks(state)
+        blocks = list(state.blocks)
         idx, block = blocks[total]
         blocks[total] = (idx, perturb(block))
-        bad = FockDensityMatrix._from_blocks(
-            2, state.cutoff, blocks, state.tail_bound
-        )
+        bad = FockDensityMatrix(2, state.cutoff, blocks, state.tail_bound)
         with pytest.raises(ValueError, match=match):
             bad.require_valid()
 
@@ -564,13 +558,13 @@ class TestDenseGridBuiltOnRead:
     def assembled(self, monkeypatch):
         """States whose dense grid gets built, in order."""
         built = []
-        assemble = FockDensityMatrix._assemble
+        entries = FockDensityMatrix.entries
 
         def counting(state):
             built.append(state)
-            return assemble(state)
+            return entries.fget(state)
 
-        monkeypatch.setattr(FockDensityMatrix, "_assemble", counting)
+        monkeypatch.setattr(FockDensityMatrix, "entries", property(counting))
         return built
 
     def test_cross_check_builds_no_grid_and_one_forward_part(
@@ -597,6 +591,112 @@ class TestDenseGridBuiltOnRead:
             with pytest.raises(ValueError, match="same mode count and cutoff"):
                 measure(a, b)
         assert assembled == []
+
+
+def grid_qre(rho_0, rho_1):
+    """tr rho_0 (ln rho_0 - ln rho_1) from whole-grid eigendecompositions.
+
+    Eigenvalues below 1e-14 are clamped for the logarithms, as the oracle
+    does.
+    """
+    lam = scipy.linalg.eigvalsh(rho_0)
+    lam = lam[lam > 1e-14]
+    mu, w = scipy.linalg.eigh(rho_1)
+    log_1 = (w * np.log(np.clip(mu, 1e-14, None))) @ w.conj().T
+    return float(np.sum(lam * np.log(lam)) - np.trace(rho_0 @ log_1).real)
+
+
+def grid_fidelity(rho_0, rho_1):
+    """tr sqrt(sqrt(rho_0) rho_1 sqrt(rho_0)) on the whole grid, taken as
+    the trace norm of sqrt(rho_0) sqrt(rho_1).
+
+    The states have eigenvalues near 1e-16, below the rounding of a
+    whole-grid decomposition.  Square roots of the eigenvalues of
+    sqrt(rho_0) rho_1 sqrt(rho_0) turn that rounding into errors of ~1e-10;
+    the singular values of the product of roots keep it at ~1e-16.
+    """
+
+    def root(rho):
+        lam, v = scipy.linalg.eigh(rho)
+        return (v * np.sqrt(np.clip(lam, 0.0, None))) @ v.conj().T
+
+    return float(scipy.linalg.svdvals(root(rho_0) @ root(rho_1)).sum())
+
+
+class TestBlockSplitAgainstFullGrid:
+    """QRE and fidelity read per block agree with the same quantities on
+    the assembled 81 x 81 grids at cutoff 8."""
+
+    SCENARIO = SensingScenario(0.7, 0.6, 0.02, 0.03)
+    # With vacuum baths the probe-off adversary state is the vacuum: one
+    # block, so every other total is empty on one side.
+    VACUUM_BATHS = SensingScenario(0.7, 0.6, 0.0, 0.0)
+
+    @pytest.mark.parametrize(
+        "scenario,route",
+        [
+            (SCENARIO, "willie"),
+            (SCENARIO, "alice"),
+            (VACUUM_BATHS, "willie"),
+            (None, "gaps"),
+        ],
+        ids=["willie-off-on", "alice-two-phases", "willie-vacuum-baths", "gaps"],
+    )
+    def test_qre_and_fidelity_match_whole_grid(self, scenario, route):
+        if route == "gaps":
+            # Photon totals 1 and 3 empty in the first state only, so
+            # blocks must be paired by total, not by position.
+            state_1 = product_state(0.02, 0.03, 8)
+            probs = np.multiply.outer(*(thermal_pmf(n, 8)[0] for n in (0.02, 0.03)))
+            probs[np.isin(np.add.outer(np.arange(9), np.arange(9)), (1, 3))] = 0.0
+            state_0 = diagonal_state(probs / probs.sum(), 0.0).require_valid()
+        elif route == "willie":
+            state_0, state_1 = (
+                oracle_willie_state(scenario, nbar_s, 0.3, 8) for nbar_s in (0.0, 0.04)
+            )
+        else:
+            state_0, state_1 = (
+                oracle_alice_state(scenario, ProbeSettings(0.02, 0.03, theta), 8)
+                for theta in (0.3, 0.4)
+            )
+        rho_0, rho_1 = state_0.entries, state_1.entries
+        assert rho_0.shape == (81, 81)
+        assert abs(oracle_qre(state_0, state_1) - grid_qre(rho_0, rho_1)) <= 1e-12
+        for a, b, rho_a, rho_b in (
+            (state_0, state_1, rho_0, rho_1),
+            (state_1, state_0, rho_1, rho_0),
+        ):
+            assert abs(oracle_fidelity(a, b) - grid_fidelity(rho_a, rho_b)) <= 1e-12
+
+
+class TestOneDecompositionPerBlock:
+    def test_cross_check_decomposes_each_state_block_once(self, monkeypatch):
+        states = []
+        finish = _ReducedAccumulator.finish
+
+        def recording(accumulator, tail_bound):
+            states.append(finish(accumulator, tail_bound))
+            return states[-1]
+
+        monkeypatch.setattr(_ReducedAccumulator, "finish", recording)
+        calls = []
+        for name in ("eigh", "eigvalsh"):
+
+            def counting(a, *args, _name=name, _real=getattr(np.linalg, name)):
+                calls.append((_name, a))
+                return _real(a, *args)
+
+            monkeypatch.setattr(np.linalg, name, counting)
+        oracle_cross_check(SMALL, 0.05, 0.25, 0.3)
+
+        w_off, w_on, a_state_a, a_state_b = states
+        blocks = [block for state in states for _, block in state.blocks]
+        for block in blocks:
+            assert sum(a is block for _, a in calls) == 1
+        # The only other eigvalsh calls are the fidelity's, one per total
+        # the interrogator pair shares.
+        assert [name for name, _ in calls].count("eigvalsh") == len(a_state_a.blocks)
+        assert len(a_state_a.blocks) == len(a_state_b.blocks)
 
 
 class TestCrossCheckReport:
