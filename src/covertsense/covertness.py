@@ -45,6 +45,7 @@ the adversary's reference occupation matrix; it needs no QRE evaluation.
 from __future__ import annotations
 
 import math
+import sys
 import warnings
 from dataclasses import dataclass
 from typing import TYPE_CHECKING
@@ -73,10 +74,6 @@ __all__ = [
 ]
 
 _PURE_TOL = 1e-12
-
-#: A c2 at or below this is the noise floor: the adversary state does not
-#: respond to the probe.
-_C2_FLOOR = 1e-12
 
 
 @dataclass(frozen=True)
@@ -207,14 +204,33 @@ def _willie_normal_deltas(
         # equal baths v1 = v0 (1 - nbar_s/nbar_b) exactly, so the axes swap
         # once nbar_s exceeds nbar_b) -- while the direct difference is an
         # addition of same-sign terms and is stable, so branch on the sign.
+        # Both forms are divided through by rho1 so that no product of two
+        # bath-sized factors is squared (cross^2 overflows from ~1e77 up).
         cross = 2.0 * (dw12 * delta0 - w12_0 * d_delta)
         dot = 4.0 * w12 * w12_0 + delta1 * delta0
         if dot < 0.0:
-            dd1 = (dot - rho0 * rho1) / (2.0 * rho1)
+            dd1 = (dot / rho1 - rho0) / 2.0
         else:
-            dd1 = -(cross * cross) / ((rho0 * rho1 + dot) * 2.0 * rho1)
+            tilt = cross / rho1
+            dd1 = -(tilt * tilt) / (2.0 * (rho0 + dot / rho1))
     dd2 = -dd1
     return [(u1_0, du1, u1_0 + du1, dd1), (u2_0, du2, u2_0 + du2, dd2)]
+
+
+def _log1p_minus_x(x: float) -> float:
+    """log1p(x) - x, by its series near 0 where the difference cancels."""
+    if abs(x) > 0.25:
+        return math.log1p(x) - x
+    total = 0.0
+    power = x
+    k = 2
+    while True:
+        power *= -x
+        term = power / k
+        total += term
+        if abs(term) <= 1e-17 * abs(total):
+            return total
+        k += 1
 
 
 def _relative_term(u0: float, du: float, u: float, dd: float) -> float:
@@ -222,22 +238,32 @@ def _relative_term(u0: float, du: float, u: float, dd: float) -> float:
 
     Equals (1+2u0) ln((u+1/2)/(u0+1/2))/2 + (1-2u0) ln((u-1/2)/(u0-1/2))/2
     + dd ln((u+1/2)/(u-1/2)), with the pure-mode limits handled explicitly.
+
+    The two logs are each ~du while their sum is ~du^2/(2 u0^2), so summing
+    them directly leaves a relative error ~eps u0^2/du: no digit survives
+    at hot baths.  With a = u0 + 1/2 and a - (u0 - 1/2) = 1 the sum is
+    rewritten exactly as du^2/(a (u - 1/2)) + m(du/a)
+    + (u0 - 1/2) m(-du/(a (u - 1/2))), m(x) = log1p(x) - x, whose three
+    terms are second order in du and cancel by about half.
     """
     gap0 = u0 - 0.5
     gap1 = u - 0.5
-    term = 0.5 * (1.0 + 2.0 * u0) * math.log1p(du / (u0 + 0.5))
+    a = u0 + 0.5
     if gap1 <= _PURE_TOL:
         if gap0 > 100.0 * _PURE_TOL or dd > 100.0 * _PURE_TOL:
             raise InfiniteQreError(
                 "relative entropy diverges: perturbed adversary state is pure "
                 "along a mode where the reference is mixed"
             )
-        return term
-    # At a pure reference mode (1 - 2u0) -> 0 kills the second log's
-    # divergence in the limit.
+        return a * math.log1p(du / a)
     if gap0 > _PURE_TOL:
-        term += 0.5 * (1.0 - 2.0 * u0) * math.log1p(du / gap0)
-    return term + dd * (math.log(u + 0.5) - math.log(gap1))
+        x = du / a
+        term = x * (du / gap1) + _log1p_minus_x(x) + gap0 * _log1p_minus_x(-x / gap1)
+    else:
+        # At a pure reference mode (1 - 2u0) -> 0 kills the second log's
+        # divergence in the limit.
+        term = a * math.log1p(du / a)
+    return term + dd * math.log1p(1.0 / gap1)
 
 
 def _willie_qre_raw(scenario: SensingScenario, nbar_s: float) -> float:
@@ -371,9 +397,11 @@ def taylor_coefficients(scenario: SensingScenario) -> TaylorCoefficients:
 
     Raises :class:`DomainError` when the reference state has a (near-)pure
     normal mode, lambda_min <= 1e-12 (vacuum baths: D is not twice
-    differentiable at 0), and :class:`DegenerateCovertnessError` when c2
-    falls at or below ``_C2_FLOOR`` (identity channel: the adversary
-    state does not respond to the probe).
+    differentiable at 0).  Raises :class:`DegenerateCovertnessError` for
+    an identity channel (both taps fully transmissive), decided on the
+    taps: the adversary state does not respond to the probe and c2 = 0.
+    Any other c2 is exact, however small, and is refused with
+    :class:`DomainError` only when it underflows to a subnormal or zero.
     """
     e1, e2 = scenario.eta_1, scenario.eta_2
     b1, b2 = scenario.nbar_b1, scenario.nbar_b2
@@ -400,11 +428,16 @@ def taylor_coefficients(scenario: SensingScenario) -> TaylorCoefficients:
         + w_lo * w_lo * _h_slope(lo, lo)
         + 2.0 * w_hi * w_lo * _h_slope(lo, hi)
     )
-    if c2 <= _C2_FLOOR:
+    if scenario.is_identity_channel:
         raise DegenerateCovertnessError(
             f"quadratic covertness coefficient {c2:.3e} is at the noise floor; "
             "the adversary state does not respond to the probe "
             "(identity channel?)"
+        )
+    if c2 < sys.float_info.min:
+        raise DomainError(
+            f"quadratic covertness coefficient {c2:.3e} underflows double "
+            "precision at these bath occupancies"
         )
     mixed = w_hi * _h_curvature(hi, lo) + w_lo * _h_curvature(lo, hi)
     c3 = -4.0 * (

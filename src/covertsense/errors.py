@@ -35,12 +35,9 @@ class InfiniteQreError(DomainError):
 
 
 class DegenerateCovertnessError(DomainError):
-    """The quadratic covertness coefficient is at the noise floor.
-
-    Typical cause: an identity channel (eta_1 = eta_2 = 1), where the
-    adversary's state does not depend on the probe at all and no finite
-    covert budget exists.
-    """
+    """The quadratic covertness coefficient is zero: an identity channel
+    (eta_1 = eta_2 = 1), where the adversary's state does not depend on
+    the probe at all and no finite covert budget exists."""
 
 
 class NearFieldError(DomainError):

@@ -89,9 +89,10 @@ _BLOCK_TRIALS = 4096
 _STRIP_BLOCKS = 4
 
 #: Cap on the float64 values the per-sample (slow) Monte-Carlo mode holds
-#: at once in one thread (400 MB).  A trial holds 4 n of them at the peak
-#: of ``_normal_pair_means``: its 2 n uniforms, n radii and n angles.
-#: Trials are drawn in chunks that stay under the cap, and per-sample runs
+#: at once over all its threads (400 MB).  A trial holds 4 n of them at the
+#: peak of ``_normal_pair_means``: its 2 n uniforms, n radii and n angles.
+#: No more threads run than can each hold one trial under the cap, each
+#: draws its trials in chunks of its share of the cap, and per-sample runs
 #: are refused for 4 n above it.
 _SLOW_MODE_CHUNK = 50_000_000
 
@@ -513,7 +514,9 @@ def simulate_heterodyne_mse(
     averages them — statistically identical (Gaussian averages are
     Gaussian) and O(n) more work, so only sensible for small ``n``.  It
     is refused for ``n > 12_500_000``, where a single trial's 4 n working
-    values would take more than 400 MB.
+    values would take more than 400 MB.  The 400 MB hold for the whole
+    run: at most ``400 MB / (32 n bytes)`` threads run, and each draws
+    its trials in chunks of its share.
 
     Reproducibility: trial ``t`` owns a fixed slice of the counter
     stream of Philox (``philox4x64-10``) keyed by ``seed`` — uniforms
@@ -577,6 +580,11 @@ def simulate_heterodyne_mse(
 
     strip_trials = _BLOCK_TRIALS * (1 if per_sample else _STRIP_BLOCKS)
     num_strips = -(-trials // strip_trials)
+    threads = _thread_count(workers, num_strips)
+    if per_sample:
+        # The cap is shared: each thread holds one chunk at a time.
+        threads = min(threads, _SLOW_MODE_CHUNK // per_trial)
+        chunk = _SLOW_MODE_CHUNK // (threads * per_trial)
 
     # One set of kernel buffers per thread (see _StripBuffers).
     import threading
@@ -594,7 +602,6 @@ def simulate_heterodyne_mse(
                 gen, count, mu1, mu2, sigma_avg, theta_true, local.buffers
             )
             return _block_sums(squared)
-        chunk = _SLOW_MODE_CHUNK // per_trial
         sq_parts = []
         done = 0
         while done < count:
@@ -610,7 +617,6 @@ def simulate_heterodyne_mse(
 
     sum_sq = 0.0
     sum_quad = 0.0
-    threads = _thread_count(workers, num_strips)
     for parts in _in_order(run_strip, num_strips, threads):
         for part_sq, part_quad in parts:
             sum_sq += part_sq

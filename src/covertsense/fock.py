@@ -18,18 +18,23 @@ Implementation notes:
   moments, purity, QRE and fidelity all read them, and each block is
   eigendecomposed once, when the state is validated.  The full grid is
   assembled only when ``entries`` is read, which no cross-check does.
-* Inside a block, a beam splitter on a mode pair is a direct sum of
-  small pair blocks, one per photon total of the pair.  It is applied by
-  gathering the rows of each pair total and multiplying by the pair
-  block; the lifted matrix is never formed.  The density matrix is
-  carried as a factor F with rho = F F^dag, and the partial trace is one
-  product per retained photon total.
-* No circuit runs on more than three modes.  A bath that is untouched
-  after its tap is traced out as soon as the tap is done, and one that
-  is untouched before its tap enters as a block-diagonal factor, so the
-  interrogator's four-mode circuit runs as two three-mode stages.  The
-  stage before the phase does not depend on it and is built once per
-  cross-check.
+* Every tap is a beam splitter against a number-diagonal thermal bath,
+  one of whose output ports is then traced out, so it acts on a two-mode
+  state as a one-mode channel: each output block is a sum, over the bath
+  count, of products of two pair-block (Wigner small-d) amplitudes with
+  entries of one input block, and the traced count is fixed by the bath
+  count and the input and output totals.  No circuit is run on three or
+  four modes and no amplitude factor is formed; the work is O(cutoff^5)
+  in O(cutoff) vectorised calls.
+* The adversary's forward tap keeps both its ports, so its stage is one
+  block per pair total, and the Gram of the return tap, which depends on
+  neither the probe nor the phase, is shared by the adversary states of
+  a cross-check.  The interrogator's forward stage is a family of prefix
+  sums over the photons consumed, stored ragged (no (cutoff + 1)^4
+  array); its return stage weights them by the return bath.
+* Photon number is conserved and the baths are diagonal, so the phase
+  only conjugates each output block by a diagonal of exp(i theta n): the
+  interrogator states of a cross-check share one real build.
 * ``cutoff`` is the per-mode Fock-space truncation (dimension
   ``cutoff + 1`` per mode).  States built by this module additionally
   carry support only on total photon number <= cutoff — the corner of
@@ -292,14 +297,14 @@ def _select_total_cutoff(
 
 
 # ---------------------------------------------------------------------------
-# Total-photon blocks and circuit elements
+# Total-photon blocks and the taps as channels
 # ---------------------------------------------------------------------------
 
-#: Memo for the index and pair-block tables of one ``oracle_cross_check``
-#: call, so its four states build each beam splitter once, and for the
-#: phase-independent part its two interrogator states share.  Set and reset
-#: around that call only; the state builders keep their signatures and
-#: nothing outlives the call.
+#: Memo for the tables of one ``oracle_cross_check`` call, so its four
+#: states build each pair-block table once, its two adversary states share the
+#: return tap's Gram and its two interrogator states share their
+#: phase-independent build.  Set and reset around that call only; the state
+#: builders keep their signatures and nothing outlives the call.
 _CALL_MEMO: contextvars.ContextVar[dict | None] = contextvars.ContextVar(
     "covertsense_fock_call_memo", default=None
 )
@@ -356,96 +361,40 @@ def _total_indices(num_modes: int, cutoff: int, total: int) -> np.ndarray:
 
 
 @_call_memoised
-def _pair_gathers(
-    num_modes: int, total: int, first: int, second: int
-) -> list[np.ndarray]:
-    """Rows of a total block grouped by the photons in a mode pair.
-
-    Entry ``m`` is an int array ``G`` of shape ``(m + 1, groups)``:
-    ``G[k, g]`` is the row of the state with ``k`` photons in ``first``,
-    ``m - k`` in ``second``, and the ``g``-th occupation of the other
-    modes.  Every row of the block appears exactly once over all ``m``.
-    """
-    basis = _block_basis(num_modes, total)
-    others = [mode for mode in range(num_modes) if mode not in (first, second)]
-    # Mixed-radix code of the other modes' occupations (digits <= total).
-    weights = (total + 1) ** np.arange(len(others) - 1, -1, -1)
-    other_code = basis[:, others] @ weights
-    pair_total = basis[:, first] + basis[:, second]
-    order = np.lexsort((basis[:, first], other_code, pair_total))
-    counts = np.bincount(pair_total, minlength=total + 1)
-    chunks = np.split(order, np.cumsum(counts)[:-1])
-    return [chunk.reshape(-1, m + 1).T for m, chunk in enumerate(chunks)]
-
-
-@_call_memoised
-def _pair_blocks(eta: float, cutoff: int) -> list[np.ndarray]:
+def _pair_blocks(eta: float, cutoff: int) -> np.ndarray:
     """Beam-splitter amplitudes on fixed pair totals ``m = 0..cutoff``.
 
-    Block ``m`` is the orthogonal matrix exp(phi (a1^dag a2 - a2^dag a1))
-    with cos(phi) = sqrt(eta), on the basis index k = photons in the first
-    mode of the pair; it sends a1 -> cos(phi) a1 + sin(phi) a2.  These are
-    the SU(2) (Wigner small-d) matrices, i.e. the m-th symmetric power of
-    the 2 x 2 rotation R = [[c, s], [-s, c]].  They are built by
+    ``table[m, x, y]`` is the amplitude from ``y`` to ``x`` photons in the
+    first mode of the pair at pair total ``m``.  Block ``m``, the slice
+    ``[m, :m + 1, :m + 1]``, is the orthogonal matrix
+    exp(phi (a1^dag a2 - a2^dag a1)) with cos(phi) = sqrt(eta); it sends
+    a1 -> cos(phi) a1 + sin(phi) a2.  Every other entry is zero, so an
+    index past the edge of a block reads a zero amplitude.  These are the
+    SU(2) (Wigner small-d) matrices, i.e. the m-th symmetric power of the
+    2 x 2 rotation R = [[c, s], [-s, c]].  They are built by
 
         m U_m = sum_{i,l} R_li  a_l^dag U_{m-1} a_i,
 
     which follows from m = a1^dag a1 + a2^dag a2 on the block and
     U a_i^dag = sum_l R_li a_l^dag U.  The map U_{m-1} -> U_m is a
-    contraction, so rounding errors do not grow with m.
+    contraction, so rounding errors do not grow with m.  The table is
+    read-only.
     """
     c, s = math.sqrt(eta), math.sqrt(1.0 - eta)
-    blocks = [np.ones((1, 1))]
+    table = np.zeros((cutoff + 1,) * 3)
+    table[0, 0, 0] = 1.0
     for m in range(1, cutoff + 1):
-        prev = blocks[-1]
+        prev = table[m - 1, :m, :m]
         up = np.sqrt(np.arange(1.0, m + 1))  # sqrt(k), k = 1..m
         down = up[::-1]  # sqrt(m - k), k = 0..m-1
-        block = np.zeros((m + 1, m + 1))
+        block = table[m, : m + 1, : m + 1]
         block[1:, 1:] += (c * up)[:, None] * up * prev
         block[:m, 1:] -= (s * down)[:, None] * up * prev
         block[1:, :m] += (s * up)[:, None] * down * prev
         block[:m, :m] += (c * down)[:, None] * down * prev
-        blocks.append(block / m)
-    return blocks
-
-
-class _BeamSplitter:
-    """A beam splitter on (mode_i, mode_j), acting on total-photon blocks.
-
-    Transmissivity convention matches the Gaussian module:
-    a_i -> sqrt(eta) a_i + sqrt(1-eta) a_j.  On a total block the lift is
-    a direct sum of pair blocks, applied by gathering the rows of each
-    pair total; the lifted matrix is never formed.
-    """
-
-    def __init__(
-        self, num_modes: int, mode_i: int, mode_j: int, eta: float, cutoff: int
-    ) -> None:
-        self.gathers = [
-            _pair_gathers(num_modes, total, mode_i, mode_j)
-            for total in range(cutoff + 1)
-        ]
-        self.blocks = _pair_blocks(eta, cutoff)
-
-    def apply(self, total: int, amplitudes: np.ndarray) -> None:
-        """Left-multiply ``amplitudes`` (rows: the block's basis) in place.
-
-        The pair blocks are real, so a complex operand is treated as its
-        float view with real and imaginary parts as extra columns.
-        """
-        flat = amplitudes.view(np.float64)
-        # Pair total 0 is the 1 x 1 identity.
-        for gather, block in zip(self.gathers[total][1:], self.blocks[1:]):
-            rows = flat[gather]
-            flat[gather] = (block @ rows.reshape(len(block), -1)).reshape(rows.shape)
-
-
-def _diagonal_factor(probs: np.ndarray) -> np.ndarray:
-    """F with F F^T = diag(probs), one column per nonzero probability."""
-    support = np.flatnonzero(probs)
-    factor = np.zeros((len(probs), len(support)))
-    factor[support, np.arange(len(support))] = np.sqrt(probs[support])
-    return factor
+        block /= m
+    table.flags.writeable = False
+    return table
 
 
 def _check_occupancies(**named: float) -> None:
@@ -456,6 +405,57 @@ def _check_occupancies(**named: float) -> None:
                 f"{name} = {value} exceeds {MAX_OCCUPANCY}; the number-basis "
                 "oracle is a small-occupancy tool"
             )
+
+
+def _forward_tap_blocks(
+    nbar_b1: float, nbar_s: float, eta_1: float, cutoff: int
+) -> np.ndarray:
+    """The adversary's (forward tap, signal) state after the forward tap.
+
+    Entry ``[k]`` is the block of pair total k on the forward-tap count,
+    B_k diag(p_b1(y) p_s(k - y)) B_k^T with B_k the pair block of the tap,
+    zero-padded to (cutoff + 1) x (cutoff + 1).
+    """
+    table = _pair_blocks(eta_1, cutoff)
+    pmf_b1 = _geometric_pmf(nbar_b1, cutoff + 1)
+    pmf_s = _geometric_pmf(nbar_s, cutoff + 1)
+    total = np.arange(cutoff + 1)[:, None]
+    tap = np.arange(cutoff + 1)
+    probs = np.where(tap <= total, pmf_b1 * pmf_s[np.maximum(total - tap, 0)], 0.0)
+    return (table * probs[:, None, :]) @ table.transpose(0, 2, 1)
+
+
+@_call_memoised
+def _return_gram(eta_2: float, nbar_b2: float, cutoff: int) -> list[np.ndarray]:
+    """The adversary's return tap as weights on the forward-tap blocks.
+
+    The tap mixes the bath (count j, probability p_b2(j)) into the signal;
+    the adversary keeps the bath port (count a) and the signal port (count
+    t) is traced out.  The forward-tap count n1 is a spectator, so output
+    block K, on (a, n1 = K - a), reads forward block k = K + t - j on the
+    same n1:
+
+        out_K[a, a'] = sum_k gram_K[k, n1, n1'] forward_k[n1, n1'],
+        gram_K[k, n1, n1'] = sum_t p_b2(j) U_{a+t}[a, j] U_{a'+t}[a', j],
+
+    over t <= cutoff - K, which is the truncation j + k <= cutoff.  Entry
+    K has shape (cutoff + 1, K + 1, K + 1).  It depends neither on the
+    probe nor on the phase.
+    """
+    table = _pair_blocks(eta_2, cutoff)
+    root = np.sqrt(_geometric_pmf(nbar_b2, cutoff + 1))
+    forward_total = np.arange(cutoff + 1)[:, None, None]
+    grams = []
+    for total in range(cutoff + 1):
+        traced = np.arange(cutoff - total + 1)[:, None]
+        kept = total - np.arange(total + 1)  # a, in order of n1
+        bath = total + traced - forward_total
+        inside = bath >= 0
+        bath = np.where(inside, bath, 0)
+        # (k, t, n1); a Gram over t for every k.
+        amp = np.where(inside, root[bath] * table[kept + traced, kept, bath], 0.0)
+        grams.append(amp.transpose(0, 2, 1) @ amp)
+    return grams
 
 
 def oracle_willie_state(
@@ -473,6 +473,13 @@ def oracle_willie_state(
     (return-path tap, forward-path tap).  The retained reference mode
     never couples to the adversary and is omitted.
 
+    The forward tap keeps both its ports, so its stage is one block per
+    pair total; the return tap then acts as a one-mode channel on the
+    signal, through ``_return_gram``.  The inputs are truncated to
+    n_b2 + n_b1 + n_s <= cutoff.  The return tap conserves photon number
+    and its bath is diagonal, so the phase only conjugates each output
+    block by diag(exp(i theta a)) on the kept count a.
+
     A ``theta`` outside (-pi, pi] is wrapped on entry, since
     exp(i theta n) keeps no correct digit at a huge phase; one inside is
     used as given.
@@ -486,73 +493,115 @@ def oracle_willie_state(
         theta = wrap_angle(theta)
     occ = [scenario.nbar_b2, scenario.nbar_b1, nbar_s]
     total_cutoff, actual_tail = _select_total_cutoff(occ, cutoff)
-    pmfs = [_geometric_pmf(n, total_cutoff + 1) for n in occ]
-    forward = _BeamSplitter(3, 1, 2, scenario.eta_1, total_cutoff)
-    ret = _BeamSplitter(3, 0, 2, scenario.eta_2, total_cutoff)
-
-    reduced = _ReducedAccumulator(total_cutoff)
-    for total in range(total_cutoff + 1):
-        basis = _block_basis(3, total)
-        probs = pmfs[0][basis[:, 0]] * pmfs[1][basis[:, 1]] * pmfs[2][basis[:, 2]]
-        # The input is diagonal, rho = F F^dag; evolve F instead of rho.
-        factor = _diagonal_factor(probs)
-        forward.apply(total, factor)
-        factor = np.exp(1j * theta * basis[:, 2])[:, None] * factor
-        ret.apply(total, factor)
-        reduced.add_traced_factor(3, total, factor, keep=(0, 1))
-
-    return reduced.finish(actual_tail)
+    forward = _forward_tap_blocks(
+        scenario.nbar_b1, nbar_s, scenario.eta_1, total_cutoff
+    )
+    grams = _return_gram(scenario.eta_2, scenario.nbar_b2, total_cutoff)
+    blocks = [
+        # Summed on n1, then reversed onto the kept count a = K - n1.
+        np.einsum("kij,kij->ij", gram, forward[:, : total + 1, : total + 1])[
+            ::-1, ::-1
+        ]
+        for total, gram in enumerate(grams)
+    ]
+    return _finish(_rotated(blocks, theta), total_cutoff, actual_tail)
 
 
-def _psd_factor(block: np.ndarray) -> np.ndarray:
-    """Real F with F F^T = ``block``, a real positive semidefinite matrix.
+def _forward_prefixes(
+    nbar_b1: float, nbar_s: float, nbar_lo: float, eta_1: float, cutoff: int
+) -> list[np.ndarray]:
+    """The interrogator's (signal, reference) state after the forward tap.
 
-    One column per positive eigenvalue; negative rounding is clipped to
-    zero, and the zero directions carry no column.
+    The source beam (occupancy nbar_s + nbar_lo, count n) is split against
+    the vacuum reference, which leaves the amplitude V_n[r] = U_n[r, 0] of
+    the split on the reference count r.  The forward tap mixes the bath
+    (count j) into the signal and its bath port (count t) is traced out.
+    Entry ``[k]`` holds, at ``[s - k]`` for s = k..cutoff, the block
+    sigma^(s)_k of photon total k over the inputs with j + n <= s, on the
+    reference count (signal count k - r).  At a three-mode total q = j + n
+    the traced count is t = q - k, so
+
+        sigma^(s)_k = sum_{q = k..s} X_q^T X_q,
+        X_q[j, r] = sqrt(p_b1(j) p_source(q - j)) U_{q-r}[t, j] V_{q-j}[r].
+
+    Entry ``[k]`` has shape (cutoff - k + 1, k + 1, k + 1), so the family
+    holds no (cutoff + 1)^4 array.
     """
-    lam, vec = np.linalg.eigh(block)
-    keep = lam > 0.0
-    return vec[:, keep] * np.sqrt(lam[keep])
+    source_total = nbar_s + nbar_lo
+    # Source split: reference is the eta port so the signal keeps
+    # nbar_s with a positive q-q/p-p cross-correlation.
+    split = _pair_blocks(
+        0.0 if source_total == 0.0 else nbar_s / source_total, cutoff
+    )
+    tap = _pair_blocks(eta_1, cutoff)
+    pmf_b1 = _geometric_pmf(nbar_b1, cutoff + 1)
+    pmf_source = _geometric_pmf(source_total, cutoff + 1)
+    bath = np.arange(cutoff + 1)[None, :, None]
+    prefixes = []
+    for total in range(cutoff + 1):
+        three_mode = np.arange(total, cutoff + 1)[:, None, None]
+        ref = np.arange(total + 1)
+        source = three_mode - bath
+        inside = source >= 0
+        source = np.where(inside, source, 0)
+        # (q, j, r); a Gram over j for every q, summed up to each s.
+        amp = np.where(
+            inside,
+            np.sqrt(pmf_b1[bath] * pmf_source[source])
+            * tap[three_mode - ref, three_mode - total, bath]
+            * split[source, ref, 0],
+            0.0,
+        )
+        prefixes.append(np.cumsum(amp.transpose(0, 2, 1) @ amp, axis=0))
+    return prefixes
 
 
 @_call_memoised
-def _forward_factors(
-    nbar_b1: float, nbar_s: float, nbar_lo: float, eta_1: float, cutoff: int
-) -> list[list[np.ndarray]]:
-    """The part of the interrogator circuit before the phase, factored.
+def _interrogator_blocks(
+    scenario: SensingScenario, nbar_s: float, nbar_lo: float, cutoff: int
+) -> list[np.ndarray]:
+    """The interrogator's state at theta = 0, as real blocks on the signal
+    count.
 
-    Three modes (forward bath, signal, reference): the source beam is split
-    against the vacuum reference, the forward tap mixes the signal with the
-    bath, and the bath, never touched again, is traced out.  What is left
-    are real two-mode blocks sigma on (signal, reference).  Entry ``[s][k]``
-    is a factor of sigma^(s)_k, the block of photon total k over the inputs
-    with n_b1 + n_source <= s (a prefix sum over the three-mode total s);
-    its rows are the block's positions, the signal count.
+    The return bath (count n0) is untouched before its tap, so the input
+    of the return tap is block-diagonal over n0 with weights
+    p_b2(n0) sigma^(cutoff - n0): that prefix keeps exactly the inputs
+    with n_b2 + n_b1 + n_source <= cutoff.  The tap mixes the bath into
+    the signal, its bath port (count t) is traced out and the reference
+    count r is a spectator, so input block k feeds output block
+    K = k + n0 - t on the same r:
+
+        out_K[r, r'] += p_b2(n0) U_{m}[t, n0] U_{m'}[t, n0]
+                        sigma^(cutoff - n0)_k[r, r'],
+
+    with pair totals m = k + n0 - r and m' = k + n0 - r'.  No phase enters:
+    see ``oracle_alice_state``.
     """
-    source_total = nbar_s + nbar_lo
-    split = 0.0 if source_total == 0.0 else nbar_s / source_total
-    pmf_b1 = _geometric_pmf(nbar_b1, cutoff + 1)
-    pmf_source = _geometric_pmf(source_total, cutoff + 1)
-    # Source split: reference is the eta port so the signal keeps
-    # nbar_s with a positive q-q/p-p cross-correlation.
-    prep = _BeamSplitter(3, 2, 1, split, cutoff)
-    forward = _BeamSplitter(3, 0, 1, eta_1, cutoff)
-
-    reduced = _ReducedAccumulator(cutoff)
-    factors = []
-    for total in range(cutoff + 1):
-        basis = _block_basis(3, total)
-        probs = np.where(
-            basis[:, 2] == 0, pmf_b1[basis[:, 0]] * pmf_source[basis[:, 1]], 0.0
+    prefixes = _forward_prefixes(
+        scenario.nbar_b1, nbar_s, nbar_lo, scenario.eta_1, cutoff
+    )
+    table = _pair_blocks(scenario.eta_2, cutoff)
+    pmf_b2 = _geometric_pmf(scenario.nbar_b2, cutoff + 1)
+    root = np.sqrt(pmf_b2)
+    out = np.zeros((cutoff + 1,) * 3)  # [K, r, r'], zero-padded
+    out_total = np.arange(cutoff + 1)[None, :, None]
+    for total, prefix in enumerate(prefixes):
+        # Bath counts that carry weight and keep sigma^(cutoff - n0)_k.
+        bath = np.flatnonzero(pmf_b2[: cutoff - total + 1])[:, None, None]
+        ref = np.arange(total + 1)
+        traced = bath + total - out_total
+        inside = traced >= 0
+        traced = np.where(inside, traced, 0)
+        # (n0, K, r); an index past a pair block reads zero.
+        amp = np.where(
+            inside, root[bath] * table[total + bath - ref, traced, bath], 0.0
         )
-        factor = _diagonal_factor(probs)
-        prep.apply(total, factor)
-        forward.apply(total, factor)
-        reduced.add_traced_factor(3, total, factor, keep=(1, 2))
-        factors.append(
-            [_psd_factor(block.real) for block in reduced.blocks[: total + 1]]
+        sigma = prefix[cutoff - total - bath[:, 0, 0]]
+        out[:, : total + 1, : total + 1] += np.einsum(
+            "jKr,jKs,jrs->Krs", amp, amp, sigma
         )
-    return factors
+    # Reversed onto the signal count u = K - r.
+    return [out[total, total::-1, total::-1] for total in range(cutoff + 1)]
 
 
 def oracle_alice_state(
@@ -572,16 +621,13 @@ def oracle_alice_state(
     a finite one into (-pi, pi].
 
     The state is that of the four-mode circuit with the inputs truncated
-    to n_b2 + n_b1 + n_source <= cutoff, built in two stages.  The forward
-    bath is untouched after the forward tap, so ``_forward_factors`` traces
-    it out first; that part does not depend on theta and is shared by
-    the interrogator states of one cross-check.  The return bath is
-    untouched before the return tap, so the input of the return stage,
-    on (return bath, signal, reference), is block-diagonal over the bath
-    count n0 with blocks p_b2(n0) sigma^(cutoff - n0): the prefix
-    sigma^(cutoff - n0) keeps exactly the inputs the truncation keeps.
-    The phase and the return tap act on the factor of that input, and
-    the return bath is traced out.
+    to n_b2 + n_b1 + n_source <= cutoff, built in two stages: the forward
+    tap (``_forward_prefixes``) and the return tap
+    (``_interrogator_blocks``), each a one-mode channel on the signal.
+    Photon number is conserved and both baths are diagonal, so the phase
+    only conjugates each output block by diag(exp(i theta u)) on the
+    signal count u, and one real build serves every phase: the two
+    interrogator states of a cross-check share it.
     """
     source_total = probe.nbar_s + probe.nbar_lo
     _check_occupancies(
@@ -591,76 +637,32 @@ def oracle_alice_state(
     )
     occ = [scenario.nbar_b2, scenario.nbar_b1, source_total]
     total_cutoff, actual_tail = _select_total_cutoff(occ, cutoff)
-    sigma = _forward_factors(
-        scenario.nbar_b1, probe.nbar_s, probe.nbar_lo, scenario.eta_1, total_cutoff
+    blocks = _interrogator_blocks(
+        scenario, probe.nbar_s, probe.nbar_lo, total_cutoff
     )
-    weights = np.sqrt(_geometric_pmf(scenario.nbar_b2, total_cutoff + 1))
-    phases = np.exp(1j * probe.theta * np.arange(total_cutoff + 1))
-    ret = _BeamSplitter(3, 0, 1, scenario.eta_2, total_cutoff)
-
-    reduced = _ReducedAccumulator(total_cutoff)
-    for total in range(total_cutoff + 1):
-        # In the basis of (return bath, signal, reference) the rows of one
-        # bath count n0 are contiguous and ordered by the signal count, as
-        # the rows of a reduced block are.
-        chunks = [
-            (n0, weights[n0] * sigma[total_cutoff - n0][total - n0])
-            for n0 in range(total + 1)
-            if weights[n0] > 0.0
-        ]
-        factor = np.zeros(
-            (len(_block_basis(3, total)), sum(c.shape[1] for _, c in chunks)),
-            dtype=complex,
-        )
-        col = 0
-        for n0, chunk in chunks:
-            # Rows before bath count n0: sum of (total - j + 1) for j < n0.
-            row = n0 * (2 * total + 3 - n0) // 2
-            rows, cols = chunk.shape
-            factor[row : row + rows, col : col + cols] = phases[:rows, None] * chunk
-            col += cols
-        ret.apply(total, factor)
-        reduced.add_traced_factor(3, total, factor, keep=(1, 2))
-
-    return reduced.finish(actual_tail)
+    return _finish(_rotated(blocks, probe.theta), total_cutoff, actual_tail)
 
 
-class _ReducedAccumulator:
-    """Collects two-mode reduced blocks, graded by total photon number."""
+def _rotated(blocks: list[np.ndarray], theta: float) -> list[np.ndarray]:
+    """Each block conjugated by diag(exp(i theta u)), u its position."""
+    phases = np.exp(1j * theta * np.arange(len(blocks)))
+    return [
+        phases[: len(block), None] * block * phases[: len(block)].conj()
+        for block in blocks
+    ]
 
-    def __init__(self, cutoff: int) -> None:
-        self.cutoff = cutoff
-        self.blocks = [
-            np.zeros((k + 1, k + 1), dtype=complex) for k in range(cutoff + 1)
-        ]
 
-    def add_traced_factor(
-        self,
-        num_modes: int,
-        total: int,
-        factor: np.ndarray,
-        keep: tuple[int, int],
-    ) -> None:
-        """Accumulate the partial trace of rho = factor @ factor^dag.
-
-        ``factor`` holds the rows of one total block.  The modes outside
-        ``keep`` are traced out; the position inside a reduced block is
-        the first kept mode's photon count.
-        """
-        for kept_total, gather in enumerate(_pair_gathers(num_modes, total, *keep)):
-            # Rows: first kept mode's count; columns: traced occupation x
-            # factor column.  One GEMM sums over both.
-            rows = factor[gather].reshape(kept_total + 1, -1)
-            self.blocks[kept_total] += rows @ rows.conj().T
-
-    def finish(self, tail_bound: float) -> FockDensityMatrix:
-        """The occupied blocks, symmetrised, as a validated two-mode state."""
-        blocks = []
-        for total, block in enumerate(self.blocks):
-            block = (block + block.conj().T) / 2.0
-            if float(np.abs(block).max()) > 0.0:
-                blocks.append((_total_indices(2, self.cutoff, total), block))
-        return FockDensityMatrix(2, self.cutoff, blocks, tail_bound).require_valid()
+def _finish(
+    blocks: list[np.ndarray], cutoff: int, tail_bound: float
+) -> FockDensityMatrix:
+    """The occupied blocks (block K of photon total K), symmetrised, as a
+    validated two-mode state."""
+    occupied = []
+    for total, block in enumerate(blocks):
+        block = (block + block.conj().T) / 2.0
+        if float(np.abs(block).max()) > 0.0:
+            occupied.append((_total_indices(2, cutoff, total), block))
+    return FockDensityMatrix(2, cutoff, occupied, tail_bound).require_valid()
 
 
 # ---------------------------------------------------------------------------
@@ -820,9 +822,9 @@ def oracle_cross_check(
 
     probe_a = ProbeSettings(nbar_s=nbar_s, nbar_lo=nbar_lo, theta=theta)
     probe_b = ProbeSettings(nbar_s=nbar_s, nbar_lo=nbar_lo, theta=theta + 0.1)
-    # The two adversary states share their beam splitters; the two
-    # interrogator states share their return splitter and everything
-    # before the phase (theta only enters the phase diagonal).
+    # The two adversary states share their pair blocks and the return
+    # tap's Gram; the two interrogator states share one build at theta = 0
+    # (theta only conjugates its blocks by a phase diagonal).
     memo = _CALL_MEMO.set({})
     try:
         w_off = oracle_willie_state(scenario, 0.0, theta, shared)
@@ -837,6 +839,7 @@ def oracle_cross_check(
     spectrum = symplectic_spectrum(w_cm)
     gauss_purity = float(np.prod(1.0 / (2.0 * spectrum.eigenvalues)))
     a_mean, a_cov = fock_moments(a_state_a)
+    a_cm = alice_cm(scenario, probe_a)
 
     return {
         "cutoff": float(shared),
@@ -847,13 +850,9 @@ def oracle_cross_check(
             oracle_qre(w_off, w_on) - willie_qre(scenario, nbar_s)
         ),
         "alice_mean_max": float(np.abs(a_mean).max()),
-        "alice_cm_max_err": float(
-            np.abs(a_cov - alice_cm(scenario, probe_a).matrix).max()
-        ),
+        "alice_cm_max_err": float(np.abs(a_cov - a_cm.matrix).max()),
         "alice_fidelity_err": abs(
             oracle_fidelity(a_state_a, a_state_b)
-            - gaussian_fidelity(
-                alice_cm(scenario, probe_a), alice_cm(scenario, probe_b)
-            )
+            - gaussian_fidelity(a_cm, alice_cm(scenario, probe_b))
         ),
     }

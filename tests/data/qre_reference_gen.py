@@ -1,0 +1,82 @@
+"""Write ``qre_reference.json``: the adversary QRE D(nbar_s) at 40 digits.
+
+Run once with mpmath installed (it is not a dependency of the package or
+of its tests; the test suite reads only the JSON):
+
+    python tests/data/qre_reference_gen.py
+
+D is evaluated independently of ``covertness.willie_qre``, as
+tr[(1 + N0) ln(1 + Ns)] - tr[N0 ln Ns] minus the same at nbar_s = 0, with
+Ns = N0 + nbar_s p p^T and the 2x2 matrix logarithms taken through their
+eigen-split (``taylor_reference_gen._log_sym``) in 250-digit arithmetic,
+enough to survive the cancellation of ~1e152-sized terms at the hottest
+bath.  The points are the ``scenario`` cases of ``cli_stdout.json`` at
+their printed covert ``ns``, and equal and unequal hot baths at theirs.
+"""
+
+from __future__ import annotations
+
+import json
+from pathlib import Path
+
+import mpmath as mp
+
+from taylor_reference_gen import _log_sym
+
+mp.mp.dps = 250
+
+
+def reference(eta_1, eta_2, nbar_b1, nbar_b2, nbar_s):
+    e1, e2, b1, b2, s = (mp.mpf(x) for x in (eta_1, eta_2, nbar_b1, nbar_b2, nbar_s))
+    n11 = (1 - e1) * (1 - e2) * b1 + e2 * b2
+    n22 = e1 * b1
+    n12 = mp.sqrt((1 - e2) * e1 * (1 - e1)) * b1
+    p1, p2 = mp.sqrt((1 - e2) * e1), -mp.sqrt(1 - e1)
+
+    def cross(m11, m22, m12):
+        ln11, ln22, ln12 = _log_sym(m11, m22, m12)
+        lp11, lp22, lp12 = _log_sym(1 + m11, 1 + m22, m12)
+        return (
+            (1 + n11) * lp11 + (1 + n22) * lp22 + 2 * n12 * lp12
+            - (n11 * ln11 + n22 * ln22 + 2 * n12 * ln12)
+        )
+
+    shifted = cross(n11 + s * p1 * p1, n22 + s * p2 * p2, n12 + s * p1 * p2)
+    return shifted - cross(n11, n22, n12)
+
+
+def points():
+    """(kind, eta_1, eta_2, nbar_b1, nbar_b2, nbar_s) of every pinned point."""
+    out = []
+    snapshot = json.loads(Path(__file__).with_name("cli_stdout.json").read_text())
+    for case in snapshot["cases"]:
+        argv = case["argv"]
+        if argv[0] != "scenario" or case["exit"] != 0:
+            continue
+        flags = dict(zip(argv[1::2], argv[2::2]))
+        ns = json.loads(case["stdout"])["results"]["ns"]
+        out.append(("snapshot", float(flags["--eta1"]), float(flags["--eta2"]),
+                    float(flags["--nb1"]), float(flags["--nb2"]), ns))
+    # scenario --eta1 0.5 --eta2 0.5 --nb1 nb --nb2 nb --epsilon 1e-3 --n 1e6
+    for nb, ns in ((1e7, 13.333335999999727), (1e10, 13333.333335999994),
+                   (1e12, 1333333.3333359992), (1e150, 1.3333333333333325e144)):
+        out.append(("hot-equal", 0.5, 0.5, nb, nb, ns))
+    for e1, e2, b1, b2, ns in ((0.3, 0.7, 1e9, 3e8, 250.0), (0.8, 0.2, 2e5, 7e6, 0.4),
+                               (0.5, 0.9, 1e12, 1e11, 3e4)):
+        out.append(("hot-unequal", e1, e2, b1, b2, ns))
+    return out
+
+
+def main():
+    rows = []
+    for kind, e1, e2, b1, b2, ns in points():
+        rows.append({
+            "kind": kind, "eta_1": e1, "eta_2": e2, "nbar_b1": b1, "nbar_b2": b2,
+            "nbar_s": ns, "qre": mp.nstr(reference(e1, e2, b1, b2, ns), 40),
+        })
+    path = Path(__file__).with_name("qre_reference.json")
+    path.write_text(json.dumps({"digits": 250, "points": rows}, indent=1) + "\n")
+
+
+if __name__ == "__main__":
+    main()

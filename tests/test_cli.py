@@ -297,6 +297,26 @@ class TestErrorPaths:
         error = json.loads(result.stdout.splitlines()[-1])["error"]
         assert error["type"] == "DegenerateCovertnessError"
 
+    @pytest.mark.parametrize("nbar_b", [1e7, 1e10, 1e12, 1e150])
+    def test_hot_bath_answers(self, nbar_b):
+        # Both taps leak, so this is no identity channel; c2 = 9e-14 at 1e7
+        # is exact, and qre_per_mode is the Taylor value ~8 eps^2/n.
+        result = run_cli(
+            "scenario", "--eta1", "0.5", "--eta2", "0.5", "--nb1", str(nbar_b),
+            "--nb2", str(nbar_b), "--epsilon", "1e-3", "--n", "1e6",
+        )
+        assert result.returncode == 0, result.stdout
+        results = json.loads(result.stdout)["results"]
+        n0 = 0.25 * nbar_b
+        c2 = 0.75**2 / (n0 * (1.0 + n0))
+        ns = results["ns"]
+        assert results["c2"] == pytest.approx(c2, rel=1e-12)
+        assert ns == pytest.approx(4e-3 / math.sqrt(c2 * 1e6), rel=1e-12)
+        # c3 / c2 in closed form: c3 itself underflows at 1e150.
+        c3_over_c2 = -2.0 * 0.75 * (1.0 + 2.0 * n0) / (n0 * (1.0 + n0))
+        taylor = c2 * ns * ns / 2.0 * (1.0 + c3_over_c2 * ns / 3.0)
+        assert results["qre_per_mode"] == pytest.approx(taylor, rel=1e-9, abs=0.0)
+
     def test_unknown_command(self):
         result = run_cli("frobnicate")
         assert result.returncode == 2

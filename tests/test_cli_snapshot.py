@@ -5,9 +5,13 @@
 ranges (one at L = 1979.87 m), ``reproduce-paper`` as table and JSON, and
 four refusals (``--t-int -1``, ``--w-ase 0``, an identity channel, vacuum
 baths).  Refactors of the numerics must leave every byte in place.  The
-snapshot was re-recorded once, when closed-form Taylor coefficients
-replaced a finite-difference stencil; ``test_cli_drift.py`` bounds that
-move against the earlier snapshot, ``data/cli_stdout_stencil.json``.
+snapshot was re-recorded twice.  First when closed-form Taylor
+coefficients replaced a finite-difference stencil; ``test_cli_drift.py``
+bounds that move against the earlier snapshot,
+``data/cli_stdout_stencil.json``.  Then when ``willie_qre`` stopped
+summing two cancelling logs per mode: only the ten ``scenario``
+``qre_per_mode`` lines moved, by at most 3.2e-10 relative, each toward
+the 250-digit value that ``test_covertness.py`` pins it to at 1e-13.
 
 ``mse-mc`` is left out because numpy's SIMD transcendentals may differ
 between CPUs, and ``oracle-check`` because its residuals are rounding

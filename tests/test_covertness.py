@@ -40,6 +40,12 @@ PINNED = json.loads(
     (Path(__file__).parent / "data" / "taylor_reference.json").read_text()
 )["points"]
 
+#: D(nbar_s) at the snapshot's ``scenario`` points and at hot baths, from a
+#: 250-digit evaluation (written by ``data/qre_reference_gen.py``).
+QRE_PINNED = json.loads(
+    (Path(__file__).parent / "data" / "qre_reference.json").read_text()
+)["points"]
+
 
 def _stencil_coefficients(scenario: SensingScenario) -> tuple[float, float]:
     """(c2, c3) by central differences of the QRE evaluator, a reference route.
@@ -184,6 +190,20 @@ class TestWillieQre:
     def test_nonnegative(self, ns):
         assert willie_qre(REFERENCE, ns) >= 0.0
 
+    @pytest.mark.parametrize(
+        "point", QRE_PINNED,
+        ids=[f"{p['kind']}-{i:02d}" for i, p in enumerate(QRE_PINNED)],
+    )
+    def test_pinned_to_high_precision(self, point):
+        # The two logs of a mode are each ~du and cancel to ~du^2/(2 u0^2);
+        # summed directly they lost 3e-10 at the snapshot points and every
+        # digit above nbar_b ~ 1e11.
+        scenario = SensingScenario(
+            point["eta_1"], point["eta_2"], point["nbar_b1"], point["nbar_b2"]
+        )
+        got = willie_qre(scenario, point["nbar_s"])
+        assert got == pytest.approx(float(point["qre"]), rel=1e-13, abs=0.0)
+
 
 class TestEqualBathClosedForms:
     def test_qre_validation(self):
@@ -322,6 +342,23 @@ class TestCovertBudget:
     def test_identity_channel_degenerate(self):
         with pytest.raises(DegenerateCovertnessError):
             covert_budget(SensingScenario(1.0, 1.0, 0.3, 0.3), 1e-3, 1e6)
+
+    def test_hot_bath_is_not_an_identity_channel(self):
+        # c2 = 9e-14 here is exact, not a noise floor: the taps leak.
+        scenario = SensingScenario(0.5, 0.5, 1e7, 1e7)
+        budget = covert_budget(scenario, 1e-3, 1e6)
+        assert budget.c2 == pytest.approx(equal_bath_c2(0.25, 1e7), rel=1e-12)
+        assert budget.nbar_s == pytest.approx(4e-3 / math.sqrt(9e-14 * 1e6), rel=1e-6)
+        ns = budget.nbar_s
+        taylor = equal_bath_c2(0.25, 1e7) * ns**2 / 2 + equal_bath_c3(0.25, 1e7) * ns**3 / 6
+        assert willie_qre(scenario, ns) == pytest.approx(taylor, rel=1e-9, abs=0.0)
+
+    @pytest.mark.parametrize("nbar_b", [1e160, 1e300])
+    def test_underflowing_c2_named(self, nbar_b):
+        # c2 ~ 1/nbar_b^2 is subnormal at 1e160 and zero at 1e300.
+        with pytest.raises(DomainError, match="underflows double precision") as info:
+            taylor_coefficients(SensingScenario(0.5, 0.5, nbar_b, nbar_b))
+        assert not isinstance(info.value, DegenerateCovertnessError)
 
     def test_error_bound_closes_the_loop(self):
         budget = covert_budget(REFERENCE, 1e-3, 1e6)

@@ -383,6 +383,46 @@ class TestSimulation:
         assert peak <= 1.02 * 8 * cap
         assert got == want
 
+    def test_per_sample_cap_holds_across_threads(self, monkeypatch):
+        # Two workers on two cores share the cap (scaled down to 2e6 values,
+        # 16 MB) instead of holding one cap each, and give the 1-worker bits.
+        kwargs = dict(
+            theta_true=0.5, epsilon=0.3, num_modes=1000.0, trials=3 * 4096,
+            seed=3, per_sample=True,
+        )
+        cap = 2_000_000
+        monkeypatch.setattr(estimation, "_SLOW_MODE_CHUNK", cap)
+        monkeypatch.setattr(estimation.os, "cpu_count", lambda: 2)
+        want = simulate_heterodyne_mse(REFERENCE, **kwargs)
+        tracemalloc.start()
+        try:
+            got = simulate_heterodyne_mse(REFERENCE, workers=2, **kwargs)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= 1.02 * 8 * cap
+        assert got == want
+
+    def test_per_sample_threads_clamped_to_whole_trials(self, monkeypatch):
+        # A cap that holds one trial of 4 n values runs one thread.
+        kwargs = dict(
+            theta_true=0.5, epsilon=0.3, num_modes=1000.0, trials=2 * 4096,
+            seed=3, per_sample=True,
+        )
+        want = simulate_heterodyne_mse(REFERENCE, **kwargs)
+        monkeypatch.setattr(estimation, "_SLOW_MODE_CHUNK", 4000)
+        monkeypatch.setattr(estimation.os, "cpu_count", lambda: 2)
+        threads = []
+        in_order = estimation._in_order
+
+        def recording(task, count, workers):
+            threads.append(workers)
+            return in_order(task, count, workers)
+
+        monkeypatch.setattr(estimation, "_in_order", recording)
+        assert simulate_heterodyne_mse(REFERENCE, workers=2, **kwargs) == want
+        assert threads == [1]
+
     def test_thread_count_bounded_by_cores_and_blocks(self, monkeypatch):
         monkeypatch.setattr(estimation.os, "cpu_count", lambda: 4)
         assert estimation._thread_count(1, 100) == 1

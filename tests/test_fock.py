@@ -20,13 +20,11 @@ from covertsense.fock import (
     MAX_OCCUPANCY,
     MAX_TOTAL_PHOTONS,
     FockDensityMatrix,
-    _BeamSplitter,
-    _ReducedAccumulator,
     _block_basis,
-    _diagonal_factor,
     _geometric_pmf,
     _pair_blocks,
     _select_total_cutoff,
+    _total_indices,
     fock_moments,
     fock_purity,
     oracle_alice_state,
@@ -321,15 +319,160 @@ class TestOracleAliceState:
             oracle_alice_state(SMALL, ProbeSettings(0.05, 0.25, math.nan))
 
 
+# ---------------------------------------------------------------------------
+# Reference route: the circuits on amplitude factors of multi-mode blocks
+# ---------------------------------------------------------------------------
+# The route the oracle ran before each tap became a one-mode channel on
+# two-mode blocks.  A state on three or four modes is carried, block by
+# total-photon block, as an amplitude factor F with rho = F F^dag; a beam
+# splitter left-multiplies the rows of each pair total by its pair block,
+# and the partial trace is one product per retained photon total.
+
+
+def _pair_gathers(num_modes, total, first, second):
+    """Rows of a total block grouped by the photons in a mode pair.
+
+    Entry ``m`` is an int array ``G`` of shape ``(m + 1, groups)``:
+    ``G[k, g]`` is the row of the state with ``k`` photons in ``first``,
+    ``m - k`` in ``second``, and the ``g``-th occupation of the other
+    modes.  Every row of the block appears exactly once over all ``m``.
+    """
+    basis = _block_basis(num_modes, total)
+    others = [mode for mode in range(num_modes) if mode not in (first, second)]
+    # Mixed-radix code of the other modes' occupations (digits <= total).
+    weights = (total + 1) ** np.arange(len(others) - 1, -1, -1)
+    other_code = basis[:, others] @ weights
+    pair_total = basis[:, first] + basis[:, second]
+    order = np.lexsort((basis[:, first], other_code, pair_total))
+    counts = np.bincount(pair_total, minlength=total + 1)
+    chunks = np.split(order, np.cumsum(counts)[:-1])
+    return [chunk.reshape(-1, m + 1).T for m, chunk in enumerate(chunks)]
+
+
+class _BeamSplitter:
+    """A beam splitter on (mode_i, mode_j), acting on total-photon blocks:
+    a_i -> sqrt(eta) a_i + sqrt(1-eta) a_j.  On a total block the lift is
+    a direct sum of pair blocks, applied by gathering the rows of each
+    pair total; the lifted matrix is never formed."""
+
+    def __init__(self, num_modes, mode_i, mode_j, eta, cutoff):
+        self.gathers = [
+            _pair_gathers(num_modes, total, mode_i, mode_j)
+            for total in range(cutoff + 1)
+        ]
+        table = _pair_blocks(eta, cutoff)
+        self.blocks = [table[m, : m + 1, : m + 1] for m in range(cutoff + 1)]
+
+    def apply(self, total, amplitudes):
+        """Left-multiply ``amplitudes`` (rows: the block's basis) in place.
+
+        The pair blocks are real, so a complex operand is treated as its
+        float view with real and imaginary parts as extra columns.
+        """
+        flat = amplitudes.view(np.float64)
+        # Pair total 0 is the 1 x 1 identity.
+        for gather, block in zip(self.gathers[total][1:], self.blocks[1:]):
+            rows = flat[gather]
+            flat[gather] = (block @ rows.reshape(len(block), -1)).reshape(rows.shape)
+
+
+def _diagonal_factor(probs):
+    """F with F F^T = diag(probs), one column per nonzero probability."""
+    support = np.flatnonzero(probs)
+    factor = np.zeros((len(probs), len(support)))
+    factor[support, np.arange(len(support))] = np.sqrt(probs[support])
+    return factor
+
+
+def _psd_factor(block):
+    """Real F with F F^T = ``block``, a real positive semidefinite matrix;
+    negative rounding is clipped and zero directions carry no column."""
+    lam, vec = np.linalg.eigh(block)
+    keep = lam > 0.0
+    return vec[:, keep] * np.sqrt(lam[keep])
+
+
+class _ReducedAccumulator:
+    """Collects two-mode reduced blocks, graded by total photon number."""
+
+    def __init__(self, cutoff):
+        self.cutoff = cutoff
+        self.blocks = [
+            np.zeros((k + 1, k + 1), dtype=complex) for k in range(cutoff + 1)
+        ]
+
+    def add_traced_factor(self, num_modes, total, factor, keep):
+        """Accumulate the partial trace of rho = factor @ factor^dag; the
+        position inside a reduced block is the first kept mode's count."""
+        for kept_total, gather in enumerate(_pair_gathers(num_modes, total, *keep)):
+            rows = factor[gather].reshape(kept_total + 1, -1)
+            self.blocks[kept_total] += rows @ rows.conj().T
+
+    def finish(self, tail_bound):
+        """The occupied blocks, symmetrised, as a validated two-mode state."""
+        blocks = []
+        for total, block in enumerate(self.blocks):
+            block = (block + block.conj().T) / 2.0
+            if float(np.abs(block).max()) > 0.0:
+                blocks.append((_total_indices(2, self.cutoff, total), block))
+        return FockDensityMatrix(2, self.cutoff, blocks, tail_bound).require_valid()
+
+
+def three_mode_willie_state(scenario, nbar_s, theta=0.0, cutoff=None):
+    """Reference adversary state from the three-mode circuit: modes
+    (return bath, forward bath, signal), forward tap, phase and return tap
+    on the amplitude factor of each three-mode total, signal traced out."""
+    occ = [scenario.nbar_b2, scenario.nbar_b1, nbar_s]
+    total_cutoff, actual_tail = _select_total_cutoff(occ, cutoff)
+    pmfs = [_geometric_pmf(n, total_cutoff + 1) for n in occ]
+    forward = _BeamSplitter(3, 1, 2, scenario.eta_1, total_cutoff)
+    ret = _BeamSplitter(3, 0, 2, scenario.eta_2, total_cutoff)
+    reduced = _ReducedAccumulator(total_cutoff)
+    for total in range(total_cutoff + 1):
+        basis = _block_basis(3, total)
+        probs = pmfs[0][basis[:, 0]] * pmfs[1][basis[:, 1]] * pmfs[2][basis[:, 2]]
+        factor = _diagonal_factor(probs)
+        forward.apply(total, factor)
+        factor = np.exp(1j * theta * basis[:, 2])[:, None] * factor
+        ret.apply(total, factor)
+        reduced.add_traced_factor(3, total, factor, keep=(0, 1))
+    return reduced.finish(actual_tail)
+
+
+def _forward_factors(nbar_b1, nbar_s, nbar_lo, eta_1, cutoff):
+    """Reference interrogator forward stage on three modes (forward bath,
+    signal, reference): source split, forward tap, bath traced out.  Entry
+    ``[s][k]`` is a factor of sigma^(s)_k, whose rows are the signal count."""
+    source_total = nbar_s + nbar_lo
+    split = 0.0 if source_total == 0.0 else nbar_s / source_total
+    pmf_b1 = _geometric_pmf(nbar_b1, cutoff + 1)
+    pmf_source = _geometric_pmf(source_total, cutoff + 1)
+    prep = _BeamSplitter(3, 2, 1, split, cutoff)
+    forward = _BeamSplitter(3, 0, 1, eta_1, cutoff)
+    reduced = _ReducedAccumulator(cutoff)
+    factors = []
+    for total in range(cutoff + 1):
+        basis = _block_basis(3, total)
+        probs = np.where(
+            basis[:, 2] == 0, pmf_b1[basis[:, 0]] * pmf_source[basis[:, 1]], 0.0
+        )
+        factor = _diagonal_factor(probs)
+        prep.apply(total, factor)
+        forward.apply(total, factor)
+        reduced.add_traced_factor(3, total, factor, keep=(1, 2))
+        factors.append(
+            [_psd_factor(block.real) for block in reduced.blocks[: total + 1]]
+        )
+    return factors
+
+
 def four_mode_alice_state(scenario, probe, cutoff=None):
     """Reference interrogator state from the whole four-mode circuit.
 
-    The route the oracle used before it split the circuit into two
-    three-mode stages: modes (return bath, forward bath, signal,
-    reference), the input diagonal on the slice with a vacuum reference,
-    the source split, forward tap, phase and return tap applied to the
-    amplitude factor of each four-mode photon total, and both baths
-    traced out together.
+    Modes (return bath, forward bath, signal, reference), the input
+    diagonal on the slice with a vacuum reference, the source split,
+    forward tap, phase and return tap applied to the amplitude factor of
+    each four-mode photon total, and both baths traced out together.
     """
     source_total = probe.nbar_s + probe.nbar_lo
     occ = [scenario.nbar_b2, scenario.nbar_b1, source_total]
@@ -355,6 +498,17 @@ def four_mode_alice_state(scenario, probe, cutoff=None):
         ret.apply(total, factor)
         reduced.add_traced_factor(4, total, factor, keep=(2, 3))
     return reduced.finish(actual_tail)
+
+
+def assert_same_blocks(state, want, tol):
+    """Same cutoff, tail bound and occupied totals; blocks within ``tol``."""
+    assert state.cutoff == want.cutoff
+    assert state.tail_bound == want.tail_bound
+    got, ref = state.blocks, want.blocks
+    assert len(got) == len(ref)
+    for (idx, block), (want_idx, want_block) in zip(got, ref):
+        assert np.array_equal(idx, want_idx)
+        assert np.abs(block - want_block).max() <= tol
 
 
 class TestAliceStateAgainstFourModeRoute:
@@ -392,13 +546,86 @@ class TestAliceStateAgainstFourModeRoute:
         probe = ProbeSettings(*params[4:])
         state = oracle_alice_state(scenario, probe, cutoff)
         want = four_mode_alice_state(scenario, probe, cutoff)
-        assert state.cutoff == want.cutoff
-        assert state.tail_bound == want.tail_bound
-        got, ref = state.blocks, want.blocks
-        assert len(got) == len(ref)
-        for (idx, block), (want_idx, want_block) in zip(got, ref):
-            assert np.array_equal(idx, want_idx)
-            assert np.abs(block - want_block).max() <= 1e-14
+        assert_same_blocks(state, want, 1e-14)
+
+
+class TestWillieStateAgainstThreeModeRoute:
+    # (eta_1, eta_2, nbar_b1, nbar_b2, nbar_s, theta, cutoff)
+    BOX = [
+        (0.35, 0.42, 0.28, 0.16, 0.067, 0.7, None),  # cutoff 15
+        (0.37, 0.67, 0.05, 0.35, 0.098, 1.8, None),  # cutoff 17
+        (0.44, 0.39, 0.41, 0.18, 0.08, -1.32, None),  # cutoff 19
+        (0.45, 0.32, 0.5, 0.27, 0.047, -1.34, None),  # cutoff 21
+        (0.74, 0.44, 0.25, 0.57, 0.1, -2.15, None),  # cutoff 23
+        (0.68, 0.57, 0.31, 0.66, 0.024, -1.04, None),  # cutoff 25
+        (0.83, 0.63, 0.68, 0.6, 0.07, 2.33, None),  # cutoff 27
+    ]
+    EDGES = {
+        "no-signal": (0.5, 0.5, 0.3, 0.2, 0.0, 0.3, None),
+        "unit-taps": (1.0, 1.0, 0.3, 0.2, 0.05, 0.3, None),
+        "vacuum-return-bath": (0.6, 0.7, 0.3, 0.0, 0.05, 0.3, None),
+        "vacuum-forward-bath": (0.6, 0.7, 0.0, 0.3, 0.05, 0.3, None),
+        "vacuum-baths": (0.6, 0.7, 0.0, 0.0, 0.05, 0.3, None),
+        "explicit-cutoff": (0.6, 0.7, 0.1, 0.2, 0.05, 0.3, 30),
+    }
+
+    @pytest.mark.parametrize(
+        "point",
+        BOX + list(EDGES.values()),
+        ids=[f"box-{k}" for k in range(len(BOX))] + list(EDGES),
+    )
+    def test_blocks_match(self, point):
+        *params, nbar_s, theta, cutoff = point
+        scenario = SensingScenario(*params)
+        state = oracle_willie_state(scenario, nbar_s, theta, cutoff)
+        want = three_mode_willie_state(scenario, nbar_s, theta, cutoff)
+        assert_same_blocks(state, want, 1e-14)
+
+
+class TestForwardPrefixesAgainstThreeModeRoute:
+    @pytest.mark.parametrize(
+        "point",
+        [
+            (0.05, 0.064, 0.24, 0.83, 27),
+            (0.3, 0.05, 0.0, 0.6, 20),
+            (0.0, 0.1, 0.2, 1.0, 18),
+        ],
+        ids=["cutoff-27", "no-reference", "vacuum-bath-unit-tap"],
+    )
+    def test_prefix_blocks_match(self, point):
+        # The new stage is on the reference count, the factors' rows on the
+        # signal count, so each block is read reversed.
+        cutoff = point[-1]
+        prefixes = fock._forward_prefixes(*point)
+        factors = _forward_factors(*point)
+        for total, prefix in enumerate(prefixes):
+            # Ragged: sigma^(s)_k for s = k..cutoff only.
+            assert prefix.shape == (cutoff - total + 1, total + 1, total + 1)
+            for level, block in enumerate(prefix):
+                factor = factors[total + level][total]
+                want = (factor @ factor.T)[::-1, ::-1]
+                assert np.abs(block - want).max() <= 1e-14
+
+
+class TestPhaseConjugatesBlocks:
+    """theta only conjugates each block by D = diag(exp(i theta u)), u the
+    block position, so a state at theta is D (state at 0) D^dag."""
+
+    @pytest.mark.parametrize("theta", [0.3, -2.9, math.pi])
+    @pytest.mark.parametrize("route", ["willie", "alice"])
+    def test_state_at_theta_is_conjugated_state_at_zero(self, route, theta):
+        scenario = SensingScenario(0.62, 0.89, 0.08, 0.25)
+        if route == "willie":
+            at_zero = oracle_willie_state(scenario, 0.064, 0.0)
+            state = oracle_willie_state(scenario, 0.064, theta)
+        else:
+            at_zero = oracle_alice_state(scenario, ProbeSettings(0.064, 0.07, 0.0))
+            state = oracle_alice_state(scenario, ProbeSettings(0.064, 0.07, theta))
+        assert len(state.blocks) == len(at_zero.blocks)
+        for (idx, block), (_, zero_block) in zip(state.blocks, at_zero.blocks):
+            phase = np.exp(1j * theta * np.arange(len(idx)))
+            want = phase[:, None] * zero_block * phase.conj()
+            assert np.abs(block - want).max() <= 1e-15
 
 
 def sparse_kron_moments(state):
@@ -512,13 +739,13 @@ class TestBlockRouteAgainstDenseRoute:
     def routes(self, request, monkeypatch):
         """(state, its full grid built by the old full-grid assembly)."""
         raw = []
-        finish = _ReducedAccumulator.finish
+        finish = fock._finish
 
-        def recording(accumulator, tail_bound):
-            raw.extend(block.copy() for block in accumulator.blocks)
-            return finish(accumulator, tail_bound)
+        def recording(blocks, cutoff, tail_bound):
+            raw.extend(block.copy() for block in blocks)
+            return finish(blocks, cutoff, tail_bound)
 
-        monkeypatch.setattr(_ReducedAccumulator, "finish", recording)
+        monkeypatch.setattr(fock, "_finish", recording)
         state = request.param(self.SCENARIO)
         return state, full_grid_assembly(raw, state.cutoff)
 
@@ -570,19 +797,29 @@ class TestDenseGridBuiltOnRead:
     def test_cross_check_builds_no_grid_and_one_forward_part(
         self, assembled, monkeypatch
     ):
-        parts = []
-        forward_factors = fock._forward_factors
+        calls = {
+            name: []
+            for name in ("_forward_prefixes", "_interrogator_blocks", "_return_gram")
+        }
+        for name, results in calls.items():
 
-        def recording(*args):
-            parts.append(forward_factors(*args))
-            return parts[-1]
+            def recording(*args, _real=getattr(fock, name), _results=results):
+                _results.append(_real(*args))
+                return _results[-1]
 
-        monkeypatch.setattr(fock, "_forward_factors", recording)
+            monkeypatch.setattr(fock, name, recording)
         oracle_cross_check(SMALL, 0.05, 0.25, 0.3)
         assert assembled == []
-        # Both interrogator states get the one memoised build.
+        # Both interrogator states get the one memoised build at theta = 0,
+        # which runs the forward stage once; both adversary states get the
+        # one memoised Gram of the return tap.
+        parts = calls["_interrogator_blocks"]
         assert len(parts) == 2
         assert parts[0] is parts[1]
+        assert len(calls["_forward_prefixes"]) == 1
+        grams = calls["_return_gram"]
+        assert len(grams) == 2
+        assert grams[0] is grams[1]
 
     def test_cutoff_mismatch_refused_without_grid(self, assembled):
         a = oracle_willie_state(SMALL, 0.05, cutoff=16)
@@ -672,13 +909,13 @@ class TestBlockSplitAgainstFullGrid:
 class TestOneDecompositionPerBlock:
     def test_cross_check_decomposes_each_state_block_once(self, monkeypatch):
         states = []
-        finish = _ReducedAccumulator.finish
+        finish = fock._finish
 
-        def recording(accumulator, tail_bound):
-            states.append(finish(accumulator, tail_bound))
+        def recording(*args):
+            states.append(finish(*args))
             return states[-1]
 
-        monkeypatch.setattr(_ReducedAccumulator, "finish", recording)
+        monkeypatch.setattr(fock, "_finish", recording)
         calls = []
         for name in ("eigh", "eigvalsh"):
 
@@ -769,8 +1006,13 @@ class TestPairBlocks:
 
     @pytest.mark.parametrize("eta", [0.0, 0.3, 0.5, 0.95, 1.0])
     def test_closed_form_matches_matrix_exponential(self, eta):
-        blocks = _pair_blocks(eta, 64)
-        for total, block in enumerate(blocks):
+        table = _pair_blocks(eta, 64)
+        assert not table.flags.writeable
+        for total in range(65):
+            block = table[total, : total + 1, : total + 1]
+            # An index past the block reads a zero amplitude.
+            assert not table[total, total + 1 :].any()
+            assert not table[total, :, total + 1 :].any()
             reference = self._hopping_expm(total, eta)
             # expm drifts from orthogonality as the generator norm grows
             # (to ~6e-13 at total 64, eta 0); it cannot certify agreement
