@@ -17,7 +17,7 @@ import time
 
 import numpy as np
 import pytest
-import scipy.special
+from conftest import _exact_arctan_mse
 
 from covertsense.covertness import (
     covert_budget,
@@ -203,37 +203,6 @@ def test_criterion_08_covertness_identity():
             )
             assert bound == pytest.approx(0.5 - epsilon, abs=1e-12)
     assert time.perf_counter() - started < 1.0
-
-
-def _exact_arctan_mse(sigma_sq: float) -> float:
-    """Exact MSE of atan2(sin t + Z_Q, cos t + Z_I) - t, Z ~ N(0, sigma_sq).
-
-    The error angle phi has the phase density of a unit phasor in complex
-    Gaussian noise at signal-to-noise ratio rho = 1 / (2 sigma_sq):
-
-        p(phi) = [exp(-rho) + sqrt(pi rho) cos(phi) exp(-rho sin^2 phi)
-                  erfc(-sqrt(rho) cos(phi))] / (2 pi).
-
-    The MSE is twice the integral of phi^2 p(phi) over [0, pi], here by
-    20-point Gauss-Legendre panels: half a standard deviation wide out to
-    16 standard deviations, then eight panels over the rest of the range.
-    """
-    rho = 1.0 / (2.0 * sigma_sq)
-    sigma = math.sqrt(sigma_sq)
-    near = np.arange(0.0, min(16.0 * sigma, math.pi), 0.5 * sigma)
-    edges = np.concatenate([near, np.linspace(near[-1], math.pi, 9)[1:]])
-    nodes, weights = np.polynomial.legendre.leggauss(20)
-    half = np.diff(edges)[:, None] / 2.0
-    phi = (edges[:-1, None] + half * (1.0 + nodes)).ravel()
-    cos_phi = np.cos(phi)
-    density = (
-        math.exp(-rho)
-        + math.sqrt(math.pi * rho)
-        * cos_phi
-        * np.exp(-rho * np.sin(phi) ** 2)
-        * scipy.special.erfc(-math.sqrt(rho) * cos_phi)
-    ) / (2.0 * math.pi)
-    return 2.0 * float(np.sum((half * weights).ravel() * phi**2 * density))
 
 
 def test_exact_arctan_mse_reference():

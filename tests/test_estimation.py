@@ -9,6 +9,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from conftest import _exact_arctan_mse
 
 from covertsense import estimation
 from covertsense.covertness import covert_budget, taylor_coefficients
@@ -174,21 +175,27 @@ class TestHeterodyneStats:
             heterodyne_stats(REFERENCE, 0.3, 0.0, 1.0)
 
 
-def _reference_mse(
-    scenario, theta_true, epsilon, num_modes, trials, seed, per_sample
-):
-    """The block-per-task estimator as it was before strips, run serially.
+def _reference_mse(scenario, theta_true, epsilon, num_modes, trials, seed, kernel):
+    """The block-per-task estimator, run serially with out-of-place ufuncs.
 
-    One Philox generator per 4096-trial block, out-of-place ufuncs and
-    ``np.remainder`` for the wrap.  The strip driver must match its bits.
+    One Philox generator per 4096-trial block; block sums are folded in
+    order.  ``kernel`` names the per-trial error:
+
+    * ``"rotated"``: fast mode's error in the frame of the true phase,
+      atan2(2 s t, (1 + t^2) + s (1 - t^2)) with s = sigma r and
+      t = tan(pi u1 - theta / 2), theta reduced modulo 2 pi first.  The
+      strip driver must match its bits.
+    * ``"cos-sin"``: fast mode as it was before that kernel, I and Q from
+      cos and sin, then atan2(Q, I) - theta wrapped by ``np.remainder``.
+    * ``"per-sample"``: n cos/sin Box-Muller shots per trial, averaged,
+      then as ``"cos-sin"``.  The per-sample driver must match its bits.
     """
 
     def wrap_array(diff):
         reduced = np.remainder(diff, 2.0 * np.pi)
         return reduced - 2.0 * np.pi * (reduced > np.pi)
 
-    def normal_pairs(gen, shape):
-        uniforms = gen.random(shape + (2,))
+    def normal_pairs(uniforms):
         radius = np.sqrt(-2.0 * np.log1p(-uniforms[..., 0]))
         angle = (2.0 * np.pi) * uniforms[..., 1]
         return radius * np.cos(angle), radius * np.sin(angle)
@@ -200,7 +207,27 @@ def _reference_mse(
     mu2 = stats.mu2
     sigma_avg = math.sqrt(stats.sigma_het_sq)
     sigma_shot = math.sqrt(stats.sigma_sq)
-    uniforms_per_trial = 2 * n if per_sample else 2
+    half_theta = 0.5 * math.remainder(theta_true, 2.0 * math.pi)
+    uniforms_per_trial = 2 * n if kernel == "per-sample" else 2
+
+    def squared_errors(gen, count):
+        if kernel == "rotated":
+            uniforms = gen.random((count, 2))
+            s = np.sqrt(-2.0 * np.log1p(-uniforms[:, 0])) * sigma_avg
+            t = np.tan(np.pi * uniforms[:, 1] - half_theta)
+            t_sq = t * t
+            delta = np.arctan2(2.0 * s * t, (1.0 + t_sq) + s * (1.0 - t_sq))
+            return delta * delta
+        if kernel == "cos-sin":
+            z_i, z_q = normal_pairs(gen.random((count, 2)))
+            comp_i = mu1 + sigma_avg * z_i
+            comp_q = mu2 + sigma_avg * z_q
+        else:
+            z_i, z_q = normal_pairs(gen.random((count, n, 2)))
+            comp_i = mu1 + sigma_shot * z_i.mean(axis=1)
+            comp_q = mu2 + sigma_shot * z_q.mean(axis=1)
+        delta = wrap_array(np.arctan2(comp_q, comp_i) - theta_true)
+        return delta * delta
 
     def run_block(index):
         start = index * 4096
@@ -209,26 +236,7 @@ def _reference_mse(
         assert offset_uniforms % 4 == 0
         bit_gen = np.random.Philox(key=seed)
         bit_gen.advance(offset_uniforms // 4)
-        gen = np.random.Generator(bit_gen)
-        if per_sample:
-            chunk = 50_000_000 // (2 * n)
-            sq_parts = []
-            done = 0
-            while done < count:
-                take = min(chunk, count - done)
-                z_i, z_q = normal_pairs(gen, (take, n))
-                comp_i = mu1 + sigma_shot * z_i.mean(axis=1)
-                comp_q = mu2 + sigma_shot * z_q.mean(axis=1)
-                delta = wrap_array(np.arctan2(comp_q, comp_i) - theta_true)
-                sq_parts.append(delta * delta)
-                done += take
-            squared = np.concatenate(sq_parts)
-        else:
-            z_i, z_q = normal_pairs(gen, (count,))
-            comp_i = mu1 + sigma_avg * z_i
-            comp_q = mu2 + sigma_avg * z_q
-            delta = wrap_array(np.arctan2(comp_q, comp_i) - theta_true)
-            squared = delta * delta
+        squared = squared_errors(np.random.Generator(bit_gen), count)
         return float(np.sum(squared)), float(np.sum(squared * squared))
 
     num_blocks = -(-trials // 4096)
@@ -253,7 +261,8 @@ class TestStrips:
         epsilon, num_modes = (0.05, 4.0) if per_sample else (0.01, 1e6)
         for trials in (1000, 4096, 16384, 16385, 50_001):
             want = _reference_mse(
-                REFERENCE, theta, epsilon, num_modes, trials, 29, per_sample
+                REFERENCE, theta, epsilon, num_modes, trials, 29,
+                "per-sample" if per_sample else "rotated",
             )
             for workers in (1, 3):
                 got = simulate_heterodyne_mse(
@@ -299,6 +308,60 @@ class TestStrips:
         )
         assert len(submitted) == strips
         assert max(unfinished) <= 2 * 2
+
+
+class TestRotatedKernel:
+    """Fast mode's error angle drawn in the frame of the true phase."""
+
+    @pytest.mark.filterwarnings("ignore:covert budget:UserWarning")
+    def test_drift_from_cos_sin_kernel_bounded(self):
+        # The rotated kernel gives each trial the error the cos/sin kernel
+        # gave, to rounding; over this grid (mse, stderr) move by at most
+        # 1e-13 relative.  Small noise is where they part: the cos/sin
+        # kernel subtracts theta after the arctangent.
+        scenarios = (
+            REFERENCE,
+            SensingScenario(0.83, 0.55, 0.69, 0.43),
+            SensingScenario(0.3, 0.95, 3.0, 0.05),
+        )
+        points = ((0.01, 1e6), (0.05, 4.0), (0.5, 1.0), (0.01, 1e9))
+        thetas = (0.0, math.pi, -math.pi, 3.0, 7.0, -10.0)
+        for scenario in scenarios:
+            for epsilon, num_modes in points:
+                for theta in thetas:
+                    args = (scenario, theta, epsilon, num_modes, 50_001, 29)
+                    got = simulate_heterodyne_mse(*args)
+                    old = _reference_mse(*args, "cos-sin")
+                    assert got == pytest.approx(old, rel=1e-13, abs=0.0), args
+
+    @pytest.mark.parametrize(
+        "theta", [0.0, math.pi, -math.pi, 3.0, 7.0, -10.0, 1000.0, 1e20]
+    )
+    def test_fast_mode_matches_exact_mse(self, theta):
+        # sigma_het_sq ~ 1.2: errors cross the wrap often.  Phases beyond
+        # pi, up to 1e20, are reduced modulo 2 pi before the tangent.
+        epsilon, num_modes = 0.01, 1e4
+        budget = covert_budget(REFERENCE, epsilon, num_modes)
+        sigma_het_sq = heterodyne_stats(
+            REFERENCE, theta, budget.nbar_s, num_modes
+        ).sigma_het_sq
+        mse, stderr = simulate_heterodyne_mse(
+            REFERENCE, theta, epsilon, num_modes, trials=50_001, seed=31
+        )
+        assert abs(mse - _exact_arctan_mse(sigma_het_sq)) <= 3.0 * stderr
+
+    @pytest.mark.filterwarnings("ignore:covert budget:UserWarning")
+    @pytest.mark.parametrize("num_modes", [1.0, 2.0, 10.0])
+    def test_per_sample_agrees_with_fast_mode(self, num_modes):
+        # Per-sample mode keeps the cos/sin Box-Muller on n shots per
+        # trial, a route independent of the rotated kernel.
+        kwargs = dict(
+            theta_true=2.5, epsilon=0.3, num_modes=num_modes, trials=50_001,
+            seed=37,
+        )
+        fast = simulate_heterodyne_mse(REFERENCE, **kwargs)
+        slow = simulate_heterodyne_mse(REFERENCE, per_sample=True, **kwargs)
+        assert abs(fast[0] - slow[0]) <= 3.0 * math.hypot(fast[1], slow[1])
 
 
 class TestSimulation:
