@@ -72,15 +72,6 @@ ORACLE_TOLERANCES = {
 }
 
 
-def _bool_from_string(text: str) -> bool:
-    lowered = text.strip().lower()
-    if lowered in ("1", "true", "yes", "on"):
-        return True
-    if lowered in ("0", "false", "no", "off"):
-        return False
-    raise ValueError(f"not a boolean: {text!r}")
-
-
 @dataclasses.dataclass(frozen=True)
 class _Flag:
     name: str  # flag name without dashes, e.g. "eta1"
@@ -135,7 +126,6 @@ _COMMANDS: dict[str, list[_Flag]] = {
         _Flag("trials", int, 10000, "Monte Carlo trials (>= 1000)"),
         _Flag("seed", int, 42, "RNG seed"),
         _Flag("workers", int, 1, "worker threads"),
-        _Flag("per-sample", _bool_from_string, False, "sample all n shots per trial"),
     ],
     "sweep": [
         _Flag("L", float, ..., "range (m)"),
@@ -399,7 +389,6 @@ def _cmd_mse_mc(config: dict[str, Any]) -> int:
         config["trials"],
         config["seed"],
         workers=config["workers"],
-        per_sample=config["per_sample"],
         budget=budget,
     )
     results = {

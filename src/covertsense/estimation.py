@@ -83,18 +83,9 @@ RNG_ALGORITHM = "philox4x64-10"
 #: is independent of how blocks are scheduled across workers.
 _BLOCK_TRIALS = 4096
 
-#: Blocks per strip in fast mode.  A strip draws from one generator, runs
-#: one vectorized kernel and is one thread-pool task; per-sample mode runs
-#: one block per task.
+#: Blocks per strip.  A strip draws from one generator, runs one
+#: vectorized kernel and is one thread-pool task.
 _STRIP_BLOCKS = 4
-
-#: Cap on the float64 values the per-sample (slow) Monte-Carlo mode holds
-#: at once over all its threads (400 MB).  A trial holds 4 n of them at the
-#: peak of ``_normal_pair_means``: its 2 n uniforms, n radii and n angles.
-#: No more threads run than can each hold one trial under the cap, each
-#: draws its trials in chunks of its share of the cap, and per-sample runs
-#: are refused for 4 n above it.
-_SLOW_MODE_CHUNK = 50_000_000
 
 #: Phase step (radians) of the fidelity-curvature stencil in ``qfi_numeric``.
 _QFI_STEP = 1e-3
@@ -340,35 +331,6 @@ class _Stream:
         return self._gen
 
 
-def _normal_pair_means(
-    gen: np.random.Generator, trials: int, n: int
-) -> tuple[np.ndarray, np.ndarray]:
-    """Row means of two ``(trials, n)`` standard-normal arrays.
-
-    Box-Muller on exactly two uniform doubles per output pair keeps the
-    counter consumption fixed, which is what makes per-trial stream
-    addressing (and hence worker-count independence) possible; the
-    ziggurat sampler consumes a variable number of draws and cannot be
-    addressed this way.  The pairs are formed with in-place ufuncs, so at
-    the peak a trial holds 4 n float64 values: 2 n uniforms, n radii and
-    n angles.
-    """
-    import numpy as np
-
-    uniforms = gen.random((trials, n, 2))
-    radius = np.negative(uniforms[..., 0])
-    np.log1p(radius, out=radius)
-    np.multiply(radius, -2.0, out=radius)
-    np.sqrt(radius, out=radius)
-    angle = np.multiply(uniforms[..., 1], 2.0 * np.pi)
-    # The uniforms are spent: their first half takes the quadrature normals.
-    comp_q = np.sin(angle, out=uniforms.reshape(-1)[: trials * n].reshape(trials, n))
-    comp_i = np.cos(angle, out=angle)
-    np.multiply(comp_i, radius, out=comp_i)
-    np.multiply(comp_q, radius, out=comp_q)
-    return comp_i.mean(axis=1), comp_q.mean(axis=1)
-
-
 class _StripBuffers:
     """Work arrays of the fast-mode kernel for strips of up to ``size`` trials.
 
@@ -490,7 +452,6 @@ def simulate_heterodyne_mse(
     seed: int,
     *,
     workers: int = 1,
-    per_sample: bool = False,
     budget: CovertBudget | None = None,
 ) -> tuple[float, float]:
     """Monte-Carlo MSE of the arctangent estimator at the covert budget.
@@ -501,27 +462,16 @@ def simulate_heterodyne_mse(
     angular difference to ``theta_true`` wrapped into [-pi, pi].
     Returns the sample mean and its standard error.
 
-    Fast mode draws that difference directly in the frame of
-    ``theta_true``: with the trial's Box-Muller radius ``r`` and angle
-    ``a``, it is the argument of ``1 + s e^{i phi}``, ``s = sigma r`` and
+    The difference is drawn directly in the frame of ``theta_true``: with
+    the trial's Box-Muller radius ``r`` and angle ``a``, it is the
+    argument of ``1 + s e^{i phi}``, ``s = sigma r`` and
     ``phi = a - theta_true``, taken through ``tan(phi / 2)`` (see
     ``_fast_squared_errors``).  That needs no sine, cosine or wrap, and
     keeps full relative precision when the noise is small.
 
-    ``per_sample=True`` switches to the slow validation mode that draws
-    all ``n`` per-mode outcomes at per-mode variance ``sigma_sq``,
-    averages them and takes ``atan2(Q, I) - theta_true`` wrapped by
-    ``np.remainder`` — statistically identical (Gaussian averages are
-    Gaussian) and O(n) more work, so only sensible for small ``n``.  It
-    is refused for ``n > 12_500_000``, where a single trial's 4 n working
-    values would take more than 400 MB.  The 400 MB hold for the whole
-    run: at most ``400 MB / (32 n bytes)`` threads run, and each draws
-    its trials in chunks of its share.
-
-    Reproducibility: trial ``t`` owns a fixed slice of the counter
-    stream of Philox (``philox4x64-10``) keyed by ``seed`` — uniforms
-    ``[2t, 2t+2)`` in fast mode, ``[2nt, 2n(t+1))`` in per-sample mode —
-    so the draw for a trial depends only on ``(seed, t)``.  One Philox
+    Reproducibility: trial ``t`` owns uniforms ``[2t, 2t+2)`` of the
+    counter stream of Philox (``philox4x64-10``) keyed by ``seed``, so
+    the draw for a trial depends only on ``(seed, t)``.  One Philox
     counter step yields four 64-bit uniforms, and every block boundary
     falls on a whole counter step, so each thread keeps one generator and
     moves it to a task's first trial with ``advance``.  Trials are summed
@@ -529,11 +479,10 @@ def simulate_heterodyne_mse(
     regardless of ``workers``, making output bits independent of the
     worker count.
 
-    Work is split into tasks.  In fast mode a task is a strip of four
-    consecutive blocks: the contiguous stream from the strip's first
-    trial holds every block's uniforms, and one in-place vectorized
-    kernel's squared errors are summed back per block.  In per-sample
-    mode a task is one block.  At most
+    Work is split into tasks, each a strip of four consecutive blocks:
+    the contiguous stream from the strip's first trial holds every
+    block's uniforms, and one in-place vectorized kernel's squared errors
+    are summed back per block.  At most
     ``min(workers, os.cpu_count(), tasks)`` threads are started, with at
     most ``2 * threads`` tasks submitted and not yet folded, so memory
     does not grow with ``trials``.
@@ -543,7 +492,8 @@ def simulate_heterodyne_mse(
     the budget is computed here.  A budget built for another ``epsilon``
     or ``n`` is refused.
     """
-    import numpy as np
+    # Without numpy the run is refused before its arguments are checked.
+    import numpy  # noqa: F401
 
     trials = int(trials)
     if trials < 1000:
@@ -553,15 +503,6 @@ def simulate_heterodyne_mse(
     if workers < 1:
         raise ValueError("workers must be >= 1")
     n = channel_uses(num_modes)
-    # Float64 values one per-sample trial holds (see _normal_pair_means).
-    per_trial = 4 * n
-    if per_sample and per_trial > _SLOW_MODE_CHUNK:
-        raise ValueError(
-            f"per-sample mode holds 4 n = {per_trial} float64 values per trial, "
-            f"above the cap of {_SLOW_MODE_CHUNK} "
-            f"({_SLOW_MODE_CHUNK * 8 // 10**6} MB); it needs n <= "
-            f"{_SLOW_MODE_CHUNK // 4}"
-        )
     if budget is None:
         budget = covert_budget(scenario, epsilon, n)
     elif (budget.epsilon, budget.num_modes) != (epsilon, n):
@@ -570,20 +511,11 @@ def simulate_heterodyne_mse(
             f"n = {budget.num_modes}; this run has epsilon = {epsilon!r}, n = {n}"
         )
     stats = heterodyne_stats(scenario, theta_true, budget.nbar_s, n)
-
-    mu1 = stats.mu1
-    mu2 = stats.mu2
     sigma_avg = math.sqrt(stats.sigma_het_sq)
-    sigma_shot = math.sqrt(stats.sigma_sq)
-    uniforms_per_trial = 2 * n if per_sample else 2
 
-    strip_trials = _BLOCK_TRIALS * (1 if per_sample else _STRIP_BLOCKS)
+    strip_trials = _BLOCK_TRIALS * _STRIP_BLOCKS
     num_strips = -(-trials // strip_trials)
     threads = _thread_count(workers, num_strips)
-    if per_sample:
-        # The cap is shared: each thread holds one chunk at a time.
-        threads = min(threads, _SLOW_MODE_CHUNK // per_trial)
-        chunk = _SLOW_MODE_CHUNK // (threads * per_trial)
 
     # One generator and one set of kernel buffers per thread (see _Stream
     # and _StripBuffers).
@@ -596,26 +528,11 @@ def simulate_heterodyne_mse(
         count = min(strip_trials, trials - start)
         if not hasattr(local, "stream"):
             local.stream = _Stream(seed)
-        gen = local.stream.at(start * uniforms_per_trial)
-        if not per_sample:
-            if not hasattr(local, "buffers"):
-                local.buffers = _StripBuffers(min(strip_trials, trials))
-            squared = _fast_squared_errors(
-                gen, count, sigma_avg, theta_true, local.buffers
-            )
-            return _block_sums(squared)
-        sq_parts = []
-        done = 0
-        while done < count:
-            take = min(chunk, count - done)
-            mean_i, mean_q = _normal_pair_means(gen, take, n)
-            comp_i = mu1 + sigma_shot * mean_i
-            comp_q = mu2 + sigma_shot * mean_q
-            delta = np.remainder(np.arctan2(comp_q, comp_i) - theta_true, 2.0 * np.pi)
-            delta -= 2.0 * np.pi * (delta > np.pi)
-            sq_parts.append(delta * delta)
-            done += take
-        return _block_sums(np.concatenate(sq_parts))
+            local.buffers = _StripBuffers(min(strip_trials, trials))
+        squared = _fast_squared_errors(
+            local.stream.at(2 * start), count, sigma_avg, theta_true, local.buffers
+        )
+        return _block_sums(squared)
 
     sum_sq = 0.0
     sum_quad = 0.0
@@ -630,8 +547,12 @@ def simulate_heterodyne_mse(
     return mse, stderr
 
 
-def _coherent_coefficients(eta: float, nbar_b: float) -> tuple[float, float]:
-    """(c_het, c_coh) for a coherent probe through the effective channel."""
+def _coherent_coefficients(eta: float, nbar_b: float) -> tuple[float, float, float]:
+    """(root, c_het, c_coh) for a coherent probe through the effective channel.
+
+    ``root = sqrt(eta b (1 + eta b))`` is shared by the coefficients and
+    the coherent covert budget.
+    """
     if not 0.0 < eta < 1.0 or nbar_b <= 0.0:
         raise DomainError(
             "coherent baseline needs 0 < eta_eff < 1 and nbar_b_eff > 0 "
@@ -646,7 +567,7 @@ def _coherent_coefficients(eta: float, nbar_b: float) -> tuple[float, float]:
         )
     c_het = (1.0 - eta) * (1.0 + nbar_b * (1.0 - eta)) / (8.0 * eta * root)
     c_coh = (1.0 - eta) * (1.0 + 2.0 * nbar_b * (1.0 - eta)) / (16.0 * eta * root)
-    return c_het, c_coh
+    return root, c_het, c_coh
 
 
 def coherent_baseline(
@@ -666,8 +587,7 @@ def coherent_baseline(
     """
     check_positive("epsilon", epsilon)
     n = channel_uses(num_modes)
-    c_het, c_coh = _coherent_coefficients(eta_eff, nbar_b_eff)
-    root = math.sqrt(eta_eff * nbar_b_eff * (1.0 + eta_eff * nbar_b_eff))
+    root, c_het, c_coh = _coherent_coefficients(eta_eff, nbar_b_eff)
     nbar_s = 4.0 * epsilon * root / (math.sqrt(n) * (1.0 - eta_eff))
     return nbar_s, c_het, c_coh
 
@@ -692,7 +612,7 @@ def source_comparison(
     ``mu < 1`` (thermal probe wins) exactly when ``mu_c < sqrt(mu_w)``.
     """
     _check_bandwidths(w_ase, w_coh)
-    _, c_coh = _coherent_coefficients(scenario.eta_eff, scenario.nbar_b_eff)
+    _, _, c_coh = _coherent_coefficients(scenario.eta_eff, scenario.nbar_b_eff)
     mu_c = c_ase / c_coh
     mu_w = w_ase / w_coh
     return mu_c / math.sqrt(mu_w), mu_c, mu_w
@@ -728,7 +648,7 @@ def estimation_report(
     f_a_prime, f_a = qfi_closed(scenario, budget.nbar_s, nbar_lo)
     c_ase = qcrb_ase(scenario, budget.c2)
     c_het_tilde = ase_heterodyne_coefficient(scenario, budget.c2)
-    c_het, c_coh = _coherent_coefficients(scenario.eta_eff, scenario.nbar_b_eff)
+    _, c_het, c_coh = _coherent_coefficients(scenario.eta_eff, scenario.nbar_b_eff)
     mu, mu_c, mu_w = source_comparison(scenario, c_ase, w_ase, w_coh)
     root_n = math.sqrt(n)
     return EstimationReport(

@@ -5,7 +5,8 @@ deadline: BLAS warm-up and cache effects make per-example timing
 meaningless) and prints a one-line PASS/FAIL verdict per acceptance
 criterion after the run, collected from the ``test_criterion_*`` tests.
 Also holds ``_exact_arctan_mse``, the quadrature reference for the
-Monte-Carlo estimator that the acceptance and estimation tests share.
+Monte-Carlo estimator that the acceptance and estimation tests share,
+and ``THREE_STRIPS_AND_A_BLOCK``, a trial count that starts threads.
 """
 
 from __future__ import annotations
@@ -23,6 +24,11 @@ settings.register_profile(
     suppress_health_check=[HealthCheck.too_slow],
 )
 settings.load_profile("numeric")
+
+#: Three whole strips of four 4096-trial blocks, then one partial block:
+#: the Monte-Carlo run has four tasks, so more than one worker starts
+#: wherever there is more than one core.
+THREE_STRIPS_AND_A_BLOCK = 3 * 4 * 4096 + 1000
 
 
 def _exact_arctan_mse(sigma_sq: float) -> float:

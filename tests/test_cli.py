@@ -12,7 +12,9 @@ import sys
 import warnings
 
 import pytest
+from conftest import THREE_STRIPS_AND_A_BLOCK
 
+from covertsense import cli
 from covertsense.cli import CSV_HEADER, main
 from covertsense.covertness import covert_budget, taylor_coefficients
 from covertsense.estimation import estimation_report, heterodyne_stats
@@ -120,8 +122,9 @@ class TestBoundsCommand:
 
 class TestMseMcCommand:
     def test_deterministic_across_workers(self):
+        # Four strips, so the --workers 3 run starts min(3, cores) threads.
         base = ["mse-mc", *SCENARIO_FLAGS, "--theta", "0.4",
-                "--trials", "2000", "--seed", "9"]
+                "--trials", str(THREE_STRIPS_AND_A_BLOCK), "--seed", "9"]
         serial = run_cli(*base, "--workers", "1")
         parallel = run_cli(*base, "--workers", "3")
         rerun = run_cli(*base, "--workers", "1")
@@ -145,6 +148,23 @@ class TestMseMcCommand:
         a = json.loads(run_cli(*base, "--seed", "1").stdout)["results"]
         b = json.loads(run_cli(*base, "--seed", "2").stdout)["results"]
         assert a["mse"] != b["mse"]
+
+    def test_per_sample_flag_is_usage_error(self, capsys):
+        # mse-mc has one route; the flag that drew all n shots is gone.
+        assert _run_main("mse-mc", **{"per-sample": "1"}) == 2
+        out, err = capsys.readouterr()
+        assert out == ""
+        assert "unrecognized arguments: --per-sample=1" in err
+
+    def test_config_echo_holds_every_flag_but_workers(self, capsys, monkeypatch):
+        monkeypatch.delenv("COVERTSENSE_CONFIG", raising=False)
+        assert _run_main("mse-mc") == 0
+        echoed = set(json.loads(capsys.readouterr().out)["config"])
+        flags = {flag.name.replace("-", "_") for flag in cli._COMMANDS["mse-mc"]}
+        assert echoed == flags - {"workers"}
+        assert echoed == {
+            "eta1", "eta2", "nb1", "nb2", "epsilon", "n", "theta", "trials", "seed",
+        }
 
 
 class TestSweepCommand:
@@ -268,6 +288,26 @@ class TestConfigResolution:
         result = run_cli("--config", str(config), "scenario", *SCENARIO_FLAGS)
         assert result.returncode == 2
         assert "bogus_key" in result.stderr
+
+    @pytest.mark.parametrize("command", ["mse-mc", "scenario"])
+    @pytest.mark.parametrize("route", ["flag", "environment"])
+    def test_per_sample_config_key_refused(self, tmp_path, capsys, monkeypatch,
+                                           command, route):
+        # Config keys are global, so the key is refused under every command.
+        config = tmp_path / "per_sample.conf"
+        config.write_text("per_sample = 1\n")
+        monkeypatch.delenv("COVERTSENSE_CONFIG", raising=False)
+        argv = [command] + [f"--{k}={v}" for k, v in NUMERIC_FLAGS[command].items()]
+        if route == "flag":
+            argv = ["--config", str(config), *argv]
+        else:
+            monkeypatch.setenv("COVERTSENSE_CONFIG", str(config))
+        with pytest.raises(SystemExit) as exc:
+            main(argv)
+        assert exc.value.code == 2
+        out, err = capsys.readouterr()
+        assert out == ""
+        assert "unknown config keys: per_sample" in err
 
 
 class TestErrorPaths:

@@ -3,13 +3,12 @@
 from __future__ import annotations
 
 import math
-import tracemalloc
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
-from conftest import _exact_arctan_mse
+from conftest import THREE_STRIPS_AND_A_BLOCK, _exact_arctan_mse
 
 from covertsense import estimation
 from covertsense.covertness import covert_budget, taylor_coefficients
@@ -35,9 +34,6 @@ REFERENCE_C2 = taylor_coefficients(REFERENCE).c2
 
 occupancies = st.floats(0.0, 3.0)
 angles = st.floats(-math.pi, math.pi)
-
-#: Three whole strips of four 4096-trial blocks, then one partial block.
-THREE_STRIPS_AND_A_BLOCK = 3 * 4 * 4096 + 1000
 
 
 class TestFidelity:
@@ -188,7 +184,10 @@ def _reference_mse(scenario, theta_true, epsilon, num_modes, trials, seed, kerne
     * ``"cos-sin"``: fast mode as it was before that kernel, I and Q from
       cos and sin, then atan2(Q, I) - theta wrapped by ``np.remainder``.
     * ``"per-sample"``: n cos/sin Box-Muller shots per trial, averaged,
-      then as ``"cos-sin"``.  The per-sample driver must match its bits.
+      then as ``"cos-sin"``.  Trial t owns uniforms [2nt, 2n(t+1)); the
+      shots are drawn in chunks of rows, so a block's working set stays
+      near 2**16 shots whatever n is.  This O(n) route is the evidence
+      that drawing the averaged quadratures directly is right.
     """
 
     def wrap_array(diff):
@@ -223,9 +222,14 @@ def _reference_mse(scenario, theta_true, epsilon, num_modes, trials, seed, kerne
             comp_i = mu1 + sigma_avg * z_i
             comp_q = mu2 + sigma_avg * z_q
         else:
-            z_i, z_q = normal_pairs(gen.random((count, n, 2)))
-            comp_i = mu1 + sigma_shot * z_i.mean(axis=1)
-            comp_q = mu2 + sigma_shot * z_q.mean(axis=1)
+            rows = max(1, 2**16 // n)
+            mean_i, mean_q = [], []
+            for done in range(0, count, rows):
+                z_i, z_q = normal_pairs(gen.random((min(rows, count - done), n, 2)))
+                mean_i.append(z_i.mean(axis=1))
+                mean_q.append(z_q.mean(axis=1))
+            comp_i = mu1 + sigma_shot * np.concatenate(mean_i)
+            comp_q = mu2 + sigma_shot * np.concatenate(mean_q)
         delta = wrap_array(np.arctan2(comp_q, comp_i) - theta_true)
         return delta * delta
 
@@ -253,21 +257,17 @@ def _reference_mse(scenario, theta_true, epsilon, num_modes, trials, seed, kerne
 
 
 class TestStrips:
-    @pytest.mark.parametrize("per_sample", [False, True], ids=["fast", "per-sample"])
+    @pytest.mark.parametrize("epsilon,num_modes", [(0.01, 1e6)], ids=["fast"])
     @pytest.mark.parametrize("theta", [0.0, math.pi, -math.pi, 3.0, 7.0, -10.0])
-    def test_bits_match_block_reference(self, theta, per_sample):
-        # Per-sample mode at n = 4 keeps the slow path cheap; both points
-        # are noisy enough that errors cross the wrap at theta near pi.
-        epsilon, num_modes = (0.05, 4.0) if per_sample else (0.01, 1e6)
+    def test_bits_match_block_reference(self, theta, epsilon, num_modes):
         for trials in (1000, 4096, 16384, 16385, 50_001):
             want = _reference_mse(
-                REFERENCE, theta, epsilon, num_modes, trials, 29,
-                "per-sample" if per_sample else "rotated",
+                REFERENCE, theta, epsilon, num_modes, trials, 29, "rotated"
             )
             for workers in (1, 3):
                 got = simulate_heterodyne_mse(
                     REFERENCE, theta, epsilon, num_modes, trials, 29,
-                    workers=workers, per_sample=per_sample,
+                    workers=workers,
                 )
                 assert got == want, (trials, workers)
 
@@ -351,17 +351,23 @@ class TestRotatedKernel:
         assert abs(mse - _exact_arctan_mse(sigma_het_sq)) <= 3.0 * stderr
 
     @pytest.mark.filterwarnings("ignore:covert budget:UserWarning")
-    @pytest.mark.parametrize("num_modes", [1.0, 2.0, 10.0])
+    @pytest.mark.parametrize("num_modes", [1.0, 2.0, 10.0, 1000.0])
     def test_per_sample_agrees_with_fast_mode(self, num_modes):
-        # Per-sample mode keeps the cos/sin Box-Muller on n shots per
-        # trial, a route independent of the rotated kernel.
-        kwargs = dict(
-            theta_true=2.5, epsilon=0.3, num_modes=num_modes, trials=50_001,
-            seed=37,
-        )
-        fast = simulate_heterodyne_mse(REFERENCE, **kwargs)
-        slow = simulate_heterodyne_mse(REFERENCE, per_sample=True, **kwargs)
+        # The per-sample reference draws all n shots of a trial through
+        # cos/sin Box-Muller and averages them, a route independent of the
+        # rotated kernel.  It costs O(n) per trial, so n = 1000 runs fewer
+        # trials.  Both must also agree with the exact MSE.
+        trials = 50_001 if num_modes <= 10.0 else 4096
+        args = (REFERENCE, 2.5, 0.3, num_modes, trials, 37)
+        fast = simulate_heterodyne_mse(*args)
+        slow = _reference_mse(*args, "per-sample")
         assert abs(fast[0] - slow[0]) <= 3.0 * math.hypot(fast[1], slow[1])
+        budget = covert_budget(REFERENCE, 0.3, num_modes)
+        exact = _exact_arctan_mse(
+            heterodyne_stats(REFERENCE, 2.5, budget.nbar_s, num_modes).sigma_het_sq
+        )
+        for mse, stderr in (fast, slow):
+            assert abs(mse - exact) <= 3.0 * stderr
 
 
 class TestSimulation:
@@ -400,91 +406,6 @@ class TestSimulation:
         budget = covert_budget(REFERENCE, eps, n)
         predicted = heterodyne_stats(REFERENCE, 0.5, budget.nbar_s, n).sigma_het_sq
         assert abs(mse - predicted) <= 4.0 * stderr
-
-    def test_per_sample_mode_consistent(self):
-        # The per-mode validation path averages n raw outcomes per trial;
-        # its estimate targets the same distribution as the pooled path,
-        # so the two independent estimates must agree statistically, and
-        # the slow path must be exactly reproducible.
-        kwargs = dict(theta_true=0.5, epsilon=0.3, num_modes=400, trials=1000)
-        pooled = simulate_heterodyne_mse(REFERENCE, seed=3, **kwargs)
-        streamed = simulate_heterodyne_mse(REFERENCE, seed=3, per_sample=True, **kwargs)
-        again = simulate_heterodyne_mse(REFERENCE, seed=3, per_sample=True, **kwargs)
-        assert streamed == again
-        combined = math.hypot(pooled[1], streamed[1])
-        assert abs(pooled[0] - streamed[0]) <= 5.0 * combined
-
-    def test_per_sample_memory_cap(self):
-        # One trial at n = 1e8 would hold 4 n values, 3.2 GB; at n = 2e7 it
-        # would hold 640 MB.  Both runs are refused before anything is drawn.
-        for num_modes in (1e8, 2e7):
-            with pytest.raises(ValueError, match="cap of 50000000 .*n <= 12500000"):
-                simulate_heterodyne_mse(
-                    REFERENCE, 0.5, 0.01, num_modes, trials=1000, seed=1,
-                    per_sample=True,
-                )
-
-    @pytest.mark.parametrize("num_modes", [1000.0, 5000.0])
-    def test_per_sample_chunk_stays_under_cap(self, monkeypatch, num_modes):
-        # The cap holds for a chunk's whole working set, not only for its
-        # uniforms: scaled down to 2e6 values (16 MB), chunks of 500 and of
-        # 100 trials fill it.
-        kwargs = dict(
-            theta_true=0.5, epsilon=0.3, num_modes=num_modes, trials=1000, seed=3,
-            per_sample=True,
-        )
-        # One chunk per strip at the shipped cap; also imports outside the trace.
-        want = simulate_heterodyne_mse(REFERENCE, **kwargs)
-        cap = 2_000_000
-        monkeypatch.setattr(estimation, "_SLOW_MODE_CHUNK", cap)
-        tracemalloc.start()
-        try:
-            got = simulate_heterodyne_mse(REFERENCE, **kwargs)
-            peak = tracemalloc.get_traced_memory()[1]
-        finally:
-            tracemalloc.stop()
-        assert peak <= 1.02 * 8 * cap
-        assert got == want
-
-    def test_per_sample_cap_holds_across_threads(self, monkeypatch):
-        # Two workers on two cores share the cap (scaled down to 2e6 values,
-        # 16 MB) instead of holding one cap each, and give the 1-worker bits.
-        kwargs = dict(
-            theta_true=0.5, epsilon=0.3, num_modes=1000.0, trials=3 * 4096,
-            seed=3, per_sample=True,
-        )
-        cap = 2_000_000
-        monkeypatch.setattr(estimation, "_SLOW_MODE_CHUNK", cap)
-        monkeypatch.setattr(estimation.os, "cpu_count", lambda: 2)
-        want = simulate_heterodyne_mse(REFERENCE, **kwargs)
-        tracemalloc.start()
-        try:
-            got = simulate_heterodyne_mse(REFERENCE, workers=2, **kwargs)
-            peak = tracemalloc.get_traced_memory()[1]
-        finally:
-            tracemalloc.stop()
-        assert peak <= 1.02 * 8 * cap
-        assert got == want
-
-    def test_per_sample_threads_clamped_to_whole_trials(self, monkeypatch):
-        # A cap that holds one trial of 4 n values runs one thread.
-        kwargs = dict(
-            theta_true=0.5, epsilon=0.3, num_modes=1000.0, trials=2 * 4096,
-            seed=3, per_sample=True,
-        )
-        want = simulate_heterodyne_mse(REFERENCE, **kwargs)
-        monkeypatch.setattr(estimation, "_SLOW_MODE_CHUNK", 4000)
-        monkeypatch.setattr(estimation.os, "cpu_count", lambda: 2)
-        threads = []
-        in_order = estimation._in_order
-
-        def recording(task, count, workers):
-            threads.append(workers)
-            return in_order(task, count, workers)
-
-        monkeypatch.setattr(estimation, "_in_order", recording)
-        assert simulate_heterodyne_mse(REFERENCE, workers=2, **kwargs) == want
-        assert threads == [1]
 
     def test_thread_count_bounded_by_cores_and_blocks(self, monkeypatch):
         monkeypatch.setattr(estimation.os, "cpu_count", lambda: 4)
