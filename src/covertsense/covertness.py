@@ -25,10 +25,19 @@ second moments of the reference state in V's normal modes,
     D(rho_0 || rho_1) = Sigma(V0, V1) - Sigma(V0, V0),
 
 where Sigma(V0, V0) is the von Neumann entropy of rho_0.  ``qre_gaussian``
-evaluates this directly; ``willie_qre`` evaluates the same functional for
-the adversary's two-mode states through exact first-order differences of
-the closed-form normal-mode data, which stays accurate when D is ten or
-more orders of magnitude below the entropies themselves.
+evaluates this directly.  ``willie_qre`` uses that the adversary's two
+states are passive, with mode-occupation matrices N0 and
+N1 = N0 + nbar_s p p^T: over the eigenvalues lambda and eigenvectors e of
+the two,
+
+    D = sum_jk |<e0_j|e1_k>|^2 beta(lambda0_j, lambda1_k),
+    beta(x, y) = (1+x) ln((1+y)/(1+x)) - x ln(y/x) >= 0,
+
+the relative entropy of one-mode thermal states.  No term is negative and
+each is formed from its shift lambda1_k - lambda0_j, so D stays accurate
+when it is ten or more orders of magnitude below the entropies
+themselves, for taps in [0, 1], vacuum baths and occupancies up to the
+float range.
 
 The equal-bath special case (nbar_b1 = nbar_b2 = nbar_b) reduces to a
 single-mode thermal pair with N0 = eta_eff nbar_b and
@@ -55,7 +64,7 @@ from .errors import (
     DomainError,
     InfiniteQreError,
 )
-from .scenario import SensingScenario, _willie_params, check_positive
+from .scenario import SensingScenario, check_positive
 
 if TYPE_CHECKING:
     from .gaussian import CovarianceMatrix
@@ -74,6 +83,8 @@ __all__ = [
 ]
 
 _PURE_TOL = 1e-12
+#: Orders k = 3..23 of the thermal-QRE series after its leading k = 2 term.
+_SERIES_ORDERS = tuple(float(k) for k in range(3, 24))
 
 
 @dataclass(frozen=True)
@@ -150,139 +161,175 @@ def qre_gaussian(cm_0: CovarianceMatrix, cm_1: CovarianceMatrix) -> float:
     return sigma_01 - sigma_00
 
 
-def _willie_normal_deltas(
-    scenario: SensingScenario, nbar_s: float
-) -> list[tuple[float, float, float, float]]:
-    """Exact normal-mode differences of the adversary pair at one nbar_s.
+def _occupation_split(scenario: SensingScenario) -> tuple[float, ...]:
+    """(n11, n22, n12, lambda_hi, lambda_lo, (lambda_hi - lambda_lo) / 2) of N0.
 
-    Returns per-mode tuples (u0, du, u, dd): reference symplectic eigenvalue,
-    its exact shift, the shifted eigenvalue, and the shift of the relative
-    diagonal d_k - u0_k.  All four are computed from factored first-order
-    differences of the closed-form tap parameters, so du and dd carry no
-    cancellation error even when they are ~1e-12 of u0.
-
-    :func:`willie_qre` passes nbar_s >= 0.  A slightly negative nbar_s is
-    accepted only for the finite-difference reference of the test suite,
-    which differentiates this evaluator independently of
-    :func:`taylor_coefficients`; that caller keeps the state physical.
+    N0 and the form of lambda_lo are described in
+    :func:`taylor_coefficients`.
     """
     e1, e2 = scenario.eta_1, scenario.eta_2
-    w11_0, w22_0, w12_0 = _willie_params(scenario, 0.0)
-    dw11 = (1.0 - e2) * e1 * nbar_s
-    dw22 = (1.0 - e1) * nbar_s
-    dw12 = -math.sqrt((1.0 - e2) * e1 * (1.0 - e1)) * nbar_s
-    w11, w22, w12 = w11_0 + dw11, w22_0 + dw22, w12_0 + dw12
-
-    delta0 = w11_0 - w22_0
-    delta1 = w11 - w22
-    d_delta = dw11 - dw22
-    rho0 = math.hypot(2.0 * w12_0, delta0)
-    rho1 = math.hypot(2.0 * w12, delta1)
-    # rho1^2 - rho0^2 through factored differences (exact to first order).
-    d_rho_sq = 4.0 * dw12 * (w12 + w12_0) + d_delta * (delta1 + delta0)
-    d_rho = d_rho_sq / (rho1 + rho0) if (rho1 + rho0) > 0.0 else 0.0
-
-    half_sum0 = (w11_0 + w22_0) / 2.0
-    d_half_sum = (dw11 + dw22) / 2.0
-    u1_0 = half_sum0 + rho0 / 2.0
-    u2_0 = half_sum0 - rho0 / 2.0
-    du1 = d_half_sum + d_rho / 2.0
-    du2 = d_half_sum - d_rho / 2.0
-
-    scale = max(abs(w11_0), abs(w22_0), abs(w11), abs(w22), 1.0)
-    if rho1 <= 1e-13 * scale:
-        # Perturbed state degenerate: only d1 + d2 enters the QRE, so the
-        # split is a gauge choice; pick the symmetric one.
-        dd1 = -rho0 / 2.0
-    else:
-        # d1 - u1_0 = (v0 . v1 - |v0||v1|) / (2 rho1) with v = (-2 w12, dw).
-        # Near alignment (dot >= 0) the numerator cancels catastrophically;
-        # rewrite it through the cross product:
-        # v0.v1 - |v0||v1| = -(v0 x v1)^2 / (|v0||v1| + v0.v1).
-        # Near anti-alignment (dot < 0) it is the rewritten form that hits
-        # 0/0 -- the perturbation can reverse v without rotating it (for
-        # equal baths v1 = v0 (1 - nbar_s/nbar_b) exactly, so the axes swap
-        # once nbar_s exceeds nbar_b) -- while the direct difference is an
-        # addition of same-sign terms and is stable, so branch on the sign.
-        # Both forms are divided through by rho1 so that no product of two
-        # bath-sized factors is squared (cross^2 overflows from ~1e77 up).
-        cross = 2.0 * (dw12 * delta0 - w12_0 * d_delta)
-        dot = 4.0 * w12 * w12_0 + delta1 * delta0
-        if dot < 0.0:
-            dd1 = (dot / rho1 - rho0) / 2.0
-        else:
-            tilt = cross / rho1
-            dd1 = -(tilt * tilt) / (2.0 * (rho0 + dot / rho1))
-    dd2 = -dd1
-    return [(u1_0, du1, u1_0 + du1, dd1), (u2_0, du2, u2_0 + du2, dd2)]
+    b1, b2 = scenario.nbar_b1, scenario.nbar_b2
+    n11 = (1.0 - e1) * (1.0 - e2) * b1 + e2 * b2
+    n22 = e1 * b1
+    n12 = math.sqrt((1.0 - e2) * e1 * (1.0 - e1)) * b1
+    # n11 / 2 + n22 / 2 rounds as (n11 + n22) / 2 does, without overflowing
+    # at baths near the float range.  hi >= n11 >= e2 b2, so the ratio below
+    # cannot overflow.
+    half_gap = math.hypot(n12, (n11 - n22) / 2.0)
+    hi = n11 / 2.0 + n22 / 2.0 + half_gap
+    lo = n22 * (e2 * b2 / hi) if hi > 0.0 else 0.0
+    return n11, n22, n12, hi, lo, half_gap
 
 
-def _log1p_minus_x(x: float) -> float:
-    """log1p(x) - x, by its series near 0 where the difference cancels."""
-    if abs(x) > 0.25:
-        return math.log1p(x) - x
-    total = 0.0
-    power = x
-    k = 2
-    while True:
-        power *= -x
-        term = power / k
-        total += term
-        if abs(term) <= 1e-17 * abs(total):
-            return total
-        k += 1
+def _thermal_qre(x: float, y: float, dy: float) -> float:
+    """beta(x, y) = (1+x) ln((1+y)/(1+x)) - x ln(y/x) >= 0, for y = x + dy.
 
+    The QRE between one-mode thermal states of occupancies x and y.  The
+    shift dy is passed in factored form, so it keeps its precision when it
+    is far below x, and y is passed too for when dy is not.  Within
+    |dy| < 0.1 x it sums the Taylor series in r = dy/x,
 
-def _relative_term(u0: float, du: float, u: float, dd: float) -> float:
-    """One mode's Sigma(V0,V1) - Sigma(V0,V0), evaluated without cancellation.
+        beta = sum_{k>=2} (-1)^(k+1) r^k x expm1((1-k) log1p(1/x)) / k,
 
-    Equals (1+2u0) ln((u+1/2)/(u0+1/2))/2 + (1-2u0) ln((u-1/2)/(u0-1/2))/2
-    + dd ln((u+1/2)/(u-1/2)), with the pure-mode limits handled explicitly.
-
-    The two logs are each ~du while their sum is ~du^2/(2 u0^2), so summing
-    them directly leaves a relative error ~eps u0^2/du: no digit survives
-    at hot baths.  With a = u0 + 1/2 and a - (u0 - 1/2) = 1 the sum is
-    rewritten exactly as du^2/(a (u - 1/2)) + m(du/a)
-    + (u0 - 1/2) m(-du/(a (u - 1/2))), m(x) = log1p(x) - x, whose three
-    terms are second order in du and cancel by about half.
+    with x expm1((1-k) log1p(1/x)) = -q (1 + q + ... + q^(k-2)),
+    q = x/(1+x), a sum of like-signed terms at any x; 22 terms reach 1e-21
+    at the edge.  Outside it beta = x (H(y) - H(x)) + ln((1+y)/(1+x)),
+    H(z) = ln(1 + 1/z), with each difference of logs taken as the log of
+    one ratio; the two terms cancel by at most a factor of ten.  y > 0
+    unless x = 0.
     """
-    gap0 = u0 - 0.5
-    gap1 = u - 0.5
-    a = u0 + 0.5
-    if gap1 <= _PURE_TOL:
-        if gap0 > 100.0 * _PURE_TOL or dd > 100.0 * _PURE_TOL:
-            raise InfiniteQreError(
-                "relative entropy diverges: perturbed adversary state is pure "
-                "along a mode where the reference is mixed"
-            )
-        return a * math.log1p(du / a)
-    if gap0 > _PURE_TOL:
-        x = du / a
-        term = x * (du / gap1) + _log1p_minus_x(x) + gap0 * _log1p_minus_x(-x / gap1)
+    if x == 0.0:
+        return math.log1p(y)
+    r = dy / x
+    if -0.1 < r < 0.1:
+        q = x / (1.0 + x)
+        power = r * r
+        geometric = 1.0
+        total = power / 2.0
+        tolerance = 1e-17 * total
+        for k in _SERIES_ORDERS:
+            power *= -r
+            geometric = 1.0 + q * geometric
+            term = power * geometric / k
+            total += term
+            if -tolerance <= term <= tolerance:
+                break
+        return q * total
+    u = dy / (1.0 + x)
+    t = -u / y
+    if -0.5 < t < math.inf:
+        h_gap = math.log1p(t)
     else:
-        # At a pure reference mode (1 - 2u0) -> 0 kills the second log's
-        # divergence in the limit.
-        term = a * math.log1p(du / a)
-    return term + dd * math.log1p(1.0 / gap1)
+        # 1 + t = f(x) / f(y) with f(z) = z / (1 + z) in (0, 1); its log is
+        # >= ln 2 in size here, and > 709 where the quotient overflows.
+        fx, fy = x / (1.0 + x), y / (1.0 + y)
+        h_gap = math.log(fx / fy) if t < math.inf else math.log(fx) - math.log(fy)
+    shift = math.log1p(u) if u > -0.5 else math.log((1.0 + y) / (1.0 + x))
+    return x * h_gap + shift
 
 
-def _willie_qre_raw(scenario: SensingScenario, nbar_s: float) -> float:
-    """QRE of the adversary pair at signal occupancy nbar_s (may be < 0)."""
+def _adversary_qre(scenario: SensingScenario, nbar_s: float) -> float:
+    """QRE of the adversary pair at signal occupancy nbar_s (may be < 0).
+
+    Both states are passive Gaussian states with occupation matrices N0
+    and N1 = N0 + nbar_s p p^T, so
+
+        D = sum_jk |<e0_j|e1_k>|^2 beta(lambda0_j, lambda1_k)
+
+    over their eigen-splits, a sum of non-negative terms.  The split of N1
+    is the rank-one update of :func:`_occupation_split` in factored form:
+    with rho = lambda_hi - lambda_lo,
+
+        d lambda_hi = nbar_s |p|^2 / 2 + d rho / 2,
+        d lambda_lo = nbar_s w_lo rho / (lambda_hi1 - lambda_lo),
+
+    both from the secular equation, and the eigenvector rotation from the
+    cross and dot products of v = (n11 - n22, 2 n12) with its shift.
+    Those products are taken in units of a power of two near the largest
+    entry, so that no two bath-sized numbers are multiplied.  A pair whose
+    beta needs an eigenvalue of N1 that underflows is refused with
+    :class:`DomainError`.
+
+    :func:`willie_qre` passes nbar_s >= 0.  A slightly negative nbar_s is
+    accepted for the finite-difference reference of the test suite while
+    N1 stays positive definite, and refused with :class:`DomainError` when
+    it does not.
+    """
     if nbar_s == 0.0:
         return 0.0
-    total = 0.0
-    for u0, du, u, dd in _willie_normal_deltas(scenario, nbar_s):
-        if u < 0.5 - 1e-12:
-            raise DomainError(
-                f"perturbed adversary state unphysical at nbar_s = {nbar_s!r} "
-                f"(symplectic eigenvalue {u!r})"
-            )
-        total += _relative_term(u0, du, u, dd)
+    e1, e2 = scenario.eta_1, scenario.eta_2
+    n11, n22, n12, hi, lo, half_gap = _occupation_split(scenario)
+    p1_sq, p2_sq = (1.0 - e2) * e1, 1.0 - e1
+    p1, p2 = math.sqrt(p1_sq), math.sqrt(p2_sq)
+    # Entries in units of a power of two that brings the largest of them
+    # (|dN| <= |nbar_s|) into [2, 4): an exact scaling, by a normal number,
+    # so that no product of two bath-sized numbers overflows.
+    exponent = math.frexp(max(n11, n22, n12, abs(nbar_s)))[1]
+    scale = math.ldexp(1.0, min(2 - exponent, 1023))
+    d0, a0 = (n11 - n22) * scale, 2.0 * n12 * scale
+    dd, da = (p1_sq - p2_sq) * nbar_s * scale, -2.0 * p1 * p2 * nbar_s * scale
+    d1, a1 = d0 + dd, a0 + da
+    r0, r1 = math.hypot(d0, a0), math.hypot(d1, a1)
+    rho, rho1 = 2.0 * half_gap, r1 / scale
+    # rho1 - rho through rho1^2 - rho^2 = dv . (v0 + v1), exact to first order.
+    d_rho = (dd * (d0 + d1) + da * (a0 + a1)) / (r0 + r1) / scale if r0 + r1 else 0.0
+    trace_shift = (p1_sq + p2_sq) * nbar_s
+    d_hi = trace_shift / 2.0 + d_rho / 2.0
+    d_lo = 0.0
+    if half_gap:
+        # w_lo = (p . e_lo)^2 with e_lo written so that its components and
+        # their products with p are like-signed; cos(phi) of an angle near
+        # pi/2 would lose the relative precision of a small w_lo.  Unscaled,
+        # so that it keeps its digits when nbar_s dwarfs the baths.
+        half_diff = (n11 - n22) / 2.0
+        m = half_gap + abs(half_diff)
+        q = p1 * n12 + p2 * m if half_diff >= 0.0 else p1 * m + p2 * n12
+        w_lo = (q / m) * (q / (2.0 * half_gap))
+        # lambda_hi1 - lambda_lo = (rho + rho1 + nbar_s |p|^2) / 2, like-signed,
+        # is at least nbar_s w_lo / 2, so the quotient cannot overflow.
+        d_lo = nbar_s * w_lo / (half_gap + rho1 / 2.0 + trace_shift / 2.0) * rho
+    hi1, lo1 = hi + d_hi, lo + d_lo
+    # sin^2 of the rotation between the eigenbases, half the angle from v0
+    # to v1: cross^2 / (2 (1 + cos)) while cos >= 0 would cancel otherwise;
+    # (1 - cos) / 2 once the axes swap (cos < 0, e.g. nbar_s > nbar_b at
+    # equal baths).
+    swap = 0.0
+    if r0 and r1:
+        sin2 = (d0 * da - a0 * dd) / r0 / r1
+        cos2 = (d0 * d1 + a0 * a1) / r0 / r1
+        swap = sin2 * sin2 / (2.0 * (1.0 + cos2)) if cos2 >= 0.0 else (1.0 - cos2) / 2.0
+    # A mode of N1 that the probe does not reach may be pure (lo1 = 0 < hi);
+    # it then has swap = 0.  Otherwise beta needs lo1 > 0.
+    if lo1 <= 0.0 and (nbar_s < 0.0 or swap):
+        cause = "unphysical" if nbar_s < 0.0 else "below double precision"
+        raise DomainError(
+            f"perturbed adversary state {cause} at nbar_s = {nbar_s!r} "
+            f"(occupation eigenvalue {lo1!r})"
+        )
+    total = (1.0 - swap) * (_thermal_qre(hi, hi1, d_hi) + _thermal_qre(lo, lo1, d_lo))
+    if swap:
+        total += swap * (
+            _thermal_qre(hi, lo1, d_lo - rho) + _thermal_qre(lo, hi1, d_hi + rho)
+        )
     return total
 
 
 def willie_qre(scenario: SensingScenario, nbar_s: float) -> float:
     """QRE (nats) between the adversary's states without and with the probe.
+
+    Both states are passive Gaussian states, with mode-occupation matrices
+    N0 and N1 = N0 + nbar_s p p^T (see :func:`taylor_coefficients`), so
+
+        D = sum_jk |<e0_j|e1_k>|^2 beta(lambda0_j, lambda1_k),
+        beta(x, y) = (1+x) ln((1+y)/(1+x)) - x ln(y/x) >= 0,
+
+    over the eigenvalues lambda and eigenvectors e of N0 and N1.  Every term
+    is non-negative, so the sum does not cancel, and each beta is evaluated
+    from its shift y - x in factored form: D keeps its relative precision
+    when it is ten or more orders of magnitude below the entropies, for any
+    taps in [0, 1] and occupancies up to the float range, vacuum baths
+    included (where D = log1p(nbar_s |p|^2)).  Raises ``ValueError`` for
+    nbar_s < 0.
 
     The target phase does not enter: it only rotates correlations inside the
     adversary state, leaving every symplectic invariant unchanged (this is
@@ -291,7 +338,7 @@ def willie_qre(scenario: SensingScenario, nbar_s: float) -> float:
     """
     if nbar_s < 0.0:
         raise ValueError("nbar_s must be non-negative")
-    return _willie_qre_raw(scenario, nbar_s)
+    return _adversary_qre(scenario, nbar_s)
 
 
 def equal_bath_qre(eta_eff: float, nbar_b: float, nbar_s: float) -> float:
@@ -404,13 +451,7 @@ def taylor_coefficients(scenario: SensingScenario) -> TaylorCoefficients:
     :class:`DomainError` only when it underflows to a subnormal or zero.
     """
     e1, e2 = scenario.eta_1, scenario.eta_2
-    b1, b2 = scenario.nbar_b1, scenario.nbar_b2
-    n11 = (1.0 - e1) * (1.0 - e2) * b1 + e2 * b2
-    n22 = e1 * b1
-    n12 = math.sqrt((1.0 - e2) * e1 * (1.0 - e1)) * b1
-    hi = (n11 + n22) / 2.0 + math.hypot(n12, (n11 - n22) / 2.0)
-    # hi >= n11 >= e2 b2, so the ratio cannot overflow.
-    lo = n22 * (e2 * b2 / hi) if hi > 0.0 else 0.0
+    n11, n22, n12, hi, lo, _ = _occupation_split(scenario)
     if lo <= 1e-12:
         raise DomainError(
             "quadratic expansion needs a strictly thermal adversary reference "

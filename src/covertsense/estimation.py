@@ -550,8 +550,9 @@ def simulate_heterodyne_mse(
 def _coherent_coefficients(eta: float, nbar_b: float) -> tuple[float, float, float]:
     """(root, c_het, c_coh) for a coherent probe through the effective channel.
 
-    ``root = sqrt(eta b (1 + eta b))`` is shared by the coefficients and
-    the coherent covert budget.
+    ``root = sqrt(eta b (1 + eta b))``, formed as
+    ``sqrt(eta b) sqrt(1 + eta b)`` so that it stays finite up to the float
+    range, is shared by the coefficients and the coherent covert budget.
     """
     if not 0.0 < eta < 1.0 or nbar_b <= 0.0:
         raise DomainError(
@@ -559,14 +560,19 @@ def _coherent_coefficients(eta: float, nbar_b: float) -> tuple[float, float, flo
             f"(got eta_eff = {eta}, nbar_b_eff = {nbar_b}): the probe is "
             "either undetectable or trivially detectable"
         )
-    root = math.sqrt(eta * nbar_b * (1.0 + eta * nbar_b))
-    if root == math.inf:
+    eta_b = eta * nbar_b
+    root = math.sqrt(eta_b) * math.sqrt(1.0 + eta_b)
+    if root == 0.0:
         raise DomainError(
-            "coherent baseline overflows double precision at "
-            f"eta_eff * nbar_b_eff = {eta * nbar_b:.3e}"
+            "coherent baseline underflows double precision at "
+            f"eta_eff = {eta!r}, nbar_b_eff = {nbar_b!r}"
         )
-    c_het = (1.0 - eta) * (1.0 + nbar_b * (1.0 - eta)) / (8.0 * eta * root)
-    c_coh = (1.0 - eta) * (1.0 + 2.0 * nbar_b * (1.0 - eta)) / (16.0 * eta * root)
+    # Divided through by root before any product with it, so that a bath
+    # near the float range leaves c_het and c_coh finite: both tend to
+    # (1 - eta)^2 / (8 eta^2) as nbar_b grows.
+    prefactor = (1.0 - eta) / (8.0 * eta)
+    c_het = prefactor * ((1.0 + nbar_b * (1.0 - eta)) / root)
+    c_coh = prefactor * ((0.5 + nbar_b * (1.0 - eta)) / root)
     return root, c_het, c_coh
 
 
@@ -613,6 +619,13 @@ def source_comparison(
     """
     _check_bandwidths(w_ase, w_coh)
     _, _, c_coh = _coherent_coefficients(scenario.eta_eff, scenario.nbar_b_eff)
+    return _source_ratios(c_ase, c_coh, w_ase, w_coh)
+
+
+def _source_ratios(
+    c_ase: float, c_coh: float, w_ase: float, w_coh: float
+) -> tuple[float, float, float]:
+    """(mu, mu_c, mu_w) of :func:`source_comparison` from both coefficients."""
     mu_c = c_ase / c_coh
     mu_w = w_ase / w_coh
     return mu_c / math.sqrt(mu_w), mu_c, mu_w
@@ -649,7 +662,7 @@ def estimation_report(
     c_ase = qcrb_ase(scenario, budget.c2)
     c_het_tilde = ase_heterodyne_coefficient(scenario, budget.c2)
     _, c_het, c_coh = _coherent_coefficients(scenario.eta_eff, scenario.nbar_b_eff)
-    mu, mu_c, mu_w = source_comparison(scenario, c_ase, w_ase, w_coh)
+    mu, mu_c, mu_w = _source_ratios(c_ase, c_coh, w_ase, w_coh)
     root_n = math.sqrt(n)
     return EstimationReport(
         f_a=f_a,

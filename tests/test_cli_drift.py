@@ -8,6 +8,9 @@ is compared field by field:
 * numbers derived from c2 in ``scenario``/``bounds`` agree to 1e-8
   relative, and c3 to 1e-7 (the stencil's third difference carried more
   error than its second);
+* the coherent-baseline coefficients ``c_het`` and ``c_coh`` agree to
+  1e-15 relative: their root is now sqrt(eta b) sqrt(1 + eta b), divided
+  through before the products, which moved them by at most 3.4e-16;
 * every link number (``sweep``, ``optimize``, ``reproduce-paper``) equals
   the equal-bath closed form at its own transmissivity and occupancy to
   1e-11 relative;
@@ -43,6 +46,9 @@ C2_DERIVED = {
 }
 C2_REL = 1e-8
 C3_REL = 1e-7
+#: results keys of ``bounds`` from the coherent baseline, and their bound.
+COHERENT = {"c_het", "c_coh"}
+COHERENT_REL = 1e-15
 LINK_REL = 1e-11
 
 #: (case, field) pairs allowed to differ from the stencil snapshot.
@@ -113,6 +119,8 @@ def _check_operating_point(i, old, new):
             _close(value, results_new[key], C3_REL)
         elif key in C2_DERIVED:
             _close(value, results_new[key], C2_REL)
+        elif key in COHERENT:
+            _close(value, results_new[key], COHERENT_REL)
         else:
             assert results_new[key] == value, (i, key)
 

@@ -2,9 +2,11 @@
 
 A counting wrapper around ``taylor_coefficients`` is bound into every
 covertsense module namespace that holds it, and one around the QRE
-evaluator ``_willie_qre_raw`` into ``covertness``.  The Taylor
-coefficients are closed forms that evaluate no QRE, so a budget costs
-none; ``scenario`` runs the evaluator once, for ``qre_per_mode``.
+kernel ``_adversary_qre`` into ``covertness`` and one around the
+coherent-baseline coefficients ``_coherent_coefficients`` into
+``estimation``.  The Taylor coefficients are closed forms that evaluate no
+QRE, so a budget costs none; ``scenario`` runs the kernel once, for
+``qre_per_mode``, and ``bounds`` the coherent coefficients once.
 """
 
 from __future__ import annotations
@@ -26,7 +28,7 @@ SCENARIO = [
 @pytest.fixture
 def counts(monkeypatch):
     monkeypatch.delenv(CONFIG_ENV_VAR, raising=False)
-    tally = {"taylor": 0, "qre": 0}
+    tally = {"taylor": 0, "qre": 0, "coherent": 0}
 
     def counting(key, fn):
         def wrapper(*args, **kwargs):
@@ -41,7 +43,12 @@ def counts(monkeypatch):
         if vars(module).get("taylor_coefficients") is original:
             monkeypatch.setattr(module, "taylor_coefficients", taylor)
     monkeypatch.setattr(
-        covertness, "_willie_qre_raw", counting("qre", covertness._willie_qre_raw)
+        covertness, "_adversary_qre", counting("qre", covertness._adversary_qre)
+    )
+    monkeypatch.setattr(
+        estimation,
+        "_coherent_coefficients",
+        counting("coherent", estimation._coherent_coefficients),
     )
     return tally
 
@@ -55,12 +62,13 @@ def _run(argv, capsys):
 
 def test_scenario_runs_taylor_once(counts, capsys):
     _run(["scenario", *SCENARIO, "--theta", "0.4"], capsys)
-    assert counts == {"taylor": 1, "qre": 1}
+    assert counts == {"taylor": 1, "qre": 1, "coherent": 0}
 
 
 def test_bounds_runs_taylor_once(counts, capsys):
     _run(["bounds", *SCENARIO, "--nlo", "1e5"], capsys)
-    assert counts == {"taylor": 1, "qre": 0}
+    # c_coh is computed once and shared by the report and the ratios.
+    assert counts == {"taylor": 1, "qre": 0, "coherent": 1}
 
 
 def test_sweep_runs_taylor_at_most_once_per_row(counts, capsys):
@@ -75,14 +83,14 @@ def test_sweep_runs_taylor_at_most_once_per_row(counts, capsys):
     # other row, valid or degenerate, runs the Taylor coefficients once.
     evaluated = sum(1 for row in rows if row[2] != "")
     assert 0 < evaluated < 50
-    assert counts == {"taylor": evaluated, "qre": 0}
+    assert counts == {"taylor": evaluated, "qre": 0, "coherent": 0}
 
 
 def test_mse_mc_runs_taylor_once(counts, capsys):
     # The budget behind the reported prediction is passed into
     # simulate_heterodyne_mse rather than built there a second time.
     _run(["mse-mc", *SCENARIO, "--trials", "1000"], capsys)
-    assert counts == {"taylor": 1, "qre": 0}
+    assert counts == {"taylor": 1, "qre": 0, "coherent": 0}
 
 
 @pytest.mark.parametrize(
@@ -94,4 +102,4 @@ def test_mse_mc_runs_taylor_once(counts, capsys):
 def test_bounds_refuses_operating_point_before_taylor(counts, capsys, flags):
     assert main(["bounds", *SCENARIO, *flags]) == 1
     assert '"error"' in capsys.readouterr().out
-    assert counts == {"taylor": 0, "qre": 0}
+    assert counts == {"taylor": 0, "qre": 0, "coherent": 0}

@@ -40,8 +40,9 @@ PINNED = json.loads(
     (Path(__file__).parent / "data" / "taylor_reference.json").read_text()
 )["points"]
 
-#: D(nbar_s) at the snapshot's ``scenario`` points and at hot baths, from a
-#: 250-digit evaluation (written by ``data/qre_reference_gen.py``).
+#: D(nbar_s) at the snapshot's ``scenario`` points, at hot baths and in the
+#: kernel's hard regions, from a 400-digit evaluation (written by
+#: ``data/qre_reference_gen.py``).
 QRE_PINNED = json.loads(
     (Path(__file__).parent / "data" / "qre_reference.json").read_text()
 )["points"]
@@ -52,14 +53,15 @@ def _stencil_coefficients(scenario: SensingScenario) -> tuple[float, float]:
 
     Independent of the closed form in ``taylor_coefficients``: eight QRE
     evaluations at +-h, +-h/2, +-h/4, +-h/8 with
-    h = min(1e-3 max(1, nbar_b_eff), 0.05 lambda_min), and two Richardson
-    levels on the even-power error series of each central stencil.  It
-    loses accuracy as eta_eff -> 1 with a weak bath, where the probe's
-    effect falls below the resolution of the QRE evaluator.
+    h = min(1e-3 max(1, nbar_b_eff), 0.05 lambda_lo), and two Richardson
+    levels on the even-power error series of each central stencil.  The
+    private kernel accepts the negative steps while N1 stays positive
+    definite.  It loses accuracy as eta_eff -> 1 with a weak bath, where
+    the probe's effect falls below the resolution of the QRE evaluator.
     """
-    gap = min(u0 for u0, *_ in covertness._willie_normal_deltas(scenario, 0.0)) - 0.5
-    h = min(1e-3 * max(1.0, scenario.nbar_b_eff), 0.05 * gap)
-    qre = functools.cache(lambda x: covertness._willie_qre_raw(scenario, x))
+    lambda_lo = covertness._occupation_split(scenario)[4]
+    h = min(1e-3 * max(1.0, scenario.nbar_b_eff), 0.05 * lambda_lo)
+    qre = functools.cache(lambda x: covertness._adversary_qre(scenario, x))
 
     def richardson(a_h, a_h2, a_h4):
         r1_h, r1_h2 = (4.0 * a_h2 - a_h) / 3.0, (4.0 * a_h4 - a_h2) / 3.0
@@ -195,14 +197,70 @@ class TestWillieQre:
         ids=[f"{p['kind']}-{i:02d}" for i, p in enumerate(QRE_PINNED)],
     )
     def test_pinned_to_high_precision(self, point):
-        # The two logs of a mode are each ~du and cancel to ~du^2/(2 u0^2);
-        # summed directly they lost 3e-10 at the snapshot points and every
-        # digit above nbar_b ~ 1e11.
+        # Every term of the beta-sum is >= 0 and each beta is formed from
+        # its shift, so D keeps its digits where the entropies are 1e20 or
+        # more times larger.  The symplectic-difference route it replaced
+        # refused the huge unequal baths as unphysical, hung at the
+        # 1.6e257 bath, and was off by 1e-8 at the near-identity taps and
+        # 7e-8 at the axis swap of 1e-6 baths.
         scenario = SensingScenario(
             point["eta_1"], point["eta_2"], point["nbar_b1"], point["nbar_b2"]
         )
         got = willie_qre(scenario, point["nbar_s"])
         assert got == pytest.approx(float(point["qre"]), rel=1e-13, abs=0.0)
+
+    def test_pinned_points_cover_the_hard_regions(self):
+        kinds = [point["kind"] for point in QRE_PINNED]
+        for kind, count in (("huge-unequal", 6), ("near-identity", 5),
+                            ("coincident", 5), ("axis-swap", 4),
+                            ("signal-range", 6)):
+            assert kinds.count(kind) >= count, kind
+        pinned = {
+            (p["eta_1"], p["eta_2"], p["nbar_b1"], p["nbar_b2"]) for p in QRE_PINNED
+        }
+        # The scenario points that were refused as unphysical or hung.
+        for point in ((0.5, 0.5, 1e150, 1e-3), (0.5, 0.5, 1e-3, 1e150),
+                      (0.5334174698756897, 0.15001482548447453,
+                       1.5986714685956394e+257, 6.630365349470693e+130)):
+            assert point in pinned
+        signals = [(p["nbar_s"], max(p["nbar_b1"], p["nbar_b2"]))
+                   for p in QRE_PINNED if p["kind"] == "signal-range"]
+        assert min(ns for ns, _ in signals) <= 1e-12
+        assert max(ns / nb for ns, nb in signals) >= 1e3
+
+    def test_vacuum_baths(self):
+        # N0 = 0: D = log1p(nbar_s |p|^2), |p|^2 = 1 - eta_eff, the equal-bath
+        # closed form at n0 = 0.  The symplectic route divided by zero here.
+        scenario = SensingScenario(0.5, 0.5, 0.0, 0.0)
+        got = willie_qre(scenario, 0.1)
+        assert got == pytest.approx(math.log1p(0.75 * 0.1), rel=1e-15)
+        assert got == pytest.approx(equal_bath_qre(0.25, 0.0, 0.1), rel=1e-15)
+
+    @given(
+        e1=st.floats(0.05, 0.95),
+        e2=st.floats(0.05, 0.95),
+        b1=st.floats(1e-2, 10.0),
+        b2=st.floats(1e-2, 10.0),
+        ns=st.floats(1e-2, 1.0),
+    )
+    @settings(max_examples=60)
+    def test_matches_direct_route_over_scenarios(self, e1, e2, b1, b2, ns):
+        scenario = SensingScenario(e1, e2, b1, b2)
+        direct = qre_gaussian(
+            willie_cm(scenario, 0.0, 0.3), willie_cm(scenario, ns, 0.3)
+        )
+        assert willie_qre(scenario, ns) == pytest.approx(direct, rel=1e-9)
+
+    def test_kernel_takes_negative_signal_while_physical(self):
+        # The stencil reference steps to -h: N1 = N0 - h p p^T stays positive
+        # definite for h < lambda_lo / |p|^2 (= 1/3 here, p along e_lo).
+        got = covertness._adversary_qre(REFERENCE, -0.1)
+        assert got == pytest.approx(
+            -0.25 * math.log1p(-0.075 / 0.25) + 1.25 * math.log1p(-0.075 / 1.25),
+            rel=1e-14,
+        )
+        with pytest.raises(DomainError, match="unphysical"):
+            covertness._adversary_qre(REFERENCE, -0.5)
 
 
 class TestEqualBathClosedForms:

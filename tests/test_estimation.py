@@ -460,10 +460,21 @@ class TestBaselines:
         assert c_het == pytest.approx(1.1739356881873895, rel=1e-12)
         assert c_coh == pytest.approx(0.8385254915624211, rel=1e-12)
 
-    def test_coherent_baseline_overflow_refused(self):
-        # eta b (1 + eta b) overflows: c_coh would read 0 and mu_c divide by it.
-        with pytest.raises(DomainError, match="coherent baseline overflows"):
-            coherent_baseline(0.25, 1e308, 1e-3, 1e6)
+    @pytest.mark.parametrize("eta,nbar_b", [(0.25, 1e308), (0.98, 1.7e308)])
+    def test_coherent_baseline_finite_at_float_range(self, eta, nbar_b):
+        # eta b (1 + eta b) overflowed at the first point and was refused;
+        # 8 eta root overflows at the second, where c_coh read 0.  Both
+        # coefficients tend to (1 - eta)^2 / (8 eta^2) as b grows.
+        ns, c_het, c_coh = coherent_baseline(eta, nbar_b, 1e-3, 1e6)
+        limit = (1.0 - eta) ** 2 / (8.0 * eta * eta)
+        assert c_het == pytest.approx(limit, rel=1e-12)
+        assert c_coh == pytest.approx(limit, rel=1e-12)
+        assert ns == pytest.approx(4e-6 * eta * nbar_b / (1.0 - eta), rel=1e-12)
+
+    def test_coherent_baseline_underflow_refused(self):
+        # eta b rounds to 0, so the root would divide by zero.
+        with pytest.raises(DomainError, match="coherent baseline underflows"):
+            coherent_baseline(0.5, 5e-324, 1e-3, 1e6)
 
     def test_heterodyne_penalty_bracket(self):
         # c_coh <= c_het <= 2 c_coh for any equal-bath scenario.

@@ -1,0 +1,134 @@
+"""Seeded fuzz of ``scenario`` and ``bounds``: no hang, strict JSON, named refusals.
+
+1000 in-process runs, alternating the two commands.  Occupancies (both
+baths and ``--nlo``) are log-uniform in 1e-300..1e300; each tap is 0, 1,
+1 - 1e-16 or uniform in [0, 1].  Every run is bounded by a ``SIGALRM``
+interval timer, so a hang fails the test instead of stalling the suite.
+
+* Exit 0 must print strict JSON (no NaN or Infinity).
+* Exit 1 must print a JSON error whose message names one cause of
+  ``CAUSES``, and a predicate on the inputs must allow that cause: the
+  vacuum refusal exactly when lambda_lo <= 1e-12, the identity channel
+  exactly when both taps are 1, and the c2 underflow only when a lower
+  bound on c2 underflows.  An answer needs an upper bound on c2 that does
+  not.
+"""
+
+from __future__ import annotations
+
+import json
+import math
+import random
+import signal
+import sys
+import warnings
+
+from covertsense.cli import CONFIG_ENV_VAR, main
+
+RUNS = 1000
+SEED = 18
+#: Wall-clock bound of one run; a run takes about 3 ms.
+ALARM_S = 2.0
+
+#: The refusals a run may give, each with the fragment that names it.
+CAUSES = {
+    "vacuum": "needs a strictly thermal adversary reference state",
+    "identity": "(identity channel?)",
+    "c2-underflow": "underflows double precision at these bath occupancies",
+}
+
+
+class _Hang(Exception):
+    pass
+
+
+def _raise_hang(signum, frame):
+    raise _Hang
+
+
+def _draws():
+    rng = random.Random(SEED)
+
+    def tap():
+        return rng.choice([0.0, 1.0, 1.0 - 1e-16, rng.random(), rng.random()])
+
+    def occupancy():
+        return 10.0 ** rng.uniform(-300.0, 300.0)
+
+    for i in range(RUNS):
+        command = ("scenario", "bounds")[i % 2]
+        e1, e2, b1, b2 = tap(), tap(), occupancy(), occupancy()
+        argv = [
+            command, "--eta1", repr(e1), "--eta2", repr(e2),
+            "--nb1", repr(b1), "--nb2", repr(b2),
+            "--epsilon", repr(10.0 ** rng.uniform(-6.0, -0.5)),
+            "--n", repr(10.0 ** rng.uniform(0.0, 12.0)),
+        ]
+        if command == "bounds":
+            argv += ["--nlo", repr(occupancy())]
+        yield argv, (e1, e2, b1, b2)
+
+
+def _admissible(e1, e2, b1, b2):
+    """Outcomes the inputs allow: "answer" and/or keys of ``CAUSES``."""
+    n11 = (1.0 - e1) * (1.0 - e2) * b1 + e2 * b2
+    n22 = e1 * b1
+    n12 = math.sqrt((1.0 - e2) * e1 * (1.0 - e1)) * b1
+    lam_hi = n11 / 2.0 + n22 / 2.0 + math.hypot(n12, (n11 - n22) / 2.0)
+    # det N0 / lambda_hi, with det N0 = eta_1 eta_2 nbar_b1 nbar_b2.
+    lam_lo = n22 * (e2 * b2 / lam_hi) if lam_hi > 0.0 else 0.0
+    if lam_lo <= 1e-12:
+        return {"vacuum"}
+    if e1 == e2 == 1.0:
+        return {"identity"}
+    # |p|^4 / (lambda (1 + lambda)) at lambda_hi and at lambda_lo bound c2,
+    # since the Bogoliubov-Kubo-Mori weights lie between those of the two
+    # eigenvalues and the probe weights sum to |p|^2 = 1 - eta_1 eta_2.
+    log_p4 = 2.0 * math.log1p(-e1 * e2)
+    log_lower = log_p4 - math.log(lam_hi) - math.log1p(lam_hi)
+    log_upper = log_p4 - math.log(lam_lo) - math.log1p(lam_lo)
+    floor = math.log(sys.float_info.min)
+    allowed = set()
+    if log_upper > floor - 1e-9:
+        allowed.add("answer")
+    if log_lower < floor + 1e-9:
+        allowed.add("c2-underflow")
+    return allowed
+
+
+def _strict(text):
+    def refuse(constant):
+        raise ValueError(f"non-strict JSON constant {constant}")
+
+    return json.loads(text, parse_constant=refuse)
+
+
+def test_no_hang_and_every_refusal_named(capsys, monkeypatch):
+    monkeypatch.delenv(CONFIG_ENV_VAR, raising=False)
+    previous = signal.signal(signal.SIGALRM, _raise_hang)
+    failures = []
+    try:
+        for argv, inputs in _draws():
+            signal.setitimer(signal.ITIMER_REAL, ALARM_S)
+            try:
+                with warnings.catch_warnings():
+                    warnings.simplefilter("ignore", UserWarning)
+                    code = main(argv)
+            except _Hang:
+                failures.append(("hang", argv))
+                continue
+            finally:
+                signal.setitimer(signal.ITIMER_REAL, 0.0)
+            out = capsys.readouterr().out
+            document = _strict(out)
+            if code == 0:
+                outcome = "answer"
+            else:
+                message = document["error"]["message"]
+                named = [key for key, text in CAUSES.items() if text in message]
+                outcome = named[0] if len(named) == 1 else f"unlisted: {message}"
+            if outcome not in _admissible(*inputs):
+                failures.append((outcome, argv))
+    finally:
+        signal.signal(signal.SIGALRM, previous)
+    assert not failures, failures[:10]
