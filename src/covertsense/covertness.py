@@ -162,10 +162,17 @@ def qre_gaussian(cm_0: CovarianceMatrix, cm_1: CovarianceMatrix) -> float:
 
 
 def _occupation_split(scenario: SensingScenario) -> tuple[float, ...]:
-    """(n11, n22, n12, lambda_hi, lambda_lo, (lambda_hi - lambda_lo) / 2) of N0.
+    """(lambda_hi, lambda_lo, w_hi, w_lo, (lambda_hi - lambda_lo) / 2, n11,
+    n22, n12) of N0, with w = (p . e)^2 the probe's weight along each
+    eigenvector e.
 
-    N0 and the form of lambda_lo are described in
-    :func:`taylor_coefficients`.
+    N0, p and the form of lambda_lo are described in
+    :func:`taylor_coefficients`.  The eigenvectors are written from the
+    components (m, n12), m = half_gap + |n11 - n22| / 2, so that e_lo and
+    its products with p are like-signed: cos or sin of an angle near pi/2
+    would lose the relative precision of a small w_lo.  w_hi may cancel,
+    but only while it is negligible.  Unscaled, so that w_lo keeps its
+    digits in the kernel of :func:`willie_qre` when nbar_s dwarfs the baths.
     """
     e1, e2 = scenario.eta_1, scenario.eta_2
     b1, b2 = scenario.nbar_b1, scenario.nbar_b2
@@ -175,10 +182,25 @@ def _occupation_split(scenario: SensingScenario) -> tuple[float, ...]:
     # n11 / 2 + n22 / 2 rounds as (n11 + n22) / 2 does, without overflowing
     # at baths near the float range.  hi >= n11 >= e2 b2, so the ratio below
     # cannot overflow.
-    half_gap = math.hypot(n12, (n11 - n22) / 2.0)
+    half_diff = (n11 - n22) / 2.0
+    half_gap = math.hypot(n12, half_diff)
     hi = n11 / 2.0 + n22 / 2.0 + half_gap
     lo = n22 * (e2 * b2 / hi) if hi > 0.0 else 0.0
-    return n11, n22, n12, hi, lo, half_gap
+    p1, p2 = math.sqrt((1.0 - e2) * e1), math.sqrt(1.0 - e1)
+    if half_gap:
+        # (e_hi, e_lo) ~ ((m, n12), (-n12, m)), or ((n12, m), (m, -n12))
+        # once n22 > n11; each has squared norm 2 half_gap m.
+        m = half_gap + abs(half_diff)
+        if half_diff >= 0.0:
+            q_hi, q_lo = p1 * m - p2 * n12, p1 * n12 + p2 * m
+        else:
+            q_hi, q_lo = p1 * n12 - p2 * m, p1 * m + p2 * n12
+        w_hi = (q_hi / m) * (q_hi / (2.0 * half_gap))
+        w_lo = (q_lo / m) * (q_lo / (2.0 * half_gap))
+    else:
+        # N0 is a multiple of the identity, and any basis serves.
+        w_hi, w_lo = p1 * p1, p2 * p2
+    return hi, lo, w_hi, w_lo, half_gap, n11, n22, n12
 
 
 def _thermal_qre(x: float, y: float, dy: float) -> float:
@@ -258,7 +280,7 @@ def _adversary_qre(scenario: SensingScenario, nbar_s: float) -> float:
     if nbar_s == 0.0:
         return 0.0
     e1, e2 = scenario.eta_1, scenario.eta_2
-    n11, n22, n12, hi, lo, half_gap = _occupation_split(scenario)
+    hi, lo, _, w_lo, half_gap, n11, n22, n12 = _occupation_split(scenario)
     p1_sq, p2_sq = (1.0 - e2) * e1, 1.0 - e1
     p1, p2 = math.sqrt(p1_sq), math.sqrt(p2_sq)
     # Entries in units of a power of two that brings the largest of them
@@ -277,14 +299,6 @@ def _adversary_qre(scenario: SensingScenario, nbar_s: float) -> float:
     d_hi = trace_shift / 2.0 + d_rho / 2.0
     d_lo = 0.0
     if half_gap:
-        # w_lo = (p . e_lo)^2 with e_lo written so that its components and
-        # their products with p are like-signed; cos(phi) of an angle near
-        # pi/2 would lose the relative precision of a small w_lo.  Unscaled,
-        # so that it keeps its digits when nbar_s dwarfs the baths.
-        half_diff = (n11 - n22) / 2.0
-        m = half_gap + abs(half_diff)
-        q = p1 * n12 + p2 * m if half_diff >= 0.0 else p1 * m + p2 * n12
-        w_lo = (q / m) * (q / (2.0 * half_gap))
         # lambda_hi1 - lambda_lo = (rho + rho1 + nbar_s |p|^2) / 2, like-signed,
         # is at least nbar_s w_lo / 2, so the quotient cannot overflow.
         d_lo = nbar_s * w_lo / (half_gap + rho1 / 2.0 + trace_shift / 2.0) * rho
@@ -450,20 +464,13 @@ def taylor_coefficients(scenario: SensingScenario) -> TaylorCoefficients:
     Any other c2 is exact, however small, and is refused with
     :class:`DomainError` only when it underflows to a subnormal or zero.
     """
-    e1, e2 = scenario.eta_1, scenario.eta_2
-    n11, n22, n12, hi, lo, _ = _occupation_split(scenario)
+    hi, lo, w_hi, w_lo, *_ = _occupation_split(scenario)
     if lo <= 1e-12:
         raise DomainError(
             "quadratic expansion needs a strictly thermal adversary reference "
             "state; a tap sees (near-)vacuum here"
         )
-    # w = q^2 along each eigenvector.  The eigenvector of hi lies at phi in
-    # [0, pi/2] since n12 >= 0, so w_lo adds like-signed terms; w_hi may
-    # cancel, but only while it is negligible.
-    phi = math.atan2(2.0 * n12, n11 - n22) / 2.0
-    p1, p2 = math.sqrt((1.0 - e2) * e1), math.sqrt(1.0 - e1)
-    w_hi = (p1 * math.cos(phi) - p2 * math.sin(phi)) ** 2
-    w_lo = (p1 * math.sin(phi) + p2 * math.cos(phi)) ** 2
+    # w = q^2 along each eigenvector.
     c2 = (
         w_hi * w_hi * _h_slope(hi, hi)
         + w_lo * w_lo * _h_slope(lo, lo)

@@ -14,10 +14,10 @@ Implementation notes:
 * Every circuit element conserves total photon number, and every input
   is diagonal in the number basis, so states stay block-diagonal in
   total photons end to end.  All evolution, partial tracing, and
-  spectral work happens block by block, and a state is its blocks: the
-  moments, purity, QRE and fidelity all read them, and each block is
-  eigendecomposed once, when the state is validated.  The full grid is
-  assembled only when ``entries`` is read, which no cross-check does.
+  spectral work happens block by block, and a two-mode state is its
+  blocks, one per photon total: the moments, purity, QRE and fidelity
+  all read them, and each block is eigendecomposed once, when the state
+  is validated.  No Fock grid is ever formed.
 * Every tap is a beam splitter against a number-diagonal thermal bath,
   one of whose output ports is then traced out, so it acts on a two-mode
   state as a one-mode channel: each output block is a sum, over the bath
@@ -35,11 +35,10 @@ Implementation notes:
 * Photon number is conserved and the baths are diagonal, so the phase
   only conjugates each output block by a diagonal of exp(i theta n): the
   interrogator states of a cross-check share one real build.
-* ``cutoff`` is the per-mode Fock-space truncation (dimension
-  ``cutoff + 1`` per mode).  States built by this module additionally
-  carry support only on total photon number <= cutoff — the corner of
-  the grid beyond that is exactly zero — and ``tail_bound`` accounts
-  for the discarded joint tail mass.
+* ``cutoff`` is the total-photon truncation: the inputs are truncated to
+  at most ``cutoff`` photons in all, a state holds the blocks of totals
+  0..cutoff, and ``tail_bound`` accounts for the discarded joint tail
+  mass.
 * The oracle targets the weak-probe regime: occupancies are capped at 2
   and the total-photon cutoff at 64.  Bright local oscillators are out
   of scope (use the covariance-matrix route, which is exact).
@@ -96,103 +95,51 @@ _SUPPORT_TOL = 1e-9
 
 
 class FockDensityMatrix:
-    """A density matrix on a truncated multi-mode Fock grid, as its
-    total-photon blocks.
+    """A two-mode density matrix truncated at ``cutoff`` total photons, held
+    as its total-photon blocks.
 
-    The grid has dimension ``(cutoff + 1)**modes``, with basis index
-    ``sum_k n_k (cutoff+1)**(modes-1-k)`` (first mode is the most
-    significant digit).  ``blocks`` holds one (grid indices, block) pair
-    per occupied photon total, in increasing total; each index array is
-    every grid index of its total, ascending, and the grid is zero outside
-    the blocks.  Every state of this module has that form, since its
-    circuits conserve photon number and its inputs are diagonal, and
-    malformed blocks are refused with ValueError.  ``tail_bound`` bounds
-    the probability mass lost to truncation; the trace lies in
-    ``[1 - tail_bound, 1]``.
+    ``blocks[K]``, for K = 0..cutoff, is the (K + 1) x (K + 1) block of
+    photon total K on the first mode's count a (the second mode holds
+    K - a); a total the state leaves empty is a zero block, and there is
+    no coherence between totals.  Every state of this module has that
+    form, since its circuits conserve photon number and its inputs are
+    diagonal; a wrong block count or shape is refused with ValueError.
+    ``tail_bound`` bounds the probability mass lost to truncation; the
+    trace lies in ``[1 - tail_bound, 1]``.
 
     ``require_valid`` eigendecomposes each block once and keeps the
-    eigenpairs, which the QRE and fidelity read.  ``entries`` assembles
-    the full grid.  Instances are immutable.
+    eigenpairs, which the QRE and fidelity read.  Instances are immutable.
     """
 
-    __slots__ = ("modes", "cutoff", "tail_bound", "blocks", "_eigenpairs")
+    __slots__ = ("cutoff", "tail_bound", "blocks", "_eigenpairs")
 
     def __init__(
-        self,
-        modes: int,
-        cutoff: int,
-        blocks: list[tuple[np.ndarray, np.ndarray]],
-        tail_bound: float,
+        self, cutoff: int, blocks: list[np.ndarray], tail_bound: float
     ) -> None:
-        if modes < 1:
-            raise ValueError("need at least one mode")
         if cutoff < 0:
             raise ValueError("cutoff must be non-negative")
-        d = cutoff + 1
-        strides = d ** np.arange(modes - 1, -1, -1)
-        checked = []
-        previous = -1
-        for idx, block in blocks:
-            idx, block = np.asarray(idx), np.asarray(block)
-            if block.ndim != 2 or block.shape[0] != block.shape[1]:
-                raise ValueError(f"a block must be square, got shape {block.shape}")
-            if idx.shape != block.shape[:1]:
+        blocks = tuple(np.asarray(block) for block in blocks)
+        if len(blocks) != cutoff + 1:
+            raise ValueError(
+                f"cutoff {cutoff} needs {cutoff + 1} total-photon blocks, "
+                f"got {len(blocks)}"
+            )
+        for total, block in enumerate(blocks):
+            if block.shape != (total + 1, total + 1):
                 raise ValueError(
-                    f"a block of shape {block.shape} needs {len(block)} grid "
-                    f"indices, got an index array of shape {idx.shape}"
+                    f"the block of photon total {total} must have shape "
+                    f"{(total + 1, total + 1)}, got {block.shape}"
                 )
-            if (
-                not np.issubdtype(idx.dtype, np.integer)
-                or idx.size == 0
-                or idx.min() < 0
-                or idx.max() >= d**modes
-            ):
-                raise ValueError(
-                    f"grid indices must be integers in [0, {d**modes}), "
-                    f"got {idx.tolist()}"
-                )
-            totals = (idx[:, None] // strides % d).sum(axis=1)
-            total = int(totals[0])
-            if (totals != total).any():
-                raise ValueError(
-                    "a block's indices span photon totals "
-                    f"{sorted(set(totals.tolist()))}"
-                )
-            if total <= previous:
-                raise ValueError(
-                    f"blocks must come in increasing photon total, got {total} "
-                    f"after {previous}"
-                )
-            if not np.array_equal(idx, _total_indices(modes, cutoff, total)):
-                raise ValueError(
-                    f"the block of photon total {total} must hold every grid "
-                    "index of that total, ascending"
-                )
-            previous = total
-            checked.append((idx, block))
         for name, value in (
-            ("modes", modes),
             ("cutoff", cutoff),
             ("tail_bound", tail_bound),
-            ("blocks", tuple(checked)),
+            ("blocks", blocks),
             ("_eigenpairs", None),
         ):
             object.__setattr__(self, name, value)
 
     def __setattr__(self, name: str, value: object) -> None:
         raise AttributeError(f"FockDensityMatrix is immutable; cannot set {name}")
-
-    @property
-    def entries(self) -> np.ndarray:
-        """The density matrix on the full grid, assembled on every read."""
-        entries = np.zeros((self.dim, self.dim), dtype=complex)
-        for idx, block in self.blocks:
-            entries[np.ix_(idx, idx)] = block
-        return entries
-
-    @property
-    def dim(self) -> int:
-        return (self.cutoff + 1) ** self.modes
 
     def _spectra(self) -> tuple[tuple[np.ndarray, np.ndarray], ...]:
         """(ascending eigenvalues, eigenvectors) of each block.
@@ -202,18 +149,14 @@ class FockDensityMatrix:
         """
         if self._eigenpairs is None:
             object.__setattr__(
-                self,
-                "_eigenpairs",
-                tuple(np.linalg.eigh(block) for _, block in self.blocks),
+                self, "_eigenpairs", tuple(map(np.linalg.eigh, self.blocks))
             )
         return self._eigenpairs
 
     def trace(self) -> float:
-        # Summed in grid order, as np.trace sums the diagonal of ``entries``.
-        diagonal = np.zeros(self.dim, dtype=complex)
-        for idx, block in self.blocks:
-            diagonal[idx] = np.diagonal(block)
-        return float(diagonal.sum().real)
+        """The diagonal's sum, correctly rounded, so no order of it counts."""
+        diagonal = np.concatenate([np.diagonal(block).real for block in self.blocks])
+        return math.fsum(diagonal.tolist())
 
     def require_valid(self) -> "FockDensityMatrix":
         """Check the density-matrix invariants; return self or raise ValueError."""
@@ -221,8 +164,7 @@ class FockDensityMatrix:
             raise ValueError(
                 f"declared tail bound {self.tail_bound:g} exceeds {_TAIL_BOUND:g}"
             )
-        # The grid is zero outside the blocks, so their maxima are the grid's.
-        blocks = [block for _, block in self.blocks]
+        blocks = self.blocks
         scale = max([1.0] + [float(np.abs(b).max()) for b in blocks])
         herm = max([0.0] + [float(np.abs(b - b.conj().T).max()) for b in blocks])
         if herm > _HERMITICITY_TOL * scale:
@@ -324,40 +266,6 @@ def _call_memoised(fn):
         return memo[key]
 
     return wrapper
-
-
-@functools.lru_cache(maxsize=4 * (MAX_TOTAL_PHOTONS + 1))
-def _block_basis(num_modes: int, total: int) -> np.ndarray:
-    """Occupation vectors of ``num_modes`` modes summing to ``total``.
-
-    One row per state, in lexicographic order (first mode most
-    significant); row ``i`` is basis position ``i`` of the total block.
-    The array is cached and read-only.
-    """
-    if num_modes == 1:
-        basis = np.array([[total]])
-    else:
-        parts = []
-        for first in range(total + 1):
-            rest = _block_basis(num_modes - 1, total - first)
-            parts.append(np.column_stack([np.full(len(rest), first), rest]))
-        basis = np.concatenate(parts)
-    basis.flags.writeable = False
-    return basis
-
-
-@functools.lru_cache(maxsize=4 * (MAX_TOTAL_PHOTONS + 1))
-def _total_indices(num_modes: int, cutoff: int, total: int) -> np.ndarray:
-    """Grid indices of the basis states with ``total`` photons, ascending.
-
-    The array is cached and read-only.
-    """
-    basis = _block_basis(num_modes, total)
-    basis = basis[(basis <= cutoff).all(axis=1)]
-    # Lexicographic with the first mode most significant is grid order.
-    idx = basis @ (cutoff + 1) ** np.arange(num_modes - 1, -1, -1)
-    idx.flags.writeable = False
-    return idx
 
 
 @_call_memoised
@@ -655,14 +563,10 @@ def _rotated(blocks: list[np.ndarray], theta: float) -> list[np.ndarray]:
 def _finish(
     blocks: list[np.ndarray], cutoff: int, tail_bound: float
 ) -> FockDensityMatrix:
-    """The occupied blocks (block K of photon total K), symmetrised, as a
-    validated two-mode state."""
-    occupied = []
-    for total, block in enumerate(blocks):
-        block = (block + block.conj().T) / 2.0
-        if float(np.abs(block).max()) > 0.0:
-            occupied.append((_total_indices(2, cutoff, total), block))
-    return FockDensityMatrix(2, cutoff, occupied, tail_bound).require_valid()
+    """Block K of photon total K, symmetrised, as a validated state."""
+    return FockDensityMatrix(
+        cutoff, [(block + block.conj().T) / 2.0 for block in blocks], tail_bound
+    ).require_valid()
 
 
 # ---------------------------------------------------------------------------
@@ -673,38 +577,29 @@ def _finish(
 def fock_moments(state: FockDensityMatrix) -> tuple[np.ndarray, np.ndarray]:
     """(mean vector, covariance matrix) in qqpp ordering, hbar = 1.
 
-    Read from the total-photon blocks, with no dense grid.  <a_k> and
-    <a_k a_l> change the photon total, so on a block-diagonal state they
-    vanish: the means are zero by structure, and every second moment comes
-    from <a_k^dag a_l>, which lies inside a block.  Same-mode second
-    moments keep the convention of products of the truncated single-mode
-    matrices, in which a a^dag is zero at n = cutoff.  Expectations are
-    normalised by the trace, so the slight sub-normalisation from
-    truncation does not bias the moments.
+    Read from the total-photon blocks.  <a_k> and <a_k a_l> change the
+    photon total, so on a block-diagonal state they vanish: the means are
+    zero by structure, and every second moment comes from <a_k^dag a_l>,
+    which lies inside a block.  The one cross term is
+
+        <a_0^dag a_1> = sum_K sum_a sqrt((a + 1)(K - a)) rho_K[a, a + 1].
+
+    Same-mode second moments keep the convention of products of the
+    truncated single-mode matrices, in which a a^dag is zero at
+    n = cutoff.  Expectations are normalised by the trace, so the slight
+    sub-normalisation from truncation does not bias the moments.
     """
-    m = state.modes
-    d = state.cutoff + 1
-    strides = d ** np.arange(m - 1, -1, -1)
-    hop = np.zeros((m, m), dtype=complex)  # <a_k^dag a_l>
-    anti_normal = np.zeros(m)  # <a_k a_k^dag>, truncated
-    for idx, block in state.blocks:
-        occ = idx[:, None] // strides % d
+    hop = np.zeros((2, 2), dtype=complex)  # <a_k^dag a_l>
+    anti_normal = np.zeros(2)  # <a_k a_k^dag>, truncated
+    for total, block in enumerate(state.blocks):
+        first = np.arange(total + 1)
+        occ = np.column_stack([first, total - first])
         weights = np.diagonal(block).real
-        hop[np.diag_indices(m)] += weights @ occ
-        anti_normal += weights @ np.where(occ < d - 1, occ + 1, 0)
-        for k in range(m):
-            for l in range(k + 1, m):
-                # tr(rho a_k^dag a_l) sums rho[x, x - e_l + e_k] over x
-                # with x_l > 0, weighted by sqrt(x_l (x_k + 1)).
-                src = np.flatnonzero((occ[:, l] > 0) & (occ[:, k] < d - 1))
-                target = idx[src] - strides[l] + strides[k]
-                dst = np.minimum(np.searchsorted(idx, target), len(idx) - 1)
-                inside = idx[dst] == target
-                src, dst = src[inside], dst[inside]
-                amp = np.sqrt(occ[src, l] * (occ[src, k] + 1.0))
-                hop[k, l] += np.sum(amp * block[src, dst])
-    upper = np.triu_indices(m, 1)
-    hop[upper[::-1]] = hop[upper].conj()
+        hop[np.diag_indices(2)] += weights @ occ
+        anti_normal += weights @ np.where(occ < state.cutoff, occ + 1, 0)
+        amp = np.sqrt((total - first[:-1]) * (first[:-1] + 1.0))
+        hop[0, 1] += np.sum(amp * np.diagonal(block, 1))
+    hop[1, 0] = hop[0, 1].conjugate()
     norm = state.trace()
     hop /= norm
     anti_normal /= norm
@@ -712,12 +607,17 @@ def fock_moments(state: FockDensityMatrix) -> tuple[np.ndarray, np.ndarray]:
     same = hop.real.copy()
     np.fill_diagonal(same, (np.diagonal(hop).real + anti_normal) / 2.0)
     cov = np.block([[same, hop.imag], [hop.imag.T, same]])
-    return np.zeros(2 * m), cov
+    return np.zeros(4), cov
 
 
 def fock_purity(state: FockDensityMatrix) -> float:
     """tr(rho^2); for a Gaussian state this is prod_k 1/(2 u_k)."""
-    return float(sum(np.vdot(block, block).real for _, block in state.blocks))
+    return float(sum(np.vdot(block, block).real for block in state.blocks))
+
+
+def _same_cutoff(state_0: FockDensityMatrix, state_1: FockDensityMatrix) -> None:
+    if state_0.cutoff != state_1.cutoff:
+        raise ValueError("states must share the same cutoff")
 
 
 def oracle_qre(state_0: FockDensityMatrix, state_1: FockDensityMatrix) -> float:
@@ -726,25 +626,18 @@ def oracle_qre(state_0: FockDensityMatrix, state_1: FockDensityMatrix) -> float:
     Eigenvalues below 1e-14 are clamped for the logarithms.  If more than
     1e-9 of rho_0's mass sits on directions where rho_1 is numerically
     zero, the quantity is effectively infinite and InfiniteQreError is
-    raised.
+    raised.  An empty total adds nothing to either sum.
     """
-    if state_0.cutoff != state_1.cutoff or state_0.modes != state_1.modes:
-        raise ValueError("states must share the same mode count and cutoff")
-    # Index arrays are every grid index of their total, so the first index
-    # names the total.  A total that rho_0 leaves empty adds nothing; one
-    # that rho_1 leaves empty is a zero block, all of it below the floor.
-    spectra_1 = {
-        int(idx[0]): pair for (idx, _), pair in zip(state_1.blocks, state_1._spectra())
-    }
-
+    _same_cutoff(state_0, state_1)
     entropy = 0.0
     cross = 0.0
     escaped_mass = 0.0
-    for (idx, b0), (lam, _) in zip(state_0.blocks, state_0._spectra()):
+    for b0, (lam, _), (mu, w) in zip(
+        state_0.blocks, state_0._spectra(), state_1._spectra()
+    ):
         keep = lam > _EIGEN_FLOOR
         entropy += float(np.sum(lam[keep] * np.log(lam[keep])))
 
-        mu, w = spectra_1.get(int(idx[0]), (np.zeros(len(idx)), np.eye(len(idx))))
         overlaps = np.einsum("ij,jk,ki->i", w.conj().T, b0, w).real
         overlaps = np.clip(overlaps, 0.0, None)
         low = mu < _EIGEN_FLOOR
@@ -764,17 +657,9 @@ def oracle_fidelity(
     state_0: FockDensityMatrix, state_1: FockDensityMatrix
 ) -> float:
     """Uhlmann fidelity tr sqrt(sqrt(rho_0) rho_1 sqrt(rho_0)), in (0, 1]."""
-    if state_0.cutoff != state_1.cutoff or state_0.modes != state_1.modes:
-        raise ValueError("states must share the same mode count and cutoff")
-    # As in oracle_qre, the first index names the total; a total that
-    # either state leaves empty adds nothing.
-    blocks_1 = {int(idx[0]): b1 for idx, b1 in state_1.blocks}
-
+    _same_cutoff(state_0, state_1)
     total = 0.0
-    for (idx, b0), (lam, v) in zip(state_0.blocks, state_0._spectra()):
-        b1 = blocks_1.get(int(idx[0]))
-        if b1 is None:
-            continue
+    for (lam, v), b1 in zip(state_0._spectra(), state_1.blocks):
         root = (v * np.sqrt(np.clip(lam, 0.0, None))) @ v.conj().T
         inner = root @ b1 @ root
         nu = np.linalg.eigvalsh((inner + inner.conj().T) / 2.0)

@@ -213,8 +213,13 @@ def c_ase_at(
     """
     eta = geometric_transmissivity(wavelength, geometry)
     nbar_b = planck_occupancy(wavelength, geometry.t0)
+    return eta, nbar_b, _c_ase(eta, nbar_b)
+
+
+def _c_ase(eta: float, nbar_b: float) -> float:
+    """c_ase of the equal-bath scenario (eta, eta, nbar_b, nbar_b)."""
     scenario = SensingScenario(eta, eta, nbar_b, nbar_b)
-    return eta, nbar_b, qcrb_ase(scenario, taylor_coefficients(scenario).c2)
+    return qcrb_ase(scenario, taylor_coefficients(scenario).c2)
 
 
 def mse_bound_b(
@@ -282,16 +287,18 @@ def sweep_frequency(
     for i in range(points):
         f = f_min + step * i
         wavelength = SPEED_OF_LIGHT / f
+        # c_ase_at's inputs, each computed once for the row.
         nbar_b = planck_occupancy(wavelength, geometry.t0)
         try:
-            eta, nbar_b, c_ase = c_ase_at(wavelength, geometry)
+            eta = geometric_transmissivity(wavelength, geometry)
         except NearFieldError:
             rows.append(
                 SweepRow(f, wavelength, None, nbar_b, None, None, "near-field")
             )
             continue
+        try:
+            c_ase = _c_ase(eta, nbar_b)
         except DomainError:
-            eta = geometric_transmissivity(wavelength, geometry)
             rows.append(
                 SweepRow(f, wavelength, eta, nbar_b, None, None, "degenerate")
             )

@@ -95,6 +95,11 @@ def points():
         out.append(("coincident", 0.6, 1.0 - one_minus_e2, 0.8, 0.6 * 0.8 * (1.0 + delta)))
     out.append(("coincident", 0.3, 1.0 - 1e-13, 2.5, 0.3 * 2.5))
     out.append(("coincident", 0.9, 1.0 - 1e-11, 1e-4, 0.9 * 1e-4 * (1 + 1e-7)))
+    # A return tap within 1e-13 and 1e-12 of unity with a bath 1e13 and
+    # 1e12 times colder than the forward one: the eigenvector of lambda_lo
+    # lies near pi/2, where cos and sin of its angle lost c2 by 2e-11.
+    out.append(("near-identity", 0.9, 1.0 - 1e-13, 1e10, 1e-3))
+    out.append(("near-identity", 0.998, 1.0 - 1e-12, 1.3e6, 1e-6))
     return out
 
 

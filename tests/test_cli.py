@@ -210,8 +210,8 @@ class TestOptimizeCommand:
         assert result.returncode == 0, result.stderr
         results = json.loads(result.stdout)["results"]
         assert results["lambda_star"] == 3.719418887857133e-06
-        assert results["c_ase"] == 1112.5512007032864
-        assert results["B"] == 0.6423317352132838
+        assert results["c_ase"] == 1112.5512007032862
+        assert results["B"] == 0.6423317352132837
 
 
 class TestReproducePaperCommand:

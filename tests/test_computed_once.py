@@ -2,11 +2,13 @@
 
 A counting wrapper around ``taylor_coefficients`` is bound into every
 covertsense module namespace that holds it, and one around the QRE
-kernel ``_adversary_qre`` into ``covertness`` and one around the
+kernel ``_adversary_qre`` into ``covertness``, one around the
 coherent-baseline coefficients ``_coherent_coefficients`` into
-``estimation``.  The Taylor coefficients are closed forms that evaluate no
-QRE, so a budget costs none; ``scenario`` runs the kernel once, for
-``qre_per_mode``, and ``bounds`` the coherent coefficients once.
+``estimation`` and one around each of ``planck_occupancy`` and
+``geometric_transmissivity`` into ``link``.  The Taylor coefficients are
+closed forms that evaluate no QRE, so a budget costs none; ``scenario``
+runs the kernel once, for ``qre_per_mode``, ``bounds`` the coherent
+coefficients once, and a sweep row each link input once.
 """
 
 from __future__ import annotations
@@ -28,7 +30,7 @@ SCENARIO = [
 @pytest.fixture
 def counts(monkeypatch):
     monkeypatch.delenv(CONFIG_ENV_VAR, raising=False)
-    tally = {"taylor": 0, "qre": 0, "coherent": 0}
+    tally = {"taylor": 0, "qre": 0, "coherent": 0, "planck": 0, "transmissivity": 0}
 
     def counting(key, fn):
         def wrapper(*args, **kwargs):
@@ -50,6 +52,14 @@ def counts(monkeypatch):
         "_coherent_coefficients",
         counting("coherent", estimation._coherent_coefficients),
     )
+    monkeypatch.setattr(
+        link, "planck_occupancy", counting("planck", link.planck_occupancy)
+    )
+    monkeypatch.setattr(
+        link,
+        "geometric_transmissivity",
+        counting("transmissivity", link.geometric_transmissivity),
+    )
     return tally
 
 
@@ -62,13 +72,17 @@ def _run(argv, capsys):
 
 def test_scenario_runs_taylor_once(counts, capsys):
     _run(["scenario", *SCENARIO, "--theta", "0.4"], capsys)
-    assert counts == {"taylor": 1, "qre": 1, "coherent": 0}
+    assert counts == {
+        "taylor": 1, "qre": 1, "coherent": 0, "planck": 0, "transmissivity": 0
+    }
 
 
 def test_bounds_runs_taylor_once(counts, capsys):
     _run(["bounds", *SCENARIO, "--nlo", "1e5"], capsys)
     # c_coh is computed once and shared by the report and the ratios.
-    assert counts == {"taylor": 1, "qre": 0, "coherent": 1}
+    assert counts == {
+        "taylor": 1, "qre": 0, "coherent": 1, "planck": 0, "transmissivity": 0
+    }
 
 
 def test_sweep_runs_taylor_at_most_once_per_row(counts, capsys):
@@ -83,14 +97,33 @@ def test_sweep_runs_taylor_at_most_once_per_row(counts, capsys):
     # other row, valid or degenerate, runs the Taylor coefficients once.
     evaluated = sum(1 for row in rows if row[2] != "")
     assert 0 < evaluated < 50
-    assert counts == {"taylor": evaluated, "qre": 0, "coherent": 0}
+    assert counts == {
+        "taylor": evaluated, "qre": 0, "coherent": 0, "planck": 50,
+        "transmissivity": 50,
+    }
+
+
+def test_sweep_takes_each_row_input_once(counts, capsys):
+    # At 100 K the upper rows sit deep in the Wien tail and are degenerate
+    # (an eta but no c_ase); they too take each link input once.
+    out = _run(
+        ["sweep", "--L", "3000", "--fmin", "15e12", "--fmax", "100e12",
+         "--points", "12", "--t0", "100"],
+        capsys,
+    )
+    rows = [line.split(",") for line in out.splitlines()[1:]]
+    degenerate = sum(1 for row in rows if row[2] != "" and row[4] == "")
+    assert 0 < degenerate < 12
+    assert counts["planck"] == counts["transmissivity"] == 12
 
 
 def test_mse_mc_runs_taylor_once(counts, capsys):
     # The budget behind the reported prediction is passed into
     # simulate_heterodyne_mse rather than built there a second time.
     _run(["mse-mc", *SCENARIO, "--trials", "1000"], capsys)
-    assert counts == {"taylor": 1, "qre": 0, "coherent": 0}
+    assert counts == {
+        "taylor": 1, "qre": 0, "coherent": 0, "planck": 0, "transmissivity": 0
+    }
 
 
 @pytest.mark.parametrize(
@@ -102,4 +135,6 @@ def test_mse_mc_runs_taylor_once(counts, capsys):
 def test_bounds_refuses_operating_point_before_taylor(counts, capsys, flags):
     assert main(["bounds", *SCENARIO, *flags]) == 1
     assert '"error"' in capsys.readouterr().out
-    assert counts == {"taylor": 0, "qre": 0, "coherent": 0}
+    assert counts == {
+        "taylor": 0, "qre": 0, "coherent": 0, "planck": 0, "transmissivity": 0
+    }

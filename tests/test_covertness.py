@@ -59,7 +59,7 @@ def _stencil_coefficients(scenario: SensingScenario) -> tuple[float, float]:
     definite.  It loses accuracy as eta_eff -> 1 with a weak bath, where
     the probe's effect falls below the resolution of the QRE evaluator.
     """
-    lambda_lo = covertness._occupation_split(scenario)[4]
+    lambda_lo = covertness._occupation_split(scenario)[1]
     h = min(1e-3 * max(1.0, scenario.nbar_b_eff), 0.05 * lambda_lo)
     qre = functools.cache(lambda x: covertness._adversary_qre(scenario, x))
 
