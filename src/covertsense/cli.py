@@ -390,6 +390,7 @@ def _cmd_mse_mc(config: dict[str, Any]) -> int:
         config["seed"],
         workers=config["workers"],
         budget=budget,
+        _stats=stats,
     )
     results = {
         "mse": mse,

@@ -453,6 +453,7 @@ def simulate_heterodyne_mse(
     *,
     workers: int = 1,
     budget: CovertBudget | None = None,
+    _stats: HeterodyneStats | None = None,
 ) -> tuple[float, float]:
     """Monte-Carlo MSE of the arctangent estimator at the covert budget.
 
@@ -490,7 +491,9 @@ def simulate_heterodyne_mse(
     ``budget`` is the covert budget for ``(scenario, epsilon, n)`` when the
     caller already holds it (the CLI reports its ``nbar_s``); without it
     the budget is computed here.  A budget built for another ``epsilon``
-    or ``n`` is refused.
+    or ``n`` is refused.  ``_stats`` is private to the CLI, which reports
+    ``sigma_het_sq``: the ``heterodyne_stats`` of ``(scenario, theta_true,
+    budget.nbar_s, n)`` it already holds, so they are computed once.
     """
     # Without numpy the run is refused before its arguments are checked.
     import numpy  # noqa: F401
@@ -510,7 +513,9 @@ def simulate_heterodyne_mse(
             f"budget was built for epsilon = {budget.epsilon!r}, "
             f"n = {budget.num_modes}; this run has epsilon = {epsilon!r}, n = {n}"
         )
-    stats = heterodyne_stats(scenario, theta_true, budget.nbar_s, n)
+    stats = _stats
+    if stats is None:
+        stats = heterodyne_stats(scenario, theta_true, budget.nbar_s, n)
     sigma_avg = math.sqrt(stats.sigma_het_sq)
 
     strip_trials = _BLOCK_TRIALS * _STRIP_BLOCKS

@@ -16,8 +16,7 @@ Implementation notes:
   total photons end to end.  All evolution, partial tracing, and
   spectral work happens block by block, and a two-mode state is its
   blocks, one per photon total: the moments, purity, QRE and fidelity
-  all read them, and each block is eigendecomposed once, when the state
-  is validated.  No Fock grid is ever formed.
+  all read them.  No Fock grid is ever formed.
 * Every tap is a beam splitter against a number-diagonal thermal bath,
   one of whose output ports is then traced out, so it acts on a two-mode
   state as a one-mode channel: each output block is a sum, over the bath
@@ -33,8 +32,12 @@ Implementation notes:
   sums over the photons consumed, stored ragged (no (cutoff + 1)^4
   array); its return stage weights them by the return bath.
 * Photon number is conserved and the baths are diagonal, so the phase
-  only conjugates each output block by a diagonal of exp(i theta n): the
-  interrogator states of a cross-check share one real build.
+  only conjugates each output block by a diagonal of exp(i theta n).  A
+  state therefore holds real theta-free blocks plus that phase, and each
+  real block family is eigendecomposed once, when it is validated: the
+  interrogator states of a cross-check share one real build and one
+  decomposition.  Only a relative phase between two states reaches the
+  QRE and the fidelity, and none reaches the spectra, purity or trace.
 * ``cutoff`` is the total-photon truncation: the inputs are truncated to
   at most ``cutoff`` photons in all, a state holds the blocks of totals
   0..cutoff, and ``tail_bound`` accounts for the discarded joint tail
@@ -51,6 +54,7 @@ theta on mode i sends a_i -> exp(i theta) a_i.
 
 from __future__ import annotations
 
+import cmath
 import contextvars
 import functools
 import math
@@ -96,7 +100,7 @@ _SUPPORT_TOL = 1e-9
 
 class FockDensityMatrix:
     """A two-mode density matrix truncated at ``cutoff`` total photons, held
-    as its total-photon blocks.
+    as its total-photon blocks and a phase on the first mode.
 
     ``blocks[K]``, for K = 0..cutoff, is the (K + 1) x (K + 1) block of
     photon total K on the first mode's count a (the second mode holds
@@ -104,17 +108,26 @@ class FockDensityMatrix:
     no coherence between totals.  Every state of this module has that
     form, since its circuits conserve photon number and its inputs are
     diagonal; a wrong block count or shape is refused with ValueError.
-    ``tail_bound`` bounds the probability mass lost to truncation; the
-    trace lies in ``[1 - tail_bound, 1]``.
+    The state's block K is D blocks[K] D^dag with D = diag(exp(i phase a)),
+    the first mode turned by ``phase`` (default 0, the blocks as given; a
+    finite phase outside (-pi, pi] is wrapped).  The states this module
+    builds hold real theta-free blocks and their phase.  ``tail_bound``
+    bounds the probability mass lost to truncation; the trace lies in
+    ``[1 - tail_bound, 1]``.
 
     ``require_valid`` eigendecomposes each block once and keeps the
-    eigenpairs, which the QRE and fidelity read.  Instances are immutable.
+    eigenpairs, which the QRE and fidelity read; ``with_phase`` shares
+    them.  Instances are immutable.
     """
 
-    __slots__ = ("cutoff", "tail_bound", "blocks", "_eigenpairs")
+    __slots__ = ("cutoff", "tail_bound", "blocks", "phase", "_eigenpairs")
 
     def __init__(
-        self, cutoff: int, blocks: list[np.ndarray], tail_bound: float
+        self,
+        cutoff: int,
+        blocks: list[np.ndarray],
+        tail_bound: float,
+        phase: float = 0.0,
     ) -> None:
         if cutoff < 0:
             raise ValueError("cutoff must be non-negative")
@@ -130,10 +143,15 @@ class FockDensityMatrix:
                     f"the block of photon total {total} must have shape "
                     f"{(total + 1, total + 1)}, got {block.shape}"
                 )
+        if not math.isfinite(phase):
+            raise ValueError(f"phase must be finite, got {phase}")
+        if not -math.pi < phase <= math.pi:
+            phase = wrap_angle(phase)
         for name, value in (
             ("cutoff", cutoff),
             ("tail_bound", tail_bound),
             ("blocks", blocks),
+            ("phase", phase),
             ("_eigenpairs", None),
         ):
             object.__setattr__(self, name, value)
@@ -141,32 +159,51 @@ class FockDensityMatrix:
     def __setattr__(self, name: str, value: object) -> None:
         raise AttributeError(f"FockDensityMatrix is immutable; cannot set {name}")
 
+    def with_phase(self, phase: float) -> "FockDensityMatrix":
+        """The same blocks at first-mode phase ``phase``.
+
+        The phase moves no eigenvalue and turns the eigenvectors by D, so
+        the new state shares the blocks' eigenpairs, once decomposed.
+        """
+        state = FockDensityMatrix(self.cutoff, self.blocks, self.tail_bound, phase)
+        for name in ("blocks", "_eigenpairs"):
+            object.__setattr__(state, name, getattr(self, name))
+        return state
+
     def _spectra(self) -> tuple[tuple[np.ndarray, np.ndarray], ...]:
-        """(ascending eigenvalues, eigenvectors) of each block.
+        """(ascending eigenvalues, eigenvectors) of each block, at phase 0.
 
         Each block is decomposed on the first call only; later calls, and
         the QRE and fidelity, read the kept eigenpairs.
         """
         if self._eigenpairs is None:
             object.__setattr__(
-                self, "_eigenpairs", tuple(map(np.linalg.eigh, self.blocks))
+                self, "_eigenpairs", tuple(map(_block_spectrum, self.blocks))
             )
         return self._eigenpairs
 
+    def _diagonal(self) -> np.ndarray:
+        """The block diagonals, concatenated in order of total."""
+        return np.concatenate([np.diagonal(block) for block in self.blocks]).real
+
     def trace(self) -> float:
         """The diagonal's sum, correctly rounded, so no order of it counts."""
-        diagonal = np.concatenate([np.diagonal(block).real for block in self.blocks])
-        return math.fsum(diagonal.tolist())
+        return math.fsum(self._diagonal().tolist())
 
     def require_valid(self) -> "FockDensityMatrix":
-        """Check the density-matrix invariants; return self or raise ValueError."""
+        """Check the density-matrix invariants; return self or raise ValueError.
+
+        None of them depends on the phase.
+        """
         if not self.tail_bound <= _TAIL_BOUND:
             raise ValueError(
                 f"declared tail bound {self.tail_bound:g} exceeds {_TAIL_BOUND:g}"
             )
-        blocks = self.blocks
-        scale = max([1.0] + [float(np.abs(b).max()) for b in blocks])
-        herm = max([0.0] + [float(np.abs(b - b.conj().T).max()) for b in blocks])
+        # Every entry, and the entry its Hermitian conjugate puts there.
+        entries = np.concatenate([b.ravel() for b in self.blocks])
+        mirrored = np.concatenate([b.T.ravel() for b in self.blocks]).conj()
+        scale = max(1.0, float(np.abs(entries).max()))
+        herm = float(np.abs(entries - mirrored).max())
         if herm > _HERMITICITY_TOL * scale:
             raise ValueError(f"not Hermitian: residual {herm:.3e}")
         tr = self.trace()
@@ -178,6 +215,14 @@ class FockDensityMatrix:
         if min_eig < -_EIGENVALUE_TOL:
             raise ValueError(f"negative eigenvalue {min_eig:.3e}")
         return self
+
+
+def _block_spectrum(block: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """``eigh`` of a Hermitian block; a zero block's (zeros, identity), which
+    LAPACK returns too, without calling it."""
+    if not block.any():
+        return np.zeros(len(block)), np.eye(len(block), dtype=block.dtype)
+    return np.linalg.eigh(block)
 
 
 def _geometric_pmf(nbar: float, length: int) -> np.ndarray:
@@ -205,7 +250,8 @@ def _select_total_cutoff(
     """(cutoff, actual joint tail), enforcing the tail bound and photon cap.
 
     An explicit cutoff outside [0, MAX_TOTAL_PHOTONS] is refused before
-    any tail is computed.
+    any tail is computed.  A chosen cutoff is at least 1, so the truncated
+    a a^dag of ``fock_moments`` reads a vacuum exactly.
     """
     if cutoff is not None:
         if cutoff < 0:
@@ -224,7 +270,7 @@ def _select_total_cutoff(
                 f"cap {MAX_TOTAL_PHOTONS} to reach tail mass {_TAIL_BOUND:g} "
                 f"(tail at the cap: {tails[-1]:.3e})"
             )
-        chosen = int(hits[0])
+        chosen = max(int(hits[0]), 1)
         return chosen, float(max(tails[chosen], 0.0))
     actual = float(max(tails[cutoff], 0.0))
     if actual > _TAIL_BOUND:
@@ -245,8 +291,9 @@ def _select_total_cutoff(
 #: Memo for the tables of one ``oracle_cross_check`` call, so its four
 #: states build each pair-block table once, its two adversary states share the
 #: return tap's Gram and its two interrogator states share their
-#: phase-independent build.  Set and reset around that call only; the state
-#: builders keep their signatures and nothing outlives the call.
+#: phase-independent build and its eigenpairs.  Set and reset around that
+#: call only; the state builders keep their signatures and nothing outlives
+#: the call.
 _CALL_MEMO: contextvars.ContextVar[dict | None] = contextvars.ContextVar(
     "covertsense_fock_call_memo", default=None
 )
@@ -289,17 +336,22 @@ def _pair_blocks(eta: float, cutoff: int) -> np.ndarray:
     read-only.
     """
     c, s = math.sqrt(eta), math.sqrt(1.0 - eta)
+    root = np.sqrt(np.arange(1.0, cutoff + 1))  # sqrt(k), k = 1..cutoff
+    # (c sqrt(x + 1)) sqrt(y + 1) and (s sqrt(x + 1)) sqrt(y + 1); block m
+    # reads sqrt(k), k = 1..m, as up = [:m] and sqrt(m - k), k = 0..m-1, as
+    # down = [m - 1::-1].
+    same = np.multiply.outer(c * root, root)
+    cross = np.multiply.outer(s * root, root)
     table = np.zeros((cutoff + 1,) * 3)
     table[0, 0, 0] = 1.0
     for m in range(1, cutoff + 1):
         prev = table[m - 1, :m, :m]
-        up = np.sqrt(np.arange(1.0, m + 1))  # sqrt(k), k = 1..m
-        down = up[::-1]  # sqrt(m - k), k = 0..m-1
+        up, down = slice(0, m), slice(m - 1, None, -1)
         block = table[m, : m + 1, : m + 1]
-        block[1:, 1:] += (c * up)[:, None] * up * prev
-        block[:m, 1:] -= (s * down)[:, None] * up * prev
-        block[1:, :m] += (s * up)[:, None] * down * prev
-        block[:m, :m] += (c * down)[:, None] * down * prev
+        block[1:, 1:] += same[up, up] * prev
+        block[:m, 1:] -= cross[down, up] * prev
+        block[1:, :m] += cross[up, down] * prev
+        block[:m, :m] += same[down, down] * prev
         block /= m
     table.flags.writeable = False
     return table
@@ -386,7 +438,8 @@ def oracle_willie_state(
     signal, through ``_return_gram``.  The inputs are truncated to
     n_b2 + n_b1 + n_s <= cutoff.  The return tap conserves photon number
     and its bath is diagonal, so the phase only conjugates each output
-    block by diag(exp(i theta a)) on the kept count a.
+    block by diag(exp(i theta a)) on the kept count a: the state holds the
+    real blocks at theta = 0 and ``theta`` as its phase.
 
     A ``theta`` outside (-pi, pi] is wrapped on entry, since
     exp(i theta n) keeps no correct digit at a huge phase; one inside is
@@ -412,7 +465,35 @@ def oracle_willie_state(
         ]
         for total, gram in enumerate(grams)
     ]
-    return _finish(_rotated(blocks, theta), total_cutoff, actual_tail)
+    return _finish(blocks, total_cutoff, actual_tail).with_phase(theta)
+
+
+def _split_amplitudes(ratio: float, cutoff: int) -> np.ndarray:
+    """Column 0 of the pair blocks of transmissivity ``ratio``, in closed form.
+
+    ``V[n, r]`` = U_n[r, 0] = sqrt(C(n, r)) s^r c^(n - r), with
+    c = sqrt(ratio) and s = sqrt(1 - ratio): the binomial amplitudes of n
+    photons entering the second port.  ``V[n, r]`` is zero for r > n.
+    """
+    c, s = math.sqrt(ratio), math.sqrt(1.0 - ratio)
+    count = np.arange(cutoff + 1)
+    rest = count[:, None] - count  # n - r
+    amplitudes = (
+        _sqrt_binomials(cutoff)
+        * np.power(s, count)
+        * np.power(c, np.maximum(rest, 0))
+    )
+    return np.where(rest >= 0, amplitudes, 0.0)
+
+
+@functools.lru_cache(maxsize=MAX_TOTAL_PHOTONS + 1)
+def _sqrt_binomials(cutoff: int) -> np.ndarray:
+    """sqrt(C(n, r)) for n, r = 0..cutoff, from the exact integers; zero
+    for r > n.  The table is read-only."""
+    count = range(cutoff + 1)
+    table = np.sqrt([[math.comb(n, r) for r in count] for n in count])
+    table.flags.writeable = False
+    return table
 
 
 def _forward_prefixes(
@@ -422,8 +503,9 @@ def _forward_prefixes(
 
     The source beam (occupancy nbar_s + nbar_lo, count n) is split against
     the vacuum reference, which leaves the amplitude V_n[r] = U_n[r, 0] of
-    the split on the reference count r.  The forward tap mixes the bath
-    (count j) into the signal and its bath port (count t) is traced out.
+    the split on the reference count r (``_split_amplitudes``).  The
+    forward tap mixes the bath (count j) into the signal and its bath port
+    (count t) is traced out.
     Entry ``[k]`` holds, at ``[s - k]`` for s = k..cutoff, the block
     sigma^(s)_k of photon total k over the inputs with j + n <= s, on the
     reference count (signal count k - r).  At a three-mode total q = j + n
@@ -438,7 +520,7 @@ def _forward_prefixes(
     source_total = nbar_s + nbar_lo
     # Source split: reference is the eta port so the signal keeps
     # nbar_s with a positive q-q/p-p cross-correlation.
-    split = _pair_blocks(
+    split = _split_amplitudes(
         0.0 if source_total == 0.0 else nbar_s / source_total, cutoff
     )
     tap = _pair_blocks(eta_1, cutoff)
@@ -457,7 +539,7 @@ def _forward_prefixes(
             inside,
             np.sqrt(pmf_b1[bath] * pmf_source[source])
             * tap[three_mode - ref, three_mode - total, bath]
-            * split[source, ref, 0],
+            * split[source, ref],
             0.0,
         )
         prefixes.append(np.cumsum(amp.transpose(0, 2, 1) @ amp, axis=0))
@@ -465,11 +547,15 @@ def _forward_prefixes(
 
 
 @_call_memoised
-def _interrogator_blocks(
-    scenario: SensingScenario, nbar_s: float, nbar_lo: float, cutoff: int
-) -> list[np.ndarray]:
-    """The interrogator's state at theta = 0, as real blocks on the signal
-    count.
+def _interrogator_state(
+    scenario: SensingScenario,
+    nbar_s: float,
+    nbar_lo: float,
+    cutoff: int,
+    tail_bound: float,
+) -> FockDensityMatrix:
+    """The interrogator's validated state at theta = 0, whose real blocks
+    are on the signal count.
 
     The return bath (count n0) is untouched before its tap, so the input
     of the return tap is block-diagonal over n0 with weights
@@ -509,7 +595,8 @@ def _interrogator_blocks(
             "jKr,jKs,jrs->Krs", amp, amp, sigma
         )
     # Reversed onto the signal count u = K - r.
-    return [out[total, total::-1, total::-1] for total in range(cutoff + 1)]
+    blocks = [out[total, total::-1, total::-1] for total in range(cutoff + 1)]
+    return _finish(blocks, cutoff, tail_bound)
 
 
 def oracle_alice_state(
@@ -531,11 +618,12 @@ def oracle_alice_state(
     The state is that of the four-mode circuit with the inputs truncated
     to n_b2 + n_b1 + n_source <= cutoff, built in two stages: the forward
     tap (``_forward_prefixes``) and the return tap
-    (``_interrogator_blocks``), each a one-mode channel on the signal.
+    (``_interrogator_state``), each a one-mode channel on the signal.
     Photon number is conserved and both baths are diagonal, so the phase
     only conjugates each output block by diag(exp(i theta u)) on the
-    signal count u, and one real build serves every phase: the two
-    interrogator states of a cross-check share it.
+    signal count u: the state holds the real build at theta = 0 and
+    ``probe.theta`` as its phase, and the two interrogator states of a
+    cross-check share that build and its eigenpairs.
     """
     source_total = probe.nbar_s + probe.nbar_lo
     _check_occupancies(
@@ -545,27 +633,19 @@ def oracle_alice_state(
     )
     occ = [scenario.nbar_b2, scenario.nbar_b1, source_total]
     total_cutoff, actual_tail = _select_total_cutoff(occ, cutoff)
-    blocks = _interrogator_blocks(
-        scenario, probe.nbar_s, probe.nbar_lo, total_cutoff
+    state = _interrogator_state(
+        scenario, probe.nbar_s, probe.nbar_lo, total_cutoff, actual_tail
     )
-    return _finish(_rotated(blocks, probe.theta), total_cutoff, actual_tail)
-
-
-def _rotated(blocks: list[np.ndarray], theta: float) -> list[np.ndarray]:
-    """Each block conjugated by diag(exp(i theta u)), u its position."""
-    phases = np.exp(1j * theta * np.arange(len(blocks)))
-    return [
-        phases[: len(block), None] * block * phases[: len(block)].conj()
-        for block in blocks
-    ]
+    return state.with_phase(probe.theta)
 
 
 def _finish(
     blocks: list[np.ndarray], cutoff: int, tail_bound: float
 ) -> FockDensityMatrix:
-    """Block K of photon total K, symmetrised, as a validated state."""
+    """Real block K of photon total K, symmetrised, as a validated state at
+    phase 0; the validation decomposes each block once."""
     return FockDensityMatrix(
-        cutoff, [(block + block.conj().T) / 2.0 for block in blocks], tail_bound
+        cutoff, [(block + block.T) / 2.0 for block in blocks], tail_bound
     ).require_valid()
 
 
@@ -582,31 +662,40 @@ def fock_moments(state: FockDensityMatrix) -> tuple[np.ndarray, np.ndarray]:
     zero by structure, and every second moment comes from <a_k^dag a_l>,
     which lies inside a block.  The one cross term is
 
-        <a_0^dag a_1> = sum_K sum_a sqrt((a + 1)(K - a)) rho_K[a, a + 1].
+        <a_0^dag a_1> = e^(-i phase) sum_K sum_a sqrt((a + 1)(K - a)) b_K[a, a + 1]
 
-    Same-mode second moments keep the convention of products of the
-    truncated single-mode matrices, in which a a^dag is zero at
-    n = cutoff.  Expectations are normalised by the trace, so the slight
-    sub-normalisation from truncation does not bias the moments.
+    over the held blocks b_K; the phase leaves the diagonals alone.  Both
+    are read in one pass over the concatenated diagonals and first
+    off-diagonals.  Same-mode second moments keep the convention of
+    products of the truncated single-mode matrices, in which a a^dag is
+    zero at n = cutoff.  Expectations are normalised by the trace, so the
+    slight sub-normalisation from truncation does not bias the moments.
     """
-    hop = np.zeros((2, 2), dtype=complex)  # <a_k^dag a_l>
-    anti_normal = np.zeros(2)  # <a_k a_k^dag>, truncated
-    for total, block in enumerate(state.blocks):
-        first = np.arange(total + 1)
-        occ = np.column_stack([first, total - first])
-        weights = np.diagonal(block).real
-        hop[np.diag_indices(2)] += weights @ occ
-        anti_normal += weights @ np.where(occ < state.cutoff, occ + 1, 0)
-        amp = np.sqrt((total - first[:-1]) * (first[:-1] + 1.0))
-        hop[0, 1] += np.sum(amp * np.diagonal(block, 1))
-    hop[1, 0] = hop[0, 1].conjugate()
-    norm = state.trace()
-    hop /= norm
-    anti_normal /= norm
+    totals = np.arange(state.cutoff + 1)
+    # Each entry of the concatenated diagonals: its total K, its first
+    # mode's count a, and both modes' counts.
+    total = np.repeat(totals, totals + 1)
+    first = np.arange(total.size) - total * (total + 1) // 2
+    occ = np.stack([first, total - first])
+    # Each entry (K, a, a + 1) of the concatenated first off-diagonals.
+    total = np.repeat(totals, totals)
+    first = np.arange(total.size) - total * (total - 1) // 2
+    hop_amplitudes = np.sqrt((first + 1.0) * (total - first))
 
-    same = hop.real.copy()
-    np.fill_diagonal(same, (np.diagonal(hop).real + anti_normal) / 2.0)
-    cov = np.block([[same, hop.imag], [hop.imag.T, same]])
+    weights = state._diagonal()
+    norm = math.fsum(weights.tolist())  # the trace
+    # Pairwise sums, as accurate as sums block by block.
+    normal = np.sum(occ * weights, axis=1) / norm  # <a_k^dag a_k>
+    anti_normal = np.sum(np.where(occ < state.cutoff, occ + 1, 0) * weights, axis=1)
+    anti_normal /= norm  # <a_k a_k^dag>, truncated
+    off_diagonal = np.concatenate([np.diagonal(b, 1) for b in state.blocks])
+    cross = complex(np.sum(hop_amplitudes * off_diagonal)) / norm
+    cross *= cmath.exp(-1j * state.phase)  # <a_0^dag a_1>
+
+    cov = np.diag(np.tile((normal + anti_normal) / 2.0, 2))
+    cov[0, 1] = cov[1, 0] = cov[2, 3] = cov[3, 2] = cross.real
+    cov[0, 3] = cov[3, 0] = cross.imag
+    cov[1, 2] = cov[2, 1] = -cross.imag
     return np.zeros(4), cov
 
 
@@ -620,6 +709,17 @@ def _same_cutoff(state_0: FockDensityMatrix, state_1: FockDensityMatrix) -> None
         raise ValueError("states must share the same cutoff")
 
 
+def _relative_turn(
+    state_0: FockDensityMatrix, state_1: FockDensityMatrix
+) -> np.ndarray | None:
+    """The diagonal exp(i (phase_1 - phase_0) u), u = 0..cutoff, of
+    D_0^dag D_1; None at equal phases."""
+    if state_0.phase == state_1.phase:
+        return None
+    relative = state_1.phase - state_0.phase
+    return np.exp(1j * relative * np.arange(state_0.cutoff + 1))
+
+
 def oracle_qre(state_0: FockDensityMatrix, state_1: FockDensityMatrix) -> float:
     """Relative entropy tr(rho_0 ln rho_0) - tr(rho_0 ln rho_1), in nats.
 
@@ -627,18 +727,28 @@ def oracle_qre(state_0: FockDensityMatrix, state_1: FockDensityMatrix) -> float:
     1e-9 of rho_0's mass sits on directions where rho_1 is numerically
     zero, the quantity is effectively infinite and InfiniteQreError is
     raised.  An empty total adds nothing to either sum.
+
+    The eigenvectors of rho_1 are those of its held blocks turned by its
+    phase, so only the relative phase D = diag(exp(i (phase_1 - phase_0) u))
+    turns them against rho_0's held blocks: at equal phases every product
+    is real.
     """
     _same_cutoff(state_0, state_1)
+    turn = _relative_turn(state_0, state_1)
     entropy = 0.0
     cross = 0.0
     escaped_mass = 0.0
     for b0, (lam, _), (mu, w) in zip(
         state_0.blocks, state_0._spectra(), state_1._spectra()
     ):
+        if not b0.any():
+            continue
         keep = lam > _EIGEN_FLOOR
         entropy += float(np.sum(lam[keep] * np.log(lam[keep])))
 
-        overlaps = np.einsum("ij,jk,ki->i", w.conj().T, b0, w).real
+        if turn is not None:
+            w = turn[: len(w), None] * w  # D_0^dag D_1 w
+        overlaps = np.einsum("ji,jk,ki->i", w.conj(), b0, w).real
         overlaps = np.clip(overlaps, 0.0, None)
         low = mu < _EIGEN_FLOOR
         escaped_mass += float(overlaps[low].sum())
@@ -656,12 +766,23 @@ def oracle_qre(state_0: FockDensityMatrix, state_1: FockDensityMatrix) -> float:
 def oracle_fidelity(
     state_0: FockDensityMatrix, state_1: FockDensityMatrix
 ) -> float:
-    """Uhlmann fidelity tr sqrt(sqrt(rho_0) rho_1 sqrt(rho_0)), in (0, 1]."""
+    """Uhlmann fidelity tr sqrt(sqrt(rho_0) rho_1 sqrt(rho_0)), in (0, 1].
+
+    sqrt(rho_0) is the root of its held block turned by its phase, so only
+    the relative phase D = diag(exp(i (phase_1 - phase_0) u)) enters: each
+    total reads the eigenvalues of (root D) b_1 (root D)^dag.  A total
+    empty in either state adds nothing.
+    """
     _same_cutoff(state_0, state_1)
+    turn = _relative_turn(state_0, state_1)
     total = 0.0
-    for (lam, v), b1 in zip(state_0._spectra(), state_1.blocks):
+    for (lam, v), b0, b1 in zip(state_0._spectra(), state_0.blocks, state_1.blocks):
+        if not (b0.any() and b1.any()):
+            continue
         root = (v * np.sqrt(np.clip(lam, 0.0, None))) @ v.conj().T
-        inner = root @ b1 @ root
+        if turn is not None:
+            root = root * turn[: len(root)]  # root D_0^dag D_1
+        inner = root @ b1 @ root.conj().T
         nu = np.linalg.eigvalsh((inner + inner.conj().T) / 2.0)
         total += float(np.sqrt(np.clip(nu, 0.0, None)).sum())
     return min(total, 1.0)

@@ -250,6 +250,19 @@ class TestOracleCheckCommand:
         assert results["residuals"]["willie_qre_err"] <= 1e-4
         assert results["residuals"]["alice_fidelity_err"] <= 1e-5
 
+    def test_all_vacuum_point_passes_at_the_automatic_cutoff(self):
+        # The vacuum needs no photon, but the automatic cutoff is at least
+        # 1, so the truncated a a^dag still reads 1 and both CMs match.
+        result = run_cli(
+            "oracle-check", "--nb1", "0", "--nb2", "0", "--ns", "0", "--nlo", "0"
+        )
+        assert result.returncode == 0, (result.stdout, result.stderr)
+        results = json.loads(result.stdout)["results"]
+        assert results["passed"] is True
+        assert results["residuals"]["cutoff"] == 1.0
+        assert results["residuals"]["willie_cm_max_err"] == 0.0
+        assert results["residuals"]["alice_cm_max_err"] == 0.0
+
 
 class TestConfigResolution:
     def test_config_file_fills_defaults(self, tmp_path):

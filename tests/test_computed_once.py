@@ -4,11 +4,13 @@ A counting wrapper around ``taylor_coefficients`` is bound into every
 covertsense module namespace that holds it, and one around the QRE
 kernel ``_adversary_qre`` into ``covertness``, one around the
 coherent-baseline coefficients ``_coherent_coefficients`` into
-``estimation`` and one around each of ``planck_occupancy`` and
+``estimation``, one around ``heterodyne_stats`` into every namespace that
+holds it, and one around each of ``planck_occupancy`` and
 ``geometric_transmissivity`` into ``link``.  The Taylor coefficients are
 closed forms that evaluate no QRE, so a budget costs none; ``scenario``
 runs the kernel once, for ``qre_per_mode``, ``bounds`` the coherent
-coefficients once, and a sweep row each link input once.
+coefficients once, ``mse-mc`` the heterodyne moments once, and a sweep
+row each link input once.
 """
 
 from __future__ import annotations
@@ -30,7 +32,10 @@ SCENARIO = [
 @pytest.fixture
 def counts(monkeypatch):
     monkeypatch.delenv(CONFIG_ENV_VAR, raising=False)
-    tally = {"taylor": 0, "qre": 0, "coherent": 0, "planck": 0, "transmissivity": 0}
+    tally = {
+        "taylor": 0, "qre": 0, "coherent": 0, "heterodyne": 0, "planck": 0,
+        "transmissivity": 0,
+    }
 
     def counting(key, fn):
         def wrapper(*args, **kwargs):
@@ -39,11 +44,14 @@ def counts(monkeypatch):
 
         return wrapper
 
-    original = covertness.taylor_coefficients
-    taylor = counting("taylor", original)
-    for module in MODULES:
-        if vars(module).get("taylor_coefficients") is original:
-            monkeypatch.setattr(module, "taylor_coefficients", taylor)
+    for name, key, original in (
+        ("taylor_coefficients", "taylor", covertness.taylor_coefficients),
+        ("heterodyne_stats", "heterodyne", estimation.heterodyne_stats),
+    ):
+        wrapper = counting(key, original)
+        for module in MODULES:
+            if vars(module).get(name) is original:
+                monkeypatch.setattr(module, name, wrapper)
     monkeypatch.setattr(
         covertness, "_adversary_qre", counting("qre", covertness._adversary_qre)
     )
@@ -73,7 +81,8 @@ def _run(argv, capsys):
 def test_scenario_runs_taylor_once(counts, capsys):
     _run(["scenario", *SCENARIO, "--theta", "0.4"], capsys)
     assert counts == {
-        "taylor": 1, "qre": 1, "coherent": 0, "planck": 0, "transmissivity": 0
+        "taylor": 1, "qre": 1, "coherent": 0, "heterodyne": 0, "planck": 0,
+        "transmissivity": 0,
     }
 
 
@@ -81,7 +90,8 @@ def test_bounds_runs_taylor_once(counts, capsys):
     _run(["bounds", *SCENARIO, "--nlo", "1e5"], capsys)
     # c_coh is computed once and shared by the report and the ratios.
     assert counts == {
-        "taylor": 1, "qre": 0, "coherent": 1, "planck": 0, "transmissivity": 0
+        "taylor": 1, "qre": 0, "coherent": 1, "heterodyne": 0, "planck": 0,
+        "transmissivity": 0,
     }
 
 
@@ -98,8 +108,8 @@ def test_sweep_runs_taylor_at_most_once_per_row(counts, capsys):
     evaluated = sum(1 for row in rows if row[2] != "")
     assert 0 < evaluated < 50
     assert counts == {
-        "taylor": evaluated, "qre": 0, "coherent": 0, "planck": 50,
-        "transmissivity": 50,
+        "taylor": evaluated, "qre": 0, "coherent": 0, "heterodyne": 0,
+        "planck": 50, "transmissivity": 50,
     }
 
 
@@ -118,11 +128,13 @@ def test_sweep_takes_each_row_input_once(counts, capsys):
 
 
 def test_mse_mc_runs_taylor_once(counts, capsys):
-    # The budget behind the reported prediction is passed into
-    # simulate_heterodyne_mse rather than built there a second time.
+    # The budget and the heterodyne moments behind the reported prediction
+    # are passed into simulate_heterodyne_mse rather than built there a
+    # second time.
     _run(["mse-mc", *SCENARIO, "--trials", "1000"], capsys)
     assert counts == {
-        "taylor": 1, "qre": 0, "coherent": 0, "planck": 0, "transmissivity": 0
+        "taylor": 1, "qre": 0, "coherent": 0, "heterodyne": 1, "planck": 0,
+        "transmissivity": 0,
     }
 
 
@@ -136,5 +148,6 @@ def test_bounds_refuses_operating_point_before_taylor(counts, capsys, flags):
     assert main(["bounds", *SCENARIO, *flags]) == 1
     assert '"error"' in capsys.readouterr().out
     assert counts == {
-        "taylor": 0, "qre": 0, "coherent": 0, "planck": 0, "transmissivity": 0
+        "taylor": 0, "qre": 0, "coherent": 0, "heterodyne": 0, "planck": 0,
+        "transmissivity": 0,
     }

@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import decimal
 import functools
 import json
 import math
@@ -51,15 +52,34 @@ def thermal_pmf(nbar, cutoff):
     return ratio ** np.arange(cutoff + 1) / (1.0 + nbar), ratio ** (cutoff + 1)
 
 
+def turned(block, phase):
+    """``block`` conjugated by D = diag(exp(i phase a)), a its position."""
+    turn = np.exp(1j * phase * np.arange(len(block)))
+    return turn[:, None] * block * turn.conj()
+
+
+def phased_blocks(state):
+    """The state's blocks with its phase applied: D blocks[K] D^dag."""
+    return [turned(block, state.phase) for block in state.blocks]
+
+
+def rotated_route(state):
+    """The state as the oracle held it before it kept a phase: its phased
+    blocks, symmetrised, as complex blocks at phase 0."""
+    blocks = [(block + block.conj().T) / 2.0 for block in phased_blocks(state)]
+    return FockDensityMatrix(state.cutoff, blocks, state.tail_bound)
+
+
 def dense(state):
-    """The state on the whole (cutoff + 1)^2 grid, zero beyond its blocks.
+    """The state on the whole (cutoff + 1)^2 grid, zero beyond its blocks,
+    with its phase applied.
 
     Grid index a (cutoff + 1) + b holds a photons in the first mode and b
     in the second, so entry a of block K sits at a cutoff + K.
     """
     dim = state.cutoff + 1
     grid = np.zeros((dim * dim, dim * dim), dtype=complex)
-    for total, block in enumerate(state.blocks):
+    for total, block in enumerate(phased_blocks(state)):
         idx = np.arange(total + 1) * (dim - 1) + total
         grid[np.ix_(idx, idx)] = block
     return grid
@@ -116,6 +136,12 @@ class TestThermalFock:
 
     def test_vacuum_is_projector(self):
         assert np.array_equal(_geometric_pmf(0.0, 4), [1.0, 0.0, 0.0, 0.0])
+
+    def test_automatic_cutoff_is_at_least_one(self):
+        # The vacuum has no tail at cutoff 0, but a a^dag truncated there
+        # would read 0; an explicit cutoff 0 is still taken as given.
+        assert _select_total_cutoff([0.0, 0.0, 0.0], None) == (1, 0.0)
+        assert _select_total_cutoff([0.0, 0.0, 0.0], 0) == (0, 0.0)
 
     def test_loose_tail_request_rejected(self):
         # The density-matrix type promises tail_bound <= 1e-10; a looser
@@ -175,6 +201,29 @@ class TestDensityMatrixType:
         state = thermal_state(0.5, 20)
         with pytest.raises(AttributeError, match="immutable"):
             state.cutoff = 3
+        with pytest.raises(AttributeError, match="immutable"):
+            state.phase = 0.3
+
+    def test_phase_defaults_to_zero_and_is_wrapped(self):
+        assert cutoff_one_pair(np.eye(2) / 4.0).phase == 0.0
+        block = np.eye(2) / 4.0
+        assert FockDensityMatrix(1, [[[0.5]], block], 0.0, -math.pi).phase == math.pi
+        wrapped = FockDensityMatrix(1, [[[0.5]], block], 0.0, 1e308)
+        assert wrapped.phase == wrap_angle(1e308)
+
+    @pytest.mark.parametrize("phase", [math.nan, math.inf])
+    def test_non_finite_phase_refused(self, phase):
+        with pytest.raises(ValueError, match="phase must be finite"):
+            FockDensityMatrix(1, [[[0.5]], np.eye(2) / 4.0], 0.0, phase)
+
+    def test_with_phase_shares_blocks_and_eigenpairs(self):
+        state = oracle_willie_state(SMALL, 0.05)
+        moved = state.with_phase(0.4)
+        assert moved.phase == 0.4
+        assert (moved.cutoff, moved.tail_bound) == (state.cutoff, state.tail_bound)
+        assert moved.blocks is state.blocks
+        assert moved._spectra() is state._spectra()
+        assert state.phase == 0.0
 
 
 class TestFockTensor:
@@ -542,10 +591,11 @@ def four_mode_alice_state(scenario, probe, cutoff=None):
 
 
 def assert_same_blocks(state, want, tol):
-    """Same cutoff and tail bound; blocks within ``tol``."""
+    """Same cutoff and tail bound; phased blocks within ``tol``."""
     assert state.cutoff == want.cutoff
     assert state.tail_bound == want.tail_bound
-    for block, want_block in zip(state.blocks, want.blocks, strict=True):
+    pairs = zip(phased_blocks(state), phased_blocks(want), strict=True)
+    for block, want_block in pairs:
         assert np.abs(block - want_block).max() <= tol
 
 
@@ -647,7 +697,8 @@ class TestForwardPrefixesAgainstThreeModeRoute:
 
 class TestPhaseConjugatesBlocks:
     """theta only conjugates each block by D = diag(exp(i theta u)), u the
-    block position, so a state at theta is D (state at 0) D^dag."""
+    block position, so a state at theta is D (state at 0) D^dag: it holds
+    the same real blocks as the state at 0, and theta as its phase."""
 
     @pytest.mark.parametrize("theta", [0.3, -2.9, math.pi])
     @pytest.mark.parametrize("route", ["willie", "alice"])
@@ -659,8 +710,14 @@ class TestPhaseConjugatesBlocks:
         else:
             at_zero = oracle_alice_state(scenario, ProbeSettings(0.064, 0.07, 0.0))
             state = oracle_alice_state(scenario, ProbeSettings(0.064, 0.07, theta))
+        # ProbeSettings wraps its phase, which moves 0.3 by two ulps.
+        want_phase = theta if route == "willie" else wrap_angle(theta)
+        assert (at_zero.phase, state.phase) == (0.0, want_phase)
         assert len(state.blocks) == len(at_zero.blocks)
         for block, zero_block in zip(state.blocks, at_zero.blocks):
+            assert block.dtype == np.float64
+            assert np.array_equal(block, zero_block)
+        for block, zero_block in zip(phased_blocks(state), at_zero.blocks):
             phase = np.exp(1j * theta * np.arange(len(block)))
             want = phase[:, None] * zero_block * phase.conj()
             assert np.abs(block - want).max() <= 1e-15
@@ -742,18 +799,20 @@ class TestMomentsAgainstSparseKron:
         assert np.abs(cov - want_cov).max() <= 1e-13
 
 
-def full_grid_assembly(raw_blocks, cutoff):
+def full_grid_assembly(raw_blocks, cutoff, phase):
     """The dense state the reduced accumulator used to return.
 
     Each raw total-photon block is scattered into the (cutoff + 1)^2 grid,
-    then the whole grid is symmetrised.
+    the whole grid is symmetrised, then turned by exp(i phase a) on the
+    first mode's count a.
     """
     dim = cutoff + 1
     entries = np.zeros((dim * dim, dim * dim), dtype=complex)
     for total, block in enumerate(raw_blocks):
         idx = np.arange(total + 1) * (dim - 1) + total
         entries[np.ix_(idx, idx)] += block
-    return (entries + entries.conj().T) / 2.0
+    turn = np.exp(1j * phase * (np.arange(dim * dim) // dim))
+    return turn[:, None] * ((entries + entries.conj().T) / 2.0) * turn.conj()
 
 
 class TestBlockRouteAgainstDenseRoute:
@@ -769,7 +828,11 @@ class TestBlockRouteAgainstDenseRoute:
         ids=["willie", "alice"],
     )
     def routes(self, request, monkeypatch):
-        """(state, its full grid built by the old full-grid assembly)."""
+        """(state, its full grid built by the old full-grid assembly).
+
+        ``_finish`` sees the real blocks at phase 0; the state carries the
+        phase, which the grid applies last.
+        """
         raw = []
         finish = fock._finish
 
@@ -779,7 +842,8 @@ class TestBlockRouteAgainstDenseRoute:
 
         monkeypatch.setattr(fock, "_finish", recording)
         state = request.param(self.SCENARIO)
-        return state, full_grid_assembly(raw, state.cutoff)
+        assert state.phase != 0.0
+        return state, full_grid_assembly(raw, state.cutoff, state.phase)
 
     def test_dense_grid_equals_full_grid_assembly(self, routes):
         state, grid = routes
@@ -817,7 +881,7 @@ class TestCallMemo:
     def test_cross_check_builds_one_forward_part(self, monkeypatch):
         calls = {
             name: []
-            for name in ("_forward_prefixes", "_interrogator_blocks", "_return_gram")
+            for name in ("_forward_prefixes", "_interrogator_state", "_return_gram")
         }
         for name, results in calls.items():
 
@@ -827,12 +891,12 @@ class TestCallMemo:
 
             monkeypatch.setattr(fock, name, recording)
         oracle_cross_check(SMALL, 0.05, 0.25, 0.3)
-        # Both interrogator states get the one memoised build at theta = 0,
-        # which runs the forward stage once; both adversary states get the
-        # one memoised Gram of the return tap.
-        parts = calls["_interrogator_blocks"]
-        assert len(parts) == 2
-        assert parts[0] is parts[1]
+        # Both interrogator states get the one memoised state at theta = 0,
+        # whose build runs the forward stage once; both adversary states get
+        # the one memoised Gram of the return tap.
+        states = calls["_interrogator_state"]
+        assert len(states) == 2
+        assert states[0] is states[1]
         assert len(calls["_forward_prefixes"]) == 1
         grams = calls["_return_gram"]
         assert len(grams) == 2
@@ -916,34 +980,221 @@ class TestBlockSplitAgainstFullGrid:
             assert abs(oracle_fidelity(a, b) - grid_fidelity(rho_a, rho_b)) <= 1e-12
 
 
-class TestOneDecompositionPerBlock:
-    def test_cross_check_decomposes_each_state_block_once(self, monkeypatch):
-        states = []
+def counting_lapack(monkeypatch):
+    """Record (name, argument) of every ``np.linalg`` eigh and eigvalsh."""
+    calls = []
+    for name in ("eigh", "eigvalsh"):
+
+        def counting(a, *args, _name=name, _real=getattr(np.linalg, name)):
+            calls.append((_name, a))
+            return _real(a, *args)
+
+        monkeypatch.setattr(np.linalg, name, counting)
+    return calls
+
+
+class TestOneDecompositionPerBlockFamily:
+    def test_cross_check_decomposes_each_real_block_family_once(self, monkeypatch):
+        families = []
         finish = fock._finish
 
         def recording(*args):
-            states.append(finish(*args))
-            return states[-1]
+            families.append(finish(*args))
+            return families[-1]
 
         monkeypatch.setattr(fock, "_finish", recording)
-        calls = []
-        for name in ("eigh", "eigvalsh"):
+        states = []
+        for name in ("oracle_willie_state", "oracle_alice_state"):
 
-            def counting(a, *args, _name=name, _real=getattr(np.linalg, name)):
-                calls.append((_name, a))
-                return _real(a, *args)
+            def keeping(*args, _real=getattr(fock, name)):
+                states.append(_real(*args))
+                return states[-1]
 
-            monkeypatch.setattr(np.linalg, name, counting)
+            monkeypatch.setattr(fock, name, keeping)
+        spectra = []
+        spectrum = fock._block_spectrum
+
+        def decomposing(block):
+            spectra.append(block)
+            return spectrum(block)
+
+        monkeypatch.setattr(fock, "_block_spectrum", decomposing)
+        calls = counting_lapack(monkeypatch)
         oracle_cross_check(SMALL, 0.05, 0.25, 0.3)
 
+        # Three real families: the adversary without and with the probe,
+        # and the one interrogator build that both phases share.
         w_off, w_on, a_state_a, a_state_b = states
-        blocks = [block for state in states for block in state.blocks]
+        assert len(families) == 3
+        for state, family in zip(states, families + families[2:]):
+            assert state.blocks is family.blocks
+            assert state._eigenpairs is family._eigenpairs
+        assert a_state_a.phase != a_state_b.phase
+        # The oracle decomposes each block of each family once, each with
+        # one real eigh, and nothing else.
+        blocks = [block for family in families for block in family.blocks]
+        assert len(spectra) == len(blocks)
+        decomposed = [a for name, a in calls if name == "eigh"]
         for block in blocks:
-            assert sum(a is block for _, a in calls) == 1
-        # The only other eigvalsh calls are the fidelity's, one per total
-        # the interrogator pair shares.
-        assert [name for name, _ in calls].count("eigvalsh") == len(a_state_a.blocks)
-        assert len(a_state_a.blocks) == len(a_state_b.blocks)
+            assert block.dtype == np.float64
+            assert sum(a is block for a in spectra) == 1
+            assert sum(a is block for a in decomposed) == 1
+        # The only eigvalsh calls are the fidelity's, one per total the
+        # interrogator pair shares.
+        names = [name for name, _ in calls]
+        assert names.count("eigvalsh") == len(a_state_a.blocks)
+
+
+def fidelity_every_total(state_0, state_1):
+    """``oracle_fidelity`` at phase 0 with no total skipped."""
+    assert state_0.phase == state_1.phase == 0.0
+    total = 0.0
+    for (lam, v), b1 in zip(state_0._spectra(), state_1.blocks):
+        root = (v * np.sqrt(np.clip(lam, 0.0, None))) @ v.conj().T
+        inner = root @ b1 @ root
+        nu = np.linalg.eigvalsh((inner + inner.conj().T) / 2.0)
+        total += float(np.sqrt(np.clip(nu, 0.0, None)).sum())
+    return min(total, 1.0)
+
+
+class TestEmptyTotals:
+    """A zero block gets the eigenpairs (zeros, identity) without LAPACK,
+    and a total empty in either state adds no fidelity term."""
+
+    VACUUM_BATHS = SensingScenario(0.7, 0.6, 0.0, 0.0)
+
+    @pytest.mark.parametrize("dtype", [float, complex])
+    def test_zero_block_spectrum_is_lapacks(self, dtype):
+        for size in range(1, 6):
+            zero = np.zeros((size, size), dtype=dtype)
+            lam, vec = fock._block_spectrum(zero)
+            want_lam, want_vec = np.linalg.eigh(zero)
+            assert np.array_equal(lam, want_lam)
+            assert np.array_equal(vec, want_vec)
+            assert (lam.dtype, vec.dtype) == (want_lam.dtype, want_vec.dtype)
+
+    def test_all_vacuum_cross_check_decomposes_no_zero_block(self, monkeypatch):
+        families = []
+        finish = fock._finish
+
+        def recording(*args):
+            families.append(finish(*args))
+            return families[-1]
+
+        monkeypatch.setattr(fock, "_finish", recording)
+        calls = counting_lapack(monkeypatch)
+        residuals = oracle_cross_check(
+            SensingScenario(0.5, 0.5, 0.0, 0.0), 0.0, 0.0, 0.3, cutoff=8
+        )
+        assert all(a.any() for _, a in calls)
+        # Every state is the vacuum: one full total, decomposed once per
+        # family, and one fidelity term.
+        blocks = [block for family in families for block in family.blocks]
+        decomposed = [
+            a for name, a in calls if name == "eigh" and any(a is b for b in blocks)
+        ]
+        assert len(blocks) == 27
+        assert len(decomposed) == 3
+        assert [name for name, _ in calls].count("eigvalsh") == 1
+        assert residuals["willie_qre_err"] == 0.0
+        assert residuals["alice_fidelity_err"] == 0.0
+
+    @pytest.mark.parametrize("route", ["willie-vacuum-baths", "gaps"])
+    def test_shortcut_is_bit_identical(self, monkeypatch, route):
+        def states():
+            if route == "gaps":
+                # Photon totals 1 and 3 empty in the first state only.
+                full = product_state(0.02, 0.03, 8)
+                probs = np.multiply.outer(
+                    *(thermal_pmf(n, 8)[0] for n in (0.02, 0.03))
+                )
+                totals = np.add.outer(np.arange(9), np.arange(9))
+                probs[np.isin(totals, (1, 3)) | (totals > 8)] = 0.0
+                gaps = diagonal_state(probs / probs.sum(), 0.0).require_valid()
+                return gaps, full
+            # The probe-off state is the vacuum: totals 1..8 empty.
+            return tuple(
+                oracle_willie_state(self.VACUUM_BATHS, nbar_s, 0.0, 8)
+                for nbar_s in (0.0, 0.04)
+            )
+
+        def measures(state_0, state_1):
+            return (
+                oracle_qre(state_0, state_1),
+                oracle_fidelity(state_0, state_1),
+                oracle_fidelity(state_1, state_0),
+            )
+
+        state_0, state_1 = states()
+        assert not all(block.any() for block in state_0.blocks)
+        fast = measures(state_0, state_1)
+        assert fast[1:] == (
+            fidelity_every_total(state_0, state_1),
+            fidelity_every_total(state_1, state_0),
+        )
+        monkeypatch.setattr(fock, "_block_spectrum", np.linalg.eigh)
+        assert measures(*states()) == fast
+
+
+class TestRealBlocksAgainstRotatedRoute:
+    """QRE, fidelity, moments and purity of the real blocks and their phase
+    against the same states held as their rotated complex blocks."""
+
+    SCENARIO = SensingScenario(0.5, 0.92, 0.35, 0.46)
+    PROBE = (0.067, 0.11)
+
+    @staticmethod
+    def _random_state(seed, phase):
+        """A general state: random complex blocks at totals 0..6."""
+        rng = np.random.default_rng(seed)
+        blocks = []
+        for total in range(7):
+            amp = rng.normal(size=(total + 1, total + 1))
+            amp = amp + 1j * rng.normal(size=amp.shape)
+            # Kept well inside full rank, so no eigenvalue is near 0.
+            blocks.append(amp @ amp.conj().T + (total + 1) * np.eye(total + 1))
+        norm = sum(np.trace(block).real for block in blocks)
+        return FockDensityMatrix(
+            6, [block / norm for block in blocks], 0.0, phase
+        ).require_valid()
+
+    def _pair(self, name):
+        if name == "willie-equal-phase":
+            return tuple(
+                oracle_willie_state(self.SCENARIO, nbar_s, -2.63, 21)
+                for nbar_s in (0.0, 0.067)
+            )
+        if name == "willie-unequal-phase":
+            return (
+                oracle_willie_state(self.SCENARIO, 0.0, 0.3, 21),
+                oracle_willie_state(self.SCENARIO, 0.067, -2.0, 21),
+            )
+        if name == "alice-pair":
+            return tuple(
+                oracle_alice_state(self.SCENARIO, ProbeSettings(*self.PROBE, theta))
+                for theta in (3.1, 3.2)
+            )
+        return self._random_state(1, 0.7), self._random_state(2, -1.2)
+
+    @pytest.mark.parametrize(
+        "name",
+        ["willie-equal-phase", "willie-unequal-phase", "alice-pair", "general"],
+    )
+    def test_measures_match(self, name):
+        state_0, state_1 = self._pair(name)
+        ref_0, ref_1 = rotated_route(state_0), rotated_route(state_1)
+        assert abs(oracle_qre(state_0, state_1) - oracle_qre(ref_0, ref_1)) <= 1e-15
+        for a, b, ref_a, ref_b in (
+            (state_0, state_1, ref_0, ref_1),
+            (state_1, state_0, ref_1, ref_0),
+        ):
+            assert abs(oracle_fidelity(a, b) - oracle_fidelity(ref_a, ref_b)) <= 1e-15
+        for state, ref in ((state_0, ref_0), (state_1, ref_1)):
+            mean, cov = fock_moments(state)
+            ref_mean, ref_cov = fock_moments(ref)
+            assert np.array_equal(mean, ref_mean)
+            assert np.abs(cov - ref_cov).max() <= 1e-15
+            assert abs(fock_purity(state) - fock_purity(ref)) <= 1e-15
 
 
 class TestCrossCheckReport:
@@ -1031,6 +1282,37 @@ class TestPairBlocks:
             drift = np.abs(reference.T @ reference - np.eye(total + 1)).max()
             assert np.abs(block - reference).max() <= 1e-13 + drift
             assert np.abs(block.T @ block - np.eye(total + 1)).max() <= 1e-13
+
+    @pytest.mark.parametrize("ratio", [0.0, 0.03, 0.3, 0.5, 0.95, 1.0])
+    @pytest.mark.parametrize("cutoff", [0, 1, 2, 21, 27, 57, 64])
+    def test_split_amplitudes_are_column_zero(self, ratio, cutoff):
+        # The source split reads V_n[r] = U_n[r, 0] only; ratio 0 is the
+        # split of an empty source and ratio 1 a source of signal only.
+        split = fock._split_amplitudes(ratio, cutoff)
+        want = _pair_blocks(ratio, cutoff)[:, :, 0]
+        assert split.shape == want.shape
+        assert np.abs(split - want).max() <= 1e-15
+        assert not np.triu(split, 1).any()
+
+    @pytest.mark.parametrize("ratio", [1e-9, 0.3, 0.95, 1.0 - 1e-9])
+    def test_split_amplitudes_against_exact_values(self, ratio):
+        # Both routes carry the rounding of sqrt(ratio) and sqrt(1 - ratio)
+        # into their n-th powers, so near ratio 0 or 1 at cutoff 64 they
+        # differ by ~1.3e-15; against 50-digit values the closed form is
+        # the closer of the two.
+        kept = decimal.Decimal(ratio)
+        exact = np.zeros((65, 65))
+        with decimal.localcontext() as context:
+            context.prec = 50
+            for n in range(65):
+                for r in range(n + 1):
+                    exact[n, r] = float(
+                        (decimal.Decimal(math.comb(n, r)) * (1 - kept) ** r
+                         * kept ** (n - r)).sqrt()
+                    )
+        closed = np.abs(fock._split_amplitudes(ratio, 64) - exact).max()
+        table = np.abs(_pair_blocks(ratio, 64)[:, :, 0] - exact).max()
+        assert closed <= min(table, 4e-15)
 
     @pytest.mark.parametrize(
         "modes,pair,eta", [(3, (1, 2), 0.3), (3, (0, 2), 0.95), (4, (3, 2), 0.5)]
