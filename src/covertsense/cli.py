@@ -7,7 +7,13 @@ calls library functions, and serialises the results.  No numerics live
 here.  ``scenario``, ``bounds``, ``sweep``, ``optimize`` and
 ``reproduce-paper`` run on the math-only closed forms and import no
 numpy; ``mse-mc`` loads it in the Monte-Carlo run and ``oracle-check``
-imports :mod:`covertsense.fock` when it runs.
+imports :mod:`covertsense.fock` when it runs.  Only ``sweep``,
+``optimize`` and ``reproduce-paper`` import :mod:`covertsense.link`, inside
+the command, so ``scenario``, ``bounds`` and ``mse-mc`` start without it
+(and without :mod:`dataclasses`, which only its ``SweepRow`` uses).
+
+Config keys match flag names case-insensitively (``L = 3000`` and
+``l = 3000`` both set ``--L``); a key given twice is a usage error.
 
 Output contracts:
 
@@ -29,12 +35,11 @@ unit-suffix parsing.
 from __future__ import annotations
 
 import argparse
-import dataclasses
 import json
 import math
 import os
 import sys
-from typing import Any, Callable, Sequence
+from typing import TYPE_CHECKING, Any, Callable, NamedTuple, Sequence
 
 from ._constants import CONSTANTS_VERSION
 from .covertness import covert_budget, willie_error_lower_bound, willie_qre
@@ -45,13 +50,10 @@ from .estimation import (
     heterodyne_stats,
     simulate_heterodyne_mse,
 )
-from .link import (
-    LinkGeometry,
-    optimize_wavelength,
-    reproduce_paper_report,
-    sweep_frequency,
-)
 from .scenario import SensingScenario, _willie_layout
+
+if TYPE_CHECKING:
+    from .link import LinkGeometry
 
 __all__ = ["main", "emit_csv", "CONFIG_ENV_VAR"]
 
@@ -72,8 +74,7 @@ ORACLE_TOLERANCES = {
 }
 
 
-@dataclasses.dataclass(frozen=True)
-class _Flag:
+class _Flag(NamedTuple):
     name: str  # flag name without dashes, e.g. "eta1"
     kind: Callable[[str], Any]
     default: Any  # ... means required
@@ -162,17 +163,23 @@ def _dest(flag_name: str) -> str:
     return flag_name.replace("-", "_")
 
 
-def _known_config_keys() -> set[str]:
-    keys = set()
-    for flags in _COMMANDS.values():
-        for flag in flags:
-            keys.add(_dest(flag.name))
-    return keys
+#: Every flag's destination, keyed by its lowercased form.  No two flags
+#: differ only in case, so a config key names at most one flag.
+_CONFIG_KEYS = {
+    _dest(flag.name).lower(): _dest(flag.name)
+    for flags in _COMMANDS.values()
+    for flag in flags
+}
 
 
 def _load_config_file(path: str) -> dict[str, str]:
-    """Parse a flat KEY=VALUE config file ('#' starts a comment)."""
+    """Parse a flat KEY=VALUE config file ('#' starts a comment).
+
+    Keys match flag destinations case-insensitively; an unknown key is
+    returned lowercased.  A key set twice is refused with both lines.
+    """
     values: dict[str, str] = {}
+    lines: dict[str, int] = {}
     with open(path, "r", encoding="utf-8") as handle:
         for line_no, raw in enumerate(handle, 1):
             line = raw.split("#", 1)[0].strip()
@@ -181,7 +188,15 @@ def _load_config_file(path: str) -> dict[str, str]:
             if "=" not in line:
                 raise ValueError(f"{path}:{line_no}: expected KEY=VALUE, got {raw!r}")
             key, _, value = line.partition("=")
-            values[_dest(key.strip().lower())] = value.strip()
+            lowered = _dest(key.strip().lower())
+            dest = _CONFIG_KEYS.get(lowered, lowered)
+            if dest in lines:
+                raise ValueError(
+                    f"{path}: key {key.strip()!r} is set on lines "
+                    f"{lines[dest]} and {line_no}"
+                )
+            lines[dest] = line_no
+            values[dest] = value.strip()
     return values
 
 
@@ -315,6 +330,8 @@ def _scenario_from(config: dict[str, Any]) -> SensingScenario:
 
 
 def _geometry_from(config: dict[str, Any]) -> LinkGeometry:
+    from .link import LinkGeometry
+
     return LinkGeometry(
         range_m=config["L"],
         r_t=config["rt"],
@@ -408,6 +425,10 @@ def _cmd_mse_mc(config: dict[str, Any]) -> int:
 
 
 def _cmd_sweep(config: dict[str, Any]) -> int:
+    import dataclasses
+
+    from .link import sweep_frequency
+
     if config["format"] not in ("csv", "json"):
         raise _UsageError("--format must be csv or json")
     geometry = _geometry_from(config)
@@ -442,6 +463,8 @@ def _cmd_sweep(config: dict[str, Any]) -> int:
 
 
 def _cmd_optimize(config: dict[str, Any]) -> int:
+    from .link import optimize_wavelength
+
     geometry = _geometry_from(config)
     lambda_star, c_ase, bound = optimize_wavelength(
         geometry,
@@ -504,7 +527,18 @@ def _format_reproduce_table(report: Any) -> str:
     return "\n".join(lines) + "\n"
 
 
+def _plain(value: Any) -> Any:
+    """A record as nested dicts, its tuples as lists, for JSON."""
+    if hasattr(value, "_asdict"):
+        return {key: _plain(item) for key, item in value._asdict().items()}
+    if isinstance(value, tuple):
+        return [_plain(item) for item in value]
+    return value
+
+
 def _cmd_reproduce_paper(config: dict[str, Any]) -> int:
+    from .link import reproduce_paper_report
+
     if config["format"] not in ("table", "json"):
         raise _UsageError("--format must be table or json")
     report = reproduce_paper_report(
@@ -513,7 +547,7 @@ def _cmd_reproduce_paper(config: dict[str, Any]) -> int:
         integration_time=config["T"],
     )
     if config["format"] == "json":
-        _report("reproduce-paper", config, dataclasses.asdict(report))
+        _report("reproduce-paper", config, _plain(report))
     else:
         sys.stdout.write(_format_reproduce_table(report))
     return 0
@@ -581,7 +615,7 @@ def main(argv: Sequence[str] | None = None) -> int:
             file_values = _load_config_file(config_path)
         except (OSError, ValueError) as exc:
             parser.exit(2, f"covertsense: config error: {exc}\n")
-        unknown = set(file_values) - _known_config_keys()
+        unknown = set(file_values) - set(_CONFIG_KEYS.values())
         if unknown:
             parser.exit(
                 2,

@@ -56,8 +56,7 @@ from __future__ import annotations
 import math
 import sys
 import warnings
-from dataclasses import dataclass
-from typing import TYPE_CHECKING
+from typing import TYPE_CHECKING, NamedTuple
 
 from .errors import (
     DegenerateCovertnessError,
@@ -87,16 +86,14 @@ _PURE_TOL = 1e-12
 _SERIES_ORDERS = tuple(float(k) for k in range(3, 24))
 
 
-@dataclass(frozen=True)
-class TaylorCoefficients:
+class TaylorCoefficients(NamedTuple):
     """Quadratic and cubic coefficients of the QRE in nbar_s."""
 
     c2: float
     c3: float
 
 
-@dataclass(frozen=True)
-class CovertBudget:
+class CovertBudget(NamedTuple):
     """Signal occupancy budget meeting a covertness target.
 
     ``c2`` and ``c3`` are the scenario's Taylor coefficients from the one

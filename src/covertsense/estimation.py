@@ -35,8 +35,7 @@ from __future__ import annotations
 
 import math
 import os
-from dataclasses import dataclass
-from typing import TYPE_CHECKING
+from typing import TYPE_CHECKING, NamedTuple
 
 from .covertness import CovertBudget, channel_uses, covert_budget
 from .errors import DomainError, NumericalInstabilityError
@@ -91,8 +90,7 @@ _STRIP_BLOCKS = 4
 _QFI_STEP = 1e-3
 
 
-@dataclass(frozen=True)
-class HeterodyneStats:
+class HeterodyneStats(NamedTuple):
     """Normalized dual-quadrature statistics in the bright-reference limit.
 
     ``mu1, mu2`` are the normalized outcome means ``(cos theta,
@@ -112,8 +110,7 @@ class HeterodyneStats:
     sigma_het_sq: float
 
 
-@dataclass(frozen=True)
-class EstimationReport:
+class EstimationReport(NamedTuple):
     """Bound coefficients and comparison ratios for one scenario.
 
     ``qcrb = c_ase / (eps sqrt(n))`` is the MSE lower bound;

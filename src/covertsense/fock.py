@@ -250,8 +250,9 @@ def _select_total_cutoff(
     """(cutoff, actual joint tail), enforcing the tail bound and photon cap.
 
     An explicit cutoff outside [0, MAX_TOTAL_PHOTONS] is refused before
-    any tail is computed.  A chosen cutoff is at least 1, so the truncated
-    a a^dag of ``fock_moments`` reads a vacuum exactly.
+    any tail is computed.  A chosen cutoff is at least 1: ``fock_moments``
+    no longer needs that floor, but it keeps every input's cutoff where
+    it was.
     """
     if cutoff is not None:
         if cutoff < 0:
@@ -666,10 +667,13 @@ def fock_moments(state: FockDensityMatrix) -> tuple[np.ndarray, np.ndarray]:
 
     over the held blocks b_K; the phase leaves the diagonals alone.  Both
     are read in one pass over the concatenated diagonals and first
-    off-diagonals.  Same-mode second moments keep the convention of
-    products of the truncated single-mode matrices, in which a a^dag is
-    zero at n = cutoff.  Expectations are normalised by the trace, so the
-    slight sub-normalisation from truncation does not bias the moments.
+    off-diagonals.  The same-mode a a^dag is read as a^dag a + 1 on every
+    level, n = cutoff included, so the diagonal is <a_k^dag a_k> + 1/2:
+    products of the truncated single-mode matrices would read a a^dag as
+    zero at n = cutoff, an error of the mass at the cutoff, which the
+    tail bound (the mass beyond it) does not cover.  Expectations are
+    normalised by the trace, so the slight sub-normalisation from
+    truncation does not bias the moments.
     """
     totals = np.arange(state.cutoff + 1)
     # Each entry of the concatenated diagonals: its total K, its first
@@ -686,13 +690,11 @@ def fock_moments(state: FockDensityMatrix) -> tuple[np.ndarray, np.ndarray]:
     norm = math.fsum(weights.tolist())  # the trace
     # Pairwise sums, as accurate as sums block by block.
     normal = np.sum(occ * weights, axis=1) / norm  # <a_k^dag a_k>
-    anti_normal = np.sum(np.where(occ < state.cutoff, occ + 1, 0) * weights, axis=1)
-    anti_normal /= norm  # <a_k a_k^dag>, truncated
     off_diagonal = np.concatenate([np.diagonal(b, 1) for b in state.blocks])
     cross = complex(np.sum(hop_amplitudes * off_diagonal)) / norm
     cross *= cmath.exp(-1j * state.phase)  # <a_0^dag a_1>
 
-    cov = np.diag(np.tile((normal + anti_normal) / 2.0, 2))
+    cov = np.diag(np.tile(normal + 0.5, 2))
     cov[0, 1] = cov[1, 0] = cov[2, 3] = cov[3, 2] = cross.real
     cov[0, 3] = cov[3, 0] = cross.imag
     cov[1, 2] = cov[2, 1] = -cross.imag

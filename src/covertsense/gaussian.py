@@ -19,8 +19,7 @@ spectrum, physicality check and normal form in this module reads.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
-from typing import Sequence
+from typing import NamedTuple, Sequence
 
 import numpy as np
 
@@ -63,8 +62,7 @@ def symplectic_form(num_modes: int) -> np.ndarray:
     return np.block([[zero, eye], [-eye, zero]])
 
 
-@dataclass(frozen=True)
-class CovarianceMatrix:
+class CovarianceMatrix(NamedTuple):
     """A validated, symmetrised N-mode covariance matrix (qqpp, hbar = 1).
 
     Construction symmetrises the input as (V + V^T)/2 and rejects inputs
@@ -269,8 +267,7 @@ def apply_thermal_channel(
     return CovarianceMatrix.from_array(v)
 
 
-@dataclass(frozen=True)
-class SymplecticSpectrum:
+class SymplecticSpectrum(NamedTuple):
     """Normal-form data of a covariance matrix V1.
 
     Attributes

@@ -32,12 +32,13 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from typing import NamedTuple
 
 from ._constants import BOLTZMANN_K, PLANCK_H, SPEED_OF_LIGHT
 from .covertness import taylor_coefficients
 from .errors import DomainError, EmptySweepError, NearFieldError
 from .estimation import qcrb_ase
-from .scenario import SensingScenario, check_positive
+from .scenario import SensingScenario, check_positive, validated_make
 
 __all__ = [
     "LinkGeometry",
@@ -74,14 +75,7 @@ _LAMBDA_MATCH_TOL = 0.05e-6
 _B_REL_MATCH_TOL = 0.02
 
 
-@dataclass(frozen=True)
-class LinkGeometry:
-    """Monostatic free-space geometry and the transmissivity convention.
-
-    Lengths in meters, temperature in kelvin.  ``eta_max`` only matters
-    under the ``"clamp"`` policy.
-    """
-
+class _GeometryFields(NamedTuple):
     range_m: float
     r_t: float = 0.04
     r_target: float = 0.10
@@ -90,7 +84,19 @@ class LinkGeometry:
     eta_policy: str = "error"
     eta_max: float = 0.99
 
-    def __post_init__(self) -> None:
+
+class LinkGeometry(_GeometryFields):
+    """Monostatic free-space geometry and the transmissivity convention.
+
+    Lengths in meters, temperature in kelvin.  ``eta_max`` only matters
+    under the ``"clamp"`` policy.  Every construction path validates: the
+    constructor, ``_make`` and ``_replace``.
+    """
+
+    __slots__ = ()
+
+    def __new__(cls, *args: float | str, **kwargs: float | str) -> LinkGeometry:
+        self = super().__new__(cls, *args, **kwargs)
         for name in ("range_m", "r_t", "r_target", "t0"):
             check_positive(name, getattr(self, name))
         if self.area_factor not in _ALLOWED_AREA_FACTORS:
@@ -105,8 +111,12 @@ class LinkGeometry:
             )
         if not 0.0 < self.eta_max < 1.0:
             raise ValueError(f"eta_max must be in (0, 1), got {self.eta_max}")
+        return self
+
+    _make = classmethod(validated_make)
 
 
+# Not a NamedTuple: perfbench/selftest.py perturbs rows with dataclasses.replace.
 @dataclass(frozen=True)
 class SweepRow:
     """One frequency point of a bound spectrum.
@@ -130,8 +140,7 @@ class SweepRow:
         return self.c_ase is not None
 
 
-@dataclass(frozen=True)
-class SweepMinimum:
+class SweepMinimum(NamedTuple):
     """Location and nature of a sweep's smallest valid c_ase."""
 
     index: int
@@ -431,8 +440,7 @@ _FIXED_TARGETS: tuple[tuple[float, float, float], ...] = (
 _REFERENCE_BRACKET = (SPEED_OF_LIGHT / 100e12, SPEED_OF_LIGHT / 15e12)
 
 
-@dataclass(frozen=True)
-class TargetResult:
+class TargetResult(NamedTuple):
     """One reference value under one convention."""
 
     label: str
@@ -448,8 +456,7 @@ class TargetResult:
     matches: bool
 
 
-@dataclass(frozen=True)
-class ConventionResult:
+class ConventionResult(NamedTuple):
     area_factor: float
     eta_policy: str
     results: tuple[TargetResult, ...]
@@ -459,8 +466,7 @@ class ConventionResult:
         return all(result.matches for result in self.results)
 
 
-@dataclass(frozen=True)
-class ReproduceReport:
+class ReproduceReport(NamedTuple):
     """Convention-sensitivity scorecard against the reference values."""
 
     epsilon: float

@@ -35,8 +35,7 @@ which keeps numpy off the import path of the closed-form layer.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
-from typing import TYPE_CHECKING
+from typing import TYPE_CHECKING, Any, Iterable, NamedTuple
 
 if TYPE_CHECKING:
     from .gaussian import CovarianceMatrix
@@ -69,6 +68,15 @@ def check_occupancy(name: str, value: float) -> None:
         raise ValueError(f"{name} must be non-negative and finite, got {value}")
 
 
+def validated_make(cls: type, iterable: Iterable[Any]) -> Any:
+    """``_make`` for a record that validates in ``__new__``.
+
+    The NamedTuple ``_make`` builds the tuple directly, and ``_replace``
+    builds through ``_make``; this routes both through ``__new__``.
+    """
+    return cls(*iterable)
+
+
 def wrap_angle(x: float) -> float:
     """Wrap an angle to the interval (-pi, pi]."""
     r = math.fmod(x + math.pi, 2.0 * math.pi)
@@ -77,26 +85,35 @@ def wrap_angle(x: float) -> float:
     return r - math.pi
 
 
-@dataclass(frozen=True)
-class SensingScenario:
-    """Adversary-controlled two-way channel parameters.
-
-    eta_1, eta_2 are the forward/return tap transmissivities in [0, 1];
-    nbar_b1, nbar_b2 the corresponding injected bath occupancies (>= 0).
-    """
-
+class _ScenarioFields(NamedTuple):
     eta_1: float
     eta_2: float
     nbar_b1: float
     nbar_b2: float
 
-    def __post_init__(self) -> None:
+
+class SensingScenario(_ScenarioFields):
+    """Adversary-controlled two-way channel parameters.
+
+    eta_1, eta_2 are the forward/return tap transmissivities in [0, 1];
+    nbar_b1, nbar_b2 the corresponding injected bath occupancies (>= 0).
+    Every construction path validates: the constructor, ``_make`` and
+    ``_replace``.
+    """
+
+    __slots__ = ()
+
+    def __new__(cls, *args: float, **kwargs: float) -> SensingScenario:
+        self = super().__new__(cls, *args, **kwargs)
         for name in ("eta_1", "eta_2"):
             val = getattr(self, name)
             if not 0.0 <= val <= 1.0:
                 raise ValueError(f"{name} must lie in [0, 1], got {val}")
         for name in ("nbar_b1", "nbar_b2"):
             check_occupancy(name, getattr(self, name))
+        return self
+
+    _make = classmethod(validated_make)
 
     @property
     def eta_eff(self) -> float:
@@ -119,23 +136,30 @@ class SensingScenario:
         return self.eta_1 == 1.0 and self.eta_2 == 1.0
 
 
-@dataclass(frozen=True)
-class ProbeSettings:
-    """Alice's probe: signal occupancy, reference occupancy, target phase.
-
-    ``theta`` is normalised into (-pi, pi] on construction.
-    """
-
+class _ProbeFields(NamedTuple):
     nbar_s: float
     nbar_lo: float
     theta: float
 
-    def __post_init__(self) -> None:
+
+class ProbeSettings(_ProbeFields):
+    """Alice's probe: signal occupancy, reference occupancy, target phase.
+
+    ``theta`` is normalised into (-pi, pi] on construction, by the
+    constructor, ``_make`` and ``_replace`` alike.
+    """
+
+    __slots__ = ()
+
+    def __new__(cls, *args: float, **kwargs: float) -> ProbeSettings:
+        self = super().__new__(cls, *args, **kwargs)
         check_occupancy("nbar_s", self.nbar_s)
         check_occupancy("nbar_lo", self.nbar_lo)
         if not math.isfinite(self.theta):
             raise ValueError(f"theta must be finite, got {self.theta}")
-        object.__setattr__(self, "theta", wrap_angle(self.theta))
+        return super().__new__(cls, self.nbar_s, self.nbar_lo, wrap_angle(self.theta))
+
+    _make = classmethod(validated_make)
 
 
 def _sensing_pattern(

@@ -6,7 +6,8 @@ meaningless) and prints a one-line PASS/FAIL verdict per acceptance
 criterion after the run, collected from the ``test_criterion_*`` tests.
 Also holds ``_exact_arctan_mse``, the quadrature reference for the
 Monte-Carlo estimator that the acceptance and estimation tests share,
-and ``THREE_STRIPS_AND_A_BLOCK``, a trial count that starts threads.
+``THREE_STRIPS_AND_A_BLOCK``, a trial count that starts threads, and
+``CONSTRUCTION_PATHS``, every way to build a record.
 """
 
 from __future__ import annotations
@@ -29,6 +30,18 @@ settings.load_profile("numeric")
 #: the Monte-Carlo run has four tasks, so more than one worker starts
 #: wherever there is more than one core.
 THREE_STRIPS_AND_A_BLOCK = 3 * 4 * 4096 + 1000
+
+#: Each way to build a NamedTuple record: ``path(record, changes)`` is
+#: ``record`` with the fields in ``changes`` set, built by that path.
+CONSTRUCTION_PATHS = {
+    "constructor": lambda record, changes: type(record)(
+        **{**record._asdict(), **changes}
+    ),
+    "_make": lambda record, changes: type(record)._make(
+        {**record._asdict(), **changes}.values()
+    ),
+    "_replace": lambda record, changes: record._replace(**changes),
+}
 
 
 def _exact_arctan_mse(sigma_sq: float) -> float:

@@ -252,7 +252,7 @@ class TestOracleCheckCommand:
 
     def test_all_vacuum_point_passes_at_the_automatic_cutoff(self):
         # The vacuum needs no photon, but the automatic cutoff is at least
-        # 1, so the truncated a a^dag still reads 1 and both CMs match.
+        # 1, so a a^dag is read on a held level and both CMs match.
         result = run_cli(
             "oracle-check", "--nb1", "0", "--nb2", "0", "--ns", "0", "--nlo", "0"
         )
@@ -262,6 +262,18 @@ class TestOracleCheckCommand:
         assert results["residuals"]["cutoff"] == 1.0
         assert results["residuals"]["willie_cm_max_err"] == 0.0
         assert results["residuals"]["alice_cm_max_err"] == 0.0
+
+    def test_tiny_reference_at_cutoff_one_passes(self, capsys, monkeypatch):
+        # Mass 1e-5 sits at the cutoff (1), with ~1e-10 past it.  Read as
+        # zero there, a a^dag erred by that mass, ten times the CM
+        # tolerance; read as a^dag a + 1 it is exact on every level.
+        monkeypatch.delenv("COVERTSENSE_CONFIG", raising=False)
+        argv = ["oracle-check", "--eta1", "0.5", "--eta2", "0.5", "--nb1", "0",
+                "--nb2", "0", "--ns", "0", "--nlo", "1e-5"]
+        assert main(argv) == 0
+        residuals = json.loads(capsys.readouterr().out)["results"]["residuals"]
+        assert residuals["cutoff"] == 1
+        assert residuals["alice_cm_max_err"] <= 1e-9
 
 
 class TestConfigResolution:
@@ -321,6 +333,34 @@ class TestConfigResolution:
         out, err = capsys.readouterr()
         assert out == ""
         assert "unknown config keys: per_sample" in err
+
+    @pytest.mark.parametrize("key", ["L", "l", "W", "w", "T", "t"])
+    def test_uppercase_flag_set_from_config(self, tmp_path, capsys, monkeypatch,
+                                            key):
+        # Keys match flag names case-insensitively, so the uppercase flags
+        # --L, --W and --T can be set from a file too.
+        flag = key.upper()
+        value = {"L": 4000.0, "W": 2e12, "T": 0.5}[flag]
+        config = tmp_path / "upper.conf"
+        config.write_text(f"{key} = {value!r}\n")
+        monkeypatch.delenv("COVERTSENSE_CONFIG", raising=False)
+        argv = ["--config", str(config), "optimize"]
+        if flag != "L":
+            argv += ["--L", "3000"]
+        assert main(argv) == 0
+        assert json.loads(capsys.readouterr().out)["config"][flag] == value
+
+    def test_repeated_config_key_is_usage_error(self, tmp_path, capsys,
+                                                monkeypatch):
+        config = tmp_path / "twice.conf"
+        config.write_text("L = 3000\n# comment\nfmin = 15e12\nl = 4000\n")
+        monkeypatch.delenv("COVERTSENSE_CONFIG", raising=False)
+        with pytest.raises(SystemExit) as exc:
+            main(["--config", str(config), "optimize"])
+        assert exc.value.code == 2
+        out, err = capsys.readouterr()
+        assert out == ""
+        assert "key 'l' is set on lines 1 and 4" in err
 
 
 class TestErrorPaths:
@@ -541,6 +581,30 @@ def test_analytic_commands_import_no_numeric_layer():
         "assert 'covertsense.link' in sys.modules\n"
         "loaded = sorted(m for m in sys.modules if any(\n"
         f"    m == p or m.startswith(p + '.') for p in {NUMERIC_LAYER!r}))\n"
+        "assert not loaded, loaded\n"
+    )
+    result = _fresh_python(code)
+    assert result.returncode == 0, result.stderr
+
+
+#: What the closed-form start-up path must not load: the dataclass
+#: machinery, the ``inspect`` module it pulls in, the link layer and numpy.
+STARTUP_ABSENT = ("dataclasses", "inspect", "covertsense.link", "numpy")
+
+
+def test_scenario_bounds_and_mse_mc_start_without_dataclasses_or_link():
+    """A fresh interpreter running scenario and bounds loads none of
+    ``STARTUP_ABSENT``; after mse-mc, which imports numpy (and numpy
+    ``inspect``), dataclasses and the link layer are still absent."""
+    code = (
+        "import sys\n"
+        "from covertsense.cli import main\n"
+        f"for argv in {ANALYTIC_ARGV[:2]!r}:\n"
+        "    assert main(argv) == 0, argv\n"
+        f"loaded = [m for m in {STARTUP_ABSENT!r} if m in sys.modules]\n"
+        "assert not loaded, loaded\n"
+        f"assert main({['mse-mc', *SCENARIO_FLAGS, '--trials', '1000']!r}) == 0\n"
+        "loaded = [m for m in ('dataclasses', 'covertsense.link') if m in sys.modules]\n"
         "assert not loaded, loaded\n"
     )
     result = _fresh_python(code)

@@ -138,8 +138,8 @@ class TestThermalFock:
         assert np.array_equal(_geometric_pmf(0.0, 4), [1.0, 0.0, 0.0, 0.0])
 
     def test_automatic_cutoff_is_at_least_one(self):
-        # The vacuum has no tail at cutoff 0, but a a^dag truncated there
-        # would read 0; an explicit cutoff 0 is still taken as given.
+        # The vacuum has no tail at cutoff 0, but a chosen cutoff is at
+        # least 1; an explicit cutoff 0 is still taken as given.
         assert _select_total_cutoff([0.0, 0.0, 0.0], None) == (1, 0.0)
         assert _select_total_cutoff([0.0, 0.0, 0.0], 0) == (0, 0.0)
 
@@ -729,9 +729,12 @@ def sparse_kron_moments(state):
     The construction the oracle used before its einsum route: each
     quadrature is lifted to the whole grid by Kronecker products with
     identities, and products of quadratures are full-grid operator
-    products.
+    products.  The state is first lifted into a grid of cutoff + 2 levels
+    per mode, so the truncated ladder matrices read a a^dag exactly on
+    every level the state holds, n = cutoff included, as ``fock_moments``
+    does; the one level they misread is empty.
     """
-    d = state.cutoff + 1
+    d = state.cutoff + 2
     single = scipy.sparse.diags(np.sqrt(np.arange(1, d, dtype=float)), offsets=1)
     eye = scipy.sparse.identity(d)
     ladders = [
@@ -741,7 +744,10 @@ def sparse_kron_moments(state):
     quads = [(a + a.T) / math.sqrt(2.0) for a in ladders]
     quads += [(a - a.T) / (1j * math.sqrt(2.0)) for a in ladders]
 
-    rho = dense(state) / state.trace()
+    counts = np.arange(state.cutoff + 1)
+    lift = (counts[:, None] * d + counts).ravel()
+    rho = np.zeros((d * d, d * d), dtype=complex)
+    rho[np.ix_(lift, lift)] = dense(state) / state.trace()
 
     def expect(op):
         return complex(op.multiply(rho.T).sum()).real
@@ -766,7 +772,7 @@ class TestMomentsAgainstSparseKron:
 
     def test_dense_multimode_state_matches_reference_route(self):
         # A dense random two-mode state whose totals reach the cutoff, so
-        # the truncated same-mode convention is read in both modes.
+        # the same-mode a a^dag at n = cutoff is read in both modes.
         rng = np.random.default_rng(7)
         cutoff = 4
         blocks = []
@@ -1245,6 +1251,23 @@ class TestCrossCheckReport:
         with pytest.raises(error, match=match):
             oracle_cross_check(SMALL, 0.05, 0.25, 0.3, cutoff)
 
+    @pytest.mark.parametrize("occupancy", [1e-6, 3e-6, 1e-5, 1e-4, 1e-3])
+    @pytest.mark.parametrize("name", ["nbar_b1", "nbar_b2", "nbar_s", "nbar_lo"])
+    def test_single_tiny_occupancy_passes(self, name, occupancy):
+        # One occupancy x, the rest 0, at taps 0.5/0.5: the automatic cutoff
+        # is 1 to 3.  Reading a a^dag as 0 at the cutoff erred by the mass
+        # there (about x at cutoff 1), past the 1e-6 CM tolerance for x in
+        # [1e-6, 1e-5]; read as a^dag a + 1 the error is far below it.
+        values = {"nbar_b1": 0.0, "nbar_b2": 0.0, "nbar_s": 0.0, "nbar_lo": 0.0}
+        values[name] = occupancy
+        scenario = SensingScenario(0.5, 0.5, values["nbar_b1"], values["nbar_b2"])
+        residuals = oracle_cross_check(
+            scenario, values["nbar_s"], values["nbar_lo"], 0.3
+        )
+        assert residuals["cutoff"] <= 3
+        assert residuals["willie_cm_max_err"] <= 1e-9
+        assert residuals["alice_cm_max_err"] <= 1e-9
+
     def test_phase_wrapped_once_for_all_states(self):
         # exp(i theta n) at a huge unwrapped phase keeps no correct digit,
         # so every state must see the phase wrapped into (-pi, pi].
@@ -1328,7 +1351,12 @@ class TestPairBlocks:
 
 class TestPinnedToDenseExponentialRoute:
     """Results recorded from the implementation that built each beam
-    splitter as a sparse lift of per-block matrix exponentials."""
+    splitter as a sparse lift of per-block matrix exponentials.
+
+    The adversary CM residuals were re-recorded when ``fock_moments`` began
+    to read the same-mode a a^dag as a^dag a + 1 at n = cutoff too; they
+    moved by 5.8e-11, 6.6e-11 and 2.5e-12.  The interrogator's moved by
+    under 1e-15 and every other residual did not move."""
 
     # (eta_1, eta_2, nbar_b1, nbar_b2, nbar_s, nbar_lo, theta) -> residuals
     CROSS_CHECKS = [
@@ -1337,7 +1365,7 @@ class TestPinnedToDenseExponentialRoute:
             {
                 "cutoff": 15.0,
                 "willie_mean_max": 0.0,
-                "willie_cm_max_err": 2.3091495382487892e-10,
+                "willie_cm_max_err": 1.7332069113251691e-10,
                 "willie_purity_err": 1.1102230246251565e-16,
                 "willie_qre_err": 4.611113574304326e-12,
                 "alice_mean_max": 0.0,
@@ -1350,7 +1378,7 @@ class TestPinnedToDenseExponentialRoute:
             {
                 "cutoff": 21.0,
                 "willie_mean_max": 0.0,
-                "willie_cm_max_err": 7.870846197022274e-10,
+                "willie_cm_max_err": 7.208377228451468e-10,
                 "willie_purity_err": 1.1102230246251565e-16,
                 "willie_qre_err": 1.1404012283111609e-11,
                 "alice_mean_max": 0.0,
@@ -1363,7 +1391,7 @@ class TestPinnedToDenseExponentialRoute:
             {
                 "cutoff": 27.0,
                 "willie_mean_max": 0.0,
-                "willie_cm_max_err": 7.806506552299197e-10,
+                "willie_cm_max_err": 7.781637556547594e-10,
                 "willie_purity_err": 1.6653345369377348e-16,
                 "willie_qre_err": 8.334898309730887e-12,
                 "alice_mean_max": 0.0,

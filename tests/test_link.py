@@ -5,6 +5,7 @@ from __future__ import annotations
 import math
 
 import pytest
+from conftest import CONSTRUCTION_PATHS
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
@@ -110,6 +111,27 @@ class TestGeometricTransmissivity:
             LinkGeometry(range_m=1000.0, eta_policy="ignore")
         with pytest.raises(ValueError):
             LinkGeometry(range_m=1000.0, area_factor=0.0)
+
+    @pytest.mark.parametrize("path", sorted(CONSTRUCTION_PATHS))
+    @pytest.mark.parametrize(
+        "bad",
+        [
+            dict(range_m=-1.0),
+            dict(t0=math.nan),
+            dict(area_factor=0.3),
+            dict(eta_policy="ignore"),
+            dict(eta_max=1.0),
+        ],
+    )
+    def test_every_geometry_construction_path_validates(self, path, bad):
+        with pytest.raises(ValueError, match=f"^{next(iter(bad))} must"):
+            CONSTRUCTION_PATHS[path](GEOMETRY_3KM, bad)
+
+    def test_geometry_replace_keeps_defaults_and_type(self):
+        clamped = GEOMETRY_3KM._replace(eta_policy="clamp")
+        assert type(clamped) is LinkGeometry
+        assert clamped == LinkGeometry(3000.0, eta_policy="clamp")
+        assert clamped.r_t == 0.04
 
     @pytest.mark.parametrize("name", ["range_m", "r_t", "r_target", "t0", "eta_max"])
     @pytest.mark.parametrize("value", [math.nan, math.inf])

@@ -8,6 +8,7 @@ import struct
 
 import numpy as np
 import pytest
+from conftest import CONSTRUCTION_PATHS
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
@@ -80,6 +81,37 @@ class TestValidation:
     def test_probe_wraps_theta(self):
         probe = ProbeSettings(0.1, 1.0, 2.0 * math.pi + 0.3)
         assert probe.theta == pytest.approx(0.3, abs=1e-12)
+
+    @pytest.mark.parametrize("path", sorted(CONSTRUCTION_PATHS))
+    @pytest.mark.parametrize(
+        "record,bad",
+        [
+            (SensingScenario(0.5, 0.5, 1.0, 1.0), dict(eta_1=2.0)),
+            (SensingScenario(0.5, 0.5, 1.0, 1.0), dict(eta_2=math.nan)),
+            (SensingScenario(0.5, 0.5, 1.0, 1.0), dict(nbar_b2=-1.0)),
+            (ProbeSettings(0.1, 1.0, 0.0), dict(nbar_s=-0.1)),
+            (ProbeSettings(0.1, 1.0, 0.0), dict(nbar_lo=math.inf)),
+            (ProbeSettings(0.1, 1.0, 0.0), dict(theta=math.nan)),
+        ],
+    )
+    def test_every_construction_path_validates(self, path, record, bad):
+        with pytest.raises(ValueError, match=f"^{next(iter(bad))} must"):
+            CONSTRUCTION_PATHS[path](record, bad)
+
+    @pytest.mark.parametrize("path", sorted(CONSTRUCTION_PATHS))
+    def test_every_construction_path_wraps_theta(self, path):
+        probe = CONSTRUCTION_PATHS[path](ProbeSettings(0.1, 1.0, 0.0), {"theta": 10.0})
+        assert type(probe) is ProbeSettings
+        assert probe.theta == wrap_angle(10.0)
+        assert -math.pi < probe.theta <= math.pi
+
+    def test_records_are_tuples(self):
+        scenario = SensingScenario(0.5, 0.25, 1.0, 2.0)
+        assert scenario == (0.5, 0.25, 1.0, 2.0)
+        eta_1, eta_2, _, _ = scenario
+        assert (eta_1, eta_2) == (0.5, 0.25)
+        assert scenario._replace(eta_2=0.5).eta_eff == 0.25
+        assert type(scenario._replace(eta_2=0.5)) is SensingScenario
 
 
 class TestEffectiveChannel:
