@@ -26,18 +26,25 @@ Implementation notes:
   four modes and no amplitude factor is formed; the work is O(cutoff^5)
   in O(cutoff) vectorised calls.
 * The adversary's forward tap keeps both its ports, so its stage is one
-  block per pair total, and the Gram of the return tap, which depends on
-  neither the probe nor the phase, is shared by the adversary states of
-  a cross-check.  The interrogator's forward stage is a family of prefix
-  sums over the photons consumed, stored ragged (no (cutoff + 1)^4
-  array); its return stage weights them by the return bath.
+  block per pair total, and the Gram of the return tap depends on neither
+  the probe nor the phase.  The interrogator's forward stage is a family
+  of prefix sums over the photons consumed, stored ragged (no
+  (cutoff + 1)^4 array); its return stage weights them by the return
+  bath.
+* The private builders take their tables, and a table's length fixes the
+  cutoff.  A cross-check selects one cutoff, from the interrogator's
+  inputs, which dominate both adversaries', and builds each table once
+  at it: the pair blocks of each tap, and the return tap's Gram, which
+  both adversary states read.  Each public state builder selects its own
+  cutoff and builds its own tables.
 * Photon number is conserved and the baths are diagonal, so the phase
   only conjugates each output block by a diagonal of exp(i theta n).  A
   state therefore holds real theta-free blocks plus that phase, and each
-  real block family is eigendecomposed once, when it is validated: the
-  interrogator states of a cross-check share one real build and one
-  decomposition.  Only a relative phase between two states reaches the
-  QRE and the fidelity, and none reaches the spectra, purity or trace.
+  real block family is eigendecomposed once, when it is validated: a
+  cross-check builds one interrogator state and turns it to the second
+  phase, so the two share one real build and one decomposition.  Only a
+  relative phase between two states reaches the QRE and the fidelity,
+  and none reaches the spectra, purity or trace.
 * ``cutoff`` is the total-photon truncation: the inputs are truncated to
   at most ``cutoff`` photons in all, a state holds the blocks of totals
   0..cutoff, and ``tail_bound`` accounts for the discarded joint tail
@@ -55,7 +62,6 @@ theta on mode i sends a_i -> exp(i theta) a_i.
 from __future__ import annotations
 
 import cmath
-import contextvars
 import functools
 import math
 
@@ -244,15 +250,23 @@ def _joint_tail(occupancies: list[float], upto: int) -> np.ndarray:
     return 1.0 - np.cumsum(pmf[:length])
 
 
+def _tail_at(occupancies: list[float], cutoff: int) -> float:
+    """P(total photons > cutoff) for independent thermal inputs, at least 0."""
+    return float(max(_joint_tail(occupancies, cutoff)[cutoff], 0.0))
+
+
 def _select_total_cutoff(
     occupancies: list[float], cutoff: int | None
 ) -> tuple[int, float]:
     """(cutoff, actual joint tail), enforcing the tail bound and photon cap.
 
     An explicit cutoff outside [0, MAX_TOTAL_PHOTONS] is refused before
-    any tail is computed.  A chosen cutoff is at least 1: ``fock_moments``
-    no longer needs that floor, but it keeps every input's cutoff where
-    it was.
+    any tail is computed, and one whose tail is too heavy is refused
+    naming the least cutoff these inputs accept.  A chosen cutoff is at
+    least 1: ``fock_moments`` no longer needs that floor, but it keeps
+    every input's cutoff where it was.  Either way the tail is read by
+    ``_tail_at``, so a state gets the same tail at a cutoff however that
+    cutoff was reached.
     """
     if cutoff is not None:
         if cutoff < 0:
@@ -261,62 +275,31 @@ def _select_total_cutoff(
             raise CutoffError(
                 f"cutoff {cutoff} exceeds the supported cap {MAX_TOTAL_PHOTONS}"
             )
-    probe_to = MAX_TOTAL_PHOTONS if cutoff is None else max(cutoff, 1)
-    tails = _joint_tail(occupancies, probe_to)
-    if cutoff is None:
-        hits = np.nonzero(tails <= _TAIL_BOUND)[0]
-        if hits.size == 0:
-            raise CutoffError(
-                f"inputs {occupancies} need a total-photon cutoff above the "
-                f"cap {MAX_TOTAL_PHOTONS} to reach tail mass {_TAIL_BOUND:g} "
-                f"(tail at the cap: {tails[-1]:.3e})"
-            )
-        chosen = max(int(hits[0]), 1)
-        return chosen, float(max(tails[chosen], 0.0))
-    actual = float(max(tails[cutoff], 0.0))
-    if actual > _TAIL_BOUND:
-        wide = _joint_tail(occupancies, MAX_TOTAL_PHOTONS)
-        hits = np.nonzero(wide <= _TAIL_BOUND)[0]
+        actual = _tail_at(occupancies, cutoff)
+        if actual <= _TAIL_BOUND:
+            return cutoff, actual
+    tails = _joint_tail(occupancies, MAX_TOTAL_PHOTONS)
+    hits = np.nonzero(tails <= _TAIL_BOUND)[0]
+    if cutoff is not None:
         need = str(int(hits[0])) if hits.size else f"> {MAX_TOTAL_PHOTONS}"
         raise CutoffError(
             f"cutoff {cutoff} leaves tail mass {actual:.3e} > "
             f"{_TAIL_BOUND:g}; required cutoff: {need}"
         )
-    return cutoff, actual
+    if hits.size == 0:
+        raise CutoffError(
+            f"inputs {occupancies} need a total-photon cutoff above the "
+            f"cap {MAX_TOTAL_PHOTONS} to reach tail mass {_TAIL_BOUND:g} "
+            f"(tail at the cap: {tails[-1]:.3e})"
+        )
+    chosen = max(int(hits[0]), 1)
+    return chosen, _tail_at(occupancies, chosen)
 
 
 # ---------------------------------------------------------------------------
 # Total-photon blocks and the taps as channels
 # ---------------------------------------------------------------------------
 
-#: Memo for the tables of one ``oracle_cross_check`` call, so its four
-#: states build each pair-block table once, its two adversary states share the
-#: return tap's Gram and its two interrogator states share their
-#: phase-independent build and its eigenpairs.  Set and reset around that
-#: call only; the state builders keep their signatures and nothing outlives
-#: the call.
-_CALL_MEMO: contextvars.ContextVar[dict | None] = contextvars.ContextVar(
-    "covertsense_fock_call_memo", default=None
-)
-
-
-def _call_memoised(fn):
-    """Memoise ``fn`` inside an ``oracle_cross_check`` call; no-op outside."""
-
-    @functools.wraps(fn)
-    def wrapper(*args):
-        memo = _CALL_MEMO.get()
-        if memo is None:
-            return fn(*args)
-        key = (fn.__name__, *args)
-        if key not in memo:
-            memo[key] = fn(*args)
-        return memo[key]
-
-    return wrapper
-
-
-@_call_memoised
 def _pair_blocks(eta: float, cutoff: int) -> np.ndarray:
     """Beam-splitter amplitudes on fixed pair totals ``m = 0..cutoff``.
 
@@ -369,15 +352,16 @@ def _check_occupancies(**named: float) -> None:
 
 
 def _forward_tap_blocks(
-    nbar_b1: float, nbar_s: float, eta_1: float, cutoff: int
+    table: np.ndarray, nbar_b1: float, nbar_s: float
 ) -> np.ndarray:
     """The adversary's (forward tap, signal) state after the forward tap.
 
-    Entry ``[k]`` is the block of pair total k on the forward-tap count,
-    B_k diag(p_b1(y) p_s(k - y)) B_k^T with B_k the pair block of the tap,
-    zero-padded to (cutoff + 1) x (cutoff + 1).
+    ``table`` holds the tap's pair blocks (``_pair_blocks``) up to the
+    cutoff.  Entry ``[k]`` is the block of pair total k on the forward-tap
+    count, B_k diag(p_b1(y) p_s(k - y)) B_k^T with B_k the pair block of
+    the tap, zero-padded to (cutoff + 1) x (cutoff + 1).
     """
-    table = _pair_blocks(eta_1, cutoff)
+    cutoff = len(table) - 1
     pmf_b1 = _geometric_pmf(nbar_b1, cutoff + 1)
     pmf_s = _geometric_pmf(nbar_s, cutoff + 1)
     total = np.arange(cutoff + 1)[:, None]
@@ -386,9 +370,9 @@ def _forward_tap_blocks(
     return (table * probs[:, None, :]) @ table.transpose(0, 2, 1)
 
 
-@_call_memoised
-def _return_gram(eta_2: float, nbar_b2: float, cutoff: int) -> list[np.ndarray]:
-    """The adversary's return tap as weights on the forward-tap blocks.
+def _return_gram(table: np.ndarray, nbar_b2: float) -> list[np.ndarray]:
+    """The adversary's return tap, of pair blocks ``table``, as weights on
+    the forward-tap blocks.
 
     The tap mixes the bath (count j, probability p_b2(j)) into the signal;
     the adversary keeps the bath port (count a) and the signal port (count
@@ -403,7 +387,7 @@ def _return_gram(eta_2: float, nbar_b2: float, cutoff: int) -> list[np.ndarray]:
     K has shape (cutoff + 1, K + 1, K + 1).  It depends neither on the
     probe nor on the phase.
     """
-    table = _pair_blocks(eta_2, cutoff)
+    cutoff = len(table) - 1
     root = np.sqrt(_geometric_pmf(nbar_b2, cutoff + 1))
     forward_total = np.arange(cutoff + 1)[:, None, None]
     grams = []
@@ -434,13 +418,11 @@ def oracle_willie_state(
     (return-path tap, forward-path tap).  The retained reference mode
     never couples to the adversary and is omitted.
 
-    The forward tap keeps both its ports, so its stage is one block per
-    pair total; the return tap then acts as a one-mode channel on the
-    signal, through ``_return_gram``.  The inputs are truncated to
-    n_b2 + n_b1 + n_s <= cutoff.  The return tap conserves photon number
-    and its bath is diagonal, so the phase only conjugates each output
-    block by diag(exp(i theta a)) on the kept count a: the state holds the
-    real blocks at theta = 0 and ``theta`` as its phase.
+    The inputs are truncated to n_b2 + n_b1 + n_s <= cutoff, and the
+    state is built by ``_willie_state``.  The return tap conserves photon
+    number and its bath is diagonal, so the phase only conjugates each
+    output block by diag(exp(i theta a)) on the kept count a: the state
+    holds the real blocks at theta = 0 and ``theta`` as its phase.
 
     A ``theta`` outside (-pi, pi] is wrapped on entry, since
     exp(i theta n) keeps no correct digit at a huge phase; one inside is
@@ -455,10 +437,27 @@ def oracle_willie_state(
         theta = wrap_angle(theta)
     occ = [scenario.nbar_b2, scenario.nbar_b1, nbar_s]
     total_cutoff, actual_tail = _select_total_cutoff(occ, cutoff)
-    forward = _forward_tap_blocks(
-        scenario.nbar_b1, nbar_s, scenario.eta_1, total_cutoff
-    )
-    grams = _return_gram(scenario.eta_2, scenario.nbar_b2, total_cutoff)
+    forward_table = _pair_blocks(scenario.eta_1, total_cutoff)
+    grams = _return_gram(_pair_blocks(scenario.eta_2, total_cutoff), scenario.nbar_b2)
+    state = _willie_state(scenario, nbar_s, forward_table, grams, actual_tail)
+    return state.with_phase(theta)
+
+
+def _willie_state(
+    scenario: SensingScenario,
+    nbar_s: float,
+    forward_table: np.ndarray,
+    grams: list[np.ndarray],
+    tail_bound: float,
+) -> FockDensityMatrix:
+    """The adversary's validated state at theta = 0, from the forward tap's
+    pair blocks and the return tap's Gram (``_return_gram``) at one cutoff.
+
+    The forward tap keeps both its ports, so its stage is one block per
+    pair total (``_forward_tap_blocks``); the return tap then acts as a
+    one-mode channel on the signal, through the Gram.
+    """
+    forward = _forward_tap_blocks(forward_table, scenario.nbar_b1, nbar_s)
     blocks = [
         # Summed on n1, then reversed onto the kept count a = K - n1.
         np.einsum("kij,kij->ij", gram, forward[:, : total + 1, : total + 1])[
@@ -466,7 +465,7 @@ def oracle_willie_state(
         ]
         for total, gram in enumerate(grams)
     ]
-    return _finish(blocks, total_cutoff, actual_tail).with_phase(theta)
+    return _finish(blocks, tail_bound)
 
 
 def _split_amplitudes(ratio: float, cutoff: int) -> np.ndarray:
@@ -498,9 +497,10 @@ def _sqrt_binomials(cutoff: int) -> np.ndarray:
 
 
 def _forward_prefixes(
-    nbar_b1: float, nbar_s: float, nbar_lo: float, eta_1: float, cutoff: int
+    tap: np.ndarray, nbar_b1: float, nbar_s: float, nbar_lo: float
 ) -> list[np.ndarray]:
-    """The interrogator's (signal, reference) state after the forward tap.
+    """The interrogator's (signal, reference) state after the forward tap,
+    of pair blocks ``tap`` up to the cutoff.
 
     The source beam (occupancy nbar_s + nbar_lo, count n) is split against
     the vacuum reference, which leaves the amplitude V_n[r] = U_n[r, 0] of
@@ -518,13 +518,13 @@ def _forward_prefixes(
     Entry ``[k]`` has shape (cutoff - k + 1, k + 1, k + 1), so the family
     holds no (cutoff + 1)^4 array.
     """
+    cutoff = len(tap) - 1
     source_total = nbar_s + nbar_lo
     # Source split: reference is the eta port so the signal keeps
     # nbar_s with a positive q-q/p-p cross-correlation.
     split = _split_amplitudes(
         0.0 if source_total == 0.0 else nbar_s / source_total, cutoff
     )
-    tap = _pair_blocks(eta_1, cutoff)
     pmf_b1 = _geometric_pmf(nbar_b1, cutoff + 1)
     pmf_source = _geometric_pmf(source_total, cutoff + 1)
     bath = np.arange(cutoff + 1)[None, :, None]
@@ -547,16 +547,17 @@ def _forward_prefixes(
     return prefixes
 
 
-@_call_memoised
 def _interrogator_state(
     scenario: SensingScenario,
     nbar_s: float,
     nbar_lo: float,
-    cutoff: int,
+    forward_table: np.ndarray,
+    return_table: np.ndarray,
     tail_bound: float,
 ) -> FockDensityMatrix:
     """The interrogator's validated state at theta = 0, whose real blocks
-    are on the signal count.
+    are on the signal count, from the pair blocks of the forward and the
+    return tap at one cutoff.
 
     The return bath (count n0) is untouched before its tap, so the input
     of the return tap is block-diagonal over n0 with weights
@@ -572,10 +573,8 @@ def _interrogator_state(
     with pair totals m = k + n0 - r and m' = k + n0 - r'.  No phase enters:
     see ``oracle_alice_state``.
     """
-    prefixes = _forward_prefixes(
-        scenario.nbar_b1, nbar_s, nbar_lo, scenario.eta_1, cutoff
-    )
-    table = _pair_blocks(scenario.eta_2, cutoff)
+    cutoff = len(return_table) - 1
+    prefixes = _forward_prefixes(forward_table, scenario.nbar_b1, nbar_s, nbar_lo)
     pmf_b2 = _geometric_pmf(scenario.nbar_b2, cutoff + 1)
     root = np.sqrt(pmf_b2)
     out = np.zeros((cutoff + 1,) * 3)  # [K, r, r'], zero-padded
@@ -589,7 +588,7 @@ def _interrogator_state(
         traced = np.where(inside, traced, 0)
         # (n0, K, r); an index past a pair block reads zero.
         amp = np.where(
-            inside, root[bath] * table[total + bath - ref, traced, bath], 0.0
+            inside, root[bath] * return_table[total + bath - ref, traced, bath], 0.0
         )
         sigma = prefix[cutoff - total - bath[:, 0, 0]]
         out[:, : total + 1, : total + 1] += np.einsum(
@@ -597,7 +596,7 @@ def _interrogator_state(
         )
     # Reversed onto the signal count u = K - r.
     blocks = [out[total, total::-1, total::-1] for total in range(cutoff + 1)]
-    return _finish(blocks, cutoff, tail_bound)
+    return _finish(blocks, tail_bound)
 
 
 def oracle_alice_state(
@@ -623,8 +622,7 @@ def oracle_alice_state(
     Photon number is conserved and both baths are diagonal, so the phase
     only conjugates each output block by diag(exp(i theta u)) on the
     signal count u: the state holds the real build at theta = 0 and
-    ``probe.theta`` as its phase, and the two interrogator states of a
-    cross-check share that build and its eigenpairs.
+    ``probe.theta`` as its phase.
     """
     source_total = probe.nbar_s + probe.nbar_lo
     _check_occupancies(
@@ -635,18 +633,21 @@ def oracle_alice_state(
     occ = [scenario.nbar_b2, scenario.nbar_b1, source_total]
     total_cutoff, actual_tail = _select_total_cutoff(occ, cutoff)
     state = _interrogator_state(
-        scenario, probe.nbar_s, probe.nbar_lo, total_cutoff, actual_tail
+        scenario,
+        probe.nbar_s,
+        probe.nbar_lo,
+        _pair_blocks(scenario.eta_1, total_cutoff),
+        _pair_blocks(scenario.eta_2, total_cutoff),
+        actual_tail,
     )
     return state.with_phase(probe.theta)
 
 
-def _finish(
-    blocks: list[np.ndarray], cutoff: int, tail_bound: float
-) -> FockDensityMatrix:
+def _finish(blocks: list[np.ndarray], tail_bound: float) -> FockDensityMatrix:
     """Real block K of photon total K, symmetrised, as a validated state at
     phase 0; the validation decomposes each block once."""
     return FockDensityMatrix(
-        cutoff, [(block + block.T) / 2.0 for block in blocks], tail_bound
+        len(blocks) - 1, [(block + block.T) / 2.0 for block in blocks], tail_bound
     ).require_valid()
 
 
@@ -804,6 +805,15 @@ def oracle_cross_check(
     the worst moment deviations and the QRE/fidelity/purity differences.
     Every value should be small; the test suite pins the tolerances.
     ``theta`` is wrapped into (-pi, pi] once, here, for all four states.
+
+    The cutoff, automatic or explicit, is selected once, on the
+    interrogator's inputs (nbar_b2, nbar_b1, nbar_s + nbar_lo), before
+    any state is built; they dominate both adversaries' inputs, so it
+    serves all four states, and a refused explicit cutoff names the
+    cutoff this check accepts.  The pair blocks of each tap and the
+    return tap's Gram are built once and passed to the builders; the
+    second interrogator state is the first turned to its phase.  Each
+    adversary state keeps its own tail mass at the shared cutoff.
     """
     from .covertness import willie_qre
     from .estimation import gaussian_fidelity
@@ -822,25 +832,26 @@ def oracle_cross_check(
         raise ValueError(f"theta must be finite, got {theta}")
     theta = wrap_angle(theta)
     occ = [scenario.nbar_b2, scenario.nbar_b1, nbar_s + nbar_lo]
-    shared = (
-        _select_total_cutoff(occ, cutoff)[0]
-        if cutoff is None
-        else cutoff
+    shared, alice_tail = _select_total_cutoff(occ, cutoff)
+    forward_table = _pair_blocks(scenario.eta_1, shared)
+    return_table = _pair_blocks(scenario.eta_2, shared)
+    grams = _return_gram(return_table, scenario.nbar_b2)
+    w_off, w_on = (
+        _willie_state(
+            scenario,
+            n,
+            forward_table,
+            grams,
+            _tail_at([scenario.nbar_b2, scenario.nbar_b1, n], shared),
+        ).with_phase(theta)
+        for n in (0.0, nbar_s)
     )
-
     probe_a = ProbeSettings(nbar_s=nbar_s, nbar_lo=nbar_lo, theta=theta)
     probe_b = ProbeSettings(nbar_s=nbar_s, nbar_lo=nbar_lo, theta=theta + 0.1)
-    # The two adversary states share their pair blocks and the return
-    # tap's Gram; the two interrogator states share one build at theta = 0
-    # (theta only conjugates its blocks by a phase diagonal).
-    memo = _CALL_MEMO.set({})
-    try:
-        w_off = oracle_willie_state(scenario, 0.0, theta, shared)
-        w_on = oracle_willie_state(scenario, nbar_s, theta, shared)
-        a_state_a = oracle_alice_state(scenario, probe_a, shared)
-        a_state_b = oracle_alice_state(scenario, probe_b, shared)
-    finally:
-        _CALL_MEMO.reset(memo)
+    a_state_a = _interrogator_state(
+        scenario, nbar_s, nbar_lo, forward_table, return_table, alice_tail
+    ).with_phase(probe_a.theta)
+    a_state_b = a_state_a.with_phase(probe_b.theta)
 
     mean, cov = fock_moments(w_on)
     w_cm = willie_cm(scenario, nbar_s, theta)

@@ -276,6 +276,22 @@ class TestOracleCheckCommand:
         assert residuals["alice_cm_max_err"] <= 1e-9
 
 
+    def test_refused_cutoff_advice_is_accepted(self, capsys, monkeypatch):
+        # The advice is the cutoff the interrogator's inputs need, which
+        # serves every state of the check.
+        monkeypatch.delenv("COVERTSENSE_CONFIG", raising=False)
+        argv = ["oracle-check", "--eta1", "0.6", "--eta2", "0.7", "--nb1", "0.4",
+                "--nb2", "0.5", "--ns", "0.05", "--nlo", "0.3"]
+        assert main([*argv, "--cutoff", "17"]) == 1
+        error = json.loads(capsys.readouterr().out)["error"]
+        assert error["type"] == "CutoffError"
+        assert error["message"].endswith("required cutoff: 23")
+        assert main([*argv, "--cutoff", "23"]) == 0
+        results = json.loads(capsys.readouterr().out)["results"]
+        assert results["passed"] is True
+        assert results["residuals"]["cutoff"] == 23
+
+
 class TestConfigResolution:
     def test_config_file_fills_defaults(self, tmp_path):
         config = tmp_path / "run.conf"

@@ -683,8 +683,10 @@ class TestForwardPrefixesAgainstThreeModeRoute:
     def test_prefix_blocks_match(self, point):
         # The new stage is on the reference count, the factors' rows on the
         # signal count, so each block is read reversed.
-        cutoff = point[-1]
-        prefixes = fock._forward_prefixes(*point)
+        nbar_b1, nbar_s, nbar_lo, eta_1, cutoff = point
+        prefixes = fock._forward_prefixes(
+            _pair_blocks(eta_1, cutoff), nbar_b1, nbar_s, nbar_lo
+        )
         factors = _forward_factors(*point)
         for total, prefix in enumerate(prefixes):
             # Ragged: sigma^(s)_k for s = k..cutoff only.
@@ -842,9 +844,9 @@ class TestBlockRouteAgainstDenseRoute:
         raw = []
         finish = fock._finish
 
-        def recording(blocks, cutoff, tail_bound):
+        def recording(blocks, tail_bound):
             raw.extend(block.copy() for block in blocks)
-            return finish(blocks, cutoff, tail_bound)
+            return finish(blocks, tail_bound)
 
         monkeypatch.setattr(fock, "_finish", recording)
         state = request.param(self.SCENARIO)
@@ -883,30 +885,74 @@ class TestBlockRouteAgainstDenseRoute:
             bad.require_valid()
 
 
-class TestCallMemo:
-    def test_cross_check_builds_one_forward_part(self, monkeypatch):
-        calls = {
-            name: []
-            for name in ("_forward_prefixes", "_interrogator_state", "_return_gram")
-        }
-        for name, results in calls.items():
+def recording_calls(monkeypatch, *names):
+    """Wrap the named ``fock`` functions; return {name: [(args, result)]}."""
+    calls = {name: [] for name in names}
+    for name, record in calls.items():
 
-            def recording(*args, _real=getattr(fock, name), _results=results):
-                _results.append(_real(*args))
-                return _results[-1]
+        def recording(*args, _real=getattr(fock, name), _record=record):
+            _record.append((args, _real(*args)))
+            return _record[-1][1]
 
-            monkeypatch.setattr(fock, name, recording)
+        monkeypatch.setattr(fock, name, recording)
+    return calls
+
+
+def refusing_builders(monkeypatch):
+    """Make every table and state builder of a cross-check fail the test
+    when called; return the list of calls, which should stay empty."""
+    built = []
+    names = ("_pair_blocks", "_return_gram", "_willie_state", "_interrogator_state")
+    for name in names:
+
+        def refusing(*args, _name=name):
+            built.append(_name)
+            raise AssertionError(f"{_name} was called")
+
+        monkeypatch.setattr(fock, name, refusing)
+    return built
+
+
+class TestSharedTables:
+    def test_cross_check_builds_each_table_once(self, monkeypatch):
+        calls = recording_calls(
+            monkeypatch,
+            "_select_total_cutoff",
+            "_pair_blocks",
+            "_return_gram",
+            "_forward_prefixes",
+            "_willie_state",
+            "_interrogator_state",
+        )
         oracle_cross_check(SMALL, 0.05, 0.25, 0.3)
-        # Both interrogator states get the one memoised state at theta = 0,
-        # whose build runs the forward stage once; both adversary states get
-        # the one memoised Gram of the return tap.
-        states = calls["_interrogator_state"]
-        assert len(states) == 2
-        assert states[0] is states[1]
-        assert len(calls["_forward_prefixes"]) == 1
-        grams = calls["_return_gram"]
-        assert len(grams) == 2
-        assert grams[0] is grams[1]
+        # One cutoff, selected on the interrogator's inputs, for all four
+        # states.
+        (((occ, cutoff), (shared, _)),) = calls["_select_total_cutoff"]
+        assert occ == [SMALL.nbar_b2, SMALL.nbar_b1, 0.05 + 0.25]
+        assert cutoff is None
+        # One pair-block table per tap (SMALL's taps are equal; each still
+        # gets its own table).
+        tables = calls["_pair_blocks"]
+        assert [args for args, _ in tables] == [
+            (SMALL.eta_1, shared),
+            (SMALL.eta_2, shared),
+        ]
+        forward_table, return_table = (table for _, table in tables)
+        # One Gram of the return tap, which both adversary states read.
+        ((gram_args, grams),) = calls["_return_gram"]
+        assert gram_args[0] is return_table
+        adversaries = calls["_willie_state"]
+        assert [args[1] for args, _ in adversaries] == [0.0, 0.05]
+        for args, _ in adversaries:
+            assert args[2] is forward_table
+            assert args[3] is grams
+        # One interrogator build, for both phases, whose forward stage
+        # runs once.
+        ((alice_args, _),) = calls["_interrogator_state"]
+        assert alice_args[3] is forward_table
+        assert alice_args[4] is return_table
+        ((prefix_args, _),) = calls["_forward_prefixes"]
+        assert prefix_args[0] is forward_table
 
 
 def grid_qre(rho_0, rho_1):
@@ -1001,22 +1047,14 @@ def counting_lapack(monkeypatch):
 
 class TestOneDecompositionPerBlockFamily:
     def test_cross_check_decomposes_each_real_block_family_once(self, monkeypatch):
-        families = []
-        finish = fock._finish
-
-        def recording(*args):
-            families.append(finish(*args))
-            return families[-1]
-
-        monkeypatch.setattr(fock, "_finish", recording)
-        states = []
-        for name in ("oracle_willie_state", "oracle_alice_state"):
-
-            def keeping(*args, _real=getattr(fock, name)):
-                states.append(_real(*args))
-                return states[-1]
-
-            monkeypatch.setattr(fock, name, keeping)
+        recorded = recording_calls(
+            monkeypatch,
+            "_finish",
+            "_willie_state",
+            "_interrogator_state",
+            "oracle_qre",
+            "oracle_fidelity",
+        )
         spectra = []
         spectrum = fock._block_spectrum
 
@@ -1029,9 +1067,20 @@ class TestOneDecompositionPerBlockFamily:
         oracle_cross_check(SMALL, 0.05, 0.25, 0.3)
 
         # Three real families: the adversary without and with the probe,
-        # and the one interrogator build that both phases share.
-        w_off, w_on, a_state_a, a_state_b = states
+        # and the one interrogator build that both phases share.  The
+        # builders return them, and the QRE and fidelity read them.
+        families = [family for _, family in recorded["_finish"]]
+        built = [
+            state
+            for name in ("_willie_state", "_interrogator_state")
+            for _, state in recorded[name]
+        ]
         assert len(families) == 3
+        for state, family in zip(built, families, strict=True):
+            assert state is family
+        (((w_off, w_on), _),) = recorded["oracle_qre"]
+        (((a_state_a, a_state_b), _),) = recorded["oracle_fidelity"]
+        states = [w_off, w_on, a_state_a, a_state_b]
         for state, family in zip(states, families + families[2:]):
             assert state.blocks is family.blocks
             assert state._eigenpairs is family._eigenpairs
@@ -1221,16 +1270,24 @@ class TestCrossCheckReport:
             oracle_cross_check(SMALL, 0.05, 2.5, 0.3)
 
     def test_source_total_refused_before_any_state(self, monkeypatch):
-        built = []
-
-        def recording(*args, **kwargs):
-            built.append(args)
-            raise AssertionError("a state was built")
-
-        monkeypatch.setattr(fock, "oracle_willie_state", recording)
-        monkeypatch.setattr(fock, "oracle_alice_state", recording)
+        built = refusing_builders(monkeypatch)
         with pytest.raises(ValueError, match=r"nbar_s \+ nbar_lo = 2\.2 exceeds 2"):
             oracle_cross_check(SensingScenario(0.5, 0.5, 0.01, 0.01), 1.2, 1.0, 0.3)
+        assert built == []
+
+    #: Where the probe-off adversary accepts cutoff 22 and the interrogator,
+    #: whose inputs dominate, needs 23.
+    ADVICE = SensingScenario(0.6, 0.7, 0.4, 0.5)
+
+    def test_refused_cutoff_names_the_cutoff_the_check_accepts(self):
+        with pytest.raises(CutoffError, match=r"cutoff 17 .*required cutoff: 23$"):
+            oracle_cross_check(self.ADVICE, 0.05, 0.3, 0.3, 17)
+        assert oracle_cross_check(self.ADVICE, 0.05, 0.3, 0.3, 23)["cutoff"] == 23.0
+
+    def test_short_cutoff_refused_before_any_state(self, monkeypatch):
+        built = refusing_builders(monkeypatch)
+        with pytest.raises(CutoffError, match=r"cutoff 22 .*required cutoff: 23$"):
+            oracle_cross_check(self.ADVICE, 0.05, 0.3, 0.3, 22)
         assert built == []
 
     @pytest.mark.parametrize("name,args", [
