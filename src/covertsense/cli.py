@@ -25,8 +25,9 @@ Output contracts:
   bare plot data — header plus rows — and the resolved config goes to
   stderr instead so the stream stays machine-readable.
 * Exit codes: 0 success; 1 domain error, or numpy missing for ``mse-mc``
-  or ``oracle-check`` (a machine-readable error object is printed);
-  2 usage error.
+  or ``oracle-check`` (a machine-readable error object is printed), or a
+  stdout closed by its reader (quietly, with no error object); 2 usage
+  error.
 
 All quantities are SI base units (meters, hertz, seconds, kelvin); no
 unit-suffix parsing.
@@ -270,16 +271,23 @@ def _nonfinite(value: Any, path: str) -> tuple[str, float] | None:
     return None
 
 
+def _refuse_nonfinite(value: Any, path: str = "") -> None:
+    """Refuse output holding NaN or infinity, naming the first such value."""
+    found = _nonfinite(value, path)
+    if found is not None:
+        raise ValueError(
+            f"{found[0]} evaluates to {found[1]!r}: an input is outside the "
+            "range where the model gives a finite answer"
+        )
+
+
 def _emit_json(payload: dict[str, Any]) -> None:
     """Write strict JSON; refuse a report holding NaN or infinity."""
     try:
         text = json.dumps(payload, sort_keys=True, indent=2, allow_nan=False)
     except ValueError:
-        path, value = _nonfinite(payload, "")
-        raise ValueError(
-            f"{path} evaluates to {value!r}: an input is outside the range "
-            "where the model gives a finite answer"
-        ) from None
+        _refuse_nonfinite(payload)
+        raise
     sys.stdout.write(text + "\n")
 
 
@@ -448,6 +456,7 @@ def _cmd_sweep(config: dict[str, Any]) -> int:
         _emit_error(exc, stream=sys.stderr)
         return 1
     if config["format"] == "csv":
+        _refuse_nonfinite([{"c_ase": row.c_ase, "b": row.b} for row in rows], "rows")
         emit_csv(rows)
         sys.stderr.write(
             json.dumps({"config": config, "metadata": _metadata(None)}, sort_keys=True)
@@ -546,9 +555,11 @@ def _cmd_reproduce_paper(config: dict[str, Any]) -> int:
         bandwidth=config["W"],
         integration_time=config["T"],
     )
+    results = _plain(report)
     if config["format"] == "json":
-        _report("reproduce-paper", config, _plain(report))
+        _report("reproduce-paper", config, results)
     else:
+        _refuse_nonfinite(results, "results")
         sys.stdout.write(_format_reproduce_table(report))
     return 0
 
@@ -630,19 +641,29 @@ def main(argv: Sequence[str] | None = None) -> int:
         parser.exit(2, f"covertsense: {exc}\n")
 
     try:
-        return _HANDLERS[args.command](config)
-    except _UsageError as exc:
-        parser.exit(2, f"covertsense: {exc}\n")
-    except (
-        DomainError,
-        NumericalInstabilityError,
-        ValueError,
-        OverflowError,
-        # numpy is imported only by the commands that compute with it.
-        ModuleNotFoundError,
-    ) as exc:
-        _emit_error(exc)
+        try:
+            code = _HANDLERS[args.command](config)
+        except _UsageError as exc:
+            parser.exit(2, f"covertsense: {exc}\n")
+        except (
+            DomainError,
+            NumericalInstabilityError,
+            ValueError,
+            OverflowError,
+            # numpy is imported only by the commands that compute with it.
+            ModuleNotFoundError,
+        ) as exc:
+            _emit_error(exc)
+            code = 1
+        sys.stdout.flush()
+    except BrokenPipeError:
+        # The reader closed stdout (``| head``).  Point stdout at devnull so
+        # the flush at interpreter exit cannot fail a second time.
+        devnull = os.open(os.devnull, os.O_WRONLY)
+        os.dup2(devnull, sys.stdout.fileno())
+        os.close(devnull)
         return 1
+    return code
 
 
 if __name__ == "__main__":

@@ -239,14 +239,14 @@ def mse_bound_b(
     integration_time: float,
 ) -> float:
     """MSE lower bound B = c_ase(lambda) / (eps sqrt(floor(W T)))."""
-    check_positive("epsilon", epsilon)
-    n = _mode_count(bandwidth, integration_time)
+    scale = _bound_scale(epsilon, bandwidth, integration_time)
     _, _, c_ase = c_ase_at(wavelength, geometry)
-    return c_ase / (epsilon * math.sqrt(n))
+    return c_ase / scale
 
 
-def _mode_count(bandwidth: float, integration_time: float) -> int:
-    """Channel count floor(W T), naming W or T when either is unusable."""
+def _bound_scale(epsilon: float, bandwidth: float, integration_time: float) -> float:
+    """Bound divisor eps sqrt(floor(W T)), naming eps, W or T when unusable."""
+    check_positive("epsilon", epsilon)
     check_positive("bandwidth W", bandwidth)
     check_positive("integration time T", integration_time)
     product = bandwidth * integration_time
@@ -258,7 +258,28 @@ def _mode_count(bandwidth: float, integration_time: float) -> int:
     n = int(math.floor(product))
     if n < 1:
         raise ValueError(f"time-bandwidth product {product:g} yields no usable mode")
-    return n
+    return epsilon * math.sqrt(n)
+
+
+def _link_row(
+    f: float, wavelength: float, geometry: LinkGeometry, scale: float
+) -> SweepRow:
+    """The link at one point, flagged rather than raised when invalid.
+
+    Near-field under the error policy flags ``"near-field"``, a degenerate
+    scenario ``"degenerate"``; ``scale`` is the bound divisor.
+    """
+    # c_ase_at's inputs, each computed once for the row.
+    nbar_b = planck_occupancy(wavelength, geometry.t0)
+    try:
+        eta = geometric_transmissivity(wavelength, geometry)
+    except NearFieldError:
+        return SweepRow(f, wavelength, None, nbar_b, None, None, "near-field")
+    try:
+        c_ase = _c_ase(eta, nbar_b)
+    except DomainError:
+        return SweepRow(f, wavelength, eta, nbar_b, None, None, "degenerate")
+    return SweepRow(f, wavelength, eta, nbar_b, c_ase, c_ase / scale)
 
 
 def sweep_frequency(
@@ -287,34 +308,13 @@ def sweep_frequency(
         raise ValueError(f"need f_min < f_max, got {f_min} >= {f_max}")
     if points < 2:
         raise ValueError(f"need at least two sweep points, got {points}")
-    check_positive("epsilon", epsilon)
-    n = _mode_count(bandwidth, integration_time)
-    root_n = math.sqrt(n)
+    scale = _bound_scale(epsilon, bandwidth, integration_time)
 
     rows: list[SweepRow] = []
     step = (f_max - f_min) / (points - 1)
     for i in range(points):
         f = f_min + step * i
-        wavelength = SPEED_OF_LIGHT / f
-        # c_ase_at's inputs, each computed once for the row.
-        nbar_b = planck_occupancy(wavelength, geometry.t0)
-        try:
-            eta = geometric_transmissivity(wavelength, geometry)
-        except NearFieldError:
-            rows.append(
-                SweepRow(f, wavelength, None, nbar_b, None, None, "near-field")
-            )
-            continue
-        try:
-            c_ase = _c_ase(eta, nbar_b)
-        except DomainError:
-            rows.append(
-                SweepRow(f, wavelength, eta, nbar_b, None, None, "degenerate")
-            )
-            continue
-        rows.append(
-            SweepRow(f, wavelength, eta, nbar_b, c_ase, c_ase / (epsilon * root_n))
-        )
+        rows.append(_link_row(f, SPEED_OF_LIGHT / f, geometry, scale))
     if not any(row.valid for row in rows):
         raise EmptySweepError(
             f"no valid link point in [{f_min:g}, {f_max:g}] Hz for this geometry"
@@ -380,8 +380,7 @@ def optimize_wavelength(
     check_positive("lambda_hi", hi)
     if not lo < hi:
         raise ValueError(f"need lambda_lo < lambda_hi, got {lambda_bracket}")
-    check_positive("epsilon", epsilon)
-    n = _mode_count(bandwidth, integration_time)
+    scale = _bound_scale(epsilon, bandwidth, integration_time)
 
     def objective(wavelength: float) -> float:
         try:
@@ -403,7 +402,9 @@ def optimize_wavelength(
     x1 = b_edge - _GOLDEN * (b_edge - a)
     x2 = a + _GOLDEN * (b_edge - a)
     f1, f2 = objective(x1), objective(x2)
-    while b_edge - a > _LAMBDA_TOLERANCE:
+    # Far out in wavelength a few ulps of lambda exceed the tolerance, and a
+    # bracket that narrow can no longer shrink.
+    while b_edge - a > max(_LAMBDA_TOLERANCE, 4.0 * math.ulp(b_edge)):
         if f1 <= f2:
             b_edge, x2, f2 = x2, x1, f1
             x1 = b_edge - _GOLDEN * (b_edge - a)
@@ -418,20 +419,19 @@ def optimize_wavelength(
         # The section landed on the invalid side of a validity boundary;
         # take the best interior evaluation instead.
         lambda_star, c_star = (x1, f1) if f1 <= f2 else (x2, f2)
-    return lambda_star, c_star, c_star / (epsilon * math.sqrt(n))
+    return lambda_star, c_star, c_star / scale
 
 
-# Published reference values the convention sweep is scored against:
-# three quoted optimal wavelengths with their bounds, and two quoted
-# bounds at fixed wavelengths, all at eps = 1e-3, W = 3 THz, T = 1 s.
-_OPTIMIZE_TARGETS: tuple[tuple[float, float, float], ...] = (
-    (1000.0, 9.40e-6, 0.00322),
-    (3000.0, 6.35e-6, 0.09927),
-    (5000.0, 5.38e-6, 0.81438),
-)
-_FIXED_TARGETS: tuple[tuple[float, float, float], ...] = (
-    (1000.0, 8.7e-6, 0.00327),
-    (1000.0, 3.0e-6, 0.08423),
+# Published reference values the convention sweep is scored against, all
+# at eps = 1e-3, W = 3 THz, T = 1 s, as (kind, range_m, wavelength_m,
+# b_target): three quoted optimal wavelengths with their bounds, and two
+# quoted bounds at fixed wavelengths.
+_REFERENCE_TARGETS: tuple[tuple[str, float, float, float], ...] = (
+    ("optimize", 1000.0, 9.40e-6, 0.00322),
+    ("optimize", 3000.0, 6.35e-6, 0.09927),
+    ("optimize", 5000.0, 5.38e-6, 0.81438),
+    ("fixed", 1000.0, 8.7e-6, 0.00327),
+    ("fixed", 1000.0, 3.0e-6, 0.08423),
 )
 # The band the reference spectra are plotted over (15-100 THz).  Brackets
 # reaching below it can capture the validity-boundary basin, where the
@@ -484,41 +484,6 @@ class ReproduceReport(NamedTuple):
         return None
 
 
-def _score_target(
-    *,
-    label: str,
-    kind: str,
-    range_m: float,
-    lambda_target_m: float | None,
-    b_target: float,
-    lambda_m: float | None,
-    b_value: float | None,
-    flag: str,
-) -> TargetResult:
-    d_lambda = None
-    b_rel = None
-    matches = False
-    if b_value is not None:
-        b_rel = abs(b_value - b_target) / b_target
-        matches = b_rel <= _B_REL_MATCH_TOL
-        if lambda_target_m is not None and lambda_m is not None:
-            d_lambda = lambda_m - lambda_target_m
-            matches = matches and abs(d_lambda) <= _LAMBDA_MATCH_TOL
-    return TargetResult(
-        label=label,
-        kind=kind,
-        range_m=range_m,
-        lambda_target_m=lambda_target_m,
-        b_target=b_target,
-        lambda_m=lambda_m,
-        b_value=b_value,
-        d_lambda_m=d_lambda,
-        b_rel_err=b_rel,
-        flag=flag,
-        matches=matches,
-    )
-
-
 def reproduce_paper_report(
     *,
     epsilon: float = 1e-3,
@@ -535,62 +500,58 @@ def reproduce_paper_report(
     — the documented situation for these references — the report itself,
     with per-target residuals for every convention, is the deliverable.
     """
+    scale = _bound_scale(epsilon, bandwidth, integration_time)
     conventions = []
     for area_factor in _ALLOWED_AREA_FACTORS:
         for policy in _ALLOWED_POLICIES:
             results = []
-            for range_m, lambda_target, b_target in _OPTIMIZE_TARGETS:
+            for kind, range_m, wavelength, b_target in _REFERENCE_TARGETS:
                 geometry = LinkGeometry(
                     range_m=range_m, area_factor=area_factor, eta_policy=policy
                 )
-                label = f"optimum at L = {range_m / 1000:g} km"
-                try:
-                    lambda_star, _, b_value = optimize_wavelength(
-                        geometry,
-                        _REFERENCE_BRACKET,
-                        epsilon=epsilon,
-                        bandwidth=bandwidth,
-                        integration_time=integration_time,
+                at_range = f"L = {range_m / 1000:g} km"
+                d_lambda = b_rel = None
+                if kind == "optimize":
+                    label = f"optimum at {at_range}"
+                    lambda_target = wavelength
+                    try:
+                        lambda_m, _, b_value = optimize_wavelength(
+                            geometry,
+                            _REFERENCE_BRACKET,
+                            epsilon=epsilon,
+                            bandwidth=bandwidth,
+                            integration_time=integration_time,
+                        )
+                        flag = ""
+                        d_lambda = lambda_m - lambda_target
+                    except EmptySweepError:
+                        lambda_m, b_value, flag = None, None, "empty-sweep"
+                else:
+                    label = f"bound at {wavelength * 1e6:g} um, {at_range}"
+                    lambda_target, lambda_m = None, wavelength
+                    row = _link_row(
+                        SPEED_OF_LIGHT / wavelength, wavelength, geometry, scale
                     )
-                    flag = ""
-                except EmptySweepError:
-                    lambda_star, b_value, flag = None, None, "empty-sweep"
+                    b_value, flag = row.b, row.flag
+                matches = False
+                if b_value is not None:
+                    b_rel = abs(b_value - b_target) / b_target
+                    matches = b_rel <= _B_REL_MATCH_TOL and (
+                        d_lambda is None or abs(d_lambda) <= _LAMBDA_MATCH_TOL
+                    )
                 results.append(
-                    _score_target(
+                    TargetResult(
                         label=label,
-                        kind="optimize",
+                        kind=kind,
                         range_m=range_m,
                         lambda_target_m=lambda_target,
                         b_target=b_target,
-                        lambda_m=lambda_star,
+                        lambda_m=lambda_m,
                         b_value=b_value,
+                        d_lambda_m=d_lambda,
+                        b_rel_err=b_rel,
                         flag=flag,
-                    )
-                )
-            for range_m, wavelength, b_target in _FIXED_TARGETS:
-                geometry = LinkGeometry(
-                    range_m=range_m, area_factor=area_factor, eta_policy=policy
-                )
-                label = f"bound at {wavelength * 1e6:g} um, L = {range_m / 1000:g} km"
-                try:
-                    b_value = mse_bound_b(
-                        wavelength, geometry, epsilon, bandwidth, integration_time
-                    )
-                    flag = ""
-                except NearFieldError:
-                    b_value, flag = None, "near-field"
-                except DomainError:
-                    b_value, flag = None, "degenerate"
-                results.append(
-                    _score_target(
-                        label=label,
-                        kind="fixed",
-                        range_m=range_m,
-                        lambda_target_m=None,
-                        b_target=b_target,
-                        lambda_m=wavelength,
-                        b_value=b_value,
-                        flag=flag,
+                        matches=matches,
                     )
                 )
             conventions.append(

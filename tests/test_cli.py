@@ -35,9 +35,23 @@ CONFIG_TEXT = (
 )
 
 
-def run_cli(*args: str, env_extra: dict[str, str] | None = None):
+#: The optimize run whose golden-section search never ended.
+LONG_WAVELENGTH_OPTIMIZE = (
+    "optimize", "--L", "10", "--rt", "1e5", "--rtarget", "1e5",
+    "--lmin", "1e9", "--lmax", "2e9",
+)
+
+
+def _cli_env() -> dict[str, str]:
     env = dict(os.environ)
     env.pop("COVERTSENSE_CONFIG", None)
+    return env
+
+
+def run_cli(
+    *args: str, env_extra: dict[str, str] | None = None, timeout: float = 300
+):
+    env = _cli_env()
     if env_extra:
         env.update(env_extra)
     return subprocess.run(
@@ -45,7 +59,7 @@ def run_cli(*args: str, env_extra: dict[str, str] | None = None):
         capture_output=True,
         text=True,
         env=env,
-        timeout=300,
+        timeout=timeout,
     )
 
 
@@ -203,6 +217,20 @@ class TestSweepCommand:
         error = json.loads(result.stderr.splitlines()[-1])["error"]
         assert error["type"] == "EmptySweepError"
 
+    @pytest.mark.parametrize("fmt", ["csv", "json"])
+    def test_overflowing_bound_refused_in_either_format(self, fmt, capsys):
+        # B = c_ase / (eps sqrt(n)) overflows at a subnormal eps; the CSV
+        # used to exit 0 with "inf" cells where the JSON refused.
+        code = main([
+            "sweep", "--L", "3000", "--fmin", "15e12", "--fmax", "16e12",
+            "--points", "3", "--epsilon", "1e-320", "--format", fmt,
+        ])
+        out, err = capsys.readouterr()
+        assert code == 1 and err == ""
+        message = _strict_json(out)["error"]["message"]
+        prefix = "results." if fmt == "json" else ""
+        assert message.startswith(f"{prefix}rows.0.b evaluates to inf: ")
+
 
 class TestOptimizeCommand:
     def test_reference_optimum(self):
@@ -212,6 +240,14 @@ class TestOptimizeCommand:
         assert results["lambda_star"] == 3.719418887857133e-06
         assert results["c_ase"] == 1112.5512007032862
         assert results["B"] == 0.6423317352132837
+
+    def test_long_wavelength_bracket_returns(self):
+        # A few ulps of lambda exceed the section tolerance near 1e9 m; the
+        # search used to spin there until it was killed.
+        result = run_cli(*LONG_WAVELENGTH_OPTIMIZE, timeout=20)
+        assert result.returncode == 0, result.stderr
+        results = _strict_json(result.stdout)["results"]
+        assert 1e9 <= results["lambda_star"] <= 2e9
 
 
 class TestReproducePaperCommand:
@@ -230,6 +266,14 @@ class TestReproducePaperCommand:
         }
         for convention in results["conventions"]:
             assert len(convention["results"]) == 5
+
+    def test_table_refuses_an_overflowing_bound(self, capsys):
+        # The table used to print "inf" and exit 0 where the JSON refused.
+        assert main(["reproduce-paper", "--epsilon", "1e-320"]) == 1
+        message = _strict_json(capsys.readouterr().out)["error"]["message"]
+        assert message.startswith(
+            "results.conventions.0.results.0.b_value evaluates to inf: "
+        )
 
     def test_table_format_states_outcome(self):
         result = run_cli("reproduce-paper")
@@ -493,6 +537,49 @@ def _strict_csv(text: str) -> None:
         cells = row.split(",")
         assert len(cells) == len(CSV_HEADER.split(","))
         assert all(cell == "" or math.isfinite(float(cell)) for cell in cells)
+
+
+SWEEP_5000 = (
+    "sweep", "--L", "3000", "--fmin", "15e12", "--fmax", "100e12", "--points", "5000",
+)
+
+
+@pytest.mark.parametrize("argv", [SWEEP_5000, LONG_WAVELENGTH_OPTIMIZE])
+def test_stdout_closed_before_the_run_ends_quietly(argv):
+    read_end, write_end = os.pipe()
+    os.close(read_end)
+    try:
+        result = subprocess.run(
+            [sys.executable, "-m", "covertsense.cli", *argv],
+            stdout=write_end,
+            stderr=subprocess.PIPE,
+            text=True,
+            env=_cli_env(),
+            timeout=60,
+        )
+    finally:
+        os.close(write_end)
+    assert result.returncode == 1
+    assert "Traceback" not in result.stderr
+    assert "Exception ignored" not in result.stderr
+
+
+def test_stdout_closed_mid_sweep_ends_quietly():
+    # Like "| head -2": ~0.5 MB of CSV against a 64 KB pipe, so the reader
+    # closes while emit_csv is still writing.
+    with subprocess.Popen(
+        [sys.executable, "-m", "covertsense.cli", *SWEEP_5000],
+        stdout=subprocess.PIPE,
+        stderr=subprocess.PIPE,
+        text=True,
+        env=_cli_env(),
+    ) as process:
+        assert process.stdout.readline() == CSV_HEADER + "\n"
+        process.stdout.readline()
+        process.stdout.close()
+        assert process.wait(timeout=60) == 1
+        stderr = process.stderr.read()
+    assert "Traceback" not in stderr and "Exception ignored" not in stderr
 
 
 def test_bounds_with_huge_reference_is_finite(capsys):

@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import math
+import signal
 
 import pytest
 from conftest import CONSTRUCTION_PATHS
@@ -355,6 +356,34 @@ class TestOptimizeWavelength:
         )
         assert at_lam == pytest.approx(closed, rel=1e-12)
         assert c_ase == pytest.approx(closed, rel=1e-9)
+
+    @pytest.mark.parametrize(
+        "geometry, bracket",
+        [
+            (LinkGeometry(range_m=10.0, r_t=1e5, r_target=1e5), (1e9, 2e9)),
+            (
+                LinkGeometry(range_m=6.6, r_t=5.8e5, r_target=5.8e4, eta_policy="clamp"),
+                (7.2e9, 1.7e10),
+            ),
+            (LinkGeometry(range_m=100.0, r_t=3e4, r_target=3e4), (1e7, 2e7)),
+            (LinkGeometry(range_m=1.0, r_t=1e6, r_target=1e6), (1e12, 2e12)),
+        ],
+    )
+    def test_long_wavelength_bracket_terminates(self, geometry, bracket):
+        # One ulp of lambda exceeds the 1e-9 m tolerance out here; the
+        # section search used to stop shrinking and spin forever.
+        def hang(signum, frame):
+            raise TimeoutError("optimize_wavelength did not return within 5 s")
+
+        previous = signal.signal(signal.SIGALRM, hang)
+        signal.setitimer(signal.ITIMER_REAL, 5.0)
+        try:
+            lam, c_ase, b = optimize_wavelength(geometry, bracket)
+        finally:
+            signal.setitimer(signal.ITIMER_REAL, 0.0)
+            signal.signal(signal.SIGALRM, previous)
+        assert bracket[0] <= lam <= bracket[1]
+        assert 0.0 < c_ase < math.inf and 0.0 < b < math.inf
 
     def test_invalid_bracket_raises(self):
         geometry = LinkGeometry(range_m=1000.0, area_factor=1.0)
