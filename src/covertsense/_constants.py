@@ -1,4 +1,5 @@
-"""Physical constants (CODATA 2018 exact values, SI units)."""
+"""Physical constants (CODATA 2018 exact values, SI units), and the name of
+the Monte-Carlo generator, which CLI metadata records beside them."""
 
 CONSTANTS_VERSION = "CODATA-2018"
 
@@ -10,3 +11,7 @@ SPEED_OF_LIGHT = 299792458.0
 
 BOLTZMANN_K = 1.380649e-23
 """Boltzmann constant, J/K (exact)."""
+
+RNG_ALGORITHM = "philox4x64-10"
+"""Counter-based generator of the Monte-Carlo estimator; recorded in CLI
+output metadata so runs can be reproduced elsewhere."""

@@ -11,6 +11,9 @@ imports :mod:`covertsense.fock` when it runs.  Only ``sweep``,
 ``optimize`` and ``reproduce-paper`` import :mod:`covertsense.link`, inside
 the command, so ``scenario``, ``bounds`` and ``mse-mc`` start without it
 (and without :mod:`dataclasses`, which only its ``SweepRow`` uses).
+``bounds`` and ``mse-mc`` import :mod:`covertsense.estimation` inside the
+command, so ``scenario`` starts without it; the link commands load it
+through :mod:`covertsense.link`.
 
 Config keys match flag names case-insensitively (``L = 3000`` and
 ``l = 3000`` both set ``--L``); a key given twice is a usage error.
@@ -42,15 +45,9 @@ import os
 import sys
 from typing import TYPE_CHECKING, Any, Callable, NamedTuple, Sequence
 
-from ._constants import CONSTANTS_VERSION
+from ._constants import CONSTANTS_VERSION, RNG_ALGORITHM
 from .covertness import covert_budget, willie_error_lower_bound, willie_qre
 from .errors import DomainError, EmptySweepError, NumericalInstabilityError
-from .estimation import (
-    RNG_ALGORITHM,
-    estimation_report,
-    heterodyne_stats,
-    simulate_heterodyne_mse,
-)
 from .scenario import SensingScenario, _willie_layout
 
 if TYPE_CHECKING:
@@ -373,6 +370,8 @@ def _cmd_scenario(config: dict[str, Any]) -> int:
 
 
 def _cmd_bounds(config: dict[str, Any]) -> int:
+    from .estimation import estimation_report
+
     scenario = _scenario_from(config)
     report = estimation_report(
         scenario,
@@ -403,6 +402,8 @@ def _cmd_bounds(config: dict[str, Any]) -> int:
 
 
 def _cmd_mse_mc(config: dict[str, Any]) -> int:
+    from .estimation import heterodyne_stats, simulate_heterodyne_mse
+
     scenario = _scenario_from(config)
     budget = covert_budget(scenario, config["epsilon"], config["n"])
     stats = heterodyne_stats(scenario, config["theta"], budget.nbar_s, config["n"])

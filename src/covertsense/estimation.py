@@ -37,6 +37,7 @@ import math
 import os
 from typing import TYPE_CHECKING, NamedTuple
 
+from ._constants import RNG_ALGORITHM
 from .covertness import CovertBudget, channel_uses, covert_budget
 from .errors import DomainError, NumericalInstabilityError
 from .scenario import (
@@ -72,10 +73,6 @@ __all__ = [
     "source_comparison",
     "estimation_report",
 ]
-
-#: Counter-based generator used by the Monte-Carlo estimator; recorded in
-#: CLI output metadata so runs can be reproduced elsewhere.
-RNG_ALGORITHM = "philox4x64-10"
 
 #: Trials per accumulation block in the Monte-Carlo estimator.  Partial
 #: sums are formed per block and combined in block order, so the result

@@ -25,6 +25,13 @@ Implementation notes:
   count and the input and output totals.  No circuit is run on three or
   four modes and no amplitude factor is formed; the work is O(cutoff^5)
   in O(cutoff) vectorised calls.
+* The indices of every amplitude a tap stage reads move together along a
+  summed count (``table[a + j, b + j, ...]``), so for each photon total
+  the amplitudes are one fixed-stride, read-only view (``_diagonals``)
+  of a table the stage builds once: the pair blocks, weighted by the
+  bath and zero-padded where a count would be negative.  No index grid
+  is built per total, and numpy refuses a view that would leave its
+  table.
 * The adversary's forward tap keeps both its ports, so its stage is one
   block per pair total, and the Gram of the return tap depends on neither
   the probe nor the phase.  The interrogator's forward stage is a family
@@ -64,6 +71,7 @@ from __future__ import annotations
 import cmath
 import functools
 import math
+from typing import Callable
 
 import numpy as np
 
@@ -341,6 +349,27 @@ def _pair_blocks(eta: float, cutoff: int) -> np.ndarray:
     return table
 
 
+def _diagonals(base: np.ndarray, moves: tuple) -> Callable[..., np.ndarray]:
+    """Views of ``base`` along fixed index moves.
+
+    ``_diagonals(base, moves)(start, shape)`` is the read-only view whose
+    entry i reads ``base[start + sum_d i_d moves[d]]``.  The tap stages
+    read amplitudes whose indices move together along a summed count, so
+    each photon total reads them as one such view of a table built once.
+    numpy refuses a view that would reach outside ``base``.
+    """
+    base = np.ascontiguousarray(base).view()
+    base.flags.writeable = False
+
+    def offset(index: tuple) -> int:
+        return sum(i * step for i, step in zip(index, base.strides))
+
+    strides = [offset(move) for move in moves]
+    return lambda start, shape: np.ndarray(
+        shape, base.dtype, base, offset(start), strides
+    )
+
+
 def _check_occupancies(**named: float) -> None:
     for name, value in named.items():
         check_occupancy(name, value)
@@ -389,16 +418,17 @@ def _return_gram(table: np.ndarray, nbar_b2: float) -> list[np.ndarray]:
     """
     cutoff = len(table) - 1
     root = np.sqrt(_geometric_pmf(nbar_b2, cutoff + 1))
-    forward_total = np.arange(cutoff + 1)[:, None, None]
+    # [cutoff + j, m, x] holds sqrt(p_b2(j)) U_m[x, j]; j < 0 reads zero.
+    padded = np.zeros((2 * cutoff + 1, cutoff + 1, cutoff + 1))
+    padded[cutoff:] = (table * root).transpose(2, 0, 1)
+    # (k, t, n1) of total K reads [cutoff + j, a + t, a], j = K + t - k and
+    # a = K - n1.
+    view = _diagonals(padded, ((-1, 0, 0), (1, 1, 0), (0, -1, -1)))
     grams = []
     for total in range(cutoff + 1):
-        traced = np.arange(cutoff - total + 1)[:, None]
-        kept = total - np.arange(total + 1)  # a, in order of n1
-        bath = total + traced - forward_total
-        inside = bath >= 0
-        bath = np.where(inside, bath, 0)
-        # (k, t, n1); a Gram over t for every k.
-        amp = np.where(inside, root[bath] * table[kept + traced, kept, bath], 0.0)
+        # A Gram over t for every k.
+        shape = (cutoff + 1, cutoff - total + 1, total + 1)
+        amp = view((cutoff + total, total, total), shape)
         grams.append(amp.transpose(0, 2, 1) @ amp)
     return grams
 
@@ -526,23 +556,22 @@ def _forward_prefixes(
         0.0 if source_total == 0.0 else nbar_s / source_total, cutoff
     )
     pmf_b1 = _geometric_pmf(nbar_b1, cutoff + 1)
-    pmf_source = _geometric_pmf(source_total, cutoff + 1)
-    bath = np.arange(cutoff + 1)[None, :, None]
+    # Row cutoff + n holds the source count n; n < 0 reads zero.
+    padded = np.zeros((2 * cutoff + 1, cutoff + 2))
+    padded[cutoff:, 0] = _geometric_pmf(source_total, cutoff + 1)
+    padded[cutoff:, 1:] = split
+    # [q, j, 0] = p_source(q - j) and [q, j, 1 + r] = V_{q-j}[r].
+    source = _diagonals(padded, ((1, 0), (-1, 0), (0, 1)))(
+        (cutoff, 0), (cutoff + 1, cutoff + 1, cutoff + 2)
+    )
+    weights = np.sqrt(pmf_b1[:, None] * source[:, :, :1])
+    # (q, j, r) of total k, q = k..cutoff, reads the tap at [q - r, q - k, j].
+    taps = _diagonals(tap, ((1, 1, 0), (0, 0, 1), (-1, 0, 0)))
     prefixes = []
     for total in range(cutoff + 1):
-        three_mode = np.arange(total, cutoff + 1)[:, None, None]
-        ref = np.arange(total + 1)
-        source = three_mode - bath
-        inside = source >= 0
-        source = np.where(inside, source, 0)
-        # (q, j, r); a Gram over j for every q, summed up to each s.
-        amp = np.where(
-            inside,
-            np.sqrt(pmf_b1[bath] * pmf_source[source])
-            * tap[three_mode - ref, three_mode - total, bath]
-            * split[source, ref],
-            0.0,
-        )
+        splits = source[total:, :, 1 : total + 2]
+        # A Gram over j for every q, summed up to each s.
+        amp = weights[total:] * taps((total, 0, 0), splits.shape) * splits
         prefixes.append(np.cumsum(amp.transpose(0, 2, 1) @ amp, axis=0))
     return prefixes
 
@@ -576,21 +605,19 @@ def _interrogator_state(
     cutoff = len(return_table) - 1
     prefixes = _forward_prefixes(forward_table, scenario.nbar_b1, nbar_s, nbar_lo)
     pmf_b2 = _geometric_pmf(scenario.nbar_b2, cutoff + 1)
-    root = np.sqrt(pmf_b2)
+    # [n0, m, cutoff + t] holds sqrt(p_b2(n0)) U_m[t, n0]; t < 0 reads zero.
+    padded = np.zeros((cutoff + 1, cutoff + 1, 2 * cutoff + 1))
+    padded[:, :, cutoff:] = (return_table * np.sqrt(pmf_b2)).transpose(2, 0, 1)
+    # The bath counts that carry weight, a prefix of 0..cutoff.
+    support = np.count_nonzero(pmf_b2)
     out = np.zeros((cutoff + 1,) * 3)  # [K, r, r'], zero-padded
-    out_total = np.arange(cutoff + 1)[None, :, None]
+    # (n0, K, r) of input total k reads [n0, k + n0 - r, cutoff + k + n0 - K].
+    view = _diagonals(padded, ((1, 1, 1), (0, 0, -1), (0, -1, 0)))
     for total, prefix in enumerate(prefixes):
-        # Bath counts that carry weight and keep sigma^(cutoff - n0)_k.
-        bath = np.flatnonzero(pmf_b2[: cutoff - total + 1])[:, None, None]
-        ref = np.arange(total + 1)
-        traced = bath + total - out_total
-        inside = traced >= 0
-        traced = np.where(inside, traced, 0)
-        # (n0, K, r); an index past a pair block reads zero.
-        amp = np.where(
-            inside, root[bath] * return_table[total + bath - ref, traced, bath], 0.0
-        )
-        sigma = prefix[cutoff - total - bath[:, 0, 0]]
+        # Over the bath counts that keep sigma^(cutoff - n0)_k.
+        shape = (min(cutoff - total + 1, support), cutoff + 1, total + 1)
+        amp = view((0, total, cutoff + total), shape)
+        sigma = prefix[::-1][: len(amp)]
         out[:, : total + 1, : total + 1] += np.einsum(
             "jKr,jKs,jrs->Krs", amp, amp, sigma
         )

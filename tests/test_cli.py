@@ -690,6 +690,22 @@ def test_analytic_commands_import_no_numeric_layer():
     assert result.returncode == 0, result.stderr
 
 
+def test_scenario_starts_without_estimation():
+    """scenario reads only the Monte-Carlo generator's name, which lives in
+    ``_constants``: a fresh interpreter running it loads no
+    ``covertsense.estimation``, and bounds then imports it."""
+    code = (
+        "import sys\n"
+        "from covertsense.cli import main\n"
+        f"assert main({ANALYTIC_ARGV[0]!r}) == 0\n"
+        "assert 'covertsense.estimation' not in sys.modules\n"
+        f"assert main({ANALYTIC_ARGV[1]!r}) == 0\n"
+        "assert 'covertsense.estimation' in sys.modules\n"
+    )
+    result = _fresh_python(code)
+    assert result.returncode == 0, result.stderr
+
+
 #: What the closed-form start-up path must not load: the dataclass
 #: machinery, the ``inspect`` module it pulls in, the link layer and numpy.
 STARTUP_ABSENT = ("dataclasses", "inspect", "covertsense.link", "numpy")

@@ -10,7 +10,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from conftest import THREE_STRIPS_AND_A_BLOCK, _exact_arctan_mse
 
-from covertsense import estimation
+from covertsense import _constants, estimation
 from covertsense.covertness import covert_budget, taylor_coefficients
 from covertsense.errors import DomainError
 from covertsense.estimation import (
@@ -373,6 +373,8 @@ class TestRotatedKernel:
 class TestSimulation:
     def test_rng_algorithm_pinned(self):
         assert RNG_ALGORITHM == "philox4x64-10"
+        # The CLI metadata reads the same name without this module.
+        assert RNG_ALGORITHM is _constants.RNG_ALGORITHM
 
     def test_seed_reproducibility(self):
         kwargs = dict(theta_true=0.5, epsilon=0.01, num_modes=1e6, trials=2000)

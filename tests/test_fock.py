@@ -14,6 +14,11 @@ import pytest
 import scipy.linalg
 import scipy.sparse
 
+try:
+    from numpy.lib.array_utils import byte_bounds
+except ImportError:  # numpy < 2
+    from numpy import byte_bounds
+
 from covertsense import fock
 from covertsense.covertness import qre_gaussian, willie_qre
 from covertsense.errors import CutoffError, InfiniteQreError
@@ -621,6 +626,16 @@ class TestAliceStateAgainstFourModeRoute:
         "vacuum-forward-bath": (0.6, 0.7, 0.0, 0.3, 0.05, 0.2, 0.3, None),
         "vacuum-baths": (0.6, 0.7, 0.0, 0.0, 0.05, 0.2, 0.3, None),
         "explicit-cutoff": (0.6, 0.7, 0.1, 0.2, 0.05, 0.2, 0.3, 30),
+        # The shortest views: one or two totals at occupancies near 1e-6.
+        "cutoff-1": (0.6, 0.7, 1e-6, 2e-6, 1e-6, 3e-6, 0.3, 1),
+        "cutoff-2": (0.6, 0.7, 1e-6, 2e-6, 1e-6, 3e-6, 0.3, 2),
+        "vacuum-return-bath-cutoff-2": (0.6, 0.7, 1e-6, 0.0, 1e-6, 3e-6, 0.3, 2),
+        # p_b2 underflows past 10 photons, so the bath counts are trimmed
+        # for the low totals only.
+        "underflowing-return-bath": (0.6, 0.7, 0.3, 1e-30, 0.05, 0.25, 0.3, None),
+        "zero-taps": (0.0, 0.0, 0.3, 0.2, 0.05, 0.2, 0.3, None),
+        "zero-forward-unit-return": (0.0, 1.0, 0.3, 0.2, 0.05, 0.2, 0.3, None),
+        "unit-forward-zero-return": (1.0, 0.0, 0.3, 0.2, 0.05, 0.2, 0.3, None),
     }
 
     @pytest.mark.parametrize(
@@ -655,6 +670,14 @@ class TestWillieStateAgainstThreeModeRoute:
         "vacuum-forward-bath": (0.6, 0.7, 0.0, 0.3, 0.05, 0.3, None),
         "vacuum-baths": (0.6, 0.7, 0.0, 0.0, 0.05, 0.3, None),
         "explicit-cutoff": (0.6, 0.7, 0.1, 0.2, 0.05, 0.3, 30),
+        # The shortest views: one or two totals at occupancies near 1e-6.
+        "cutoff-1": (0.6, 0.7, 1e-6, 2e-6, 1e-6, 0.3, 1),
+        "cutoff-2": (0.6, 0.7, 1e-6, 2e-6, 1e-6, 0.3, 2),
+        "vacuum-return-bath-cutoff-2": (0.6, 0.7, 1e-6, 0.0, 1e-6, 0.3, 2),
+        "underflowing-return-bath": (0.6, 0.7, 0.3, 1e-30, 0.3, 0.3, None),
+        "zero-taps": (0.0, 0.0, 0.3, 0.2, 0.05, 0.3, None),
+        "zero-forward-unit-return": (0.0, 1.0, 0.3, 0.2, 0.05, 0.3, None),
+        "unit-forward-zero-return": (1.0, 0.0, 0.3, 0.2, 0.05, 0.3, None),
     }
 
     @pytest.mark.parametrize(
@@ -677,8 +700,22 @@ class TestForwardPrefixesAgainstThreeModeRoute:
             (0.05, 0.064, 0.24, 0.83, 27),
             (0.3, 0.05, 0.0, 0.6, 20),
             (0.0, 0.1, 0.2, 1.0, 18),
+            (0.0, 0.0, 0.0, 0.6, 0),
+            (1e-6, 1e-6, 3e-6, 0.6, 1),
+            (1e-6, 1e-6, 3e-6, 0.6, 2),
+            (0.3, 0.05, 0.2, 0.0, 15),
+            (0.3, 0.05, 0.2, 1.0, 15),
         ],
-        ids=["cutoff-27", "no-reference", "vacuum-bath-unit-tap"],
+        ids=[
+            "cutoff-27",
+            "no-reference",
+            "vacuum-bath-unit-tap",
+            "cutoff-0",
+            "cutoff-1",
+            "cutoff-2",
+            "zero-tap",
+            "unit-tap",
+        ],
     )
     def test_prefix_blocks_match(self, point):
         # The new stage is on the reference count, the factors' rows on the
@@ -695,6 +732,51 @@ class TestForwardPrefixesAgainstThreeModeRoute:
                 factor = factors[total + level][total]
                 want = (factor @ factor.T)[::-1, ::-1]
                 assert np.abs(block - want).max() <= 1e-14
+
+
+class TestDiagonalViewsInsideTheirTables:
+    """The tap stages read each photon total through views of one table per
+    stage (``fock._diagonals``).  Every view of a build lies inside the
+    bytes of the table it views, and none can write to it."""
+
+    @pytest.mark.parametrize("cutoff", [0, 1, 64])
+    def test_every_view_inside_its_table(self, monkeypatch, cutoff):
+        views = []
+        diagonals = fock._diagonals
+
+        def recording(base, moves):
+            view = diagonals(base, moves)
+
+            def record(start, shape):
+                views.append((base, view(start, shape)))
+                return views[-1][1]
+
+            return record
+
+        monkeypatch.setattr(fock, "_diagonals", recording)
+        # Only the views are under test; an unvalidated block family will do.
+        monkeypatch.setattr(fock, "_finish", lambda blocks, tail_bound: blocks)
+        forward, ret = _pair_blocks(0.6, cutoff), _pair_blocks(0.7, cutoff)
+        fock._return_gram(ret, 0.2)
+        fock._interrogator_state(SMALL, 0.05, 0.25, forward, ret, 0.0)
+        # Per total: one Gram view, one forward tap view and one return tap
+        # view; and the source split once.
+        assert len(views) == 3 * (cutoff + 1) + 1
+        for base, view in views:
+            low, high = byte_bounds(base)
+            view_low, view_high = byte_bounds(view)
+            assert low <= view_low and view_high <= high
+            assert not view.flags.writeable
+
+    def test_view_past_the_table_refused(self):
+        table = np.arange(9.0).reshape(3, 3)
+        diagonal = fock._diagonals(table, ((1, 1),))
+        assert diagonal((0, 0), (3,)).tolist() == [0.0, 4.0, 8.0]
+        # One step past the last entry, or one before the first.
+        with pytest.raises(ValueError):
+            diagonal((0, 1), (3,))
+        with pytest.raises(ValueError):
+            fock._diagonals(table, ((0, -1),))((0, 0), (2,))
 
 
 class TestPhaseConjugatesBlocks:
