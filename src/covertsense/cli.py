@@ -309,9 +309,9 @@ def _csv_cell(value: float | None) -> str:
     return "" if value is None else repr(float(value))
 
 
-def emit_csv(rows: Sequence[Any], stream: Any = None) -> None:
-    """Write sweep rows as CSV (header always; one line per row)."""
-    stream = stream or sys.stdout
+def emit_csv(rows: Sequence[Any]) -> None:
+    """Write sweep rows as CSV to stdout (header always; one line per row)."""
+    stream = sys.stdout
     stream.write(CSV_HEADER + "\n")
     for row in rows:
         cells = (
@@ -457,7 +457,9 @@ def _cmd_sweep(config: dict[str, Any]) -> int:
         _emit_error(exc, stream=sys.stderr)
         return 1
     if config["format"] == "csv":
-        _refuse_nonfinite([{"c_ase": row.c_ase, "b": row.b} for row in rows], "rows")
+        # Every row is checked before the first is written, each in place.
+        for i, row in enumerate(rows):
+            _refuse_nonfinite({"c_ase": row.c_ase, "b": row.b}, f"rows.{i}")
         emit_csv(rows)
         sys.stderr.write(
             json.dumps({"config": config, "metadata": _metadata(None)}, sort_keys=True)

@@ -655,7 +655,11 @@ def estimation_report(
     # or a mode count W_ase * T that is no operating point.
     _check_bandwidths(w_ase, w_coh)
     check_positive("integration time", integration_time)
-    channel_uses(max(1.0, w_ase * integration_time))
+    if w_ase * integration_time == math.inf:
+        raise ValueError(
+            f"time-bandwidth product W_ase*T overflows (W_ase = {w_ase:g} Hz, "
+            f"T = {integration_time:g} s)"
+        )
     budget = covert_budget(scenario, epsilon, n)
     f_a_prime, f_a = qfi_closed(scenario, budget.nbar_s, nbar_lo)
     c_ase = qcrb_ase(scenario, budget.c2)

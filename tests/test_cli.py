@@ -9,13 +9,14 @@ import random
 import struct
 import subprocess
 import sys
-import warnings
+import tracemalloc
 
 import pytest
+from _contract import cause, csv_strict, flag_argv, json_strict, run
 from conftest import THREE_STRIPS_AND_A_BLOCK
 
 from covertsense import cli
-from covertsense.cli import CSV_HEADER, main
+from covertsense.cli import CSV_HEADER
 from covertsense.covertness import covert_budget, taylor_coefficients
 from covertsense.estimation import estimation_report, heterodyne_stats
 from covertsense.link import LinkGeometry, sweep_frequency
@@ -94,9 +95,8 @@ class TestScenarioCommand:
         second = run_cli("scenario", *SCENARIO_FLAGS)
         assert first.stdout == second.stdout
 
-    def test_emitted_willie_cm_is_the_library_matrix(self, capsys, monkeypatch):
+    def test_emitted_willie_cm_is_the_library_matrix(self):
         # Compared by bit pattern, so a flipped zero sign is caught too.
-        monkeypatch.delenv("COVERTSENSE_CONFIG", raising=False)
         rng = random.Random(6101)
         for k in range(24):
             args = [rng.uniform(0.05, 0.95), rng.uniform(0.05, 0.95),
@@ -106,10 +106,9 @@ class TestScenarioCommand:
                     "--theta", repr(theta)]
             for flag, value in zip(("eta1", "eta2", "nb1", "nb2"), args):
                 argv += [f"--{flag}", repr(value)]
-            with warnings.catch_warnings():
-                warnings.simplefilter("ignore", UserWarning)
-                assert main(argv) == 0
-            results = json.loads(capsys.readouterr().out)["results"]
+            result = run(argv)
+            assert result.code == 0, result
+            results = json.loads(result.out)["results"]
             want = willie_cm(SensingScenario(*args), results["ns"], theta).matrix
             assert [
                 struct.pack("<d", x) for row in results["willie_cm"] for x in row
@@ -163,17 +162,16 @@ class TestMseMcCommand:
         b = json.loads(run_cli(*base, "--seed", "2").stdout)["results"]
         assert a["mse"] != b["mse"]
 
-    def test_per_sample_flag_is_usage_error(self, capsys):
+    def test_per_sample_flag_is_usage_error(self):
         # mse-mc has one route; the flag that drew all n shots is gone.
-        assert _run_main("mse-mc", **{"per-sample": "1"}) == 2
-        out, err = capsys.readouterr()
-        assert out == ""
-        assert "unrecognized arguments: --per-sample=1" in err
+        result = run(_numeric_argv("mse-mc", **{"per-sample": "1"}))
+        assert result.code == 2 and result.out == ""
+        assert "unrecognized arguments: --per-sample=1" in result.err
 
-    def test_config_echo_holds_every_flag_but_workers(self, capsys, monkeypatch):
-        monkeypatch.delenv("COVERTSENSE_CONFIG", raising=False)
-        assert _run_main("mse-mc") == 0
-        echoed = set(json.loads(capsys.readouterr().out)["config"])
+    def test_config_echo_holds_every_flag_but_workers(self):
+        result = run(_numeric_argv("mse-mc"))
+        assert result.code == 0, result
+        echoed = set(json.loads(result.out)["config"])
         flags = {flag.name.replace("-", "_") for flag in cli._COMMANDS["mse-mc"]}
         assert echoed == flags - {"workers"}
         assert echoed == {
@@ -218,18 +216,36 @@ class TestSweepCommand:
         assert error["type"] == "EmptySweepError"
 
     @pytest.mark.parametrize("fmt", ["csv", "json"])
-    def test_overflowing_bound_refused_in_either_format(self, fmt, capsys):
+    def test_overflowing_bound_refused_in_either_format(self, fmt):
         # B = c_ase / (eps sqrt(n)) overflows at a subnormal eps; the CSV
         # used to exit 0 with "inf" cells where the JSON refused.
-        code = main([
+        result = run([
             "sweep", "--L", "3000", "--fmin", "15e12", "--fmax", "16e12",
             "--points", "3", "--epsilon", "1e-320", "--format", fmt,
         ])
-        out, err = capsys.readouterr()
-        assert code == 1 and err == ""
-        message = _strict_json(out)["error"]["message"]
         prefix = "results." if fmt == "json" else ""
-        assert message.startswith(f"{prefix}rows.0.b evaluates to inf: ")
+        inf = f"ValueError: {prefix}rows.0.b evaluates to inf: "
+        assert cause(result, {"inf": inf}) == "inf"
+
+    def test_csv_check_holds_no_copy_of_the_rows(self):
+        # The finite-output check reads each row in place: the CLI's peak
+        # stays near the peak of the sweep itself (1.7 times it while the
+        # check built a dict per row).
+        geometry = LinkGeometry(range_m=3000.0)
+        tracemalloc.start()
+        try:
+            sweep_frequency(15e12, 100e12, 20_000, geometry)
+            sweep_peak = tracemalloc.get_traced_memory()[1]
+            tracemalloc.reset_peak()
+            with open(os.devnull, "w") as sink:
+                result = run(
+                    ["sweep", *self.SWEEP_FLAGS[:-1], "20000"], stdout=sink
+                )
+            cli_peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert result.code == 0, result
+        assert cli_peak / sweep_peak <= 1.2
 
 
 class TestOptimizeCommand:
@@ -246,7 +262,7 @@ class TestOptimizeCommand:
         # search used to spin there until it was killed.
         result = run_cli(*LONG_WAVELENGTH_OPTIMIZE, timeout=20)
         assert result.returncode == 0, result.stderr
-        results = _strict_json(result.stdout)["results"]
+        results = json_strict(result.stdout)["results"]
         assert 1e9 <= results["lambda_star"] <= 2e9
 
 
@@ -267,13 +283,11 @@ class TestReproducePaperCommand:
         for convention in results["conventions"]:
             assert len(convention["results"]) == 5
 
-    def test_table_refuses_an_overflowing_bound(self, capsys):
+    def test_table_refuses_an_overflowing_bound(self):
         # The table used to print "inf" and exit 0 where the JSON refused.
-        assert main(["reproduce-paper", "--epsilon", "1e-320"]) == 1
-        message = _strict_json(capsys.readouterr().out)["error"]["message"]
-        assert message.startswith(
-            "results.conventions.0.results.0.b_value evaluates to inf: "
-        )
+        result = run(["reproduce-paper", "--epsilon", "1e-320"])
+        inf = "ValueError: results.conventions.0.results.0.b_value evaluates to inf: "
+        assert cause(result, {"inf": inf}) == "inf"
 
     def test_table_format_states_outcome(self):
         result = run_cli("reproduce-paper")
@@ -307,31 +321,32 @@ class TestOracleCheckCommand:
         assert results["residuals"]["willie_cm_max_err"] == 0.0
         assert results["residuals"]["alice_cm_max_err"] == 0.0
 
-    def test_tiny_reference_at_cutoff_one_passes(self, capsys, monkeypatch):
+    def test_tiny_reference_at_cutoff_one_passes(self):
         # Mass 1e-5 sits at the cutoff (1), with ~1e-10 past it.  Read as
         # zero there, a a^dag erred by that mass, ten times the CM
         # tolerance; read as a^dag a + 1 it is exact on every level.
-        monkeypatch.delenv("COVERTSENSE_CONFIG", raising=False)
         argv = ["oracle-check", "--eta1", "0.5", "--eta2", "0.5", "--nb1", "0",
                 "--nb2", "0", "--ns", "0", "--nlo", "1e-5"]
-        assert main(argv) == 0
-        residuals = json.loads(capsys.readouterr().out)["results"]["residuals"]
+        result = run(argv)
+        assert result.code == 0, result
+        residuals = json.loads(result.out)["results"]["residuals"]
         assert residuals["cutoff"] == 1
         assert residuals["alice_cm_max_err"] <= 1e-9
 
 
-    def test_refused_cutoff_advice_is_accepted(self, capsys, monkeypatch):
+    def test_refused_cutoff_advice_is_accepted(self):
         # The advice is the cutoff the interrogator's inputs need, which
         # serves every state of the check.
-        monkeypatch.delenv("COVERTSENSE_CONFIG", raising=False)
         argv = ["oracle-check", "--eta1", "0.6", "--eta2", "0.7", "--nb1", "0.4",
                 "--nb2", "0.5", "--ns", "0.05", "--nlo", "0.3"]
-        assert main([*argv, "--cutoff", "17"]) == 1
-        error = json.loads(capsys.readouterr().out)["error"]
+        result = run([*argv, "--cutoff", "17"])
+        assert result.code == 1
+        error = json.loads(result.out)["error"]
         assert error["type"] == "CutoffError"
         assert error["message"].endswith("required cutoff: 23")
-        assert main([*argv, "--cutoff", "23"]) == 0
-        results = json.loads(capsys.readouterr().out)["results"]
+        result = run([*argv, "--cutoff", "23"])
+        assert result.code == 0, result
+        results = json.loads(result.out)["results"]
         assert results["passed"] is True
         assert results["residuals"]["cutoff"] == 23
 
@@ -376,51 +391,39 @@ class TestConfigResolution:
 
     @pytest.mark.parametrize("command", ["mse-mc", "scenario"])
     @pytest.mark.parametrize("route", ["flag", "environment"])
-    def test_per_sample_config_key_refused(self, tmp_path, capsys, monkeypatch,
-                                           command, route):
+    def test_per_sample_config_key_refused(self, tmp_path, command, route):
         # Config keys are global, so the key is refused under every command.
         config = tmp_path / "per_sample.conf"
         config.write_text("per_sample = 1\n")
-        monkeypatch.delenv("COVERTSENSE_CONFIG", raising=False)
-        argv = [command] + [f"--{k}={v}" for k, v in NUMERIC_FLAGS[command].items()]
+        argv = _numeric_argv(command)
         if route == "flag":
-            argv = ["--config", str(config), *argv]
+            result = run(["--config", str(config), *argv])
         else:
-            monkeypatch.setenv("COVERTSENSE_CONFIG", str(config))
-        with pytest.raises(SystemExit) as exc:
-            main(argv)
-        assert exc.value.code == 2
-        out, err = capsys.readouterr()
-        assert out == ""
-        assert "unknown config keys: per_sample" in err
+            result = run(argv, config_env=str(config))
+        assert cause(result, {}) == "usage"
+        assert "unknown config keys: per_sample" in result.err
 
     @pytest.mark.parametrize("key", ["L", "l", "W", "w", "T", "t"])
-    def test_uppercase_flag_set_from_config(self, tmp_path, capsys, monkeypatch,
-                                            key):
+    def test_uppercase_flag_set_from_config(self, tmp_path, key):
         # Keys match flag names case-insensitively, so the uppercase flags
         # --L, --W and --T can be set from a file too.
         flag = key.upper()
         value = {"L": 4000.0, "W": 2e12, "T": 0.5}[flag]
         config = tmp_path / "upper.conf"
         config.write_text(f"{key} = {value!r}\n")
-        monkeypatch.delenv("COVERTSENSE_CONFIG", raising=False)
         argv = ["--config", str(config), "optimize"]
         if flag != "L":
             argv += ["--L", "3000"]
-        assert main(argv) == 0
-        assert json.loads(capsys.readouterr().out)["config"][flag] == value
+        result = run(argv)
+        assert result.code == 0, result
+        assert json.loads(result.out)["config"][flag] == value
 
-    def test_repeated_config_key_is_usage_error(self, tmp_path, capsys,
-                                                monkeypatch):
+    def test_repeated_config_key_is_usage_error(self, tmp_path):
         config = tmp_path / "twice.conf"
         config.write_text("L = 3000\n# comment\nfmin = 15e12\nl = 4000\n")
-        monkeypatch.delenv("COVERTSENSE_CONFIG", raising=False)
-        with pytest.raises(SystemExit) as exc:
-            main(["--config", str(config), "optimize"])
-        assert exc.value.code == 2
-        out, err = capsys.readouterr()
-        assert out == ""
-        assert "key 'l' is set on lines 1 and 4" in err
+        result = run(["--config", str(config), "optimize"])
+        assert cause(result, {}) == "usage"
+        assert "key 'l' is set on lines 1 and 4" in result.err
 
 
 class TestErrorPaths:
@@ -513,30 +516,8 @@ NUMERIC_FLAGS = {
 }
 
 
-def _run_main(command: str, **overrides: str) -> int:
-    flags = {**NUMERIC_FLAGS[command], **overrides}
-    argv = [command] + [f"--{name}={value}" for name, value in flags.items()]
-    try:
-        return main(argv)
-    except SystemExit as exc:
-        return exc.code
-
-
-def _strict_json(text: str):
-    def reject(constant: str):
-        raise ValueError(f"non-standard JSON constant {constant}")
-
-    return json.loads(text, parse_constant=reject)
-
-
-def _strict_csv(text: str) -> None:
-    """Parse sweep CSV: the header, then rows of finite floats or blanks."""
-    header, *rows = text.splitlines()
-    assert header == CSV_HEADER
-    for row in rows:
-        cells = row.split(",")
-        assert len(cells) == len(CSV_HEADER.split(","))
-        assert all(cell == "" or math.isfinite(float(cell)) for cell in cells)
+def _numeric_argv(command: str, **overrides: str) -> list[str]:
+    return flag_argv(command, {**NUMERIC_FLAGS[command], **overrides})
 
 
 SWEEP_5000 = (
@@ -582,9 +563,10 @@ def test_stdout_closed_mid_sweep_ends_quietly():
     assert "Traceback" not in stderr and "Exception ignored" not in stderr
 
 
-def test_bounds_with_huge_reference_is_finite(capsys):
-    assert _run_main("bounds", nlo="1e308") == 0
-    results = _strict_json(capsys.readouterr().out)["results"]
+def test_bounds_with_huge_reference_is_finite():
+    result = run(_numeric_argv("bounds", nlo="1e308"))
+    assert result.code == 0, result
+    results = json_strict(result.out)["results"]
     assert results["F_A_prime"] == pytest.approx(results["F_A"], rel=1e-15)
 
 
@@ -601,29 +583,29 @@ class TestStrictJson:
         "command,flag",
         [(command, flag) for command, flags in NUMERIC_FLAGS.items() for flag in flags],
     )
-    def test_exit_code_and_strict_stdout(self, command, flag, value, capsys):
-        code = _run_main(command, **{flag: value})
-        out, err = capsys.readouterr()
-        assert code in (0, 1, 2)
+    def test_exit_code_and_strict_stdout(self, command, flag, value):
+        code, out, err, fault = run(_numeric_argv(command, **{flag: value}))
+        assert fault is None and code in (0, 1, 2), (code, fault)
         assert "Traceback" not in err
         if code == 2:
             assert out == ""
         elif out.startswith(CSV_HEADER):
-            _strict_csv(out)
+            csv_strict(out)
             if code == 1:
-                assert "error" in _strict_json(err)
+                assert "error" in json_strict(err)
         else:
-            payload = _strict_json(out)
+            payload = json_strict(out)
             assert ("error" in payload) == (code == 1)
 
     @pytest.mark.parametrize(
-        "command,flag,value,cause",
+        "command,flag,value,named",
         [
             ("scenario", "epsilon", "nan", "epsilon"),
             ("scenario", "theta", "nan", "theta"),
             ("scenario", "n", "inf", "channel uses"),
             ("scenario", "nb1", "inf", "nbar_b1"),
             ("bounds", "nlo", "nan", "nbar_lo"),
+            ("bounds", "t-int", "1e308", "product W_ase*T overflows"),
             ("sweep", "t0", "inf", "t0"),
             ("sweep", "fmax", "inf", "f_max"),
             ("sweep", "T", "inf", "integration time T"),
@@ -643,12 +625,9 @@ class TestStrictJson:
             ("oracle-check", "cutoff", "10000000", "exceeds the supported cap"),
         ],
     )
-    def test_refusal_names_the_input(self, command, flag, value, cause, capsys):
-        code = _run_main(command, **{flag: value})
-        out, err = capsys.readouterr()
-        assert code == 1
-        assert "Traceback" not in err
-        assert cause in _strict_json(out)["error"]["message"]
+    def test_refusal_names_the_input(self, command, flag, value, named):
+        result = run(_numeric_argv(command, **{flag: value}))
+        assert cause(result, {"named": named}) == "named"
 
 
 #: One call of each subcommand that runs on the math-only closed forms.
@@ -779,15 +758,15 @@ def test_numeric_commands_run_from_fresh_interpreter(argv, imports):
     [["mse-mc", *SCENARIO_FLAGS, "--trials", "1000"], ["oracle-check"]],
     ids=["mse-mc", "oracle-check"],
 )
-def test_numeric_commands_without_numpy_emit_json_error(argv, monkeypatch, capsys):
+def test_numeric_commands_without_numpy_emit_json_error(argv, monkeypatch):
     """Without numpy the two numeric commands refuse with the JSON error
     object and exit 1 instead of a traceback."""
-    monkeypatch.delenv("COVERTSENSE_CONFIG", raising=False)
     monkeypatch.setitem(sys.modules, "numpy", None)
     # Drop the loaded numeric modules so that their import runs again.
     for name in ("covertsense.fock", "covertsense.gaussian"):
         monkeypatch.delitem(sys.modules, name, raising=False)
-    assert main(argv) == 1
-    error = json.loads(capsys.readouterr().out)["error"]
+    result = run(argv)
+    assert result.code == 1, result
+    error = json.loads(result.out)["error"]
     assert error["type"] == "ModuleNotFoundError"
     assert "numpy" in error["message"]

@@ -23,12 +23,11 @@ from __future__ import annotations
 
 import json
 import math
-import warnings
 from pathlib import Path
 
 import pytest
+from _contract import run
 
-from covertsense.cli import CONFIG_ENV_VAR, main
 from covertsense.link import (
     LinkGeometry,
     geometric_transmissivity,
@@ -61,14 +60,6 @@ EXPECTED_MOVES = {
 
 #: Operating point of every link case (the CLI defaults).
 EPSILON, BANDWIDTH, INTEGRATION_TIME = 1e-3, 3e12, 1.0
-
-
-def _run(argv, capsys, monkeypatch):
-    monkeypatch.delenv(CONFIG_ENV_VAR, raising=False)
-    with warnings.catch_warnings():
-        warnings.simplefilter("ignore", UserWarning)
-        code = main(argv)
-    return code, capsys.readouterr().out
 
 
 def _closed_c_ase(eta: float, nbar_b: float) -> float:
@@ -220,22 +211,20 @@ def _check_reproduce(old, new):
 @pytest.mark.parametrize(
     "i", range(len(CASES)), ids=[f"{i:02d}-{c['argv'][0]}" for i, c in enumerate(CASES)]
 )
-def test_stdout_within_stencil_error(i, capsys, monkeypatch):
+def test_stdout_within_stencil_error(i):
     case = CASES[i]
-    code, out = _run(case["argv"], capsys, monkeypatch)
-    _check_case(i, case, code, out)
+    result = run(case["argv"])
+    _check_case(i, case, result.code, result.out)
 
 
-def test_expected_moves_happen(capsys, monkeypatch):
+def test_expected_moves_happen():
     # The listed moves are real: the stencil snapshot refused these rows
     # and found the other optimum; a regression to the stencil fails here.
     rows = json.loads(CASES[21]["stdout"])["results"]["rows"]
     assert [rows[j]["flag"] for j in (26, 27)] == ["degenerate", "degenerate"]
-    _, out = _run(CASES[21]["argv"], capsys, monkeypatch)
-    new_rows = json.loads(out)["results"]["rows"]
+    new_rows = json.loads(run(CASES[21]["argv"]).out)["results"]["rows"]
     assert all(new_rows[j]["c_ase"] is not None for j in (26, 27))
-    _, out = _run(CASES[23]["argv"], capsys, monkeypatch)
-    lam = json.loads(out)["results"]["lambda_star"]
+    lam = json.loads(run(CASES[23]["argv"]).out)["results"]["lambda_star"]
     assert lam == pytest.approx(2.115965765811682e-06, rel=1e-9)
     assert json.loads(CASES[23]["stdout"])["results"]["lambda_star"] == pytest.approx(
         2.1162165389114958e-06, rel=1e-12

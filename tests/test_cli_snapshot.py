@@ -29,12 +29,10 @@ noise whose trailing digits move with any reordering of the arithmetic.
 from __future__ import annotations
 
 import json
-import warnings
 from pathlib import Path
 
 import pytest
-
-from covertsense.cli import CONFIG_ENV_VAR, main
+from _contract import run
 
 CASES = json.loads(
     (Path(__file__).parent / "data" / "cli_stdout.json").read_text()
@@ -44,11 +42,6 @@ CASES = json.loads(
 @pytest.mark.parametrize(
     "case", CASES, ids=[f"{i:02d}-{case['argv'][0]}" for i, case in enumerate(CASES)]
 )
-def test_stdout_matches_snapshot(case, capsys, monkeypatch):
-    monkeypatch.delenv(CONFIG_ENV_VAR, raising=False)
-    with warnings.catch_warnings():
-        # Out-of-regime budgets warn on stderr; only stdout is compared.
-        warnings.simplefilter("ignore", UserWarning)
-        code = main(case["argv"])
-    assert code == case["exit"]
-    assert capsys.readouterr().out == case["stdout"]
+def test_stdout_matches_snapshot(case):
+    result = run(case["argv"])
+    assert (result.code, result.out) == (case["exit"], case["stdout"])

@@ -15,12 +15,10 @@ row each link input once.
 
 from __future__ import annotations
 
-import warnings
-
 import pytest
+from _contract import run
 
 from covertsense import cli, covertness, estimation, fock, gaussian, link, scenario
-from covertsense.cli import CONFIG_ENV_VAR, main
 
 MODULES = (cli, covertness, estimation, fock, gaussian, link, scenario)
 
@@ -31,7 +29,6 @@ SCENARIO = [
 
 @pytest.fixture
 def counts(monkeypatch):
-    monkeypatch.delenv(CONFIG_ENV_VAR, raising=False)
     tally = {
         "taylor": 0, "qre": 0, "coherent": 0, "heterodyne": 0, "planck": 0,
         "transmissivity": 0,
@@ -71,23 +68,16 @@ def counts(monkeypatch):
     return tally
 
 
-def _run(argv, capsys):
-    with warnings.catch_warnings():
-        warnings.simplefilter("ignore", UserWarning)
-        assert main(argv) == 0
-    return capsys.readouterr().out
-
-
-def test_scenario_runs_taylor_once(counts, capsys):
-    _run(["scenario", *SCENARIO, "--theta", "0.4"], capsys)
+def test_scenario_runs_taylor_once(counts):
+    assert run(["scenario", *SCENARIO, "--theta", "0.4"]).code == 0
     assert counts == {
         "taylor": 1, "qre": 1, "coherent": 0, "heterodyne": 0, "planck": 0,
         "transmissivity": 0,
     }
 
 
-def test_bounds_runs_taylor_once(counts, capsys):
-    _run(["bounds", *SCENARIO, "--nlo", "1e5"], capsys)
+def test_bounds_runs_taylor_once(counts):
+    assert run(["bounds", *SCENARIO, "--nlo", "1e5"]).code == 0
     # c_coh is computed once and shared by the report and the ratios.
     assert counts == {
         "taylor": 1, "qre": 0, "coherent": 1, "heterodyne": 0, "planck": 0,
@@ -95,13 +85,13 @@ def test_bounds_runs_taylor_once(counts, capsys):
     }
 
 
-def test_sweep_runs_taylor_at_most_once_per_row(counts, capsys):
-    out = _run(
+def test_sweep_runs_taylor_at_most_once_per_row(counts):
+    result = run(
         ["sweep", "--L", "1000", "--fmin", "15e12", "--fmax", "100e12",
          "--points", "50"],
-        capsys,
     )
-    rows = [line.split(",") for line in out.splitlines()[1:]]
+    assert result.code == 0, result
+    rows = [line.split(",") for line in result.out.splitlines()[1:]]
     assert len(rows) == 50
     # Near-field rows (no eta) never reach the covertness layer; every
     # other row, valid or degenerate, runs the Taylor coefficients once.
@@ -113,25 +103,25 @@ def test_sweep_runs_taylor_at_most_once_per_row(counts, capsys):
     }
 
 
-def test_sweep_takes_each_row_input_once(counts, capsys):
+def test_sweep_takes_each_row_input_once(counts):
     # At 100 K the upper rows sit deep in the Wien tail and are degenerate
     # (an eta but no c_ase); they too take each link input once.
-    out = _run(
+    result = run(
         ["sweep", "--L", "3000", "--fmin", "15e12", "--fmax", "100e12",
          "--points", "12", "--t0", "100"],
-        capsys,
     )
-    rows = [line.split(",") for line in out.splitlines()[1:]]
+    assert result.code == 0, result
+    rows = [line.split(",") for line in result.out.splitlines()[1:]]
     degenerate = sum(1 for row in rows if row[2] != "" and row[4] == "")
     assert 0 < degenerate < 12
     assert counts["planck"] == counts["transmissivity"] == 12
 
 
-def test_mse_mc_runs_taylor_once(counts, capsys):
+def test_mse_mc_runs_taylor_once(counts):
     # The budget and the heterodyne moments behind the reported prediction
     # are passed into simulate_heterodyne_mse rather than built there a
     # second time.
-    _run(["mse-mc", *SCENARIO, "--trials", "1000"], capsys)
+    assert run(["mse-mc", *SCENARIO, "--trials", "1000"]).code == 0
     assert counts == {
         "taylor": 1, "qre": 0, "coherent": 0, "heterodyne": 1, "planck": 0,
         "transmissivity": 0,
@@ -144,9 +134,9 @@ def test_mse_mc_runs_taylor_once(counts, capsys):
      ["--w-ase", "1e300", "--t-int", "1e10"]],
     ids=["w-ase", "w-coh", "t-int", "w-ase-times-t-int"],
 )
-def test_bounds_refuses_operating_point_before_taylor(counts, capsys, flags):
-    assert main(["bounds", *SCENARIO, *flags]) == 1
-    assert '"error"' in capsys.readouterr().out
+def test_bounds_refuses_operating_point_before_taylor(counts, flags):
+    result = run(["bounds", *SCENARIO, *flags])
+    assert result.code == 1 and '"error"' in result.out
     assert counts == {
         "taylor": 0, "qre": 0, "coherent": 0, "heterodyne": 0, "planck": 0,
         "transmissivity": 0,

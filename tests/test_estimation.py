@@ -514,7 +514,11 @@ class TestReport:
             (dict(w_ase=0.0), "bandwidths"),
             (dict(w_coh=math.inf), "bandwidths"),
             (dict(integration_time=-1.0), "integration time"),
-            (dict(w_ase=1e300, integration_time=1e10), "channel uses"),
+            pytest.param(
+                dict(w_ase=1e300, integration_time=1e10),
+                r"time-bandwidth product W_ase\*T overflows \(W_ase = 1e\+300 Hz",
+                id="kwargs3-W_ase*T",
+            ),
         ],
     )
     def test_operating_point_refused_before_budget(self, kwargs, cause):

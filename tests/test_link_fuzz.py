@@ -4,8 +4,8 @@ In-process ``main`` runs over log-uniform geometry, band, wavelength bracket
 (out to 1e12 m, where a few ulps of lambda exceed the section tolerance), eps,
 W and T, with both policies and formats and now and then a nan, +-inf, 0,
 1e308 or subnormal value.  One draw in five passes its values through a
-``--config`` file.  Every run is bounded by a ``SIGALRM`` interval timer, so
-a hang fails the test instead of stalling the suite.
+config file, named by ``--config`` or by ``COVERTSENSE_CONFIG``.  Each run
+goes through ``_contract.breaches``, so a hang or an escape fails the test.
 
 * Exit 0 must print strict JSON; a CSV ``sweep`` prints the header and one
   row per point whose cells are finite floats or blank, and a
@@ -17,14 +17,13 @@ a hang fails the test instead of stalling the suite.
 
 from __future__ import annotations
 
-import json
 import math
 import random
 import re
-import signal
-import warnings
 
-from covertsense.cli import CONFIG_ENV_VAR, CSV_HEADER, main
+from _contract import breaches, cause, csv_strict, json_strict
+
+from covertsense.cli import CSV_HEADER
 
 RUNS = 400
 SEED = 24
@@ -54,14 +53,6 @@ CAUSES = {
 SPECIAL = ("nan", "inf", "-inf", "0", "1e308", "5e-324")
 
 _NON_FINITE = re.compile(r"\b(?:nan|inf)\b", re.IGNORECASE)
-
-
-class _Hang(Exception):
-    pass
-
-
-def _raise_hang(signum, frame):
-    raise _Hang
 
 
 def _draws():
@@ -130,90 +121,26 @@ def _draws():
         yield command, flags, rng.random() < 0.2
 
 
-def _strict(text):
-    def refuse(constant):
-        raise ValueError(f"non-strict JSON constant {constant}")
-
-    return json.loads(text, parse_constant=refuse)
-
-
-def _assert_named(line):
-    """Assert that ``line`` is a one-line JSON error naming one of ``CAUSES``."""
-    assert line.endswith("\n") and line.count("\n") == 1, line
-    message = _strict(line)["error"]["message"]
-    named = [key for key, text in CAUSES.items() if text in message]
-    assert len(named) == 1, message
-
-
-def _check_csv(text, points):
-    header, *rows = text.splitlines()
-    assert header == CSV_HEADER
-    assert len(rows) == points
-    for row in rows:
-        cells = row.split(",")
-        assert len(cells) == 6, row
-        assert all(cell == "" or math.isfinite(float(cell)) for cell in cells), row
-
-
-def _check(command, flags, code, out, err):
+def _check(draw, result):
     """Raise AssertionError when a run breaks the exit contract."""
+    command, flags, _ = draw
     fmt = flags.get("format", {"sweep": "csv", "reproduce-paper": "table"}.get(command))
-    if code == 2:
-        assert out == "" and err.startswith("covertsense: "), (out, err)
-        assert "Traceback" not in err
-    elif code == 1 and command == "sweep" and err:
+    if result.code == 1 and command == "sweep" and result.err:
         # An empty sweep: a bare CSV header, and the error on stderr.
-        assert out == (CSV_HEADER + "\n" if fmt == "csv" else "")
-        assert _strict(err)["error"]["type"] == "EmptySweepError", err
-        _assert_named(err)
-    elif code == 1:
-        assert err == "", err
-        _assert_named(out)
-    else:
-        assert code == 0, code
+        assert result.out == (CSV_HEADER + "\n" if fmt == "csv" else "")
+        assert json_strict(result.err)["error"]["type"] == "EmptySweepError"
+        cause(result, CAUSES, channel="err")
+    elif cause(result, CAUSES) == "answer":
         if fmt == "csv":
-            _check_csv(out, int(flags["points"]))
-            _strict(err)
+            assert len(csv_strict(result.out)) == int(flags["points"])
+            json_strict(result.err)
         elif fmt == "table":
-            assert err == "" and not _NON_FINITE.search(out), out
+            assert result.err == "" and not _NON_FINITE.search(result.out), result.out
         else:
-            assert err == ""
-            _strict(out)
+            assert result.err == ""
+            json_strict(result.out)
 
 
-def test_link_commands_keep_the_exit_contract(capsys, monkeypatch, tmp_path):
-    monkeypatch.delenv(CONFIG_ENV_VAR, raising=False)
-    config = tmp_path / "fuzz.conf"
-    previous = signal.signal(signal.SIGALRM, _raise_hang)
-    failures = []
-    try:
-        for command, flags, via_config in _draws():
-            if via_config:
-                config.write_text("".join(f"{k} = {v}\n" for k, v in flags.items()))
-                argv = ["--config", str(config), command]
-            else:
-                # "--flag=value", so that a value like "-inf" is not read as a flag.
-                argv = [command] + [f"--{k}={v}" for k, v in flags.items()]
-            signal.setitimer(signal.ITIMER_REAL, ALARM_S)
-            try:
-                with warnings.catch_warnings():
-                    warnings.simplefilter("ignore", UserWarning)
-                    code = main(argv)
-            except SystemExit as exc:
-                code = exc.code
-            except _Hang:
-                failures.append(("hang", command, flags))
-                continue
-            except Exception as exc:  # any escape is a traceback on the command line
-                failures.append((f"raised {exc!r}", command, flags))
-                continue
-            finally:
-                signal.setitimer(signal.ITIMER_REAL, 0.0)
-                captured = capsys.readouterr()
-            try:
-                _check(command, flags, code, captured.out, captured.err)
-            except (AssertionError, ValueError) as exc:
-                failures.append((f"exit {code}: {exc}", command, flags))
-    finally:
-        signal.signal(signal.SIGALRM, previous)
-    assert not failures, failures
+def test_link_commands_keep_the_exit_contract(tmp_path):
+    found = breaches(_draws(), _check, alarm_s=ALARM_S, config_dir=tmp_path)
+    assert not found, found

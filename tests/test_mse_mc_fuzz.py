@@ -4,10 +4,11 @@ In-process ``main`` runs over uniform taps, log-uniform baths, ``n`` and eps,
 phases out to 1e300, ``--trials`` from 900 to 20 000, seeds up to and past
 2**128 and ``--workers`` up to the CPU count, with now and then a nan, +-inf,
 0, negative, 1e308 or subnormal value, or a malformed integer.  One draw in
-five passes its values through a ``--config`` file.  Every run is bounded by
-a ``SIGALRM`` interval timer, so a hang fails the test instead of stalling
-the suite.  ``--workers`` never exceeds ``os.cpu_count()``, so no draw asks
-the thread clamp to hold back more threads than the machine has.
+five passes its values through a config file, named by ``--config`` or by
+``COVERTSENSE_CONFIG``.  Each run goes through ``_contract.breaches``, so a
+hang or an escape fails the test.  ``--workers`` never exceeds
+``os.cpu_count()``, so no draw asks the thread clamp to hold back more
+threads than the machine has.
 
 * Exit 0 must print strict JSON whose ``mse`` and ``stderr`` are finite,
   with ``mse`` positive and ``stderr`` non-negative.
@@ -17,14 +18,11 @@ the thread clamp to hold back more threads than the machine has.
 
 from __future__ import annotations
 
-import json
 import math
 import os
 import random
-import signal
-import warnings
 
-from covertsense.cli import CONFIG_ENV_VAR, main
+from _contract import breaches, cause, json_strict
 
 RUNS = 200
 SEED = 25
@@ -54,14 +52,6 @@ SPECIAL = ("nan", "inf", "-inf", "0", "-1", "1e308", "5e-324")
 
 #: The values a drawn integer is now and then replaced by.
 BAD_INT = ("1e3", "1.5", "nan", "")
-
-
-class _Hang(Exception):
-    pass
-
-
-def _raise_hang(signum, frame):
-    raise _Hang
 
 
 def _draws():
@@ -101,68 +91,18 @@ def _draws():
         }
         for name, value in integers.items():
             flags[name] = rng.choice(BAD_INT) if rng.random() < 0.02 else str(value)
-        yield flags, rng.random() < 0.2
+        yield "mse-mc", flags, rng.random() < 0.2
 
 
-def _strict(text):
-    def refuse(constant):
-        raise ValueError(f"non-strict JSON constant {constant}")
-
-    return json.loads(text, parse_constant=refuse)
-
-
-def _check(code, out, err):
+def _check(draw, result):
     """Raise AssertionError when a run breaks the exit contract."""
-    if code == 2:
-        assert out == "" and err.startswith("covertsense: "), (out, err)
-        assert "Traceback" not in err
-    elif code == 1:
-        assert err == "", err
-        assert out.endswith("\n") and out.count("\n") == 1, out
-        message = _strict(out)["error"]["message"]
-        named = [key for key, text in CAUSES.items() if text in message]
-        assert len(named) == 1, message
-    else:
-        assert code == 0, code
-        assert err == "", err
-        results = _strict(out)["results"]
+    if cause(result, CAUSES) == "answer":
+        assert result.err == "", result.err
+        results = json_strict(result.out)["results"]
         assert math.isfinite(results["mse"]) and results["mse"] > 0.0, results
         assert math.isfinite(results["stderr"]) and results["stderr"] >= 0.0, results
 
 
-def test_mse_mc_keeps_the_exit_contract(capsys, monkeypatch, tmp_path):
-    monkeypatch.delenv(CONFIG_ENV_VAR, raising=False)
-    config = tmp_path / "fuzz.conf"
-    previous = signal.signal(signal.SIGALRM, _raise_hang)
-    failures = []
-    try:
-        for flags, via_config in _draws():
-            if via_config:
-                config.write_text("".join(f"{k} = {v}\n" for k, v in flags.items()))
-                argv = ["--config", str(config), "mse-mc"]
-            else:
-                # "--flag=value", so that a value like "-inf" is not read as a flag.
-                argv = ["mse-mc"] + [f"--{k}={v}" for k, v in flags.items()]
-            signal.setitimer(signal.ITIMER_REAL, ALARM_S)
-            try:
-                with warnings.catch_warnings():
-                    warnings.simplefilter("ignore", UserWarning)
-                    code = main(argv)
-            except SystemExit as exc:
-                code = exc.code
-            except _Hang:
-                failures.append(("hang", flags))
-                continue
-            except Exception as exc:  # any escape is a traceback on the command line
-                failures.append((f"raised {exc!r}", flags))
-                continue
-            finally:
-                signal.setitimer(signal.ITIMER_REAL, 0.0)
-                captured = capsys.readouterr()
-            try:
-                _check(code, captured.out, captured.err)
-            except (AssertionError, ValueError) as exc:
-                failures.append((f"exit {code}: {exc}", flags))
-    finally:
-        signal.signal(signal.SIGALRM, previous)
-    assert not failures, failures
+def test_mse_mc_keeps_the_exit_contract(tmp_path):
+    found = breaches(_draws(), _check, alarm_s=ALARM_S, config_dir=tmp_path)
+    assert not found, found

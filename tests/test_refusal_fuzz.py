@@ -2,12 +2,12 @@
 
 1000 in-process runs, alternating the two commands.  Occupancies (both
 baths and ``--nlo``) are log-uniform in 1e-300..1e300; each tap is 0, 1,
-1 - 1e-16 or uniform in [0, 1].  Every run is bounded by a ``SIGALRM``
-interval timer, so a hang fails the test instead of stalling the suite.
+1 - 1e-16 or uniform in [0, 1].  Each run goes through
+``_contract.breaches``, so a hang or an escape fails the test.
 
-* Exit 0 must print strict JSON (no NaN or Infinity).
-* Exit 1 must print a JSON error whose message names one cause of
-  ``CAUSES``, and a predicate on the inputs must allow that cause: the
+* Exit 0 must print strict JSON (no NaN or Infinity) and nothing on stderr.
+* Exit 1 must print a one-line JSON error on stdout whose message names one
+  cause of ``CAUSES``, and a predicate on the inputs must allow that cause: the
   vacuum refusal exactly when lambda_lo <= 1e-12, the identity channel
   exactly when both taps are 1, and the c2 underflow only when a lower
   bound on c2 underflows.  An answer needs an upper bound on c2 that does
@@ -16,14 +16,11 @@ interval timer, so a hang fails the test instead of stalling the suite.
 
 from __future__ import annotations
 
-import json
 import math
 import random
-import signal
 import sys
-import warnings
 
-from covertsense.cli import CONFIG_ENV_VAR, main
+from _contract import breaches, cause, json_strict
 
 RUNS = 1000
 SEED = 18
@@ -36,14 +33,6 @@ CAUSES = {
     "identity": "(identity channel?)",
     "c2-underflow": "underflows double precision at these bath occupancies",
 }
-
-
-class _Hang(Exception):
-    pass
-
-
-def _raise_hang(signum, frame):
-    raise _Hang
 
 
 def _draws():
@@ -66,7 +55,7 @@ def _draws():
         ]
         if command == "bounds":
             argv += ["--nlo", repr(occupancy())]
-        yield argv, (e1, e2, b1, b2)
+        yield argv
 
 
 def _admissible(e1, e2, b1, b2):
@@ -96,39 +85,16 @@ def _admissible(e1, e2, b1, b2):
     return allowed
 
 
-def _strict(text):
-    def refuse(constant):
-        raise ValueError(f"non-strict JSON constant {constant}")
+def _check(argv, result):
+    """Raise AssertionError unless the outcome is one the inputs allow."""
+    outcome = cause(result, CAUSES)
+    if outcome == "answer":
+        assert result.err == "", result.err
+        json_strict(result.out)
+    # The drawn taps and baths: repr round-trips a float.
+    assert outcome in _admissible(*map(float, argv[2:9:2])), outcome
 
-    return json.loads(text, parse_constant=refuse)
 
-
-def test_no_hang_and_every_refusal_named(capsys, monkeypatch):
-    monkeypatch.delenv(CONFIG_ENV_VAR, raising=False)
-    previous = signal.signal(signal.SIGALRM, _raise_hang)
-    failures = []
-    try:
-        for argv, inputs in _draws():
-            signal.setitimer(signal.ITIMER_REAL, ALARM_S)
-            try:
-                with warnings.catch_warnings():
-                    warnings.simplefilter("ignore", UserWarning)
-                    code = main(argv)
-            except _Hang:
-                failures.append(("hang", argv))
-                continue
-            finally:
-                signal.setitimer(signal.ITIMER_REAL, 0.0)
-            out = capsys.readouterr().out
-            document = _strict(out)
-            if code == 0:
-                outcome = "answer"
-            else:
-                message = document["error"]["message"]
-                named = [key for key, text in CAUSES.items() if text in message]
-                outcome = named[0] if len(named) == 1 else f"unlisted: {message}"
-            if outcome not in _admissible(*inputs):
-                failures.append((outcome, argv))
-    finally:
-        signal.signal(signal.SIGALRM, previous)
-    assert not failures, failures[:10]
+def test_no_hang_and_every_refusal_named():
+    found = breaches(_draws(), _check, alarm_s=ALARM_S)
+    assert not found, found[:10]
