@@ -15,8 +15,12 @@ the command, so ``scenario``, ``bounds`` and ``mse-mc`` start without it
 command, so ``scenario`` starts without it; the link commands load it
 through :mod:`covertsense.link`.
 
-Config keys match flag names case-insensitively (``L = 3000`` and
-``l = 3000`` both set ``--L``); a key given twice is a usage error.
+``_COMMANDS`` alone decides what a flag is: its name, converter and
+default.  Flag names match exactly, with no prefixes, and the token after
+a flag is always its value, so ``--theta -1e-3`` sets theta.  Config keys
+match flag names case-insensitively (``L = 3000`` and ``l = 3000`` both
+set ``--L``); a key given twice is a usage error.  Every usage error,
+argparse's own included, is one ``covertsense: <message>`` line on stderr.
 
 Output contracts:
 
@@ -43,7 +47,7 @@ import json
 import math
 import os
 import sys
-from typing import TYPE_CHECKING, Any, Callable, NamedTuple, Sequence
+from typing import TYPE_CHECKING, Any, Callable, NamedTuple, NoReturn, Sequence
 
 from ._constants import CONSTANTS_VERSION, RNG_ALGORITHM
 from .covertness import covert_budget, willie_error_lower_bound, willie_qre
@@ -70,6 +74,17 @@ ORACLE_TOLERANCES = {
     "alice_cm_max_err": 1e-6,
     "alice_fidelity_err": 1e-5,
 }
+
+
+def _one_of(*choices: str) -> Callable[[str], str]:
+    """A converter that accepts only ``choices``."""
+
+    def convert(raw: str) -> str:
+        if raw not in choices:
+            raise ValueError("must be " + " or ".join(choices))
+        return raw
+
+    return convert
 
 
 class _Flag(NamedTuple):
@@ -134,7 +149,7 @@ _COMMANDS: dict[str, list[_Flag]] = {
     ]
     + _GEOMETRY_FLAGS
     + _BOUND_FLAGS
-    + [_Flag("format", str, "csv", "output format: csv or json")],
+    + [_Flag("format", _one_of("csv", "json"), "csv", "output format: csv or json")],
     "optimize": [
         _Flag("L", float, ..., "range (m)"),
         _Flag("lmin", float, 3e-6, "bracket lower edge (m)"),
@@ -143,7 +158,11 @@ _COMMANDS: dict[str, list[_Flag]] = {
     + _GEOMETRY_FLAGS
     + _BOUND_FLAGS,
     "reproduce-paper": _BOUND_FLAGS
-    + [_Flag("format", str, "table", "output format: table or json")],
+    + [
+        _Flag(
+            "format", _one_of("table", "json"), "table", "output format: table or json"
+        )
+    ],
     "oracle-check": [
         _Flag("eta1", float, 0.6, "forward tap transmissivity"),
         _Flag("eta2", float, 0.75, "return tap transmissivity"),
@@ -160,6 +179,11 @@ _COMMANDS: dict[str, list[_Flag]] = {
 def _dest(flag_name: str) -> str:
     return flag_name.replace("-", "_")
 
+
+#: Every flag as written on the command line, ``--config`` included.
+_FLAG_TOKENS = {"--config"} | {
+    f"--{flag.name}" for flags in _COMMANDS.values() for flag in flags
+}
 
 #: Every flag's destination, keyed by its lowercased form.  No two flags
 #: differ only in case, so a config key names at most one flag.
@@ -198,10 +222,34 @@ def _load_config_file(path: str) -> dict[str, str]:
     return values
 
 
-def _build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
+class _Parser(argparse.ArgumentParser):
+    """Splits the command line into flags; every refusal is one stderr line."""
+
+    def error(self, message: str) -> NoReturn:
+        self.exit(2, f"covertsense: {message}\n")
+
+
+def _join_values(argv: Sequence[str]) -> list[str]:
+    """``argv`` with each flag joined to the token after it, as ``--flag=value``.
+
+    argparse then reads that token as the value even where it looks like a
+    flag (``-1e-3``, ``-inf``).  A name that is not exactly a flag is left
+    for argparse to refuse.
+    """
+    joined: list[str] = []
+    for token in argv:
+        if joined and joined[-1] in _FLAG_TOKENS:
+            joined[-1] += f"={token}"
+        else:
+            joined.append(token)
+    return joined
+
+
+def _build_parser() -> _Parser:
+    parser = _Parser(
         prog="covertsense",
         description="Covert phase-sensing bounds, sweeps and simulations.",
+        allow_abbrev=False,
     )
     parser.add_argument(
         "--config",
@@ -210,37 +258,47 @@ def _build_parser() -> argparse.ArgumentParser:
     )
     subparsers = parser.add_subparsers(dest="command", required=True)
     for command, flags in _COMMANDS.items():
-        sub = subparsers.add_parser(command)
+        sub = subparsers.add_parser(command, allow_abbrev=False)
         for flag in flags:
-            # Defaults are filled in post-parse so a config file can sit
-            # between built-in defaults and explicit flags.
+            # argparse only splits the tokens: ``_resolve`` fills in the
+            # defaults, so a config file can sit between them and explicit
+            # flags, and converts and checks every value.
             sub.add_argument(f"--{flag.name}", type=str, default=None, help=flag.help)
     return parser
 
 
-def _resolve(
-    command: str, args: argparse.Namespace, file_values: dict[str, str]
-) -> dict[str, Any]:
+def _resolve(parser: _Parser, args: argparse.Namespace) -> dict[str, Any]:
+    """Every flag of ``args.command``, converted; a usage error exits 2.
+
+    A flag on the command line wins over the config file, which wins over
+    the default.  Each refusal goes through ``parser.error``.
+    """
+    config_path = args.config or os.environ.get(CONFIG_ENV_VAR)
+    file_values: dict[str, str] = {}
+    if config_path:
+        try:
+            file_values = _load_config_file(config_path)
+        except (OSError, ValueError) as exc:
+            parser.error(f"config error: {exc}")
+        unknown = set(file_values) - set(_CONFIG_KEYS.values())
+        if unknown:
+            parser.error("unknown config keys: " + ", ".join(sorted(unknown)))
     resolved: dict[str, Any] = {}
-    for flag in _COMMANDS[command]:
+    for flag in _COMMANDS[args.command]:
         dest = _dest(flag.name)
         raw = getattr(args, dest)
         if raw is None and dest in file_values:
             raw = file_values[dest]
         if raw is None:
             if flag.default is ...:
-                raise _UsageError(f"missing required option --{flag.name}")
+                parser.error(f"missing required option --{flag.name}")
             resolved[dest] = flag.default
             continue
         try:
             resolved[dest] = flag.kind(raw)
         except (TypeError, ValueError) as exc:
-            raise _UsageError(f"bad value for --{flag.name}: {exc}") from exc
+            parser.error(f"bad value for --{flag.name}: {exc}")
     return resolved
-
-
-class _UsageError(Exception):
-    pass
 
 
 def _metadata(seed: int | None) -> dict[str, Any]:
@@ -438,8 +496,6 @@ def _cmd_sweep(config: dict[str, Any]) -> int:
 
     from .link import sweep_frequency
 
-    if config["format"] not in ("csv", "json"):
-        raise _UsageError("--format must be csv or json")
     geometry = _geometry_from(config)
     try:
         rows = sweep_frequency(
@@ -551,8 +607,6 @@ def _plain(value: Any) -> Any:
 def _cmd_reproduce_paper(config: dict[str, Any]) -> int:
     from .link import reproduce_paper_report
 
-    if config["format"] not in ("table", "json"):
-        raise _UsageError("--format must be table or json")
     report = reproduce_paper_report(
         epsilon=config["epsilon"],
         bandwidth=config["W"],
@@ -620,34 +674,11 @@ def _emit_error(exc: Exception, stream: Any = None) -> None:
 
 def main(argv: Sequence[str] | None = None) -> int:
     parser = _build_parser()
-    args = parser.parse_args(argv)
-
-    config_path = args.config or os.environ.get(CONFIG_ENV_VAR)
-    file_values: dict[str, str] = {}
-    if config_path:
-        try:
-            file_values = _load_config_file(config_path)
-        except (OSError, ValueError) as exc:
-            parser.exit(2, f"covertsense: config error: {exc}\n")
-        unknown = set(file_values) - set(_CONFIG_KEYS.values())
-        if unknown:
-            parser.exit(
-                2,
-                "covertsense: unknown config keys: "
-                + ", ".join(sorted(unknown))
-                + "\n",
-            )
-
-    try:
-        config = _resolve(args.command, args, file_values)
-    except _UsageError as exc:
-        parser.exit(2, f"covertsense: {exc}\n")
-
+    args = parser.parse_args(_join_values(sys.argv[1:] if argv is None else argv))
+    config = _resolve(parser, args)
     try:
         try:
             code = _HANDLERS[args.command](config)
-        except _UsageError as exc:
-            parser.exit(2, f"covertsense: {exc}\n")
         except (
             DomainError,
             NumericalInstabilityError,

@@ -63,7 +63,7 @@ from .errors import (
     DomainError,
     InfiniteQreError,
 )
-from .scenario import SensingScenario, check_positive
+from .scenario import SensingScenario, check_occupancy, check_positive
 
 if TYPE_CHECKING:
     from .gaussian import CovarianceMatrix
@@ -352,6 +352,15 @@ def willie_qre(scenario: SensingScenario, nbar_s: float) -> float:
     return _adversary_qre(scenario, nbar_s)
 
 
+def _equal_bath_n0(eta_eff: float, nbar_b: float) -> float:
+    """N0 = eta_eff nbar_b, refusing an eta_eff outside [0, 1] or a bath
+    that is negative, NaN or infinite."""
+    if not 0.0 <= eta_eff <= 1.0:
+        raise ValueError(f"eta_eff must lie in [0, 1], got {eta_eff}")
+    check_occupancy("nbar_b", nbar_b)
+    return eta_eff * nbar_b
+
+
 def equal_bath_qre(eta_eff: float, nbar_b: float, nbar_s: float) -> float:
     """Closed-form QRE for equal baths (single-mode thermal pair reduction).
 
@@ -359,11 +368,8 @@ def equal_bath_qre(eta_eff: float, nbar_b: float, nbar_s: float) -> float:
     eta_eff into the two taps.  N0 = eta_eff nbar_b, N1 = N0 +
     (1 - eta_eff) nbar_s.
     """
-    if not 0.0 <= eta_eff <= 1.0:
-        raise ValueError("eta_eff must lie in [0, 1]")
-    if nbar_b < 0.0 or nbar_s < 0.0:
-        raise ValueError("occupancies must be non-negative")
-    n0 = eta_eff * nbar_b
+    n0 = _equal_bath_n0(eta_eff, nbar_b)
+    check_occupancy("nbar_s", nbar_s)
     shift = (1.0 - eta_eff) * nbar_s
     if shift == 0.0:
         return 0.0
@@ -376,7 +382,7 @@ def equal_bath_qre(eta_eff: float, nbar_b: float, nbar_s: float) -> float:
 
 def equal_bath_c2(eta_eff: float, nbar_b: float) -> float:
     """Closed-form quadratic QRE coefficient for equal baths."""
-    n0 = eta_eff * nbar_b
+    n0 = _equal_bath_n0(eta_eff, nbar_b)
     if n0 <= 0.0:
         raise DomainError(
             "quadratic expansion needs a strictly thermal effective bath "
@@ -387,7 +393,7 @@ def equal_bath_c2(eta_eff: float, nbar_b: float) -> float:
 
 def equal_bath_c3(eta_eff: float, nbar_b: float) -> float:
     """Closed-form cubic QRE coefficient for equal baths."""
-    n0 = eta_eff * nbar_b
+    n0 = _equal_bath_n0(eta_eff, nbar_b)
     if n0 <= 0.0:
         raise DomainError(
             "cubic expansion needs a strictly thermal effective bath "

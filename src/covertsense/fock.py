@@ -159,8 +159,7 @@ class FockDensityMatrix:
                 )
         if not math.isfinite(phase):
             raise ValueError(f"phase must be finite, got {phase}")
-        if not -math.pi < phase <= math.pi:
-            phase = wrap_angle(phase)
+        phase = wrap_angle(phase)
         for name, value in (
             ("cutoff", cutoff),
             ("tail_bound", tail_bound),
@@ -463,8 +462,7 @@ def oracle_willie_state(
     )
     if not math.isfinite(theta):
         raise ValueError(f"theta must be finite, got {theta}")
-    if not -math.pi < theta <= math.pi:
-        theta = wrap_angle(theta)
+    theta = wrap_angle(theta)
     occ = [scenario.nbar_b2, scenario.nbar_b1, nbar_s]
     total_cutoff, actual_tail = _select_total_cutoff(occ, cutoff)
     forward_table = _pair_blocks(scenario.eta_1, total_cutoff)

@@ -78,11 +78,12 @@ def validated_make(cls: type, iterable: Iterable[Any]) -> Any:
 
 
 def wrap_angle(x: float) -> float:
-    """Wrap an angle to the interval (-pi, pi]."""
-    r = math.fmod(x + math.pi, 2.0 * math.pi)
-    if r <= 0.0:
-        r += 2.0 * math.pi
-    return r - math.pi
+    """Wrap an angle to the interval (-pi, pi]; one inside comes back as given.
+
+    ``math.remainder`` is exact, so no angle picks up a rounding error.
+    """
+    r = math.remainder(x, 2.0 * math.pi)
+    return math.pi if r == -math.pi else r
 
 
 class _ScenarioFields(NamedTuple):

@@ -2,9 +2,9 @@
 
 The contract: exit 0 prints the answer; exit 1 prints a one-line JSON error
 whose message names its cause, on stdout (an empty CSV sweep prints it on
-stderr, after a bare header); exit 2 prints a usage message on stderr and
-nothing on stdout.  No run hangs or escapes with a traceback, and no JSON
-or CSV output holds a NaN or an infinity.
+stderr, after a bare header); exit 2 prints one ``covertsense: <message>``
+line on stderr and nothing on stdout.  No run hangs or escapes with a
+traceback, and no JSON or CSV output holds a NaN or an infinity.
 
 ``run`` calls ``main`` under a ``SIGALRM`` alarm and returns the exit code,
 stdout and stderr, or the hang or the escaped exception.
@@ -52,7 +52,7 @@ def _raise_hang(signum: int, frame: Any) -> None:
 
 
 def flag_argv(command: str, flags: dict[str, str]) -> list[str]:
-    # "--flag=value", so that a value like "-inf" is not read as a flag.
+    # One "--flag=value" token per flag.
     return [command] + [f"--{name}={value}" for name, value in flags.items()]
 
 
@@ -123,7 +123,8 @@ def csv_strict(text: str) -> list[list[float | None]]:
 def cause(result: Result, causes: dict[str, str], *, channel: str = "out") -> str:
     """What a run did under the contract; AssertionError on a breach.
 
-    "answer" on exit 0, whose output the caller checks; "usage" on exit 2.
+    "answer" on exit 0, whose output the caller checks; "usage" on exit 2,
+    whose stdout is empty and whose stderr is one ``covertsense: `` line.
     On exit 1, the key of the one entry of ``causes`` whose fragment is in
     ``"<type>: <message>"`` of the one-line JSON error on ``channel``, so a
     fragment may name an error type.  An error on stdout leaves stderr
@@ -134,7 +135,7 @@ def cause(result: Result, causes: dict[str, str], *, channel: str = "out") -> st
         return "answer"
     if result.code == 2:
         assert result.out == "" and result.err.startswith("covertsense: "), result
-        assert "Traceback" not in result.err, result.err
+        assert result.err.count("\n") == 1 and result.err.endswith("\n"), result.err
         return "usage"
     assert result.code == 1, f"exit {result.code}"
     if channel == "out":

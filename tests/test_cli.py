@@ -426,7 +426,88 @@ class TestConfigResolution:
         assert "key 'l' is set on lines 1 and 4" in result.err
 
 
+#: One argv and a fragment its message must hold, for each route to exit 2.
+#: ``{dir}`` holds ``run.conf`` (``CONFIG_TEXT``), ``unknown.conf`` and
+#: ``twice.conf``; ``missing.conf`` is not there.
+USAGE_ROUTES = {
+    "unknown flag": (
+        ["scenario", *SCENARIO_FLAGS, "--bogus", "1"],
+        "unrecognized arguments: --bogus 1",
+    ),
+    "abbreviated --t0": (
+        ["optimize", "--L", "3000", "--t", "0.5"],
+        "unrecognized arguments: --t 0.5",
+    ),
+    "abbreviated --epsilon": (
+        ["scenario", "--eta1", "0.5", "--eta2", "0.5", "--nb1", "1", "--nb2", "1",
+         "--n", "1e6", "--eps", "1e-3"],
+        "unrecognized arguments: --eps 1e-3",
+    ),
+    # argparse takes the path after the unknown "--conf" for the command,
+    # so the message names the path; only the form is checked here.
+    "abbreviated --config": (["--conf", "{dir}/run.conf", "scenario"], ""),
+    "flag with no value": (
+        ["scenario", *SCENARIO_FLAGS, "--theta"],
+        "argument --theta: expected one argument",
+    ),
+    "unknown command": (["frobnicate"], "invalid choice: 'frobnicate'"),
+    "missing command": ([], "the following arguments are required: command"),
+    "bad value": (
+        ["scenario", *SCENARIO_FLAGS, "--theta", "half"],
+        "bad value for --theta: could not convert string to float: 'half'",
+    ),
+    "missing required flag": (
+        ["scenario", "--eta1", "0.5"],
+        "missing required option --eta2",
+    ),
+    "bad sweep --format": (
+        ["sweep", "--L", "3000", "--fmin", "15e12", "--fmax", "1e14",
+         "--points", "3", "--format", "xml"],
+        "bad value for --format: must be csv or json",
+    ),
+    "bad reproduce-paper --format": (
+        ["reproduce-paper", "--format", "csv"],
+        "bad value for --format: must be table or json",
+    ),
+    "unreadable config": (
+        ["--config", "{dir}/missing.conf", "scenario"],
+        "config error: [Errno 2] No such file or directory",
+    ),
+    "unknown config key": (
+        ["--config", "{dir}/unknown.conf", "scenario", *SCENARIO_FLAGS],
+        "unknown config keys: bogus_key",
+    ),
+    "repeated config key": (
+        ["--config", "{dir}/twice.conf", "optimize"],
+        "key 'l' is set on lines 1 and 2",
+    ),
+}
+
+
 class TestErrorPaths:
+    @pytest.mark.parametrize("route", USAGE_ROUTES)
+    def test_usage_error_is_one_stderr_line(self, tmp_path, route):
+        (tmp_path / "run.conf").write_text(CONFIG_TEXT)
+        (tmp_path / "unknown.conf").write_text("bogus_key = 1\n")
+        (tmp_path / "twice.conf").write_text("L = 3000\nl = 4000\n")
+        argv, fragment = USAGE_ROUTES[route]
+        result = run([token.format(dir=tmp_path) for token in argv])
+        # cause() holds the contract: exit 2, stdout empty, one stderr line
+        # that starts "covertsense: ".
+        assert cause(result, {}) == "usage"
+        assert fragment.format(dir=tmp_path) in result.err, result.err
+
+    def test_value_starting_with_a_dash_after_a_space(self):
+        result = run_cli("scenario", *SCENARIO_FLAGS, "--theta", "-1e-3")
+        assert result.returncode == 0, result.stderr
+        assert json.loads(result.stdout)["config"]["theta"] == -1e-3
+
+    def test_negative_infinity_after_a_space_is_refused_by_name(self):
+        result = run_cli("bounds", *SCENARIO_FLAGS, "--nlo", "-inf")
+        assert (result.returncode, result.stderr) == (1, ""), result
+        error = json.loads(result.stdout)["error"]
+        assert error["message"] == "nbar_lo must be non-negative and finite, got -inf"
+
     def test_missing_required_flag_is_usage_error(self):
         result = run_cli("scenario", "--eta1", "0.5")
         assert result.returncode == 2

@@ -270,6 +270,27 @@ class TestEqualBathClosedForms:
         with pytest.raises(ValueError):
             equal_bath_qre(0.5, -1.0, 0.1)
 
+    @pytest.mark.parametrize(
+        "closed_form,args,named",
+        [
+            (equal_bath_c2, (1.5, 1.0), "eta_eff"),
+            (equal_bath_c3, (1.5, 1.0), "eta_eff"),
+            (equal_bath_c2, (-0.5, -1.0), "eta_eff"),
+            (equal_bath_c3, (-0.5, -1.0), "eta_eff"),
+            (equal_bath_c2, (0.5, -1.0), "nbar_b"),
+            (equal_bath_c2, (0.5, math.nan), "nbar_b"),
+            (equal_bath_c3, (0.5, math.nan), "nbar_b"),
+            (equal_bath_c2, (0.5, math.inf), "nbar_b"),
+            (equal_bath_c3, (0.5, math.inf), "nbar_b"),
+            (equal_bath_qre, (0.5, math.nan, 0.1), "nbar_b"),
+            (equal_bath_qre, (0.5, math.inf, 0.1), "nbar_b"),
+            (equal_bath_qre, (0.5, 1.0, math.nan), "nbar_s"),
+        ],
+    )
+    def test_unphysical_input_refused(self, closed_form, args, named):
+        with pytest.raises(ValueError, match=f"^{named} must"):
+            closed_form(*args)
+
     def test_c2_golden(self):
         assert equal_bath_c2(0.25, 1.0) == pytest.approx(1.8, rel=1e-15)
 

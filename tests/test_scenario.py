@@ -9,7 +9,7 @@ import struct
 import numpy as np
 import pytest
 from conftest import CONSTRUCTION_PATHS
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from covertsense.gaussian import (
@@ -77,6 +77,34 @@ class TestValidation:
         assert -math.pi < wrapped <= math.pi
         assert math.cos(wrapped) == pytest.approx(math.cos(theta), abs=1e-9)
         assert math.sin(wrapped) == pytest.approx(math.sin(theta), abs=1e-9)
+
+    @given(theta=st.floats(-math.pi, math.pi, exclude_min=True))
+    @example(theta=0.3)
+    @example(theta=1e-20)
+    @example(theta=-5e-324)
+    @example(theta=-0.0)
+    @example(theta=math.pi)
+    def test_wrap_angle_returns_an_angle_in_range_as_given(self, theta):
+        # Bit for bit, -0.0 included, so a probe keeps the phase it is given.
+        assert struct.pack("<d", wrap_angle(theta)) == struct.pack("<d", theta)
+        assert struct.pack("<d", ProbeSettings(0.1, 1.0, theta).theta) == (
+            struct.pack("<d", theta)
+        )
+
+    @pytest.mark.parametrize(
+        "theta", [math.pi, -math.pi, 3.0 * math.pi, -3.0 * math.pi]
+    )
+    def test_wrap_angle_odd_multiples_of_pi_give_pi(self, theta):
+        assert wrap_angle(theta) == math.pi
+
+    @pytest.mark.parametrize("theta", [1e17, 1e20, -1e308, 1.7976931348623157e308])
+    def test_wrap_angle_huge_angles_wrap(self, theta):
+        assert -math.pi < wrap_angle(theta) <= math.pi
+
+    @pytest.mark.parametrize("turns", [2.0**60, -(2.0**60), 2.0**1000])
+    def test_wrap_angle_whole_turns_wrap_to_zero(self, turns):
+        # Exact modulo the double 2 pi, however many turns.
+        assert wrap_angle(2.0 * math.pi * turns) == 0.0
 
     def test_probe_wraps_theta(self):
         probe = ProbeSettings(0.1, 1.0, 2.0 * math.pi + 0.3)
