@@ -19,8 +19,11 @@ through :mod:`covertsense.link`.
 default.  Flag names match exactly, with no prefixes, and the token after
 a flag is always its value, so ``--theta -1e-3`` sets theta.  Config keys
 match flag names case-insensitively (``L = 3000`` and ``l = 3000`` both
-set ``--L``); a key given twice is a usage error.  Every usage error,
-argparse's own included, is one ``covertsense: <message>`` line on stderr.
+set ``--L``); a key given twice is a usage error, and so is a flag given
+twice on the command line.  A flag with fixed choices (``--format``,
+``--area-factor``, ``--eta-policy``) refuses any other value as a usage
+error.  Every usage error, argparse's own included, is one
+``covertsense: <message>`` line on stderr.
 
 Output contracts:
 
@@ -87,6 +90,25 @@ def _one_of(*choices: str) -> Callable[[str], str]:
     return convert
 
 
+def _link_choice(name: str, kind: Callable[[str], Any]) -> Callable[[str], Any]:
+    """A converter that accepts only the values of ``link.<name>``.
+
+    :mod:`covertsense.link` is read when a value is converted, which only
+    the link commands do, so no other command loads it.
+    """
+
+    def convert(raw: str) -> Any:
+        from . import link
+
+        choices = getattr(link, name)
+        value = kind(raw)
+        if value not in choices:
+            raise ValueError("must be " + " or ".join(map(str, choices)))
+        return value
+
+    return convert
+
+
 class _Flag(NamedTuple):
     name: str  # flag name without dashes, e.g. "eta1"
     kind: Callable[[str], Any]
@@ -98,8 +120,18 @@ _GEOMETRY_FLAGS = [
     _Flag("rt", float, 0.04, "transceiver pupil radius (m)"),
     _Flag("rtarget", float, 0.10, "target radius (m)"),
     _Flag("t0", float, 300.0, "ambient temperature (K)"),
-    _Flag("area-factor", float, 0.25, "aperture-area convention: 1, 0.5 or 0.25"),
-    _Flag("eta-policy", str, "error", "near-field handling: error or clamp"),
+    _Flag(
+        "area-factor",
+        _link_choice("_ALLOWED_AREA_FACTORS", float),
+        0.25,
+        "aperture-area convention: 1, 0.5 or 0.25",
+    ),
+    _Flag(
+        "eta-policy",
+        _link_choice("_ALLOWED_POLICIES", str),
+        "error",
+        "near-field handling: error or clamp",
+    ),
     _Flag("eta-max", float, 0.99, "transmissivity ceiling under clamp"),
 ]
 
@@ -229,19 +261,32 @@ class _Parser(argparse.ArgumentParser):
         self.exit(2, f"covertsense: {message}\n")
 
 
-def _join_values(argv: Sequence[str]) -> list[str]:
+def _join_values(parser: _Parser, argv: Sequence[str]) -> list[str]:
     """``argv`` with each flag joined to the token after it, as ``--flag=value``.
 
     argparse then reads that token as the value even where it looks like a
-    flag (``-1e-3``, ``-inf``).  A name that is not exactly a flag is left
+    flag (``-1e-3``, ``-inf``).  A flag given twice is refused, and so is
+    an unknown flag before the command, whose value argparse would take
+    for the command.  Any other name that is not exactly a flag is left
     for argparse to refuse.
     """
     joined: list[str] = []
+    given: set[str] = set()
+    before_command = True
     for token in argv:
         if joined and joined[-1] in _FLAG_TOKENS:
             joined[-1] += f"={token}"
-        else:
-            joined.append(token)
+            continue
+        name = token.partition("=")[0]
+        if name in _FLAG_TOKENS:
+            if name in given:
+                parser.error(f"argument {name}: given more than once")
+            given.add(name)
+        elif not token.startswith("-"):
+            before_command = False
+        elif before_command and name not in ("-h", "--help"):
+            parser.error(f"unrecognized arguments: {name}")
+        joined.append(token)
     return joined
 
 
@@ -674,7 +719,9 @@ def _emit_error(exc: Exception, stream: Any = None) -> None:
 
 def main(argv: Sequence[str] | None = None) -> int:
     parser = _build_parser()
-    args = parser.parse_args(_join_values(sys.argv[1:] if argv is None else argv))
+    args = parser.parse_args(
+        _join_values(parser, sys.argv[1:] if argv is None else argv)
+    )
     config = _resolve(parser, args)
     try:
         try:

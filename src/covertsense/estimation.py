@@ -13,13 +13,25 @@ Contents:
   reference occupancy and in the bright-reference limit, plus an
   independent numeric route through the fidelity curvature.
 * Mean-square-error bound coefficients (all in rad^2): the quantum bound
-  coefficient ``c_ase`` of the thermal probe, the heterodyne coefficient
-  ``c_het_tilde``, and the coherent-probe baseline pair
-  ``(c_het, c_coh)``.
+  coefficient ``c_ase`` of the thermal probe and the heterodyne
+  coefficient ``c_het_tilde``.
 * Normalized heterodyne statistics in the bright-reference limit and a
   Monte-Carlo simulation of the two-quadrature arctangent estimator.
 * Source-comparison ratios ``mu_c``, ``mu_w``, ``mu`` between the
   thermal probe and a coherent probe at matched covertness.
+
+Both probes face one adversary, the two-tap one of
+:func:`covertsense.covertness.taylor_coefficients`, who holds the light
+lost at both taps with its correlated bath noise.  A phase-averaged
+coherent probe is a Poisson mixture of number states and the thermal
+probe a geometric one; the two agree to first order in ``nbar_s``, and a
+relative entropy has no first-order term, so its second-order
+coefficient c2 reads only that first-order change: both probes have the
+same c2, hence the same covert budget and the same coefficients.  So the
+coherent pair ``(c_coh, c_het)`` is ``(c_ase, c_het_tilde)``, ``mu_c = 1``
+and ``mu = sqrt(W_coh / W_ase)``: at equal covertness the comparison is
+the bandwidths alone.  The Fock oracle, fed a Poisson probe, checks the
+shared c2 (``tests/test_fock.py``).
 
 The bright-reference heterodyne outcome, averaged over ``n`` modes and
 normalized to unit signal amplitude, is a pair of Gaussian variables
@@ -69,8 +81,6 @@ __all__ = [
     "ase_heterodyne_coefficient",
     "heterodyne_stats",
     "simulate_heterodyne_mse",
-    "coherent_baseline",
-    "source_comparison",
     "estimation_report",
 ]
 
@@ -112,7 +122,14 @@ class EstimationReport(NamedTuple):
 
     ``qcrb = c_ase / (eps sqrt(n))`` is the MSE lower bound;
     ``mse_het = c_het_tilde / (eps sqrt(n))`` is what the heterodyne
-    estimator actually reaches at the budget.
+    estimator actually reaches at the budget.  ``c_coh`` and ``c_het`` are
+    the same two coefficients of a phase-averaged coherent probe.  It
+    faces the thermal probe's two-tap adversary and shares its c2, so
+    ``c_coh = c_ase`` and ``c_het = c_het_tilde``.  ``mu_w = W_ase / W_coh``
+    compares the bandwidths, ``mu_c = c_ase / c_coh = 1`` the per-mode
+    coefficients, and ``mu = mu_c / sqrt(mu_w) = sqrt(W_coh / W_ase)`` the
+    MSE bounds at equal covertness and integration time; ``mu < 1`` means
+    the thermal probe wins.
     """
 
     f_a: float
@@ -546,90 +563,6 @@ def simulate_heterodyne_mse(
     return mse, stderr
 
 
-def _coherent_coefficients(eta: float, nbar_b: float) -> tuple[float, float, float]:
-    """(root, c_het, c_coh) for a coherent probe through the effective channel.
-
-    ``root = sqrt(eta b (1 + eta b))``, formed as
-    ``sqrt(eta b) sqrt(1 + eta b)`` so that it stays finite up to the float
-    range, is shared by the coefficients and the coherent covert budget.
-    """
-    if not 0.0 < eta < 1.0 or nbar_b <= 0.0:
-        raise DomainError(
-            "coherent baseline needs 0 < eta_eff < 1 and nbar_b_eff > 0 "
-            f"(got eta_eff = {eta}, nbar_b_eff = {nbar_b}): the probe is "
-            "either undetectable or trivially detectable"
-        )
-    eta_b = eta * nbar_b
-    root = math.sqrt(eta_b) * math.sqrt(1.0 + eta_b)
-    if root == 0.0:
-        raise DomainError(
-            "coherent baseline underflows double precision at "
-            f"eta_eff = {eta!r}, nbar_b_eff = {nbar_b!r}"
-        )
-    # Divided through by root before any product with it, so that a bath
-    # near the float range leaves c_het and c_coh finite: both tend to
-    # (1 - eta)^2 / (8 eta^2) as nbar_b grows.
-    prefactor = (1.0 - eta) / (8.0 * eta)
-    c_het = prefactor * ((1.0 + nbar_b * (1.0 - eta)) / root)
-    c_coh = prefactor * ((0.5 + nbar_b * (1.0 - eta)) / root)
-    return root, c_het, c_coh
-
-
-def coherent_baseline(
-    eta_eff: float, nbar_b_eff: float, epsilon: float, num_modes: float
-) -> tuple[float, float, float]:
-    """Covert budget and MSE coefficients for a coherent-state probe.
-
-    Returns ``(nbar_s, c_het, c_coh)``:
-
-        nbar_s = 4 eps sqrt(eta b (1 + eta b)) / (sqrt(n) (1 - eta))
-        c_het  = (1-eta) (1 + b (1-eta)) / (8 eta sqrt(eta b (1 + eta b)))
-        c_coh  = (1-eta) (1 + 2 b (1-eta)) / (16 eta sqrt(eta b (1 + eta b)))
-
-    with ``(eta, b) = (eta_eff, nbar_b_eff)``.  ``c_het`` is what dual-
-    quadrature detection reaches, ``c_coh`` what the optimal receiver
-    reaches; ``c_coh <= c_het <= 2 c_coh`` always.
-    """
-    check_positive("epsilon", epsilon)
-    n = channel_uses(num_modes)
-    root, c_het, c_coh = _coherent_coefficients(eta_eff, nbar_b_eff)
-    nbar_s = 4.0 * epsilon * root / (math.sqrt(n) * (1.0 - eta_eff))
-    return nbar_s, c_het, c_coh
-
-
-def _check_bandwidths(w_ase: float, w_coh: float) -> None:
-    if not (0.0 < w_ase < math.inf and 0.0 < w_coh < math.inf):
-        raise ValueError(
-            f"bandwidths must be positive and finite, got {w_ase} and {w_coh}"
-        )
-
-
-def source_comparison(
-    scenario: SensingScenario, c_ase: float, w_ase: float, w_coh: float
-) -> tuple[float, float, float]:
-    """Bound ratio between the thermal probe and a coherent probe.
-
-    Returns ``(mu, mu_c, mu_w)`` where ``mu_c = c_ase / c_coh`` compares
-    the per-mode coefficients (``c_ase`` from :func:`qcrb_ase`),
-    ``mu_w = w_ase / w_coh`` the usable bandwidths, and
-    ``mu = mu_c / sqrt(mu_w)`` the resulting MSE-bound ratio at equal
-    covertness and integration time, both of which cancel from the ratio.
-    ``mu < 1`` (thermal probe wins) exactly when ``mu_c < sqrt(mu_w)``.
-    """
-    _check_bandwidths(w_ase, w_coh)
-    _, _, c_coh = _coherent_coefficients(scenario.eta_eff, scenario.nbar_b_eff)
-    return _source_ratios(c_ase, c_coh, w_ase, w_coh)
-
-
-def _source_ratios(
-    c_ase: float, c_coh: float, w_ase: float, w_coh: float
-) -> tuple[float, float, float]:
-    """(mu, mu_c, mu_w) of :func:`source_comparison` from both coefficients."""
-    mu_c = c_ase / c_coh
-    mu_w = w_ase / w_coh
-    return mu_c / math.sqrt(mu_w), mu_c, mu_w
-
-
 def estimation_report(
     scenario: SensingScenario,
     epsilon: float,
@@ -644,8 +577,10 @@ def estimation_report(
 
     The signal occupancy is the covert budget for ``(epsilon, n)``; the
     Fisher information pair is evaluated there at reference occupancy
-    ``nbar_lo``.  Every coefficient uses the budget's c2.  The source
-    comparison is stated at the operating point ``w_ase *
+    ``nbar_lo``.  Every coefficient uses the budget's c2, the coherent
+    probe's too (see :class:`EstimationReport`), so ``c_coh = c_ase``,
+    ``c_het = c_het_tilde``, ``mu_c = 1`` and ``mu = sqrt(w_coh / w_ase)``.
+    The source comparison is stated at the operating point ``w_ase *
     integration_time``, which is validated although it cancels from the
     ratios.  The bandwidths, ``integration_time`` and that operating point
     are checked before the budget is computed.
@@ -653,7 +588,10 @@ def estimation_report(
     n = channel_uses(num_modes)
     # The ratios are stated at integration time T: refuse bandwidths, a T,
     # or a mode count W_ase * T that is no operating point.
-    _check_bandwidths(w_ase, w_coh)
+    if not (0.0 < w_ase < math.inf and 0.0 < w_coh < math.inf):
+        raise ValueError(
+            f"bandwidths must be positive and finite, got {w_ase} and {w_coh}"
+        )
     check_positive("integration time", integration_time)
     if w_ase * integration_time == math.inf:
         raise ValueError(
@@ -664,19 +602,18 @@ def estimation_report(
     f_a_prime, f_a = qfi_closed(scenario, budget.nbar_s, nbar_lo)
     c_ase = qcrb_ase(scenario, budget.c2)
     c_het_tilde = ase_heterodyne_coefficient(scenario, budget.c2)
-    _, c_het, c_coh = _coherent_coefficients(scenario.eta_eff, scenario.nbar_b_eff)
-    mu, mu_c, mu_w = _source_ratios(c_ase, c_coh, w_ase, w_coh)
+    mu_w = w_ase / w_coh
     root_n = math.sqrt(n)
     return EstimationReport(
         f_a=f_a,
         f_a_prime=f_a_prime,
         c_ase=c_ase,
         c_het_tilde=c_het_tilde,
-        c_coh=c_coh,
-        c_het=c_het,
+        c_coh=c_ase,
+        c_het=c_het_tilde,
         qcrb=c_ase / (epsilon * root_n),
         mse_het=c_het_tilde / (epsilon * root_n),
-        mu=mu,
-        mu_c=mu_c,
+        mu=1.0 / math.sqrt(mu_w),
+        mu_c=1.0,
         mu_w=mu_w,
     )

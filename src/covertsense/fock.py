@@ -38,6 +38,11 @@ Implementation notes:
   of prefix sums over the photons consumed, stored ragged (no
   (cutoff + 1)^4 array); its return stage weights them by the return
   bath.
+* The probe reaches the adversary's state only through its number
+  distribution, which ``_willie_state`` takes as an array: the public
+  builders pass the thermal (geometric) one, and a phase-averaged
+  coherent probe is the Poisson one.  ``_joint_tail`` reads the inputs'
+  distributions, so a cutoff can be set for either probe.
 * The private builders take their tables, and a table's length fixes the
   cutoff.  A cross-check selects one cutoff, from the interrogator's
   inputs, which dominate both adversaries', and builds each table once
@@ -248,18 +253,19 @@ def _geometric_pmf(nbar: float, length: int) -> np.ndarray:
     return np.power(ratio, np.arange(length)) / (1.0 + nbar)
 
 
-def _joint_tail(occupancies: list[float], upto: int) -> np.ndarray:
-    """tail[K] = P(total photons > K) for independent thermal inputs."""
-    length = upto + 1
+def _joint_tail(pmfs: list[np.ndarray]) -> np.ndarray:
+    """tail[K] = P(total photons > K) for independent inputs, from their
+    number distributions on the same counts K = 0, 1, ..."""
     pmf = np.array([1.0])
-    for nbar in occupancies:
-        pmf = np.convolve(pmf, _geometric_pmf(nbar, length))
-    return 1.0 - np.cumsum(pmf[:length])
+    for probabilities in pmfs:
+        pmf = np.convolve(pmf, probabilities)
+    return 1.0 - np.cumsum(pmf[: len(pmfs[0])])
 
 
 def _tail_at(occupancies: list[float], cutoff: int) -> float:
     """P(total photons > cutoff) for independent thermal inputs, at least 0."""
-    return float(max(_joint_tail(occupancies, cutoff)[cutoff], 0.0))
+    pmfs = [_geometric_pmf(nbar, cutoff + 1) for nbar in occupancies]
+    return float(max(_joint_tail(pmfs)[cutoff], 0.0))
 
 
 def _select_total_cutoff(
@@ -285,7 +291,9 @@ def _select_total_cutoff(
         actual = _tail_at(occupancies, cutoff)
         if actual <= _TAIL_BOUND:
             return cutoff, actual
-    tails = _joint_tail(occupancies, MAX_TOTAL_PHOTONS)
+    tails = _joint_tail(
+        [_geometric_pmf(nbar, MAX_TOTAL_PHOTONS + 1) for nbar in occupancies]
+    )
     hits = np.nonzero(tails <= _TAIL_BOUND)[0]
     if cutoff is not None:
         need = str(int(hits[0])) if hits.size else f"> {MAX_TOTAL_PHOTONS}"
@@ -380,18 +388,18 @@ def _check_occupancies(**named: float) -> None:
 
 
 def _forward_tap_blocks(
-    table: np.ndarray, nbar_b1: float, nbar_s: float
+    table: np.ndarray, nbar_b1: float, pmf_s: np.ndarray
 ) -> np.ndarray:
     """The adversary's (forward tap, signal) state after the forward tap.
 
     ``table`` holds the tap's pair blocks (``_pair_blocks``) up to the
-    cutoff.  Entry ``[k]`` is the block of pair total k on the forward-tap
-    count, B_k diag(p_b1(y) p_s(k - y)) B_k^T with B_k the pair block of
-    the tap, zero-padded to (cutoff + 1) x (cutoff + 1).
+    cutoff, and ``pmf_s`` the probe's number distribution p_s on counts
+    0..cutoff.  Entry ``[k]`` is the block of pair total k on the
+    forward-tap count, B_k diag(p_b1(y) p_s(k - y)) B_k^T with B_k the pair
+    block of the tap, zero-padded to (cutoff + 1) x (cutoff + 1).
     """
     cutoff = len(table) - 1
     pmf_b1 = _geometric_pmf(nbar_b1, cutoff + 1)
-    pmf_s = _geometric_pmf(nbar_s, cutoff + 1)
     total = np.arange(cutoff + 1)[:, None]
     tap = np.arange(cutoff + 1)
     probs = np.where(tap <= total, pmf_b1 * pmf_s[np.maximum(total - tap, 0)], 0.0)
@@ -467,25 +475,27 @@ def oracle_willie_state(
     total_cutoff, actual_tail = _select_total_cutoff(occ, cutoff)
     forward_table = _pair_blocks(scenario.eta_1, total_cutoff)
     grams = _return_gram(_pair_blocks(scenario.eta_2, total_cutoff), scenario.nbar_b2)
-    state = _willie_state(scenario, nbar_s, forward_table, grams, actual_tail)
+    probe = _geometric_pmf(nbar_s, total_cutoff + 1)
+    state = _willie_state(scenario, probe, forward_table, grams, actual_tail)
     return state.with_phase(theta)
 
 
 def _willie_state(
     scenario: SensingScenario,
-    nbar_s: float,
+    pmf_s: np.ndarray,
     forward_table: np.ndarray,
     grams: list[np.ndarray],
     tail_bound: float,
 ) -> FockDensityMatrix:
-    """The adversary's validated state at theta = 0, from the forward tap's
-    pair blocks and the return tap's Gram (``_return_gram``) at one cutoff.
+    """The adversary's validated state at theta = 0, from the probe's number
+    distribution on counts 0..cutoff, the forward tap's pair blocks and the
+    return tap's Gram (``_return_gram``) at one cutoff.
 
     The forward tap keeps both its ports, so its stage is one block per
     pair total (``_forward_tap_blocks``); the return tap then acts as a
     one-mode channel on the signal, through the Gram.
     """
-    forward = _forward_tap_blocks(forward_table, scenario.nbar_b1, nbar_s)
+    forward = _forward_tap_blocks(forward_table, scenario.nbar_b1, pmf_s)
     blocks = [
         # Summed on n1, then reversed onto the kept count a = K - n1.
         np.einsum("kij,kij->ij", gram, forward[:, : total + 1, : total + 1])[
@@ -864,7 +874,7 @@ def oracle_cross_check(
     w_off, w_on = (
         _willie_state(
             scenario,
-            n,
+            _geometric_pmf(n, shared + 1),
             forward_table,
             grams,
             _tail_at([scenario.nbar_b2, scenario.nbar_b1, n], shared),

@@ -128,7 +128,7 @@ class TestBoundsCommand:
         assert results["B"] == report.qcrb
         assert results["mse_het"] == report.mse_het
         assert results["mu_w"] == 1000.0
-        assert results["mu_c"] == pytest.approx(1.0, abs=1e-9)
+        assert (results["c_coh"], results["mu_c"]) == (results["c_ase"], 1.0)
         # Finite local oscillator can only lose information.
         assert results["F_A_prime"] <= results["F_A"]
 
@@ -427,8 +427,8 @@ class TestConfigResolution:
 
 
 #: One argv and a fragment its message must hold, for each route to exit 2.
-#: ``{dir}`` holds ``run.conf`` (``CONFIG_TEXT``), ``unknown.conf`` and
-#: ``twice.conf``; ``missing.conf`` is not there.
+#: ``{dir}`` holds ``run.conf`` (``CONFIG_TEXT``), ``unknown.conf``,
+#: ``twice.conf`` and ``area.conf``; ``missing.conf`` is not there.
 USAGE_ROUTES = {
     "unknown flag": (
         ["scenario", *SCENARIO_FLAGS, "--bogus", "1"],
@@ -443,9 +443,23 @@ USAGE_ROUTES = {
          "--n", "1e6", "--eps", "1e-3"],
         "unrecognized arguments: --eps 1e-3",
     ),
-    # argparse takes the path after the unknown "--conf" for the command,
-    # so the message names the path; only the form is checked here.
-    "abbreviated --config": (["--conf", "{dir}/run.conf", "scenario"], ""),
+    # Named before argparse could take the path after it for the command.
+    "abbreviated --config": (
+        ["--conf", "{dir}/run.conf", "scenario"],
+        "unrecognized arguments: --conf",
+    ),
+    "repeated flag": (
+        ["scenario", *SCENARIO_FLAGS, "--eta1", "0.6"],
+        "argument --eta1: given more than once",
+    ),
+    "repeated flag, joined to its value": (
+        ["scenario", *SCENARIO_FLAGS, "--eta1=0.5"],
+        "argument --eta1: given more than once",
+    ),
+    "repeated --config": (
+        ["--config", "{dir}/run.conf", "--config={dir}/run.conf", "scenario"],
+        "argument --config: given more than once",
+    ),
     "flag with no value": (
         ["scenario", *SCENARIO_FLAGS, "--theta"],
         "argument --theta: expected one argument",
@@ -469,6 +483,18 @@ USAGE_ROUTES = {
         ["reproduce-paper", "--format", "csv"],
         "bad value for --format: must be table or json",
     ),
+    "bad --eta-policy": (
+        ["optimize", "--L", "3000", "--eta-policy", "bogus"],
+        "bad value for --eta-policy: must be error or clamp",
+    ),
+    "bad --area-factor": (
+        ["optimize", "--L", "3000", "--area-factor", "0.3"],
+        "bad value for --area-factor: must be 1.0 or 0.5 or 0.25",
+    ),
+    "bad --area-factor from a config file": (
+        ["--config", "{dir}/area.conf", "sweep"],
+        "bad value for --area-factor: must be 1.0 or 0.5 or 0.25",
+    ),
     "unreadable config": (
         ["--config", "{dir}/missing.conf", "scenario"],
         "config error: [Errno 2] No such file or directory",
@@ -490,6 +516,9 @@ class TestErrorPaths:
         (tmp_path / "run.conf").write_text(CONFIG_TEXT)
         (tmp_path / "unknown.conf").write_text("bogus_key = 1\n")
         (tmp_path / "twice.conf").write_text("L = 3000\nl = 4000\n")
+        (tmp_path / "area.conf").write_text(
+            "L = 3000\nfmin = 15e12\nfmax = 1e14\npoints = 3\narea_factor = 0.3\n"
+        )
         argv, fragment = USAGE_ROUTES[route]
         result = run([token.format(dir=tmp_path) for token in argv])
         # cause() holds the contract: exit 2, stdout empty, one stderr line

@@ -8,9 +8,11 @@ is compared field by field:
 * numbers derived from c2 in ``scenario``/``bounds`` agree to 1e-8
   relative, and c3 to 1e-7 (the stencil's third difference carried more
   error than its second);
-* the coherent-baseline coefficients ``c_het`` and ``c_coh`` agree to
-  1e-15 relative: their root is now sqrt(eta b) sqrt(1 + eta b), divided
-  through before the products, which moved them by at most 3.4e-16;
+* the coherent probe's ``c_coh``, ``c_het``, ``mu_c`` and ``mu`` agree to
+  1e-8 relative with what the stencil snapshot's own ``c_ase``,
+  ``c_het_tilde``, 1 and ``mu_w`` imply: the coherent probe now shares
+  the thermal probe's c2, where the stencil snapshot held a one-mode
+  model of the adversary;
 * every link number (``sweep``, ``optimize``, ``reproduce-paper``) equals
   the equal-bath closed form at its own transmissivity and occupancy to
   1e-11 relative;
@@ -41,13 +43,19 @@ CASES = json.loads(
 #: results keys of ``scenario``/``bounds`` that carry the stencil's error.
 C2_DERIVED = {
     "c2", "ns", "qre_per_mode", "willie_cm", "F_A", "F_A_prime", "c_ase",
-    "c_het_tilde", "B", "mse_het", "mu", "mu_c",
+    "c_het_tilde", "B", "mse_het",
 }
 C2_REL = 1e-8
 C3_REL = 1e-7
-#: results keys of ``bounds`` from the coherent baseline, and their bound.
-COHERENT = {"c_het", "c_coh"}
-COHERENT_REL = 1e-15
+#: results keys of ``bounds`` for the coherent probe, each from what the
+#: stencil snapshot's own results imply for it: the probe shares c2 with
+#: the thermal probe, so its coefficients are the thermal ones.
+IMPLIED = {
+    "c_coh": lambda old: old["c_ase"],
+    "c_het": lambda old: old["c_het_tilde"],
+    "mu_c": lambda old: 1.0,
+    "mu": lambda old: 1.0 / math.sqrt(old["mu_w"]),
+}
 LINK_REL = 1e-11
 
 #: (case, field) pairs allowed to differ from the stencil snapshot.
@@ -110,8 +118,8 @@ def _check_operating_point(i, old, new):
             _close(value, results_new[key], C3_REL)
         elif key in C2_DERIVED:
             _close(value, results_new[key], C2_REL)
-        elif key in COHERENT:
-            _close(value, results_new[key], COHERENT_REL)
+        elif key in IMPLIED:
+            _close(IMPLIED[key](results_old), results_new[key], C2_REL)
         else:
             assert results_new[key] == value, (i, key)
 

@@ -7,7 +7,7 @@ refusals (``--t-int -1``, ``--w-ase 0``, an identity channel, vacuum
 baths), and at the end three ``scenario`` points at huge unequal baths
 (1e150 and 1e-3 in both orders, and 1.6e257 with 6.6e130) and ``bounds``
 at ``--nb1 1e308``.  Refactors of the numerics must leave every byte in
-place.  The snapshot was re-recorded three times.  First when closed-form
+place.  The snapshot was re-recorded four times.  First when closed-form
 Taylor coefficients replaced a finite-difference stencil;
 ``test_cli_drift.py`` bounds that move against the earlier snapshot,
 ``data/cli_stdout_stencil.json``.  Then when ``willie_qre`` stopped
@@ -19,7 +19,12 @@ eigen-splits and the coherent root became sqrt(eta b) sqrt(1 + eta b):
 33 lines moved, the ten ``qre_per_mode`` lines by at most 2.8e-14
 relative (to within 1.3e-15 of the pinned values) and, in eight of the ten
 ``bounds`` points, 23 ``c_het``/``c_coh``/``mu``/``mu_c`` lines by at
-most 3.4e-16; the four new cases were recorded then.
+most 3.4e-16; the four new cases were recorded then.  Last when the
+coherent probe of ``bounds`` began to read the thermal probe's two-tap
+c2 instead of a one-mode model of the adversary: only ``c_coh``,
+``c_het``, ``mu`` and ``mu_c`` of the eleven unequal-bath ``bounds``
+points (cases 10-19 and 35) moved, to ``c_ase``, ``c_het_tilde``,
+``sqrt(w_coh / w_ase)`` and 1, and every other byte stayed in place.
 
 ``mse-mc`` is left out because numpy's SIMD transcendentals may differ
 between CPUs, and ``oracle-check`` because its residuals are rounding

@@ -2,15 +2,14 @@
 
 A counting wrapper around ``taylor_coefficients`` is bound into every
 covertsense module namespace that holds it, and one around the QRE
-kernel ``_adversary_qre`` into ``covertness``, one around the
-coherent-baseline coefficients ``_coherent_coefficients`` into
-``estimation``, one around ``heterodyne_stats`` into every namespace that
-holds it, and one around each of ``planck_occupancy`` and
-``geometric_transmissivity`` into ``link``.  The Taylor coefficients are
-closed forms that evaluate no QRE, so a budget costs none; ``scenario``
-runs the kernel once, for ``qre_per_mode``, ``bounds`` the coherent
-coefficients once, ``mse-mc`` the heterodyne moments once, and a sweep
-row each link input once.
+kernel ``_adversary_qre`` into ``covertness``, one around
+``heterodyne_stats`` into every namespace that holds it, and one around
+each of ``planck_occupancy`` and ``geometric_transmissivity`` into
+``link``.  The Taylor coefficients are closed forms that evaluate no QRE,
+so a budget costs none; ``scenario`` runs the kernel once, for
+``qre_per_mode``, ``bounds`` never (its coherent probe reads the budget's
+c2), ``mse-mc`` the heterodyne moments once, and a sweep row each link
+input once.
 """
 
 from __future__ import annotations
@@ -30,8 +29,7 @@ SCENARIO = [
 @pytest.fixture
 def counts(monkeypatch):
     tally = {
-        "taylor": 0, "qre": 0, "coherent": 0, "heterodyne": 0, "planck": 0,
-        "transmissivity": 0,
+        "taylor": 0, "qre": 0, "heterodyne": 0, "planck": 0, "transmissivity": 0,
     }
 
     def counting(key, fn):
@@ -53,11 +51,6 @@ def counts(monkeypatch):
         covertness, "_adversary_qre", counting("qre", covertness._adversary_qre)
     )
     monkeypatch.setattr(
-        estimation,
-        "_coherent_coefficients",
-        counting("coherent", estimation._coherent_coefficients),
-    )
-    monkeypatch.setattr(
         link, "planck_occupancy", counting("planck", link.planck_occupancy)
     )
     monkeypatch.setattr(
@@ -71,17 +64,15 @@ def counts(monkeypatch):
 def test_scenario_runs_taylor_once(counts):
     assert run(["scenario", *SCENARIO, "--theta", "0.4"]).code == 0
     assert counts == {
-        "taylor": 1, "qre": 1, "coherent": 0, "heterodyne": 0, "planck": 0,
-        "transmissivity": 0,
+        "taylor": 1, "qre": 1, "heterodyne": 0, "planck": 0, "transmissivity": 0,
     }
 
 
 def test_bounds_runs_taylor_once(counts):
     assert run(["bounds", *SCENARIO, "--nlo", "1e5"]).code == 0
-    # c_coh is computed once and shared by the report and the ratios.
+    # Both probes read the one budget's c2; no QRE is evaluated.
     assert counts == {
-        "taylor": 1, "qre": 0, "coherent": 1, "heterodyne": 0, "planck": 0,
-        "transmissivity": 0,
+        "taylor": 1, "qre": 0, "heterodyne": 0, "planck": 0, "transmissivity": 0,
     }
 
 
@@ -98,8 +89,8 @@ def test_sweep_runs_taylor_at_most_once_per_row(counts):
     evaluated = sum(1 for row in rows if row[2] != "")
     assert 0 < evaluated < 50
     assert counts == {
-        "taylor": evaluated, "qre": 0, "coherent": 0, "heterodyne": 0,
-        "planck": 50, "transmissivity": 50,
+        "taylor": evaluated, "qre": 0, "heterodyne": 0, "planck": 50,
+        "transmissivity": 50,
     }
 
 
@@ -123,8 +114,7 @@ def test_mse_mc_runs_taylor_once(counts):
     # second time.
     assert run(["mse-mc", *SCENARIO, "--trials", "1000"]).code == 0
     assert counts == {
-        "taylor": 1, "qre": 0, "coherent": 0, "heterodyne": 1, "planck": 0,
-        "transmissivity": 0,
+        "taylor": 1, "qre": 0, "heterodyne": 1, "planck": 0, "transmissivity": 0,
     }
 
 
@@ -138,6 +128,5 @@ def test_bounds_refuses_operating_point_before_taylor(counts, flags):
     result = run(["bounds", *SCENARIO, *flags])
     assert result.code == 1 and '"error"' in result.out
     assert counts == {
-        "taylor": 0, "qre": 0, "coherent": 0, "heterodyne": 0, "planck": 0,
-        "transmissivity": 0,
+        "taylor": 0, "qre": 0, "heterodyne": 0, "planck": 0, "transmissivity": 0,
     }

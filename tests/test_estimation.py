@@ -16,7 +16,6 @@ from covertsense.errors import DomainError
 from covertsense.estimation import (
     RNG_ALGORITHM,
     ase_heterodyne_coefficient,
-    coherent_baseline,
     estimation_report,
     gaussian_fidelity,
     heterodyne_stats,
@@ -24,7 +23,6 @@ from covertsense.estimation import (
     qfi_closed,
     qfi_numeric,
     simulate_heterodyne_mse,
-    source_comparison,
 )
 from covertsense.gaussian import thermal_cm, vacuum_cm
 from covertsense.scenario import ProbeSettings, SensingScenario, alice_cm
@@ -456,40 +454,20 @@ class TestSimulation:
 
 
 class TestBaselines:
-    def test_coherent_baseline_golden(self):
-        ns, c_het, c_coh = coherent_baseline(0.25, 1.0, 1e-3, 1e6)
-        assert ns == pytest.approx(2.98142397e-06, rel=1e-9)
-        assert c_het == pytest.approx(1.1739356881873895, rel=1e-12)
-        assert c_coh == pytest.approx(0.8385254915624211, rel=1e-12)
-
-    @pytest.mark.parametrize("eta,nbar_b", [(0.25, 1e308), (0.98, 1.7e308)])
-    def test_coherent_baseline_finite_at_float_range(self, eta, nbar_b):
-        # eta b (1 + eta b) overflowed at the first point and was refused;
-        # 8 eta root overflows at the second, where c_coh read 0.  Both
-        # coefficients tend to (1 - eta)^2 / (8 eta^2) as b grows.
-        ns, c_het, c_coh = coherent_baseline(eta, nbar_b, 1e-3, 1e6)
-        limit = (1.0 - eta) ** 2 / (8.0 * eta * eta)
-        assert c_het == pytest.approx(limit, rel=1e-12)
-        assert c_coh == pytest.approx(limit, rel=1e-12)
-        assert ns == pytest.approx(4e-6 * eta * nbar_b / (1.0 - eta), rel=1e-12)
-
-    def test_coherent_baseline_underflow_refused(self):
-        # eta b rounds to 0, so the root would divide by zero.
-        with pytest.raises(DomainError, match="coherent baseline underflows"):
-            coherent_baseline(0.5, 5e-324, 1e-3, 1e6)
-
     def test_heterodyne_penalty_bracket(self):
-        # c_coh <= c_het <= 2 c_coh for any equal-bath scenario.
-        for eta, nb in [(0.1, 0.05), (0.5, 1.0), (0.9, 8.0)]:
-            _, c_het, c_coh = coherent_baseline(eta, nb, 1e-3, 1e6)
-            assert c_coh <= c_het <= 2.0 * c_coh + 1e-12
-
-    def test_source_comparison_golden(self):
-        c_ase = qcrb_ase(REFERENCE, REFERENCE_C2)
-        mu, mu_c, mu_w = source_comparison(REFERENCE, c_ase, 3e12, 3e9)
-        assert mu == pytest.approx(math.sqrt(3e9 / 3e12), rel=1e-9)
-        assert mu_c == pytest.approx(1.0, abs=1e-9)
-        assert mu_w == pytest.approx(1000.0, rel=1e-12)
+        # c_coh <= c_het <= 2 c_coh, at equal and unequal baths, where the
+        # coherent pair is the thermal one.  The one-mode model of the
+        # effective channel gave mu_c = 41.1 at the last point.
+        for taps_and_baths in [
+            (0.1, 1.0, 0.05, 0.05),
+            (0.5, 0.5, 1.0, 1.0),
+            (0.725692, 0.93492, 9.4718, 0.00151545),
+        ]:
+            scenario = SensingScenario(*taps_and_baths)
+            report = estimation_report(scenario, 1e-3, 1e6, 1e6)
+            coherent = (report.c_coh, report.c_het, report.mu_c)
+            assert coherent == (report.c_ase, report.c_het_tilde, 1.0)
+            assert report.c_coh <= report.c_het <= 2.0 * report.c_coh
 
 
 class TestReport:
@@ -502,11 +480,12 @@ class TestReport:
             report.c_het_tilde / (eps * math.sqrt(n)), rel=1e-12
         )
         assert report.f_a_prime <= report.f_a * (1.0 + 1e-12)
-        # Numeric and closed-form heterodyne coefficients are independent
-        # routes to the same number.
-        assert report.c_het_tilde == pytest.approx(report.c_het, rel=1e-9)
+        # The coherent probe shares the budget's c2, so its coefficients
+        # are the thermal probe's and the comparison is the bandwidths'.
+        assert (report.c_coh, report.c_het) == (report.c_ase, report.c_het_tilde)
+        assert report.mu_c == 1.0
         assert report.mu_w == pytest.approx(1000.0, rel=1e-12)
-        assert report.mu_c == pytest.approx(1.0, abs=1e-9)
+        assert report.mu == pytest.approx(math.sqrt(3e9 / 3e12), rel=1e-12)
 
     @pytest.mark.parametrize(
         "kwargs,cause",

@@ -344,6 +344,70 @@ class TestOracleQre:
         assert abs(d_fock - d_gauss) <= 1e-4
 
 
+def poisson_pmf(nbar, length):
+    """Poisson probabilities e^-n n^k / k! for k < length."""
+    return np.array(
+        [math.exp(-nbar) * nbar**k / math.factorial(k) for k in range(length)]
+    )
+
+
+def coherent_probe_qre(scenario, nbar_s):
+    """The adversary's QRE against a phase-averaged coherent probe.
+
+    The probe is the Poisson mixture of number states; the cutoff is the
+    least one at which the joint tail of the two baths and that probe is
+    within the oracle's tail bound.
+    """
+    baths = (scenario.nbar_b2, scenario.nbar_b1)
+
+    def pmfs(length, probe):
+        return [_geometric_pmf(nbar, length) for nbar in baths] + [probe]
+
+    tails = fock._joint_tail(
+        pmfs(MAX_TOTAL_PHOTONS + 1, poisson_pmf(nbar_s, MAX_TOTAL_PHOTONS + 1))
+    )
+    cutoff = int(np.nonzero(tails <= fock._TAIL_BOUND)[0][0])
+    forward = _pair_blocks(scenario.eta_1, cutoff)
+    grams = fock._return_gram(_pair_blocks(scenario.eta_2, cutoff), scenario.nbar_b2)
+    states = []
+    for probe in (_geometric_pmf(0.0, cutoff + 1), poisson_pmf(nbar_s, cutoff + 1)):
+        tail = max(fock._joint_tail(pmfs(cutoff + 1, probe))[-1], 0.0)
+        states.append(fock._willie_state(scenario, probe, forward, grams, tail))
+    return oracle_qre(*states)
+
+
+class TestCoherentProbeSharesC2:
+    """A phase-averaged coherent probe has the thermal probe's c2.
+
+    Its QRE against the two-tap adversary matches ``willie_qre`` of the
+    thermal probe to third order in nbar_s at unequal baths, where the
+    one-mode c2 of the effective channel, (1 - eta)^2 / (eta b (1 + eta b)),
+    misses by 26-59 %.
+    """
+
+    NBAR_S = 1e-3
+    REL_TOL = 1e-4
+
+    @pytest.mark.parametrize(
+        "taps_and_baths",
+        [(0.7, 0.6, 0.05, 0.2), (0.3, 0.8, 0.2, 0.05), (0.7, 0.6, 0.1, 1.0)],
+    )
+    def test_qre_matches_the_thermal_probe_to_third_order(self, taps_and_baths):
+        scenario = SensingScenario(*taps_and_baths)
+        nbars = (self.NBAR_S, 2 * self.NBAR_S)
+        qre = {n: coherent_probe_qre(scenario, n) for n in nbars}
+        thermal = {n: willie_qre(scenario, n) for n in qre}
+        gap = {n: abs(qre[n] - thermal[n]) for n in qre}
+        assert gap[self.NBAR_S] <= self.REL_TOL * thermal[self.NBAR_S]
+        # A c2 mismatch would leave a gap of second order, which halving
+        # nbar_s divides by 4: this one shrinks faster.
+        assert gap[2 * self.NBAR_S] > 6.0 * gap[self.NBAR_S]
+        # The one-mode c2 misses by more than 1000 times the tolerance.
+        eta, b = scenario.eta_eff, scenario.nbar_b_eff
+        one_mode = (1.0 - eta) ** 2 / (eta * b * (1.0 + eta * b)) * self.NBAR_S**2 / 2
+        assert abs(one_mode - qre[self.NBAR_S]) > 1e3 * self.REL_TOL * qre[self.NBAR_S]
+
+
 class TestOracleFidelity:
     def test_self_fidelity(self):
         state = oracle_alice_state(SMALL, PROBE)
@@ -1022,7 +1086,10 @@ class TestSharedTables:
         ((gram_args, grams),) = calls["_return_gram"]
         assert gram_args[0] is return_table
         adversaries = calls["_willie_state"]
-        assert [args[1] for args, _ in adversaries] == [0.0, 0.05]
+        # Each takes its probe as the thermal number distribution.
+        assert [args[1].tolist() for args, _ in adversaries] == [
+            _geometric_pmf(n, shared + 1).tolist() for n in (0.0, 0.05)
+        ]
         for args, _ in adversaries:
             assert args[2] is forward_table
             assert args[3] is grams

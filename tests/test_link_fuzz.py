@@ -4,15 +4,19 @@ In-process ``main`` runs over log-uniform geometry, band, wavelength bracket
 (out to 1e12 m, where a few ulps of lambda exceed the section tolerance), eps,
 W and T, with both policies and formats and now and then a nan, +-inf, 0,
 1e308 or subnormal value.  One draw in five passes its values through a
-config file, named by ``--config`` or by ``COVERTSENSE_CONFIG``.  Each run
-goes through ``_contract.breaches``, so a hang or an escape fails the test.
+config file, named by ``--config`` or by ``COVERTSENSE_CONFIG``.  Every
+tenth ``sweep`` or ``optimize`` draw is followed by a copy whose
+``--eta-policy`` is outside its choices.  Each run goes through
+``_contract.breaches``, so a hang or an escape fails the test.
 
 * Exit 0 must print strict JSON; a CSV ``sweep`` prints the header and one
   row per point whose cells are finite floats or blank, and a
   ``reproduce-paper`` table holds no non-finite number.
 * Exit 1 must print a one-line JSON error naming one cause of ``CAUSES``, on
   stdout; an empty sweep prints it on stderr, after a bare CSV header.
-* Exit 2 must print a usage message on stderr and no traceback.
+* Exit 2 must print a usage message on stderr and no traceback.  A value
+  outside a flag's fixed choices must exit 2 with a usage line that names
+  a flag with a bad value.
 """
 
 from __future__ import annotations
@@ -48,6 +52,10 @@ CAUSES = {
     "empty-bracket": "no valid wavelength in",
     "non-finite": "an input is outside the range where the model gives a finite answer",
 }
+
+#: Values outside the fixed choices of two flags, which ``--area-factor``
+#: and ``--eta-policy`` draw now and then.
+OUT_OF_CHOICE = {"area-factor": "0.3", "eta-policy": "bogus"}
 
 #: The values a drawn number is now and then replaced by.
 SPECIAL = ("nan", "inf", "-inf", "0", "1e308", "5e-324")
@@ -119,13 +127,23 @@ def _draws():
                 },
             )
         yield command, flags, rng.random() < 0.2
+        if command != "reproduce-paper" and i % 10 == 3:
+            # On the command line: a config draw would move the routes
+            # that later config draws take.
+            yield command, {**flags, "eta-policy": OUT_OF_CHOICE["eta-policy"]}, False
 
 
 def _check(draw, result):
     """Raise AssertionError when a run breaks the exit contract."""
     command, flags, _ = draw
     fmt = flags.get("format", {"sweep": "csv", "reproduce-paper": "table"}.get(command))
-    if result.code == 1 and command == "sweep" and result.err:
+    bad = [name for name, value in OUT_OF_CHOICE.items() if flags.get(name) == value]
+    if bad:
+        assert cause(result, CAUSES) == "usage"
+        # --points is converted first, and a drawn 1e3 is no integer.
+        named = re.match(r"covertsense: bad value for --([\w-]+): ", result.err)
+        assert named and named.group(1) in bad + ["points"], result.err
+    elif result.code == 1 and command == "sweep" and result.err:
         # An empty sweep: a bare CSV header, and the error on stderr.
         assert result.out == (CSV_HEADER + "\n" if fmt == "csv" else "")
         assert json_strict(result.err)["error"]["type"] == "EmptySweepError"

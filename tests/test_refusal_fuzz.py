@@ -2,10 +2,16 @@
 
 1000 in-process runs, alternating the two commands.  Occupancies (both
 baths and ``--nlo``) are log-uniform in 1e-300..1e300; each tap is 0, 1,
-1 - 1e-16 or uniform in [0, 1].  Each run goes through
-``_contract.breaches``, so a hang or an escape fails the test.
+1 - 1e-16 or uniform in [0, 1].  The last two runs of every twenty, one
+of each command, are each followed by a copy that gives one of its flags
+twice.  Each run goes through ``_contract.breaches``, so a hang or an
+escape fails the test.
 
 * Exit 0 must print strict JSON (no NaN or Infinity) and nothing on stderr.
+  A ``bounds`` answer must hold the coherent probe's coefficients equal to
+  the thermal probe's (``c_coh == c_ase``, ``c_het == c_het_tilde``) and
+  ``mu_c == 1``: both probes read the one budget's c2.
+* A flag given twice must exit 2 with a usage line that names it.
 * Exit 1 must print a one-line JSON error on stdout whose message names one
   cause of ``CAUSES``, and a predicate on the inputs must allow that cause: the
   vacuum refusal exactly when lambda_lo <= 1e-12, the identity channel
@@ -26,6 +32,10 @@ RUNS = 1000
 SEED = 18
 #: Wall-clock bound of one run; a run takes about 3 ms.
 ALARM_S = 2.0
+#: The last two runs of every REPEAT_EVERY are each followed by a copy
+#: that repeats one of its flags, picked by a generator of its own so that
+#: no other draw moves.
+REPEAT_EVERY = 20
 
 #: The refusals a run may give, each with the fragment that names it.
 CAUSES = {
@@ -37,6 +47,7 @@ CAUSES = {
 
 def _draws():
     rng = random.Random(SEED)
+    repeats = random.Random(SEED + 1)
 
     def tap():
         return rng.choice([0.0, 1.0, 1.0 - 1e-16, rng.random(), rng.random()])
@@ -56,6 +67,9 @@ def _draws():
         if command == "bounds":
             argv += ["--nlo", repr(occupancy())]
         yield argv
+        if i % REPEAT_EVERY >= REPEAT_EVERY - 2:
+            at = 1 + 2 * repeats.randrange(len(argv) // 2)
+            yield argv + argv[at : at + 2]
 
 
 def _admissible(e1, e2, b1, b2):
@@ -88,9 +102,18 @@ def _admissible(e1, e2, b1, b2):
 def _check(argv, result):
     """Raise AssertionError unless the outcome is one the inputs allow."""
     outcome = cause(result, CAUSES)
+    flags = argv[1::2]
+    if len(set(flags)) < len(flags):
+        (twice,) = {flag for flag in flags if flags.count(flag) > 1}
+        assert outcome == "usage", outcome
+        assert f"argument {twice}: given more than once" in result.err, result.err
+        return
     if outcome == "answer":
         assert result.err == "", result.err
-        json_strict(result.out)
+        results = json_strict(result.out)["results"]
+        if argv[0] == "bounds":
+            coherent = (results["c_coh"], results["c_het"], results["mu_c"])
+            assert coherent == (results["c_ase"], results["c_het_tilde"], 1.0)
     # The drawn taps and baths: repr round-trips a float.
     assert outcome in _admissible(*map(float, argv[2:9:2])), outcome
 
