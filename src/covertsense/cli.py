@@ -2,7 +2,7 @@
 
 Thin wrapper around the library: every subcommand parses flags, resolves
 them against an optional flat KEY=VALUE config file (the ``--config``
-flag or the ``COVERTSENSE_CONFIG`` environment variable; flags win),
+flag or else the ``COVERTSENSE_CONFIG`` environment variable; flags win),
 calls library functions, and serialises the results.  No numerics live
 here.  ``scenario``, ``bounds``, ``sweep``, ``optimize`` and
 ``reproduce-paper`` run on the math-only closed forms and import no
@@ -16,14 +16,18 @@ command, so ``scenario`` starts without it; the link commands load it
 through :mod:`covertsense.link`.
 
 ``_COMMANDS`` alone decides what a flag is: its name, converter and
-default.  Flag names match exactly, with no prefixes, and the token after
-a flag is always its value, so ``--theta -1e-3`` sets theta.  Config keys
-match flag names case-insensitively (``L = 3000`` and ``l = 3000`` both
-set ``--L``); a key given twice is a usage error, and so is a flag given
+default.  One walk over it reads the command line,
+``covertsense [--config FILE] COMMAND [--FLAG VALUE | --FLAG=VALUE]...``.
+Flag names match exactly, with no prefixes, and the token after a flag is
+always its value, so ``--theta -1e-3`` sets theta; ``--`` is no
+separator.  ``-h``/``--help`` where it is not a value prints the commands
+or the flags of the command on stdout and exits 0.  Config keys match
+flag names case-insensitively (``L = 3000`` and ``l = 3000`` both set
+``--L``); a key given twice is a usage error, and so is a flag given
 twice on the command line.  A flag with fixed choices (``--format``,
 ``--area-factor``, ``--eta-policy``) refuses any other value as a usage
-error.  Every usage error, argparse's own included, is one
-``covertsense: <message>`` line on stderr.
+error.  Every usage error is one ``covertsense: <message>`` line on
+stderr that quotes the tokens as typed.
 
 Output contracts:
 
@@ -45,7 +49,6 @@ unit-suffix parsing.
 
 from __future__ import annotations
 
-import argparse
 import json
 import math
 import os
@@ -212,11 +215,6 @@ def _dest(flag_name: str) -> str:
     return flag_name.replace("-", "_")
 
 
-#: Every flag as written on the command line, ``--config`` included.
-_FLAG_TOKENS = {"--config"} | {
-    f"--{flag.name}" for flags in _COMMANDS.values() for flag in flags
-}
-
 #: Every flag's destination, keyed by its lowercased form.  No two flags
 #: differ only in case, so a config key names at most one flag.
 _CONFIG_KEYS = {
@@ -254,95 +252,103 @@ def _load_config_file(path: str) -> dict[str, str]:
     return values
 
 
-class _Parser(argparse.ArgumentParser):
-    """Splits the command line into flags; every refusal is one stderr line."""
+def _refuse(message: str) -> NoReturn:
+    """A usage error: one ``covertsense: <message>`` line on stderr, exit 2."""
+    sys.stderr.write(f"covertsense: {message}\n")
+    raise SystemExit(2)
 
-    def error(self, message: str) -> NoReturn:
-        self.exit(2, f"covertsense: {message}\n")
+
+def _usage(command: str | None) -> str:
+    """Help text: the grammar, then ``--config`` and the flags of ``command``."""
+    rows = [("--config FILE", f"KEY=VALUE config file (default: ${CONFIG_ENV_VAR})")]
+    for flag in _COMMANDS.get(command or "", []):
+        note = "required" if flag.default is ... else f"default: {flag.default}"
+        rows.append((f"--{flag.name}", f"{flag.help} ({note})"))
+    name = command or "{" + ",".join(_COMMANDS) + "}"
+    head = f"usage: covertsense [-h] [--config FILE] {name} "
+    head += "[--FLAG VALUE | --FLAG=VALUE]...\n\n"
+    return head + "".join(f"  {flag:14} {text}\n" for flag, text in rows)
 
 
-def _join_values(parser: _Parser, argv: Sequence[str]) -> list[str]:
-    """``argv`` with each flag joined to the token after it, as ``--flag=value``.
+def _parse(argv: Sequence[str]) -> tuple[str, dict[str, str]]:
+    """The command, and the raw value of each flag given keyed by its name.
 
-    argparse then reads that token as the value even where it looks like a
-    flag (``-1e-3``, ``-inf``).  A flag given twice is refused, and so is
-    an unknown flag before the command, whose value argparse would take
-    for the command.  Any other name that is not exactly a flag is left
-    for argparse to refuse.
+    One walk reads ``[--config FILE] COMMAND [--FLAG VALUE | --FLAG=VALUE]...``.
+    Before the command the only flag is ``--config``, after it the flags of
+    ``_COMMANDS[command]``.  The token after a flag is always its value,
+    ``--`` is no separator, and ``-h``/``--help`` where it is not a value
+    prints the help and exits 0.  The walk refuses, in the order met, a flag
+    given twice, a flag with no value, any other dash token before the
+    command and a name that is no command; then a missing command and,
+    quoted as typed, every token after the command that is not a flag or
+    its value.
     """
-    joined: list[str] = []
-    given: set[str] = set()
-    before_command = True
-    for token in argv:
-        if joined and joined[-1] in _FLAG_TOKENS:
-            joined[-1] += f"={token}"
-            continue
-        name = token.partition("=")[0]
-        if name in _FLAG_TOKENS:
-            if name in given:
-                parser.error(f"argument {name}: given more than once")
-            given.add(name)
-        elif not token.startswith("-"):
-            before_command = False
-        elif before_command and name not in ("-h", "--help"):
-            parser.error(f"unrecognized arguments: {name}")
-        joined.append(token)
-    return joined
+    command: str | None = None
+    names = {"config"}
+    given: dict[str, str] = {}
+    extras: list[str] = []
+    tokens = iter(argv)
+    for token in tokens:
+        if token in ("-h", "--help"):
+            sys.stdout.write(_usage(command))
+            raise SystemExit(0)
+        name, joined, value = token.partition("=")
+        if name.startswith("--") and name[2:] in names:
+            if name[2:] in given:
+                _refuse(f"argument {name}: given more than once")
+            value = value if joined else next(tokens, None)
+            if value is None:
+                _refuse(f"argument {name}: expected one argument")
+            given[name[2:]] = value
+        elif command is not None:
+            extras.append(token)
+        elif token.startswith("-"):
+            _refuse(f"unrecognized arguments: {name}")
+        elif token in _COMMANDS:
+            command = token
+            names = {flag.name for flag in _COMMANDS[command]}
+        else:
+            choices = ", ".join(map(repr, _COMMANDS))
+            _refuse(
+                f"argument command: invalid choice: {token!r} (choose from {choices})"
+            )
+    if command is None:
+        _refuse("the following arguments are required: command")
+    if extras:
+        _refuse("unrecognized arguments: " + " ".join(extras))
+    return command, given
 
 
-def _build_parser() -> _Parser:
-    parser = _Parser(
-        prog="covertsense",
-        description="Covert phase-sensing bounds, sweeps and simulations.",
-        allow_abbrev=False,
-    )
-    parser.add_argument(
-        "--config",
-        default=None,
-        help=f"flat KEY=VALUE config file (default: ${CONFIG_ENV_VAR})",
-    )
-    subparsers = parser.add_subparsers(dest="command", required=True)
-    for command, flags in _COMMANDS.items():
-        sub = subparsers.add_parser(command, allow_abbrev=False)
-        for flag in flags:
-            # argparse only splits the tokens: ``_resolve`` fills in the
-            # defaults, so a config file can sit between them and explicit
-            # flags, and converts and checks every value.
-            sub.add_argument(f"--{flag.name}", type=str, default=None, help=flag.help)
-    return parser
-
-
-def _resolve(parser: _Parser, args: argparse.Namespace) -> dict[str, Any]:
-    """Every flag of ``args.command``, converted; a usage error exits 2.
+def _resolve(command: str, given: dict[str, str]) -> dict[str, Any]:
+    """Every flag of ``command``, converted; a usage error exits 2.
 
     A flag on the command line wins over the config file, which wins over
-    the default.  Each refusal goes through ``parser.error``.
+    the default.  A ``--config`` given, even an empty one, wins over
+    ``COVERTSENSE_CONFIG``.
     """
-    config_path = args.config or os.environ.get(CONFIG_ENV_VAR)
+    config_path = given.get("config", os.environ.get(CONFIG_ENV_VAR) or None)
     file_values: dict[str, str] = {}
-    if config_path:
+    if config_path is not None:
         try:
             file_values = _load_config_file(config_path)
         except (OSError, ValueError) as exc:
-            parser.error(f"config error: {exc}")
+            _refuse(f"config error: {exc}")
         unknown = set(file_values) - set(_CONFIG_KEYS.values())
         if unknown:
-            parser.error("unknown config keys: " + ", ".join(sorted(unknown)))
+            _refuse("unknown config keys: " + ", ".join(sorted(unknown)))
     resolved: dict[str, Any] = {}
-    for flag in _COMMANDS[args.command]:
+    for flag in _COMMANDS[command]:
         dest = _dest(flag.name)
-        raw = getattr(args, dest)
-        if raw is None and dest in file_values:
-            raw = file_values[dest]
+        raw = given.get(flag.name, file_values.get(dest))
         if raw is None:
             if flag.default is ...:
-                parser.error(f"missing required option --{flag.name}")
+                _refuse(f"missing required option --{flag.name}")
             resolved[dest] = flag.default
             continue
         try:
             resolved[dest] = flag.kind(raw)
         except (TypeError, ValueError) as exc:
-            parser.error(f"bad value for --{flag.name}: {exc}")
+            _refuse(f"bad value for --{flag.name}: {exc}")
     return resolved
 
 
@@ -718,14 +724,11 @@ def _emit_error(exc: Exception, stream: Any = None) -> None:
 
 
 def main(argv: Sequence[str] | None = None) -> int:
-    parser = _build_parser()
-    args = parser.parse_args(
-        _join_values(parser, sys.argv[1:] if argv is None else argv)
-    )
-    config = _resolve(parser, args)
+    command, given = _parse(sys.argv[1:] if argv is None else argv)
+    config = _resolve(command, given)
     try:
         try:
-            code = _HANDLERS[args.command](config)
+            code = _HANDLERS[command](config)
         except (
             DomainError,
             NumericalInstabilityError,

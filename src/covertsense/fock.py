@@ -81,7 +81,7 @@ from typing import Callable
 import numpy as np
 
 from .errors import CutoffError, InfiniteQreError
-from .scenario import ProbeSettings, SensingScenario, check_occupancy, wrap_angle
+from .scenario import ProbeSettings, SensingScenario, check_angle, check_occupancy
 
 __all__ = [
     "FockDensityMatrix",
@@ -162,9 +162,7 @@ class FockDensityMatrix:
                     f"the block of photon total {total} must have shape "
                     f"{(total + 1, total + 1)}, got {block.shape}"
                 )
-        if not math.isfinite(phase):
-            raise ValueError(f"phase must be finite, got {phase}")
-        phase = wrap_angle(phase)
+        phase = check_angle("phase", phase)
         for name, value in (
             ("cutoff", cutoff),
             ("tail_bound", tail_bound),
@@ -468,9 +466,7 @@ def oracle_willie_state(
     _check_occupancies(
         nbar_b2=scenario.nbar_b2, nbar_b1=scenario.nbar_b1, nbar_s=nbar_s
     )
-    if not math.isfinite(theta):
-        raise ValueError(f"theta must be finite, got {theta}")
-    theta = wrap_angle(theta)
+    theta = check_angle("theta", theta)
     occ = [scenario.nbar_b2, scenario.nbar_b1, nbar_s]
     total_cutoff, actual_tail = _select_total_cutoff(occ, cutoff)
     forward_table = _pair_blocks(scenario.eta_1, total_cutoff)
@@ -863,9 +859,7 @@ def oracle_cross_check(
     )
     # The interrogator's source carries both; refuse it before any state.
     _check_occupancies(**{"nbar_s + nbar_lo": nbar_s + nbar_lo})
-    if not math.isfinite(theta):
-        raise ValueError(f"theta must be finite, got {theta}")
-    theta = wrap_angle(theta)
+    theta = check_angle("theta", theta)
     occ = [scenario.nbar_b2, scenario.nbar_b1, nbar_s + nbar_lo]
     shared, alice_tail = _select_total_cutoff(occ, cutoff)
     forward_table = _pair_blocks(scenario.eta_1, shared)

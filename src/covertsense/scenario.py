@@ -77,13 +77,21 @@ def validated_make(cls: type, iterable: Iterable[Any]) -> Any:
     return cls(*iterable)
 
 
-def wrap_angle(x: float) -> float:
-    """Wrap an angle to the interval (-pi, pi]; one inside comes back as given.
+def check_angle(name: str, value: float) -> float:
+    """``value`` wrapped to (-pi, pi]; refuse an angle that is NaN or infinite.
 
-    ``math.remainder`` is exact, so no angle picks up a rounding error.
+    One inside the interval comes back as given, and ``math.remainder`` is
+    exact, so no angle picks up a rounding error.
     """
-    r = math.remainder(x, 2.0 * math.pi)
+    if not math.isfinite(value):
+        raise ValueError(f"{name} must be finite, got {value}")
+    r = math.remainder(value, 2.0 * math.pi)
     return math.pi if r == -math.pi else r
+
+
+def wrap_angle(x: float) -> float:
+    """Wrap a finite angle to the interval (-pi, pi] (see :func:`check_angle`)."""
+    return check_angle("angle", x)
 
 
 class _ScenarioFields(NamedTuple):
@@ -156,9 +164,8 @@ class ProbeSettings(_ProbeFields):
         self = super().__new__(cls, *args, **kwargs)
         check_occupancy("nbar_s", self.nbar_s)
         check_occupancy("nbar_lo", self.nbar_lo)
-        if not math.isfinite(self.theta):
-            raise ValueError(f"theta must be finite, got {self.theta}")
-        return super().__new__(cls, self.nbar_s, self.nbar_lo, wrap_angle(self.theta))
+        theta = check_angle("theta", self.theta)
+        return super().__new__(cls, self.nbar_s, self.nbar_lo, theta)
 
     _make = classmethod(validated_make)
 

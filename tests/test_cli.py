@@ -6,6 +6,7 @@ import json
 import math
 import os
 import random
+import re
 import struct
 import subprocess
 import sys
@@ -418,6 +419,20 @@ class TestConfigResolution:
         assert result.code == 0, result
         assert json.loads(result.out)["config"][flag] == value
 
+    def test_explicit_config_wins_over_environment_variable(self, tmp_path):
+        env_config = tmp_path / "env.conf"
+        env_config.write_text(CONFIG_TEXT + "theta = 0.7\n")
+        flag_config = tmp_path / "run.conf"
+        flag_config.write_text(CONFIG_TEXT)
+        argv = ["--config", str(flag_config), "scenario"]
+        result = run(argv, config_env=str(env_config))
+        assert result.code == 0, result
+        assert json.loads(result.out)["config"]["theta"] == 0.0
+        # An empty path is still the one given, and no file has it.
+        result = run(["--config", "", "scenario"], config_env=str(env_config))
+        assert cause(result, {}) == "usage"
+        assert "config error: " in result.err
+
     def test_repeated_config_key_is_usage_error(self, tmp_path):
         config = tmp_path / "twice.conf"
         config.write_text("L = 3000\n# comment\nfmin = 15e12\nl = 4000\n")
@@ -443,7 +458,7 @@ USAGE_ROUTES = {
          "--n", "1e6", "--eps", "1e-3"],
         "unrecognized arguments: --eps 1e-3",
     ),
-    # Named before argparse could take the path after it for the command.
+    # Named at once, before the path after it could be read as the command.
     "abbreviated --config": (
         ["--conf", "{dir}/run.conf", "scenario"],
         "unrecognized arguments: --conf",
@@ -506,6 +521,20 @@ USAGE_ROUTES = {
     "repeated config key": (
         ["--config", "{dir}/twice.conf", "optimize"],
         "key 'l' is set on lines 1 and 2",
+    ),
+    "empty --config": (
+        ["--config", "", "scenario", *SCENARIO_FLAGS],
+        "config error: [Errno 2] No such file or directory: ''",
+    ),
+    # "--" is no separator: it alone is refused, and the flags after it
+    # are read.  The newline pins the end of the message.
+    "-- after the command": (
+        ["scenario", "--", *SCENARIO_FLAGS],
+        "unrecognized arguments: --\n",
+    ),
+    "--config after the command": (
+        ["scenario", *SCENARIO_FLAGS, "--config", "{dir}/run.conf"],
+        "unrecognized arguments: --config {dir}/run.conf\n",
     ),
 }
 
@@ -592,6 +621,17 @@ class TestErrorPaths:
                          "--nb1", "1", "--nb2", "1", "--epsilon", "1e-3",
                          "--n", "1e6")
         assert result.returncode == 2
+
+
+def test_help_lists_every_command_and_its_flags():
+    result = run(["-h"])
+    assert (result.code, result.err) == (0, ""), result
+    assert set(cli._COMMANDS) <= set(re.split(r"[\s{},]+", result.out)), result.out
+    for command, flags in cli._COMMANDS.items():
+        result = run([command, "--help"])
+        assert (result.code, result.err) == (0, ""), result
+        names = {f"--{flag.name}" for flag in flags}
+        assert names <= set(result.out.split()), (command, result.out)
 
 
 NUMERIC_FLAGS = {
@@ -796,8 +836,9 @@ def test_scenario_starts_without_estimation():
 
 
 #: What the closed-form start-up path must not load: the dataclass
-#: machinery, the ``inspect`` module it pulls in, the link layer and numpy.
-STARTUP_ABSENT = ("dataclasses", "inspect", "covertsense.link", "numpy")
+#: machinery, the ``inspect`` module it pulls in, ``argparse``, the link
+#: layer and numpy.
+STARTUP_ABSENT = ("dataclasses", "inspect", "argparse", "covertsense.link", "numpy")
 
 
 def test_scenario_bounds_and_mse_mc_start_without_dataclasses_or_link():

@@ -4,13 +4,17 @@
 baths and ``--nlo``) are log-uniform in 1e-300..1e300; each tap is 0, 1,
 1 - 1e-16 or uniform in [0, 1].  The last two runs of every twenty, one
 of each command, are each followed by a copy that gives one of its flags
-twice.  Each run goes through ``_contract.breaches``, so a hang or an
-escape fails the test.
+twice.  Then 500 runs from a box that answers: taps uniform in (0, 1),
+baths log-uniform in 1e-3..1e2 and ``--nlo`` in 1e-3..1e6.  Each run goes
+through ``_contract.breaches``, so a hang or an escape fails the test.
 
 * Exit 0 must print strict JSON (no NaN or Infinity) and nothing on stderr.
   A ``bounds`` answer must hold the coherent probe's coefficients equal to
   the thermal probe's (``c_coh == c_ase``, ``c_het == c_het_tilde``) and
-  ``mu_c == 1``: both probes read the one budget's c2.
+  ``mu_c == 1``: both probes read the one budget's c2.  At least
+  ``MIN_BOUNDS_ANSWERS`` runs must check that.  A copy of each answering
+  run, its flag pairs shuffled and each written as ``--flag value`` or
+  ``--flag=value``, must exit 0 with the same stdout byte for byte.
 * A flag given twice must exit 2 with a usage line that names it.
 * Exit 1 must print a one-line JSON error on stdout whose message names one
   cause of ``CAUSES``, and a predicate on the inputs must allow that cause: the
@@ -26,9 +30,14 @@ import math
 import random
 import sys
 
-from _contract import breaches, cause, json_strict
+from _contract import breaches, cause, json_strict, run
 
 RUNS = 1000
+#: Runs drawn from the answering box, by a generator of their own so that
+#: no earlier draw moves.
+ANSWERING_RUNS = 500
+#: The fewest ``bounds`` answers that must check the coherent/thermal identity.
+MIN_BOUNDS_ANSWERS = 250
 SEED = 18
 #: Wall-clock bound of one run; a run takes about 3 ms.
 ALARM_S = 2.0
@@ -70,6 +79,35 @@ def _draws():
         if i % REPEAT_EVERY >= REPEAT_EVERY - 2:
             at = 1 + 2 * repeats.randrange(len(argv) // 2)
             yield argv + argv[at : at + 2]
+    rng = random.Random(SEED + 2)
+    for i in range(ANSWERING_RUNS):
+        command = ("scenario", "bounds")[i % 2]
+        argv = [command]
+        for flag in ("eta1", "eta2"):
+            argv += [f"--{flag}", repr(rng.random())]
+        for flag in ("nb1", "nb2"):
+            argv += [f"--{flag}", repr(10.0 ** rng.uniform(-3.0, 2.0))]
+        argv += [
+            "--epsilon", repr(10.0 ** rng.uniform(-6.0, -0.5)),
+            "--n", repr(10.0 ** rng.uniform(0.0, 12.0)),
+        ]
+        if command == "bounds":
+            argv += ["--nlo", repr(10.0 ** rng.uniform(-3.0, 6.0))]
+        yield argv
+
+
+def _rewritten(argv):
+    """``argv`` with its flag pairs shuffled, each spaced or joined by "=".
+
+    The shuffle is seeded by ``argv`` itself, so no other copy moves.
+    """
+    rng = random.Random(" ".join(argv))
+    pairs = [argv[at : at + 2] for at in range(1, len(argv), 2)]
+    rng.shuffle(pairs)
+    tokens = argv[:1]
+    for flag, value in pairs:
+        tokens += [f"{flag}={value}"] if rng.random() < 0.5 else [flag, value]
+    return tokens
 
 
 def _admissible(e1, e2, b1, b2):
@@ -107,17 +145,27 @@ def _check(argv, result):
         (twice,) = {flag for flag in flags if flags.count(flag) > 1}
         assert outcome == "usage", outcome
         assert f"argument {twice}: given more than once" in result.err, result.err
-        return
+        return outcome
     if outcome == "answer":
         assert result.err == "", result.err
         results = json_strict(result.out)["results"]
         if argv[0] == "bounds":
             coherent = (results["c_coh"], results["c_het"], results["mu_c"])
             assert coherent == (results["c_ase"], results["c_het_tilde"], 1.0)
+        copy = run(_rewritten(argv), alarm_s=ALARM_S)
+        assert (copy.code, copy.out, copy.fault) == (0, result.out, None), copy
     # The drawn taps and baths: repr round-trips a float.
     assert outcome in _admissible(*map(float, argv[2:9:2])), outcome
+    return outcome
 
 
 def test_no_hang_and_every_refusal_named():
-    found = breaches(_draws(), _check, alarm_s=ALARM_S)
+    outcomes = []
+
+    def judge(argv, result):
+        outcomes.append((argv[0], _check(argv, result)))
+
+    found = breaches(_draws(), judge, alarm_s=ALARM_S)
     assert not found, found[:10]
+    checked = outcomes.count(("bounds", "answer"))
+    assert checked >= MIN_BOUNDS_ANSWERS, checked

@@ -30,6 +30,7 @@ from covertsense.scenario import (
     _willie_layout,
     _willie_params,
     build_global_cm,
+    check_angle,
     willie_cm,
     wrap_angle,
 )
@@ -105,6 +106,13 @@ class TestValidation:
     def test_wrap_angle_whole_turns_wrap_to_zero(self, turns):
         # Exact modulo the double 2 pi, however many turns.
         assert wrap_angle(2.0 * math.pi * turns) == 0.0
+
+    @pytest.mark.parametrize("theta", [math.inf, -math.inf, math.nan])
+    def test_non_finite_angle_refused_by_name(self, theta):
+        with pytest.raises(ValueError, match=f"^angle must be finite, got {theta}$"):
+            wrap_angle(theta)
+        with pytest.raises(ValueError, match=f"^phi must be finite, got {theta}$"):
+            check_angle("phi", theta)
 
     def test_probe_wraps_theta(self):
         probe = ProbeSettings(0.1, 1.0, 2.0 * math.pi + 0.3)
