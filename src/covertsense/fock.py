@@ -35,20 +35,26 @@ Implementation notes:
 * The adversary's forward tap keeps both its ports, so its stage is one
   block per pair total, and the Gram of the return tap depends on neither
   the probe nor the phase.  The interrogator's forward stage is a family
-  of prefix sums over the photons consumed, stored ragged (no
-  (cutoff + 1)^4 array); its return stage weights them by the return
-  bath.
+  of prefix sums over the photons consumed; its return stage weights them
+  by the return bath.
+* Both return stages stream over the photon totals: the Gram of the
+  return tap and the interrogator's prefix family are generators, and
+  each total's Gram or prefix block is built, read at once, and dropped
+  before the next.  Everything a build holds at one time (the pair-block
+  tables, the forward-tap blocks, the output blocks, one total's Gram or
+  prefixes) is O(cutoff^3); nothing over all totals of the Gram or the
+  prefixes, which would be O(cutoff^4), is ever kept.
 * The probe reaches the adversary's state only through its number
-  distribution, which ``_willie_state`` takes as an array: the public
-  builders pass the thermal (geometric) one, and a phase-averaged
+  distribution, which ``_willie_states`` takes as an array per probe: the
+  public builders pass the thermal (geometric) one, and a phase-averaged
   coherent probe is the Poisson one.  ``_joint_tail`` reads the inputs'
   distributions, so a cutoff can be set for either probe.
 * The private builders take their tables, and a table's length fixes the
   cutoff.  A cross-check selects one cutoff, from the interrogator's
-  inputs, which dominate both adversaries', and builds each table once
-  at it: the pair blocks of each tap, and the return tap's Gram, which
-  both adversary states read.  Each public state builder selects its own
-  cutoff and builds its own tables.
+  inputs, which dominate both adversaries', and builds the pair blocks of
+  each tap once at it.  One ``_willie_states`` call builds both adversary
+  states, so each total's Gram is built once and read by both.  Each
+  public state builder selects its own cutoff and builds its own tables.
 * Photon number is conserved and the baths are diagonal, so the phase
   only conjugates each output block by a diagonal of exp(i theta n).  A
   state therefore holds real theta-free blocks plus that phase, and each
@@ -76,7 +82,8 @@ from __future__ import annotations
 import cmath
 import functools
 import math
-from typing import Callable
+import numbers
+from typing import Callable, Iterator
 
 import numpy as np
 
@@ -126,7 +133,8 @@ class FockDensityMatrix:
     K - a); a total the state leaves empty is a zero block, and there is
     no coherence between totals.  Every state of this module has that
     form, since its circuits conserve photon number and its inputs are
-    diagonal; a wrong block count or shape is refused with ValueError.
+    diagonal; a cutoff that is not a non-negative integer, or a wrong
+    block count or shape, is refused with ValueError.
     The state's block K is D blocks[K] D^dag with D = diag(exp(i phase a)),
     the first mode turned by ``phase`` (default 0, the blocks as given; a
     finite phase outside (-pi, pi] is wrapped).  The states this module
@@ -148,8 +156,7 @@ class FockDensityMatrix:
         tail_bound: float,
         phase: float = 0.0,
     ) -> None:
-        if cutoff < 0:
-            raise ValueError("cutoff must be non-negative")
+        _check_cutoff(cutoff)
         blocks = tuple(np.asarray(block) for block in blocks)
         if len(blocks) != cutoff + 1:
             raise ValueError(
@@ -266,22 +273,31 @@ def _tail_at(occupancies: list[float], cutoff: int) -> float:
     return float(max(_joint_tail(pmfs)[cutoff], 0.0))
 
 
+def _check_cutoff(cutoff: int) -> None:
+    """Refuse a cutoff that is not a non-negative integer: an ``int`` or a
+    numpy integer, and not a ``bool``."""
+    if isinstance(cutoff, bool) or not isinstance(cutoff, numbers.Integral):
+        raise ValueError(f"cutoff must be an integer, got {cutoff!r}")
+    if cutoff < 0:
+        raise ValueError(f"cutoff must be non-negative, got {cutoff}")
+
+
 def _select_total_cutoff(
     occupancies: list[float], cutoff: int | None
 ) -> tuple[int, float]:
     """(cutoff, actual joint tail), enforcing the tail bound and photon cap.
 
-    An explicit cutoff outside [0, MAX_TOTAL_PHOTONS] is refused before
-    any tail is computed, and one whose tail is too heavy is refused
-    naming the least cutoff these inputs accept.  A chosen cutoff is at
-    least 1: ``fock_moments`` no longer needs that floor, but it keeps
-    every input's cutoff where it was.  Either way the tail is read by
+    An explicit cutoff that is not an integer (``_check_cutoff``), or one
+    outside [0, MAX_TOTAL_PHOTONS], is refused before any tail is
+    computed, and one whose tail is too heavy is refused naming the least
+    cutoff these inputs accept.  A chosen cutoff is at least 1:
+    ``fock_moments`` no longer needs that floor, but it keeps every
+    input's cutoff where it was.  Either way the tail is read by
     ``_tail_at``, so a state gets the same tail at a cutoff however that
     cutoff was reached.
     """
     if cutoff is not None:
-        if cutoff < 0:
-            raise ValueError(f"cutoff must be non-negative, got {cutoff}")
+        _check_cutoff(cutoff)
         if cutoff > MAX_TOTAL_PHOTONS:
             raise CutoffError(
                 f"cutoff {cutoff} exceeds the supported cap {MAX_TOTAL_PHOTONS}"
@@ -404,9 +420,9 @@ def _forward_tap_blocks(
     return (table * probs[:, None, :]) @ table.transpose(0, 2, 1)
 
 
-def _return_gram(table: np.ndarray, nbar_b2: float) -> list[np.ndarray]:
+def _return_gram(table: np.ndarray, nbar_b2: float) -> Iterator[np.ndarray]:
     """The adversary's return tap, of pair blocks ``table``, as weights on
-    the forward-tap blocks.
+    the forward-tap blocks, one photon total at a time.
 
     The tap mixes the bath (count j, probability p_b2(j)) into the signal;
     the adversary keeps the bath port (count a) and the signal port (count
@@ -417,9 +433,10 @@ def _return_gram(table: np.ndarray, nbar_b2: float) -> list[np.ndarray]:
         out_K[a, a'] = sum_k gram_K[k, n1, n1'] forward_k[n1, n1'],
         gram_K[k, n1, n1'] = sum_t p_b2(j) U_{a+t}[a, j] U_{a'+t}[a', j],
 
-    over t <= cutoff - K, which is the truncation j + k <= cutoff.  Entry
-    K has shape (cutoff + 1, K + 1, K + 1).  It depends neither on the
-    probe nor on the phase.
+    over t <= cutoff - K, which is the truncation j + k <= cutoff.  The
+    Gram of total K, of shape (cutoff + 1, K + 1, K + 1), is yielded for
+    K = 0..cutoff in turn, each built only when asked for.  It depends
+    neither on the probe nor on the phase.
     """
     cutoff = len(table) - 1
     root = np.sqrt(_geometric_pmf(nbar_b2, cutoff + 1))
@@ -429,13 +446,11 @@ def _return_gram(table: np.ndarray, nbar_b2: float) -> list[np.ndarray]:
     # (k, t, n1) of total K reads [cutoff + j, a + t, a], j = K + t - k and
     # a = K - n1.
     view = _diagonals(padded, ((-1, 0, 0), (1, 1, 0), (0, -1, -1)))
-    grams = []
     for total in range(cutoff + 1):
         # A Gram over t for every k.
         shape = (cutoff + 1, cutoff - total + 1, total + 1)
         amp = view((cutoff + total, total, total), shape)
-        grams.append(amp.transpose(0, 2, 1) @ amp)
-    return grams
+        yield amp.transpose(0, 2, 1) @ amp
 
 
 def oracle_willie_state(
@@ -454,7 +469,7 @@ def oracle_willie_state(
     never couples to the adversary and is omitted.
 
     The inputs are truncated to n_b2 + n_b1 + n_s <= cutoff, and the
-    state is built by ``_willie_state``.  The return tap conserves photon
+    state is built by ``_willie_states``.  The return tap conserves photon
     number and its bath is diagonal, so the phase only conjugates each
     output block by diag(exp(i theta a)) on the kept count a: the state
     holds the real blocks at theta = 0 and ``theta`` as its phase.
@@ -469,37 +484,44 @@ def oracle_willie_state(
     theta = check_angle("theta", theta)
     occ = [scenario.nbar_b2, scenario.nbar_b1, nbar_s]
     total_cutoff, actual_tail = _select_total_cutoff(occ, cutoff)
-    forward_table = _pair_blocks(scenario.eta_1, total_cutoff)
-    grams = _return_gram(_pair_blocks(scenario.eta_2, total_cutoff), scenario.nbar_b2)
-    probe = _geometric_pmf(nbar_s, total_cutoff + 1)
-    state = _willie_state(scenario, probe, forward_table, grams, actual_tail)
+    (state,) = _willie_states(
+        scenario,
+        [_geometric_pmf(nbar_s, total_cutoff + 1)],
+        _pair_blocks(scenario.eta_1, total_cutoff),
+        _pair_blocks(scenario.eta_2, total_cutoff),
+        [actual_tail],
+    )
     return state.with_phase(theta)
 
 
-def _willie_state(
+def _willie_states(
     scenario: SensingScenario,
-    pmf_s: np.ndarray,
+    pmfs: list[np.ndarray],
     forward_table: np.ndarray,
-    grams: list[np.ndarray],
-    tail_bound: float,
-) -> FockDensityMatrix:
-    """The adversary's validated state at theta = 0, from the probe's number
-    distribution on counts 0..cutoff, the forward tap's pair blocks and the
-    return tap's Gram (``_return_gram``) at one cutoff.
+    return_table: np.ndarray,
+    tails: list[float],
+) -> list[FockDensityMatrix]:
+    """The adversary's validated states at theta = 0, one per probe number
+    distribution in ``pmfs`` (on counts 0..cutoff) with its tail bound in
+    ``tails``, from the pair blocks of the forward and the return tap at
+    one cutoff.
 
     The forward tap keeps both its ports, so its stage is one block per
     pair total (``_forward_tap_blocks``); the return tap then acts as a
-    one-mode channel on the signal, through the Gram.
+    one-mode channel on the signal, through its Gram (``_return_gram``),
+    which depends on no probe: each total's Gram is read by every probe's
+    forward blocks and dropped before the next is built.
     """
-    forward = _forward_tap_blocks(forward_table, scenario.nbar_b1, pmf_s)
-    blocks = [
-        # Summed on n1, then reversed onto the kept count a = K - n1.
-        np.einsum("kij,kij->ij", gram, forward[:, : total + 1, : total + 1])[
-            ::-1, ::-1
-        ]
-        for total, gram in enumerate(grams)
+    forwards = [
+        _forward_tap_blocks(forward_table, scenario.nbar_b1, pmf) for pmf in pmfs
     ]
-    return _finish(blocks, tail_bound)
+    families = [[] for _ in pmfs]
+    for total, gram in enumerate(_return_gram(return_table, scenario.nbar_b2)):
+        for forward, blocks in zip(forwards, families):
+            # Summed on n1, then reversed onto the kept count a = K - n1.
+            held = forward[:, : total + 1, : total + 1]
+            blocks.append(np.einsum("kij,kij->ij", gram, held)[::-1, ::-1])
+    return [_finish(blocks, tail) for blocks, tail in zip(families, tails)]
 
 
 def _split_amplitudes(ratio: float, cutoff: int) -> np.ndarray:
@@ -532,7 +554,7 @@ def _sqrt_binomials(cutoff: int) -> np.ndarray:
 
 def _forward_prefixes(
     tap: np.ndarray, nbar_b1: float, nbar_s: float, nbar_lo: float
-) -> list[np.ndarray]:
+) -> Iterator[np.ndarray]:
     """The interrogator's (signal, reference) state after the forward tap,
     of pair blocks ``tap`` up to the cutoff.
 
@@ -541,7 +563,8 @@ def _forward_prefixes(
     the split on the reference count r (``_split_amplitudes``).  The
     forward tap mixes the bath (count j) into the signal and its bath port
     (count t) is traced out.
-    Entry ``[k]`` holds, at ``[s - k]`` for s = k..cutoff, the block
+    The entry of total k, yielded for k = 0..cutoff in turn and each built
+    only when asked for, holds, at ``[s - k]`` for s = k..cutoff, the block
     sigma^(s)_k of photon total k over the inputs with j + n <= s, on the
     reference count (signal count k - r).  At a three-mode total q = j + n
     the traced count is t = q - k, so
@@ -549,8 +572,7 @@ def _forward_prefixes(
         sigma^(s)_k = sum_{q = k..s} X_q^T X_q,
         X_q[j, r] = sqrt(p_b1(j) p_source(q - j)) U_{q-r}[t, j] V_{q-j}[r].
 
-    Entry ``[k]`` has shape (cutoff - k + 1, k + 1, k + 1), so the family
-    holds no (cutoff + 1)^4 array.
+    The entry of total k has shape (cutoff - k + 1, k + 1, k + 1).
     """
     cutoff = len(tap) - 1
     source_total = nbar_s + nbar_lo
@@ -571,13 +593,11 @@ def _forward_prefixes(
     weights = np.sqrt(pmf_b1[:, None] * source[:, :, :1])
     # (q, j, r) of total k, q = k..cutoff, reads the tap at [q - r, q - k, j].
     taps = _diagonals(tap, ((1, 1, 0), (0, 0, 1), (-1, 0, 0)))
-    prefixes = []
     for total in range(cutoff + 1):
         splits = source[total:, :, 1 : total + 2]
         # A Gram over j for every q, summed up to each s.
         amp = weights[total:] * taps((total, 0, 0), splits.shape) * splits
-        prefixes.append(np.cumsum(amp.transpose(0, 2, 1) @ amp, axis=0))
-    return prefixes
+        yield np.cumsum(amp.transpose(0, 2, 1) @ amp, axis=0)
 
 
 def _interrogator_state(
@@ -604,7 +624,8 @@ def _interrogator_state(
                         sigma^(cutoff - n0)_k[r, r'],
 
     with pair totals m = k + n0 - r and m' = k + n0 - r'.  No phase enters:
-    see ``oracle_alice_state``.
+    see ``oracle_alice_state``.  Each total's prefix block is read as the
+    forward stage yields it and dropped before the next.
     """
     cutoff = len(return_table) - 1
     prefixes = _forward_prefixes(forward_table, scenario.nbar_b1, nbar_s, nbar_lo)
@@ -841,10 +862,11 @@ def oracle_cross_check(
     interrogator's inputs (nbar_b2, nbar_b1, nbar_s + nbar_lo), before
     any state is built; they dominate both adversaries' inputs, so it
     serves all four states, and a refused explicit cutoff names the
-    cutoff this check accepts.  The pair blocks of each tap and the
-    return tap's Gram are built once and passed to the builders; the
-    second interrogator state is the first turned to its phase.  Each
-    adversary state keeps its own tail mass at the shared cutoff.
+    cutoff this check accepts.  The pair blocks of each tap are built
+    once and passed to the builders; both adversary states come from one
+    ``_willie_states`` call, which builds each total's Gram once for both,
+    and the second interrogator state is the first turned to its phase.
+    Each adversary state keeps its own tail mass at the shared cutoff.
     """
     from .covertness import willie_qre
     from .estimation import gaussian_fidelity
@@ -864,16 +886,16 @@ def oracle_cross_check(
     shared, alice_tail = _select_total_cutoff(occ, cutoff)
     forward_table = _pair_blocks(scenario.eta_1, shared)
     return_table = _pair_blocks(scenario.eta_2, shared)
-    grams = _return_gram(return_table, scenario.nbar_b2)
+    probes = (0.0, nbar_s)
     w_off, w_on = (
-        _willie_state(
+        state.with_phase(theta)
+        for state in _willie_states(
             scenario,
-            _geometric_pmf(n, shared + 1),
+            [_geometric_pmf(n, shared + 1) for n in probes],
             forward_table,
-            grams,
-            _tail_at([scenario.nbar_b2, scenario.nbar_b1, n], shared),
-        ).with_phase(theta)
-        for n in (0.0, nbar_s)
+            return_table,
+            [_tail_at([scenario.nbar_b2, scenario.nbar_b1, n], shared) for n in probes],
+        )
     )
     probe_a = ProbeSettings(nbar_s=nbar_s, nbar_lo=nbar_lo, theta=theta)
     probe_b = ProbeSettings(nbar_s=nbar_s, nbar_lo=nbar_lo, theta=theta + 0.1)

@@ -6,7 +6,9 @@ import decimal
 import functools
 import json
 import math
+import tracemalloc
 import warnings
+import weakref
 from pathlib import Path
 
 import numpy as np
@@ -182,6 +184,22 @@ class TestDensityMatrixType:
     def test_malformed_blocks_refused(self, blocks, match):
         with pytest.raises(ValueError, match=match):
             FockDensityMatrix(1, [np.array(block) for block in blocks], 0.0)
+
+    @pytest.mark.parametrize(
+        "cutoff,match",
+        [
+            (-1, "^cutoff must be non-negative, got -1$"),
+            (1.0, "^cutoff must be an integer, got 1.0$"),
+            (np.float64(1.0), r"^cutoff must be an integer, got .*1\.0"),
+            (True, "^cutoff must be an integer, got True$"),
+        ],
+        ids=["negative", "float", "float64", "bool"],
+    )
+    def test_non_integer_or_negative_cutoff_refused(self, cutoff, match):
+        # A float cutoff used to build a state whose moments then died in
+        # numpy; True built one as cutoff 1.
+        with pytest.raises(ValueError, match=match):
+            FockDensityMatrix(cutoff, [[[0.5]], np.eye(2) / 4.0], 0.0)
 
     def test_require_valid_rejects_non_hermitian(self):
         state = cutoff_one_pair(np.array([[0.25, 0.1], [0.3, 0.25]], dtype=complex))
@@ -367,12 +385,14 @@ def coherent_probe_qre(scenario, nbar_s):
         pmfs(MAX_TOTAL_PHOTONS + 1, poisson_pmf(nbar_s, MAX_TOTAL_PHOTONS + 1))
     )
     cutoff = int(np.nonzero(tails <= fock._TAIL_BOUND)[0][0])
-    forward = _pair_blocks(scenario.eta_1, cutoff)
-    grams = fock._return_gram(_pair_blocks(scenario.eta_2, cutoff), scenario.nbar_b2)
-    states = []
-    for probe in (_geometric_pmf(0.0, cutoff + 1), poisson_pmf(nbar_s, cutoff + 1)):
-        tail = max(fock._joint_tail(pmfs(cutoff + 1, probe))[-1], 0.0)
-        states.append(fock._willie_state(scenario, probe, forward, grams, tail))
+    probes = [_geometric_pmf(0.0, cutoff + 1), poisson_pmf(nbar_s, cutoff + 1)]
+    states = fock._willie_states(
+        scenario,
+        probes,
+        _pair_blocks(scenario.eta_1, cutoff),
+        _pair_blocks(scenario.eta_2, cutoff),
+        [max(fock._joint_tail(pmfs(cutoff + 1, probe))[-1], 0.0) for probe in probes],
+    )
     return oracle_qre(*states)
 
 
@@ -821,7 +841,10 @@ class TestDiagonalViewsInsideTheirTables:
         # Only the views are under test; an unvalidated block family will do.
         monkeypatch.setattr(fock, "_finish", lambda blocks, tail_bound: blocks)
         forward, ret = _pair_blocks(0.6, cutoff), _pair_blocks(0.7, cutoff)
-        fock._return_gram(ret, 0.2)
+        # The Gram is built as the adversary builder reads it, one total at
+        # a time, and the forward-tap blocks read no view.
+        probe = _geometric_pmf(0.05, cutoff + 1)
+        fock._willie_states(SMALL, [probe], forward, ret, [0.0])
         fock._interrogator_state(SMALL, 0.05, 0.25, forward, ret, 0.0)
         # Per total: one Gram view, one forward tap view and one return tap
         # view; and the source split once.
@@ -1046,7 +1069,7 @@ def refusing_builders(monkeypatch):
     """Make every table and state builder of a cross-check fail the test
     when called; return the list of calls, which should stay empty."""
     built = []
-    names = ("_pair_blocks", "_return_gram", "_willie_state", "_interrogator_state")
+    names = ("_pair_blocks", "_return_gram", "_willie_states", "_interrogator_state")
     for name in names:
 
         def refusing(*args, _name=name):
@@ -1063,11 +1086,12 @@ class TestSharedTables:
             monkeypatch,
             "_select_total_cutoff",
             "_pair_blocks",
-            "_return_gram",
-            "_forward_prefixes",
-            "_willie_state",
+            "_willie_states",
             "_interrogator_state",
         )
+        gram_calls, grams = streamed(monkeypatch, "_return_gram")
+        prefix_calls, prefixes = streamed(monkeypatch, "_forward_prefixes")
+        reads = einsum_reads(monkeypatch, grams)
         oracle_cross_check(SMALL, 0.05, 0.25, 0.3)
         # One cutoff, selected on the interrogator's inputs, for all four
         # states.
@@ -1082,24 +1106,67 @@ class TestSharedTables:
             (SMALL.eta_2, shared),
         ]
         forward_table, return_table = (table for _, table in tables)
-        # One Gram of the return tap, which both adversary states read.
-        ((gram_args, grams),) = calls["_return_gram"]
-        assert gram_args[0] is return_table
-        adversaries = calls["_willie_state"]
-        # Each takes its probe as the thermal number distribution.
-        assert [args[1].tolist() for args, _ in adversaries] == [
+        # One adversary build for both states, each probe taken as its
+        # thermal number distribution.
+        ((adversary_args, adversaries),) = calls["_willie_states"]
+        assert [pmf.tolist() for pmf in adversary_args[1]] == [
             _geometric_pmf(n, shared + 1).tolist() for n in (0.0, 0.05)
         ]
-        for args, _ in adversaries:
-            assert args[2] is forward_table
-            assert args[3] is grams
+        assert adversary_args[2] is forward_table
+        assert adversary_args[3] is return_table
+        assert len(adversaries) == 2
+        # One Gram stream of the return tap: each total built once and read
+        # by both adversary states.
+        ((gram_table, _),) = gram_calls
+        assert gram_table is return_table
+        assert reads == [2] * (shared + 1)
         # One interrogator build, for both phases, whose forward stage
-        # runs once.
+        # runs once, one total at a time.
         ((alice_args, _),) = calls["_interrogator_state"]
         assert alice_args[3] is forward_table
         assert alice_args[4] is return_table
-        ((prefix_args, _),) = calls["_forward_prefixes"]
-        assert prefix_args[0] is forward_table
+        ((prefix_table, *_),) = prefix_calls
+        assert prefix_table is forward_table
+        assert len(prefixes) == shared + 1
+
+
+def streamed(monkeypatch, name):
+    """Wrap the generator ``fock.<name>``; return (calls, items): the
+    arguments of each call and a weak reference to each item yielded.
+
+    Each yield asserts that no item but the last one yielded is still
+    alive: the consumer reads each photon total's item and drops it, and
+    only its loop variable still holds the last one when it asks for the
+    next.
+    """
+    calls, items = [], []
+    stream = getattr(fock, name)
+
+    def watched(*args):
+        calls.append(args)
+        for item in stream(*args):
+            assert all(ref() is None for ref in items[:-1])
+            items.append(weakref.ref(item))
+            yield item
+
+    monkeypatch.setattr(fock, name, watched)
+    return calls, items
+
+
+def einsum_reads(monkeypatch, items):
+    """Count, for each weakly referenced array in the list ``items`` (which
+    may still grow), the ``np.einsum`` calls that take it as an operand."""
+    reads = []
+    einsum = np.einsum
+
+    def counting(subscripts, *operands, **kwargs):
+        reads.extend([0] * (len(items) - len(reads)))
+        for index, ref in enumerate(items):
+            reads[index] += any(operand is ref() for operand in operands)
+        return einsum(subscripts, *operands, **kwargs)
+
+    monkeypatch.setattr(np, "einsum", counting)
+    return reads
 
 
 def grid_qre(rho_0, rho_1):
@@ -1197,7 +1264,7 @@ class TestOneDecompositionPerBlockFamily:
         recorded = recording_calls(
             monkeypatch,
             "_finish",
-            "_willie_state",
+            "_willie_states",
             "_interrogator_state",
             "oracle_qre",
             "oracle_fidelity",
@@ -1217,11 +1284,9 @@ class TestOneDecompositionPerBlockFamily:
         # and the one interrogator build that both phases share.  The
         # builders return them, and the QRE and fidelity read them.
         families = [family for _, family in recorded["_finish"]]
-        built = [
-            state
-            for name in ("_willie_state", "_interrogator_state")
-            for _, state in recorded[name]
-        ]
+        ((_, adversaries),) = recorded["_willie_states"]
+        ((_, interrogator),) = recorded["_interrogator_state"]
+        built = [*adversaries, interrogator]
         assert len(families) == 3
         for state, family in zip(built, families, strict=True):
             assert state is family
@@ -1450,10 +1515,35 @@ class TestCrossCheckReport:
         (-1, ValueError, "non-negative"),
         (MAX_TOTAL_PHOTONS + 1, CutoffError, "cap"),
         (10**7, CutoffError, "cap"),
+        (30.0, ValueError, "^cutoff must be an integer, got 30.0$"),
+        (np.float64(30.0), ValueError, r"^cutoff must be an integer, got .*30\.0"),
+        (True, ValueError, "^cutoff must be an integer, got True$"),
+        ("30", ValueError, "^cutoff must be an integer, got '30'$"),
     ])
     def test_out_of_range_cutoff_refused_before_work(self, cutoff, error, match):
         with pytest.raises(error, match=match):
             oracle_cross_check(SMALL, 0.05, 0.25, 0.3, cutoff)
+
+    @pytest.mark.parametrize(
+        "cutoff",
+        [30.0, np.float64(30.0), True, "30"],
+        ids=["float", "float64", "bool", "str"],
+    )
+    @pytest.mark.parametrize(
+        "build",
+        [
+            lambda cutoff: oracle_willie_state(SMALL, 0.05, 0.3, cutoff),
+            lambda cutoff: oracle_alice_state(SMALL, PROBE, cutoff),
+        ],
+        ids=["willie", "alice"],
+    )
+    def test_non_integer_cutoff_refused_by_state_builders(self, build, cutoff):
+        with pytest.raises(ValueError, match="^cutoff must be an integer, got "):
+            build(cutoff)
+
+    def test_numpy_integer_cutoff_accepted(self):
+        residuals = oracle_cross_check(SMALL, 0.05, 0.25, 0.3, np.int64(30))
+        assert residuals == oracle_cross_check(SMALL, 0.05, 0.25, 0.3, 30)
 
     @pytest.mark.parametrize("occupancy", [1e-6, 3e-6, 1e-5, 1e-4, 1e-3])
     @pytest.mark.parametrize("name", ["nbar_b1", "nbar_b2", "nbar_s", "nbar_lo"])
@@ -1478,6 +1568,32 @@ class TestCrossCheckReport:
         huge = oracle_cross_check(SMALL, 0.05, 0.25, 1e308)
         assert huge == oracle_cross_check(SMALL, 0.05, 0.25, wrap_angle(1e308))
         assert huge["willie_qre_err"] <= 1e-4
+
+
+class TestCrossCheckMemory:
+    """A cross-check streams the return tap's Gram and the interrogator's
+    prefixes one photon total at a time, so it holds O(cutoff^3) at once.
+    Either family held over all totals grows as cutoff^4; holding both read
+    a traced peak of 79 MB at cutoff 64, 12 times the peak at cutoff 32."""
+
+    SCENARIO = SensingScenario(0.5, 0.5, 0.1, 0.1)
+
+    def traced_peak(self, cutoff):
+        """The tracemalloc peak, in bytes, of one cross-check at ``cutoff``."""
+        tracemalloc.start()
+        try:
+            oracle_cross_check(self.SCENARIO, 0.05, 0.0, 0.3, cutoff=cutoff)
+            return tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+
+    def test_peak_grows_as_cutoff_cubed(self):
+        # Untraced first, so that no import counts towards a peak.
+        oracle_cross_check(self.SCENARIO, 0.05, 0.0, 0.3, cutoff=32)
+        peak_32, peak_64 = self.traced_peak(32), self.traced_peak(64)
+        assert peak_64 < 30e6
+        # Doubling the cutoff multiplies a cubic peak by 8, a quartic by 16.
+        assert peak_64 <= 9 * peak_32
 
 
 class TestPairBlocks:
