@@ -511,21 +511,20 @@ def _cmd_bounds(config: dict[str, Any]) -> int:
 
 
 def _cmd_mse_mc(config: dict[str, Any]) -> int:
-    from .estimation import heterodyne_stats, simulate_heterodyne_mse
+    from .estimation import heterodyne_stats, sample_heterodyne_mse
 
     scenario = _scenario_from(config)
     budget = covert_budget(scenario, config["epsilon"], config["n"])
     stats = heterodyne_stats(scenario, config["theta"], budget.nbar_s, config["n"])
-    mse, stderr = simulate_heterodyne_mse(
-        scenario,
+    # An infinite variance is refused as any non-finite result is, by name,
+    # before a trial is drawn.
+    _refuse_nonfinite({"sigma_het_sq": stats.sigma_het_sq}, "results")
+    mse, stderr = sample_heterodyne_mse(
+        stats.sigma_het_sq,
         config["theta"],
-        config["epsilon"],
-        config["n"],
         config["trials"],
         config["seed"],
         workers=config["workers"],
-        budget=budget,
-        _stats=stats,
     )
     results = {
         "mse": mse,

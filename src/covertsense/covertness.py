@@ -107,8 +107,6 @@ class CovertBudget(NamedTuple):
     nbar_s: float
     c2: float
     c3: float
-    epsilon: float
-    num_modes: int
     in_taylor_regime: bool
 
 
@@ -339,16 +337,15 @@ def willie_qre(scenario: SensingScenario, nbar_s: float) -> float:
     from its shift y - x in factored form: D keeps its relative precision
     when it is ten or more orders of magnitude below the entropies, for any
     taps in [0, 1] and occupancies up to the float range, vacuum baths
-    included (where D = log1p(nbar_s |p|^2)).  Raises ``ValueError`` for
-    nbar_s < 0.
+    included (where D = log1p(nbar_s |p|^2)).  Raises ``ValueError`` for an
+    nbar_s that is negative, NaN or infinite.
 
     The target phase does not enter: it only rotates correlations inside the
     adversary state, leaving every symplectic invariant unchanged (this is
     verified, not assumed, by the test suite against :func:`qre_gaussian` at
     many phases).
     """
-    if nbar_s < 0.0:
-        raise ValueError("nbar_s must be non-negative")
+    check_occupancy("nbar_s", nbar_s)
     return _adversary_qre(scenario, nbar_s)
 
 
@@ -541,23 +538,17 @@ def covert_budget(
             UserWarning,
             stacklevel=2,
         )
-    return CovertBudget(
-        nbar_s=nbar_s,
-        c2=c2,
-        c3=c3,
-        epsilon=epsilon,
-        num_modes=n,
-        in_taylor_regime=in_regime,
-    )
+    return CovertBudget(nbar_s=nbar_s, c2=c2, c3=c3, in_taylor_regime=in_regime)
 
 
 def willie_error_lower_bound(c2: float, num_modes: float, nbar_s: float) -> float:
     """Adversary error-probability lower bound 1/2 - (sqrt(c2)/4) sqrt(n) nbar_s.
 
     At the covert budget this is exactly 1/2 - epsilon.  Values <= 0 are
-    vacuous (the probe is not covert at this strength).
+    vacuous (the probe is not covert at this strength).  Raises
+    ``ValueError`` for a ``c2`` or ``nbar_s`` that is negative, NaN or infinite.
     """
-    if c2 < 0.0:
-        raise ValueError("c2 must be non-negative")
+    check_occupancy("c2", c2)
+    check_occupancy("nbar_s", nbar_s)
     n = channel_uses(num_modes)
     return 0.5 - (math.sqrt(c2) / 4.0) * math.sqrt(n) * nbar_s

@@ -15,8 +15,11 @@ Contents:
 * Mean-square-error bound coefficients (all in rad^2): the quantum bound
   coefficient ``c_ase`` of the thermal probe and the heterodyne
   coefficient ``c_het_tilde``.
-* Normalized heterodyne statistics in the bright-reference limit and a
-  Monte-Carlo simulation of the two-quadrature arctangent estimator.
+* Normalized heterodyne statistics in the bright-reference limit.
+* A Monte-Carlo sampler of the two-quadrature arctangent estimator, keyed
+  by the averaged noise variance it draws (``sample_heterodyne_mse``),
+  and its composition with the covert budget and the heterodyne
+  statistics (``simulate_heterodyne_mse``).
 * Source-comparison ratios ``mu_c``, ``mu_w``, ``mu`` between the
   thermal probe and a coherent probe at matched covertness.
 
@@ -50,12 +53,14 @@ import os
 from typing import TYPE_CHECKING, NamedTuple
 
 from ._constants import RNG_ALGORITHM
-from .covertness import CovertBudget, channel_uses, covert_budget
+from .covertness import channel_uses, covert_budget
 from .errors import DomainError, NumericalInstabilityError
 from .scenario import (
     ProbeSettings,
     SensingScenario,
     alice_cm,
+    check_angle,
+    check_integer,
     check_occupancy,
     check_positive,
 )
@@ -80,6 +85,7 @@ __all__ = [
     "qcrb_ase",
     "ase_heterodyne_coefficient",
     "heterodyne_stats",
+    "sample_heterodyne_mse",
     "simulate_heterodyne_mse",
     "estimation_report",
 ]
@@ -121,8 +127,12 @@ class EstimationReport(NamedTuple):
     """Bound coefficients and comparison ratios for one scenario.
 
     ``qcrb = c_ase / (eps sqrt(n))`` is the MSE lower bound;
-    ``mse_het = c_het_tilde / (eps sqrt(n))`` is what the heterodyne
-    estimator actually reaches at the budget.  ``c_coh`` and ``c_het`` are
+    ``mse_het = c_het_tilde / (eps sqrt(n))`` is the averaged heterodyne
+    noise variance ``sigma_het_sq`` at the budget, which is the MSE of the
+    arctangent estimator only to leading order in it.  The exact MSE is
+    larger at moderate noise (1.37 times at ``sigma_het_sq = 0.188``) and
+    saturates at pi^2/3, a blind guess's, as the noise grows;
+    :func:`sample_heterodyne_mse` draws it.  ``c_coh`` and ``c_het`` are
     the same two coefficients of a phase-averaged coherent probe.  It
     faces the thermal probe's two-tap adversary and shares its c2, so
     ``c_coh = c_ase`` and ``c_het = c_het_tilde``.  ``mu_w = W_ase / W_coh``
@@ -292,13 +302,13 @@ def heterodyne_stats(
 ) -> HeterodyneStats:
     """Normalized heterodyne moments in the bright-reference limit.
 
-    Requires a positive signal occupancy (there is no outcome scale to
-    normalize by otherwise) and a channel that transmits something.
+    Requires a positive finite signal occupancy (there is no outcome scale
+    to normalize by otherwise) and a channel that transmits something.
     """
-    if nbar_s <= 0.0:
+    check_occupancy("nbar_s", nbar_s)
+    if nbar_s == 0.0:
         raise DomainError(f"no signal to normalize by: nbar_s = {nbar_s}")
-    if not math.isfinite(theta):
-        raise ValueError(f"theta must be finite, got {theta}")
+    check_angle("theta", theta)
     n = channel_uses(num_modes)
     eta = scenario.eta_eff
     b = scenario.nbar_b_eff
@@ -454,19 +464,10 @@ def _in_order(
             yield pending.popleft().result()
 
 
-def simulate_heterodyne_mse(
-    scenario: SensingScenario,
-    theta_true: float,
-    epsilon: float,
-    num_modes: float,
-    trials: int,
-    seed: int,
-    *,
-    workers: int = 1,
-    budget: CovertBudget | None = None,
-    _stats: HeterodyneStats | None = None,
+def sample_heterodyne_mse(
+    sigma_het_sq: float, theta_true: float, trials: int, seed: int, *, workers: int = 1
 ) -> tuple[float, float]:
-    """Monte-Carlo MSE of the arctangent estimator at the covert budget.
+    """Monte-Carlo MSE of the arctangent estimator at noise variance ``sigma_het_sq``.
 
     Each trial draws the two averaged quadratures ``I = cos theta + Z_I``
     and ``Q = sin theta + Z_Q`` with ``Z ~ Normal(0, sigma_het_sq)``,
@@ -499,16 +500,17 @@ def simulate_heterodyne_mse(
     most ``2 * threads`` tasks submitted and not yet folded, so memory
     does not grow with ``trials``.
 
-    ``budget`` is the covert budget for ``(scenario, epsilon, n)`` when the
-    caller already holds it (the CLI reports its ``nbar_s``); without it
-    the budget is computed here.  A budget built for another ``epsilon``
-    or ``n`` is refused.  ``_stats`` is private to the CLI, which reports
-    ``sigma_het_sq``: the ``heterodyne_stats`` of ``(scenario, theta_true,
-    budget.nbar_s, n)`` it already holds, so they are computed once.
+    ``trials``, ``seed`` and ``workers`` must be integers (``int`` or numpy,
+    not ``bool``): at least 1000 trials, a seed in [0, 2**128) and at least
+    one worker.  ``sigma_het_sq`` must be positive and finite and
+    ``theta_true`` finite.
     """
     # Without numpy the run is refused before its arguments are checked.
     import numpy  # noqa: F401
 
+    for name, value in (("trials", trials), ("seed", seed), ("workers", workers)):
+        check_integer(name, value)
+    # A numpy integer becomes an int, so the results are Python floats.
     trials = int(trials)
     if trials < 1000:
         raise ValueError(f"need at least 1000 trials for a stable MSE, got {trials}")
@@ -516,18 +518,10 @@ def simulate_heterodyne_mse(
         raise ValueError("seed must be a non-negative integer below 2**128")
     if workers < 1:
         raise ValueError("workers must be >= 1")
-    n = channel_uses(num_modes)
-    if budget is None:
-        budget = covert_budget(scenario, epsilon, n)
-    elif (budget.epsilon, budget.num_modes) != (epsilon, n):
-        raise ValueError(
-            f"budget was built for epsilon = {budget.epsilon!r}, "
-            f"n = {budget.num_modes}; this run has epsilon = {epsilon!r}, n = {n}"
-        )
-    stats = _stats
-    if stats is None:
-        stats = heterodyne_stats(scenario, theta_true, budget.nbar_s, n)
-    sigma_avg = math.sqrt(stats.sigma_het_sq)
+    check_positive("sigma_het_sq", sigma_het_sq)
+    # Refused, not wrapped: the kernel reduces theta modulo 2 pi itself.
+    check_angle("theta_true", theta_true)
+    sigma_avg = math.sqrt(sigma_het_sq)
 
     strip_trials = _BLOCK_TRIALS * _STRIP_BLOCKS
     num_strips = -(-trials // strip_trials)
@@ -561,6 +555,31 @@ def simulate_heterodyne_mse(
     variance = (sum_quad - sum_sq * sum_sq / trials) / (trials - 1)
     stderr = math.sqrt(max(variance, 0.0) / trials)
     return mse, stderr
+
+
+def simulate_heterodyne_mse(
+    scenario: SensingScenario,
+    theta_true: float,
+    epsilon: float,
+    num_modes: float,
+    trials: int,
+    seed: int,
+    *,
+    workers: int = 1,
+) -> tuple[float, float]:
+    """Monte-Carlo MSE of the arctangent estimator at the covert budget.
+
+    The budget for ``(scenario, epsilon, n)`` fixes ``nbar_s``,
+    :func:`heterodyne_stats` turns it into the averaged noise variance
+    ``sigma_het_sq``, and :func:`sample_heterodyne_mse` draws the trials
+    at that variance.  The scenario and the budget are checked before the
+    Monte-Carlo arguments.
+    """
+    budget = covert_budget(scenario, epsilon, num_modes)
+    stats = heterodyne_stats(scenario, theta_true, budget.nbar_s, num_modes)
+    return sample_heterodyne_mse(
+        stats.sigma_het_sq, theta_true, trials, seed, workers=workers
+    )
 
 
 def estimation_report(

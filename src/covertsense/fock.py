@@ -82,13 +82,18 @@ from __future__ import annotations
 import cmath
 import functools
 import math
-import numbers
 from typing import Callable, Iterator
 
 import numpy as np
 
 from .errors import CutoffError, InfiniteQreError
-from .scenario import ProbeSettings, SensingScenario, check_angle, check_occupancy
+from .scenario import (
+    ProbeSettings,
+    SensingScenario,
+    check_angle,
+    check_integer,
+    check_occupancy,
+)
 
 __all__ = [
     "FockDensityMatrix",
@@ -274,10 +279,8 @@ def _tail_at(occupancies: list[float], cutoff: int) -> float:
 
 
 def _check_cutoff(cutoff: int) -> None:
-    """Refuse a cutoff that is not a non-negative integer: an ``int`` or a
-    numpy integer, and not a ``bool``."""
-    if isinstance(cutoff, bool) or not isinstance(cutoff, numbers.Integral):
-        raise ValueError(f"cutoff must be an integer, got {cutoff!r}")
+    """Refuse a cutoff that is not a non-negative integer (``check_integer``)."""
+    check_integer("cutoff", cutoff)
     if cutoff < 0:
         raise ValueError(f"cutoff must be non-negative, got {cutoff}")
 

@@ -38,7 +38,7 @@ from ._constants import BOLTZMANN_K, PLANCK_H, SPEED_OF_LIGHT
 from .covertness import taylor_coefficients
 from .errors import DomainError, EmptySweepError, NearFieldError
 from .estimation import qcrb_ase
-from .scenario import SensingScenario, check_positive, validated_make
+from .scenario import SensingScenario, check_integer, check_positive, validated_make
 
 __all__ = [
     "LinkGeometry",
@@ -306,6 +306,7 @@ def sweep_frequency(
     check_positive("f_max", f_max)
     if not f_min < f_max:
         raise ValueError(f"need f_min < f_max, got {f_min} >= {f_max}")
+    check_integer("points", points)
     if points < 2:
         raise ValueError(f"need at least two sweep points, got {points}")
     scale = _bound_scale(epsilon, bandwidth, integration_time)

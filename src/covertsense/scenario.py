@@ -68,6 +68,15 @@ def check_occupancy(name: str, value: float) -> None:
         raise ValueError(f"{name} must be non-negative and finite, got {value}")
 
 
+def check_integer(name: str, value: int) -> None:
+    """Refuse a count that is not an ``int`` or numpy integer, or is a ``bool``."""
+    # Imported here, so that only the runs that take a count load it.
+    import numbers
+
+    if isinstance(value, bool) or not isinstance(value, numbers.Integral):
+        raise ValueError(f"{name} must be an integer, got {value!r}")
+
+
 def validated_make(cls: type, iterable: Iterable[Any]) -> Any:
     """``_make`` for a record that validates in ``__new__``.
 

@@ -8,7 +8,8 @@ of its tests; the test suite reads only the JSON):
 D is evaluated independently of ``covertness.willie_qre``, as
 tr[(1 + N0) ln(1 + Ns)] - tr[N0 ln Ns] minus the same at nbar_s = 0, with
 Ns = N0 + nbar_s p p^T and the 2x2 matrix logarithms taken through their
-eigen-split (``taylor_reference_gen._log_sym``) in 400-digit arithmetic,
+eigen-split (``taylor_reference_gen.adversary_functional``, the one
+``taylor_reference_gen.py`` differentiates) in 400-digit arithmetic,
 enough to survive the cancellation of ~1e259-sized terms at the hottest
 bath.  The points are the ``scenario`` cases of ``cli_stdout.json`` at
 their printed covert ``ns``, equal and unequal hot baths at theirs, and
@@ -24,28 +25,14 @@ from pathlib import Path
 
 import mpmath as mp
 
-from taylor_reference_gen import _log_sym
+from taylor_reference_gen import adversary_functional
 
 mp.mp.dps = 400
 
 
 def reference(eta_1, eta_2, nbar_b1, nbar_b2, nbar_s):
-    e1, e2, b1, b2, s = (mp.mpf(x) for x in (eta_1, eta_2, nbar_b1, nbar_b2, nbar_s))
-    n11 = (1 - e1) * (1 - e2) * b1 + e2 * b2
-    n22 = e1 * b1
-    n12 = mp.sqrt((1 - e2) * e1 * (1 - e1)) * b1
-    p1, p2 = mp.sqrt((1 - e2) * e1), -mp.sqrt(1 - e1)
-
-    def cross(m11, m22, m12):
-        ln11, ln22, ln12 = _log_sym(m11, m22, m12)
-        lp11, lp22, lp12 = _log_sym(1 + m11, 1 + m22, m12)
-        return (
-            (1 + n11) * lp11 + (1 + n22) * lp22 + 2 * n12 * lp12
-            - (n11 * ln11 + n22 * ln22 + 2 * n12 * ln12)
-        )
-
-    shifted = cross(n11 + s * p1 * p1, n22 + s * p2 * p2, n12 + s * p1 * p2)
-    return shifted - cross(n11, n22, n12)
+    _, functional = adversary_functional(eta_1, eta_2, nbar_b1, nbar_b2)
+    return functional(mp.mpf(nbar_s)) - functional(0)
 
 
 def points():

@@ -36,14 +36,22 @@ def _log_sym(m11, m22, m12):
     return slope * m11 + shift, slope * m22 + shift, slope * m12
 
 
-def reference(eta_1, eta_2, nbar_b1, nbar_b2):
+def adversary_functional(eta_1, eta_2, nbar_b1, nbar_b2):
+    """The adversary's N0 entries (11, 22, 12) and the function
+
+        s -> tr[(1 + N0) ln(1 + Ns)] - tr[N0 ln Ns],   Ns = N0 + s p p^T,
+
+    whose value at s less its value at 0 is D(s).  The entries and p are
+    formed at the working precision of the call, the function's value at
+    that of its own call.
+    """
     e1, e2, b1, b2 = (mp.mpf(x) for x in (eta_1, eta_2, nbar_b1, nbar_b2))
     n11 = (1 - e1) * (1 - e2) * b1 + e2 * b2
     n22 = e1 * b1
     n12 = mp.sqrt((1 - e2) * e1 * (1 - e1)) * b1
     p1, p2 = mp.sqrt((1 - e2) * e1), -mp.sqrt(1 - e1)
 
-    def qre(s):
+    def functional(s):
         m11, m22, m12 = n11 + s * p1 * p1, n22 + s * p2 * p2, n12 + s * p1 * p2
         ln11, ln22, ln12 = _log_sym(m11, m22, m12)
         lp11, lp22, lp12 = _log_sym(1 + m11, 1 + m22, m12)
@@ -52,8 +60,15 @@ def reference(eta_1, eta_2, nbar_b1, nbar_b2):
             - (n11 * ln11 + n22 * ln22 + 2 * n12 * ln12)
         )
 
+    return (n11, n22, n12), functional
+
+
+def reference(eta_1, eta_2, nbar_b1, nbar_b2):
+    # D(s) has the functional's derivatives at 0 of every order above 0.
+    (n11, n22, n12), qre = adversary_functional(eta_1, eta_2, nbar_b1, nbar_b2)
     lam_hi = (n11 + n22) / 2 + mp.sqrt(n12**2 + ((n11 - n22) / 2) ** 2)
-    lam_lo = e1 * e2 * b1 * b2 / lam_hi
+    # det N0 = eta_1 eta_2 nbar_b1 nbar_b2, formed without cancellation.
+    lam_lo = mp.mpf(eta_1) * eta_2 * nbar_b1 * nbar_b2 / lam_hi
     step = lam_lo * mp.mpf(10) ** -15
     out = []
     with mp.workdps(120):

@@ -19,7 +19,11 @@ from conftest import THREE_STRIPS_AND_A_BLOCK
 from covertsense import cli
 from covertsense.cli import CSV_HEADER
 from covertsense.covertness import covert_budget, taylor_coefficients
-from covertsense.estimation import estimation_report, heterodyne_stats
+from covertsense.estimation import (
+    estimation_report,
+    heterodyne_stats,
+    simulate_heterodyne_mse,
+)
 from covertsense.link import LinkGeometry, sweep_frequency
 from covertsense.scenario import SensingScenario, willie_cm
 
@@ -156,6 +160,30 @@ class TestMseMcCommand:
         assert results["sigma_het_sq"] == stats.sigma_het_sq
         assert results["mse"] > 0.0
         assert results["stderr"] > 0.0
+
+    def test_same_bits_as_the_library(self):
+        # The CLI samples at the sigma_het_sq it reports; the library call
+        # builds the same budget and moments, then the same sampler.
+        argv = ["mse-mc", "--eta1", "0.6", "--eta2", "0.8", "--nb1", "0.3",
+                "--nb2", "2", "--epsilon", "0.02", "--n", "3e4", "--theta", "-2.5",
+                "--trials", "20000", "--seed", "12345", "--workers", "2"]
+        result = run(argv)
+        assert result.code == 0, result
+        results = json.loads(result.out)["results"]
+        mse, stderr = simulate_heterodyne_mse(
+            SensingScenario(0.6, 0.8, 0.3, 2.0), -2.5, 0.02, 3e4, 20000, 12345
+        )
+        assert (results["mse"], results["stderr"]) == (mse, stderr)
+
+    def test_underflowing_variance_refused_by_name(self):
+        # sigma_het_sq, far below 1e-400, reads 0.0; sampled, it would give
+        # an mse and a stderr of 0.0 under exit 0.
+        result = run(["mse-mc", *SCENARIO_FLAGS[:8], "--epsilon", "1e300",
+                      "--n", "1e300"])
+        assert (result.code, json.loads(result.out)) == (1, {"error": {
+            "message": "sigma_het_sq must be positive and finite, got 0.0",
+            "type": "ValueError",
+        }})
 
     def test_seed_changes_estimate(self):
         base = ["mse-mc", *SCENARIO_FLAGS, "--trials", "1000"]

@@ -187,6 +187,12 @@ class TestWillieQre:
         with pytest.raises(ValueError):
             willie_qre(REFERENCE, -0.01)
 
+    @pytest.mark.parametrize("nbar_s", [math.nan, math.inf])
+    def test_non_finite_signal_refused(self, nbar_s):
+        # Unrefused, both give a QRE of nan.
+        with pytest.raises(ValueError, match="^nbar_s must be non-negative and finite"):
+            willie_qre(REFERENCE, nbar_s)
+
     @given(ns=st.floats(1e-6, 0.5))
     @settings(max_examples=50)
     def test_nonnegative(self, ns):
@@ -395,7 +401,8 @@ class TestCovertBudget:
     def test_budget_golden(self):
         budget = covert_budget(REFERENCE, 1e-3, 1e6)
         assert budget.nbar_s == pytest.approx(2.98142397e-06, rel=1e-7)
-        assert budget.num_modes == 10**6
+        # The budget is built for n = floor(num_modes).
+        assert covert_budget(REFERENCE, 1e-3, 1e6 + 0.5) == budget
         assert budget.in_taylor_regime
 
     def test_budget_carries_both_taylor_coefficients(self):
@@ -449,6 +456,22 @@ class TestCovertBudget:
         weak = willie_error_lower_bound(c2, 1e6, 1e-6)
         strong = willie_error_lower_bound(c2, 1e6, 1e-4)
         assert strong < weak <= 0.5
+
+    @pytest.mark.parametrize(
+        "c2,nbar_s,name",
+        [
+            (-1.0, 1e-3, "c2"),
+            (math.nan, 1e-3, "c2"),
+            (math.inf, 1e-3, "c2"),
+            (1.0, -1e-3, "nbar_s"),
+            (1.0, math.nan, "nbar_s"),
+            (1.0, math.inf, "nbar_s"),
+        ],
+    )
+    def test_error_bound_refuses_bad_inputs_by_name(self, c2, nbar_s, name):
+        # Unrefused, a NaN c2 gives a bound of nan and nbar_s = inf one of -inf.
+        with pytest.raises(ValueError, match=f"^{name} must be non-negative and finite"):
+            willie_error_lower_bound(c2, 1e6, nbar_s)
 
     def test_invalid_epsilon_rejected(self):
         with pytest.raises(ValueError):

@@ -22,6 +22,7 @@ from covertsense.estimation import (
     qcrb_ase,
     qfi_closed,
     qfi_numeric,
+    sample_heterodyne_mse,
     simulate_heterodyne_mse,
 )
 from covertsense.gaussian import thermal_cm, vacuum_cm
@@ -167,6 +168,12 @@ class TestHeterodyneStats:
     def test_zero_signal_rejected(self):
         with pytest.raises(DomainError):
             heterodyne_stats(REFERENCE, 0.3, 0.0, 1.0)
+
+    @pytest.mark.parametrize("nbar_s", [-0.1, math.nan, math.inf])
+    def test_bad_signal_refused_by_name(self, nbar_s):
+        # Unrefused, NaN gives NaN moments and inf a noise variance of zero.
+        with pytest.raises(ValueError, match="^nbar_s must be non-negative and finite"):
+            heterodyne_stats(REFERENCE, 0.3, nbar_s, 1.0)
 
 
 def _reference_mse(scenario, theta_true, epsilon, num_modes, trials, seed, kernel):
@@ -420,37 +427,60 @@ class TestSimulation:
         with pytest.raises(ValueError):
             simulate_heterodyne_mse(REFERENCE, 0.5, 0.01, 1e6, trials=10, seed=1)
 
-    def test_budget_passed_in_gives_same_bits(self, monkeypatch):
-        kwargs = dict(theta_true=0.5, epsilon=0.01, num_modes=1e6, trials=2000)
-        built = simulate_heterodyne_mse(REFERENCE, seed=7, **kwargs)
-        budget = covert_budget(REFERENCE, 0.01, 1e6)
-
-        def refuse(*args):
-            raise AssertionError("budget computed again")
-
-        monkeypatch.setattr(estimation, "covert_budget", refuse)
-        given_budget = simulate_heterodyne_mse(
-            REFERENCE, seed=7, budget=budget, **kwargs
-        )
-        assert given_budget == built
-
     @pytest.mark.parametrize(
-        "epsilon,num_modes", [(0.02, 1e6), (0.01, 2e6), (math.nan, 1e6)]
+        "args,kwargs,match",
+        [
+            ((0.01, 0.5, 1000.9, 1), {}, "^trials must be an integer, got 1000.9$"),
+            ((0.01, 0.5, np.float64(2000.0), 1), {}, "^trials must be an integer"),
+            ((0.01, 0.5, 1000, 1.5), {}, "^seed must be an integer, got 1.5$"),
+            ((0.01, 0.5, 1000, 1.9), {}, "^seed must be an integer, got 1.9$"),
+            ((0.01, 0.5, 1000, True), {}, "^seed must be an integer, got True$"),
+            ((0.01, 0.5, 1000, 1), {"workers": 2.7}, "^workers must be an integer"),
+            ((0.01, 0.5, 1000, -1), {}, "^seed must be a non-negative integer"),
+            ((0.01, 0.5, 1000, 2**128), {}, "^seed must be a non-negative integer"),
+            ((0.01, 0.5, 1000, 1), {"workers": 0}, "^workers must be >= 1$"),
+            ((0.0, 0.5, 1000, 1), {}, "^sigma_het_sq must be positive and finite"),
+            ((-1.0, 0.5, 1000, 1), {}, "^sigma_het_sq must be positive and finite"),
+            ((math.nan, 0.5, 1000, 1), {}, "^sigma_het_sq must be positive and finite"),
+            ((math.inf, 0.5, 1000, 1), {}, "^sigma_het_sq must be positive and finite"),
+            ((0.01, math.nan, 1000, 1), {}, "^theta_true must be finite, got nan$"),
+            ((0.01, -math.inf, 1000, 1), {}, "^theta_true must be finite, got -inf$"),
+        ],
+        ids=[
+            "trials-float", "trials-float64", "seed-1.5", "seed-1.9", "seed-bool",
+            "workers-float", "seed-negative", "seed-2**128", "workers-zero",
+            "sigma-zero", "sigma-negative", "sigma-nan", "sigma-inf", "theta-nan",
+            "theta-inf",
+        ],
     )
-    def test_mismatched_budget_refused(self, epsilon, num_modes):
-        budget = covert_budget(REFERENCE, 0.01, 1e6)
-        with pytest.raises(ValueError, match="budget was built for epsilon = 0.01"):
-            simulate_heterodyne_mse(
-                REFERENCE, 0.5, epsilon, num_modes, trials=1000, seed=1,
-                budget=budget,
-            )
+    def test_sampler_refuses_bad_arguments_by_name(self, args, kwargs, match):
+        # Truncated, seed 1.5, 1.9 and True would run seed 1's stream and
+        # trials 1000.9 would run 1000 trials.
+        with pytest.raises(ValueError, match=match):
+            sample_heterodyne_mse(*args, **kwargs)
 
-    def test_budget_for_floored_mode_count_accepted(self):
-        # The budget records n = floor(num_modes), as the run does.
+    def test_numpy_integer_counts_accepted(self):
+        plain = sample_heterodyne_mse(0.01, 0.5, 2000, 7, workers=2)
+        numpy_ints = sample_heterodyne_mse(
+            0.01, 0.5, np.int64(2000), np.uint64(7), workers=np.int32(2)
+        )
+        assert numpy_ints == plain
+        assert all(type(value) is float for value in numpy_ints)
+
+    @pytest.mark.parametrize("sigma_het_sq", [1e-3, 0.188, 2.0])
+    def test_sampler_matches_exact_mse(self, sigma_het_sq):
+        # From the small-noise regime, through the paper-like point where
+        # the exact MSE is 1.37 sigma_het_sq, to sigma_het_sq > 1 where it
+        # falls below sigma_het_sq on its way to pi^2 / 3.
+        mse, stderr = sample_heterodyne_mse(sigma_het_sq, 0.7, 200_000, 42)
+        assert abs(mse - _exact_arctan_mse(sigma_het_sq)) <= 3.0 * stderr
+
+    def test_simulation_is_the_sampler_at_the_budget_variance(self):
         budget = covert_budget(REFERENCE, 0.01, 1e6 + 0.5)
+        stats = heterodyne_stats(REFERENCE, 0.5, budget.nbar_s, 1e6)
         assert simulate_heterodyne_mse(
-            REFERENCE, 0.5, 0.01, 1e6 + 0.5, trials=1000, seed=1, budget=budget
-        ) == simulate_heterodyne_mse(REFERENCE, 0.5, 0.01, 1e6, trials=1000, seed=1)
+            REFERENCE, 0.5, 0.01, 1e6 + 0.5, 2000, 7, workers=2
+        ) == sample_heterodyne_mse(stats.sigma_het_sq, 0.5, 2000, 7)
 
 
 class TestBaselines:

@@ -221,6 +221,10 @@ class TestSweep:
             sweep_frequency(1e14, 1e13, 10, GEOMETRY_3KM)
         with pytest.raises(ValueError):
             sweep_frequency(1e13, 1e14, 1, GEOMETRY_3KM)
+        # Unrefused, a float count dies with a raw TypeError in range().
+        for points in (2.5, 10.0, True):
+            with pytest.raises(ValueError, match="^points must be an integer, got "):
+                sweep_frequency(1e13, 1e14, points, GEOMETRY_3KM)
 
     @pytest.mark.parametrize(
         "f_min,f_max,name",

@@ -31,6 +31,7 @@ from covertsense.scenario import (
     _willie_params,
     build_global_cm,
     check_angle,
+    check_integer,
     willie_cm,
     wrap_angle,
 )
@@ -113,6 +114,17 @@ class TestValidation:
             wrap_angle(theta)
         with pytest.raises(ValueError, match=f"^phi must be finite, got {theta}$"):
             check_angle("phi", theta)
+
+    @pytest.mark.parametrize(
+        "value", [30.0, np.float64(30.0), True, "30", None], ids=repr
+    )
+    def test_non_integer_count_refused_by_name(self, value):
+        with pytest.raises(ValueError, match="^count must be an integer, got "):
+            check_integer("count", value)
+
+    @pytest.mark.parametrize("value", [0, -3, 2**200, np.int64(30), np.uint8(3)])
+    def test_integer_count_accepted(self, value):
+        check_integer("count", value)
 
     def test_probe_wraps_theta(self):
         probe = ProbeSettings(0.1, 1.0, 2.0 * math.pi + 0.3)
