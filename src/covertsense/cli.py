@@ -675,16 +675,9 @@ def _cmd_oracle_check(config: dict[str, Any]) -> int:
     from .fock import oracle_cross_check
 
     scenario = _scenario_from(config)
-    residuals = dict(
-        oracle_cross_check(
-            scenario,
-            config["ns"],
-            config["nlo"],
-            config["theta"],
-            config["cutoff"],
-        )
+    residuals = oracle_cross_check(
+        scenario, config["ns"], config["nlo"], config["theta"], config["cutoff"]
     )
-    residuals["cutoff"] = int(residuals["cutoff"])
     passed = all(
         residuals[name] <= bound for name, bound in ORACLE_TOLERANCES.items()
     )

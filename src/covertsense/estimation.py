@@ -303,18 +303,21 @@ def heterodyne_stats(
     """Normalized heterodyne moments in the bright-reference limit.
 
     Requires a positive finite signal occupancy (there is no outcome scale
-    to normalize by otherwise) and a channel that transmits something.
+    to normalize by otherwise), one that the scale 2 eta nbar_s does not
+    underflow, and a channel that transmits something.
     """
     check_occupancy("nbar_s", nbar_s)
-    if nbar_s == 0.0:
+    eta = scenario.eta_eff
+    scale = 2.0 * eta * nbar_s
+    # A zero scale on a channel that transmits is a subnormal nbar_s; an
+    # opaque channel is refused below, after the angle and the mode count.
+    if nbar_s == 0.0 or (scale == 0.0 and eta > 0.0):
         raise DomainError(f"no signal to normalize by: nbar_s = {nbar_s}")
     check_angle("theta", theta)
     n = channel_uses(num_modes)
-    eta = scenario.eta_eff
-    b = scenario.nbar_b_eff
     if eta == 0.0:
         raise DomainError("fully opaque channel: nothing returns to Alice")
-    sigma_sq = (1.0 + (1.0 - eta) * b) / (2.0 * eta * nbar_s)
+    sigma_sq = (1.0 + (1.0 - eta) * scenario.nbar_b_eff) / scale
     mu1 = math.cos(theta)
     mu2 = math.sin(theta)
     return HeterodyneStats(

@@ -65,8 +65,10 @@ Implementation notes:
   and none reaches the spectra, purity or trace.
 * ``cutoff`` is the total-photon truncation: the inputs are truncated to
   at most ``cutoff`` photons in all, a state holds the blocks of totals
-  0..cutoff, and ``tail_bound`` accounts for the discarded joint tail
-  mass.
+  0..cutoff, and ``tail_bound`` is the discarded joint tail mass.  Each
+  set of inputs has one joint-tail table (``_tails``, totals 0..64), and
+  every cutoff, refusal and declared tail of those inputs is read from
+  it.
 * The oracle targets the weak-probe regime: occupancies are capped at 2
   and the total-photon cutoff at 64.  Bright local oscillators are out
   of scope (use the covariance-matrix route, which is exact).
@@ -254,11 +256,8 @@ def _block_spectrum(block: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
 
 
 def _geometric_pmf(nbar: float, length: int) -> np.ndarray:
-    """First ``length`` thermal number probabilities n^k/(1+n)^(k+1)."""
-    if nbar == 0.0:
-        out = np.zeros(length)
-        out[0] = 1.0
-        return out
+    """First ``length`` thermal number probabilities n^k/(1+n)^(k+1); the
+    vacuum's are [1, 0, ...], as 0.0 ** 0 is 1."""
     ratio = nbar / (1.0 + nbar)
     return np.power(ratio, np.arange(length)) / (1.0 + nbar)
 
@@ -272,10 +271,12 @@ def _joint_tail(pmfs: list[np.ndarray]) -> np.ndarray:
     return 1.0 - np.cumsum(pmf[: len(pmfs[0])])
 
 
-def _tail_at(occupancies: list[float], cutoff: int) -> float:
-    """P(total photons > cutoff) for independent thermal inputs, at least 0."""
-    pmfs = [_geometric_pmf(nbar, cutoff + 1) for nbar in occupancies]
-    return float(max(_joint_tail(pmfs)[cutoff], 0.0))
+def _tails(occupancies: list[float]) -> list[float]:
+    """tail[K] = P(total photons > K), at least 0, for K = 0..MAX_TOTAL_PHOTONS
+    and independent thermal inputs: every cutoff and tail of these inputs is
+    read from this one table."""
+    pmfs = [_geometric_pmf(nbar, MAX_TOTAL_PHOTONS + 1) for nbar in occupancies]
+    return np.maximum(_joint_tail(pmfs), 0.0).tolist()
 
 
 def _check_cutoff(cutoff: int) -> None:
@@ -295,9 +296,10 @@ def _select_total_cutoff(
     computed, and one whose tail is too heavy is refused naming the least
     cutoff these inputs accept.  A chosen cutoff is at least 1:
     ``fock_moments`` no longer needs that floor, but it keeps every
-    input's cutoff where it was.  Either way the tail is read by
-    ``_tail_at``, so a state gets the same tail at a cutoff however that
-    cutoff was reached.
+    input's cutoff where it was.  The automatic cutoff, the acceptance of
+    an explicit one, the advice and the returned tail are all read from
+    one ``_tails`` table, so a state gets the same tail at a cutoff however
+    that cutoff was reached, and an advised cutoff is accepted.
     """
     if cutoff is not None:
         _check_cutoff(cutoff)
@@ -305,27 +307,23 @@ def _select_total_cutoff(
             raise CutoffError(
                 f"cutoff {cutoff} exceeds the supported cap {MAX_TOTAL_PHOTONS}"
             )
-        actual = _tail_at(occupancies, cutoff)
-        if actual <= _TAIL_BOUND:
-            return cutoff, actual
-    tails = _joint_tail(
-        [_geometric_pmf(nbar, MAX_TOTAL_PHOTONS + 1) for nbar in occupancies]
-    )
-    hits = np.nonzero(tails <= _TAIL_BOUND)[0]
-    if cutoff is not None:
-        need = str(int(hits[0])) if hits.size else f"> {MAX_TOTAL_PHOTONS}"
+    tails = _tails(occupancies)
+    hits = [total for total, tail in enumerate(tails) if tail <= _TAIL_BOUND]
+    if cutoff is None:
+        if not hits:
+            raise CutoffError(
+                f"inputs {occupancies} need a total-photon cutoff above the "
+                f"cap {MAX_TOTAL_PHOTONS} to reach tail mass {_TAIL_BOUND:g} "
+                f"(tail at the cap: {tails[-1]:.3e})"
+            )
+        cutoff = max(hits[0], 1)
+    elif tails[cutoff] > _TAIL_BOUND:
+        need = str(hits[0]) if hits else f"> {MAX_TOTAL_PHOTONS}"
         raise CutoffError(
-            f"cutoff {cutoff} leaves tail mass {actual:.3e} > "
+            f"cutoff {cutoff} leaves tail mass {tails[cutoff]:.3e} > "
             f"{_TAIL_BOUND:g}; required cutoff: {need}"
         )
-    if hits.size == 0:
-        raise CutoffError(
-            f"inputs {occupancies} need a total-photon cutoff above the "
-            f"cap {MAX_TOTAL_PHOTONS} to reach tail mass {_TAIL_BOUND:g} "
-            f"(tail at the cap: {tails[-1]:.3e})"
-        )
-    chosen = max(int(hits[0]), 1)
-    return chosen, _tail_at(occupancies, chosen)
+    return cutoff, tails[cutoff]
 
 
 # ---------------------------------------------------------------------------
@@ -857,7 +855,8 @@ def oracle_cross_check(
 
     Builds the adversary states with and without the probe and one
     interrogator state pair at phases (theta, theta + 0.1), then returns
-    the worst moment deviations and the QRE/fidelity/purity differences.
+    the shared cutoff, an ``int``, the worst moment deviations and the
+    QRE/fidelity/purity differences.
     Every value should be small; the test suite pins the tolerances.
     ``theta`` is wrapped into (-pi, pi] once, here, for all four states.
 
@@ -869,21 +868,23 @@ def oracle_cross_check(
     once and passed to the builders; both adversary states come from one
     ``_willie_states`` call, which builds each total's Gram once for both,
     and the second interrogator state is the first turned to its phase.
-    Each adversary state keeps its own tail mass at the shared cutoff.
+    Each adversary state keeps its own tail mass at the shared cutoff,
+    read from the ``_tails`` table of its own inputs.
     """
     from .covertness import willie_qre
     from .estimation import gaussian_fidelity
     from .gaussian import symplectic_spectrum
     from .scenario import alice_cm, willie_cm
 
+    # The interrogator's source carries both probe occupancies; it is
+    # refused, after them, before any state.
     _check_occupancies(
         nbar_b1=scenario.nbar_b1,
         nbar_b2=scenario.nbar_b2,
         nbar_s=nbar_s,
         nbar_lo=nbar_lo,
+        **{"nbar_s + nbar_lo": nbar_s + nbar_lo},
     )
-    # The interrogator's source carries both; refuse it before any state.
-    _check_occupancies(**{"nbar_s + nbar_lo": nbar_s + nbar_lo})
     theta = check_angle("theta", theta)
     occ = [scenario.nbar_b2, scenario.nbar_b1, nbar_s + nbar_lo]
     shared, alice_tail = _select_total_cutoff(occ, cutoff)
@@ -897,7 +898,7 @@ def oracle_cross_check(
             [_geometric_pmf(n, shared + 1) for n in probes],
             forward_table,
             return_table,
-            [_tail_at([scenario.nbar_b2, scenario.nbar_b1, n], shared) for n in probes],
+            [_tails([scenario.nbar_b2, scenario.nbar_b1, n])[shared] for n in probes],
         )
     )
     probe_a = ProbeSettings(nbar_s=nbar_s, nbar_lo=nbar_lo, theta=theta)
@@ -915,7 +916,7 @@ def oracle_cross_check(
     a_cm = alice_cm(scenario, probe_a)
 
     return {
-        "cutoff": float(shared),
+        "cutoff": shared,
         "willie_mean_max": float(np.abs(mean).max()),
         "willie_cm_max_err": float(np.abs(cov - w_cm.matrix).max()),
         "willie_purity_err": abs(fock_purity(w_on) - gauss_purity),

@@ -238,8 +238,9 @@ def _willie_layout(
 ) -> list[list[float]]:
     """Entries of ``willie_cm(scenario, nbar_s, theta).matrix`` as nested lists."""
     check_occupancy("nbar_s", nbar_s)
-    if not math.isfinite(theta):
-        raise ValueError(f"theta must be finite, got {theta}")
+    # The one angle rule refuses a non-finite theta; the layout is built
+    # from theta as given, unwrapped, so its entries keep their bits.
+    check_angle("theta", theta)
     w11, w22, w12 = _willie_params(scenario, nbar_s)
     return _sensing_pattern(w11, w22, w12, theta)
 

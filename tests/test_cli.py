@@ -185,6 +185,17 @@ class TestMseMcCommand:
             "type": "ValueError",
         }})
 
+    def test_subnormal_budget_refused_as_no_signal(self):
+        # The budget is nbar_s = 5e-324, and 2 eta nbar_s underflows to 0;
+        # unrefused, the division escaped as a ZeroDivisionError traceback.
+        result = run(["mse-mc", "--eta1", "0.5", "--eta2", "0.5", "--nb1", "0.2",
+                      "--nb2", "0.2", "--epsilon", "5e-324", "--n", "1"])
+        assert cause(result, {"no-signal": "no signal to normalize by"}) == "no-signal"
+        assert json_strict(result.out) == {"error": {
+            "message": "no signal to normalize by: nbar_s = 5e-324",
+            "type": "DomainError",
+        }}
+
     def test_seed_changes_estimate(self):
         base = ["mse-mc", *SCENARIO_FLAGS, "--trials", "1000"]
         a = json.loads(run_cli(*base, "--seed", "1").stdout)["results"]
@@ -471,7 +482,8 @@ class TestConfigResolution:
 
 #: One argv and a fragment its message must hold, for each route to exit 2.
 #: ``{dir}`` holds ``run.conf`` (``CONFIG_TEXT``), ``unknown.conf``,
-#: ``twice.conf`` and ``area.conf``; ``missing.conf`` is not there.
+#: ``twice.conf``, ``area.conf`` and ``bad.conf``; ``missing.conf`` is not
+#: there.
 USAGE_ROUTES = {
     "unknown flag": (
         ["scenario", *SCENARIO_FLAGS, "--bogus", "1"],
@@ -542,6 +554,10 @@ USAGE_ROUTES = {
         ["--config", "{dir}/missing.conf", "scenario"],
         "config error: [Errno 2] No such file or directory",
     ),
+    "config line without =": (
+        ["--config", "{dir}/bad.conf", "scenario", *SCENARIO_FLAGS],
+        "config error: {dir}/bad.conf:1: expected KEY=VALUE, got 'eta1 0.5\\n'\n",
+    ),
     "unknown config key": (
         ["--config", "{dir}/unknown.conf", "scenario", *SCENARIO_FLAGS],
         "unknown config keys: bogus_key",
@@ -573,6 +589,7 @@ class TestErrorPaths:
         (tmp_path / "run.conf").write_text(CONFIG_TEXT)
         (tmp_path / "unknown.conf").write_text("bogus_key = 1\n")
         (tmp_path / "twice.conf").write_text("L = 3000\nl = 4000\n")
+        (tmp_path / "bad.conf").write_text("eta1 0.5\n")
         (tmp_path / "area.conf").write_text(
             "L = 3000\nfmin = 15e12\nfmax = 1e14\npoints = 3\narea_factor = 0.3\n"
         )

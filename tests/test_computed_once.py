@@ -110,8 +110,8 @@ def test_sweep_takes_each_row_input_once(counts):
 
 def test_mse_mc_runs_taylor_once(counts):
     # The budget and the heterodyne moments behind the reported prediction
-    # are passed into simulate_heterodyne_mse rather than built there a
-    # second time.
+    # are built once; they reach sample_heterodyne_mse as the noise
+    # variance sigma_het_sq, which builds neither again.
     assert run(["mse-mc", *SCENARIO, "--trials", "1000"]).code == 0
     assert counts == {
         "taylor": 1, "qre": 0, "heterodyne": 1, "planck": 0, "transmissivity": 0,

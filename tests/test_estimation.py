@@ -169,6 +169,19 @@ class TestHeterodyneStats:
         with pytest.raises(DomainError):
             heterodyne_stats(REFERENCE, 0.3, 0.0, 1.0)
 
+    def test_underflowing_signal_refused_as_no_signal(self):
+        # 2 eta nbar_s underflows to 0 at a subnormal nbar_s; unrefused, the
+        # division raised ZeroDivisionError.
+        with pytest.raises(
+            DomainError, match="^no signal to normalize by: nbar_s = 5e-324$"
+        ):
+            heterodyne_stats(SensingScenario(0.5, 0.5, 0.2, 0.2), 0.3, 5e-324, 1)
+
+    def test_opaque_channel_still_refused_as_opaque(self):
+        # The scale is 0 here too, but because nothing returns.
+        with pytest.raises(DomainError, match="^fully opaque channel"):
+            heterodyne_stats(SensingScenario(0.0, 0.5, 0.2, 0.2), 0.3, 5e-324, 1)
+
     @pytest.mark.parametrize("nbar_s", [-0.1, math.nan, math.inf])
     def test_bad_signal_refused_by_name(self, nbar_s):
         # Unrefused, NaN gives NaN moments and inf a noise variance of zero.
@@ -474,6 +487,14 @@ class TestSimulation:
         # falls below sigma_het_sq on its way to pi^2 / 3.
         mse, stderr = sample_heterodyne_mse(sigma_het_sq, 0.7, 200_000, 42)
         assert abs(mse - _exact_arctan_mse(sigma_het_sq)) <= 3.0 * stderr
+
+    def test_underflowing_budget_refused_as_no_signal(self):
+        # At epsilon = 5e-324 the budget is nbar_s = 5e-324, which the
+        # heterodyne scale 2 eta nbar_s underflows.
+        with pytest.raises(DomainError, match="^no signal to normalize by"):
+            simulate_heterodyne_mse(
+                SensingScenario(0.5, 0.5, 0.2, 0.2), 0.3, 5e-324, 1, 1000, 1
+            )
 
     def test_simulation_is_the_sampler_at_the_budget_variance(self):
         budget = covert_budget(REFERENCE, 0.01, 1e6 + 0.5)

@@ -6,6 +6,7 @@ import decimal
 import functools
 import json
 import math
+import random
 import tracemalloc
 import warnings
 import weakref
@@ -149,6 +150,52 @@ class TestThermalFock:
         # least 1; an explicit cutoff 0 is still taken as given.
         assert _select_total_cutoff([0.0, 0.0, 0.0], None) == (1, 0.0)
         assert _select_total_cutoff([0.0, 0.0, 0.0], 0) == (0, 0.0)
+
+    #: Two baths and a probe at 2 photons: even cutoff 64 leaves 9.3e-10.
+    HOT = SensingScenario(0.5, 0.5, 2.0, 2.0)
+
+    def test_automatic_cutoff_above_the_cap_refused(self):
+        with pytest.raises(
+            CutoffError, match=r"above the cap 64 .*\(tail at the cap: 9\.348e-10\)$"
+        ):
+            oracle_willie_state(self.HOT, 2.0)
+
+    def test_explicit_cutoff_refused_when_the_cap_is_short(self):
+        with pytest.raises(
+            CutoffError,
+            match=r"^cutoff 64 leaves tail mass 9\.348e-10 > 1e-10; "
+            r"required cutoff: > 64$",
+        ):
+            oracle_willie_state(self.HOT, 2.0, cutoff=64)
+
+    def test_advised_cutoff_accepted_with_the_automatic_tail(self):
+        # Seeded draws inside the occupancy gate, each with an explicit
+        # cutoff: a refused one's advice, passed back, is accepted and gives
+        # the automatic selection, cutoff and tail; advice past the cap
+        # means the automatic selection is refused too.
+        rng = random.Random(39)
+        outcomes = {"accepted": 0, "advised": 0, "past the cap": 0}
+        for _ in range(400):
+            occ = [rng.uniform(0.0, MAX_OCCUPANCY) for _ in range(3)]
+            cutoff = rng.randrange(MAX_TOTAL_PHOTONS + 1)
+            try:
+                chosen, tail = _select_total_cutoff(occ, cutoff)
+            except CutoffError as exc:
+                advice = str(exc).rpartition("required cutoff: ")[2]
+            else:
+                assert chosen == cutoff and 0.0 <= tail <= fock._TAIL_BOUND
+                outcomes["accepted"] += 1
+                continue
+            if advice == f"> {MAX_TOTAL_PHOTONS}":
+                with pytest.raises(CutoffError, match="above the cap"):
+                    _select_total_cutoff(occ, None)
+                outcomes["past the cap"] += 1
+            else:
+                auto = _select_total_cutoff(occ, None)
+                assert _select_total_cutoff(occ, int(advice)) == auto, occ
+                assert cutoff < auto[0]
+                outcomes["advised"] += 1
+        assert all(outcomes.values()), outcomes
 
     def test_loose_tail_request_rejected(self):
         # The density-matrix type promises tail_bound <= 1e-10; a looser
