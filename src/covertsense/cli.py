@@ -7,13 +7,18 @@ calls library functions, and serialises the results.  No numerics live
 here.  ``scenario``, ``bounds``, ``sweep``, ``optimize`` and
 ``reproduce-paper`` run on the math-only closed forms and import no
 numpy; ``mse-mc`` loads it in the Monte-Carlo run and ``oracle-check``
-imports :mod:`covertsense.fock` when it runs.  Only ``sweep``,
-``optimize`` and ``reproduce-paper`` import :mod:`covertsense.link`, inside
-the command, so ``scenario``, ``bounds`` and ``mse-mc`` start without it
-(and without :mod:`dataclasses`, which only its ``SweepRow`` uses).
-``bounds`` and ``mse-mc`` import :mod:`covertsense.estimation` inside the
-command, so ``scenario`` starts without it; the link commands load it
-through :mod:`covertsense.link`.
+imports :mod:`covertsense.fock` when it runs.  What each command loads:
+
+* :mod:`covertsense.link`: only ``sweep``, ``optimize`` and
+  ``reproduce-paper``, inside the command, so ``scenario``, ``bounds``
+  and ``mse-mc`` start without it.
+* :mod:`covertsense.estimation`: ``bounds`` and ``mse-mc`` inside the
+  command, and the link commands through :mod:`covertsense.link`;
+  ``scenario`` starts without it.
+* :mod:`dataclasses` (and the :mod:`inspect` it pulls in): no command.
+  ``sweep`` writes the link layer's ``NamedTuple`` points, not the
+  ``SweepRow`` dataclass of ``sweep_frequency``.  ``mse-mc`` and
+  ``oracle-check`` load ``inspect`` through numpy.
 
 ``_COMMANDS`` alone decides what a flag is: its name, converter and
 default.  One walk over it reads the command line,
@@ -542,20 +547,20 @@ def _cmd_mse_mc(config: dict[str, Any]) -> int:
 
 
 def _cmd_sweep(config: dict[str, Any]) -> int:
-    import dataclasses
-
-    from .link import sweep_frequency
+    # The points sweep_frequency's rows are built from, as NamedTuples: the
+    # command needs no SweepRow and so no dataclasses.
+    from .link import _sweep_points
 
     geometry = _geometry_from(config)
     try:
-        rows = sweep_frequency(
+        rows = _sweep_points(
             config["fmin"],
             config["fmax"],
             config["points"],
             geometry,
-            epsilon=config["epsilon"],
-            bandwidth=config["W"],
-            integration_time=config["T"],
+            config["epsilon"],
+            config["W"],
+            config["T"],
         )
     except EmptySweepError as exc:
         if config["format"] == "csv":
@@ -575,7 +580,7 @@ def _cmd_sweep(config: dict[str, Any]) -> int:
         _report(
             "sweep",
             config,
-            {"rows": [dataclasses.asdict(row) for row in rows]},
+            {"rows": [row._asdict() for row in rows]},
         )
     return 0
 

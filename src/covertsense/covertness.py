@@ -464,6 +464,23 @@ def taylor_coefficients(scenario: SensingScenario) -> TaylorCoefficients:
     Any other c2 is exact, however small, and is refused with
     :class:`DomainError` only when it underflows to a subnormal or zero.
     """
+    c2, hi, lo, w_hi, w_lo = _taylor_c2(scenario)
+    mixed = w_hi * _h_curvature(hi, lo) + w_lo * _h_curvature(lo, hi)
+    c3 = -4.0 * (
+        w_hi**3 * _h_curvature(hi, hi)
+        + w_lo**3 * _h_curvature(lo, lo)
+        + 3.0 * w_hi * w_lo * mixed
+    )
+    return TaylorCoefficients(c2=c2, c3=c3)
+
+
+def _taylor_c2(scenario: SensingScenario) -> tuple[float, float, float, float, float]:
+    """(c2, lambda_hi, lambda_lo, w_hi, w_lo): the quadratic coefficient of
+    :func:`taylor_coefficients` and the eigen-split it is built from.
+
+    The one route to c2, with all of its refusals; callers that need no c3
+    (the link layer) stop here.
+    """
     hi, lo, w_hi, w_lo, *_ = _occupation_split(scenario)
     if lo <= 1e-12:
         raise DomainError(
@@ -487,13 +504,7 @@ def taylor_coefficients(scenario: SensingScenario) -> TaylorCoefficients:
             f"quadratic covertness coefficient {c2:.3e} underflows double "
             "precision at these bath occupancies"
         )
-    mixed = w_hi * _h_curvature(hi, lo) + w_lo * _h_curvature(lo, hi)
-    c3 = -4.0 * (
-        w_hi**3 * _h_curvature(hi, hi)
-        + w_lo**3 * _h_curvature(lo, lo)
-        + 3.0 * w_hi * w_lo * mixed
-    )
-    return TaylorCoefficients(c2=c2, c3=c3)
+    return c2, hi, lo, w_hi, w_lo
 
 
 def channel_uses(num_modes: float) -> int:

@@ -26,19 +26,32 @@ Conventions worth stating up front:
   interior minima; ``reproduce_paper_report`` sweeps all conventions.
 
 Vacuum propagation throughout: no atmospheric extinction or turbulence.
+
+Cost conventions: a link point needs only the quadratic covertness
+coefficient c2, so it never computes c3.  ``reproduce_paper_report``
+evaluates each distinct ``(eta, nbar_b)`` once per call, since the
+``"error"`` and ``"clamp"`` policies share every far-field point.  Every
+link path except ``sweep_frequency`` carries its points as the
+``NamedTuple`` ``_LinkPoint``; ``SweepRow``, the frozen dataclass that
+``sweep_frequency`` returns, is defined in ``covertsense._sweep_row`` and
+loaded on first access, so importing this module loads no
+:mod:`dataclasses`.
 """
 
 from __future__ import annotations
 
+import functools
 import math
-from dataclasses import dataclass
-from typing import NamedTuple
+from typing import TYPE_CHECKING, Callable, NamedTuple
 
 from ._constants import BOLTZMANN_K, PLANCK_H, SPEED_OF_LIGHT
-from .covertness import taylor_coefficients
+from .covertness import _taylor_c2
 from .errors import DomainError, EmptySweepError, NearFieldError
 from .estimation import qcrb_ase
 from .scenario import SensingScenario, check_integer, check_positive, validated_make
+
+if TYPE_CHECKING:
+    from ._sweep_row import SweepRow
 
 __all__ = [
     "LinkGeometry",
@@ -116,15 +129,23 @@ class LinkGeometry(_GeometryFields):
     _make = classmethod(validated_make)
 
 
-# Not a NamedTuple: perfbench/selftest.py perturbs rows with dataclasses.replace.
-@dataclass(frozen=True)
-class SweepRow:
-    """One frequency point of a bound spectrum.
+def __getattr__(name: str) -> type:
+    if name == "SweepRow":
+        from ._sweep_row import SweepRow
 
-    Invalid points (near-field under the error policy, or a degenerate
-    scenario) keep their frequency, wavelength and background occupancy
-    but carry ``None`` for the quantities that could not be evaluated,
-    plus a short reason in ``flag``.
+        return SweepRow
+    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+
+
+def __dir__() -> list[str]:
+    return sorted({*globals(), "SweepRow"})
+
+
+class _LinkPoint(NamedTuple):
+    """The link at one point, with the fields of ``SweepRow``.
+
+    Invalid points carry ``None`` for what could not be evaluated and a
+    short reason in ``flag``, as ``SweepRow`` does.
     """
 
     f_hz: float
@@ -228,7 +249,7 @@ def c_ase_at(
 def _c_ase(eta: float, nbar_b: float) -> float:
     """c_ase of the equal-bath scenario (eta, eta, nbar_b, nbar_b)."""
     scenario = SensingScenario(eta, eta, nbar_b, nbar_b)
-    return qcrb_ase(scenario, taylor_coefficients(scenario).c2)
+    return qcrb_ase(scenario, _taylor_c2(scenario)[0])
 
 
 def mse_bound_b(
@@ -262,24 +283,61 @@ def _bound_scale(epsilon: float, bandwidth: float, integration_time: float) -> f
 
 
 def _link_row(
-    f: float, wavelength: float, geometry: LinkGeometry, scale: float
-) -> SweepRow:
+    f: float,
+    wavelength: float,
+    geometry: LinkGeometry,
+    scale: float,
+    c_ase: Callable[[float, float], float],
+) -> _LinkPoint:
     """The link at one point, flagged rather than raised when invalid.
 
     Near-field under the error policy flags ``"near-field"``, a degenerate
-    scenario ``"degenerate"``; ``scale`` is the bound divisor.
+    scenario ``"degenerate"``; ``scale`` is the bound divisor and
+    ``c_ase(eta, nbar_b)`` is ``_c_ase`` or a memo of it.
     """
     # c_ase_at's inputs, each computed once for the row.
     nbar_b = planck_occupancy(wavelength, geometry.t0)
     try:
         eta = geometric_transmissivity(wavelength, geometry)
     except NearFieldError:
-        return SweepRow(f, wavelength, None, nbar_b, None, None, "near-field")
+        return _LinkPoint(f, wavelength, None, nbar_b, None, None, "near-field")
     try:
-        c_ase = _c_ase(eta, nbar_b)
+        value = c_ase(eta, nbar_b)
     except DomainError:
-        return SweepRow(f, wavelength, eta, nbar_b, None, None, "degenerate")
-    return SweepRow(f, wavelength, eta, nbar_b, c_ase, c_ase / scale)
+        return _LinkPoint(f, wavelength, eta, nbar_b, None, None, "degenerate")
+    return _LinkPoint(f, wavelength, eta, nbar_b, value, value / scale)
+
+
+def _sweep_points(
+    f_min: float,
+    f_max: float,
+    points: int,
+    geometry: LinkGeometry,
+    epsilon: float,
+    bandwidth: float,
+    integration_time: float,
+) -> list[_LinkPoint]:
+    """The rows of :func:`sweep_frequency` as ``_LinkPoint``s, with its
+    checks and its EmptySweepError."""
+    check_positive("f_min", f_min)
+    check_positive("f_max", f_max)
+    if not f_min < f_max:
+        raise ValueError(f"need f_min < f_max, got {f_min} >= {f_max}")
+    check_integer("points", points)
+    if points < 2:
+        raise ValueError(f"need at least two sweep points, got {points}")
+    scale = _bound_scale(epsilon, bandwidth, integration_time)
+
+    rows: list[_LinkPoint] = []
+    step = (f_max - f_min) / (points - 1)
+    for i in range(points):
+        f = f_min + step * i
+        rows.append(_link_row(f, SPEED_OF_LIGHT / f, geometry, scale, _c_ase))
+    if not any(row.valid for row in rows):
+        raise EmptySweepError(
+            f"no valid link point in [{f_min:g}, {f_max:g}] Hz for this geometry"
+        )
+    return rows
 
 
 def sweep_frequency(
@@ -302,25 +360,14 @@ def sweep_frequency(
     operating point of the published reference spectra (eps = 1e-3,
     W = 3 THz, T = 1 s).
     """
-    check_positive("f_min", f_min)
-    check_positive("f_max", f_max)
-    if not f_min < f_max:
-        raise ValueError(f"need f_min < f_max, got {f_min} >= {f_max}")
-    check_integer("points", points)
-    if points < 2:
-        raise ValueError(f"need at least two sweep points, got {points}")
-    scale = _bound_scale(epsilon, bandwidth, integration_time)
+    from ._sweep_row import SweepRow
 
-    rows: list[SweepRow] = []
-    step = (f_max - f_min) / (points - 1)
-    for i in range(points):
-        f = f_min + step * i
-        rows.append(_link_row(f, SPEED_OF_LIGHT / f, geometry, scale))
-    if not any(row.valid for row in rows):
-        raise EmptySweepError(
-            f"no valid link point in [{f_min:g}, {f_max:g}] Hz for this geometry"
+    return [
+        SweepRow(*point)
+        for point in _sweep_points(
+            f_min, f_max, points, geometry, epsilon, bandwidth, integration_time
         )
-    return rows
+    ]
 
 
 def find_sweep_minimum(rows: list[SweepRow]) -> SweepMinimum:
@@ -389,6 +436,18 @@ def optimize_wavelength(
         except (NearFieldError, DomainError):
             return math.inf
 
+    lambda_star, c_star = _minimize(objective, lo, hi)
+    return lambda_star, c_star, c_star / scale
+
+
+def _minimize(
+    objective: Callable[[float], float], lo: float, hi: float
+) -> tuple[float, float]:
+    """(lambda_star, c_star) of :func:`optimize_wavelength` for an objective
+    that is c_ase, or inf where the link is invalid, on ``[lo, hi]``.
+
+    Raises EmptySweepError when the coarse scan finds no finite value.
+    """
     last = _COARSE_POINTS - 1
     grid = [lo + (hi - lo) * i / last for i in range(_COARSE_POINTS)]
     values = [objective(w) for w in grid]
@@ -420,7 +479,7 @@ def optimize_wavelength(
         # The section landed on the invalid side of a validity boundary;
         # take the best interior evaluation instead.
         lambda_star, c_star = (x1, f1) if f1 <= f2 else (x2, f2)
-    return lambda_star, c_star, c_star / scale
+    return lambda_star, c_star
 
 
 # Published reference values the convention sweep is scored against, all
@@ -485,6 +544,22 @@ class ReproduceReport(NamedTuple):
         return None
 
 
+def _memo_objective(
+    geometry: LinkGeometry, c_ase: Callable[[float, float], float]
+) -> Callable[[float], float]:
+    """The objective of :func:`optimize_wavelength`, c_ase or inf where the
+    link is invalid, with c_ase read from the memo ``c_ase(eta, nbar_b)``."""
+
+    def objective(wavelength: float) -> float:
+        try:
+            eta = geometric_transmissivity(wavelength, geometry)
+            return c_ase(eta, planck_occupancy(wavelength, geometry.t0))
+        except (NearFieldError, DomainError):
+            return math.inf
+
+    return objective
+
+
 def reproduce_paper_report(
     *,
     epsilon: float = 1e-3,
@@ -500,8 +575,13 @@ def reproduce_paper_report(
     within 0.05 um and 2 % relative; when none does
     — the documented situation for these references — the report itself,
     with per-target residuals for every convention, is the deliverable.
+
+    The answers are those of :func:`optimize_wavelength` and of a sweep
+    row at each target, but each distinct ``(eta, nbar_b)`` is evaluated
+    once per call: the two policies share every far-field point.
     """
     scale = _bound_scale(epsilon, bandwidth, integration_time)
+    c_ase = functools.cache(_c_ase)
     conventions = []
     for area_factor in _ALLOWED_AREA_FACTORS:
         for policy in _ALLOWED_POLICIES:
@@ -516,14 +596,10 @@ def reproduce_paper_report(
                     label = f"optimum at {at_range}"
                     lambda_target = wavelength
                     try:
-                        lambda_m, _, b_value = optimize_wavelength(
-                            geometry,
-                            _REFERENCE_BRACKET,
-                            epsilon=epsilon,
-                            bandwidth=bandwidth,
-                            integration_time=integration_time,
+                        lambda_m, c_star = _minimize(
+                            _memo_objective(geometry, c_ase), *_REFERENCE_BRACKET
                         )
-                        flag = ""
+                        b_value, flag = c_star / scale, ""
                         d_lambda = lambda_m - lambda_target
                     except EmptySweepError:
                         lambda_m, b_value, flag = None, None, "empty-sweep"
@@ -531,7 +607,7 @@ def reproduce_paper_report(
                     label = f"bound at {wavelength * 1e6:g} um, {at_range}"
                     lambda_target, lambda_m = None, wavelength
                     row = _link_row(
-                        SPEED_OF_LIGHT / wavelength, wavelength, geometry, scale
+                        SPEED_OF_LIGHT / wavelength, wavelength, geometry, scale, c_ase
                     )
                     b_value, flag = row.b, row.flag
                 matches = False

@@ -905,6 +905,33 @@ def test_scenario_bounds_and_mse_mc_start_without_dataclasses_or_link():
     assert result.returncode == 0, result.stderr
 
 
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ANALYTIC_ARGV[2],
+        [*ANALYTIC_ARGV[2], "--format", "json"],
+        ANALYTIC_ARGV[3],
+        ANALYTIC_ARGV[4],
+        [*ANALYTIC_ARGV[4], "--format", "json"],
+    ],
+    ids=["sweep-csv", "sweep-json", "optimize", "reproduce-paper", "reproduce-json"],
+)
+def test_link_commands_start_without_dataclasses_or_inspect(argv):
+    """The link commands write the link layer's NamedTuple points, never
+    ``SweepRow``: a fresh interpreter running one loads the link layer but
+    neither ``dataclasses`` nor ``inspect``."""
+    code = (
+        "import sys\n"
+        "from covertsense.cli import main\n"
+        f"assert main({argv!r}) == 0\n"
+        "assert 'covertsense.link' in sys.modules\n"
+        "loaded = [m for m in ('dataclasses', 'inspect') if m in sys.modules]\n"
+        "assert not loaded, loaded\n"
+    )
+    result = _fresh_python(code)
+    assert result.returncode == 0, result.stderr
+
+
 def test_package_import_loads_no_submodule():
     code = (
         "import sys, covertsense\n"

@@ -1,15 +1,19 @@
 """Each CLI subcommand computes the Taylor coefficients once per operating point.
 
-A counting wrapper around ``taylor_coefficients`` is bound into every
-covertsense module namespace that holds it, and one around the QRE
-kernel ``_adversary_qre`` into ``covertness``, one around
-``heterodyne_stats`` into every namespace that holds it, and one around
-each of ``planck_occupancy`` and ``geometric_transmissivity`` into
-``link``.  The Taylor coefficients are closed forms that evaluate no QRE,
-so a budget costs none; ``scenario`` runs the kernel once, for
-``qre_per_mode``, ``bounds`` never (its coherent probe reads the budget's
-c2), ``mse-mc`` the heterodyne moments once, and a sweep row each link
-input once.
+Counting wrappers are bound into every covertsense module namespace that
+holds the function: ``c2`` counts ``_taylor_c2``, the one route to the
+quadratic coefficient (``taylor_coefficients`` calls it too), and ``c3``
+counts ``taylor_coefficients``, the only route that adds the cubic one.
+One around the QRE kernel ``_adversary_qre`` is bound into
+``covertness``, one around ``heterodyne_stats`` into every namespace that
+holds it, and one around each of ``planck_occupancy`` and
+``geometric_transmissivity`` into ``link``.  The Taylor coefficients are
+closed forms that evaluate no QRE, so a budget costs none; ``scenario``
+runs the kernel once, for ``qre_per_mode``, ``bounds`` never (its
+coherent probe reads the budget's c2), ``mse-mc`` the heterodyne moments
+once, and a sweep row each link input once.  The link commands need c2
+alone and never compute c3, and ``reproduce-paper`` evaluates each
+distinct link point once.
 """
 
 from __future__ import annotations
@@ -18,6 +22,7 @@ import pytest
 from _contract import run
 
 from covertsense import cli, covertness, estimation, fock, gaussian, link, scenario
+from covertsense.errors import DomainError
 
 MODULES = (cli, covertness, estimation, fock, gaussian, link, scenario)
 
@@ -26,11 +31,15 @@ SCENARIO = [
     "--epsilon", "1e-3", "--n", "1e6",
 ]
 
+#: Every counter, at zero.
+ZERO = {
+    "c2": 0, "c3": 0, "qre": 0, "heterodyne": 0, "planck": 0, "transmissivity": 0,
+}
+
+
 @pytest.fixture
 def counts(monkeypatch):
-    tally = {
-        "taylor": 0, "qre": 0, "heterodyne": 0, "planck": 0, "transmissivity": 0,
-    }
+    tally = dict(ZERO)
 
     def counting(key, fn):
         def wrapper(*args, **kwargs):
@@ -40,7 +49,8 @@ def counts(monkeypatch):
         return wrapper
 
     for name, key, original in (
-        ("taylor_coefficients", "taylor", covertness.taylor_coefficients),
+        ("_taylor_c2", "c2", covertness._taylor_c2),
+        ("taylor_coefficients", "c3", covertness.taylor_coefficients),
         ("heterodyne_stats", "heterodyne", estimation.heterodyne_stats),
     ):
         wrapper = counting(key, original)
@@ -63,17 +73,13 @@ def counts(monkeypatch):
 
 def test_scenario_runs_taylor_once(counts):
     assert run(["scenario", *SCENARIO, "--theta", "0.4"]).code == 0
-    assert counts == {
-        "taylor": 1, "qre": 1, "heterodyne": 0, "planck": 0, "transmissivity": 0,
-    }
+    assert counts == {**ZERO, "c2": 1, "c3": 1, "qre": 1}
 
 
 def test_bounds_runs_taylor_once(counts):
     assert run(["bounds", *SCENARIO, "--nlo", "1e5"]).code == 0
     # Both probes read the one budget's c2; no QRE is evaluated.
-    assert counts == {
-        "taylor": 1, "qre": 0, "heterodyne": 0, "planck": 0, "transmissivity": 0,
-    }
+    assert counts == {**ZERO, "c2": 1, "c3": 1}
 
 
 def test_sweep_runs_taylor_at_most_once_per_row(counts):
@@ -85,13 +91,10 @@ def test_sweep_runs_taylor_at_most_once_per_row(counts):
     rows = [line.split(",") for line in result.out.splitlines()[1:]]
     assert len(rows) == 50
     # Near-field rows (no eta) never reach the covertness layer; every
-    # other row, valid or degenerate, runs the Taylor coefficients once.
+    # other row, valid or degenerate, runs c2 once and c3 never.
     evaluated = sum(1 for row in rows if row[2] != "")
     assert 0 < evaluated < 50
-    assert counts == {
-        "taylor": evaluated, "qre": 0, "heterodyne": 0, "planck": 50,
-        "transmissivity": 50,
-    }
+    assert counts == {**ZERO, "c2": evaluated, "planck": 50, "transmissivity": 50}
 
 
 def test_sweep_takes_each_row_input_once(counts):
@@ -108,14 +111,53 @@ def test_sweep_takes_each_row_input_once(counts):
     assert counts["planck"] == counts["transmissivity"] == 12
 
 
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["sweep", "--L", "1000", "--fmin", "15e12", "--fmax", "100e12",
+         "--points", "50"],
+        ["sweep", "--L", "1000", "--fmin", "15e12", "--fmax", "100e12",
+         "--points", "50", "--format", "json"],
+        ["optimize", "--L", "3000"],
+        ["optimize", "--L", "300", "--eta-policy", "clamp"],
+        ["reproduce-paper"],
+        ["reproduce-paper", "--format", "json", "--epsilon", "1e-2"],
+    ],
+    ids=["sweep-csv", "sweep-json", "optimize", "optimize-clamp", "reproduce",
+         "reproduce-json"],
+)
+def test_link_commands_compute_no_c3(counts, argv):
+    assert run(argv).code == 0
+    assert counts["c2"] > 0
+    assert counts["c3"] == counts["qre"] == counts["heterodyne"] == 0
+
+
+def test_reproduce_paper_evaluates_each_link_point_once(monkeypatch):
+    # The error and clamp policies share every far-field point, so of the
+    # 3606 link points the scan and the fixed targets visit, 1828 differ.
+    points, raised = [], []
+    original = covertness._taylor_c2
+
+    def recording(scenario):
+        points.append(scenario)
+        try:
+            return original(scenario)
+        except DomainError as exc:
+            raised.append(exc)
+            raise
+
+    monkeypatch.setattr(link, "_taylor_c2", recording)
+    assert run(["reproduce-paper"]).code == 0
+    assert not raised
+    assert len(points) == len(set(points)) == 1828
+
+
 def test_mse_mc_runs_taylor_once(counts):
     # The budget and the heterodyne moments behind the reported prediction
     # are built once; they reach sample_heterodyne_mse as the noise
     # variance sigma_het_sq, which builds neither again.
     assert run(["mse-mc", *SCENARIO, "--trials", "1000"]).code == 0
-    assert counts == {
-        "taylor": 1, "qre": 0, "heterodyne": 1, "planck": 0, "transmissivity": 0,
-    }
+    assert counts == {**ZERO, "c2": 1, "c3": 1, "heterodyne": 1}
 
 
 @pytest.mark.parametrize(
@@ -127,6 +169,4 @@ def test_mse_mc_runs_taylor_once(counts):
 def test_bounds_refuses_operating_point_before_taylor(counts, flags):
     result = run(["bounds", *SCENARIO, *flags])
     assert result.code == 1 and '"error"' in result.out
-    assert counts == {
-        "taylor": 0, "qre": 0, "heterodyne": 0, "planck": 0, "transmissivity": 0,
-    }
+    assert counts == ZERO

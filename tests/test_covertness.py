@@ -5,6 +5,8 @@ from __future__ import annotations
 import functools
 import json
 import math
+import random
+from collections import Counter
 from pathlib import Path
 
 import numpy as np
@@ -14,6 +16,7 @@ from hypothesis import strategies as st
 
 from covertsense import covertness, gaussian
 from covertsense.covertness import (
+    TaylorCoefficients,
     covert_budget,
     equal_bath_c2,
     equal_bath_c3,
@@ -388,6 +391,45 @@ class TestTaylorCoefficients:
         coeffs = taylor_coefficients(SensingScenario(eta, eta, 1e-9, 1e-9))
         assert coeffs.c2 == pytest.approx(float(point["c2"]), rel=1e-12)
         assert coeffs.c3 == pytest.approx(float(point["c3"]), rel=1e-12)
+
+    def test_c2_route_is_taylor_coefficients_bit_for_bit(self):
+        # _taylor_c2, the c2 the link layer reads, against taylor_coefficients
+        # over a seeded box: taps U[0.01, 0.99], baths 10^U[-6, 3], equal
+        # baths in a third of the draws, and the identity-channel (both taps
+        # 1) and vacuum (a bath 0) edges.  Both give the same c2 bits or the
+        # same refusal.
+        def outcome(route, scenario):
+            try:
+                return route(scenario)
+            except Exception as exc:
+                return type(exc), str(exc)
+
+        rng = random.Random(40)
+        kinds = Counter()
+        for _ in range(24_000):
+            taps = [rng.uniform(0.01, 0.99) for _ in range(2)]
+            baths = [10.0 ** rng.uniform(-6.0, 3.0) for _ in range(2)]
+            edge = rng.random()
+            if edge < 1 / 3:
+                baths[1] = baths[0]
+            if rng.random() < 0.05:
+                taps = [1.0, 1.0]
+            if rng.random() < 0.05:
+                baths[rng.randrange(2)] = 0.0
+            if edge > 0.95:
+                baths = [0.0, 0.0]
+            scenario = SensingScenario(*taps, *baths)
+            want = outcome(taylor_coefficients, scenario)
+            got = outcome(covertness._taylor_c2, scenario)
+            if isinstance(want, TaylorCoefficients):
+                assert got[0] == want.c2, scenario
+                kinds["c2"] += 1
+            else:
+                assert got == want, scenario
+                kinds[want[0].__name__] += 1
+        assert kinds["c2"] > 18_000, kinds
+        assert kinds["DomainError"] > 500, kinds
+        assert kinds["DegenerateCovertnessError"] > 500, kinds
 
     @pytest.mark.parametrize("one_minus_eta", [1e-4, 1e-6])
     def test_resolved_c2_near_unit_transmissivity(self, one_minus_eta):

@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import dataclasses
 import math
 import signal
 
@@ -10,8 +11,10 @@ from conftest import CONSTRUCTION_PATHS
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from covertsense.covertness import equal_bath_c2
+from covertsense import link
+from covertsense.covertness import equal_bath_c2, taylor_coefficients
 from covertsense.errors import EmptySweepError, NearFieldError
+from covertsense.estimation import qcrb_ase
 from covertsense.link import (
     SPEED_OF_LIGHT,
     LinkGeometry,
@@ -25,6 +28,7 @@ from covertsense.link import (
     reproduce_paper_report,
     sweep_frequency,
 )
+from covertsense.scenario import SensingScenario
 
 GEOMETRY_3KM = LinkGeometry(range_m=3000.0)
 GEOMETRY_5KM = LinkGeometry(range_m=5000.0)
@@ -254,6 +258,26 @@ class TestSweep:
                 bandwidth=bandwidth, integration_time=integration_time,
             )
 
+    def test_rows_are_frozen_dataclasses(self):
+        # sweep_frequency alone builds SweepRow, and it stays a frozen
+        # dataclass that dataclasses.replace accepts; the link layer
+        # re-exports it from its own module.
+        from covertsense.link import SweepRow as exported
+
+        assert exported is SweepRow is link.SweepRow
+        assert "SweepRow" in dir(link)
+        rows = sweep_frequency(*BAND, 20, GEOMETRY_3KM)
+        assert all(type(row) is SweepRow for row in rows)
+        row = next(row for row in rows if row.valid)
+        with pytest.raises(dataclasses.FrozenInstanceError):
+            row.c_ase = 0.0
+        nudged = dataclasses.replace(row, c_ase=2.0 * row.c_ase)
+        assert type(nudged) is SweepRow and nudged.c_ase == 2.0 * row.c_ase
+        points = link._sweep_points(*BAND, 20, GEOMETRY_3KM, 1e-3, 3e12, 1.0)
+        assert [dataclasses.astuple(row) for row in rows] == [tuple(p) for p in points]
+        with pytest.raises(AttributeError, match="no_such_name"):
+            link.no_such_name
+
 
 class TestFindSweepMinimum:
     @staticmethod
@@ -393,6 +417,65 @@ class TestOptimizeWavelength:
         geometry = LinkGeometry(range_m=1000.0, area_factor=1.0)
         with pytest.raises(EmptySweepError):
             optimize_wavelength(geometry, (1e-6, 2e-6))
+
+
+def _c_ase_through_taylor(eta: float, nbar_b: float) -> float:
+    """c_ase with its c2 read from taylor_coefficients: the reference the
+    link layer's c2-only route must match bit for bit."""
+    scenario = SensingScenario(eta, eta, nbar_b, nbar_b)
+    return qcrb_ase(scenario, taylor_coefficients(scenario).c2)
+
+
+def _outcome(fn, *args, **kwargs):
+    try:
+        return fn(*args, **kwargs)
+    except EmptySweepError as exc:
+        return type(exc), str(exc)
+
+
+class TestC2Route:
+    """The link layer's c2 route gives the bits the Taylor route gave."""
+
+    @pytest.mark.parametrize("policy", ["error", "clamp"])
+    @pytest.mark.parametrize("area_factor", [1.0, 0.5, 0.25])
+    def test_optimize_matches_taylor_route(self, monkeypatch, area_factor, policy):
+        for range_m in (500.0, 1000.0, 2000.0, 3000.0, 5000.0, 10000.0, 20000.0):
+            geometry = LinkGeometry(
+                range_m=range_m, area_factor=area_factor, eta_policy=policy
+            )
+            for bracket in ((3e-6, 2e-5), link._REFERENCE_BRACKET):
+                got = _outcome(optimize_wavelength, geometry, bracket)
+                with monkeypatch.context() as patch:
+                    patch.setattr(link, "_c_ase", _c_ase_through_taylor)
+                    want = _outcome(optimize_wavelength, geometry, bracket)
+                assert got == want, (geometry, bracket)
+
+    @pytest.mark.parametrize("epsilon", [1e-4, 1e-3, 1e-2])
+    def test_reproduce_matches_taylor_route(self, monkeypatch, epsilon):
+        got = reproduce_paper_report(epsilon=epsilon)
+        with monkeypatch.context() as patch:
+            patch.setattr(link, "_c_ase", _c_ase_through_taylor)
+            assert reproduce_paper_report(epsilon=epsilon) == got
+            # The memoised scan finds what optimize_wavelength finds.
+            for convention in got.conventions:
+                for target in convention.results:
+                    if target.kind != "optimize":
+                        continue
+                    geometry = LinkGeometry(
+                        range_m=target.range_m,
+                        area_factor=convention.area_factor,
+                        eta_policy=convention.eta_policy,
+                    )
+                    want = _outcome(
+                        optimize_wavelength,
+                        geometry,
+                        link._REFERENCE_BRACKET,
+                        epsilon=epsilon,
+                    )
+                    if target.flag == "empty-sweep":
+                        assert want[0] is EmptySweepError
+                    else:
+                        assert (target.lambda_m, target.b_value) == want[::2]
 
 
 @pytest.fixture(scope="module")
