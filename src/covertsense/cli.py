@@ -140,7 +140,7 @@ _GEOMETRY_FLAGS = [
         "error",
         "near-field handling: error or clamp",
     ),
-    _Flag("eta-max", float, 0.99, "transmissivity ceiling under clamp"),
+    _Flag("eta-max", float, 0.99, "eta under clamp where the far-field eta exceeds 1"),
 ]
 
 _SCENARIO_FLAGS = [
@@ -553,14 +553,16 @@ def _cmd_sweep(config: dict[str, Any]) -> int:
 
     geometry = _geometry_from(config)
     try:
-        rows = _sweep_points(
-            config["fmin"],
-            config["fmax"],
-            config["points"],
-            geometry,
-            config["epsilon"],
-            config["W"],
-            config["T"],
+        rows = list(
+            _sweep_points(
+                config["fmin"],
+                config["fmax"],
+                config["points"],
+                geometry,
+                config["epsilon"],
+                config["W"],
+                config["T"],
+            )
         )
     except EmptySweepError as exc:
         if config["format"] == "csv":

@@ -15,7 +15,8 @@ Contents:
 * Mean-square-error bound coefficients (all in rad^2): the quantum bound
   coefficient ``c_ase`` of the thermal probe and the heterodyne
   coefficient ``c_het_tilde``.
-* Normalized heterodyne statistics in the bright-reference limit.
+* The normalized heterodyne noise variances in the bright-reference
+  limit, per mode and averaged over ``n`` modes.
 * A Monte-Carlo sampler of the two-quadrature arctangent estimator, keyed
   by the averaged noise variance it draws (``sample_heterodyne_mse``),
   and its composition with the covert budget and the heterodyne
@@ -104,22 +105,16 @@ _QFI_STEP = 1e-3
 
 
 class HeterodyneStats(NamedTuple):
-    """Normalized dual-quadrature statistics in the bright-reference limit.
+    """Heterodyne noise in the bright-reference limit, normalized to unit
+    signal amplitude.
 
-    ``mu1, mu2`` are the normalized outcome means ``(cos theta,
-    sin theta)``; ``sigma_sq`` is the per-mode noise variance of either
-    quadrature, ``sigma1_sq = sigma_sq + mu1^2`` and ``sigma2_sq =
-    sigma_sq + mu2^2`` are the raw second moments, and ``sigma_het_sq =
-    sigma_sq / n`` is the variance left after averaging ``n`` modes.
-    Algebraically ``sigma1_sq + sigma2_sq = 2 sigma_sq + 1`` and
-    ``mu1^2 + mu2^2 = 1``.
+    ``sigma_sq`` is the per-mode noise variance of either quadrature and
+    ``sigma_het_sq = sigma_sq / n`` the variance left after averaging
+    ``n`` modes.  The outcome means ``(cos theta, sin theta)`` are not
+    stored: neither variance depends on ``theta``.
     """
 
-    mu1: float
-    mu2: float
     sigma_sq: float
-    sigma1_sq: float
-    sigma2_sq: float
     sigma_het_sq: float
 
 
@@ -300,11 +295,11 @@ def ase_heterodyne_coefficient(scenario: SensingScenario, c2: float) -> float:
 def heterodyne_stats(
     scenario: SensingScenario, theta: float, nbar_s: float, num_modes: float
 ) -> HeterodyneStats:
-    """Normalized heterodyne moments in the bright-reference limit.
+    """Normalized heterodyne noise variances in the bright-reference limit.
 
     Requires a positive finite signal occupancy (there is no outcome scale
     to normalize by otherwise), one that the scale 2 eta nbar_s does not
-    underflow, and a channel that transmits something.
+    underflow, a finite ``theta`` and a channel that transmits something.
     """
     check_occupancy("nbar_s", nbar_s)
     eta = scenario.eta_eff
@@ -318,16 +313,7 @@ def heterodyne_stats(
     if eta == 0.0:
         raise DomainError("fully opaque channel: nothing returns to Alice")
     sigma_sq = (1.0 + (1.0 - eta) * scenario.nbar_b_eff) / scale
-    mu1 = math.cos(theta)
-    mu2 = math.sin(theta)
-    return HeterodyneStats(
-        mu1=mu1,
-        mu2=mu2,
-        sigma_sq=sigma_sq,
-        sigma1_sq=sigma_sq + mu1 * mu1,
-        sigma2_sq=sigma_sq + mu2 * mu2,
-        sigma_het_sq=sigma_sq / n,
-    )
+    return HeterodyneStats(sigma_sq=sigma_sq, sigma_het_sq=sigma_sq / n)
 
 
 class _Stream:

@@ -28,14 +28,16 @@ Conventions worth stating up front:
 Vacuum propagation throughout: no atmospheric extinction or turbulence.
 
 Cost conventions: a link point needs only the quadratic covertness
-coefficient c2, so it never computes c3.  ``reproduce_paper_report``
-evaluates each distinct ``(eta, nbar_b)`` once per call, since the
-``"error"`` and ``"clamp"`` policies share every far-field point.  Every
-link path except ``sweep_frequency`` carries its points as the
-``NamedTuple`` ``_LinkPoint``; ``SweepRow``, the frozen dataclass that
-``sweep_frequency`` returns, is defined in ``covertsense._sweep_row`` and
-loaded on first access, so importing this module loads no
-:mod:`dataclasses`.
+coefficient c2, so it never computes c3.  ``optimize_wavelength`` and
+``reproduce_paper_report`` search one objective, built by ``_objective``;
+the report evaluates each distinct ``(eta, nbar_b)`` once per call, since
+the ``"error"`` and ``"clamp"`` policies share every far-field point.  A
+sweep's points come as a stream, so ``sweep_frequency`` holds one list,
+of its rows.  Every link path except ``sweep_frequency`` carries its
+points as the ``NamedTuple`` ``_LinkPoint``; ``SweepRow``, the frozen
+dataclass that ``sweep_frequency`` returns, is defined in
+``covertsense._sweep_row`` and loaded on first access, so importing this
+module loads no :mod:`dataclasses`.
 """
 
 from __future__ import annotations
@@ -51,6 +53,8 @@ from .estimation import qcrb_ase
 from .scenario import SensingScenario, check_integer, check_positive, validated_make
 
 if TYPE_CHECKING:
+    from collections.abc import Iterator
+
     from ._sweep_row import SweepRow
 
 __all__ = [
@@ -63,7 +67,6 @@ __all__ = [
     "planck_occupancy",
     "geometric_transmissivity",
     "c_ase_at",
-    "mse_bound_b",
     "sweep_frequency",
     "find_sweep_minimum",
     "optimize_wavelength",
@@ -252,19 +255,6 @@ def _c_ase(eta: float, nbar_b: float) -> float:
     return qcrb_ase(scenario, _taylor_c2(scenario)[0])
 
 
-def mse_bound_b(
-    wavelength: float,
-    geometry: LinkGeometry,
-    epsilon: float,
-    bandwidth: float,
-    integration_time: float,
-) -> float:
-    """MSE lower bound B = c_ase(lambda) / (eps sqrt(floor(W T)))."""
-    scale = _bound_scale(epsilon, bandwidth, integration_time)
-    _, _, c_ase = c_ase_at(wavelength, geometry)
-    return c_ase / scale
-
-
 def _bound_scale(epsilon: float, bandwidth: float, integration_time: float) -> float:
     """Bound divisor eps sqrt(floor(W T)), naming eps, W or T when unusable."""
     check_positive("epsilon", epsilon)
@@ -316,9 +306,12 @@ def _sweep_points(
     epsilon: float,
     bandwidth: float,
     integration_time: float,
-) -> list[_LinkPoint]:
-    """The rows of :func:`sweep_frequency` as ``_LinkPoint``s, with its
-    checks and its EmptySweepError."""
+) -> Iterator[_LinkPoint]:
+    """The rows of :func:`sweep_frequency` as a stream of ``_LinkPoint``s.
+
+    The arguments are checked on the call; the stream raises
+    EmptySweepError after its last point when no point was valid.
+    """
     check_positive("f_min", f_min)
     check_positive("f_max", f_max)
     if not f_min < f_max:
@@ -327,17 +320,21 @@ def _sweep_points(
     if points < 2:
         raise ValueError(f"need at least two sweep points, got {points}")
     scale = _bound_scale(epsilon, bandwidth, integration_time)
-
-    rows: list[_LinkPoint] = []
     step = (f_max - f_min) / (points - 1)
-    for i in range(points):
-        f = f_min + step * i
-        rows.append(_link_row(f, SPEED_OF_LIGHT / f, geometry, scale, _c_ase))
-    if not any(row.valid for row in rows):
-        raise EmptySweepError(
-            f"no valid link point in [{f_min:g}, {f_max:g}] Hz for this geometry"
-        )
-    return rows
+
+    def stream() -> Iterator[_LinkPoint]:
+        valid = False
+        for i in range(points):
+            f = f_min + step * i
+            point = _link_row(f, SPEED_OF_LIGHT / f, geometry, scale, _c_ase)
+            valid = valid or point.valid
+            yield point
+        if not valid:
+            raise EmptySweepError(
+                f"no valid link point in [{f_min:g}, {f_max:g}] Hz for this geometry"
+            )
+
+    return stream()
 
 
 def sweep_frequency(
@@ -429,15 +426,29 @@ def optimize_wavelength(
     if not lo < hi:
         raise ValueError(f"need lambda_lo < lambda_hi, got {lambda_bracket}")
     scale = _bound_scale(epsilon, bandwidth, integration_time)
+    lambda_star, c_star = _minimize(_objective(geometry, _c_ase), lo, hi)
+    return lambda_star, c_star, c_star / scale
+
+
+def _objective(
+    geometry: LinkGeometry, c_ase: Callable[[float, float], float]
+) -> Callable[[float], float]:
+    """The objective of the wavelength search: c_ase, or inf where the link
+    is invalid, with c_ase read from ``c_ase(eta, nbar_b)``, which is
+    ``_c_ase`` or a memo of it.
+
+    The transmissivity goes first, so a near-field point is inf without
+    asking for its occupancy, whose overflow would be refused.
+    """
 
     def objective(wavelength: float) -> float:
         try:
-            return c_ase_at(wavelength, geometry)[2]
+            eta = geometric_transmissivity(wavelength, geometry)
+            return c_ase(eta, planck_occupancy(wavelength, geometry.t0))
         except (NearFieldError, DomainError):
             return math.inf
 
-    lambda_star, c_star = _minimize(objective, lo, hi)
-    return lambda_star, c_star, c_star / scale
+    return objective
 
 
 def _minimize(
@@ -544,22 +555,6 @@ class ReproduceReport(NamedTuple):
         return None
 
 
-def _memo_objective(
-    geometry: LinkGeometry, c_ase: Callable[[float, float], float]
-) -> Callable[[float], float]:
-    """The objective of :func:`optimize_wavelength`, c_ase or inf where the
-    link is invalid, with c_ase read from the memo ``c_ase(eta, nbar_b)``."""
-
-    def objective(wavelength: float) -> float:
-        try:
-            eta = geometric_transmissivity(wavelength, geometry)
-            return c_ase(eta, planck_occupancy(wavelength, geometry.t0))
-        except (NearFieldError, DomainError):
-            return math.inf
-
-    return objective
-
-
 def reproduce_paper_report(
     *,
     epsilon: float = 1e-3,
@@ -597,7 +592,7 @@ def reproduce_paper_report(
                     lambda_target = wavelength
                     try:
                         lambda_m, c_star = _minimize(
-                            _memo_objective(geometry, c_ase), *_REFERENCE_BRACKET
+                            _objective(geometry, c_ase), *_REFERENCE_BRACKET
                         )
                         b_value, flag = c_star / scale, ""
                         d_lambda = lambda_m - lambda_target

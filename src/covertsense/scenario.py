@@ -43,7 +43,6 @@ if TYPE_CHECKING:
 __all__ = [
     "SensingScenario",
     "ProbeSettings",
-    "wrap_angle",
     "willie_cm",
     "alice_cm",
     "build_global_cm",
@@ -96,11 +95,6 @@ def check_angle(name: str, value: float) -> float:
         raise ValueError(f"{name} must be finite, got {value}")
     r = math.remainder(value, 2.0 * math.pi)
     return math.pi if r == -math.pi else r
-
-
-def wrap_angle(x: float) -> float:
-    """Wrap a finite angle to the interval (-pi, pi] (see :func:`check_angle`)."""
-    return check_angle("angle", x)
 
 
 class _ScenarioFields(NamedTuple):

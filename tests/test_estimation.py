@@ -125,8 +125,7 @@ class TestQfi:
 class TestHeterodyneStats:
     def test_reference_golden(self):
         stats = heterodyne_stats(REFERENCE, 0.3, 0.1, 1.0)
-        assert stats.mu1 == pytest.approx(math.cos(0.3), rel=1e-15)
-        assert stats.mu2 == pytest.approx(math.sin(0.3), rel=1e-15)
+        assert stats._fields == ("sigma_sq", "sigma_het_sq")
         assert stats.sigma_sq == pytest.approx(35.0, rel=1e-12)
         assert stats.sigma_het_sq == pytest.approx(35.0, rel=1e-12)
 
@@ -142,14 +141,11 @@ class TestHeterodyneStats:
     def test_moment_identities(self, e1, e2, nb, theta, ns, n):
         scenario = SensingScenario(e1, e2, nb, 0.7 * nb)
         stats = heterodyne_stats(scenario, theta, ns, n)
-        assert stats.mu1 == pytest.approx(math.cos(theta), abs=1e-12)
-        assert stats.mu2 == pytest.approx(math.sin(theta), abs=1e-12)
-        # Quadrature-variance sum and difference close exactly.
-        assert stats.sigma1_sq + stats.sigma2_sq == pytest.approx(
-            2.0 * stats.sigma_sq + 1.0, rel=1e-12
-        )
-        assert stats.sigma1_sq - stats.sigma2_sq == pytest.approx(
-            math.cos(2.0 * theta), abs=1e-9
+        # The noise does not depend on the phase it is measured at.
+        assert stats == heterodyne_stats(scenario, 0.0, ns, n)
+        eta, b = scenario.eta_eff, scenario.nbar_b_eff
+        assert stats.sigma_sq == pytest.approx(
+            (1.0 + (1.0 - eta) * b) / (2.0 * eta * ns), rel=1e-12
         )
         assert stats.sigma_het_sq == pytest.approx(
             stats.sigma_sq / math.floor(n), rel=1e-12
@@ -220,8 +216,8 @@ def _reference_mse(scenario, theta_true, epsilon, num_modes, trials, seed, kerne
     n = math.floor(num_modes)
     budget = covert_budget(scenario, epsilon, n)
     stats = heterodyne_stats(scenario, theta_true, budget.nbar_s, n)
-    mu1 = stats.mu1
-    mu2 = stats.mu2
+    mu1 = math.cos(theta_true)
+    mu2 = math.sin(theta_true)
     sigma_avg = math.sqrt(stats.sigma_het_sq)
     sigma_shot = math.sqrt(stats.sigma_sq)
     half_theta = 0.5 * math.remainder(theta_true, 2.0 * math.pi)

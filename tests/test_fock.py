@@ -46,8 +46,8 @@ from covertsense.scenario import (
     ProbeSettings,
     SensingScenario,
     alice_cm,
+    check_angle,
     willie_cm,
-    wrap_angle,
 )
 
 SMALL = SensingScenario(0.5, 0.5, 0.3, 0.2)
@@ -279,7 +279,7 @@ class TestDensityMatrixType:
         block = np.eye(2) / 4.0
         assert FockDensityMatrix(1, [[[0.5]], block], 0.0, -math.pi).phase == math.pi
         wrapped = FockDensityMatrix(1, [[[0.5]], block], 0.0, 1e308)
-        assert wrapped.phase == wrap_angle(1e308)
+        assert wrapped.phase == check_angle("angle", 1e308)
 
     @pytest.mark.parametrize("phase", [math.nan, math.inf])
     def test_non_finite_phase_refused(self, phase):
@@ -352,7 +352,7 @@ class TestOracleWillieState:
         with warnings.catch_warnings():
             warnings.simplefilter("error", RuntimeWarning)
             huge = oracle_willie_state(SMALL, 0.05, 1e308)
-        want = oracle_willie_state(SMALL, 0.05, wrap_angle(1e308))
+        want = oracle_willie_state(SMALL, 0.05, check_angle("angle", 1e308))
         assert np.array_equal(dense(huge), dense(want))
 
     @pytest.mark.parametrize("theta", [math.nan, math.inf, -math.inf])
@@ -520,7 +520,7 @@ class TestOracleAliceState:
             warnings.simplefilter("error", RuntimeWarning)
             huge = oracle_alice_state(SMALL, ProbeSettings(0.05, 0.25, 1e308))
         want = oracle_alice_state(
-            SMALL, ProbeSettings(0.05, 0.25, wrap_angle(1e308))
+            SMALL, ProbeSettings(0.05, 0.25, check_angle("angle", 1e308))
         )
         assert np.array_equal(dense(huge), dense(want))
 
@@ -1613,7 +1613,8 @@ class TestCrossCheckReport:
         # exp(i theta n) at a huge unwrapped phase keeps no correct digit,
         # so every state must see the phase wrapped into (-pi, pi].
         huge = oracle_cross_check(SMALL, 0.05, 0.25, 1e308)
-        assert huge == oracle_cross_check(SMALL, 0.05, 0.25, wrap_angle(1e308))
+        wrapped = check_angle("angle", 1e308)
+        assert huge == oracle_cross_check(SMALL, 0.05, 0.25, wrapped)
         assert huge["willie_qre_err"] <= 1e-4
 
 

@@ -5,6 +5,8 @@ from __future__ import annotations
 import dataclasses
 import math
 import signal
+import struct
+import tracemalloc
 
 import pytest
 from conftest import CONSTRUCTION_PATHS
@@ -13,7 +15,7 @@ from hypothesis import strategies as st
 
 from covertsense import link
 from covertsense.covertness import equal_bath_c2, taylor_coefficients
-from covertsense.errors import EmptySweepError, NearFieldError
+from covertsense.errors import DomainError, EmptySweepError, NearFieldError
 from covertsense.estimation import qcrb_ase
 from covertsense.link import (
     SPEED_OF_LIGHT,
@@ -22,7 +24,6 @@ from covertsense.link import (
     c_ase_at,
     find_sweep_minimum,
     geometric_transmissivity,
-    mse_bound_b,
     optimize_wavelength,
     planck_occupancy,
     reproduce_paper_report,
@@ -157,6 +158,16 @@ class TestGeometricTransmissivity:
             geometric_transmissivity(3e-6, LinkGeometry(range_m=1e300))
 
 
+def _bound(wavelength, geometry, epsilon, bandwidth, integration_time):
+    """B = c_ase / (eps sqrt(floor(W T))) at one wavelength."""
+    scale = link._bound_scale(epsilon, bandwidth, integration_time)
+    return c_ase_at(wavelength, geometry)[2] / scale
+
+
+def _bits(*values):
+    return struct.pack(f"<{len(values)}d", *values)
+
+
 class TestPointEvaluation:
     def test_c_ase_at_golden(self):
         eta, nbar_b, c_ase = c_ase_at(6.35e-6, GEOMETRY_3KM)
@@ -165,19 +176,49 @@ class TestPointEvaluation:
         assert c_ase == pytest.approx(2095.8939623826413, rel=1e-12)
 
     def test_mse_bound_golden(self):
-        b = mse_bound_b(6.35e-6, GEOMETRY_3KM, 1e-3, 3e12, 1.0)
+        b = _bound(6.35e-6, GEOMETRY_3KM, 1e-3, 3e12, 1.0)
         assert b == pytest.approx(1.2100649433745294, rel=1e-12)
 
     def test_bound_scaling_in_integration_time(self):
         # n = floor(W T), so quadrupling T halves B.
-        short = mse_bound_b(6.35e-6, GEOMETRY_3KM, 1e-3, 3e12, 1.0)
-        long = mse_bound_b(6.35e-6, GEOMETRY_3KM, 1e-3, 3e12, 4.0)
+        short = _bound(6.35e-6, GEOMETRY_3KM, 1e-3, 3e12, 1.0)
+        long = _bound(6.35e-6, GEOMETRY_3KM, 1e-3, 3e12, 4.0)
         assert long == pytest.approx(short / 2.0, rel=1e-12)
 
     def test_bound_scaling_in_epsilon(self):
-        loose = mse_bound_b(6.35e-6, GEOMETRY_3KM, 1e-2, 3e12, 1.0)
-        tight = mse_bound_b(6.35e-6, GEOMETRY_3KM, 1e-3, 3e12, 1.0)
+        loose = _bound(6.35e-6, GEOMETRY_3KM, 1e-2, 3e12, 1.0)
+        tight = _bound(6.35e-6, GEOMETRY_3KM, 1e-3, 3e12, 1.0)
         assert tight == pytest.approx(10.0 * loose, rel=1e-12)
+
+    @pytest.mark.parametrize("policy", ["error", "clamp"])
+    def test_views_of_one_point_agree(self, policy):
+        # c_ase_at, a sweep point and the search objective read one point
+        # bit for bit.  Where the sweep flags the point, the objective is
+        # inf and c_ase_at raises the matching error.  At 1 km with bare
+        # areas most of the band is near-field under "error"; at 120 K the
+        # background at the short-wavelength end is too faint for the
+        # quadratic expansion ("degenerate").
+        flags = set()
+        for range_m, area_factor in ((1000.0, 1.0), (3000.0, 0.25)):
+            geometry = LinkGeometry(
+                range_m=range_m, area_factor=area_factor, eta_policy=policy, t0=120.0
+            )
+            objective = link._objective(geometry, link._c_ase)
+            for point in link._sweep_points(*BAND, 64, geometry, 1e-3, 3e12, 1.0):
+                flags.add(point.flag)
+                value = objective(point.lambda_m)
+                if point.valid:
+                    at = c_ase_at(point.lambda_m, geometry)
+                    assert _bits(*at) == _bits(point.eta, point.nbar_b, point.c_ase)
+                    assert _bits(value) == _bits(point.c_ase)
+                    continue
+                assert value == math.inf
+                with pytest.raises(DomainError) as raised:
+                    c_ase_at(point.lambda_m, geometry)
+                near_field = isinstance(raised.value, NearFieldError)
+                assert point.flag == ("near-field" if near_field else "degenerate")
+        near_field = {"near-field"} if policy == "error" else set()
+        assert flags == {"", "degenerate"} | near_field
 
 
 class TestSweep:
@@ -204,7 +245,7 @@ class TestSweep:
         rows = sweep_frequency(*BAND, 16, GEOMETRY_3KM, epsilon=1e-2)
         for row in rows:
             if row.valid:
-                want = mse_bound_b(row.lambda_m, GEOMETRY_3KM, 1e-2, 3e12, 1.0)
+                want = _bound(row.lambda_m, GEOMETRY_3KM, 1e-2, 3e12, 1.0)
                 assert row.b == pytest.approx(want, rel=1e-12)
 
     def test_near_field_rows_flagged_not_fatal(self):
@@ -257,6 +298,21 @@ class TestSweep:
                 GEOMETRY_3KM, (3e-6, 2e-5),
                 bandwidth=bandwidth, integration_time=integration_time,
             )
+
+    def test_library_sweep_holds_one_list(self):
+        # sweep_frequency turns each point into its row as the stream
+        # yields it, so every point and every row are never alive at once.
+        args = (*BAND, 20_000, GEOMETRY_3KM)
+        tracemalloc.start()
+        try:
+            list(link._sweep_points(*args, 1e-3, 3e12, 1.0))
+            points_peak = tracemalloc.get_traced_memory()[1]
+            tracemalloc.reset_peak()
+            sweep_frequency(*args)
+            rows_peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert rows_peak / points_peak <= 1.45
 
     def test_rows_are_frozen_dataclasses(self):
         # sweep_frequency alone builds SweepRow, and it stays a frozen

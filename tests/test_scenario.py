@@ -33,7 +33,6 @@ from covertsense.scenario import (
     check_angle,
     check_integer,
     willie_cm,
-    wrap_angle,
 )
 
 taps = st.floats(0.05, 1.0, allow_nan=False)
@@ -75,7 +74,7 @@ class TestValidation:
 
     @given(theta=st.floats(-50.0, 50.0))
     def test_wrap_angle_range_and_equivalence(self, theta):
-        wrapped = wrap_angle(theta)
+        wrapped = check_angle("angle", theta)
         assert -math.pi < wrapped <= math.pi
         assert math.cos(wrapped) == pytest.approx(math.cos(theta), abs=1e-9)
         assert math.sin(wrapped) == pytest.approx(math.sin(theta), abs=1e-9)
@@ -88,7 +87,8 @@ class TestValidation:
     @example(theta=math.pi)
     def test_wrap_angle_returns_an_angle_in_range_as_given(self, theta):
         # Bit for bit, -0.0 included, so a probe keeps the phase it is given.
-        assert struct.pack("<d", wrap_angle(theta)) == struct.pack("<d", theta)
+        wrapped = check_angle("angle", theta)
+        assert struct.pack("<d", wrapped) == struct.pack("<d", theta)
         assert struct.pack("<d", ProbeSettings(0.1, 1.0, theta).theta) == (
             struct.pack("<d", theta)
         )
@@ -97,21 +97,19 @@ class TestValidation:
         "theta", [math.pi, -math.pi, 3.0 * math.pi, -3.0 * math.pi]
     )
     def test_wrap_angle_odd_multiples_of_pi_give_pi(self, theta):
-        assert wrap_angle(theta) == math.pi
+        assert check_angle("angle", theta) == math.pi
 
     @pytest.mark.parametrize("theta", [1e17, 1e20, -1e308, 1.7976931348623157e308])
     def test_wrap_angle_huge_angles_wrap(self, theta):
-        assert -math.pi < wrap_angle(theta) <= math.pi
+        assert -math.pi < check_angle("angle", theta) <= math.pi
 
     @pytest.mark.parametrize("turns", [2.0**60, -(2.0**60), 2.0**1000])
     def test_wrap_angle_whole_turns_wrap_to_zero(self, turns):
         # Exact modulo the double 2 pi, however many turns.
-        assert wrap_angle(2.0 * math.pi * turns) == 0.0
+        assert check_angle("angle", 2.0 * math.pi * turns) == 0.0
 
     @pytest.mark.parametrize("theta", [math.inf, -math.inf, math.nan])
     def test_non_finite_angle_refused_by_name(self, theta):
-        with pytest.raises(ValueError, match=f"^angle must be finite, got {theta}$"):
-            wrap_angle(theta)
         with pytest.raises(ValueError, match=f"^phi must be finite, got {theta}$"):
             check_angle("phi", theta)
 
@@ -150,7 +148,7 @@ class TestValidation:
     def test_every_construction_path_wraps_theta(self, path):
         probe = CONSTRUCTION_PATHS[path](ProbeSettings(0.1, 1.0, 0.0), {"theta": 10.0})
         assert type(probe) is ProbeSettings
-        assert probe.theta == wrap_angle(10.0)
+        assert probe.theta == check_angle("angle", 10.0)
         assert -math.pi < probe.theta <= math.pi
 
     def test_records_are_tuples(self):
