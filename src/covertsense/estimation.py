@@ -67,14 +67,9 @@ from .scenario import (
 )
 
 if TYPE_CHECKING:
-    from collections.abc import Callable, Iterator
-    from typing import TypeVar
-
     import numpy as np
 
     from .gaussian import CovarianceMatrix
-
-    _T = TypeVar("_T")
 
 __all__ = [
     "RNG_ALGORITHM",
@@ -92,12 +87,12 @@ __all__ = [
 ]
 
 #: Trials per accumulation block in the Monte-Carlo estimator.  Partial
-#: sums are formed per block and combined in block order, so the result
-#: is independent of how blocks are scheduled across workers.
+#: sums are formed per block and added exactly, so the result is
+#: independent of how blocks are scheduled across workers.
 _BLOCK_TRIALS = 4096
 
-#: Blocks per strip.  A strip draws from one generator, runs one
-#: vectorized kernel and is one thread-pool task.
+#: Blocks per strip.  A strip is one run of the vectorized kernel on
+#: consecutive trials; each thread takes every ``threads``-th strip.
 _STRIP_BLOCKS = 4
 
 #: Phase step (radians) of the fidelity-curvature stencil in ``qfi_numeric``.
@@ -316,45 +311,27 @@ def heterodyne_stats(
     return HeterodyneStats(sigma_sq=sigma_sq, sigma_het_sq=sigma_sq / n)
 
 
-class _Stream:
-    """One thread's generator on the Philox stream keyed by ``seed``.
-
-    Built once per thread and moved to each task's offset by resetting its
-    state and advancing it: a new ``Philox`` per task costs ~20-25 us, about
-    half of it an OS-entropy ``SeedSequence`` that a keyed Philox discards,
-    against ~4-5 us for the reset.
-    """
-
-    def __init__(self, seed: int) -> None:
-        import numpy as np
-
-        self._bit_gen = np.random.Philox(key=seed)
-        self._start = self._bit_gen.state
-        self._gen = np.random.Generator(self._bit_gen)
-
-    def at(self, offset_uniforms: int) -> np.random.Generator:
-        """The generator, ``offset_uniforms`` into the stream."""
-        # Philox.advance counts 4-uniform counter steps, not single draws.
-        assert offset_uniforms % 4 == 0
-        self._bit_gen.state = self._start
-        self._bit_gen.advance(offset_uniforms // 4)
-        return self._gen
-
-
 class _StripBuffers:
     """Work arrays of the fast-mode kernel for strips of up to ``size`` trials.
 
     One set per thread, reused from strip to strip: a strip's arrays are
     larger than the allocator's mmap threshold, so fresh ones would be
-    page-faulted in again on every strip.
+    page-faulted in again on every strip.  Each array starts on a 64-byte
+    boundary, whatever offset the heap gives: the kernel's speed follows
+    the alignment.
     """
 
     def __init__(self, size: int) -> None:
         import numpy as np
 
-        self.uniforms = np.empty((size, 2))
-        self.radius = np.empty(size)
-        self.angle = np.empty(size)
+        def aligned(length: int) -> np.ndarray:
+            raw = np.empty(length + 8)
+            skip = -raw.__array_interface__["data"][0] % 64 // 8
+            return raw[skip : skip + length]
+
+        self.uniforms = aligned(2 * size).reshape(size, 2)
+        self.radius = aligned(size)
+        self.angle = aligned(size)
 
 
 def _fast_squared_errors(
@@ -419,38 +396,15 @@ def _block_sums(squared: np.ndarray) -> list[tuple[float, float]]:
     return list(zip(sums + tail, quads))
 
 
+def _exact(value: float) -> int:
+    """Finite ``value`` as a whole number of 2**-1074, the least subnormal."""
+    numerator, denominator = value.as_integer_ratio()
+    return numerator << (1075 - denominator.bit_length())
+
+
 def _thread_count(requested: int, num_tasks: int) -> int:
     """Threads worth starting: no more than requested, cores or tasks."""
     return max(1, min(requested, os.cpu_count() or 1, num_tasks))
-
-
-def _in_order(
-    task: Callable[[int], _T], count: int, workers: int
-) -> Iterator[_T]:
-    """Yield ``task(0), ..., task(count - 1)`` in index order.
-
-    With more than one worker the tasks run on a thread pool with at most
-    ``2 * workers`` of them submitted and not yet yielded, so memory does
-    not grow with ``count``.
-    """
-    if workers == 1:
-        for index in range(count):
-            yield task(index)
-        return
-    # Imported here: concurrent.futures pulls in logging (~10 ms), which
-    # a serial run never needs.
-    from collections import deque
-    from concurrent.futures import ThreadPoolExecutor
-
-    window = 2 * workers
-    with ThreadPoolExecutor(max_workers=workers) as pool:
-        pending: deque = deque()
-        for index in range(count):
-            if len(pending) == window:
-                yield pending.popleft().result()
-            pending.append(pool.submit(task, index))
-        while pending:
-            yield pending.popleft().result()
 
 
 def sample_heterodyne_mse(
@@ -473,21 +427,21 @@ def sample_heterodyne_mse(
 
     Reproducibility: trial ``t`` owns uniforms ``[2t, 2t+2)`` of the
     counter stream of Philox (``philox4x64-10``) keyed by ``seed``, so
-    the draw for a trial depends only on ``(seed, t)``.  One Philox
-    counter step yields four 64-bit uniforms, and every block boundary
-    falls on a whole counter step, so each thread keeps one generator and
-    moves it to a task's first trial with ``advance``.  Trials are summed
-    in blocks of 4096, and block partial sums are combined in block order
-    regardless of ``workers``, making output bits independent of the
-    worker count.
+    the draw for a trial depends only on ``(seed, t)``.  Trials are summed
+    in blocks of 4096, and the block partial sums are added exactly (as
+    integers in units of 2**-1074), so the total is their correctly
+    rounded sum in any order, and output bits are independent of the
+    worker count and of how blocks are scheduled.
 
-    Work is split into tasks, each a strip of four consecutive blocks:
-    the contiguous stream from the strip's first trial holds every
-    block's uniforms, and one in-place vectorized kernel's squared errors
-    are summed back per block.  At most
-    ``min(workers, os.cpu_count(), tasks)`` threads are started, with at
-    most ``2 * threads`` tasks submitted and not yet folded, so memory
-    does not grow with ``trials``.
+    Work is split into strips of four consecutive blocks: the contiguous
+    stream from the strip's first trial holds every block's uniforms, and
+    one in-place vectorized kernel's squared errors are summed back per
+    block.  ``min(workers, os.cpu_count(), strips)`` threads are started,
+    one task each.  Thread ``k`` keeps one generator and one set of
+    kernel buffers, and takes strips ``k``, ``k + threads``, ...: one
+    Philox counter step yields four uniforms and every strip boundary
+    falls on a whole step, so the thread passes over the other threads'
+    strips with ``advance``.  Memory does not grow with ``trials``.
 
     ``trials``, ``seed`` and ``workers`` must be integers (``int`` or numpy,
     not ``bool``): at least 1000 trials, a seed in [0, 2**128) and at least
@@ -495,7 +449,7 @@ def sample_heterodyne_mse(
     ``theta_true`` finite.
     """
     # Without numpy the run is refused before its arguments are checked.
-    import numpy  # noqa: F401
+    import numpy as np
 
     for name, value in (("trials", trials), ("seed", seed), ("workers", workers)):
         check_integer(name, value)
@@ -516,29 +470,36 @@ def sample_heterodyne_mse(
     num_strips = -(-trials // strip_trials)
     threads = _thread_count(workers, num_strips)
 
-    # One generator and one set of kernel buffers per thread (see _Stream
-    # and _StripBuffers).
-    import threading
+    def run_share(first: int) -> tuple[int, int]:
+        # Philox.advance counts counter steps of four uniforms, two trials.
+        bit_gen = np.random.Philox(key=seed)
+        bit_gen.advance(first * strip_trials // 2)
+        gen = np.random.Generator(bit_gen)
+        buffers = _StripBuffers(min(strip_trials, trials))
+        exact_sq = exact_quad = 0
+        for index in range(first, num_strips, threads):
+            count = min(strip_trials, trials - index * strip_trials)
+            squared = _fast_squared_errors(gen, count, sigma_avg, theta_true, buffers)
+            for part_sq, part_quad in _block_sums(squared):
+                exact_sq += _exact(part_sq)
+                exact_quad += _exact(part_quad)
+            bit_gen.advance((threads - 1) * strip_trials // 2)
+        return exact_sq, exact_quad
 
-    local = threading.local()
+    if threads == 1:
+        shares = [run_share(0)]
+    else:
+        # Imported here: concurrent.futures pulls in logging (~10 ms), which
+        # a serial run never needs.
+        from concurrent.futures import ThreadPoolExecutor
 
-    def run_strip(index: int) -> list[tuple[float, float]]:
-        start = index * strip_trials
-        count = min(strip_trials, trials - start)
-        if not hasattr(local, "stream"):
-            local.stream = _Stream(seed)
-            local.buffers = _StripBuffers(min(strip_trials, trials))
-        squared = _fast_squared_errors(
-            local.stream.at(2 * start), count, sigma_avg, theta_true, local.buffers
-        )
-        return _block_sums(squared)
-
-    sum_sq = 0.0
-    sum_quad = 0.0
-    for parts in _in_order(run_strip, num_strips, threads):
-        for part_sq, part_quad in parts:
-            sum_sq += part_sq
-            sum_quad += part_quad
+        with ThreadPoolExecutor(max_workers=threads) as pool:
+            shares = list(pool.map(run_share, range(threads)))
+    # Every squared error is at most pi^2, so every block sum is finite and
+    # exact in units of 2**-1074; int / int rounds the total correctly.
+    exact_sq, exact_quad = map(sum, zip(*shares))
+    sum_sq = exact_sq / 2**1074
+    sum_quad = exact_quad / 2**1074
 
     mse = sum_sq / trials
     variance = (sum_quad - sum_sq * sum_sq / trials) / (trials - 1)

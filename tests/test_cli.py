@@ -905,6 +905,32 @@ def test_scenario_bounds_and_mse_mc_start_without_dataclasses_or_link():
     assert result.returncode == 0, result.stderr
 
 
+#: What only a threaded Monte-Carlo run may load: the thread pool and the
+#: ``logging`` module it pulls in.
+THREAD_POOL = ("concurrent.futures", "logging")
+
+
+def test_serial_monte_carlo_starts_no_thread_pool():
+    """A one-worker run, in the library or through ``mse-mc``, imports no
+    thread pool; a two-worker run of two strips on a four-core machine
+    does."""
+    code = (
+        "import os, sys\n"
+        "from covertsense.cli import main\n"
+        "from covertsense.estimation import sample_heterodyne_mse\n"
+        "sample_heterodyne_mse(0.1, 0.3, 40000, 7, workers=1)\n"
+        f"assert main({['mse-mc', *SCENARIO_FLAGS, '--workers', '1']!r}) == 0\n"
+        f"loaded = [m for m in {THREAD_POOL!r} if m in sys.modules]\n"
+        "assert not loaded, loaded\n"
+        "os.cpu_count = lambda: 4\n"
+        "sample_heterodyne_mse(0.1, 0.3, 40000, 7, workers=2)\n"
+        f"missing = [m for m in {THREAD_POOL!r} if m not in sys.modules]\n"
+        "assert not missing, missing\n"
+    )
+    result = _fresh_python(code)
+    assert result.returncode == 0, result.stderr
+
+
 @pytest.mark.parametrize(
     "argv",
     [
