@@ -266,9 +266,13 @@ def qcrb_ase(scenario: SensingScenario, c2: float) -> float:
 
     with ``c2`` the scenario's quadratic covertness coefficient (see
     :func:`covertsense.covertness.taylor_coefficients`).  The bound at the
-    covert budget is ``c_ase / (eps sqrt(n))``.
+    covert budget is ``c_ase / (eps sqrt(n))``.  A ``c2`` that is not
+    positive and finite is refused with ValueError, and an opaque channel
+    (eta_eff = 0) with DomainError.
     """
+    check_positive("c2", c2)
     eta = scenario.eta_eff
+    _check_transmits(eta)
     b = scenario.nbar_b_eff
     return (1.0 + 2.0 * b * (1.0 - eta)) * math.sqrt(c2) / (16.0 * eta)
 
@@ -280,11 +284,20 @@ def ase_heterodyne_coefficient(scenario: SensingScenario, c2: float) -> float:
     with ``c2`` the scenario's quadratic covertness coefficient; at the
     covert budget the averaged heterodyne noise variance equals
     c_het_tilde / (eps sqrt(n)).  Always within a factor of two of the
-    quantum coefficient: c_ase <= c_het_tilde <= 2 c_ase.
+    quantum coefficient: c_ase <= c_het_tilde <= 2 c_ase.  Refuses what
+    :func:`qcrb_ase` refuses.
     """
+    check_positive("c2", c2)
     eta = scenario.eta_eff
+    _check_transmits(eta)
     b = scenario.nbar_b_eff
     return (1.0 + b * (1.0 - eta)) * math.sqrt(c2) / (8.0 * eta)
+
+
+def _check_transmits(eta: float) -> None:
+    """Refuse a channel of round-trip transmissivity 0: nothing returns."""
+    if eta == 0.0:
+        raise DomainError("fully opaque channel: nothing returns to Alice")
 
 
 def heterodyne_stats(
@@ -305,8 +318,7 @@ def heterodyne_stats(
         raise DomainError(f"no signal to normalize by: nbar_s = {nbar_s}")
     check_angle("theta", theta)
     n = channel_uses(num_modes)
-    if eta == 0.0:
-        raise DomainError("fully opaque channel: nothing returns to Alice")
+    _check_transmits(eta)
     sigma_sq = (1.0 + (1.0 - eta) * scenario.nbar_b_eff) / scale
     return HeterodyneStats(sigma_sq=sigma_sq, sigma_het_sq=sigma_sq / n)
 

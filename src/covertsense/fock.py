@@ -4,10 +4,11 @@ Simulates the tapped two-way sensing circuit photon-by-photon in a
 truncated number basis and computes relative entropy and Uhlmann
 fidelity from the eigendecomposition of each total-photon block.
 Nothing here shares code with the covariance-matrix formulas it
-validates: states are density matrices, beam splitters are the
-closed-form SU(2) (Wigner small-d) amplitudes of the two-mode number
-basis, and the entropic quantities come from eigenvalues.  Agreement
-between the two routes is therefore evidence, not tautology.
+validates: states are density matrices, every beam splitter (both taps
+and the source split) is the SU(2) (Wigner small-d) amplitudes of the
+two-mode number basis, built by one recurrence (``_pair_blocks``), and
+the entropic quantities come from eigenvalues.  Agreement between the
+two routes is therefore evidence, not tautology.
 
 Implementation notes:
 
@@ -52,9 +53,11 @@ Implementation notes:
 * The private builders take their tables, and a table's length fixes the
   cutoff.  A cross-check selects one cutoff, from the interrogator's
   inputs, which dominate both adversaries', and builds the pair blocks of
-  each tap once at it.  One ``_willie_states`` call builds both adversary
-  states, so each total's Gram is built once and read by both.  Each
-  public state builder selects its own cutoff and builds its own tables.
+  both taps and of the source split at it in one ``_pair_blocks`` call;
+  the split reads column 0 of its own table.  One ``_willie_states``
+  call builds both adversary states, so each total's Gram is built once
+  and read by both.  Each public state builder selects its own cutoff
+  and builds its own tables in one ``_pair_blocks`` call.
 * Photon number is conserved and the baths are diagonal, so the phase
   only conjugates each output block by a diagonal of exp(i theta n).  A
   state therefore holds real theta-free blocks plus that phase, and each
@@ -82,7 +85,6 @@ theta on mode i sends a_i -> exp(i theta) a_i.
 from __future__ import annotations
 
 import cmath
-import functools
 import math
 from typing import Callable, Iterator
 
@@ -330,42 +332,45 @@ def _select_total_cutoff(
 # Total-photon blocks and the taps as channels
 # ---------------------------------------------------------------------------
 
-def _pair_blocks(eta: float, cutoff: int) -> np.ndarray:
-    """Beam-splitter amplitudes on fixed pair totals ``m = 0..cutoff``.
+def _pair_blocks(etas: tuple[float, ...], cutoff: int) -> np.ndarray:
+    """Beam-splitter amplitudes on fixed pair totals ``m = 0..cutoff``, one
+    read-only lane per transmissivity in ``etas``.
 
-    ``table[m, x, y]`` is the amplitude from ``y`` to ``x`` photons in the
-    first mode of the pair at pair total ``m``.  Block ``m``, the slice
-    ``[m, :m + 1, :m + 1]``, is the orthogonal matrix
-    exp(phi (a1^dag a2 - a2^dag a1)) with cos(phi) = sqrt(eta); it sends
-    a1 -> cos(phi) a1 + sin(phi) a2.  Every other entry is zero, so an
-    index past the edge of a block reads a zero amplitude.  These are the
-    SU(2) (Wigner small-d) matrices, i.e. the m-th symmetric power of the
-    2 x 2 rotation R = [[c, s], [-s, c]].  They are built by
+    ``table[l, m, x, y]`` is the amplitude from ``y`` to ``x`` photons in
+    the first mode of the pair at pair total ``m`` for ``eta = etas[l]``.
+    Block ``m`` of a lane, the slice ``[m, :m + 1, :m + 1]``, is the
+    orthogonal matrix exp(phi (a1^dag a2 - a2^dag a1)) with
+    cos(phi) = sqrt(eta); it sends a1 -> cos(phi) a1 + sin(phi) a2.  Every
+    other entry is zero, so an index past the edge of a block reads a zero
+    amplitude.  These are the SU(2) (Wigner small-d) matrices, i.e. the
+    m-th symmetric power of the 2 x 2 rotation R = [[c, s], [-s, c]].  All
+    lanes are built together by
 
         m U_m = sum_{i,l} R_li  a_l^dag U_{m-1} a_i,
 
     which follows from m = a1^dag a1 + a2^dag a2 on the block and
     U a_i^dag = sum_l R_li a_l^dag U.  The map U_{m-1} -> U_m is a
-    contraction, so rounding errors do not grow with m.  The table is
-    read-only.
+    contraction, so rounding errors do not grow with m.  Each lane is
+    formed elementwise, so it is bit for bit the one-lane table of its
+    transmissivity.
     """
-    c, s = math.sqrt(eta), math.sqrt(1.0 - eta)
+    etas = np.asarray(etas, dtype=float)
     root = np.sqrt(np.arange(1.0, cutoff + 1))  # sqrt(k), k = 1..cutoff
     # (c sqrt(x + 1)) sqrt(y + 1) and (s sqrt(x + 1)) sqrt(y + 1); block m
     # reads sqrt(k), k = 1..m, as up = [:m] and sqrt(m - k), k = 0..m-1, as
     # down = [m - 1::-1].
-    same = np.multiply.outer(c * root, root)
-    cross = np.multiply.outer(s * root, root)
-    table = np.zeros((cutoff + 1,) * 3)
-    table[0, 0, 0] = 1.0
+    same = np.multiply.outer(np.sqrt(etas)[:, None] * root, root)
+    cross = np.multiply.outer(np.sqrt(1.0 - etas)[:, None] * root, root)
+    table = np.zeros((len(etas),) + (cutoff + 1,) * 3)
+    table[:, 0, 0, 0] = 1.0
     for m in range(1, cutoff + 1):
-        prev = table[m - 1, :m, :m]
+        prev = table[:, m - 1, :m, :m]
         up, down = slice(0, m), slice(m - 1, None, -1)
-        block = table[m, : m + 1, : m + 1]
-        block[1:, 1:] += same[up, up] * prev
-        block[:m, 1:] -= cross[down, up] * prev
-        block[1:, :m] += cross[up, down] * prev
-        block[:m, :m] += same[down, down] * prev
+        block = table[:, m, : m + 1, : m + 1]
+        block[:, 1:, 1:] += same[:, up, up] * prev
+        block[:, :m, 1:] -= cross[:, down, up] * prev
+        block[:, 1:, :m] += cross[:, up, down] * prev
+        block[:, :m, :m] += same[:, down, down] * prev
         block /= m
     table.flags.writeable = False
     return table
@@ -488,8 +493,7 @@ def oracle_willie_state(
     (state,) = _willie_states(
         scenario,
         [_geometric_pmf(nbar_s, total_cutoff + 1)],
-        _pair_blocks(scenario.eta_1, total_cutoff),
-        _pair_blocks(scenario.eta_2, total_cutoff),
+        *_pair_blocks((scenario.eta_1, scenario.eta_2), total_cutoff),
         [actual_tail],
     )
     return state.with_phase(theta)
@@ -525,45 +529,19 @@ def _willie_states(
     return [_finish(blocks, tail) for blocks, tail in zip(families, tails)]
 
 
-def _split_amplitudes(ratio: float, cutoff: int) -> np.ndarray:
-    """Column 0 of the pair blocks of transmissivity ``ratio``, in closed form.
-
-    ``V[n, r]`` = U_n[r, 0] = sqrt(C(n, r)) s^r c^(n - r), with
-    c = sqrt(ratio) and s = sqrt(1 - ratio): the binomial amplitudes of n
-    photons entering the second port.  ``V[n, r]`` is zero for r > n.
-    """
-    c, s = math.sqrt(ratio), math.sqrt(1.0 - ratio)
-    count = np.arange(cutoff + 1)
-    rest = count[:, None] - count  # n - r
-    amplitudes = (
-        _sqrt_binomials(cutoff)
-        * np.power(s, count)
-        * np.power(c, np.maximum(rest, 0))
-    )
-    return np.where(rest >= 0, amplitudes, 0.0)
-
-
-@functools.lru_cache(maxsize=MAX_TOTAL_PHOTONS + 1)
-def _sqrt_binomials(cutoff: int) -> np.ndarray:
-    """sqrt(C(n, r)) for n, r = 0..cutoff, from the exact integers; zero
-    for r > n.  The table is read-only."""
-    count = range(cutoff + 1)
-    table = np.sqrt([[math.comb(n, r) for r in count] for n in count])
-    table.flags.writeable = False
-    return table
-
-
 def _forward_prefixes(
-    tap: np.ndarray, nbar_b1: float, nbar_s: float, nbar_lo: float
+    tap: np.ndarray, nbar_b1: float, source_total: float, split: np.ndarray
 ) -> Iterator[np.ndarray]:
     """The interrogator's (signal, reference) state after the forward tap,
     of pair blocks ``tap`` up to the cutoff.
 
-    The source beam (occupancy nbar_s + nbar_lo, count n) is split against
-    the vacuum reference, which leaves the amplitude V_n[r] = U_n[r, 0] of
-    the split on the reference count r (``_split_amplitudes``).  The
-    forward tap mixes the bath (count j) into the signal and its bath port
-    (count t) is traced out.
+    The source beam (occupancy ``source_total`` = nbar_s + nbar_lo, count
+    n) is split against the vacuum reference, which leaves the amplitude
+    ``split[n, r]`` = V_n[r] = U_n[r, 0] on the reference count r: column 0
+    of the split's pair blocks, of transmissivity nbar_s / source_total, so
+    that the reference is the eta port and the signal keeps nbar_s with a
+    positive q-q/p-p cross-correlation.  The forward tap mixes the bath
+    (count j) into the signal and its bath port (count t) is traced out.
     The entry of total k, yielded for k = 0..cutoff in turn and each built
     only when asked for, holds, at ``[s - k]`` for s = k..cutoff, the block
     sigma^(s)_k of photon total k over the inputs with j + n <= s, on the
@@ -576,12 +554,6 @@ def _forward_prefixes(
     The entry of total k has shape (cutoff - k + 1, k + 1, k + 1).
     """
     cutoff = len(tap) - 1
-    source_total = nbar_s + nbar_lo
-    # Source split: reference is the eta port so the signal keeps
-    # nbar_s with a positive q-q/p-p cross-correlation.
-    split = _split_amplitudes(
-        0.0 if source_total == 0.0 else nbar_s / source_total, cutoff
-    )
     pmf_b1 = _geometric_pmf(nbar_b1, cutoff + 1)
     # Row cutoff + n holds the source count n; n < 0 reads zero.
     padded = np.zeros((2 * cutoff + 1, cutoff + 2))
@@ -603,14 +575,15 @@ def _forward_prefixes(
 
 def _interrogator_state(
     scenario: SensingScenario,
-    nbar_s: float,
-    nbar_lo: float,
+    source_total: float,
+    split: np.ndarray,
     forward_table: np.ndarray,
     return_table: np.ndarray,
     tail_bound: float,
 ) -> FockDensityMatrix:
     """The interrogator's validated state at theta = 0, whose real blocks
-    are on the signal count, from the pair blocks of the forward and the
+    are on the signal count, from the source's occupancy and split column
+    (``_forward_prefixes``) and the pair blocks of the forward and the
     return tap at one cutoff.
 
     The return bath (count n0) is untouched before its tap, so the input
@@ -629,7 +602,7 @@ def _interrogator_state(
     forward stage yields it and dropped before the next.
     """
     cutoff = len(return_table) - 1
-    prefixes = _forward_prefixes(forward_table, scenario.nbar_b1, nbar_s, nbar_lo)
+    prefixes = _forward_prefixes(forward_table, scenario.nbar_b1, source_total, split)
     pmf_b2 = _geometric_pmf(scenario.nbar_b2, cutoff + 1)
     # [n0, m, cutoff + t] holds sqrt(p_b2(n0)) U_m[t, n0]; t < 0 reads zero.
     padded = np.zeros((cutoff + 1, cutoff + 1, 2 * cutoff + 1))
@@ -685,13 +658,12 @@ def oracle_alice_state(
     )
     occ = [scenario.nbar_b2, scenario.nbar_b1, source_total]
     total_cutoff, actual_tail = _select_total_cutoff(occ, cutoff)
+    ratio = probe.nbar_s / source_total if source_total else 0.0
+    forward, ret, split = _pair_blocks(
+        (scenario.eta_1, scenario.eta_2, ratio), total_cutoff
+    )
     state = _interrogator_state(
-        scenario,
-        probe.nbar_s,
-        probe.nbar_lo,
-        _pair_blocks(scenario.eta_1, total_cutoff),
-        _pair_blocks(scenario.eta_2, total_cutoff),
-        actual_tail,
+        scenario, source_total, split[:, :, 0], forward, ret, actual_tail
     )
     return state.with_phase(probe.theta)
 
@@ -864,8 +836,9 @@ def oracle_cross_check(
     interrogator's inputs (nbar_b2, nbar_b1, nbar_s + nbar_lo), before
     any state is built; they dominate both adversaries' inputs, so it
     serves all four states, and a refused explicit cutoff names the
-    cutoff this check accepts.  The pair blocks of each tap are built
-    once and passed to the builders; both adversary states come from one
+    cutoff this check accepts.  The pair blocks of both taps and of the
+    source split are built in one ``_pair_blocks`` call and passed to the
+    builders; both adversary states come from one
     ``_willie_states`` call, which builds each total's Gram once for both,
     and the second interrogator state is the first turned to its phase.
     Each adversary state keeps its own tail mass at the shared cutoff,
@@ -878,18 +851,21 @@ def oracle_cross_check(
 
     # The interrogator's source carries both probe occupancies; it is
     # refused, after them, before any state.
+    source_total = nbar_s + nbar_lo
     _check_occupancies(
         nbar_b1=scenario.nbar_b1,
         nbar_b2=scenario.nbar_b2,
         nbar_s=nbar_s,
         nbar_lo=nbar_lo,
-        **{"nbar_s + nbar_lo": nbar_s + nbar_lo},
+        **{"nbar_s + nbar_lo": source_total},
     )
     theta = check_angle("theta", theta)
-    occ = [scenario.nbar_b2, scenario.nbar_b1, nbar_s + nbar_lo]
+    occ = [scenario.nbar_b2, scenario.nbar_b1, source_total]
     shared, alice_tail = _select_total_cutoff(occ, cutoff)
-    forward_table = _pair_blocks(scenario.eta_1, shared)
-    return_table = _pair_blocks(scenario.eta_2, shared)
+    ratio = nbar_s / source_total if source_total else 0.0
+    forward_table, return_table, split = _pair_blocks(
+        (scenario.eta_1, scenario.eta_2, ratio), shared
+    )
     probes = (0.0, nbar_s)
     w_off, w_on = (
         state.with_phase(theta)
@@ -904,7 +880,7 @@ def oracle_cross_check(
     probe_a = ProbeSettings(nbar_s=nbar_s, nbar_lo=nbar_lo, theta=theta)
     probe_b = ProbeSettings(nbar_s=nbar_s, nbar_lo=nbar_lo, theta=theta + 0.1)
     a_state_a = _interrogator_state(
-        scenario, nbar_s, nbar_lo, forward_table, return_table, alice_tail
+        scenario, source_total, split[:, :, 0], forward_table, return_table, alice_tail
     ).with_phase(probe_a.theta)
     a_state_b = a_state_a.with_phase(probe_b.theta)
 

@@ -24,6 +24,7 @@ from typing import NamedTuple, Sequence
 import numpy as np
 
 from .errors import NumericalInstabilityError, PhysicalityError
+from .scenario import check_angle, check_integer, check_occupancy
 
 __all__ = [
     "CovarianceMatrix",
@@ -119,10 +120,23 @@ def _require_physical_eigenvalues(nu: np.ndarray) -> None:
         )
 
 
+def _check_modes(num_modes: int, **indices: int) -> None:
+    """Refuse a mode count that is not a positive integer, or a named mode
+    index that is not an integer in [0, num_modes) (``check_integer``)."""
+    check_integer("num_modes", num_modes)
+    if num_modes < 1:
+        raise ValueError(f"num_modes must be at least 1, got {num_modes}")
+    for name, index in indices.items():
+        check_integer(name, index)
+        if not 0 <= index < num_modes:
+            raise ValueError(
+                f"{name} = {index} is out of range for a {num_modes}-mode state"
+            )
+
+
 def vacuum_cm(num_modes: int) -> CovarianceMatrix:
     """Vacuum state of ``num_modes`` modes: V = I/2."""
-    if num_modes < 1:
-        raise ValueError("need at least one mode")
+    _check_modes(num_modes)
     return CovarianceMatrix.from_array(np.eye(2 * num_modes) / 2.0)
 
 
@@ -132,11 +146,12 @@ def thermal_cm(occupancies: Sequence[float]) -> CovarianceMatrix:
     A thermal state with occupancy ``n`` has variance ``n + 1/2`` in both
     quadratures; occupancy 0 is the vacuum.
     """
-    occ = np.asarray(list(occupancies), dtype=float)
-    if occ.size == 0:
-        raise ValueError("need at least one mode")
-    if (occ < 0).any():
-        raise ValueError("thermal occupancies must be non-negative")
+    occ = list(occupancies)
+    if not occ:
+        raise ValueError("occupancies must list at least one mode, got []")
+    for k, nbar in enumerate(occ):
+        check_occupancy(f"occupancies[{k}]", nbar)
+    occ = np.asarray(occ, dtype=float)
     diag = np.concatenate([occ + 0.5, occ + 0.5])
     return CovarianceMatrix.from_array(np.diag(diag))
 
@@ -150,8 +165,8 @@ def ase_two_mode_cm(nbar_s: float, nbar_lo: float) -> CovarianceMatrix:
     cross-correlation sqrt(nbar_s * nbar_lo).  Modes are ordered
     (signal, reference).
     """
-    if nbar_s < 0 or nbar_lo < 0:
-        raise ValueError("occupancies must be non-negative")
+    check_occupancy("nbar_s", nbar_s)
+    check_occupancy("nbar_lo", nbar_lo)
     cross = math.sqrt(nbar_s * nbar_lo)
     a = np.array(
         [
@@ -181,9 +196,10 @@ def tensor(cm_a: CovarianceMatrix, cm_b: CovarianceMatrix) -> CovarianceMatrix:
 def reduced(cm: CovarianceMatrix, modes: Sequence[int]) -> CovarianceMatrix:
     """Reduced state of the listed modes (in the listed order)."""
     modes = list(modes)
+    if not modes:
+        raise ValueError("modes must list at least one mode, got []")
     n = cm.num_modes
-    if any(m < 0 or m >= n for m in modes):
-        raise ValueError(f"mode index out of range for {n}-mode state")
+    _check_modes(n, **{f"modes[{k}]": m for k, m in enumerate(modes)})
     idx = np.array(modes + [m + n for m in modes])
     return CovarianceMatrix.from_array(cm.matrix[np.ix_(idx, idx)])
 
@@ -202,6 +218,7 @@ def beam_splitter_symplectic(num_modes: int, i: int, j: int, eta: float) -> np.n
     """
     if not 0.0 <= eta <= 1.0:
         raise ValueError("beam-splitter transmissivity must lie in [0, 1]")
+    _check_modes(num_modes, i=i, j=j)
     if i == j:
         raise ValueError("beam splitter needs two distinct modes")
     t, r = math.sqrt(eta), math.sqrt(1.0 - eta)
@@ -219,8 +236,11 @@ def phase_symplectic(num_modes: int, i: int, theta: float) -> np.ndarray:
 
     Convention: q_i' = cos(theta) q_i - sin(theta) p_i,
                 p_i' = sin(theta) q_i + cos(theta) p_i
-    (i.e. the annihilation operator picks up exp(i*theta)).
+    (i.e. the annihilation operator picks up exp(i*theta)).  A NaN or
+    infinite ``theta`` is refused; a finite one is used as given.
     """
+    _check_modes(num_modes, i=i)
+    check_angle("theta", theta)
     c, s_ = math.cos(theta), math.sin(theta)
     s = np.eye(2 * num_modes)
     s[i, i] = c
@@ -255,9 +275,9 @@ def apply_thermal_channel(
     """
     if not 0.0 <= eta <= 1.0:
         raise ValueError("channel transmissivity must lie in [0, 1]")
-    if nbar_b < 0:
-        raise ValueError("bath occupancy must be non-negative")
     n = cm.num_modes
+    _check_modes(n, i=i)
+    check_occupancy("nbar_b", nbar_b)
     x = np.eye(2 * n)
     x[i, i] = x[n + i, n + i] = math.sqrt(eta)
     v = x @ cm.matrix @ x.T

@@ -436,8 +436,7 @@ def coherent_probe_qre(scenario, nbar_s):
     states = fock._willie_states(
         scenario,
         probes,
-        _pair_blocks(scenario.eta_1, cutoff),
-        _pair_blocks(scenario.eta_2, cutoff),
+        *_pair_blocks((scenario.eta_1, scenario.eta_2), cutoff),
         [max(fock._joint_tail(pmfs(cutoff + 1, probe))[-1], 0.0) for probe in probes],
     )
     return oracle_qre(*states)
@@ -590,7 +589,7 @@ class _BeamSplitter:
             _pair_gathers(num_modes, total, mode_i, mode_j)
             for total in range(cutoff + 1)
         ]
-        table = _pair_blocks(eta, cutoff)
+        table = _pair_blocks((eta,), cutoff)[0]
         self.blocks = [table[m, : m + 1, : m + 1] for m in range(cutoff + 1)]
 
     def apply(self, total, amplitudes):
@@ -852,9 +851,10 @@ class TestForwardPrefixesAgainstThreeModeRoute:
         # The new stage is on the reference count, the factors' rows on the
         # signal count, so each block is read reversed.
         nbar_b1, nbar_s, nbar_lo, eta_1, cutoff = point
-        prefixes = fock._forward_prefixes(
-            _pair_blocks(eta_1, cutoff), nbar_b1, nbar_s, nbar_lo
-        )
+        source_total = nbar_s + nbar_lo
+        ratio = nbar_s / source_total if source_total else 0.0
+        tap, split = _pair_blocks((eta_1, ratio), cutoff)
+        prefixes = fock._forward_prefixes(tap, nbar_b1, source_total, split[:, :, 0])
         factors = _forward_factors(*point)
         for total, prefix in enumerate(prefixes):
             # Ragged: sigma^(s)_k for s = k..cutoff only.
@@ -887,12 +887,12 @@ class TestDiagonalViewsInsideTheirTables:
         monkeypatch.setattr(fock, "_diagonals", recording)
         # Only the views are under test; an unvalidated block family will do.
         monkeypatch.setattr(fock, "_finish", lambda blocks, tail_bound: blocks)
-        forward, ret = _pair_blocks(0.6, cutoff), _pair_blocks(0.7, cutoff)
+        forward, ret, split = _pair_blocks((0.6, 0.7, 0.05 / 0.3), cutoff)
         # The Gram is built as the adversary builder reads it, one total at
         # a time, and the forward-tap blocks read no view.
         probe = _geometric_pmf(0.05, cutoff + 1)
         fock._willie_states(SMALL, [probe], forward, ret, [0.0])
-        fock._interrogator_state(SMALL, 0.05, 0.25, forward, ret, 0.0)
+        fock._interrogator_state(SMALL, 0.3, split[:, :, 0], forward, ret, 0.0)
         # Per total: one Gram view, one forward tap view and one return tap
         # view; and the source split once.
         assert len(views) == 3 * (cutoff + 1) + 1
@@ -1145,36 +1145,47 @@ class TestSharedTables:
         (((occ, cutoff), (shared, _)),) = calls["_select_total_cutoff"]
         assert occ == [SMALL.nbar_b2, SMALL.nbar_b1, 0.05 + 0.25]
         assert cutoff is None
-        # One pair-block table per tap (SMALL's taps are equal; each still
-        # gets its own table).
-        tables = calls["_pair_blocks"]
-        assert [args for args, _ in tables] == [
-            (SMALL.eta_1, shared),
-            (SMALL.eta_2, shared),
-        ]
-        forward_table, return_table = (table for _, table in tables)
+        # One pair-block build, with one lane per beam splitter: the
+        # forward tap, the return tap and the source split (SMALL's taps
+        # are equal; each still gets its own lane).
+        ((args, tables),) = calls["_pair_blocks"]
+        assert args == ((SMALL.eta_1, SMALL.eta_2, 0.05 / (0.05 + 0.25)), shared)
+        forward_table, return_table, split_table = tables
         # One adversary build for both states, each probe taken as its
         # thermal number distribution.
         ((adversary_args, adversaries),) = calls["_willie_states"]
         assert [pmf.tolist() for pmf in adversary_args[1]] == [
             _geometric_pmf(n, shared + 1).tolist() for n in (0.0, 0.05)
         ]
-        assert adversary_args[2] is forward_table
-        assert adversary_args[3] is return_table
+        assert same_view(adversary_args[2], forward_table)
+        assert same_view(adversary_args[3], return_table)
         assert len(adversaries) == 2
         # One Gram stream of the return tap: each total built once and read
         # by both adversary states.
         ((gram_table, _),) = gram_calls
-        assert gram_table is return_table
+        assert same_view(gram_table, return_table)
         assert reads == [2] * (shared + 1)
         # One interrogator build, for both phases, whose forward stage
-        # runs once, one total at a time.
+        # runs once, one total at a time, and reads the split as column 0
+        # of its lane.
         ((alice_args, _),) = calls["_interrogator_state"]
-        assert alice_args[3] is forward_table
-        assert alice_args[4] is return_table
-        ((prefix_table, *_),) = prefix_calls
-        assert prefix_table is forward_table
+        assert alice_args[1] == 0.05 + 0.25
+        assert same_view(alice_args[2], split_table[:, :, 0])
+        assert same_view(alice_args[3], forward_table)
+        assert same_view(alice_args[4], return_table)
+        ((prefix_table, _, _, prefix_split),) = prefix_calls
+        assert same_view(prefix_table, forward_table)
+        assert same_view(prefix_split, alice_args[2])
         assert len(prefixes) == shared + 1
+
+
+def same_view(view, want):
+    """True when ``view`` reads the same bytes of the same table as ``want``,
+    in the same shape and order."""
+    return (
+        view.base is want.base
+        and view.__array_interface__ == want.__array_interface__
+    )
 
 
 def streamed(monkeypatch, name):
@@ -1656,9 +1667,13 @@ class TestPairBlocks:
             gen[k, k + 1] = -amp
         return scipy.linalg.expm(gen)
 
-    @pytest.mark.parametrize("eta", [0.0, 0.3, 0.5, 0.95, 1.0])
+    # Split ratios nbar_s / (nbar_s + nbar_lo): 0 is the split of an empty
+    # source and 1 a source of signal only.
+    SPLIT_RATIOS = [0.0, 0.03, 0.3, 0.5, 0.95, 1.0]
+
+    @pytest.mark.parametrize("eta", SPLIT_RATIOS)
     def test_closed_form_matches_matrix_exponential(self, eta):
-        table = _pair_blocks(eta, 64)
+        table = _pair_blocks((eta,), 64)[0]
         assert not table.flags.writeable
         for total in range(65):
             block = table[total, : total + 1, : total + 1]
@@ -1674,23 +1689,41 @@ class TestPairBlocks:
             assert np.abs(block - reference).max() <= 1e-13 + drift
             assert np.abs(block.T @ block - np.eye(total + 1)).max() <= 1e-13
 
-    @pytest.mark.parametrize("ratio", [0.0, 0.03, 0.3, 0.5, 0.95, 1.0])
+    @staticmethod
+    def _binomial_amplitudes(ratio, cutoff):
+        """sqrt(C(n, r)) s^r c^(n - r), c = sqrt(ratio) and s = sqrt(1 - ratio),
+        for n, r = 0..cutoff; zero for r > n."""
+        c, s = math.sqrt(ratio), math.sqrt(1.0 - ratio)
+        want = np.zeros((cutoff + 1, cutoff + 1))
+        for n in range(cutoff + 1):
+            for r in range(n + 1):
+                want[n, r] = math.sqrt(math.comb(n, r)) * s**r * c ** (n - r)
+        return want
+
+    @pytest.mark.parametrize("ratio", SPLIT_RATIOS)
     @pytest.mark.parametrize("cutoff", [0, 1, 2, 21, 27, 57, 64])
     def test_split_amplitudes_are_column_zero(self, ratio, cutoff):
-        # The source split reads V_n[r] = U_n[r, 0] only; ratio 0 is the
-        # split of an empty source and ratio 1 a source of signal only.
-        split = fock._split_amplitudes(ratio, cutoff)
-        want = _pair_blocks(ratio, cutoff)[:, :, 0]
-        assert split.shape == want.shape
-        assert np.abs(split - want).max() <= 1e-15
+        # The source split reads V_n[r] = U_n[r, 0] as column 0 of its own
+        # lane, built beside both taps' lanes: every lane is bit for bit the
+        # one-lane table of its transmissivity, and column 0 holds the
+        # binomial amplitudes of n photons entering the second port.
+        etas = (0.6, 0.7, ratio)
+        lanes = _pair_blocks(etas, cutoff)
+        assert lanes.shape == (3,) + (cutoff + 1,) * 3
+        for eta, lane in zip(etas, lanes, strict=True):
+            assert not lane.flags.writeable
+            assert np.array_equal(lane, _pair_blocks((eta,), cutoff)[0])
+        split = lanes[2][:, :, 0]
         assert not np.triu(split, 1).any()
+        want = self._binomial_amplitudes(ratio, cutoff)
+        assert np.abs(split - want).max() <= 1e-15
 
     @pytest.mark.parametrize("ratio", [1e-9, 0.3, 0.95, 1.0 - 1e-9])
     def test_split_amplitudes_against_exact_values(self, ratio):
-        # Both routes carry the rounding of sqrt(ratio) and sqrt(1 - ratio)
-        # into their n-th powers, so near ratio 0 or 1 at cutoff 64 they
-        # differ by ~1.3e-15; against 50-digit values the closed form is
-        # the closer of the two.
+        # The recurrence carries the rounding of sqrt(ratio) and
+        # sqrt(1 - ratio) into its n-th powers, so near ratio 0 or 1 at
+        # cutoff 64 its column 0 is ~4.6e-15 from 50-digit values; the
+        # oracle's tolerances are 1e-8 and above.
         kept = decimal.Decimal(ratio)
         exact = np.zeros((65, 65))
         with decimal.localcontext() as context:
@@ -1701,9 +1734,39 @@ class TestPairBlocks:
                         (decimal.Decimal(math.comb(n, r)) * (1 - kept) ** r
                          * kept ** (n - r)).sqrt()
                     )
-        closed = np.abs(fock._split_amplitudes(ratio, 64) - exact).max()
-        table = np.abs(_pair_blocks(ratio, 64)[:, :, 0] - exact).max()
-        assert closed <= min(table, 4e-15)
+        split = _pair_blocks((0.6, 0.7, ratio), 64)[2][:, :, 0]
+        assert np.abs(split - exact).max() <= 5e-15
+
+    @pytest.mark.parametrize("cutoff", [0, 1, 15, 27, 64])
+    def test_every_lane_is_its_one_lane_table(self, cutoff):
+        etas = (0.0, 1e-9, 0.3, 0.6, 0.95, 1.0 - 1e-9, 1.0)
+        lanes = _pair_blocks(etas, cutoff)
+        for eta, lane in zip(etas, lanes, strict=True):
+            assert np.array_equal(lane, _pair_blocks((eta,), cutoff)[0])
+
+    def test_split_route_drift_bounded(self):
+        # The interrogator's source split was once read from the binomial
+        # closed form; from the recurrence its states move by at most
+        # 2.8e-17 entrywise over 40 points of the fock-oracle box, and the
+        # cross-check's fidelity residual by at most 5.6e-16.
+        rng = random.Random(44)
+        for _ in range(20):
+            etas = rng.uniform(0.3, 0.95), rng.uniform(0.3, 0.95)
+            baths = rng.uniform(0.05, 0.7), rng.uniform(0.05, 0.7)
+            nbar_s, nbar_lo = rng.uniform(0.01, 0.1), rng.uniform(0.05, 0.35)
+            scenario = SensingScenario(*etas, *baths)
+            source = nbar_s + nbar_lo
+            cutoff, tail = _select_total_cutoff([baths[1], baths[0], source], None)
+            forward, ret, split = _pair_blocks((*etas, nbar_s / source), cutoff)
+            closed = self._binomial_amplitudes(nbar_s / source, cutoff)
+            states = [
+                fock._interrogator_state(scenario, source, column, forward, ret, tail)
+                for column in (split[:, :, 0], closed)
+            ]
+            for block, want in zip(*(state.blocks for state in states), strict=True):
+                assert np.abs(block - want).max() <= 1e-15
+            fidelities = [oracle_fidelity(s, s.with_phase(0.1)) for s in states]
+            assert abs(fidelities[0] - fidelities[1]) <= 1e-12
 
     @pytest.mark.parametrize(
         "modes,pair,eta", [(3, (1, 2), 0.3), (3, (0, 2), 0.95), (4, (3, 2), 0.5)]

@@ -11,8 +11,12 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from covertsense.covertness import qre_gaussian
-from covertsense.errors import PhysicalityError
-from covertsense.estimation import gaussian_fidelity
+from covertsense.errors import DomainError, PhysicalityError
+from covertsense.estimation import (
+    ase_heterodyne_coefficient,
+    gaussian_fidelity,
+    qcrb_ase,
+)
 from covertsense.gaussian import (
     CovarianceMatrix,
     _generic_normal_form,
@@ -105,9 +109,9 @@ class TestConstructors:
             cm.require_physical()
 
     def test_non_finite_occupancies_rejected(self):
-        with pytest.raises(ValueError, match="non-finite"):
+        with pytest.raises(ValueError, match=r"^occupancies\[0\] must be non-neg"):
             thermal_cm([math.nan])
-        with pytest.raises(ValueError, match="non-finite"):
+        with pytest.raises(ValueError, match="^nbar_s must be non-negative and finite"):
             ase_two_mode_cm(math.nan, 1.0)
 
     def test_matrix_is_read_only(self):
@@ -452,3 +456,91 @@ class TestTensorReduce:
     def test_reduce_rejects_bad_mode(self):
         with pytest.raises(ValueError, match="out of range"):
             reduced(vacuum_cm(2), [2])
+
+
+OPAQUE = SensingScenario(0.0, 0.5, 0.1, 0.1)
+LOSSY = SensingScenario(0.5, 0.5, 0.1, 0.1)
+
+
+class TestArgumentRefusals:
+    """The builders and the bound coefficients refuse what they cannot use,
+    naming the argument, rather than failing on an index or a division or
+    returning a non-finite value or a non-symplectic matrix."""
+
+    # (call, error, fragment of the message that names the argument)
+    CASES = {
+        "splitter-negative-mode": (
+            lambda: beam_splitter_symplectic(2, 0, -1, 0.5), ValueError, "^j = -1"
+        ),
+        "splitter-fractional-count": (
+            lambda: beam_splitter_symplectic(2.0, 0, 1, 0.5), ValueError, "^num_modes"
+        ),
+        "phase-mode-past-end": (
+            lambda: phase_symplectic(2, 5, 0.1), ValueError, "^i = 5"
+        ),
+        "phase-nan": (lambda: phase_symplectic(2, 0, math.nan), ValueError, "^theta"),
+        "phase-inf": (lambda: phase_symplectic(2, 0, math.inf), ValueError, "^theta"),
+        "channel-mode-past-end": (
+            lambda: apply_thermal_channel(vacuum_cm(2), 5, 0.5, 0.1),
+            ValueError,
+            "^i = 5",
+        ),
+        "channel-nan-bath": (
+            lambda: apply_thermal_channel(vacuum_cm(2), 0, 0.5, math.nan),
+            ValueError,
+            "^nbar_b",
+        ),
+        "reduced-no-modes": (lambda: reduced(vacuum_cm(2), []), ValueError, "^modes"),
+        "reduced-fractional-mode": (
+            lambda: reduced(vacuum_cm(2), [1.5]), ValueError, r"^modes\[0\]"
+        ),
+        "vacuum-fractional-count": (
+            lambda: vacuum_cm(1.5), ValueError, "^num_modes"
+        ),
+        "thermal-nan": (
+            lambda: thermal_cm([math.nan]), ValueError, r"^occupancies\[0\]"
+        ),
+        "source-nan-signal": (
+            lambda: ase_two_mode_cm(math.nan, 0.1), ValueError, "^nbar_s"
+        ),
+        "source-inf-reference": (
+            lambda: ase_two_mode_cm(0.1, math.inf), ValueError, "^nbar_lo"
+        ),
+        "qcrb-opaque": (
+            lambda: qcrb_ase(OPAQUE, 1.0), DomainError, "^fully opaque channel"
+        ),
+        "het-opaque": (
+            lambda: ase_heterodyne_coefficient(OPAQUE, 1.0),
+            DomainError,
+            "^fully opaque channel",
+        ),
+        "qcrb-nan-c2": (lambda: qcrb_ase(LOSSY, math.nan), ValueError, "^c2"),
+        "qcrb-inf-c2": (lambda: qcrb_ase(LOSSY, math.inf), ValueError, "^c2"),
+        "qcrb-negative-c2": (lambda: qcrb_ase(LOSSY, -1.0), ValueError, "^c2"),
+        "het-nan-c2": (
+            lambda: ase_heterodyne_coefficient(LOSSY, math.nan), ValueError, "^c2"
+        ),
+        "het-inf-c2": (
+            lambda: ase_heterodyne_coefficient(LOSSY, math.inf), ValueError, "^c2"
+        ),
+        "het-negative-c2": (
+            lambda: ase_heterodyne_coefficient(LOSSY, -1.0), ValueError, "^c2"
+        ),
+    }
+
+    @pytest.mark.parametrize("case", list(CASES))
+    def test_refusal_names_its_argument(self, case):
+        call, error, fragment = self.CASES[case]
+        # An IndexError, TypeError or ZeroDivisionError escapes the check,
+        # and a returned value fails it.
+        with pytest.raises(error, match=fragment):
+            call()
+
+    def test_finite_phase_kept_as_given(self):
+        # The angle check only refuses: a phase outside (-pi, pi] is not
+        # wrapped, so no valid matrix changes a bit.
+        s = phase_symplectic(1, 0, 7.0)
+        assert s.tolist() == [
+            [math.cos(7.0), -math.sin(7.0)],
+            [math.sin(7.0), math.cos(7.0)],
+        ]
