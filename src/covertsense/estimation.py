@@ -268,13 +268,16 @@ def qcrb_ase(scenario: SensingScenario, c2: float) -> float:
     :func:`covertsense.covertness.taylor_coefficients`).  The bound at the
     covert budget is ``c_ase / (eps sqrt(n))``.  A ``c2`` that is not
     positive and finite is refused with ValueError, and an opaque channel
-    (eta_eff = 0) with DomainError.
+    (eta_eff = 0), or one that transmits so little that c_ase is not
+    finite, with DomainError.
     """
     check_positive("c2", c2)
     eta = scenario.eta_eff
     _check_transmits(eta)
     b = scenario.nbar_b_eff
-    return (1.0 + 2.0 * b * (1.0 - eta)) * math.sqrt(c2) / (16.0 * eta)
+    return _finite_coefficient(
+        "c_ase", (1.0 + 2.0 * b * (1.0 - eta)) * math.sqrt(c2) / (16.0 * eta), eta
+    )
 
 
 def ase_heterodyne_coefficient(scenario: SensingScenario, c2: float) -> float:
@@ -291,13 +294,23 @@ def ase_heterodyne_coefficient(scenario: SensingScenario, c2: float) -> float:
     eta = scenario.eta_eff
     _check_transmits(eta)
     b = scenario.nbar_b_eff
-    return (1.0 + b * (1.0 - eta)) * math.sqrt(c2) / (8.0 * eta)
+    return _finite_coefficient(
+        "c_het_tilde", (1.0 + b * (1.0 - eta)) * math.sqrt(c2) / (8.0 * eta), eta
+    )
 
 
 def _check_transmits(eta: float) -> None:
     """Refuse a channel of round-trip transmissivity 0: nothing returns."""
     if eta == 0.0:
         raise DomainError("fully opaque channel: nothing returns to Alice")
+
+
+def _finite_coefficient(name: str, value: float, eta: float) -> float:
+    """``value``, or DomainError naming eta_eff when it is not finite: a
+    subnormal eta_eff divides it past the largest float."""
+    if not math.isfinite(value):
+        raise DomainError(f"{name} = {value} is not finite at eta_eff = {eta!r}")
+    return value
 
 
 def heterodyne_stats(

@@ -6,26 +6,33 @@ fidelity from the eigendecomposition of each total-photon block.
 Nothing here shares code with the covariance-matrix formulas it
 validates: states are density matrices, every beam splitter (both taps
 and the source split) is the SU(2) (Wigner small-d) amplitudes of the
-two-mode number basis, built by one recurrence (``_pair_blocks``), and
-the entropic quantities come from eigenvalues.  Agreement between the
+two-mode number basis, built by one recurrence (``_pair_blocks``), the
+entropic quantities come from eigenvalues and the fidelity from singular
+values.  Agreement between the
 two routes is therefore evidence, not tautology.
 
 Implementation notes:
 
 * Every circuit element conserves total photon number, and every input
   is diagonal in the number basis, so states stay block-diagonal in
-  total photons end to end.  All evolution, partial tracing, and
-  spectral work happens block by block, and a two-mode state is its
-  blocks, one per photon total: the moments, purity, QRE and fidelity
-  all read them.  No Fock grid is ever formed.
+  total photons end to end.  All evolution and partial tracing happens
+  block by block, and a two-mode state is its blocks, one per photon
+  total, held as one zero-padded (cutoff + 1)^3 stack: block K is
+  ``stack[K, :K + 1, :K + 1]`` and is zero past it.  The symmetrising,
+  validation, spectra, moments, purity, QRE and fidelity each read the
+  whole stack in a few numpy calls; the LAPACK calls take the occupied
+  totals of a few size buckets (``_size_buckets``), each padded only to
+  its bucket, and the padding splits off as zero eigenvalues on unit
+  vectors that reach no log and add nothing.  No Fock grid is ever
+  formed.
 * Every tap is a beam splitter against a number-diagonal thermal bath,
   one of whose output ports is then traced out, so it acts on a two-mode
   state as a one-mode channel: each output block is a sum, over the bath
   count, of products of two pair-block (Wigner small-d) amplitudes with
   entries of one input block, and the traced count is fixed by the bath
   count and the input and output totals.  No circuit is run on three or
-  four modes and no amplitude factor is formed; the work is O(cutoff^5)
-  in O(cutoff) vectorised calls.
+  four modes and no amplitude factor is formed; a build is O(cutoff^5)
+  work in O(cutoff) vectorised calls, one or two per photon total.
 * The indices of every amplitude a tap stage reads move together along a
   summed count (``table[a + j, b + j, ...]``), so for each photon total
   the amplitudes are one fixed-stride, read-only view (``_diagonals``)
@@ -61,11 +68,13 @@ Implementation notes:
 * Photon number is conserved and the baths are diagonal, so the phase
   only conjugates each output block by a diagonal of exp(i theta n).  A
   state therefore holds real theta-free blocks plus that phase, and each
-  real block family is eigendecomposed once, when it is validated: a
-  cross-check builds one interrogator state and turns it to the second
-  phase, so the two share one real build and one decomposition.  Only a
-  relative phase between two states reaches the QRE and the fidelity,
-  and none reaches the spectra, purity or trace.
+  real block family is decomposed once, when it is validated: for its
+  eigenvalues alone where nothing reads its eigenvectors (a
+  cross-check's probe-off adversary, read only for its entropy), else
+  for its eigenpairs.  A cross-check builds one interrogator state and
+  turns it to the second phase, so the two share one real build and one
+  decomposition.  Only a relative phase between two states reaches the
+  QRE and the fidelity, and none reaches the spectra, purity or trace.
 * ``cutoff`` is the total-photon truncation: the inputs are truncated to
   at most ``cutoff`` photons in all, a state holds the blocks of totals
   0..cutoff, and ``tail_bound`` is the discarded joint tail mass.  Each
@@ -135,7 +144,8 @@ _SUPPORT_TOL = 1e-9
 
 class FockDensityMatrix:
     """A two-mode density matrix truncated at ``cutoff`` total photons, held
-    as its total-photon blocks and a phase on the first mode.
+    as one zero-padded stack of its total-photon blocks and a phase on the
+    first mode.
 
     ``blocks[K]``, for K = 0..cutoff, is the (K + 1) x (K + 1) block of
     photon total K on the first mode's count a (the second mode holds
@@ -143,7 +153,10 @@ class FockDensityMatrix:
     no coherence between totals.  Every state of this module has that
     form, since its circuits conserve photon number and its inputs are
     diagonal; a cutoff that is not a non-negative integer, or a wrong
-    block count or shape, is refused with ValueError.
+    block count or shape, is refused with ValueError.  The blocks are
+    read-only views ``stack[K, :K + 1, :K + 1]`` of one
+    (cutoff + 1)^3 stack, zero past each block, so every measure of the
+    state is a few numpy calls over all totals at once.
     The state's block K is D blocks[K] D^dag with D = diag(exp(i phase a)),
     the first mode turned by ``phase`` (default 0, the blocks as given; a
     finite phase outside (-pi, pi] is wrapped).  The states this module
@@ -151,12 +164,13 @@ class FockDensityMatrix:
     bounds the probability mass lost to truncation; the trace lies in
     ``[1 - tail_bound, 1]``.
 
-    ``require_valid`` eigendecomposes each block once and keeps the
-    eigenpairs, which the QRE and fidelity read; ``with_phase`` shares
-    them.  Instances are immutable.
+    ``require_valid`` decomposes the stack once, for its eigenvalues, or
+    for its eigenpairs if they were asked for first, and keeps them; the
+    QRE and fidelity read them, and ``with_phase`` shares them.  Instances
+    are immutable.
     """
 
-    __slots__ = ("cutoff", "tail_bound", "blocks", "phase", "_eigenpairs")
+    __slots__ = ("cutoff", "tail_bound", "blocks", "phase", "_stack", "_spectrum")
 
     def __init__(
         self,
@@ -166,7 +180,7 @@ class FockDensityMatrix:
         phase: float = 0.0,
     ) -> None:
         _check_cutoff(cutoff)
-        blocks = tuple(np.asarray(block) for block in blocks)
+        blocks = [np.asarray(block) for block in blocks]
         if len(blocks) != cutoff + 1:
             raise ValueError(
                 f"cutoff {cutoff} needs {cutoff + 1} total-photon blocks, "
@@ -179,14 +193,35 @@ class FockDensityMatrix:
                     f"{(total + 1, total + 1)}, got {block.shape}"
                 )
         phase = check_angle("phase", phase)
+        dtype = np.result_type(float, *{block.dtype for block in blocks})
+        stack = np.zeros((cutoff + 1,) * 3, dtype)
+        for total, block in enumerate(blocks):
+            stack[total, : total + 1, : total + 1] = block
+        self._hold(stack, tail_bound, phase, {})
+
+    def _hold(
+        self, stack: np.ndarray, tail_bound: float, phase: float, spectrum: dict
+    ) -> None:
+        """Set every field from a zero-padded stack, made read-only here."""
+        stack.flags.writeable = False
+        blocks = tuple(stack[k, : k + 1, : k + 1] for k in range(len(stack)))
         for name, value in (
-            ("cutoff", cutoff),
+            ("cutoff", len(stack) - 1),
             ("tail_bound", tail_bound),
             ("blocks", blocks),
             ("phase", phase),
-            ("_eigenpairs", None),
+            ("_stack", stack),
+            ("_spectrum", spectrum),
         ):
             object.__setattr__(self, name, value)
+
+    @classmethod
+    def _stacked(cls, stack: np.ndarray, tail_bound: float) -> "FockDensityMatrix":
+        """The state at phase 0 of a zero-padded (cutoff + 1)^3 stack, held
+        as it is: a builder's stack is not copied or checked again."""
+        state = object.__new__(cls)
+        state._hold(stack, tail_bound, 0.0, {})
+        return state
 
     def __setattr__(self, name: str, value: object) -> None:
         raise AttributeError(f"FockDensityMatrix is immutable; cannot set {name}")
@@ -195,32 +230,39 @@ class FockDensityMatrix:
         """The same blocks at first-mode phase ``phase``.
 
         The phase moves no eigenvalue and turns the eigenvectors by D, so
-        the new state shares the blocks' eigenpairs, once decomposed.
+        the new state shares the stack, its blocks and its spectrum, the
+        parts of it already decomposed and those decomposed later.
         """
-        state = FockDensityMatrix(self.cutoff, self.blocks, self.tail_bound, phase)
-        for name in ("blocks", "_eigenpairs"):
+        phase = check_angle("phase", phase)
+        state = object.__new__(FockDensityMatrix)
+        for name in self.__slots__:
             object.__setattr__(state, name, getattr(self, name))
+        object.__setattr__(state, "phase", phase)
         return state
 
-    def _spectra(self) -> tuple[tuple[np.ndarray, np.ndarray], ...]:
-        """(ascending eigenvalues, eigenvectors) of each block, at phase 0.
+    def _eigenvalues(self) -> np.ndarray:
+        """Eigenvalues of every block at phase 0, ``[K, i]`` zero-padded
+        past block K; those of the eigenpairs if already decomposed, else
+        from one ``eigvalsh`` pass (``_spectra``)."""
+        if "values" not in self._spectrum:
+            self._spectrum["values"] = _spectra(self._stack, vectors=False)
+        return self._spectrum["values"]
 
-        Each block is decomposed on the first call only; later calls, and
-        the QRE and fidelity, read the kept eigenpairs.
-        """
-        if self._eigenpairs is None:
-            object.__setattr__(
-                self, "_eigenpairs", tuple(map(_block_spectrum, self.blocks))
-            )
-        return self._eigenpairs
+    def _eigenpairs(self) -> tuple[np.ndarray, np.ndarray]:
+        """(eigenvalues, eigenvectors) of every block at phase 0, from one
+        ``eigh`` pass (``_spectra``) on the first call only."""
+        if "vectors" not in self._spectrum:
+            values, vectors = _spectra(self._stack, vectors=True)
+            self._spectrum.update(values=values, vectors=vectors)
+        return self._spectrum["values"], self._spectrum["vectors"]
 
     def _diagonal(self) -> np.ndarray:
-        """The block diagonals, concatenated in order of total."""
-        return np.concatenate([np.diagonal(block) for block in self.blocks]).real
+        """``[K, a]``: entry a of block K's diagonal, zero for a > K."""
+        return np.diagonal(self._stack, axis1=1, axis2=2).real
 
     def trace(self) -> float:
         """The diagonal's sum, correctly rounded, so no order of it counts."""
-        return math.fsum(self._diagonal().tolist())
+        return math.fsum(self._diagonal().ravel().tolist())
 
     def require_valid(self) -> "FockDensityMatrix":
         """Check the density-matrix invariants; return self or raise ValueError.
@@ -231,11 +273,10 @@ class FockDensityMatrix:
             raise ValueError(
                 f"declared tail bound {self.tail_bound:g} exceeds {_TAIL_BOUND:g}"
             )
-        # Every entry, and the entry its Hermitian conjugate puts there.
-        entries = np.concatenate([b.ravel() for b in self.blocks])
-        mirrored = np.concatenate([b.T.ravel() for b in self.blocks]).conj()
-        scale = max(1.0, float(np.abs(entries).max()))
-        herm = float(np.abs(entries - mirrored).max())
+        # Every entry against the entry its Hermitian conjugate puts there.
+        stack = self._stack
+        scale = max(1.0, float(np.abs(stack).max()))
+        herm = float(np.abs(stack - _adjoint(stack)).max())
         if herm > _HERMITICITY_TOL * scale:
             raise ValueError(f"not Hermitian: residual {herm:.3e}")
         tr = self.trace()
@@ -243,18 +284,55 @@ class FockDensityMatrix:
             raise ValueError(
                 f"trace {tr!r} outside [1 - {self.tail_bound:g}, 1]"
             )
-        min_eig = min([0.0] + [float(lam[0]) for lam, _ in self._spectra()])
+        min_eig = min(0.0, float(self._eigenvalues().min()))
         if min_eig < -_EIGENVALUE_TOL:
             raise ValueError(f"negative eigenvalue {min_eig:.3e}")
         return self
 
 
-def _block_spectrum(block: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """``eigh`` of a Hermitian block; a zero block's (zeros, identity), which
-    LAPACK returns too, without calling it."""
-    if not block.any():
-        return np.zeros(len(block)), np.eye(len(block), dtype=block.dtype)
-    return np.linalg.eigh(block)
+def _size_buckets(size: int) -> tuple[tuple[int, int], ...]:
+    """Ranges [lo, hi) of photon totals that cover 0..size - 1, each read
+    padded to its own size hi: a block of total K is K + 1 wide, so a
+    padded call costs little more than one per block, in a few calls."""
+    edges = sorted({(size + 1) // 2, (3 * size + 3) // 4, size} - {0})
+    return tuple(zip([0] + edges[:-1], edges))
+
+
+def _occupied(stack: np.ndarray) -> np.ndarray:
+    """The photon totals whose block holds a nonzero entry."""
+    return stack.reshape(len(stack), -1).any(axis=1)
+
+
+def _spectra(
+    stack: np.ndarray, vectors: bool
+) -> np.ndarray | tuple[np.ndarray, np.ndarray]:
+    """Eigenvalues, and with ``vectors`` eigenvectors, of every block of a
+    zero-padded Hermitian stack, in one LAPACK call per size bucket.
+
+    ``[K, i]`` (eigenvalues) and ``[K, :, i]`` (eigenvectors) hold the pairs
+    of block K; past the block, and on a total the stack leaves empty,
+    they hold (0, the unit vector e_i), which is what LAPACK returns for
+    zeros.  LAPACK reads only occupied totals, each padded to its bucket:
+    the padding splits off the block exactly, as zero eigenvalues on unit
+    vectors of the padding, and the block's eigenpairs are its own up to
+    the rounding of the larger call.
+    """
+    size = len(stack)
+    values = np.zeros((size, size))
+    if vectors:
+        pairs = np.zeros_like(stack)
+        pairs[:, np.arange(size), np.arange(size)] = 1.0
+    occupied = _occupied(stack)
+    for lo, hi in _size_buckets(size):
+        totals = lo + np.flatnonzero(occupied[lo:hi])
+        if not totals.size:
+            continue
+        blocks = stack[totals, :hi, :hi]
+        if vectors:
+            values[totals, :hi], pairs[totals, :hi, :hi] = np.linalg.eigh(blocks)
+        else:
+            values[totals, :hi] = np.linalg.eigvalsh(blocks)
+    return (values, pairs) if vectors else values
 
 
 def _geometric_pmf(nbar: float, length: int) -> np.ndarray:
@@ -495,6 +573,7 @@ def oracle_willie_state(
         [_geometric_pmf(nbar_s, total_cutoff + 1)],
         *_pair_blocks((scenario.eta_1, scenario.eta_2), total_cutoff),
         [actual_tail],
+        [True],
     )
     return state.with_phase(theta)
 
@@ -505,11 +584,13 @@ def _willie_states(
     forward_table: np.ndarray,
     return_table: np.ndarray,
     tails: list[float],
+    vectors: list[bool],
 ) -> list[FockDensityMatrix]:
     """The adversary's validated states at theta = 0, one per probe number
     distribution in ``pmfs`` (on counts 0..cutoff) with its tail bound in
     ``tails``, from the pair blocks of the forward and the return tap at
-    one cutoff.
+    one cutoff; a state whose flag in ``vectors`` is set is decomposed for
+    its eigenpairs, any other for its eigenvalues alone (``_finish``).
 
     The forward tap keeps both its ports, so its stage is one block per
     pair total (``_forward_tap_blocks``); the return tap then acts as a
@@ -517,16 +598,30 @@ def _willie_states(
     which depends on no probe: each total's Gram is read by every probe's
     forward blocks and dropped before the next is built.
     """
+    stacks = _adversary_stacks(scenario, pmfs, forward_table, return_table)
+    return [_finish(*family) for family in zip(stacks, tails, vectors)]
+
+
+def _adversary_stacks(
+    scenario: SensingScenario,
+    pmfs: list[np.ndarray],
+    forward_table: np.ndarray,
+    return_table: np.ndarray,
+) -> list[np.ndarray]:
+    """The adversary's zero-padded stacks of photon totals, one per probe
+    number distribution, as ``_willie_states`` sets out.  The forward-tap
+    blocks are dropped on return, before any decomposition."""
+    size = len(return_table)
     forwards = [
         _forward_tap_blocks(forward_table, scenario.nbar_b1, pmf) for pmf in pmfs
     ]
-    families = [[] for _ in pmfs]
+    stacks = [np.zeros((size,) * 3) for _ in pmfs]
     for total, gram in enumerate(_return_gram(return_table, scenario.nbar_b2)):
-        for forward, blocks in zip(forwards, families):
+        for forward, stack in zip(forwards, stacks):
             # Summed on n1, then reversed onto the kept count a = K - n1.
             held = forward[:, : total + 1, : total + 1]
-            blocks.append(np.einsum("kij,kij->ij", gram, held)[::-1, ::-1])
-    return [_finish(blocks, tail) for blocks, tail in zip(families, tails)]
+            stack[total, total::-1, total::-1] = np.einsum("kij,kij->ij", gram, held)
+    return stacks
 
 
 def _forward_prefixes(
@@ -601,12 +696,24 @@ def _interrogator_state(
     see ``oracle_alice_state``.  Each total's prefix block is read as the
     forward stage yields it and dropped before the next.
     """
-    cutoff = len(return_table) - 1
     prefixes = _forward_prefixes(forward_table, scenario.nbar_b1, source_total, split)
-    pmf_b2 = _geometric_pmf(scenario.nbar_b2, cutoff + 1)
+    stack = _return_stage(prefixes, return_table, scenario.nbar_b2)
+    return _finish(stack, tail_bound, True)
+
+
+def _return_stage(
+    prefixes: Iterator[np.ndarray], table: np.ndarray, nbar_b2: float
+) -> np.ndarray:
+    """The interrogator's zero-padded stack of photon totals on the signal
+    count, from the prefix stream of the forward stage and the pair blocks
+    ``table`` of the return tap, as ``_interrogator_state`` sets out.  Its
+    tables are dropped on return, before any decomposition.
+    """
+    cutoff = len(table) - 1
+    pmf_b2 = _geometric_pmf(nbar_b2, cutoff + 1)
     # [n0, m, cutoff + t] holds sqrt(p_b2(n0)) U_m[t, n0]; t < 0 reads zero.
     padded = np.zeros((cutoff + 1, cutoff + 1, 2 * cutoff + 1))
-    padded[:, :, cutoff:] = (return_table * np.sqrt(pmf_b2)).transpose(2, 0, 1)
+    padded[:, :, cutoff:] = (table * np.sqrt(pmf_b2)).transpose(2, 0, 1)
     # The bath counts that carry weight, a prefix of 0..cutoff.
     support = np.count_nonzero(pmf_b2)
     out = np.zeros((cutoff + 1,) * 3)  # [K, r, r'], zero-padded
@@ -620,9 +727,11 @@ def _interrogator_state(
         out[:, : total + 1, : total + 1] += np.einsum(
             "jKr,jKs,jrs->Krs", amp, amp, sigma
         )
-    # Reversed onto the signal count u = K - r.
-    blocks = [out[total, total::-1, total::-1] for total in range(cutoff + 1)]
-    return _finish(blocks, tail_bound)
+    # Reversed onto the signal count u = K - r, in place.
+    for total in range(cutoff + 1):
+        block = out[total, : total + 1, : total + 1]
+        block[...] = block[::-1, ::-1]
+    return out
 
 
 def oracle_alice_state(
@@ -668,12 +777,19 @@ def oracle_alice_state(
     return state.with_phase(probe.theta)
 
 
-def _finish(blocks: list[np.ndarray], tail_bound: float) -> FockDensityMatrix:
-    """Real block K of photon total K, symmetrised, as a validated state at
-    phase 0; the validation decomposes each block once."""
-    return FockDensityMatrix(
-        len(blocks) - 1, [(block + block.T) / 2.0 for block in blocks], tail_bound
-    ).require_valid()
+def _finish(
+    stack: np.ndarray, tail_bound: float, vectors: bool
+) -> FockDensityMatrix:
+    """A builder's real zero-padded stack of photon totals, symmetrised in
+    place, as a validated state at phase 0.  The validation decomposes the
+    stack once: for its eigenpairs with ``vectors``, else for its
+    eigenvalues."""
+    stack += stack.transpose(0, 2, 1)
+    stack /= 2.0
+    state = FockDensityMatrix._stacked(stack, tail_bound)
+    if vectors:
+        state._eigenpairs()
+    return state.require_valid()
 
 
 # ---------------------------------------------------------------------------
@@ -692,8 +808,9 @@ def fock_moments(state: FockDensityMatrix) -> tuple[np.ndarray, np.ndarray]:
         <a_0^dag a_1> = e^(-i phase) sum_K sum_a sqrt((a + 1)(K - a)) b_K[a, a + 1]
 
     over the held blocks b_K; the phase leaves the diagonals alone.  Both
-    are read in one pass over the concatenated diagonals and first
-    off-diagonals.  The same-mode a a^dag is read as a^dag a + 1 on every
+    are read in one pass over the stack's diagonals and first
+    off-diagonals, whose padding past each block is zero and gets a zero
+    weight.  The same-mode a a^dag is read as a^dag a + 1 on every
     level, n = cutoff included, so the diagonal is <a_k^dag a_k> + 1/2:
     products of the truncated single-mode matrices would read a a^dag as
     zero at n = cutoff, an error of the mass at the cutoff, which the
@@ -701,22 +818,17 @@ def fock_moments(state: FockDensityMatrix) -> tuple[np.ndarray, np.ndarray]:
     normalised by the trace, so the slight sub-normalisation from
     truncation does not bias the moments.
     """
-    totals = np.arange(state.cutoff + 1)
-    # Each entry of the concatenated diagonals: its total K, its first
-    # mode's count a, and both modes' counts.
-    total = np.repeat(totals, totals + 1)
-    first = np.arange(total.size) - total * (total + 1) // 2
-    occ = np.stack([first, total - first])
-    # Each entry (K, a, a + 1) of the concatenated first off-diagonals.
-    total = np.repeat(totals, totals)
-    first = np.arange(total.size) - total * (total - 1) // 2
-    hop_amplitudes = np.sqrt((first + 1.0) * (total - first))
+    # [K, a]: the first mode's count a and the second's K - a, and the
+    # amplitude of entry (a, a + 1) of block K, zero past the block.
+    first = np.arange(state.cutoff + 1.0)
+    second = first[:, None] - first
+    hop_amplitudes = np.sqrt(np.maximum((first[:-1] + 1.0) * second[:, :-1], 0.0))
 
     weights = state._diagonal()
-    norm = math.fsum(weights.tolist())  # the trace
+    norm = state.trace()
     # Pairwise sums, as accurate as sums block by block.
-    normal = np.sum(occ * weights, axis=1) / norm  # <a_k^dag a_k>
-    off_diagonal = np.concatenate([np.diagonal(b, 1) for b in state.blocks])
+    normal = np.array([np.sum(first * weights), np.sum(second * weights)]) / norm
+    off_diagonal = np.diagonal(state._stack, 1, axis1=1, axis2=2)
     cross = complex(np.sum(hop_amplitudes * off_diagonal)) / norm
     cross *= cmath.exp(-1j * state.phase)  # <a_0^dag a_1>
 
@@ -728,8 +840,13 @@ def fock_moments(state: FockDensityMatrix) -> tuple[np.ndarray, np.ndarray]:
 
 
 def fock_purity(state: FockDensityMatrix) -> float:
-    """tr(rho^2); for a Gaussian state this is prod_k 1/(2 u_k)."""
-    return float(sum(np.vdot(block, block).real for block in state.blocks))
+    """tr(rho^2); for a Gaussian state this is prod_k 1/(2 u_k).
+
+    A pairwise sum of the squared moduli of the stack's entries: a BLAS dot
+    of the whole stack, past its size threshold, would wake BLAS threads.
+    """
+    stack = state._stack
+    return float(np.sum((stack.conj() * stack).real))
 
 
 def _same_cutoff(state_0: FockDensityMatrix, state_1: FockDensityMatrix) -> None:
@@ -748,47 +865,53 @@ def _relative_turn(
     return np.exp(1j * relative * np.arange(state_0.cutoff + 1))
 
 
+def _adjoint(stack: np.ndarray) -> np.ndarray:
+    """The conjugate transpose of every matrix of a stack."""
+    return stack.conj().transpose(0, 2, 1)
+
+
 def oracle_qre(state_0: FockDensityMatrix, state_1: FockDensityMatrix) -> float:
     """Relative entropy tr(rho_0 ln rho_0) - tr(rho_0 ln rho_1), in nats.
 
     Eigenvalues below 1e-14 are clamped for the logarithms.  If more than
     1e-9 of rho_0's mass sits on directions where rho_1 is numerically
     zero, the quantity is effectively infinite and InfiniteQreError is
-    raised.  An empty total adds nothing to either sum.
+    raised.  An empty total, and the padding past each block, add nothing
+    to either sum: rho_0 puts no mass there.
 
     The eigenvectors of rho_1 are those of its held blocks turned by its
     phase, so only the relative phase D = diag(exp(i (phase_1 - phase_0) u))
     turns them against rho_0's held blocks: at equal phases every product
-    is real.
+    is real.  The overlaps are taken a size bucket (``_size_buckets``) at
+    a time.
     """
     _same_cutoff(state_0, state_1)
     turn = _relative_turn(state_0, state_1)
-    entropy = 0.0
-    cross = 0.0
-    escaped_mass = 0.0
-    for b0, (lam, _), (mu, w) in zip(
-        state_0.blocks, state_0._spectra(), state_1._spectra()
-    ):
-        if not b0.any():
-            continue
-        keep = lam > _EIGEN_FLOOR
-        entropy += float(np.sum(lam[keep] * np.log(lam[keep])))
+    lam = state_0._eigenvalues()
+    mu, vectors = state_1._eigenpairs()
+    kept = lam[lam > _EIGEN_FLOOR]
 
+    # [K, i]: rho_0's mass on rho_1's eigenvector i of total K.
+    overlaps = np.zeros_like(mu)
+    for lo, hi in _size_buckets(len(mu)):
+        w = vectors[lo:hi, :hi, :hi]
         if turn is not None:
-            w = turn[: len(w), None] * w  # D_0^dag D_1 w
-        overlaps = np.einsum("ji,jk,ki->i", w.conj(), b0, w).real
-        overlaps = np.clip(overlaps, 0.0, None)
-        low = mu < _EIGEN_FLOOR
-        escaped_mass += float(overlaps[low].sum())
-        cross += float(np.sum(overlaps * np.log(np.clip(mu, _EIGEN_FLOOR, None))))
-
+            w = turn[:hi, None] * w  # D_0^dag D_1 w
+        mass = state_0._stack[lo:hi, :hi, :hi] @ w
+        overlaps[lo:hi, :hi] = np.sum(w.conj() * mass, axis=1).real
+    overlaps = np.clip(overlaps, 0.0, None)
+    escaped_mass = float(overlaps[mu < _EIGEN_FLOOR].sum())
     if escaped_mass > _SUPPORT_TOL:
         raise InfiniteQreError(
             f"{escaped_mass:.3e} of the first state's mass lies outside the "
             f"second state's numerical support (floor {_EIGEN_FLOOR:g}); the "
             "relative entropy diverges"
         )
-    return entropy - cross
+    # The entropy and cross terms nearly cancel: one correctly rounded sum
+    # of both leaves only each term's own rounding.
+    entropy = kept * np.log(kept)
+    cross = overlaps * np.log(np.clip(mu, _EIGEN_FLOOR, None))
+    return math.fsum(entropy.tolist() + (-cross).ravel().tolist())
 
 
 def oracle_fidelity(
@@ -796,24 +919,46 @@ def oracle_fidelity(
 ) -> float:
     """Uhlmann fidelity tr sqrt(sqrt(rho_0) rho_1 sqrt(rho_0)), in (0, 1].
 
-    sqrt(rho_0) is the root of its held block turned by its phase, so only
-    the relative phase D = diag(exp(i (phase_1 - phase_0) u)) enters: each
-    total reads the eigenvalues of (root D) b_1 (root D)^dag.  A total
-    empty in either state adds nothing.
+    That is the sum of the singular values of sqrt(rho_0) sqrt(rho_1),
+    taken as such: the eigenvalues of sqrt(rho_0) rho_1 sqrt(rho_0) are
+    their squares, so rounding swamps the small ones, and the roots of
+    those move with the last bits of each decomposition.  Each root is
+    that of a held block turned by its state's phase, so only the
+    relative phase D = diag(exp(i (phase_1 - phase_0) u)) enters: each
+    total reads the singular values of root_0 D root_1.  A total empty in
+    either state adds nothing and reaches no LAPACK call; the others are
+    taken a size bucket (``_size_buckets``) at a time, which bounds the
+    complex temporaries of a turn.  The terms are summed correctly
+    rounded, so neither the buckets nor the skipped totals move a bit of
+    the sum.
     """
     _same_cutoff(state_0, state_1)
     turn = _relative_turn(state_0, state_1)
-    total = 0.0
-    for (lam, v), b0, b1 in zip(state_0._spectra(), state_0.blocks, state_1.blocks):
-        if not (b0.any() and b1.any()):
+    spectra = [state_0._eigenpairs()]
+    if state_1._spectrum is not state_0._spectrum:  # a turn shares its roots
+        spectra.append(state_1._eigenpairs())
+    shared = _occupied(state_0._stack) & _occupied(state_1._stack)
+    terms = []
+    for lo, hi in _size_buckets(state_0.cutoff + 1):
+        totals = lo + np.flatnonzero(shared[lo:hi])
+        if not totals.size:
             continue
-        root = (v * np.sqrt(np.clip(lam, 0.0, None))) @ v.conj().T
-        if turn is not None:
-            root = root * turn[: len(root)]  # root D_0^dag D_1
-        inner = root @ b1 @ root.conj().T
-        nu = np.linalg.eigvalsh((inner + inner.conj().T) / 2.0)
-        total += float(np.sqrt(np.clip(nu, 0.0, None)).sum())
-    return min(total, 1.0)
+        roots = [_roots(*spectrum, totals, hi) for spectrum in spectra]
+        root_1 = roots[-1] if turn is None else turn[:hi, None] * roots[-1]
+        singular = np.linalg.svd(roots[0] @ root_1, compute_uv=False)
+        terms += singular.ravel().tolist()
+    return min(math.fsum(terms), 1.0)
+
+
+def _roots(
+    values: np.ndarray, vectors: np.ndarray, totals: np.ndarray, size: int
+) -> np.ndarray:
+    """The square roots of the blocks of ``totals``, padded to ``size``, from
+    their eigenpairs; a negative eigenvalue that rounding leaves reads as
+    zero."""
+    vectors = vectors[totals, :size, :size]
+    roots = np.sqrt(np.clip(values[totals, None, :size], 0.0, None))
+    return (vectors * roots) @ _adjoint(vectors)
 
 
 def oracle_cross_check(
@@ -875,6 +1020,8 @@ def oracle_cross_check(
             forward_table,
             return_table,
             [_tails([scenario.nbar_b2, scenario.nbar_b1, n])[shared] for n in probes],
+            # The probe-off state's eigenvectors are never read.
+            [False, True],
         )
     )
     probe_a = ProbeSettings(nbar_s=nbar_s, nbar_lo=nbar_lo, theta=theta)

@@ -460,6 +460,8 @@ class TestTensorReduce:
 
 OPAQUE = SensingScenario(0.0, 0.5, 0.1, 0.1)
 LOSSY = SensingScenario(0.5, 0.5, 0.1, 0.1)
+#: eta_1 eta_2 = 1e-320, a subnormal round trip.
+SUBNORMAL = SensingScenario(1e-160, 1e-160, 0.1, 0.1)
 
 
 class TestArgumentRefusals:
@@ -513,6 +515,16 @@ class TestArgumentRefusals:
             lambda: ase_heterodyne_coefficient(OPAQUE, 1.0),
             DomainError,
             "^fully opaque channel",
+        ),
+        "qcrb-subnormal-eta": (
+            lambda: qcrb_ase(SUBNORMAL, 1.0),
+            DomainError,
+            r"^c_ase = inf is not finite at eta_eff = 1e-320$",
+        ),
+        "het-subnormal-eta": (
+            lambda: ase_heterodyne_coefficient(SUBNORMAL, 1.0),
+            DomainError,
+            r"^c_het_tilde = inf is not finite at eta_eff = 1e-320$",
         ),
         "qcrb-nan-c2": (lambda: qcrb_ase(LOSSY, math.nan), ValueError, "^c2"),
         "qcrb-inf-c2": (lambda: qcrb_ase(LOSSY, math.inf), ValueError, "^c2"),
