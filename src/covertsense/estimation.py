@@ -576,12 +576,13 @@ def estimation_report(
     ``c_het = c_het_tilde``, ``mu_c = 1`` and ``mu = sqrt(w_coh / w_ase)``.
     The source comparison is stated at the operating point ``w_ase *
     integration_time``, which is validated although it cancels from the
-    ratios.  The bandwidths, ``integration_time`` and that operating point
-    are checked before the budget is computed.
+    ratios.  The bandwidths, their ratio ``mu_w``, ``integration_time`` and
+    that operating point are checked before the budget is computed.
     """
     n = channel_uses(num_modes)
     # The ratios are stated at integration time T: refuse bandwidths, a T,
-    # or a mode count W_ase * T that is no operating point.
+    # or a mode count W_ase * T that is no operating point, and a mu_w that
+    # underflows, where mu = 1/sqrt(mu_w) would divide by zero.
     if not (0.0 < w_ase < math.inf and 0.0 < w_coh < math.inf):
         raise ValueError(
             f"bandwidths must be positive and finite, got {w_ase} and {w_coh}"
@@ -592,11 +593,16 @@ def estimation_report(
             f"time-bandwidth product W_ase*T overflows (W_ase = {w_ase:g} Hz, "
             f"T = {integration_time:g} s)"
         )
+    mu_w = w_ase / w_coh
+    if mu_w == 0.0:
+        raise ValueError(
+            f"bandwidth ratio W_ase/W_coh underflows to 0 (W_ase = {w_ase:g} Hz, "
+            f"W_coh = {w_coh:g} Hz)"
+        )
     budget = covert_budget(scenario, epsilon, n)
     f_a_prime, f_a = qfi_closed(scenario, budget.nbar_s, nbar_lo)
     c_ase = qcrb_ase(scenario, budget.c2)
     c_het_tilde = ase_heterodyne_coefficient(scenario, budget.c2)
-    mu_w = w_ase / w_coh
     root_n = math.sqrt(n)
     return EstimationReport(
         f_a=f_a,

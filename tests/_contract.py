@@ -13,6 +13,7 @@ file through it.  ``json_strict`` and ``csv_strict`` parse the two output
 formats, ``cause`` checks an exit against a list of causes and the channel
 it prints on, and ``breaches`` runs a seeded fuzz's draws through all of it.
 A subcommand's fuzz supplies its draws, its causes and its exit-0 checks.
+``child_runs`` runs fresh interpreters, for checks of peak memory.
 """
 
 from __future__ import annotations
@@ -24,6 +25,8 @@ import math
 import os
 import random
 import signal
+import subprocess
+import sys
 import warnings
 from typing import Any, Callable, Iterable, NamedTuple
 
@@ -188,3 +191,46 @@ def breaches(
         except Exception as exc:
             found.append((f"exit {result.code}: {exc}", draw))
     return found
+
+
+#: Runs each argv of the JSON list ``sys.argv[1]`` as ``python <argv>``, in
+#: turn, and prints one JSON line per run: exit code, stdout, stderr, and
+#: the peak RSS in MB of the runs so far (``ru_maxrss`` is in kB on Linux).
+_SPAWNER = """\
+import json, resource, subprocess, sys
+for argv in json.loads(sys.argv[1]):
+    run = subprocess.run([sys.executable, *argv], capture_output=True, text=True)
+    peak_mb = resource.getrusage(resource.RUSAGE_CHILDREN).ru_maxrss / 1024
+    print(json.dumps([run.returncode, run.stdout, run.stderr, peak_mb]))
+"""
+
+
+class ChildRun(NamedTuple):
+    """One fresh interpreter's exit code and channels, and a peak RSS."""
+
+    code: int
+    out: str
+    err: str
+    peak_mb: float  # the largest peak RSS of this run and every earlier one
+
+
+def child_runs(argvs: list[list[str]], *, timeout: float = 120.0) -> list[ChildRun]:
+    """Each argv run in turn as ``python <argv>`` by one small spawner process.
+
+    The runs are the spawner's children, not this process's, because a
+    child's peak RSS starts at its parent's RSS, which here holds numpy and
+    scipy, and ``RUSAGE_CHILDREN`` is the peak over every earlier child,
+    here every test's.  So each group of runs has its own spawner, and its
+    smallest run goes first.
+    """
+    env = dict(os.environ)
+    env.pop(CONFIG_ENV_VAR, None)
+    spawner = subprocess.run(
+        [sys.executable, "-c", _SPAWNER, json.dumps(argvs)],
+        capture_output=True,
+        text=True,
+        env=env,
+        timeout=timeout,
+    )
+    assert spawner.returncode == 0, spawner.stderr
+    return [ChildRun(*json.loads(line)) for line in spawner.stdout.splitlines()]

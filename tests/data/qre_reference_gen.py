@@ -1,9 +1,13 @@
 """Write ``qre_reference.json``: the adversary QRE D(nbar_s) at 40 digits.
 
-Run once with mpmath installed (it is not a dependency of the package or
-of its tests; the test suite reads only the JSON):
+Needs mpmath 1.3.0, which the test extra pins:
 
     python tests/data/qre_reference_gen.py
+
+``render`` returns the file's text, and ``test_covertness.py`` checks it
+against the committed file byte for byte.  It reads the snapshot's
+``scenario`` cases, so a re-recorded ``cli_stdout.json`` needs a
+regenerated ``qre_reference.json``.
 
 D is evaluated independently of ``covertness.willie_qre``, as
 tr[(1 + N0) ln(1 + Ns)] - tr[N0 ln Ns] minus the same at nbar_s = 0, with
@@ -89,15 +93,19 @@ def points():
     return out
 
 
-def main():
+def render():
+    """The text of ``qre_reference.json``."""
     rows = []
     for kind, e1, e2, b1, b2, ns in points():
         rows.append({
             "kind": kind, "eta_1": e1, "eta_2": e2, "nbar_b1": b1, "nbar_b2": b2,
             "nbar_s": ns, "qre": mp.nstr(reference(e1, e2, b1, b2, ns), 40),
         })
-    path = Path(__file__).with_name("qre_reference.json")
-    path.write_text(json.dumps({"digits": mp.mp.dps, "points": rows}, indent=1) + "\n")
+    return json.dumps({"digits": mp.mp.dps, "points": rows}, indent=1) + "\n"
+
+
+def main():
+    Path(__file__).with_name("qre_reference.json").write_text(render())
 
 
 if __name__ == "__main__":

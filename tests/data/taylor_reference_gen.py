@@ -1,9 +1,11 @@
 """Write ``taylor_reference.json``: c2 and c3 of the adversary QRE at 60 digits.
 
-Run once with mpmath installed (it is not a dependency of the package or
-of its tests; the test suite reads only the JSON):
+Needs mpmath 1.3.0, which the test extra pins:
 
     python tests/data/taylor_reference_gen.py
+
+``render`` returns the file's text, and ``test_covertness.py`` checks it
+against the committed file byte for byte.
 
 D(nbar_s) is evaluated independently of ``covertness.taylor_coefficients``:
 as tr[(1 + N0) ln(1 + Ns)] - tr[N0 ln Ns] with Ns = N0 + nbar_s p p^T, the
@@ -118,7 +120,8 @@ def points():
     return out
 
 
-def main():
+def render():
+    """The text of ``taylor_reference.json``."""
     rows = []
     for kind, e1, e2, b1, b2 in points():
         c2, c3 = reference(e1, e2, b1, b2)
@@ -126,8 +129,11 @@ def main():
             "kind": kind, "eta_1": e1, "eta_2": e2, "nbar_b1": b1, "nbar_b2": b2,
             "c2": mp.nstr(c2, 25), "c3": mp.nstr(c3, 25),
         })
-    path = Path(__file__).with_name("taylor_reference.json")
-    path.write_text(json.dumps({"digits": 60, "points": rows}, indent=1) + "\n")
+    return json.dumps({"digits": 60, "points": rows}, indent=1) + "\n"
+
+
+def main():
+    Path(__file__).with_name("taylor_reference.json").write_text(render())
 
 
 if __name__ == "__main__":

@@ -13,7 +13,7 @@ import sys
 import tracemalloc
 
 import pytest
-from _contract import cause, csv_strict, flag_argv, json_strict, run
+from _contract import cause, child_runs, csv_strict, flag_argv, json_strict, run
 from conftest import THREE_STRIPS_AND_A_BLOCK
 
 from covertsense import cli
@@ -195,6 +195,25 @@ class TestMseMcCommand:
             "message": "no signal to normalize by: nbar_s = 5e-324",
             "type": "DomainError",
         }}
+
+    def test_memory_and_bytes_independent_of_trials_and_workers(self):
+        # 1e4 trials run in one strip, 8e7 in ~4900 strips on a thread pool.
+        # Each thread is one task that walks its share of the strips with
+        # one generator and one set of buffers, so the peak RSS stays within
+        # 5 MB; the block sums are added exactly, so one worker walking
+        # every strip prints the same bytes.
+        runs = child_runs([
+            ["-m", "covertsense.cli", "mse-mc", *SCENARIO_FLAGS, "--seed", "7",
+             "--trials", trials, "--workers", workers]
+            for trials, workers in (("10000", "2"), ("80000000", "2"), ("80000000", "1"))
+        ])
+        for run in runs:
+            assert run.code == 0, run
+            assert json.loads(run.out)["results"]["mse"] > 0.0
+        small, large, serial = runs
+        growth = large.peak_mb - small.peak_mb
+        assert growth <= 5.0, f"peak RSS grew {growth:.1f} MB from 1e4 to 8e7 trials"
+        assert serial.out == large.out
 
     def test_seed_changes_estimate(self):
         base = ["mse-mc", *SCENARIO_FLAGS, "--trials", "1000"]
@@ -767,13 +786,17 @@ def test_bounds_with_huge_reference_is_finite():
 
 class TestStrictJson:
     """Every numeric flag of the analytic, Monte-Carlo and oracle-check
-    subcommands at non-finite or huge values.  Integer flags (``points``,
-    ``trials``, ``seed``, ``workers``) reject all four literals at parse
-    time, so no case runs unbounded work or starts threads; the oracle's
-    integer ``cutoff`` is covered by the refusal cases below.  Runs
-    ``main`` in-process: 200 fresh interpreters would cost minutes."""
+    subcommands at non-finite, huge, zero and subnormal values.  Integer
+    flags (``points``, ``trials``, ``seed``, ``workers``) reject every
+    literal but "0" at parse time; at 0, ``points``, ``trials`` and
+    ``workers`` are refused before any work and ``seed`` runs 1000 trials,
+    so no case runs unbounded work or starts threads; the oracle's integer
+    ``cutoff`` is covered by the refusal cases below.  Runs ``main``
+    in-process: 400 fresh interpreters would cost minutes."""
 
-    @pytest.mark.parametrize("value", ["nan", "inf", "-inf", "1e308"])
+    @pytest.mark.parametrize(
+        "value", ["nan", "inf", "-inf", "1e308", "0", "5e-324", "-1e-320"]
+    )
     @pytest.mark.parametrize(
         "command,flag",
         [(command, flag) for command, flags in NUMERIC_FLAGS.items() for flag in flags],
@@ -801,6 +824,7 @@ class TestStrictJson:
             ("scenario", "nb1", "inf", "nbar_b1"),
             ("bounds", "nlo", "nan", "nbar_lo"),
             ("bounds", "t-int", "1e308", "product W_ase*T overflows"),
+            ("bounds", "w-ase", "1e-320", "W_ase"),
             ("sweep", "t0", "inf", "t0"),
             ("sweep", "fmax", "inf", "f_max"),
             ("sweep", "T", "inf", "integration time T"),
@@ -1000,22 +1024,3 @@ def test_numeric_commands_run_from_fresh_interpreter(argv, imports):
     )
     result = _fresh_python(code)
     assert result.returncode == 0, result.stderr
-
-
-@pytest.mark.parametrize(
-    "argv",
-    [["mse-mc", *SCENARIO_FLAGS, "--trials", "1000"], ["oracle-check"]],
-    ids=["mse-mc", "oracle-check"],
-)
-def test_numeric_commands_without_numpy_emit_json_error(argv, monkeypatch):
-    """Without numpy the two numeric commands refuse with the JSON error
-    object and exit 1 instead of a traceback."""
-    monkeypatch.setitem(sys.modules, "numpy", None)
-    # Drop the loaded numeric modules so that their import runs again.
-    for name in ("covertsense.fock", "covertsense.gaussian"):
-        monkeypatch.delitem(sys.modules, name, raising=False)
-    result = run(argv)
-    assert result.code == 1, result
-    error = json.loads(result.out)["error"]
-    assert error["type"] == "ModuleNotFoundError"
-    assert "numpy" in error["message"]

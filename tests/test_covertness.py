@@ -6,6 +6,8 @@ import functools
 import json
 import math
 import random
+import subprocess
+import sys
 from collections import Counter
 from pathlib import Path
 
@@ -49,6 +51,23 @@ PINNED = json.loads(
 QRE_PINNED = json.loads(
     (Path(__file__).parent / "data" / "qre_reference.json").read_text()
 )["points"]
+
+
+@pytest.mark.parametrize("name", ["taylor_reference", "qre_reference"])
+def test_pinned_reference_is_its_generators_output(name):
+    # Each generator in its own interpreter: each sets mpmath's working
+    # precision when it is imported.
+    data = Path(__file__).parent / "data"
+    render = f"import sys, {name}_gen as g; sys.stdout.write(g.render())"
+    result = subprocess.run(
+        [sys.executable, "-c", render],
+        capture_output=True,
+        text=True,
+        cwd=data,
+        timeout=120,
+    )
+    assert result.returncode == 0, result.stderr
+    assert result.stdout == (data / f"{name}.json").read_text()
 
 
 def _stencil_coefficients(scenario: SensingScenario) -> tuple[float, float]:

@@ -17,6 +17,7 @@ import numpy as np
 import pytest
 import scipy.linalg
 import scipy.sparse
+from _contract import child_runs
 
 try:
     from numpy.lib.array_utils import byte_bounds
@@ -1910,6 +1911,40 @@ class TestCrossCheckMemory:
         assert peak_64 < 30e6
         # Doubling the cutoff multiplies a cubic peak by 8, a quartic by 16.
         assert peak_64 <= 9 * peak_32
+
+    POINT = "--eta1 0.5 --eta2 0.5 --nb1 0.3 --nb2 0.3 --ns 2 --nlo 0 --theta 0.3"
+    VACUUM = "--nb1 0 --nb2 0 --ns 0 --nlo 0"
+    #: oracle-check arguments and the cutoff they reach: the occupancy cap
+    #: (ns 2) at the largest cutoff the defaults reach, then at the photon
+    #: cap, then all-vacuum inputs at the photon cap, where 64 of the 65
+    #: adversary blocks are zero, and at the automatic cutoff, then a tiny
+    #: reference occupancy whose mass at cutoff 1 is past the CM tolerance.
+    ENVELOPE = (
+        (POINT, 57),
+        (POINT + " --cutoff 64", 64),
+        ("--cutoff 64 " + VACUUM, 64),
+        (VACUUM, 1),
+        ("--eta1 0.5 --eta2 0.5 --nb1 0 --nb2 0 --ns 0 --nlo 1e-5", 1),
+    )
+
+    def test_envelope_points_pass_in_under_100_mb(self):
+        # Each in a fresh interpreter that turns a RuntimeWarning into an
+        # error, so that no zero padding of the stacked states reaches a
+        # log, a sqrt or a 0/0.  The cutoff-57 run peaks near 49 MB and the
+        # cutoff-64 run near 55 MB.  A build that holds the return tap's
+        # Gram over all totals peaks near 92 MB there, under this bound:
+        # the traced gate above is what catches it.
+        runs = child_runs([
+            ["-W", "error::RuntimeWarning", "-m", "covertsense.cli", "oracle-check",
+             *args.split()]
+            for args, _ in self.ENVELOPE
+        ])
+        for (args, cutoff), run in zip(self.ENVELOPE, runs, strict=True):
+            assert run.code == 0, (args, run)
+            results = json.loads(run.out)["results"]
+            assert results["passed"] is True, (args, results)
+            assert results["residuals"]["cutoff"] == cutoff, (args, results)
+            assert run.peak_mb < 100, f"child peak RSS {run.peak_mb:.0f} MB: {args}"
 
 
 class TestPairBlocks:
