@@ -7,7 +7,9 @@ calls library functions, and serialises the results.  No numerics live
 here.  ``scenario``, ``bounds``, ``sweep``, ``optimize`` and
 ``reproduce-paper`` run on the math-only closed forms and import no
 numpy; ``mse-mc`` loads it in the Monte-Carlo run and ``oracle-check``
-imports :mod:`covertsense.fock` when it runs.  What each command loads:
+imports :mod:`covertsense.fock` when it runs.  What each command loads,
+as the ``STARTUP`` table of ``tests/test_cli.py`` checks, one fresh
+interpreter per command:
 
 * :mod:`covertsense.link`: only ``sweep``, ``optimize`` and
   ``reproduce-paper``, inside the command, so ``scenario``, ``bounds``

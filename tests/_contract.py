@@ -10,9 +10,11 @@ traceback, and no JSON or CSV output holds a NaN or an infinity.
 stdout and stderr, or the hang or the escaped exception.
 ``COVERTSENSE_CONFIG`` is unset for the run unless the run reads its config
 file through it.  ``json_strict`` and ``csv_strict`` parse the two output
-formats, ``cause`` checks an exit against a list of causes and the channel
-it prints on, and ``breaches`` runs a seeded fuzz's draws through all of it.
-A subcommand's fuzz supplies its draws, its causes and its exit-0 checks.
+formats.  ``CAUSES`` is the one table of refusals, from cause id to the
+message fragment that names it; ``cause`` checks an exit against it, the
+ids a caller allows and the channel the error prints on.  ``breaches``
+runs a seeded fuzz's draws through all of it.  A subcommand's fuzz supplies
+its draws, the cause ids it allows and its exit-0 checks.
 ``child_runs`` runs fresh interpreters, for checks of peak memory.
 """
 
@@ -28,13 +30,59 @@ import signal
 import subprocess
 import sys
 import warnings
-from typing import Any, Callable, Iterable, NamedTuple
+from typing import Any, Callable, Collection, Iterable, NamedTuple
 
 from covertsense.cli import CONFIG_ENV_VAR, CSV_HEADER, main
 
 #: Seeds the choice between ``--config`` and ``COVERTSENSE_CONFIG`` for a
 #: config draw, apart from each fuzz's own seed, so that no draw moves.
 ROUTE_SEED = 27
+
+#: Every refusal a run of the suite may give: cause id -> a fragment of
+#: ``"<type>: <message>"`` that names it and no other refusal.  The raise
+#: sites keep their literal messages, so a reworded message fails the runs
+#: that reach it instead of changing along with a shared constant.
+CAUSES = {
+    # Inputs out of their range.
+    "tap-range": "must lie in [0, 1], got",
+    "occupancy": "must be non-negative and finite, got",
+    "not-positive": "must be positive and finite, got",
+    "theta": "theta must be finite",
+    # The covert budget (covertness).
+    "modes-finite": "number of channel uses must be finite",
+    "no-channel-use": "need at least one channel use",
+    "vacuum": "a tap sees (near-)vacuum here",
+    "identity": "(identity channel?)",
+    "c2-underflow": "underflows double precision at these bath occupancies",
+    "budget-overflow": "covert budget overflows double precision",
+    # Estimation: bounds and mse-mc.
+    "bandwidth-ratio": "bandwidth ratio W_ase/W_coh underflows to 0",
+    "ase-wt-overflow": "time-bandwidth product W_ase*T overflows",
+    "opaque": "fully opaque channel",
+    "no-signal": "no signal to normalize by",
+    "trials": "trials for a stable MSE",
+    "seed": "seed must be a non-negative integer below 2**128",
+    "workers": "workers must be >= 1",
+    # The link layer: sweep, optimize and reproduce-paper.
+    "band-order": "need f_min < f_max",
+    "bracket-order": "need lambda_lo < lambda_hi",
+    "points": "need at least two sweep points",
+    "wt-overflow": "time-bandwidth product W*T overflows",
+    "no-mode": "yields no usable mode",
+    "eta-max": "eta_max must be in (0, 1)",
+    "planck-overflow": "blackbody occupancy overflows",
+    "geometry-overflow": "link geometry squares overflow",
+    "near-field": "the diffraction formula does not apply this close",
+    "empty-band": "no valid link point in",
+    "empty-bracket": "no valid wavelength in",
+    # The number-basis oracle: oracle-check.
+    "cutoff-negative": "cutoff must be non-negative",
+    "cutoff-cap": "exceeds the supported cap",
+    "tail-mass": "leaves tail mass",
+    "occupancy-cap": "the number-basis oracle is a small-occupancy tool",
+    # The CLI's check that no output holds a NaN or an infinity.
+    "non-finite": "an input is outside the range where the model gives a finite answer",
+}
 
 
 class Result(NamedTuple):
@@ -123,15 +171,17 @@ def csv_strict(text: str) -> list[list[float | None]]:
     return rows
 
 
-def cause(result: Result, causes: dict[str, str], *, channel: str = "out") -> str:
+def cause(
+    result: Result, allowed: Collection[str] = CAUSES, *, channel: str = "out"
+) -> str:
     """What a run did under the contract; AssertionError on a breach.
 
     "answer" on exit 0, whose output the caller checks; "usage" on exit 2,
     whose stdout is empty and whose stderr is one ``covertsense: `` line.
-    On exit 1, the key of the one entry of ``causes`` whose fragment is in
-    ``"<type>: <message>"`` of the one-line JSON error on ``channel``, so a
-    fragment may name an error type.  An error on stdout leaves stderr
-    empty; beside one on stderr, stdout is the caller's to check.
+    On exit 1, the id of the one entry of ``CAUSES`` whose fragment is in
+    ``"<type>: <message>"`` of the one-line JSON error on ``channel``,
+    which must be one of the ``allowed`` ids.  An error on stdout leaves
+    stderr empty; beside one on stderr, stdout is the caller's to check.
     """
     assert result.fault is None, result.fault
     if result.code == 0:
@@ -147,9 +197,10 @@ def cause(result: Result, causes: dict[str, str], *, channel: str = "out") -> st
     assert line.endswith("\n") and line.count("\n") == 1, line
     error = json_strict(line)["error"]
     named = f"{error['type']}: {error['message']}"
-    keys = [key for key, fragment in causes.items() if fragment in named]
-    assert len(keys) == 1, f"{named!r} names {len(keys)} listed causes"
-    return keys[0]
+    ids = [key for key, fragment in CAUSES.items() if fragment in named]
+    assert len(ids) == 1, f"{named!r} names {len(ids)} listed causes"
+    assert ids[0] in allowed, f"{named!r} names {ids[0]}, not one of {allowed}"
+    return ids[0]
 
 
 def breaches(

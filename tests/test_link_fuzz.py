@@ -12,8 +12,9 @@ tenth ``sweep`` or ``optimize`` draw is followed by a copy whose
 * Exit 0 must print strict JSON; a CSV ``sweep`` prints the header and one
   row per point whose cells are finite floats or blank, and a
   ``reproduce-paper`` table holds no non-finite number.
-* Exit 1 must print a one-line JSON error naming one cause of ``CAUSES``, on
-  stdout; an empty sweep prints it on stderr, after a bare CSV header.
+* Exit 1 must print a one-line JSON error naming one cause of
+  ``CAUSE_IDS``, on stdout; an empty sweep prints it on stderr, after a
+  bare CSV header.
 * Exit 2 must print a usage message on stderr and no traceback.  A value
   outside a flag's fixed choices must exit 2 with a usage line that names
   a flag with a bad value.
@@ -34,24 +35,14 @@ SEED = 24
 #: Wall-clock bound of one run; a reproduce-paper run takes about 40 ms.
 ALARM_S = 2.0
 
-#: The refusals a run may give, each with the fragment that names it.
-CAUSES = {
-    "not-positive": "must be positive and finite, got",
-    "band-order": "need f_min < f_max",
-    "bracket-order": "need lambda_lo < lambda_hi",
-    "points": "need at least two sweep points",
-    "wt-overflow": "time-bandwidth product W*T overflows",
-    "no-mode": "yields no usable mode",
-    "area-factor": "area_factor must be one of",
-    "policy": "eta_policy must be one of",
-    "eta-max": "eta_max must be in (0, 1)",
-    "planck-overflow": "blackbody occupancy overflows",
-    "geometry-overflow": "link geometry squares overflow",
-    "near-field": "the diffraction formula does not apply this close",
-    "empty-band": "no valid link point in",
-    "empty-bracket": "no valid wavelength in",
-    "non-finite": "an input is outside the range where the model gives a finite answer",
-}
+#: The refusals a run may give, as ids of ``_contract.CAUSES``.  A value
+#: outside ``--area-factor``'s or ``--eta-policy``'s choices is a usage
+#: error, so neither has a refusal here.
+CAUSE_IDS = (
+    "not-positive", "band-order", "bracket-order", "points", "wt-overflow",
+    "no-mode", "eta-max", "planck-overflow", "geometry-overflow", "near-field",
+    "empty-band", "empty-bracket", "non-finite",
+)
 
 #: Values outside the fixed choices of two flags, which ``--area-factor``
 #: and ``--eta-policy`` draw now and then.
@@ -139,7 +130,7 @@ def _check(draw, result):
     fmt = flags.get("format", {"sweep": "csv", "reproduce-paper": "table"}.get(command))
     bad = [name for name, value in OUT_OF_CHOICE.items() if flags.get(name) == value]
     if bad:
-        assert cause(result, CAUSES) == "usage"
+        assert cause(result, CAUSE_IDS) == "usage"
         # --points is converted first, and a drawn 1e3 is no integer.
         named = re.match(r"covertsense: bad value for --([\w-]+): ", result.err)
         assert named and named.group(1) in bad + ["points"], result.err
@@ -147,8 +138,8 @@ def _check(draw, result):
         # An empty sweep: a bare CSV header, and the error on stderr.
         assert result.out == (CSV_HEADER + "\n" if fmt == "csv" else "")
         assert json_strict(result.err)["error"]["type"] == "EmptySweepError"
-        cause(result, CAUSES, channel="err")
-    elif cause(result, CAUSES) == "answer":
+        cause(result, CAUSE_IDS, channel="err")
+    elif cause(result, CAUSE_IDS) == "answer":
         if fmt == "csv":
             assert len(csv_strict(result.out)) == int(flags["points"])
             json_strict(result.err)

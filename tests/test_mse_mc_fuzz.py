@@ -12,7 +12,7 @@ threads than the machine has.
 
 * Exit 0 must print strict JSON whose ``mse`` and ``stderr`` are finite,
   with ``mse`` positive and ``stderr`` non-negative.
-* Exit 1 must print a one-line JSON error naming one cause of ``CAUSES``.
+* Exit 1 must print a one-line JSON error naming one cause of ``CAUSE_IDS``.
 * Exit 2 must print a usage message on stderr and no traceback.
 """
 
@@ -29,23 +29,12 @@ SEED = 25
 #: Wall-clock bound of one run; a 20 000-trial run takes a few ms.
 ALARM_S = 5.0
 
-#: The refusals a run may give, each with the fragment that names it.
-CAUSES = {
-    "tap-range": "must lie in [0, 1], got",
-    "occupancy": "must be non-negative and finite, got",
-    "not-positive": "must be positive and finite, got",
-    "modes-finite": "number of channel uses must be finite",
-    "no-mode": "need at least one channel use",
-    "vacuum": "a tap sees (near-)vacuum here",
-    "budget-overflow": "covert budget overflows double precision",
-    "trials": "trials for a stable MSE",
-    "seed": "seed must be a non-negative integer below 2**128",
-    "workers": "workers must be >= 1",
-    "theta": "theta must be finite",
-    "no-signal": "no signal to normalize by",
-    "opaque": "fully opaque channel",
-    "non-finite": "an input is outside the range where the model gives a finite answer",
-}
+#: The refusals a run may give, as ids of ``_contract.CAUSES``.
+CAUSE_IDS = (
+    "tap-range", "occupancy", "not-positive", "modes-finite", "no-channel-use",
+    "vacuum", "budget-overflow", "trials", "seed", "workers", "theta",
+    "no-signal", "opaque", "non-finite",
+)
 
 #: The values a drawn float is now and then replaced by.
 SPECIAL = ("nan", "inf", "-inf", "0", "-1", "1e308", "5e-324")
@@ -96,7 +85,7 @@ def _draws():
 
 def _check(draw, result):
     """Raise AssertionError when a run breaks the exit contract."""
-    if cause(result, CAUSES) == "answer":
+    if cause(result, CAUSE_IDS) == "answer":
         assert result.err == "", result.err
         results = json_strict(result.out)["results"]
         assert math.isfinite(results["mse"]) and results["mse"] > 0.0, results

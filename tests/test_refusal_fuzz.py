@@ -17,11 +17,11 @@ through ``_contract.breaches``, so a hang or an escape fails the test.
   ``--flag=value``, must exit 0 with the same stdout byte for byte.
 * A flag given twice must exit 2 with a usage line that names it.
 * Exit 1 must print a one-line JSON error on stdout whose message names one
-  cause of ``CAUSES``, and a predicate on the inputs must allow that cause: the
-  vacuum refusal exactly when lambda_lo <= 1e-12, the identity channel
-  exactly when both taps are 1, and the c2 underflow only when a lower
-  bound on c2 underflows.  An answer needs an upper bound on c2 that does
-  not.
+  cause of ``CAUSE_IDS``, and a predicate on the inputs must allow that
+  cause: the vacuum refusal exactly when lambda_lo <= 1e-12, the identity
+  channel exactly when both taps are 1, and the c2 underflow only when a
+  lower bound on c2 underflows.  An answer needs an upper bound on c2
+  that does not.
 """
 
 from __future__ import annotations
@@ -46,12 +46,8 @@ ALARM_S = 2.0
 #: no other draw moves.
 REPEAT_EVERY = 20
 
-#: The refusals a run may give, each with the fragment that names it.
-CAUSES = {
-    "vacuum": "needs a strictly thermal adversary reference state",
-    "identity": "(identity channel?)",
-    "c2-underflow": "underflows double precision at these bath occupancies",
-}
+#: The refusals a run may give, as ids of ``_contract.CAUSES``.
+CAUSE_IDS = ("vacuum", "identity", "c2-underflow")
 
 
 def _draws():
@@ -111,7 +107,7 @@ def _rewritten(argv):
 
 
 def _admissible(e1, e2, b1, b2):
-    """Outcomes the inputs allow: "answer" and/or keys of ``CAUSES``."""
+    """Outcomes the inputs allow: "answer" and/or ids of ``CAUSE_IDS``."""
     n11 = (1.0 - e1) * (1.0 - e2) * b1 + e2 * b2
     n22 = e1 * b1
     n12 = math.sqrt((1.0 - e2) * e1 * (1.0 - e1)) * b1
@@ -139,7 +135,7 @@ def _admissible(e1, e2, b1, b2):
 
 def _check(argv, result):
     """Raise AssertionError unless the outcome is one the inputs allow."""
-    outcome = cause(result, CAUSES)
+    outcome = cause(result, CAUSE_IDS)
     flags = argv[1::2]
     if len(set(flags)) < len(flags):
         (twice,) = {flag for flag in flags if flags.count(flag) > 1}
